@@ -1,16 +1,17 @@
-"""Truncated-polynomial ring and bit-packed boolean matrices.
+"""Truncated-polynomial ring, bit-packed boolean matrices, and the
+covering-pairs kernel.
 
-Two matrix products back the solvers: a polynomial-entry product whose
-exponents saturate at a cap, and a complement-boolean product reporting
-zero entries via bitwise AND of packed rows.
+`covering_pairs` is the one pair search the solvers run (through
+`multidom.pair_join`). The polynomial-entry product, whose exponents
+saturate at a cap, and the complement-boolean product, which reports the
+zero entries of A·B, are library kernels that no solver calls.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 INF_DEGREE = math.inf
 
@@ -119,24 +120,12 @@ class PolyMatrix:
         return self.entries[i][j]
 
 
-def _stripes(total: int, parts: int) -> list[range]:
-    parts = max(1, min(parts, total)) if total else 1
-    base, extra = divmod(total, parts)
-    out = []
-    start = 0
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        out.append(range(start, start + size))
-        start += size
-    return out
-
-
 def poly_mat_mul(A: PolyMatrix, B: PolyMatrix, threads: int = 1) -> PolyMatrix:
     """C = A·B over the truncated ring. Exponents saturate at the shared cap;
     coefficients accumulate exactly (Python ints, no overflow).
 
-    Row stripes may run on worker threads; assembly order is fixed, so the
-    result is identical for any thread count.
+    `threads` is accepted for compatibility and has no effect: the product
+    runs on the calling thread.
     """
     if A.cols != B.rows:
         raise ValueError(f"dimension mismatch: {A.rows}x{A.cols} · {B.rows}x{B.cols}")
@@ -144,33 +133,22 @@ def poly_mat_mul(A: PolyMatrix, B: PolyMatrix, threads: int = 1) -> PolyMatrix:
         raise ValueError("cap mismatch")
     cap = A.cap
 
-    def stripe(rows: range) -> list[tuple[TruncatedPoly, ...]]:
-        out = []
-        for i in rows:
-            arow = A.entries[i]
-            crow = []
-            for j in range(B.cols):
-                acc = [0] * (cap + 1)
-                for t in range(A.cols):
-                    p = arow[t]
-                    q = B.entries[t][j]
-                    for e1, c1 in enumerate(p.coeffs):
-                        if not c1:
-                            continue
-                        for e2, c2 in enumerate(q.coeffs):
-                            if c2:
-                                acc[min(e1 + e2, cap)] += c1 * c2
-                crow.append(TruncatedPoly(cap, tuple(acc)))
-            out.append(tuple(crow))
-        return out
-
-    if threads <= 1 or A.rows <= 1:
-        rows = stripe(range(A.rows))
-    else:
-        rows = []
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for chunk in pool.map(stripe, _stripes(A.rows, threads)):
-                rows.extend(chunk)
+    rows = []
+    for arow in A.entries:
+        crow = []
+        for j in range(B.cols):
+            acc = [0] * (cap + 1)
+            for t in range(A.cols):
+                p = arow[t]
+                q = B.entries[t][j]
+                for e1, c1 in enumerate(p.coeffs):
+                    if not c1:
+                        continue
+                    for e2, c2 in enumerate(q.coeffs):
+                        if c2:
+                            acc[min(e1 + e2, cap)] += c1 * c2
+            crow.append(TruncatedPoly(cap, tuple(acc)))
+        rows.append(tuple(crow))
     return PolyMatrix(A.rows, B.cols, cap, tuple(rows))
 
 
@@ -229,29 +207,44 @@ class BoolMatrix:
         return BoolMatrix(self.cols, self.rows, tuple(cols))
 
 
+def iter_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a nonnegative int, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def covering_pairs(row_gaps: Iterable[Iterable[int]], cols: int) -> Iterator[tuple[int, int]]:
+    """Every (i, j) such that column j < `cols` is in none of row i's gap masks.
+
+    `row_gaps` gives, per row, an iterable of column bitmasks (bits at or
+    beyond `cols` must be zero). A row's masks are ORed until they cover every
+    column; the rest of that row's masks are never drawn, so a lazy iterable
+    skips their construction. Pairs come in row-major order, lowest column
+    first within a row, and lazily: a caller that stops at the first pair
+    stops the search there.
+    """
+    full = (1 << cols) - 1
+    for i, gaps in enumerate(row_gaps):
+        seen = 0
+        for gap in gaps:
+            seen |= gap
+            if seen == full:
+                break
+        for j in iter_bits(full ^ seen):
+            yield i, j
+
+
 def complement_zero_pairs(A: BoolMatrix, B: BoolMatrix, threads: int = 1) -> list[tuple[int, int]]:
     """All (i, j) with (A·B)[i,j] = 0 over the integers, i.e. for every t
     either A[i,t] = 0 or B[t,j] = 0. Row-major order.
 
-    B is transposed once so each test is a single AND of packed rows.
+    Row i's gap masks are the rows B[t] for each t set in A[i], so no
+    transpose is needed. `threads` is accepted for compatibility and has no
+    effect.
     """
     if A.cols != B.rows:
         raise ValueError(f"dimension mismatch: {A.rows}x{A.cols} · {B.rows}x{B.cols}")
-    bt = B.transpose().row_bits
-
-    def stripe(rows: range) -> list[tuple[int, int]]:
-        hits = []
-        for i in rows:
-            ra = A.row_bits[i]
-            for j, cb in enumerate(bt):
-                if ra & cb == 0:
-                    hits.append((i, j))
-        return hits
-
-    if threads <= 1 or A.rows <= 1:
-        return stripe(range(A.rows))
-    out: list[tuple[int, int]] = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for chunk in pool.map(stripe, _stripes(A.rows, threads)):
-            out.extend(chunk)
-    return out
+    b_rows = B.row_bits
+    return list(covering_pairs(((b_rows[t] for t in iter_bits(ra)) for ra in A.row_bits), B.cols))

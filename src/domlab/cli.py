@@ -9,7 +9,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 import time
@@ -54,12 +53,8 @@ class CliError(Exception):
     """User-facing CLI failure; maps to exit code 2."""
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("DOMLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+class SizeWindowError(CliError):
+    """The chosen algorithm does not take this k; --at-most-k moves on."""
 
 
 def run_result(answer: bool, solution, certificate, stats: dict, config: dict) -> dict:
@@ -91,15 +86,23 @@ def _solve_once(G: Graph, args, k: int, stats: dict) -> Solution | None:
         r = args.r
         if r is None:
             raise CliError(f"--problem {problem} requires --r")
+        if r < 1:
+            raise CliError(f"--r must be >= 1, got {r}")
         if algo == "brute":
-            return solve_multidom_bruteforce(G, k, r, variant)
+            try:
+                return solve_multidom_bruteforce(G, k, r, variant)
+            except ValueError as exc:
+                raise SizeWindowError(str(exc)) from None
         if algo == "pipeline":
-            if variant != "multiple" or r != k - 1:
-                raise CliError("--algo pipeline requires multidom with r = k-1")
+            message = "--algo pipeline requires multidom with r = k-1"
+            if variant != "multiple":
+                raise CliError(message)
+            if r != k - 1:
+                raise SizeWindowError(message)
             return solve_multidom_kminus1(G, k)
         if not (1 <= r <= k - 1):
-            raise CliError(f"fast path requires 1 <= r <= k-1, got r={r}, k={k}")
-        return solve_multidom_fast(G, k, r, variant, stats=stats, threads=args.threads)
+            raise SizeWindowError(f"fast path requires 1 <= r <= k-1, got r={r}, k={k}")
+        return solve_multidom_fast(G, k, r, variant, stats=stats)
     if args.r is not None:
         raise CliError(f"--r is not valid with --problem {problem}")
     if problem == "pattern":
@@ -107,14 +110,14 @@ def _solve_once(G: Graph, args, k: int, stats: dict) -> Solution | None:
             raise CliError("--problem pattern requires --pattern FILE")
         H = load_pattern(args.pattern)
         if H.k != k:
-            raise CliError(f"pattern has {H.k} vertices but --k is {k}")
+            raise SizeWindowError(f"pattern has {H.k} vertices but --k is {k}")
     else:
         builders = {"dom-clique": Pattern.clique, "dom-indepset": Pattern.edgeless,
                     "dom-matching": Pattern.matching}
         try:
             H = builders[problem](k)
         except ValueError as exc:
-            raise CliError(str(exc)) from None
+            raise SizeWindowError(str(exc)) from None
     if algo == "brute":
         return oracle_pattern(G, H, max_n=G.n, max_k=H.k)
     if algo == "pipeline":
@@ -137,11 +140,10 @@ def cmd_solve(args) -> int:
         for kp in range(1, args.k + 1):
             try:
                 solution = _solve_once(G, args, kp, stats)
-            except (ValueError, CliError):
-                # sizes below the fast path's r <= k'-1 window still count:
+            except SizeWindowError:
+                # sizes outside the chosen algorithm's window still count:
                 # fall back to the exhaustive exact-size solve when legal
-                if args.problem in ("multidom", "tupledom") and args.r is not None \
-                        and 1 <= args.r <= kp <= G.n:
+                if args.problem in ("multidom", "tupledom") and 1 <= args.r <= kp <= G.n:
                     variant = "multiple" if args.problem == "multidom" else "tuple"
                     solution = solve_multidom_bruteforce(G, kp, args.r, variant)
                 else:
@@ -324,7 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--pattern")
     ps.add_argument("--algo", default="fast", choices=["fast", "brute", "pipeline"])
     ps.add_argument("--at-most-k", action="store_true")
-    ps.add_argument("--threads", type=int, default=_default_threads())
+    ps.add_argument("--threads", type=int, default=1,
+                    help="accepted for compatibility and echoed in the config; "
+                         "results come from one thread")
     ps.add_argument("--json", action="store_true")
     ps.add_argument("--format", default="edgelist", choices=["edgelist", "dimacs"])
     ps.add_argument("--no-timing", action="store_true",

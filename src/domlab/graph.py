@@ -199,7 +199,10 @@ def _parse_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphFormatError(f"line {lineno}: bad problem line: {raw!r}")
-            n = int(parts[2])
+            try:
+                n = int(parts[2])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: vertex count is not an integer: {raw!r}") from None
             continue
         if parts[0] == "e":
             if n is None:

@@ -8,12 +8,11 @@ detection with the triangle-grouping construction.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .algebra import BoolMatrix, complement_zero_pairs, _stripes
+from .algebra import covering_pairs, iter_bits
 from .graph import Graph, heavy_vertices
 
 VARIANTS = ("multiple", "tuple")
@@ -86,10 +85,7 @@ class KPartiteGraph:
         for i in range(self.k):
             for a in range(self.sizes[i]):
                 for j in range(i + 1, self.k):
-                    m = self.adj[i][a][j]
-                    while m:
-                        b = (m & -m).bit_length() - 1
-                        m &= m - 1
+                    for b in iter_bits(self.adj[i][a][j]):
                         yield ((i, a), (j, b))
 
 
@@ -242,30 +238,74 @@ def build_candidate_families(G: Graph, k: int, r: int) -> tuple[CandidateFamily,
             CandidateFamily(size_t, quota_t, members(size_t, quota_t)))
 
 
-def _member_levels(G: Graph, member: tuple[int, ...], r: int, variant: str) -> list[int]:
-    """Per-vertex domination count from `member`, capped at r; the multiple
-    variant exempts the member's own vertices by forcing level r."""
-    mmask = _set_mask(member)
-    out = []
+def _at_least(masks: Iterable[int], r: int, full: int) -> list[int]:
+    """Saturating bit-sliced count of `masks`: entry b (0 <= b <= r) has the
+    bits set in at least b of them, so entry 0 is `full`."""
+    ge = [full] + [0] * r
+    for m in masks:
+        for b in range(r, 0, -1):
+            ge[b] |= ge[b - 1] & m
+    return ge
+
+
+def pair_join(G: Graph, rows: Sequence[tuple[int, ...]], cols: Sequence[tuple[int, ...]],
+              r: int, variant: str) -> Iterator[tuple[int, int]]:
+    """Every (i, j) whose members rows[i] and cols[j] are disjoint and whose
+    union dominates every vertex at least r times under `variant`.
+
+    "multiple" counts open-neighborhood dominators and exempts the union's own
+    vertices; "tuple" counts closed-neighborhood dominators at every vertex.
+    With r = 1 the tuple variant is plain domination. For r > 1 a member's
+    vertices must be distinct.
+
+    Pairs come lazily in row-major order, lowest j first within a row: the
+    order of a nested scan over rows, then cols. A row's gap masks are the
+    columns that meet it (the disjointness rule), then, for each vertex v
+    the row leaves at level c < r, the columns that give v fewer than r - c
+    dominators; `algebra.covering_pairs` reports the columns left over.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    multiple = variant == "multiple"
+    masks = G._nbr_mask if multiple else G._closed_mask
+    contains = [0] * G.n
+    for j, T in enumerate(cols):
+        for u in T:
+            contains[u] |= 1 << j
+    full = (1 << len(cols)) - 1
+    # below[v][b]: the columns that give v fewer than b dominators
+    below = []
     for v in range(G.n):
-        if variant == "multiple":
-            if (mmask >> v) & 1:
-                out.append(r)
-            else:
-                out.append(min(r, (G.neighbor_mask(v) & mmask).bit_count()))
-        else:
-            out.append(min(r, (G.closed_mask(v) & mmask).bit_count()))
-    return out
+        nbrs = G.adjacency(v) if multiple else G.adjacency(v) + (v,)
+        ge = _at_least((contains[u] for u in nbrs), r, full)
+        if multiple:
+            ge = [m | contains[v] for m in ge]
+        below.append([full ^ m for m in ge])
+    vfull = G.full_mask()
+
+    def gaps(S: tuple[int, ...]) -> Iterator[int]:
+        yield from (contains[s] for s in S)
+        lev = _at_least((masks[s] for s in S), r, vfull)
+        if multiple:
+            smask = _set_mask(S)
+            lev = [m | smask for m in lev]
+        for c in range(r):
+            for v in iter_bits(lev[c] ^ lev[c + 1]):
+                yield below[v][r - c]
+
+    return covering_pairs((gaps(S) for S in rows), len(cols))
 
 
 def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
                         stats: dict | None = None, threads: int = 1) -> Solution | None:
     """Candidate-family solver: a disjoint pair (S, T) is a solution iff every
-    vertex collects at least r capped domination levels from the two sides.
+    vertex collects at least r domination levels from the two sides.
 
-    The pair test is evaluated on bit-packed level masks; by the saturation
-    identity min(r,a)+min(r,b) >= r <=> a+b >= r this decides exactly the
-    min-degree >= r condition of the truncated polynomial product.
+    The first pair of `pair_join` over the two families, i.e. the first hit
+    of a row-major scan, is returned. Levels are counted with saturation at
+    r; by the identity min(r,a)+min(r,b) >= r <=> a+b >= r this decides
+    exactly the min-degree >= r condition of the truncated polynomial
+    product. `threads` is accepted for compatibility and has no effect.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -276,61 +316,15 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
         stats["candidate_family_sizes"] = [len(fam_s.members), len(fam_t.members)]
         stats["product_dims"] = [len(fam_s.members), G.n, len(fam_t.members)]
         stats["scalar_op_count"] = len(fam_s.members) * G.n * len(fam_t.members)
-    problem = Problem(variant, k, r)
-
-    # Row side: masks of vertices at level <= c; column side: level == b.
-    rows = []
-    for S in fam_s.members:
-        lv = _member_levels(G, S, r, variant)
-        le = []
-        acc = 0
-        for c in range(r):
-            for v in range(G.n):
-                if lv[v] == c:
-                    acc |= 1 << v
-            le.append(acc)
-        rows.append((S, _set_mask(S), le))
-    cols = []
-    for T in fam_t.members:
-        lv = _member_levels(G, T, r, variant)
-        eq = []
-        for b in range(r):
-            m = 0
-            for v in range(G.n):
-                if lv[v] == b:
-                    m |= 1 << v
-            eq.append(m)
-        cols.append((T, _set_mask(T), eq))
-
-    def scan(stripe: range) -> Solution | None:
-        for i in stripe:
-            S, smask, le = rows[i]
-            for T, tmask, eq in cols:
-                if smask & tmask:
-                    continue
-                # bad <=> some vertex has combined level < r
-                if any(eq[b] & le[r - 1 - b] for b in range(r)):
-                    continue
-                return Solution(problem, tuple(sorted(S + T)))
-        return None
-
-    if threads <= 1 or len(rows) <= 1:
-        return scan(range(len(rows)))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for hit in pool.map(scan, _stripes(len(rows), threads)):
-            if hit is not None:
-                return hit
+    for i, j in pair_join(G, fam_s.members, fam_t.members, r, variant):
+        return Solution(Problem(variant, k, r), tuple(sorted(fam_s.members[i] + fam_t.members[j])))
     return None
 
 
 def list_2_dominating_sets(G: Graph) -> list[tuple[int, int]]:
-    """All pairs {u, v}, u < v, with N[u] ∪ N[v] = V, via the complement
-    closed-neighborhood bit matrix."""
-    full = G.full_mask()
-    comp = [full ^ G.closed_mask(v) for v in range(G.n)]
-    A = BoolMatrix.from_row_ints(comp, G.n)
-    pairs = complement_zero_pairs(A, A.transpose())
-    return sorted({(min(i, j), max(i, j)) for i, j in pairs if i != j})
+    """All pairs (u, v), u < v, with N[u] ∪ N[v] = V, in lexicographic order."""
+    singles = [(v,) for v in range(G.n)]
+    return [(u, v) for u, v in pair_join(G, singles, singles, 1, "tuple") if u < v]
 
 
 def build_clique_graph(G: Graph, k: int) -> tuple[KPartiteGraph, list[list[int]]]:

@@ -8,7 +8,6 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .algebra import BoolMatrix, complement_zero_pairs
 from .graph import Graph, delete_closed_neighborhood, heavy_vertices
 from .multidom import (
     Problem,
@@ -16,6 +15,7 @@ from .multidom import (
     _edge_sets_isomorphic,
     build_candidate_families,
     list_2_dominating_sets,
+    pair_join,
 )
 
 MAX_PATTERN_SIZE = 8
@@ -100,13 +100,6 @@ def enumerate_cliques(G: Graph, t: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _domination_complement_bits(G: Graph, vertices: Iterable[int]) -> int:
-    covered = 0
-    for v in vertices:
-        covered |= G.closed_mask(v)
-    return G.full_mask() ^ covered
-
-
 def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
     """First k-clique (in the half-split scan order) whose closed neighborhood
     is all of V, or None."""
@@ -126,16 +119,9 @@ def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
     r1 = enumerate_cliques(G, (k - 1) // 2)
     r2 = enumerate_cliques(G, k // 2)
     heavy = heavy_vertices(G, k)
-    rows = [(S, h) for S in r1 for h in heavy]
-    if not rows or not r2:
-        return None
-    A = BoolMatrix.from_row_ints(
-        [_domination_complement_bits(G, S + (h,)) for S, h in rows], G.n)
-    B = BoolMatrix.from_row_ints(
-        [_domination_complement_bits(G, T) for T in r2], G.n).transpose()
-    for i, j in complement_zero_pairs(A, B):
-        S, h = rows[i]
-        union = set(S) | {h} | set(r2[j])
+    rows = [S + (h,) for S in r1 for h in heavy]
+    for i, j in pair_join(G, rows, r2, 1, "tuple"):
+        union = set(rows[i]) | set(r2[j])
         if len(union) != k:
             continue
         cand = tuple(sorted(union))
@@ -179,8 +165,8 @@ def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
     """Dominating set of k vertices inducing exactly k/2 independent edges.
 
     Splits the k/2 matching edges into edge subsets of sizes ceil(k/4) and
-    floor(k/4); a complement-product zero pair certifies domination and the
-    induced-matching shape is checked on the endpoint union.
+    floor(k/4); a `pair_join` pair of endpoint sets certifies domination and
+    the induced-matching shape is checked on the endpoint union.
     """
     if k % 2 or k < 2:
         raise ValueError(f"k must be even and >= 2, got {k}")
@@ -193,15 +179,9 @@ def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
     edges = list(G.edges())
     fam_s = list(itertools.combinations(edges, (k + 3) // 4))
     fam_t = list(itertools.combinations(edges, k // 4))
-    if not fam_s or not fam_t:
-        return None
-    A = BoolMatrix.from_row_ints(
-        [_domination_complement_bits(G, itertools.chain.from_iterable(es)) for es in fam_s],
-        G.n)
-    B = BoolMatrix.from_row_ints(
-        [_domination_complement_bits(G, itertools.chain.from_iterable(et)) for et in fam_t],
-        G.n).transpose()
-    for i, j in complement_zero_pairs(A, B):
+    ends_s = [sum(es, ()) for es in fam_s]
+    ends_t = [sum(et, ()) for et in fam_t]
+    for i, j in pair_join(G, ends_s, ends_t, 1, "tuple"):
         chosen = fam_s[i] + fam_t[j]
         ends = [v for e in chosen for v in e]
         if len(set(ends)) != k:
@@ -217,7 +197,8 @@ def list_dominating_ksets(G: Graph, k: int) -> Iterator[tuple[int, ...]]:
     """All k-subsets S with N[S] = V, each yielded once.
 
     For k >= 2 this reuses the quota-1 candidate-family split (every
-    dominating set contains a heavy vertex) and the complement product.
+    dominating set contains a heavy vertex) and `pair_join`, lazily: a
+    consumer that stops early stops the search.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -229,18 +210,10 @@ def list_dominating_ksets(G: Graph, k: int) -> Iterator[tuple[int, ...]]:
     if k > G.n:
         return
     fam_s, fam_t = build_candidate_families(G, k, 1)
-    if not fam_s.members or not fam_t.members:
-        return
-    A = BoolMatrix.from_row_ints(
-        [_domination_complement_bits(G, S) for S in fam_s.members], G.n)
-    B = BoolMatrix.from_row_ints(
-        [_domination_complement_bits(G, T) for T in fam_t.members], G.n).transpose()
     seen: set[tuple[int, ...]] = set()
-    for i, j in complement_zero_pairs(A, B):
-        union = set(fam_s.members[i]) | set(fam_t.members[j])
-        if len(union) != k:
-            continue
-        cand = tuple(sorted(union))
+    for i, j in pair_join(G, fam_s.members, fam_t.members, 1, "tuple"):
+        # disjoint members of sizes summing to k: the union has k vertices
+        cand = tuple(sorted(fam_s.members[i] + fam_t.members[j]))
         if cand not in seen:
             seen.add(cand)
             yield cand

@@ -74,6 +74,21 @@ def test_solve_at_most_k(tmp_path, capsys):
     assert out["solution"] == [1]  # k'=1 already dominates P3
 
 
+def test_solve_at_most_k_keeps_real_errors(tmp_path, capsys):
+    gpath = tmp_path / "p9.txt"
+    save_graph(path_graph(9), gpath)
+    ppath = tmp_path / "p9.json"
+    ppath.write_text(json.dumps({"k": 9, "edges": [[i, i + 1] for i in range(8)]}))
+    code = main(["solve", str(gpath), "--problem", "pattern", "--pattern", str(ppath),
+                 "--k", "9", "--at-most-k"])
+    assert code == 2
+    assert "exceeds" in capsys.readouterr().err
+    code = main(["solve", str(gpath), "--problem", "multidom", "--k", "3", "--r", "0",
+                 "--at-most-k"])
+    assert code == 2
+    assert "--r must be >= 1" in capsys.readouterr().err
+
+
 def test_solve_pipeline_algo(tmp_path, capsys):
     path = tmp_path / "p4.txt"
     save_graph(path_graph(4), path)

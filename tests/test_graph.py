@@ -54,6 +54,11 @@ def test_save_load_round_trip_edgelist():
     assert load_graph(save_graph(G).encode()) == G
 
 
+def test_load_dimacs_bad_header_count_names_line():
+    with pytest.raises(GraphFormatError, match="line 2"):
+        load_graph(b"c comment\np edge x 1\n", fmt="dimacs")
+
+
 def test_save_load_round_trip_dimacs():
     G = random_graph(12, 8, 0.5)
     text = save_graph(G, fmt="dimacs")

@@ -19,6 +19,7 @@ from domlab import (
     grouping_parameters,
     heavy_vertices,
     list_2_dominating_sets,
+    list_dominating_ksets,
     oracle_unbalanced_clique,
     solve_multidom_bruteforce,
     solve_multidom_fast,
@@ -123,6 +124,64 @@ def test_fast_agrees_with_bruteforce(seed, n, p, k, r, variant):
     assert (fast is None) == (brute is None)
     if fast is not None:
         assert verify_solution(G, fast.problem, fast.vertices)
+
+
+def _reference_levels(G, member, r, variant):
+    """Per-vertex domination count from `member`, capped at r; the multiple
+    variant exempts the member's own vertices by giving them level r."""
+    mmask = sum(1 << v for v in member)
+    if variant == "multiple":
+        return [r if (mmask >> v) & 1 else min(r, (G.neighbor_mask(v) & mmask).bit_count())
+                for v in range(G.n)]
+    return [min(r, (G.closed_mask(v) & mmask).bit_count()) for v in range(G.n)]
+
+
+def _reference_fast(G, k, r, variant):
+    """Row-major scan over the candidate families: the first disjoint pair
+    whose capped levels add up to r at every vertex."""
+    fam_s, fam_t = build_candidate_families(G, k, r)
+    cols = [(T, _reference_levels(G, T, r, variant)) for T in fam_t.members]
+    for S in fam_s.members:
+        lev_s = _reference_levels(G, S, r, variant)
+        for T, lev_t in cols:
+            if set(S).isdisjoint(T) and all(a + b >= r for a, b in zip(lev_s, lev_t)):
+                return tuple(sorted(S + T))
+    return None
+
+
+def _reference_dominating_ksets(G, k):
+    """Row-major scan over the quota-1 families, first occurrence of each
+    dominating k-set kept."""
+    fam_s, fam_t = build_candidate_families(G, k, 1)
+    out = []
+    for S in fam_s.members:
+        for T in fam_t.members:
+            U = tuple(sorted(set(S) | set(T)))
+            covered = 0
+            for v in U:
+                covered |= G.closed_mask(v)
+            if len(U) == k and covered == G.full_mask() and U not in out:
+                out.append(U)
+    return out
+
+
+def test_first_hits_match_row_major_reference():
+    # pins which solution comes first, not only YES/NO
+    for seed in range(300):
+        rng = random.Random(f"first-hit:{seed}")
+        n = rng.randint(2, 10)
+        G = random_graph(seed, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
+        full = G.full_mask()
+        assert list_2_dominating_sets(G) == [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if G.closed_mask(u) | G.closed_mask(v) == full]
+        for k in range(2, min(5, n) + 1):
+            assert list(list_dominating_ksets(G, k)) == _reference_dominating_ksets(G, k)
+            for r in range(1, k):
+                for variant in ("multiple", "tuple"):
+                    sol = solve_multidom_fast(G, k, r, variant)
+                    got = None if sol is None else sol.vertices
+                    assert got == _reference_fast(G, k, r, variant), (seed, k, r, variant)
 
 
 def test_fast_reports_stats():

@@ -234,8 +234,6 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     if args.reduction:
         from .reductions import load_ov
-        if args.reduction == "is-multidom":
-            raise CliError("is-multidom verification is library-only (no source file format)")
         inst = load_ov(args.source)
         param = args.r if args.reduction == "ov-multidom" else (
             load_pattern(args.pattern) if args.reduction == "ov-hdom" else None)

@@ -18,7 +18,7 @@ class Graph:
     shared freely across workers.
     """
 
-    __slots__ = ("n", "offsets", "neighbors", "_nbr_mask", "_closed_mask")
+    __slots__ = ("n", "offsets", "neighbors", "_nbr_mask")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -40,15 +40,12 @@ class Graph:
         self.offsets = tuple(offsets)
         self.neighbors = tuple(neighbors)
         nbr_mask = []
-        closed_mask = []
         for v in range(n):
             m = 0
             for u in adj[v]:
                 m |= 1 << u
             nbr_mask.append(m)
-            closed_mask.append(m | (1 << v))
         self._nbr_mask = tuple(nbr_mask)
-        self._closed_mask = tuple(closed_mask)
 
     @property
     def m(self) -> int:
@@ -72,7 +69,7 @@ class Graph:
 
     def closed_mask(self, v: int) -> int:
         self._check(v)
-        return self._closed_mask[v]
+        return self._nbr_mask[v] | 1 << v
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -153,7 +150,9 @@ def load_graph(source, fmt: str = "edgelist") -> Graph:
     - edgelist: first line "n m", then "u v" per line, 0-indexed, '#' comments.
     - dimacs: "p edge n m" header, "e u v" lines, 1-indexed, 'c' comments.
 
-    Duplicate and reversed edge lines are deduplicated; self-loops are errors.
+    The header's m must equal the number of edge lines, so a truncated file
+    is an error. Duplicate and reversed edge lines are deduplicated (and
+    still count as lines); self-loops are errors.
     """
     text = _read_text(source)
     if fmt == "edgelist":
@@ -161,6 +160,11 @@ def load_graph(source, fmt: str = "edgelist") -> Graph:
     if fmt == "dimacs":
         return _parse_dimacs(text)
     raise ValueError(f"unknown graph format: {fmt!r}")
+
+
+def _check_edge_count(header_line: int, m: int, edges: list) -> None:
+    if len(edges) != m:
+        raise GraphFormatError(f"line {header_line}: header declares {m} edges, found {len(edges)}")
 
 
 def _parse_edgelist(text: str) -> Graph:
@@ -178,13 +182,14 @@ def _parse_edgelist(text: str) -> Graph:
         if n is None:
             if len(nums) != 2:
                 raise GraphFormatError(f"line {lineno}: expected header 'n m'")
-            n = nums[0]
+            n, m, header_line = nums[0], nums[1], lineno
             continue
         if len(nums) != 2:
             raise GraphFormatError(f"line {lineno}: expected edge 'u v'")
         edges.append((nums[0], nums[1]))
     if n is None:
         raise GraphFormatError("empty input: missing 'n m' header")
+    _check_edge_count(header_line, m, edges)
     return Graph(n, edges)
 
 
@@ -200,9 +205,9 @@ def _parse_dimacs(text: str) -> Graph:
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphFormatError(f"line {lineno}: bad problem line: {raw!r}")
             try:
-                n = int(parts[2])
+                n, m, header_line = int(parts[2]), int(parts[3]), lineno
             except ValueError:
-                raise GraphFormatError(f"line {lineno}: vertex count is not an integer: {raw!r}") from None
+                raise GraphFormatError(f"line {lineno}: vertex or edge count is not an integer: {raw!r}") from None
             continue
         if parts[0] == "e":
             if n is None:
@@ -218,6 +223,7 @@ def _parse_dimacs(text: str) -> Graph:
         raise GraphFormatError(f"line {lineno}: unrecognized line: {raw!r}")
     if n is None:
         raise GraphFormatError("missing 'p edge n m' header")
+    _check_edge_count(header_line, m, edges)
     return Graph(n, edges)
 
 

@@ -77,9 +77,6 @@ class KPartiteGraph:
     def has_edge(self, i: int, a: int, j: int, b: int) -> bool:
         return (self.adj[i][a][j] >> b) & 1 == 1
 
-    def neighbors_mask(self, i: int, a: int, j: int) -> int:
-        return self.adj[i][a][j]
-
     def edges(self) -> Iterable[tuple[tuple[int, int], tuple[int, int]]]:
         """Cross edges as ((i, a), (j, b)) with i < j, lexicographic."""
         for i in range(self.k):
@@ -203,7 +200,7 @@ def solve_multidom_bruteforce(G: Graph, k: int, r: int, variant: str) -> Solutio
     if not (1 <= r <= k <= G.n):
         raise ValueError(f"need 1 <= r <= k <= n, got r={r}, k={k}, n={G.n}")
     problem = Problem(variant, k, r)
-    masks = G._nbr_mask if variant == "multiple" else G._closed_mask
+    masks = G._nbr_mask if variant == "multiple" else [m | 1 << v for v, m in enumerate(G._nbr_mask)]
     for S in itertools.combinations(range(G.n), k):
         smask = _set_mask(S)
         ok = True
@@ -267,7 +264,7 @@ def pair_join(G: Graph, rows: Sequence[tuple[int, ...]], cols: Sequence[tuple[in
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     multiple = variant == "multiple"
-    masks = G._nbr_mask if multiple else G._closed_mask
+    nbr = G._nbr_mask
     contains = [0] * G.n
     for j, T in enumerate(cols):
         for u in T:
@@ -285,10 +282,11 @@ def pair_join(G: Graph, rows: Sequence[tuple[int, ...]], cols: Sequence[tuple[in
 
     def gaps(S: tuple[int, ...]) -> Iterator[int]:
         yield from (contains[s] for s in S)
-        lev = _at_least((masks[s] for s in S), r, vfull)
         if multiple:
             smask = _set_mask(S)
-            lev = [m | smask for m in lev]
+            lev = [m | smask for m in _at_least((nbr[s] for s in S), r, vfull)]
+        else:
+            lev = _at_least((nbr[s] | 1 << s for s in S), r, vfull)
         for c in range(r):
             for v in iter_bits(lev[c] ^ lev[c + 1]):
                 yield below[v][r - c]
@@ -365,24 +363,22 @@ def grouping_parameters(k: int, gamma: Fraction) -> tuple[int, int] | None:
     return alpha, beta
 
 
-def _range_cliques(kp: KPartiteGraph, parts: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
+def _range_cliques(kp: KPartiteGraph, parts: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
     """All transversal cliques (one vertex per listed part, pairwise adjacent),
-    in lexicographic index order."""
-    out: list[tuple[tuple[int, int], ...]] = []
+    lazily, in lexicographic index order over `parts`."""
 
     def extend(idx: int, chosen: list[tuple[int, int]]):
         if idx == len(parts):
-            out.append(tuple(chosen))
+            yield tuple(chosen)
             return
         j = parts[idx]
         for b in range(kp.sizes[j]):
             if all(kp.has_edge(i, a, j, b) for i, a in chosen):
                 chosen.append((j, b))
-                extend(idx + 1, chosen)
+                yield from extend(idx + 1, chosen)
                 chosen.pop()
 
-    extend(0, [])
-    return out
+    return extend(0, [])
 
 
 def _joins_clique(kp: KPartiteGraph, w1: tuple[tuple[int, int], ...],
@@ -395,9 +391,9 @@ def _grouped_triangle(kp: KPartiteGraph, alpha: int, beta: int) -> tuple[tuple[i
     parts1 = list(range(alpha + 1))
     parts2 = list(range(alpha + 1, alpha + 1 + beta))
     parts3 = list(range(alpha + 1 + beta, k))
-    w1 = _range_cliques(kp, parts1)
-    w2 = _range_cliques(kp, parts2)
-    w3 = _range_cliques(kp, parts3)
+    w1 = list(_range_cliques(kp, parts1))
+    w2 = list(_range_cliques(kp, parts2))
+    w3 = list(_range_cliques(kp, parts3))
     if not (w1 and w2 and w3):
         return None
     # compatibility bit rows towards W3, then triangle scan over W1 x W2
@@ -414,27 +410,6 @@ def _grouped_triangle(kp: KPartiteGraph, alpha: int, beta: int) -> tuple[tuple[i
     return None
 
 
-def _backtrack_kclique(kp: KPartiteGraph) -> tuple[tuple[int, int], ...] | None:
-    order = sorted(range(kp.k), key=lambda i: (kp.sizes[i], i))
-    chosen: list[tuple[int, int]] = []
-
-    def extend(idx: int) -> bool:
-        if idx == kp.k:
-            return True
-        j = order[idx]
-        for b in range(kp.sizes[j]):
-            if all(kp.has_edge(i, a, j, b) for i, a in chosen):
-                chosen.append((j, b))
-                if extend(idx + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if extend(0):
-        return tuple(sorted(chosen))
-    return None
-
-
 def detect_unbalanced_kclique(kp: KPartiteGraph,
                               gamma: Fraction | None = None) -> tuple[tuple[int, int], ...] | None:
     """One vertex per part forming a clique, or None.
@@ -446,7 +421,10 @@ def detect_unbalanced_kclique(kp: KPartiteGraph,
     params = grouping_parameters(kp.k, gamma) if gamma is not None else None
     if params is not None:
         return _grouped_triangle(kp, *params)
-    return _backtrack_kclique(kp)
+    order = sorted(range(kp.k), key=lambda i: (kp.sizes[i], i))
+    for first in _range_cliques(kp, order):
+        return tuple(sorted(first))
+    return None
 
 
 def solve_multidom_kminus1(G: Graph, k: int) -> Solution | None:

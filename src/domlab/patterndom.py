@@ -100,6 +100,11 @@ def enumerate_cliques(G: Graph, t: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _universal_vertices(G: Graph) -> Iterator[int]:
+    """Vertices adjacent to every other vertex: the dominating 1-sets."""
+    return (v for v in range(G.n) if G.degstar(v) == G.n)
+
+
 def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
     """First k-clique (in the half-split scan order) whose closed neighborhood
     is all of V, or None."""
@@ -107,9 +112,8 @@ def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
         raise ValueError(f"k must be >= 1, got {k}")
     problem = Problem("clique", k)
     if k == 1:
-        for v in range(G.n):
-            if G.closed_mask(v) == G.full_mask():
-                return Solution(problem, (v,))
+        for v in _universal_vertices(G):
+            return Solution(problem, (v,))
         return None
     if k == 2:
         for u, v in list_2_dominating_sets(G):
@@ -144,9 +148,8 @@ def solve_dominating_indepset(G: Graph, k: int) -> Solution | None:
 
 def _indepset_search(G: Graph, k: int) -> tuple[int, ...] | None:
     if k == 1:
-        for v in range(G.n):
-            if G.closed_mask(v) == G.full_mask():
-                return (v,)
+        for v in _universal_vertices(G):
+            return (v,)
         return None
     if k == 2:
         for u, v in list_2_dominating_sets(G):
@@ -203,9 +206,7 @@ def list_dominating_ksets(G: Graph, k: int) -> Iterator[tuple[int, ...]]:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k == 1:
-        for v in range(G.n):
-            if G.closed_mask(v) == G.full_mask():
-                yield (v,)
+        yield from ((v,) for v in _universal_vertices(G))
         return
     if k > G.n:
         return

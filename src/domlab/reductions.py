@@ -103,6 +103,29 @@ def solve_ov_bruteforce(inst: OVInstance, r: int) -> bool:
     return False
 
 
+def _part(roles: list[tuple], labels: Iterable[tuple]) -> list[int]:
+    """Append one target vertex per role label; return their ids."""
+    start = len(roles)
+    roles.extend(labels)
+    return list(range(start, len(roles)))
+
+
+def _ov_skeleton(inst: OVInstance) -> tuple[list[tuple], list[list[int]], list[tuple[int, int]]]:
+    """The gadget every OV generator starts from: one vertex per vector
+    (part i holds set i), then one per dimension, and an edge from each
+    vector to every dimension where it is 0. Returns (roles, part_of, edges);
+    generators append their blocks after the dimensions."""
+    roles: list[tuple] = []
+    part_of = [_part(roles, (("vector", i, a) for a in range(len(vectors))))
+               for i, vectors in enumerate(inst.sets)]
+    dim_ids = _part(roles, (("dimension", t) for t in range(inst.d)))
+    edges = [(x, dim_ids[t])
+             for ids, vectors in zip(part_of, inst.sets)
+             for x, vec in zip(ids, vectors)
+             for t in range(inst.d) if vec[t] == 0]
+    return roles, part_of, edges
+
+
 def ov_to_multidom(inst: OVInstance, r: int) -> ReductionOutput:
     """Orthogonal vectors to r-Multiple k-Dominating Set.
 
@@ -113,44 +136,16 @@ def ov_to_multidom(inst: OVInstance, r: int) -> ReductionOutput:
     k = inst.k
     if not (1 <= r <= k - 1):
         raise ValueError(f"need 1 <= r <= k-1, got r={r}, k={k}")
-    roles: list[tuple] = []
-    part_of: list[list[int]] = []
-    for i, vectors in enumerate(inst.sets):
-        ids = []
-        for a in range(len(vectors)):
-            ids.append(len(roles))
-            roles.append(("vector", i, a))
-        part_of.append(ids)
-    dim_ids = []
-    for t in range(inst.d):
-        dim_ids.append(len(roles))
-        roles.append(("dimension", t))
+    roles, part_of, edges = _ov_skeleton(inst)
     blocks = list(itertools.combinations(range(k), r))
-    block_ids: list[list[int]] = []
     for Q in blocks:
-        ids = []
-        for j in range(k + 1):
-            ids.append(len(roles))
-            roles.append(("redundant", Q, j))
-        block_ids.append(ids)
-
-    edges = []
-    for i, vectors in enumerate(inst.sets):
-        for a, vec in enumerate(vectors):
-            for t in range(inst.d):
-                if vec[t] == 0:
-                    edges.append((part_of[i][a], dim_ids[t]))
-    for Q, ids in zip(blocks, block_ids):
+        ids = _part(roles, (("redundant", Q, j) for j in range(k + 1)))
         for i in Q:
-            for x in part_of[i]:
-                for y in ids:
-                    edges.append((x, y))
+            edges.extend(itertools.product(part_of[i], ids))
     for i in range(r):
         for j in range(k):
             if j != i:
-                for x in part_of[i]:
-                    for y in part_of[j]:
-                        edges.append((x, y))
+                edges.extend(itertools.product(part_of[i], part_of[j]))
 
     graph = Graph(len(roles), edges)
     params = {"k": k, "r": r, "d": inst.d,
@@ -171,45 +166,16 @@ def ov_to_hdom(inst: OVInstance, H: Pattern) -> ReductionOutput:
         raise ValueError(f"pattern size {H.k} does not match set count {k}")
     if k < 3:
         raise ValueError(f"need k >= 3, got {k}")
-    roles: list[tuple] = []
-    part_of: list[list[int]] = []
-    for i, vectors in enumerate(inst.sets):
-        ids = []
-        for a in range(len(vectors)):
-            ids.append(len(roles))
-            roles.append(("vector", i, a))
-        part_of.append(ids)
-    dim_ids = []
-    for t in range(inst.d):
-        dim_ids.append(len(roles))
-        roles.append(("dimension", t))
+    roles, part_of, edges = _ov_skeleton(inst)
     # forcing needs every block larger than k; the last one also scales with
     # the largest part
     block_sizes = [k + 1] * (k - 1) + [max(k + 1, max(len(s) for s in inst.sets))]
-    block_ids: list[list[int]] = []
     for i, size in enumerate(block_sizes):
-        ids = []
-        for j in range(size):
-            ids.append(len(roles))
-            roles.append(("redundant", i, j))
-        block_ids.append(ids)
-
-    edges = []
-    for i, vectors in enumerate(inst.sets):
-        for a, vec in enumerate(vectors):
-            for t in range(inst.d):
-                if vec[t] == 0:
-                    edges.append((part_of[i][a], dim_ids[t]))
-        for x, y in itertools.combinations(part_of[i], 2):
-            edges.append((x, y))
+        ids = _part(roles, (("redundant", i, j) for j in range(size)))
+        edges.extend(itertools.product(part_of[i], ids))
+        edges.extend(itertools.combinations(part_of[i], 2))
     for i, j in H.edges:
-        for x in part_of[i]:
-            for y in part_of[j]:
-                edges.append((x, y))
-    for i in range(k):
-        for x in part_of[i]:
-            for y in block_ids[i]:
-                edges.append((x, y))
+        edges.extend(itertools.product(part_of[i], part_of[j]))
 
     graph = Graph(len(roles), edges)
     params = {"k": k, "d": inst.d, "sizes": [len(s) for s in inst.sets],
@@ -228,13 +194,8 @@ def pad_special_coordinates(inst: OVInstance) -> OVInstance:
     k = inst.k
     new_sets = []
     for i, vectors in enumerate(inst.sets):
-        padded = []
-        for vec in vectors:
-            tail = []
-            for j in range(k):
-                tail.extend([0 if j == i else 1] * (k + 1))
-            padded.append(vec + tuple(tail))
-        new_sets.append(tuple(padded))
+        tail = tuple(0 if j == i else 1 for j in range(k) for _ in range(k + 1))
+        new_sets.append(tuple(vec + tail for vec in vectors))
     return OVInstance(inst.d + k * (k + 1), tuple(new_sets))
 
 
@@ -249,29 +210,9 @@ def ov_to_induced_matching(inst: OVInstance) -> ReductionOutput:
     if k % 2 or k < 4:
         raise ValueError(f"need even k >= 4, got {k}")
     padded = pad_special_coordinates(inst)
-    roles: list[tuple] = []
-    part_of: list[list[int]] = []
-    for i, vectors in enumerate(padded.sets):
-        ids = []
-        for a in range(len(vectors)):
-            ids.append(len(roles))
-            roles.append(("vector", i, a))
-        part_of.append(ids)
-    dim_ids = []
-    for t in range(padded.d):
-        dim_ids.append(len(roles))
-        roles.append(("dimension", t))
-
-    edges = []
-    for i, vectors in enumerate(padded.sets):
-        for a, vec in enumerate(vectors):
-            for t in range(padded.d):
-                if vec[t] == 0:
-                    edges.append((part_of[i][a], dim_ids[t]))
-    for t in range(k // 2):
-        for x in part_of[2 * t]:
-            for y in part_of[2 * t + 1]:
-                edges.append((x, y))
+    roles, part_of, edges = _ov_skeleton(padded)
+    for t in range(0, k, 2):
+        edges.extend(itertools.product(part_of[t], part_of[t + 1]))
 
     graph = Graph(len(roles), edges)
     params = {"k": k, "d": inst.d, "d_padded": padded.d,
@@ -314,43 +255,23 @@ def indepset_to_multidom(source: KPartiteGraph, k: int, gamma: Fraction,
     members = [_independent_transversals(source, grp) for grp in groups]
 
     roles: list[tuple] = []
-    v_ids: list[list[int]] = []
-    for i, ms in enumerate(members):
-        ids = []
-        for member in ms:
-            ids.append(len(roles))
-            roles.append(("indep", i, member))
-        v_ids.append(ids)
+    v_ids = [_part(roles, (("indep", i, member) for member in ms))
+             for i, ms in enumerate(members)]
     edge_list = list(source.edges())
-    f_ids = []
-    for e in edge_list:
-        f_ids.append(len(roles))
-        roles.append(("edge", e))
-    r_ids: list[list[int]] = []
-    for i in range(k):
-        ids = []
-        for j in range(k + 1):
-            ids.append(len(roles))
-            roles.append(("redundant", i, j))
-        r_ids.append(ids)
+    f_ids = _part(roles, (("edge", e) for e in edge_list))
+    r_ids = [_part(roles, (("redundant", i, j) for j in range(k + 1))) for i in range(k)]
 
     edges = []
     for i in range(k):
         for j in range(k):
             if j != i:
-                for x in r_ids[i]:
-                    for y in v_ids[j]:
-                        edges.append((x, y))
+                edges.extend(itertools.product(r_ids[i], v_ids[j]))
     for i, j in itertools.combinations(range(k), 2):
-        for x in v_ids[i]:
-            for y in v_ids[j]:
-                edges.append((x, y))
+        edges.extend(itertools.product(v_ids[i], v_ids[j]))
+    v_members = list(zip(itertools.chain(*v_ids), itertools.chain(*members)))
     for fe, fid in zip(edge_list, f_ids):
         ends = set(fe)
-        for i, ms in enumerate(members):
-            for member, vid in zip(ms, v_ids[i]):
-                if ends.isdisjoint(member):
-                    edges.append((fid, vid))
+        edges.extend((fid, vid) for vid, member in v_members if ends.isdisjoint(member))
 
     graph = Graph(len(roles), edges)
     params = {"k": k, "gamma": f"{p}/{q}", "d": d, "k_prime": kprime,
@@ -361,12 +282,10 @@ def indepset_to_multidom(source: KPartiteGraph, k: int, gamma: Fraction,
 
 
 def _complement_kpartite(source: KPartiteGraph) -> KPartiteGraph:
-    edges = []
-    for i, j in itertools.combinations(range(source.k), 2):
-        for a in range(source.sizes[i]):
-            for b in range(source.sizes[j]):
-                if not source.has_edge(i, a, j, b):
-                    edges.append(((i, a), (j, b)))
+    edges = [((i, a), (j, b))
+             for i, j in itertools.combinations(range(source.k), 2)
+             for a, b in itertools.product(range(source.sizes[i]), range(source.sizes[j]))
+             if not source.has_edge(i, a, j, b)]
     return KPartiteGraph(source.sizes, edges)
 
 

@@ -59,6 +59,25 @@ def test_load_dimacs_bad_header_count_names_line():
         load_graph(b"c comment\np edge x 1\n", fmt="dimacs")
 
 
+def test_load_edgelist_rejects_wrong_edge_count():
+    with pytest.raises(GraphFormatError, match="line 1: header declares 2 edges, found 1"):
+        load_graph(b"3 2\n0 1")
+    with pytest.raises(GraphFormatError, match="line 2: header declares 1 edges, found 2"):
+        load_graph(b"# c\n3 1\n0 1\n1 2")
+
+
+def test_load_dimacs_rejects_wrong_edge_count():
+    with pytest.raises(GraphFormatError, match="line 2: header declares 5 edges, found 1"):
+        load_graph(b"c comment\np edge 3 5\ne 1 2", fmt="dimacs")
+    with pytest.raises(GraphFormatError, match="line 1: header declares 0 edges, found 1"):
+        load_graph(b"p edge 3 0\ne 1 2", fmt="dimacs")
+
+
+def test_load_dimacs_non_integer_edge_count_names_line():
+    with pytest.raises(GraphFormatError, match="line 2"):
+        load_graph(b"c comment\np edge 3 x\ne 1 2", fmt="dimacs")
+
+
 def test_save_load_round_trip_dimacs():
     G = random_graph(12, 8, 0.5)
     text = save_graph(G, fmt="dimacs")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -16,6 +18,7 @@ from domlab import (
     ov_to_hdom,
     ov_to_induced_matching,
     ov_to_multidom,
+    save_graph,
     save_ov,
     solve_ov_bruteforce,
     verify_reduction,
@@ -194,3 +197,39 @@ def test_verify_reduction_is_multidom_complete_source():
 def test_verify_reduction_unknown_generator():
     with pytest.raises(ValueError):
         verify_reduction("nope", _random_ov(0, [1, 1], 1), 1)
+
+
+# SHA-256 of the saved graph plus the JSON of params and id_map, for fixed
+# seeded sources: pins vertex numbering and role order, not just answers.
+GENERATOR_DIGESTS = {
+    "multidom-k3-r1": (lambda: ov_to_multidom(_random_ov(31, [2, 3, 1], 4), 1),
+                       "1d0be8c4edb93bdf3b46f38011e0a0ab107b4578ec8400126745969d28cc52fd"),
+    "multidom-k3-r2": (lambda: ov_to_multidom(_random_ov(32, [2, 3, 1], 4), 2),
+                       "9ee8c6b7b4b3fd633b6aa3b69c9deff39c7ffd9477a268ddcec199b342c56287"),
+    "multidom-k4-r1": (lambda: ov_to_multidom(_random_ov(41, [2, 3, 1, 2], 4), 1),
+                       "6e31a95d9fde1f7847189302531bf31c457f310ce4ffeab40f20a7743508e3c9"),
+    "multidom-k4-r2": (lambda: ov_to_multidom(_random_ov(42, [2, 3, 1, 2], 4), 2),
+                       "f603f1463283f2954733a81ad882eb4d825bf87aa40aeda7849551bd73723145"),
+    "multidom-k4-r3": (lambda: ov_to_multidom(_random_ov(43, [2, 3, 1, 2], 4), 3),
+                       "5c3e6b3174f020068725e793293de94584072b834df690a140e60b391c3b900a"),
+    "hdom-path": (lambda: ov_to_hdom(_random_ov(7, [2, 1, 3, 2], 3), Pattern.path(4)),
+                  "694edc6128402dc396529c8ede70fc49e0047b0adc10b4803d5247490cd2843e"),
+    "hdom-clique": (lambda: ov_to_hdom(_random_ov(8, [3, 2, 5], 3), Pattern.clique(3)),
+                    "f48c26eddacacca25d47e3b3b471a3c82a42ef918e805392dabf08b01ba3efd9"),
+    "matching-k4": (lambda: ov_to_induced_matching(_random_ov(9, [2, 1, 2, 1], 3)),
+                    "a0b47a84f4afbecf8424516019400e4433e64cf376179671bb1c45c74389ecb4"),
+    "matching-k6": (lambda: ov_to_induced_matching(_random_ov(11, [1, 2, 1, 1, 2, 1], 2)),
+                    "cf85aa0f7f1e62e518703c1659195ce2f54bb5e92b4213944237555ddaf26b94"),
+    "indepset-half": (lambda: indepset_to_multidom(_random_kpartite(12, [2, 2, 1, 2]), 3,
+                                                   Fraction(1, 2)),
+                      "265c6a0fbac9b9935b4e8f614b9c91c487fe50f7a97cbe07190d049795690e74"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_DIGESTS))
+def test_generator_output_is_pinned(name):
+    make, digest = GENERATOR_DIGESTS[name]
+    out = make()
+    blob = save_graph(out.graph) + json.dumps(
+        [out.params, [list(map(str, role)) for role in out.id_map]])
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest

@@ -234,6 +234,10 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     if args.reduction:
         from .reductions import load_ov
+        param_flag = {"ov-multidom": "r", "ov-hdom": "pattern"}.get(args.reduction)
+        for flag in ("source", param_flag):
+            if flag is not None and getattr(args, flag) is None:
+                raise CliError(f"--reduction {args.reduction} requires --{flag}")
         inst = load_ov(args.source)
         param = args.r if args.reduction == "ov-multidom" else (
             load_pattern(args.pattern) if args.reduction == "ov-hdom" else None)

@@ -218,18 +218,31 @@ def solve_multidom_bruteforce(G: Graph, k: int, r: int, variant: str) -> Solutio
 def build_candidate_families(G: Graph, k: int, r: int) -> tuple[CandidateFamily, CandidateFamily]:
     """The two families whose disjoint unions cover every k-set with >= r
     heavy vertices: sizes ceil((k-r)/2)+floor(r/2) and floor((k-r)/2)+ceil(r/2),
-    with heavy quotas floor(r/2) and ceil(r/2)."""
+    with heavy quotas floor(r/2) and ceil(r/2).
+
+    Each family is built heavy-first: for j = quota..min(size, h) every
+    j-subset of the h heavy vertices is joined with every (size-j)-subset of
+    the light ones, so the cost is proportional to the members kept (plus one
+    sort), not to C(n, size). The members come out in lexicographic order,
+    the order of a filtered `combinations(range(n), size)` scan.
+    """
     if not (1 <= r <= k - 1):
         raise ValueError(f"need 1 <= r <= k-1, got r={r}, k={k}")
-    heavy = set(heavy_vertices(G, k))
+    heavy = heavy_vertices(G, k)
+    heavy_set = set(heavy)
+    light = [v for v in range(G.n) if v not in heavy_set]
     size_s = (k - r + 1) // 2 + r // 2
     quota_s = r // 2
     size_t = (k - r) // 2 + (r + 1) // 2
     quota_t = (r + 1) // 2
 
     def members(size: int, quota: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(c for c in itertools.combinations(range(G.n), size)
-                     if sum(1 for v in c if v in heavy) >= quota)
+        out = [tuple(sorted(H + L))
+               for j in range(quota, min(size, len(heavy)) + 1)
+               for H in itertools.combinations(heavy, j)
+               for L in itertools.combinations(light, size - j)]
+        out.sort()
+        return tuple(out)
 
     return (CandidateFamily(size_s, quota_s, members(size_s, quota_s)),
             CandidateFamily(size_t, quota_t, members(size_t, quota_t)))
@@ -320,34 +333,66 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
 
 
 def list_2_dominating_sets(G: Graph) -> list[tuple[int, int]]:
-    """All pairs (u, v), u < v, with N[u] ∪ N[v] = V, in lexicographic order."""
-    singles = [(v,) for v in range(G.n)]
-    return [(u, v) for u, v in pair_join(G, singles, singles, 1, "tuple") if u < v]
+    """All pairs (u, v), u < v, with N[u] ∪ N[v] = V, in lexicographic order.
+
+    A dominating pair has |N[u]| + |N[v]| >= n, so one of its vertices is in
+    `heavy_vertices(G, 2)`. Only those h vertices are joined against all n;
+    each pair is normalised to (min, max), kept once and sorted: O(n + m +
+    h*n) mask operations plus a sort of the pairs found. With no heavy
+    vertex the answer is empty and nothing beyond the heavy scan runs.
+    """
+    heavy = heavy_vertices(G, 2)
+    if not heavy:
+        return []
+    heavy_set = set(heavy)
+    pairs = []
+    for i, v in pair_join(G, [(u,) for u in heavy], [(v,) for v in range(G.n)], 1, "tuple"):
+        u = heavy[i]
+        if u < v:
+            pairs.append((u, v))
+        elif v not in heavy_set:  # a heavy v < u already met u in its own row
+            pairs.append((v, u))
+    pairs.sort()
+    return pairs
 
 
 def build_clique_graph(G: Graph, k: int) -> tuple[KPartiteGraph, list[list[int]]]:
     """k-partite graph whose k-cliques correspond to pairwise-dominating
     k-sets: parts 1..k-1 are copies of the heavy set, part k a copy of V;
-    cross edges join distinct originals that form a dominating pair."""
+    cross edges join distinct originals that form a dominating pair.
+
+    Edges are read off one dominating-partner bitmask per vertex, so past
+    `list_2_dominating_sets` the cost is O(k^2 * h) plus the edges emitted."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     heavy = list(heavy_vertices(G, k))
     labels = [list(heavy) for _ in range(k - 1)] + [list(range(G.n))]
-    dom2 = set(list_2_dominating_sets(G))
+    # partners[u]: the vertices v with N[u] ∪ N[v] = V
+    partners = [0] * G.n
+    for u, v in list_2_dominating_sets(G):
+        partners[u] |= 1 << v
+        partners[v] |= 1 << u
+    heavy_index = {v: b for b, v in enumerate(heavy)}
     edges = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            for a, u in enumerate(labels[i]):
-                for b, v in enumerate(labels[j]):
-                    if u != v and (min(u, v), max(u, v)) in dom2:
-                        edges.append(((i, a), (j, b)))
+    for a, u in enumerate(heavy):
+        all_partners = list(iter_bits(partners[u]))
+        heavy_partners = [heavy_index[v] for v in all_partners if v in heavy_index]
+        for i in range(k - 1):
+            for j in range(i + 1, k - 1):
+                edges.extend(((i, a), (j, b)) for b in heavy_partners)
+            edges.extend(((i, a), (k - 1, v)) for v in all_partners)
     return KPartiteGraph([len(p) for p in labels], edges), labels
 
 
 def grouping_parameters(k: int, gamma: Fraction) -> tuple[int, int] | None:
     """Triangle-grouping split (alpha, beta) with alpha + 2*beta + 1 = k,
     where beta = (k-1+1/gamma)/3. Requires k-1+1/gamma to be an integer
-    divisible by 3 and 2/gamma < k-1; returns None otherwise."""
+    divisible by 3 and 2/gamma < k-1; returns None otherwise.
+
+    Library-only: no solver or CLI path passes `gamma`, so the grouped
+    triangle search runs only when a caller of `detect_unbalanced_kclique`
+    asks for it. Feeding it from generator parameters would change which
+    clique the pipeline finds first."""
     g = Fraction(gamma)
     if not (0 < g <= 1):
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
@@ -416,7 +461,9 @@ def detect_unbalanced_kclique(kp: KPartiteGraph,
 
     With a gamma hint satisfying the grouping conditions, partial cliques are
     grouped into three blocks and a triangle is searched; otherwise plain
-    backtracking over parts ordered by increasing size.
+    backtracking over parts ordered by increasing size. The grouped path is
+    library-only: `solve_multidom_kminus1` and the CLI never pass `gamma`,
+    and the two paths may return different cliques.
     """
     params = grouping_parameters(kp.k, gamma) if gamma is not None else None
     if params is not None:

@@ -111,6 +111,30 @@ def test_generate_and_verify_round_trip(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def _generated_ov_source(tmp_path, capsys, *extra):
+    prefix = str(tmp_path / "gen")
+    assert main(["generate", *extra, "--d", "3", "--sizes", "2,2,2", "--seed", "7",
+                 "--out", prefix]) == 0
+    capsys.readouterr()
+    return prefix + ".source.json"
+
+
+def test_verify_ov_multidom_without_r_is_error(tmp_path, capsys):
+    source = _generated_ov_source(tmp_path, capsys, "--reduction", "ov-multidom",
+                                  "--k", "3", "--r", "2")
+    assert main(["verify", "--reduction", "ov-multidom", "--source", source]) == 2
+    assert "requires --r" in capsys.readouterr().err
+
+
+def test_verify_ov_hdom_without_pattern_is_error(tmp_path, capsys):
+    pattern = tmp_path / "p3.json"
+    pattern.write_text(json.dumps({"k": 3, "edges": [[0, 1], [1, 2]]}))
+    source = _generated_ov_source(tmp_path, capsys, "--reduction", "ov-hdom",
+                                  "--k", "3", "--pattern", str(pattern))
+    assert main(["verify", "--reduction", "ov-hdom", "--source", source]) == 2
+    assert "requires --pattern" in capsys.readouterr().err
+
+
 def test_generate_is_multidom_echoes_kprime(tmp_path, capsys):
     code = main(["generate", "--reduction", "is-multidom", "--k", "2",
                  "--gamma", "1/2", "--d", "1", "--seed", "3",

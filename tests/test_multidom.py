@@ -8,6 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from domlab import multidom
 from domlab import (
     Graph,
     KPartiteGraph,
@@ -182,6 +183,97 @@ def test_first_hits_match_row_major_reference():
                     sol = solve_multidom_fast(G, k, r, variant)
                     got = None if sol is None else sol.vertices
                     assert got == _reference_fast(G, k, r, variant), (seed, k, r, variant)
+
+
+def _reference_families(G, k, r):
+    """(size, quota, members) per family from the filtered scan over every
+    size-subset in lexicographic order."""
+    heavy = set(heavy_vertices(G, k))
+    sizes = ((k - r + 1) // 2 + r // 2, r // 2), ((k - r) // 2 + (r + 1) // 2, (r + 1) // 2)
+    return [(size, quota, tuple(c for c in itertools.combinations(range(G.n), size)
+                                if sum(1 for v in c if v in heavy) >= quota))
+            for size, quota in sizes]
+
+
+def _reference_2_dominating_sets(G):
+    full = G.full_mask()
+    return [(u, v) for u in range(G.n) for v in range(u + 1, G.n)
+            if G.closed_mask(u) | G.closed_mask(v) == full]
+
+
+def _reference_clique_graph(G, k):
+    """The clique graph from a double loop over every part pair and every
+    pair of labels, testing membership in the set of dominating pairs."""
+    heavy = list(heavy_vertices(G, k))
+    labels = [list(heavy) for _ in range(k - 1)] + [list(range(G.n))]
+    dom2 = set(_reference_2_dominating_sets(G))
+    edges = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            for a, u in enumerate(labels[i]):
+                for b, v in enumerate(labels[j]):
+                    if u != v and (min(u, v), max(u, v)) in dom2:
+                        edges.append(((i, a), (j, b)))
+    return KPartiteGraph([len(p) for p in labels], edges), labels
+
+
+def _equivalence_graphs():
+    """Seeded random graphs plus three fixed shapes: no heavy vertex (edgeless),
+    one heavy vertex, below a quota of 2 (star), every vertex heavy (K8)."""
+    graphs = [Graph(12, []), star_graph(11), complete_graph(8)]
+    for seed in range(150):
+        rng = random.Random(f"families:{seed}")
+        graphs.append(random_graph(seed, rng.randint(1, 11), rng.choice([0.1, 0.3, 0.5, 0.8])))
+    return graphs
+
+
+def test_families_match_filtered_scan():
+    shapes = set()
+    for G in _equivalence_graphs():
+        for k in range(2, min(G.n, 6) + 1):
+            h = len(heavy_vertices(G, k))
+            for r in range(1, k):
+                got = [(f.size, f.quota, f.members) for f in build_candidate_families(G, k, r)]
+                assert got == _reference_families(G, k, r), (G, k, r)
+                shapes.add("none" if h == 0 else "all" if h == G.n
+                           else "below-quota" if h < (r + 1) // 2 else "some")
+    assert shapes == {"none", "below-quota", "all", "some"}
+
+
+def test_2_dominating_sets_match_full_scan():
+    # a pair (u, v) with only v heavy is found from v's row; the output
+    # must still list it as (u, v)
+    light_first = 0
+    for G in _equivalence_graphs() + [Graph(5, [(i, 4) for i in range(4)])]:
+        expected = _reference_2_dominating_sets(G)
+        assert list_2_dominating_sets(G) == expected
+        heavy = set(heavy_vertices(G, 2))
+        light_first += sum(1 for u, v in expected if u not in heavy)
+    assert light_first > 0
+
+
+def test_clique_graph_matches_double_loop():
+    for G in _equivalence_graphs():
+        for k in range(2, min(G.n, 5) + 1):
+            kp, labels = build_clique_graph(G, k)
+            ref, ref_labels = _reference_clique_graph(G, k)
+            assert (kp.sizes, kp.adj, labels) == (ref.sizes, ref.adj, ref_labels)
+
+
+def test_2_dominating_sets_skip_join_without_heavy_vertex(monkeypatch):
+    rng = random.Random("sparse-2000")
+    n, edges = 2000, set()
+    while len(edges) < 6000:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    G = Graph(n, sorted(edges))
+    assert all(2 * G.degstar(v) < n for v in range(n))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("pair_join called on a graph with no heavy vertex")
+
+    monkeypatch.setattr(multidom, "pair_join", fail)
+    assert list_2_dominating_sets(G) == []
 
 
 def test_fast_reports_stats():

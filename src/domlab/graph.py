@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+from itertools import accumulate, chain, compress, islice, repeat, tee
+from operator import add, eq, ge, lt, mul, sub
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -11,14 +13,25 @@ class GraphFormatError(ValueError):
     """Malformed graph input: bad line, out-of-range vertex id, or self-loop."""
 
 
-class Graph:
-    """Simple undirected graph stored as compressed sorted adjacency.
+MAX_VERTICES = 10**6
+"""Largest vertex count a file header may declare. Loading is O(n + m), so a
+header alone could otherwise ask for memory far beyond what the file holds;
+a larger count is rejected before anything is allocated."""
 
-    Immutable after construction: all queries are read-only, so a Graph can be
-    shared freely across workers.
+
+class Graph:
+    """Simple undirected graph stored as compressed sorted adjacency (CSR).
+
+    Memory model: construction builds `offsets` and `neighbors` only, O(n + m)
+    words, and the graph keeps them. A vertex's neighbourhood bitmask (read by
+    `neighbor_mask`, `closed_mask` and `has_edge`) is built on first use and
+    cached, so memory grows by about n/64 words for each vertex a solver asks
+    about, never for the others. The graph is logically immutable: the cache
+    only holds what a query would compute anyway, so a Graph can be shared
+    freely across workers.
     """
 
-    __slots__ = ("n", "offsets", "neighbors", "_nbr_mask")
+    __slots__ = ("n", "offsets", "neighbors", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -31,21 +44,33 @@ class Graph:
                 raise GraphFormatError(f"self-loop at vertex {u}")
             adj[u].add(v)
             adj[v].add(u)
-        offsets = [0]
-        neighbors: list[int] = []
-        for v in range(n):
-            neighbors.extend(sorted(adj[v]))
-            offsets.append(len(neighbors))
+        self._set_csr(n, list(map(sorted, adj)))
+
+    @classmethod
+    def _from_flat(cls, n: int, flat: list[int]) -> "Graph":
+        """Graph on the edges (flat[0], flat[1]), (flat[2], flat[3]), ...: the
+        loaders' bulk path, with its checks done a whole list at a time."""
+        us, vs = flat[0::2], flat[1::2]
+        if n < 0 or flat and (min(flat) < 0 or max(flat) >= n) or any(map(eq, us, vs)):
+            return cls(n, zip(us, vs))  # raises, naming the first bad edge
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in zip(us, vs):
+            adj[u].append(v)
+            adj[v].append(u)
+        # canonical edges (u < v, sorted, no repeats) fill every adjacency
+        # list in increasing order; any others need a sort and a dedup
+        if not (all(map(lt, us, vs)) and _increasing(map(add, map(mul, us, repeat(n)), vs))):
+            adj = list(map(sorted, map(set, adj)))
+        G = cls.__new__(cls)
+        G._set_csr(n, adj)
+        return G
+
+    def _set_csr(self, n: int, adj: list[list[int]]) -> None:
+        """Store the sorted adjacency lists `adj` as CSR."""
         self.n = n
-        self.offsets = tuple(offsets)
-        self.neighbors = tuple(neighbors)
-        nbr_mask = []
-        for v in range(n):
-            m = 0
-            for u in adj[v]:
-                m |= 1 << u
-            nbr_mask.append(m)
-        self._nbr_mask = tuple(nbr_mask)
+        self.offsets = tuple(accumulate(map(len, adj), initial=0))
+        self.neighbors = tuple(chain.from_iterable(adj))
+        self._masks: dict[int, int] = {}
 
     @property
     def m(self) -> int:
@@ -64,19 +89,25 @@ class Graph:
         return self.degree(v) + 1
 
     def neighbor_mask(self, v: int) -> int:
-        self._check(v)
-        return self._nbr_mask[v]
+        """Bitmask of N(v); built on the first call for v, then cached."""
+        mask = self._masks.get(v)
+        if mask is None:
+            self._check(v)
+            mask = self._masks[v] = self._build_mask(v)
+        return mask
+
+    def _build_mask(self, v: int) -> int:
+        # the neighbours are distinct, so the sum of their bits is their OR
+        return sum(map((1).__lshift__, self.neighbors[self.offsets[v] : self.offsets[v + 1]]))
 
     def closed_mask(self, v: int) -> int:
-        self._check(v)
-        return self._nbr_mask[v] | 1 << v
+        return self.neighbor_mask(v) | 1 << v
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check(u)
-        return (self._nbr_mask[u] >> v) & 1 == 1
+        return (self.neighbor_mask(u) >> v) & 1 == 1
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically."""
@@ -101,25 +132,47 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _increasing(values: Iterable[int]) -> bool:
+    """Whether `values` is strictly increasing."""
+    a, b = tee(values)
+    next(b, None)
+    return all(map(lt, a, b))
+
+
 def closed_neighborhood(G: Graph, v: int) -> tuple[int, ...]:
     """N[v] = N(v) ∪ {v}, sorted."""
     return tuple(sorted(G.adjacency(v) + (v,)))
 
 
-def heavy_vertices(G: Graph, k: int) -> tuple[int, ...]:
-    """Vertices with |N[v]| >= n/k, compared exactly (|N[v]|*k >= n).
+def heavy_vertices(G: Graph, k: int, alive: int | None = None) -> tuple[int, ...]:
+    """Vertices v of `alive` with |N[v] ∩ alive| >= |alive|/k, compared exactly
+    (|N[v] ∩ alive| * k >= |alive|): the heavy vertices of the subgraph that
+    the bitmask `alive` induces, by their ids in G. `alive` defaults to V.
 
-    A counting argument bounds the result size by 2km/n + k.
+    Since |N[v] ∩ alive| <= deg(v) + 1, a filter on CSR degrees runs first,
+    and only the candidates it passes read a mask (none when `alive` is V).
+    On all of V a counting argument bounds the result size by 2km/n + k.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return tuple(v for v in range(G.n) if G.degstar(v) * k >= G.n)
+    size = G.n if alive is None else alive.bit_count()
+    min_degree = -(-size // k) - 1
+    offsets = G.offsets
+    degrees = map(sub, islice(offsets, 1, None), offsets)
+    candidates = compress(range(G.n), map(ge, degrees, repeat(min_degree)))
+    if size == G.n:  # alive is all of V, where |N[v] ∩ alive| = deg(v) + 1
+        return tuple(candidates)
+    return tuple(v for v in candidates
+                 if (alive >> v) & 1 and (G.closed_mask(v) & alive).bit_count() * k >= size)
 
 
 def delete_closed_neighborhood(G: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on V \\ N[v] with compacted ids.
 
     Returns (subgraph, id_map) where id_map[new_id] = original id.
+
+    Library-only: the solvers search the subgraph in place, through an
+    `alive` vertex mask over the original ids (see `heavy_vertices`).
     """
     gone = G.closed_mask(v)
     keep = [u for u in range(G.n) if not (gone >> u) & 1]
@@ -152,7 +205,8 @@ def load_graph(source, fmt: str = "edgelist") -> Graph:
 
     The header's m must equal the number of edge lines, so a truncated file
     is an error. Duplicate and reversed edge lines are deduplicated (and
-    still count as lines); self-loops are errors.
+    still count as lines); self-loops are errors. A header n above
+    `MAX_VERTICES` is an error, raised as soon as the header is read.
     """
     text = _read_text(source)
     if fmt == "edgelist":
@@ -162,40 +216,73 @@ def load_graph(source, fmt: str = "edgelist") -> Graph:
     raise ValueError(f"unknown graph format: {fmt!r}")
 
 
-def _check_edge_count(header_line: int, m: int, edges: list) -> None:
-    if len(edges) != m:
-        raise GraphFormatError(f"line {header_line}: header declares {m} edges, found {len(edges)}")
+def _check_vertex_count(header_line: int, n: int) -> None:
+    if n > MAX_VERTICES:
+        raise GraphFormatError(
+            f"line {header_line}: header declares {n} vertices, more than the limit {MAX_VERTICES}")
+
+
+def _check_edge_count(header_line: int, m: int, found: int) -> None:
+    if found != m:
+        raise GraphFormatError(f"line {header_line}: header declares {m} edges, found {found}")
+
+
+def _edgelist_ints(lineno: int, raw: str) -> list[int] | None:
+    """The integers on one edge-list line; None for a blank or comment line."""
+    parts = raw.split("#", 1)[0].split()
+    if not parts:
+        return None
+    try:
+        return list(map(int, parts))
+    except ValueError:
+        raise GraphFormatError(f"line {lineno}: not integers: {raw!r}") from None
 
 
 def _parse_edgelist(text: str) -> Graph:
-    n = None
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    lines = text.splitlines()
+    for header_line, raw in enumerate(lines, 1):
+        nums = _edgelist_ints(header_line, raw)
+        if nums is None:
             continue
-        parts = line.split()
+        if len(nums) != 2:
+            raise GraphFormatError(f"line {header_line}: expected header 'n m'")
+        n, m = nums
+        _check_vertex_count(header_line, n)
+        break
+    else:
+        raise GraphFormatError("empty input: missing 'n m' header")
+    flat = _edgelist_body(lines, header_line, "#" not in text)
+    _check_edge_count(header_line, m, len(flat) // 2)
+    return Graph._from_flat(n, flat)
+
+
+def _edgelist_body(lines: list[str], header_line: int, plain: bool) -> list[int]:
+    """The edge lines after the header as one flat list [u0, v0, u1, v1, ...].
+
+    A `plain` body (no comments) whose lines all hold two integers or none is
+    read in one bulk pass; anything else is read line by line, which names
+    the first bad line."""
+    body = lines[header_line:]
+    rows = list(map(str.split, body))
+    if plain and set(map(len, rows)) <= {0, 2}:
         try:
-            nums = [int(p) for p in parts]
+            return list(map(int, chain.from_iterable(rows)))
         except ValueError:
-            raise GraphFormatError(f"line {lineno}: not integers: {raw!r}") from None
-        if n is None:
-            if len(nums) != 2:
-                raise GraphFormatError(f"line {lineno}: expected header 'n m'")
-            n, m, header_line = nums[0], nums[1], lineno
+            pass
+    flat: list[int] = []
+    for lineno, raw in enumerate(body, header_line + 1):
+        nums = _edgelist_ints(lineno, raw)
+        if nums is None:
             continue
         if len(nums) != 2:
             raise GraphFormatError(f"line {lineno}: expected edge 'u v'")
-        edges.append((nums[0], nums[1]))
-    if n is None:
-        raise GraphFormatError("empty input: missing 'n m' header")
-    _check_edge_count(header_line, m, edges)
-    return Graph(n, edges)
+        flat += nums
+    return flat
 
 
 def _parse_dimacs(text: str) -> Graph:
     n = None
-    edges = []
+    flat: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -208,6 +295,7 @@ def _parse_dimacs(text: str) -> Graph:
                 n, m, header_line = int(parts[2]), int(parts[3]), lineno
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: vertex or edge count is not an integer: {raw!r}") from None
+            _check_vertex_count(header_line, n)
             continue
         if parts[0] == "e":
             if n is None:
@@ -218,13 +306,13 @@ def _parse_dimacs(text: str) -> Graph:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: not integers: {raw!r}") from None
-            edges.append((u - 1, v - 1))
+            flat += (u - 1, v - 1)
             continue
         raise GraphFormatError(f"line {lineno}: unrecognized line: {raw!r}")
     if n is None:
         raise GraphFormatError("missing 'p edge n m' header")
-    _check_edge_count(header_line, m, edges)
-    return Graph(n, edges)
+    _check_edge_count(header_line, m, len(flat) // 2)
+    return Graph._from_flat(n, flat)
 
 
 def save_graph(G: Graph, target=None, fmt: str = "edgelist") -> str:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import covering_pairs, iter_bits
@@ -200,7 +202,8 @@ def solve_multidom_bruteforce(G: Graph, k: int, r: int, variant: str) -> Solutio
     if not (1 <= r <= k <= G.n):
         raise ValueError(f"need 1 <= r <= k <= n, got r={r}, k={k}, n={G.n}")
     problem = Problem(variant, k, r)
-    masks = G._nbr_mask if variant == "multiple" else [m | 1 << v for v, m in enumerate(G._nbr_mask)]
+    mask_of = G.neighbor_mask if variant == "multiple" else G.closed_mask
+    masks = [mask_of(v) for v in range(G.n)]
     for S in itertools.combinations(range(G.n), k):
         smask = _set_mask(S)
         ok = True
@@ -251,6 +254,8 @@ def build_candidate_families(G: Graph, k: int, r: int) -> tuple[CandidateFamily,
 def _at_least(masks: Iterable[int], r: int, full: int) -> list[int]:
     """Saturating bit-sliced count of `masks`: entry b (0 <= b <= r) has the
     bits set in at least b of them, so entry 0 is `full`."""
+    if r == 1:
+        return [full, full & reduce(or_, masks, 0)]
     ge = [full] + [0] * r
     for m in masks:
         for b in range(r, 0, -1):
@@ -259,9 +264,11 @@ def _at_least(masks: Iterable[int], r: int, full: int) -> list[int]:
 
 
 def pair_join(G: Graph, rows: Sequence[tuple[int, ...]], cols: Sequence[tuple[int, ...]],
-              r: int, variant: str) -> Iterator[tuple[int, int]]:
+              r: int, variant: str, universe: int | None = None) -> Iterator[tuple[int, int]]:
     """Every (i, j) whose members rows[i] and cols[j] are disjoint and whose
-    union dominates every vertex at least r times under `variant`.
+    union dominates every vertex of `universe` (a vertex bitmask, default all
+    of V) at least r times under `variant`. With members inside `universe`,
+    this is the join on the subgraph `universe` induces.
 
     "multiple" counts open-neighborhood dominators and exempts the union's own
     vertices; "tuple" counts closed-neighborhood dominators at every vertex.
@@ -273,36 +280,40 @@ def pair_join(G: Graph, rows: Sequence[tuple[int, ...]], cols: Sequence[tuple[in
     columns that meet it (the disjointness rule), then, for each vertex v
     the row leaves at level c < r, the columns that give v fewer than r - c
     dominators; `algebra.covering_pairs` reports the columns left over.
+    Those column masks of v (`below[v]`) are built the first time a row
+    draws v, so vertices no row leaves short cost nothing.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     multiple = variant == "multiple"
-    nbr = G._nbr_mask
+    nbr = G.neighbor_mask
     contains = [0] * G.n
     for j, T in enumerate(cols):
         for u in T:
             contains[u] |= 1 << j
     full = (1 << len(cols)) - 1
+    vfull = G.full_mask() if universe is None else universe
     # below[v][b]: the columns that give v fewer than b dominators
-    below = []
-    for v in range(G.n):
+    below: list[list[int] | None] = [None] * G.n
+
+    def below_of(v: int) -> list[int]:
         nbrs = G.adjacency(v) if multiple else G.adjacency(v) + (v,)
-        ge = _at_least((contains[u] for u in nbrs), r, full)
+        ge = _at_least(map(contains.__getitem__, nbrs), r, full)
         if multiple:
             ge = [m | contains[v] for m in ge]
-        below.append([full ^ m for m in ge])
-    vfull = G.full_mask()
+        below[v] = [full ^ m for m in ge]
+        return below[v]
 
     def gaps(S: tuple[int, ...]) -> Iterator[int]:
         yield from (contains[s] for s in S)
         if multiple:
             smask = _set_mask(S)
-            lev = [m | smask for m in _at_least((nbr[s] for s in S), r, vfull)]
+            lev = [m | smask for m in _at_least(map(nbr, S), r, vfull)]
         else:
-            lev = _at_least((nbr[s] | 1 << s for s in S), r, vfull)
+            lev = _at_least((nbr(s) | 1 << s for s in S), r, vfull)
         for c in range(r):
             for v in iter_bits(lev[c] ^ lev[c + 1]):
-                yield below[v][r - c]
+                yield (below[v] or below_of(v))[r - c]
 
     return covering_pairs((gaps(S) for S in rows), len(cols))
 
@@ -332,8 +343,12 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     return None
 
 
-def list_2_dominating_sets(G: Graph) -> list[tuple[int, int]]:
+def list_2_dominating_sets(G: Graph, alive: int | None = None) -> list[tuple[int, int]]:
     """All pairs (u, v), u < v, with N[u] ∪ N[v] = V, in lexicographic order.
+
+    With a vertex bitmask `alive`, the pairs of alive vertices that dominate
+    every alive vertex: the dominating pairs of the subgraph `alive` induces,
+    by their ids in G.
 
     A dominating pair has |N[u]| + |N[v]| >= n, so one of its vertices is in
     `heavy_vertices(G, 2)`. Only those h vertices are joined against all n;
@@ -341,13 +356,14 @@ def list_2_dominating_sets(G: Graph) -> list[tuple[int, int]]:
     h*n) mask operations plus a sort of the pairs found. With no heavy
     vertex the answer is empty and nothing beyond the heavy scan runs.
     """
-    heavy = heavy_vertices(G, 2)
+    heavy = heavy_vertices(G, 2, alive)
     if not heavy:
         return []
     heavy_set = set(heavy)
+    cols = range(G.n) if alive is None else tuple(iter_bits(alive))
     pairs = []
-    for i, v in pair_join(G, [(u,) for u in heavy], [(v,) for v in range(G.n)], 1, "tuple"):
-        u = heavy[i]
+    for i, j in pair_join(G, [(u,) for u in heavy], [(v,) for v in cols], 1, "tuple", alive):
+        u, v = heavy[i], cols[j]
         if u < v:
             pairs.append((u, v))
         elif v not in heavy_set:  # a heavy v < u already met u in its own row

@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .graph import Graph, delete_closed_neighborhood, heavy_vertices
+from .graph import Graph, heavy_vertices
 from .multidom import (
     Problem,
     Solution,
@@ -100,11 +100,6 @@ def enumerate_cliques(G: Graph, t: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _universal_vertices(G: Graph) -> Iterator[int]:
-    """Vertices adjacent to every other vertex: the dominating 1-sets."""
-    return (v for v in range(G.n) if G.degstar(v) == G.n)
-
-
 def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
     """First k-clique (in the half-split scan order) whose closed neighborhood
     is all of V, or None."""
@@ -112,7 +107,8 @@ def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
         raise ValueError(f"k must be >= 1, got {k}")
     problem = Problem("clique", k)
     if k == 1:
-        for v in _universal_vertices(G):
+        # heavy at k = 1 means |N[v]| = n: the universal vertices
+        for v in heavy_vertices(G, 1):
             return Solution(problem, (v,))
         return None
     if k == 2:
@@ -140,27 +136,31 @@ def solve_dominating_indepset(G: Graph, k: int) -> Solution | None:
     non-adjacent dominating pairs (k=2)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    verts = _indepset_search(G, k)
+    verts = _indepset_search(G, k, None)
     if verts is None:
         return None
     return Solution(Problem("indepset", k), verts)
 
 
-def _indepset_search(G: Graph, k: int) -> tuple[int, ...] | None:
+def _indepset_search(G: Graph, k: int, alive: int | None) -> tuple[int, ...] | None:
+    """The search on the subgraph induced by the vertex bitmask `alive` (None
+    for all of V), in G's ids: deleting N[v] clears its bits. The ids keep
+    their order, so each level tries heavy vertices in the order a relabelled
+    copy would."""
     if k == 1:
-        for v in _universal_vertices(G):
+        for v in heavy_vertices(G, 1, alive):
             return (v,)
         return None
     if k == 2:
-        for u, v in list_2_dominating_sets(G):
+        for u, v in list_2_dominating_sets(G, alive):
             if not G.has_edge(u, v):
                 return (u, v)
         return None
-    for v in heavy_vertices(G, k):
-        sub, id_map = delete_closed_neighborhood(G, v)
-        rest = _indepset_search(sub, k - 1)
+    for v in heavy_vertices(G, k, alive):
+        rest_alive = (G.full_mask() if alive is None else alive) & ~G.closed_mask(v)
+        rest = _indepset_search(G, k - 1, rest_alive)
         if rest is not None:
-            return tuple(sorted((v,) + tuple(id_map[u] for u in rest)))
+            return tuple(sorted((v,) + rest))
     return None
 
 
@@ -206,7 +206,7 @@ def list_dominating_ksets(G: Graph, k: int) -> Iterator[tuple[int, ...]]:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k == 1:
-        yield from ((v,) for v in _universal_vertices(G))
+        yield from ((v,) for v in heavy_vertices(G, 1))
         return
     if k > G.n:
         return

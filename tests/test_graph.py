@@ -14,6 +14,7 @@ from domlab import (
     load_graph,
     save_graph,
 )
+from domlab.graph import MAX_VERTICES
 
 from .conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
 
@@ -76,6 +77,61 @@ def test_load_dimacs_rejects_wrong_edge_count():
 def test_load_dimacs_non_integer_edge_count_names_line():
     with pytest.raises(GraphFormatError, match="line 2"):
         load_graph(b"c comment\np edge 3 x\ne 1 2", fmt="dimacs")
+
+
+def test_load_edgelist_rejects_oversized_header():
+    with pytest.raises(GraphFormatError, match="line 1: header declares 4000000000 vertices"):
+        load_graph(b"4000000000 0")
+    # raised at the header, before any later line is read
+    with pytest.raises(GraphFormatError, match="line 2: header declares 4000000000 vertices"):
+        load_graph(b"# big\n4000000000 1\n0 x")
+    with pytest.raises(GraphFormatError, match="line 1: header declares"):
+        load_graph(f"{MAX_VERTICES + 1} 0".encode())
+
+
+def test_load_dimacs_rejects_oversized_header():
+    with pytest.raises(GraphFormatError, match="line 2: header declares 4000000000 vertices"):
+        load_graph(b"c comment\np edge 4000000000 0\n", fmt="dimacs")
+
+
+def test_load_edgelist_bulk_and_line_paths_agree():
+    plain = b"4 3\n0 1\n\n2 3\n1 2\n"
+    commented = b"4 3 # header\n0 1\n# gap\n2 3  # edge\n1 2\n"
+    assert load_graph(plain) == load_graph(commented) == Graph(4, [(0, 1), (1, 2), (2, 3)])
+
+
+def test_load_edgelist_names_first_bad_line():
+    with pytest.raises(GraphFormatError, match="line 3: expected edge 'u v'"):
+        load_graph(b"3 2\n0 1\n1 2 0\nx y")
+    with pytest.raises(GraphFormatError, match="line 3: not integers"):
+        load_graph(b"3 2\n0 1\nx y\n1 2 0")
+
+
+def test_first_bad_edge_in_input_order():
+    with pytest.raises(GraphFormatError, match="self-loop at vertex 1"):
+        load_graph(b"3 2\n1 1\n0 9")
+    with pytest.raises(GraphFormatError, match=r"edge \(0,9\) out of range"):
+        Graph(3, [(0, 9), (1, 1)])
+
+
+def test_graph_normalises_edge_order_direction_and_repeats():
+    G = Graph(5, [(3, 1), (0, 4), (1, 3), (4, 0), (2, 1)])
+    assert G == Graph(5, [(0, 4), (1, 2), (1, 3)])
+    assert G == load_graph(b"5 5\n3 1\n0 4\n1 3\n4 0\n2 1")
+    assert G.offsets == (0, 1, 3, 4, 5, 6)
+    assert G.neighbors == (4, 2, 3, 1, 1, 0)
+
+
+def test_neighbor_mask_built_once_per_vertex(monkeypatch):
+    G = cycle_graph(6)
+    built = []
+    original = Graph._build_mask
+    monkeypatch.setattr(Graph, "_build_mask", lambda self, v: built.append(v) or original(self, v))
+    assert G.neighbor_mask(2) == 0b1010
+    assert G.closed_mask(2) == 0b1110 and G.has_edge(2, 3) and not G.has_edge(2, 4)
+    assert built == [2]
+    with pytest.raises(IndexError):
+        G.neighbor_mask(6)
 
 
 def test_save_load_round_trip_dimacs():

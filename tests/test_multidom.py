@@ -15,6 +15,7 @@ from domlab import (
     Problem,
     build_candidate_families,
     build_clique_graph,
+    delete_closed_neighborhood,
     detect_unbalanced_kclique,
     diagnose_solution,
     grouping_parameters,
@@ -477,3 +478,31 @@ def test_kpartite_rejects_intra_part_edges():
 def test_fast_rejects_r_equal_k():
     with pytest.raises(ValueError):
         solve_multidom_fast(cycle_graph(5), 3, 3, "multiple")
+
+
+def _hub_graph(seed: int, n: int) -> Graph:
+    """Random sparse graph plus a few high-degree hubs, so deleting a closed
+    neighbourhood leaves subgraphs that still have heavy vertices."""
+    rng = random.Random(seed)
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.12}
+    for h in rng.sample(range(n), 3):
+        edges |= {(min(h, v), max(h, v)) for v in range(n) if v != h and rng.random() < 0.6}
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_alive_mask_matches_deleted_subgraph(seed):
+    G = _hub_graph(seed, 14 + seed)
+    for v in range(G.n):
+        sub, id_map = delete_closed_neighborhood(G, v)
+        alive = G.full_mask() & ~G.closed_mask(v)
+        levels = [(sub, id_map, alive)]
+        if sub.n:  # one level deeper, through the first vertex left
+            sub2, map2 = delete_closed_neighborhood(sub, 0)
+            levels.append((sub2, tuple(id_map[u] for u in map2),
+                           alive & ~G.closed_mask(id_map[0])))
+        for sub, id_map, alive in levels:
+            for k in range(1, 5):
+                assert heavy_vertices(G, k, alive) == tuple(id_map[u] for u in heavy_vertices(sub, k))
+            assert list_2_dominating_sets(G, alive) == [
+                (id_map[a], id_map[b]) for a, b in list_2_dominating_sets(sub)]

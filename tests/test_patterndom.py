@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,10 @@ from domlab import (
     Pattern,
     PatternTooLargeError,
     Problem,
+    delete_closed_neighborhood,
     enumerate_cliques,
+    heavy_vertices,
+    list_2_dominating_sets,
     list_dominating_ksets,
     load_pattern,
     oracle_pattern,
@@ -217,3 +221,63 @@ def test_specialized_solvers_agree_with_generic_and_oracle(seed, n, p, k):
         if special is not None:
             assert verify_solution(G, Problem("pattern", k, pattern_edges=H.edges),
                                    special.vertices)
+
+
+def _indepset_rebuild(G: Graph, k: int) -> tuple[int, ...] | None:
+    """The independent-set recursion as it ran on a relabelled subgraph per
+    level, before the search moved onto an alive vertex mask."""
+    if k == 1:
+        for v in (v for v in range(G.n) if G.degstar(v) == G.n):
+            return (v,)
+        return None
+    if k == 2:
+        for u, v in list_2_dominating_sets(G):
+            if not G.has_edge(u, v):
+                return (u, v)
+        return None
+    for v in heavy_vertices(G, k):
+        sub, id_map = delete_closed_neighborhood(G, v)
+        rest = _indepset_rebuild(sub, k - 1)
+        if rest is not None:
+            return tuple(sorted((v,) + tuple(id_map[u] for u in rest)))
+    return None
+
+
+def _planted_indep_graph(seed: int, n: int) -> Graph:
+    """Random edges among non-hubs; each non-hub joins one or two of 2-4
+    pairwise non-adjacent hubs, so dominating independent sets exist and
+    several compete for the first hit."""
+    rng = random.Random(seed)
+    hubs = rng.sample(range(n), rng.randint(2, 4))
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n)
+             if u not in hubs and v not in hubs and rng.random() < 0.15}
+    for v in range(n):
+        if v not in hubs:
+            edges |= {(min(v, h), max(v, h)) for h in rng.sample(hubs, rng.choice((1, 2)))}
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_indepset_alive_search_matches_rebuild_recursion(seed):
+    G = _planted_indep_graph(seed, 12 + seed % 20) if seed % 2 else random_graph(seed, 12 + seed % 9, 0.45)
+    for k in range(1, 6):
+        sol = solve_dominating_indepset(G, k)
+        assert (None if sol is None else sol.vertices) == _indepset_rebuild(G, k)
+
+
+def test_sparse_solves_build_no_masks(monkeypatch):
+    rng = random.Random(2000)
+    edges = set()
+    while len(edges) < 6000:
+        u, v = rng.randrange(2000), rng.randrange(2000)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    G = Graph(2000, edges)
+    built = []
+    original = Graph._build_mask
+    monkeypatch.setattr(Graph, "_build_mask", lambda self, v: built.append(v) or original(self, v))
+    assert solve_dominating_clique(G, 1) is None
+    assert list_2_dominating_sets(G) == []
+    assert built == []
+    G.has_edge(0, 1)  # the counter does see a build
+    assert built == [0]

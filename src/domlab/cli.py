@@ -1,12 +1,15 @@
 """Command-line surface: solve, generate, verify, bench.
 
-Exit codes for solve: 0 = solution found, 1 = no solution, 2 = error.
+Exit codes: 0 = solution found (solve) or PASS (verify), 1 = no solution or
+FAIL, 2 = error, 3 = budget exceeded (an oracle's size cap, such as
+`verify --reduction ... --max-n`, is smaller than the instance).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -25,7 +28,7 @@ from .multidom import (
     diagnose_solution,
     KPartiteGraph,
 )
-from .oracles import oracle_pattern
+from .oracles import OracleBudgetError, oracle_pattern
 from .patterndom import (
     Pattern,
     load_pattern,
@@ -383,14 +386,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process. parse_args only reads
+    it (no option has a mutable default), and building one costs more than
+    most small solves."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OracleBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

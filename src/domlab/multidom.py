@@ -263,12 +263,17 @@ def _at_least(masks: Iterable[int], r: int, full: int) -> list[int]:
     return ge
 
 
-def pair_join(G: Graph, rows: Sequence[tuple[int, ...]], cols: Sequence[tuple[int, ...]],
+def pair_join(G: Graph, rows: Iterable[tuple[int, ...]], cols: Sequence[tuple[int, ...]],
               r: int, variant: str, universe: int | None = None) -> Iterator[tuple[int, int]]:
-    """Every (i, j) whose members rows[i] and cols[j] are disjoint and whose
-    union dominates every vertex of `universe` (a vertex bitmask, default all
-    of V) at least r times under `variant`. With members inside `universe`,
-    this is the join on the subgraph `universe` induces.
+    """Every (i, j) whose i-th row member and member cols[j] are disjoint and
+    whose union dominates every vertex of `universe` (a vertex bitmask,
+    default all of V) at least r times under `variant`. With members inside
+    `universe`, this is the join on the subgraph `universe` induces.
+
+    `rows` may be any iterable, a generator included: it is walked once, and
+    only as far as the consumer reads pairs, so a caller that stops at the
+    first pair never builds the rows after its row. `cols` must be a
+    sequence; every column enters the bitmasks before the first row is drawn.
 
     "multiple" counts open-neighborhood dominators and exempts the union's own
     vertices; "tuple" counts closed-neighborhood dominators at every vertex.

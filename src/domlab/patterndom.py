@@ -100,9 +100,24 @@ def enumerate_cliques(G: Graph, t: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _drawn(members: Iterable[tuple], kept: list) -> Iterator[tuple]:
+    """Each of `members` in turn, appended to `kept` as it is drawn: kept[i]
+    is the i-th member a lazy consumer such as `pair_join` has reached."""
+    for member in members:
+        kept.append(member)
+        yield member
+
+
 def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
     """First k-clique (in the half-split scan order) whose closed neighborhood
-    is all of V, or None."""
+    is all of V, or None.
+
+    For k >= 3 the rows are the (k-1)//2-cliques extended by one heavy vertex
+    and the columns the k//2-cliques. Both clique lists are enumerated in
+    full and the columns are materialised, but the rows are drawn lazily by
+    `pair_join`: the join costs only the rows drawn before the first hit,
+    and on a NO instance all of them.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     problem = Problem("clique", k)
@@ -119,8 +134,9 @@ def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
     r1 = enumerate_cliques(G, (k - 1) // 2)
     r2 = enumerate_cliques(G, k // 2)
     heavy = heavy_vertices(G, k)
-    rows = [S + (h,) for S in r1 for h in heavy]
-    for i, j in pair_join(G, rows, r2, 1, "tuple"):
+    rows: list[tuple[int, ...]] = []
+    drawn = _drawn((S + (h,) for S in r1 for h in heavy), rows)
+    for i, j in pair_join(G, drawn, r2, 1, "tuple"):
         union = set(rows[i]) | set(r2[j])
         if len(union) != k:
             continue
@@ -169,7 +185,10 @@ def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
 
     Splits the k/2 matching edges into edge subsets of sizes ceil(k/4) and
     floor(k/4); a `pair_join` pair of endpoint sets certifies domination and
-    the induced-matching shape is checked on the endpoint union.
+    the induced-matching shape is checked on the endpoint union. The
+    C(m, floor(k/4)) column subsets are materialised; the C(m, ceil(k/4))
+    row subsets are drawn lazily by `pair_join`, so the cost depends on the
+    rows drawn before the first hit (all of them on a NO instance).
     """
     if k % 2 or k < 2:
         raise ValueError(f"k must be even and >= 2, got {k}")
@@ -180,9 +199,9 @@ def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
                 return Solution(problem, (u, v), {"matching_edges": [(u, v)]})
         return None
     edges = list(G.edges())
-    fam_s = list(itertools.combinations(edges, (k + 3) // 4))
+    fam_s: list[tuple[tuple[int, int], ...]] = []
+    ends_s = (sum(es, ()) for es in _drawn(itertools.combinations(edges, (k + 3) // 4), fam_s))
     fam_t = list(itertools.combinations(edges, k // 4))
-    ends_s = [sum(es, ()) for es in fam_s]
     ends_t = [sum(et, ()) for et in fam_t]
     for i, j in pair_join(G, ends_s, ends_t, 1, "tuple"):
         chosen = fam_s[i] + fam_t[j]

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from domlab import cli
 from domlab.cli import main
 
 from .conftest import cycle_graph, path_graph
@@ -133,6 +138,45 @@ def test_verify_ov_hdom_without_pattern_is_error(tmp_path, capsys):
                                   "--k", "3", "--pattern", str(pattern))
     assert main(["verify", "--reduction", "ov-hdom", "--source", source]) == 2
     assert "requires --pattern" in capsys.readouterr().err
+
+
+def test_verify_oracle_budget_overrun_exits_three(tmp_path, capsys):
+    source = _generated_ov_source(tmp_path, capsys, "--reduction", "ov-multidom",
+                                  "--k", "3", "--r", "1")
+    assert main(["verify", "--reduction", "ov-multidom", "--source", source,
+                 "--r", "1", "--max-n", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "exceeds oracle budget 5" in captured.err
+
+
+def _fresh_run(argv: list[str]) -> tuple[int, str]:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "domlab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout
+
+
+def test_main_builds_parser_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    calls = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or real_build())
+    cli._parser.cache_clear()
+    p6, c5 = tmp_path / "p6.txt", tmp_path / "c5.txt"
+    save_graph(path_graph(6), p6)
+    save_graph(cycle_graph(5), c5)
+    at_most_k = ["solve", str(p6), "--problem", "multidom", "--k", "3", "--r", "1",
+                 "--at-most-k", "--json", "--no-timing"]
+    plain = ["solve", str(c5), "--problem", "dom-clique", "--k", "3", "--no-timing"]
+    runs = [at_most_k, plain, at_most_k]
+    in_process = []
+    for argv in runs:
+        code = main(argv)
+        in_process.append((code, capsys.readouterr().out))
+    assert len(calls) <= 1
+    assert in_process == [_fresh_run(argv) for argv in runs]
 
 
 def test_generate_is_multidom_echoes_kprime(tmp_path, capsys):

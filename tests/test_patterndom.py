@@ -3,12 +3,14 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from domlab import (
     Graph,
+    OVInstance,
     Pattern,
     PatternTooLargeError,
     Problem,
@@ -19,12 +21,17 @@ from domlab import (
     list_dominating_ksets,
     load_pattern,
     oracle_pattern,
+    ov_to_hdom,
+    ov_to_induced_matching,
     solve_dominating_clique,
     solve_dominating_indepset,
     solve_dominating_induced_matching,
+    solve_ov_bruteforce,
     solve_pattern_domination,
     verify_solution,
 )
+from domlab import patterndom
+from domlab.multidom import Solution, pair_join
 
 from .conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
 
@@ -281,3 +288,100 @@ def test_sparse_solves_build_no_masks(monkeypatch):
     assert built == []
     G.has_edge(0, 1)  # the counter does see a build
     assert built == [0]
+
+
+def _clique_row_major(G: Graph, k: int) -> Solution | None:
+    """`solve_dominating_clique` for k >= 3 with every row built before the
+    join, as it ran before the row side was streamed."""
+    problem = Problem("clique", k)
+    r1 = enumerate_cliques(G, (k - 1) // 2)
+    r2 = enumerate_cliques(G, k // 2)
+    heavy = heavy_vertices(G, k)
+    rows = [S + (h,) for S in r1 for h in heavy]
+    for i, j in pair_join(G, rows, r2, 1, "tuple"):
+        union = set(rows[i]) | set(r2[j])
+        if len(union) != k:
+            continue
+        cand = tuple(sorted(union))
+        if all(G.has_edge(u, v) for u, v in itertools.combinations(cand, 2)):
+            return Solution(problem, cand)
+    return None
+
+
+def _matching_row_major(G: Graph, k: int) -> Solution | None:
+    """`solve_dominating_induced_matching` for k >= 4 with every row edge
+    subset built before the join, as it ran before the row side was streamed."""
+    problem = Problem("matching", k)
+    edges = list(G.edges())
+    fam_s = list(itertools.combinations(edges, (k + 3) // 4))
+    fam_t = list(itertools.combinations(edges, k // 4))
+    ends_s = [sum(es, ()) for es in fam_s]
+    ends_t = [sum(et, ()) for et in fam_t]
+    for i, j in pair_join(G, ends_s, ends_t, 1, "tuple"):
+        chosen = fam_s[i] + fam_t[j]
+        ends = [v for e in chosen for v in e]
+        if len(set(ends)) != k:
+            continue
+        cand = tuple(sorted(ends))
+        induced = [e for e in itertools.combinations(cand, 2) if G.has_edge(*e)]
+        if len(induced) == k // 2 and set(induced) == set(chosen):
+            return Solution(problem, cand, {"matching_edges": sorted(chosen)})
+    return None
+
+
+def _ov_source(k: int, d: int, want: bool) -> OVInstance:
+    """The first seeded OV instance (k sets of two d-dimensional vectors)
+    whose brute-force answer is `want`."""
+    for seed in range(500):
+        rng = random.Random(f"{k}:{d}:{seed}")
+        inst = OVInstance.from_lists(d, [[tuple(int(rng.random() < 0.6) for _ in range(d))
+                                          for _ in range(2)] for _ in range(k)])
+        if solve_ov_bruteforce(inst, 1) == want:
+            return inst
+    raise AssertionError(f"no seeded OV instance with answer {want}")
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_streamed_clique_and_matching_rows_keep_first_hits(seed):
+    n = 8 + seed % 7
+    G = random_graph(seed, n, 0.45 + 0.05 * (seed % 6))
+    for k in (3, 4, 5):
+        assert repr(solve_dominating_clique(G, k)) == repr(_clique_row_major(G, k))
+    H = random_graph(1000 + seed, n, 0.2 + 0.03 * (seed % 5))
+    for k in (4, 6):
+        assert repr(solve_dominating_induced_matching(H, k)) == repr(_matching_row_major(H, k))
+
+
+@pytest.mark.parametrize("want", [True, False])
+def test_streamed_rows_keep_first_hits_on_generator_outputs(want):
+    for k in (3, 4):
+        G = ov_to_hdom(_ov_source(k, 3, want), Pattern.clique(k)).graph
+        sol = solve_dominating_clique(G, k)
+        assert (sol is not None) == want
+        assert repr(sol) == repr(_clique_row_major(G, k))
+    for k in (4, 6):
+        G = ov_to_induced_matching(_ov_source(k, 2, want)).graph
+        sol = solve_dominating_induced_matching(G, k)
+        assert (sol is not None) == want
+        assert repr(sol) == repr(_matching_row_major(G, k))
+
+
+def test_matching_draws_rows_only_up_to_the_first_hit(monkeypatch):
+    G = ov_to_induced_matching(_ov_source(6, 2, True)).graph
+    drawn = []
+    real_join = patterndom.pair_join
+
+    def counted(rows):
+        for row in rows:
+            drawn.append(row)
+            yield row
+
+    def counting_join(G, rows, cols, *args):
+        if isinstance(rows, list):  # every row was built before the join
+            drawn.extend(rows)
+            return real_join(G, rows, cols, *args)
+        return real_join(G, counted(rows), cols, *args)
+
+    monkeypatch.setattr(patterndom, "pair_join", counting_join)
+    assert solve_dominating_induced_matching(G, 6) is not None
+    assert 0 < len(drawn) < comb(G.m, 2)

@@ -16,7 +16,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 from .graph import Graph, load_graph
 from .multidom import (
@@ -159,6 +159,8 @@ def cmd_solve(args) -> int:
     stats.setdefault("candidate_family_sizes", None)
     stats.setdefault("product_dims", None)
     stats.setdefault("scalar_op_count", None)
+    stats.setdefault("rows_drawn", None)
+    stats.setdefault("rows_certified", None)
     stats["elapsed_ms"] = elapsed
     config = {"algo": args.algo, "seed": None, "threads": args.threads}
     result = run_result(solution is not None,
@@ -280,8 +282,20 @@ def closed_form_family_size(n: int, n_heavy: int, size: int, quota: int) -> int:
 
 
 def _random_gnm(rng: random.Random, n: int, m: int) -> Graph:
-    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return Graph(n, rng.sample(all_pairs, min(m, len(all_pairs))))
+    """G(n, m): m distinct pairs drawn by `rng.sample` from the row-major
+    list of all pairs u < v. Only the m sampled indices are decoded, so
+    memory is O(n + m), not O(n^2)."""
+    pairs = n * (n - 1) // 2
+    return Graph(n, (_pair_at(n, i) for i in rng.sample(range(pairs), min(m, pairs))))
+
+
+def _pair_at(n: int, i: int) -> tuple[int, int]:
+    """The i-th pair (u, v), u < v, of the row-major order (0, 1), (0, 2),
+    ..., (0, n-1), (1, 2), ...: counted from the end, the pairs of the last
+    t + 1 rows number (t + 1)(t + 2)/2, so the row follows from a square root."""
+    back = n * (n - 1) // 2 - 1 - i  # position counted from the last pair
+    t = (isqrt(8 * back + 1) - 1) // 2  # row u = n - 2 - t holds t + 1 pairs
+    return n - 2 - t, n - 1 - (back - t * (t + 1) // 2)
 
 
 def cmd_bench(args) -> int:

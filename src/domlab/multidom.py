@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import or_
+from operator import or_, sub
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import covering_pairs, iter_bits
@@ -263,8 +263,35 @@ def _at_least(masks: Iterable[int], r: int, full: int) -> list[int]:
     return ge
 
 
+def _column_masks(n: int, cols: Sequence[tuple[int, ...]]) -> list[int]:
+    """masks[u]: the bitmask of the indices j with u in cols[j], for u < n.
+
+    Each `masks[u] |= 1 << j` copies u's mask, so a vertex that sits in
+    many of a long list of columns costs time quadratic in the column
+    count. Past 16 columns per vertex (about 30 members per vertex at
+    member sizes 2 and 3) the bits go into one byte buffer per vertex
+    instead, each converted once: n * len(cols) / 8 byte steps plus one per
+    member. With fewer columns the buffers cost more than the copies they
+    save (measured crossover 10-30 members per vertex, CPython 3.11 on
+    x86-64), as for the single-vertex columns of `list_2_dominating_sets`.
+    """
+    if len(cols) <= 16 * n:
+        masks = [0] * n
+        for j, T in enumerate(cols):
+            for u in T:
+                masks[u] |= 1 << j
+        return masks
+    bufs = list(map(bytearray, itertools.repeat((len(cols) + 7) >> 3, n)))
+    for j, T in enumerate(cols):
+        byte, bit = j >> 3, 1 << (j & 7)
+        for u in T:
+            bufs[u][byte] |= bit
+    return list(map(int.from_bytes, bufs, itertools.repeat("little")))
+
+
 def pair_join(G: Graph, rows: Iterable[tuple[int, ...]], cols: Sequence[tuple[int, ...]],
-              r: int, variant: str, universe: int | None = None) -> Iterator[tuple[int, int]]:
+              r: int, variant: str, universe: int | None = None,
+              stats: dict | None = None) -> Iterator[tuple[int, int]]:
     """Every (i, j) whose i-th row member and member cols[j] are disjoint and
     whose union dominates every vertex of `universe` (a vertex bitmask,
     default all of V) at least r times under `variant`. With members inside
@@ -287,19 +314,40 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]], cols: Sequence[tuple[in
     dominators; `algebra.covering_pairs` reports the columns left over.
     Those column masks of v (`below[v]`) are built the first time a row
     draws v, so vertices no row leaves short cost nothing.
+
+    Row certificate. Consecutive rows often share a prefix P = S[:-1] (the
+    lexicographic families, clique rows S + (h,), matching endpoint
+    tuples). Let b = S[-1]. A vertex w outside N[b] gets the same level from
+    S as from P, in both variants and under any `universe`: b neither
+    dominates w nor, under "multiple", exempts it. So each gap mask that P
+    gives such a w is a gap mask of S too, as are the columns meeting P. On
+    the second row of a run the join picks K_P: vertices short under P,
+    lowest level first (their gap masks are the widest), then lowest degree
+    first (few N[b] meet them), until their gap masks under P and the
+    columns meeting P cover every column. A later row P + (b,) whose N[b]
+    misses K_P then has no pair, and one AND replaces its gap walk. The
+    first row of each run, the rows of a prefix with no such K_P, and
+    size-1 rows (empty P) are walked as above. Certified rows yield nothing
+    and every other row is walked unchanged, so the pairs and their order
+    are exactly those of the plain walk.
+
+    With a `stats` dict, `stats["rows_drawn"]` and `stats["rows_certified"]`
+    (rows skipped by a certificate) are set to 0, then counted as rows are
+    drawn.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     multiple = variant == "multiple"
     nbr = G.neighbor_mask
-    contains = [0] * G.n
-    for j, T in enumerate(cols):
-        for u in T:
-            contains[u] |= 1 << j
+    # contains[u]: the columns that hold u
+    contains = _column_masks(G.n, cols)
     full = (1 << len(cols)) - 1
     vfull = G.full_mask() if universe is None else universe
     # below[v][b]: the columns that give v fewer than b dominators
     below: list[list[int] | None] = [None] * G.n
+    # one vertex mask per distinct degree, lowest degree first; built by
+    # the first certificate
+    buckets: list[int] = []
 
     def below_of(v: int) -> list[int]:
         nbrs = G.adjacency(v) if multiple else G.adjacency(v) + (v,)
@@ -309,18 +357,71 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]], cols: Sequence[tuple[in
         below[v] = [full ^ m for m in ge]
         return below[v]
 
-    def gaps(S: tuple[int, ...]) -> Iterator[int]:
-        yield from (contains[s] for s in S)
+    def levels(S: tuple[int, ...]) -> list[int]:
         if multiple:
             smask = _set_mask(S)
-            lev = [m | smask for m in _at_least(map(nbr, S), r, vfull)]
-        else:
-            lev = _at_least((nbr(s) | 1 << s for s in S), r, vfull)
+            return [m | smask for m in _at_least(map(nbr, S), r, vfull)]
+        return _at_least((nbr(s) | 1 << s for s in S), r, vfull)
+
+    def gaps(S: tuple[int, ...]) -> Iterator[int]:
+        yield from (contains[s] for s in S)
+        lev = levels(S)
         for c in range(r):
             for v in iter_bits(lev[c] ^ lev[c + 1]):
                 yield (below[v] or below_of(v))[r - c]
 
-    return covering_pairs((gaps(S) for S in rows), len(cols))
+    def certificate(P: tuple[int, ...]) -> int | None:
+        """K_P as a vertex mask, or None when P's short vertices leave a
+        column uncovered."""
+        covered = reduce(or_, map(contains.__getitem__, P), 0)
+        if covered == full:
+            return 0
+        if not buckets:
+            by_degree: dict[int, int] = {}
+            offsets = G.offsets
+            for v, d in enumerate(map(sub, itertools.islice(offsets, 1, None), offsets)):
+                by_degree[d] = by_degree.get(d, 0) | 1 << v
+            buckets.extend(by_degree[d] for d in sorted(by_degree))
+        lev = levels(P)
+        chosen = 0
+        for c in range(r):
+            short = lev[c] ^ lev[c + 1]
+            for bucket in buckets:
+                ws = bucket & short
+                if not ws:
+                    continue
+                for w in iter_bits(ws):
+                    covered |= (below[w] or below_of(w))[r - c]
+                    chosen |= 1 << w
+                    if covered == full:
+                        return chosen
+                short ^= ws
+                if not short:
+                    break
+        return None
+
+    if stats is not None:
+        stats["rows_drawn"] = stats["rows_certified"] = 0
+
+    def row_gaps() -> Iterator[Iterable[int]]:
+        closed = G.closed_mask
+        prefix, cert, pending = None, None, False
+        for S in rows:
+            if stats is not None:
+                stats["rows_drawn"] += 1
+            P = S[:-1]
+            if P != prefix:
+                prefix, cert, pending = P, None, bool(P)
+            elif pending:
+                cert, pending = certificate(P), False
+            if cert is not None and not closed(S[-1]) & cert:
+                if stats is not None:
+                    stats["rows_certified"] += 1
+                yield (full,)  # no pair: one gap mask covering every column
+            else:
+                yield gaps(S)
+
+    return covering_pairs(row_gaps(), len(cols))
 
 
 def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
@@ -343,7 +444,7 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
         stats["candidate_family_sizes"] = [len(fam_s.members), len(fam_t.members)]
         stats["product_dims"] = [len(fam_s.members), G.n, len(fam_t.members)]
         stats["scalar_op_count"] = len(fam_s.members) * G.n * len(fam_t.members)
-    for i, j in pair_join(G, fam_s.members, fam_t.members, r, variant):
+    for i, j in pair_join(G, fam_s.members, fam_t.members, r, variant, stats=stats):
         return Solution(Problem(variant, k, r), tuple(sorted(fam_s.members[i] + fam_t.members[j])))
     return None
 

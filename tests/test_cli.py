@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from domlab import cli
 from domlab.cli import main
 
 from .conftest import cycle_graph, path_graph
-from domlab import save_graph
+from domlab import Graph, save_graph
 
 
 @pytest.fixture
@@ -67,6 +68,23 @@ def test_solve_json_round_trips_byte_identical(c5_file, capsys):
           "--json", "--no-timing"])
     text = capsys.readouterr().out.strip()
     assert json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) == text
+
+
+def test_solve_json_reports_join_row_counters(tmp_path, c5_file, capsys):
+    path = tmp_path / "c8.txt"
+    save_graph(cycle_graph(8), path)
+    argv = ["solve", str(path), "--problem", "multidom", "--k", "4", "--r", "2",
+            "--json", "--no-timing"]
+    main(argv)
+    first = capsys.readouterr().out
+    main(argv)
+    assert capsys.readouterr().out == first
+    stats = json.loads(first)["stats"]
+    assert isinstance(stats["rows_drawn"], int) and stats["rows_drawn"] > 0
+    assert 0 <= stats["rows_certified"] <= stats["rows_drawn"]
+    main(["solve", c5_file, "--problem", "dom-clique", "--k", "2", "--json", "--no-timing"])
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert stats["rows_drawn"] is None and stats["rows_certified"] is None
 
 
 def test_solve_at_most_k(tmp_path, capsys):
@@ -230,3 +248,21 @@ def test_bench_rows_and_determinism(capsys):
     lines = first.strip().splitlines()
     assert lines[0].startswith("algo,n,m,k,r,rep,seed")
     assert len(lines) == 1 + 2 * 2 * 2  # header + n * density * reps
+
+
+def _list_random_gnm(rng: random.Random, n: int, m: int) -> Graph:
+    """G(n, m) sampled from the materialised list of all n(n-1)/2 pairs."""
+    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, rng.sample(all_pairs, min(m, len(all_pairs))))
+
+
+def test_random_gnm_matches_sampling_the_pair_list():
+    for n in range(0, 61):
+        for m in (0, 1, n, 3 * n, n * n):
+            seed = f"gnm:{n}:{m}"
+            assert cli._random_gnm(random.Random(seed), n, m) == \
+                _list_random_gnm(random.Random(seed), n, m), (n, m)
+    n = 10**5
+    last = n * (n - 1) // 2 - 1
+    assert [cli._pair_at(n, i) for i in (0, n - 2, n - 1, last)] == \
+        [(0, 1), (0, n - 1), (1, 2), (n - 2, n - 1)]

@@ -23,6 +23,9 @@ from domlab import (
     list_2_dominating_sets,
     list_dominating_ksets,
     oracle_unbalanced_clique,
+    OVInstance,
+    ov_to_multidom,
+    solve_ov_bruteforce,
     solve_multidom_bruteforce,
     solve_multidom_fast,
     solve_multidom_kminus1,
@@ -283,6 +286,82 @@ def test_fast_reports_stats():
     fam_s, fam_t = stats["candidate_family_sizes"]
     assert stats["product_dims"] == [fam_s, 6, fam_t]
     assert stats["scalar_op_count"] == fam_s * 6 * fam_t
+
+
+def _reference_pair_join(G, rows, cols, r, variant, universe=None):
+    """Nested row x column scan: the disjoint pairs whose capped levels add
+    up to r at every vertex of `universe`. A repeated vertex counts once."""
+    check = [v for v in range(G.n) if universe is None or (universe >> v) & 1]
+    col_levels = [_reference_levels(G, T, r, variant) for T in cols]
+    pairs = []
+    for i, S in enumerate(rows):
+        lev_s = _reference_levels(G, set(S), r, variant)
+        for j, T in enumerate(cols):
+            if set(S).isdisjoint(T) and all(lev_s[v] + col_levels[j][v] >= r for v in check):
+                pairs.append((i, j))
+    return pairs
+
+
+def test_pair_join_matches_nested_reference():
+    # lexicographic rows share prefixes and exercise the row certificate;
+    # shuffled rows change prefix almost every row; with r = 1, rows may
+    # repeat a vertex; rows also arrive as a generator
+    certified = 0
+    for seed in range(160):
+        rng = random.Random(f"pair-join:{seed}")
+        n = rng.randint(1, 9)
+        G = random_graph(seed, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
+        universe = None if seed % 3 else rng.getrandbits(n)
+        for variant in ("multiple", "tuple"):
+            for r in (1, 2, 3):
+                s_size, t_size = rng.randint(1, 3), rng.randint(1, 3)
+                rows = list(itertools.combinations(range(n), s_size))
+                cols = list(itertools.combinations(range(n), t_size))
+                shuffled = rng.sample(rows, len(rows))
+                repeats = [tuple(rng.randrange(n) for _ in range(s_size)) for _ in range(12)]
+                for row_list in (rows, shuffled) + ((repeats,) if r == 1 else ()):
+                    stats = {}
+                    got = list(multidom.pair_join(G, iter(row_list), cols, r, variant,
+                                                  universe, stats))
+                    assert got == _reference_pair_join(G, row_list, cols, r, variant, universe), (
+                        seed, variant, r, row_list)
+                    assert stats["rows_drawn"] == len(row_list)
+                    certified += stats["rows_certified"]
+    assert certified > 0
+
+
+def _ov_multidom_no_instance():
+    rng = random.Random("ov-multidom-no")
+    while True:
+        inst = OVInstance.from_lists(6, [[tuple(int(rng.random() >= 0.3) for _ in range(6))
+                                          for _ in range(size)] for size in (2, 2, 3, 3)])
+        if not solve_ov_bruteforce(inst, 2):
+            return ov_to_multidom(inst, 2).graph
+
+
+def test_pair_join_certifies_most_rows_on_ov_no_instance(monkeypatch):
+    # every row of a NO instance is drawn; most share a prefix whose
+    # certificate already covers every column, so they skip the gap walk
+    G = _ov_multidom_no_instance()
+    walks = []
+    covering_pairs = multidom.covering_pairs
+
+    def counting(row_gaps, cols):
+        def counted():
+            for gaps in row_gaps:
+                drawn = []
+                walks.append(drawn)
+                yield (drawn.append(g) or g for g in gaps)
+        return covering_pairs(counted(), cols)
+
+    monkeypatch.setattr(multidom, "covering_pairs", counting)
+    stats = {}
+    assert solve_multidom_fast(G, 4, 2, "multiple", stats=stats) is None
+    fam_s, _ = stats["candidate_family_sizes"]
+    assert stats["rows_drawn"] == len(walks) == fam_s
+    full = (1 << stats["candidate_family_sizes"][1]) - 1
+    skipped = sum(1 for drawn in walks if drawn == [full])
+    assert skipped >= stats["rows_certified"] >= 0.8 * fam_s
 
 
 def test_fast_threaded_result_identical():

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import io
-from itertools import accumulate, chain, compress, islice, repeat, tee
+import json
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, eq, ge, lt, mul, sub
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -51,7 +52,12 @@ class Graph:
         """Graph on the edges (flat[0], flat[1]), (flat[2], flat[3]), ...: the
         loaders' bulk path, with its checks done a whole list at a time."""
         us, vs = flat[0::2], flat[1::2]
-        if n < 0 or flat and (min(flat) < 0 or max(flat) >= n) or any(map(eq, us, vs)):
+        ordered = all(map(lt, us, vs))
+        if ordered:  # no self-loop, and min(flat), max(flat) are min(us), max(vs)
+            bad = us and (min(us) < 0 or max(vs) >= n)
+        else:
+            bad = min(flat) < 0 or max(flat) >= n or any(map(eq, us, vs))
+        if n < 0 or bad:
             return cls(n, zip(us, vs))  # raises, naming the first bad edge
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in zip(us, vs):
@@ -59,7 +65,10 @@ class Graph:
             adj[v].append(u)
         # canonical edges (u < v, sorted, no repeats) fill every adjacency
         # list in increasing order; any others need a sort and a dedup
-        if not (all(map(lt, us, vs)) and _increasing(map(add, map(mul, us, repeat(n)), vs))):
+        if ordered:
+            keys = list(map(add, map(mul, us, repeat(n)), vs))
+            ordered = all(map(lt, keys, islice(keys, 1, None)))
+        if not ordered:
             adj = list(map(sorted, map(set, adj)))
         G = cls.__new__(cls)
         G._set_csr(n, adj)
@@ -132,13 +141,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _increasing(values: Iterable[int]) -> bool:
-    """Whether `values` is strictly increasing."""
-    a, b = tee(values)
-    next(b, None)
-    return all(map(lt, a, b))
-
-
 def closed_neighborhood(G: Graph, v: int) -> tuple[int, ...]:
     """N[v] = N(v) ∪ {v}, sorted."""
     return tuple(sorted(G.adjacency(v) + (v,)))
@@ -207,6 +209,11 @@ def load_graph(source, fmt: str = "edgelist") -> Graph:
     is an error. Duplicate and reversed edge lines are deduplicated (and
     still count as lines); self-loops are errors. A header n above
     `MAX_VERTICES` is an error, raised as soon as the header is read.
+
+    Edge-list text of the shape `save_graph` writes ("n m" and then m lines
+    "u v", single spaces, "\n" endings, no leading zeros) is read in one bulk
+    pass. Every other edge-list text is read line by line; a valid one loads
+    to the same Graph, and an invalid one fails with the same error.
     """
     text = _read_text(source)
     if fmt == "edgelist":
@@ -238,7 +245,42 @@ def _edgelist_ints(lineno: int, raw: str) -> list[int] | None:
         raise GraphFormatError(f"line {lineno}: not integers: {raw!r}") from None
 
 
+_DELETE_DIGITS = str.maketrans("", "", "0123456789")
+
+
+def _canonical_edgelist(text: str) -> tuple[int, list[int]] | None:
+    """(n, [u0, v0, u1, v1, ...]) when `text` has the shape `save_graph`
+    writes: "n m\n", then exactly m lines "u v\n" of ASCII digits with no
+    leading zeros. None for any other text.
+
+    The shape is checked and the 2m integers read in a few passes of C code:
+    deleting the digits must leave " \n" m times, and the body, once every
+    separator is a comma, is a JSON list of integers."""
+    header, newline, body = text.partition("\n")
+    if not newline or header.translate(_DELETE_DIGITS) != " ":
+        return None
+    try:
+        n, m = map(int, header.split(" "))
+    except ValueError:  # an empty token, or too many digits to convert
+        return None
+    if n > MAX_VERTICES:
+        return None
+    # m copies of " \n" fill a string of length 2m exactly, so the count
+    # needs no string whose size a header alone could set
+    shape = body.translate(_DELETE_DIGITS)
+    if len(shape) != 2 * m or shape.count(" \n") != m:
+        return None
+    try:
+        flat = json.loads("[" + body.replace(" ", ",").replace("\n", ",")[:-1] + "]")
+    except ValueError:  # a leading zero, an empty token, or too many digits
+        return None
+    return n, flat
+
+
 def _parse_edgelist(text: str) -> Graph:
+    canonical = _canonical_edgelist(text)
+    if canonical is not None:
+        return Graph._from_flat(*canonical)
     lines = text.splitlines()
     for header_line, raw in enumerate(lines, 1):
         nums = _edgelist_ints(header_line, raw)

@@ -532,20 +532,27 @@ def grouping_parameters(k: int, gamma: Fraction) -> tuple[int, int] | None:
 
 def _range_cliques(kp: KPartiteGraph, parts: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
     """All transversal cliques (one vertex per listed part, pairwise adjacent),
-    lazily, in lexicographic index order over `parts`."""
+    lazily, in lexicographic index order over `parts`.
 
-    def extend(idx: int, chosen: list[tuple[int, int]]):
+    A branch carries, for each part not yet chosen, the bitmask of its
+    vertices adjacent to every chosen vertex, and stops as soon as one of
+    those masks is empty."""
+
+    def extend(idx: int, masks: list[int], chosen: list[tuple[int, int]]):
         if idx == len(parts):
             yield tuple(chosen)
             return
-        j = parts[idx]
-        for b in range(kp.sizes[j]):
-            if all(kp.has_edge(i, a, j, b) for i, a in chosen):
+        j, rest, later = parts[idx], masks[1:], parts[idx + 1:]
+        for b in iter_bits(masks[0]):
+            row = kp.adj[j][b]
+            narrowed = [mask & row[p] for mask, p in zip(rest, later)]
+            if all(narrowed):
                 chosen.append((j, b))
-                yield from extend(idx + 1, chosen)
+                yield from extend(idx + 1, narrowed, chosen)
                 chosen.pop()
 
-    return extend(0, [])
+    masks = [(1 << kp.sizes[j]) - 1 for j in parts]
+    return extend(0, masks, []) if all(masks) else iter(())
 
 
 def _joins_clique(kp: KPartiteGraph, w1: tuple[tuple[int, int], ...],

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,7 @@ from domlab import (
     load_graph,
     save_graph,
 )
+from domlab import graph
 from domlab.graph import MAX_VERTICES
 
 from .conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
@@ -221,3 +223,128 @@ def test_delete_preserves_adjacency(seed, n):
 def test_roundtrip_random(seed, n, p):
     G = random_graph(seed, n, p)
     assert load_graph(save_graph(G).encode()) == G
+
+
+# --- a line-by-line edge-list reader, kept as the reference ------------------
+
+def _reference_edgelist_ints(lineno, raw):
+    parts = raw.split("#", 1)[0].split()
+    if not parts:
+        return None
+    try:
+        return list(map(int, parts))
+    except ValueError:
+        raise GraphFormatError(f"line {lineno}: not integers: {raw!r}") from None
+
+
+def _reference_parse_edgelist(text):
+    """Header search, then every edge line read on its own; the Graph is
+    built by `Graph.__init__`, which names the first bad edge."""
+    lines = text.splitlines()
+    for header_line, raw in enumerate(lines, 1):
+        nums = _reference_edgelist_ints(header_line, raw)
+        if nums is None:
+            continue
+        if len(nums) != 2:
+            raise GraphFormatError(f"line {header_line}: expected header 'n m'")
+        n, m = nums
+        if n > MAX_VERTICES:
+            raise GraphFormatError(
+                f"line {header_line}: header declares {n} vertices, more than the limit {MAX_VERTICES}")
+        break
+    else:
+        raise GraphFormatError("empty input: missing 'n m' header")
+    edges = []
+    for lineno, raw in enumerate(lines[header_line:], header_line + 1):
+        nums = _reference_edgelist_ints(lineno, raw)
+        if nums is None:
+            continue
+        if len(nums) != 2:
+            raise GraphFormatError(f"line {lineno}: expected edge 'u v'")
+        edges.append(tuple(nums))
+    if len(edges) != m:
+        raise GraphFormatError(f"line {header_line}: header declares {m} edges, found {len(edges)}")
+    return Graph(n, edges)
+
+
+def _load_outcome(load, data):
+    try:
+        G = load(data)
+    except GraphFormatError as exc:
+        return "error", str(exc)
+    return G.n, G.offsets, G.neighbors
+
+
+def _edgelist_variants(rng, text):
+    """`text` (save_graph output) and variants of it, valid or not."""
+    header, *lines = text.splitlines()
+    n, m = map(int, header.split())
+
+    def joined(head, body, end="\n"):
+        return end.join([head, *body]) + end
+
+    def with_line(i, new):
+        return joined(header, lines[:i] + [new] + lines[i + 1:])
+
+    yield text
+    yield text[:-1]
+    yield text.replace("\n", "\r\n")
+    yield "# generated\n" + text
+    yield joined(f"{n} {m}  # header", lines)
+    yield joined(f"0{n} {m}", lines)
+    yield joined(f"{n} {m - 1}", lines)
+    yield joined(f"{n} {m + 1}", lines)
+    yield joined(f"{n} {10**15}", lines)
+    yield joined(f"{MAX_VERTICES + 1} {m}", lines)
+    yield joined(header, rng.sample(lines, len(lines)))
+    blank = rng.randint(0, len(lines))
+    yield joined(header, lines[:blank] + [""] + lines[blank:])
+    if not lines:
+        return
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    u, v = lines[i].split()
+    yield with_line(i, f"0{u} {v}")
+    yield with_line(i, f"{u} 00{v}")
+    yield with_line(i, f" {v}")
+    yield with_line(i, f"{u} ")
+    yield with_line(i, f"{u}  {v}")
+    yield with_line(i, f"{u}\t{v}")
+    yield with_line(i, f"{u} {v} # edge")
+    yield with_line(i, f"{u} {v}".translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")))
+    yield with_line(i, f"{u} {u}")
+    yield with_line(i, f"{u} {n}")
+    yield with_line(i, f"-1 {v}")
+    yield with_line(i, f"{v} {u}")
+    yield joined(f"{n} {m + 1}", lines + [lines[j]])
+    yield joined(f"{n} {m + 1}", lines + [" ".join(reversed(lines[j].split()))])
+    if len(lines) >= 2 and i != j:
+        # the same length as before: "u v w" plus "x" in place of two edges
+        yield joined(header, [f"{u} {v} {u}" if t == i else u if t == j else line
+                              for t, line in enumerate(lines)])
+
+
+def test_edgelist_loader_matches_reference():
+    rng = random.Random(8)
+    texts = ["0 0\n", "0 0", "5 0\n", "", "\n", "# only a comment\n", "3\n", "3 1 2\n0 1\n"]
+    for seed in range(60):
+        G = random_graph(seed, rng.randint(1, 14), rng.choice((0.0, 0.2, 0.5, 0.9)))
+        texts.extend(_edgelist_variants(rng, save_graph(G)))
+    outcomes = [_load_outcome(load_graph, t.encode()) for t in texts]
+    assert outcomes == [_load_outcome(_reference_parse_edgelist, t) for t in texts]
+    assert sum(o[0] == "error" for o in outcomes) >= len(texts) // 3
+
+
+def test_edgelist_canonical_shape_is_read_in_bulk(monkeypatch, tmp_path):
+    G = random_graph(3, 30, 0.3)
+    text = save_graph(G)
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+
+    def line_reader(*args):
+        raise AssertionError("canonical text went to the line reader")
+
+    monkeypatch.setattr(graph, "_edgelist_body", line_reader)
+    assert load_graph(text.encode()) == load_graph(path) == load_graph(io.StringIO(text)) == G
+    assert load_graph(str(path)) == load_graph(io.BytesIO(text.encode())) == G
+    with pytest.raises(AssertionError):
+        load_graph(("# comment\n" + text).encode())

@@ -549,6 +549,58 @@ def test_grouped_path_agrees_with_oracle_and_fallback():
                            for (i, a), (j, b) in itertools.combinations(wit, 2))
 
 
+def _reference_range_cliques(kp, parts):
+    """Transversal cliques by trying every vertex of each part in index order
+    and testing its edges to the chosen ones."""
+
+    def extend(idx, chosen):
+        if idx == len(parts):
+            yield tuple(chosen)
+            return
+        j = parts[idx]
+        for b in range(kp.sizes[j]):
+            if all(kp.has_edge(i, a, j, b) for i, a in chosen):
+                chosen.append((j, b))
+                yield from extend(idx + 1, chosen)
+                chosen.pop()
+
+    return extend(0, [])
+
+
+def _kclique_cases():
+    """Seeded random k-partite graphs, some with empty parts, plus the clique
+    graphs of seeded random graphs."""
+    rng = random.Random(2024)
+    for seed in range(120):
+        k = rng.randint(1, 6)
+        sizes = [rng.choice((0, 1, 2, 3, 4)) if seed % 5 == 0 else rng.randint(1, 4)
+                 for _ in range(k)]
+        yield _random_kpartite(seed, sizes, rng.choice((0.3, 0.6, 0.9)))
+    for seed in range(40):
+        G = random_graph(seed, rng.randint(4, 9), rng.choice((0.4, 0.6, 0.8)))
+        yield build_clique_graph(G, rng.randint(2, 4))[0]
+
+
+def test_range_cliques_match_reference(monkeypatch):
+    rng = random.Random(7)
+    for kp in _kclique_cases():
+        for parts in (list(range(kp.k)), rng.sample(range(kp.k), kp.k),
+                      rng.sample(range(kp.k), rng.randint(0, kp.k))):
+            assert list(multidom._range_cliques(kp, parts)) == list(_reference_range_cliques(kp, parts))
+    # the first clique found, on the plain and on the gamma-grouped path
+    # (k = 8 splits as (1, 3) under gamma = 1/2, k = 6 as (1, 2) under 1)
+    grouped = []
+    for seed in range(30):
+        sizes = [2, 3, 0 if seed % 7 == 0 else 2, 2, 1, 2, 3, 2]
+        grouped.append((_random_kpartite(seed, sizes, 0.85), Fraction(1, 2)))
+        grouped.append((_random_kpartite(seed, [3, 2, 2, 3, 2, 2], 0.75), Fraction(1)))
+    cases = [(kp, None) for kp in _kclique_cases()] + grouped
+    found = [detect_unbalanced_kclique(kp, gamma) for kp, gamma in cases]
+    monkeypatch.setattr(multidom, "_range_cliques", _reference_range_cliques)
+    assert found == [detect_unbalanced_kclique(kp, gamma) for kp, gamma in cases]
+    assert 10 <= sum(w is not None for w in found[-60:]) <= 50
+
+
 def test_kpartite_rejects_intra_part_edges():
     with pytest.raises(ValueError):
         KPartiteGraph([2, 2], [((0, 0), (0, 1))])

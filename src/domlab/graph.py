@@ -259,6 +259,10 @@ def _canonical_edgelist(text: str) -> tuple[int, list[int]] | None:
     header, newline, body = text.partition("\n")
     if not newline or header.translate(_DELETE_DIGITS) != " ":
         return None
+    # digits after the last "\n" would pass the shape check below; a body
+    # that ends in "\n" also makes [:-1] below drop a separator, not a digit
+    if body and not body.endswith("\n"):
+        return None
     try:
         n, m = map(int, header.split(" "))
     except ValueError:  # an empty token, or too many digits to convert
@@ -293,26 +297,16 @@ def _parse_edgelist(text: str) -> Graph:
         break
     else:
         raise GraphFormatError("empty input: missing 'n m' header")
-    flat = _edgelist_body(lines, header_line, "#" not in text)
+    flat = _edgelist_body(lines, header_line)
     _check_edge_count(header_line, m, len(flat) // 2)
     return Graph._from_flat(n, flat)
 
 
-def _edgelist_body(lines: list[str], header_line: int, plain: bool) -> list[int]:
-    """The edge lines after the header as one flat list [u0, v0, u1, v1, ...].
-
-    A `plain` body (no comments) whose lines all hold two integers or none is
-    read in one bulk pass; anything else is read line by line, which names
-    the first bad line."""
-    body = lines[header_line:]
-    rows = list(map(str.split, body))
-    if plain and set(map(len, rows)) <= {0, 2}:
-        try:
-            return list(map(int, chain.from_iterable(rows)))
-        except ValueError:
-            pass
+def _edgelist_body(lines: list[str], header_line: int) -> list[int]:
+    """The edge lines after the header as one flat list [u0, v0, u1, v1, ...],
+    read line by line so that an error names the first bad line."""
     flat: list[int] = []
-    for lineno, raw in enumerate(body, header_line + 1):
+    for lineno, raw in enumerate(lines[header_line:], header_line + 1):
         nums = _edgelist_ints(lineno, raw)
         if nums is None:
             continue

@@ -288,6 +288,8 @@ def _edgelist_variants(rng, text):
 
     yield text
     yield text[:-1]
+    yield text + "7"
+    yield text + "12"
     yield text.replace("\n", "\r\n")
     yield "# generated\n" + text
     yield joined(f"{n} {m}  # header", lines)
@@ -325,7 +327,8 @@ def _edgelist_variants(rng, text):
 
 def test_edgelist_loader_matches_reference():
     rng = random.Random(8)
-    texts = ["0 0\n", "0 0", "5 0\n", "", "\n", "# only a comment\n", "3\n", "3 1 2\n0 1\n"]
+    texts = ["0 0\n", "0 0", "5 0\n", "5 0\n7", "0 0\n1", "0 0\n12", "2 1\n0 1\n55",
+             "", "\n", "# only a comment\n", "3\n", "3 1 2\n0 1\n"]
     for seed in range(60):
         G = random_graph(seed, rng.randint(1, 14), rng.choice((0.0, 0.2, 0.5, 0.9)))
         texts.extend(_edgelist_variants(rng, save_graph(G)))

@@ -4,14 +4,7 @@ induced matchings, and generic patterns)."""
 
 from .algebra import (
     BoolMatrix,
-    PolyMatrix,
-    TruncatedPoly,
     complement_zero_pairs,
-    min_degree,
-    poly_add,
-    poly_mat_mul,
-    poly_mono,
-    poly_mul,
 )
 from .graph import (
     Graph,

@@ -20,6 +20,7 @@ from math import comb, isqrt
 
 from .graph import Graph, load_graph
 from .multidom import (
+    VARIANTS,
     Problem,
     Solution,
     solve_multidom_bruteforce,
@@ -40,6 +41,7 @@ from .patterndom import (
 from .reductions import (
     OVInstance,
     indepset_to_multidom,
+    load_ov,
     ov_to_hdom,
     ov_to_induced_matching,
     ov_to_multidom,
@@ -51,6 +53,21 @@ from .reductions import (
 BENCH_HEADER = ["algo", "n", "m", "k", "r", "rep", "seed",
                 "family_s", "family_t", "scalar_ops", "elapsed_ms"]
 
+# --problem name -> (Problem kind, the flags it needs besides the graph and --k)
+PROBLEMS = {
+    "multidom": ("multiple", ("r",)),
+    "tupledom": ("tuple", ("r",)),
+    "dom-clique": ("clique", ()),
+    "dom-indepset": ("indepset", ()),
+    "dom-matching": ("matching", ()),
+    "pattern": ("pattern", ("pattern",)),
+}
+
+# --reduction name -> the flag that gives its parameter, if any; generate
+# also needs --sizes for the OV reductions, and verify needs --source
+REDUCTION_PARAMS = {"ov-multidom": ("r",), "ov-hdom": ("pattern",), "ov-matching": (),
+                    "is-multidom": ("gamma",)}
+
 
 class CliError(Exception):
     """User-facing CLI failure; maps to exit code 2."""
@@ -58,6 +75,15 @@ class CliError(Exception):
 
 class SizeWindowError(CliError):
     """The chosen algorithm does not take this k; --at-most-k moves on."""
+
+
+def _require(args, context: str, flags) -> None:
+    """The one check for flags that argparse leaves optional but `context`
+    needs: CliError (exit code 2) naming the first of `flags` not given."""
+    for flag in flags:
+        if getattr(args, flag) is None:
+            name = "a graph file" if flag == "graph" else "--" + flag
+            raise CliError(f"{context} requires {name}")
 
 
 def run_result(answer: bool, solution, certificate, stats: dict, config: dict) -> dict:
@@ -84,33 +110,29 @@ def format_result(result: dict, as_json: bool) -> str:
 
 def _solve_once(G: Graph, args, k: int, stats: dict) -> Solution | None:
     problem, algo = args.problem, args.algo
-    if problem in ("multidom", "tupledom"):
-        variant = "multiple" if problem == "multidom" else "tuple"
+    kind = PROBLEMS[problem][0]
+    if kind in VARIANTS:
         r = args.r
-        if r is None:
-            raise CliError(f"--problem {problem} requires --r")
         if r < 1:
             raise CliError(f"--r must be >= 1, got {r}")
         if algo == "brute":
             try:
-                return solve_multidom_bruteforce(G, k, r, variant)
+                return solve_multidom_bruteforce(G, k, r, kind)
             except ValueError as exc:
                 raise SizeWindowError(str(exc)) from None
         if algo == "pipeline":
             message = "--algo pipeline requires multidom with r = k-1"
-            if variant != "multiple":
+            if kind != "multiple":
                 raise CliError(message)
             if r != k - 1:
                 raise SizeWindowError(message)
             return solve_multidom_kminus1(G, k)
         if not (1 <= r <= k - 1):
             raise SizeWindowError(f"fast path requires 1 <= r <= k-1, got r={r}, k={k}")
-        return solve_multidom_fast(G, k, r, variant, stats=stats)
+        return solve_multidom_fast(G, k, r, kind, stats=stats)
     if args.r is not None:
         raise CliError(f"--r is not valid with --problem {problem}")
     if problem == "pattern":
-        if args.pattern is None:
-            raise CliError("--problem pattern requires --pattern FILE")
         H = load_pattern(args.pattern)
         if H.k != k:
             raise SizeWindowError(f"pattern has {H.k} vertices but --k is {k}")
@@ -135,6 +157,7 @@ def _solve_once(G: Graph, args, k: int, stats: dict) -> Solution | None:
 
 
 def cmd_solve(args) -> int:
+    _require(args, f"--problem {args.problem}", PROBLEMS[args.problem][1])
     G = load_graph(args.graph, fmt=args.format)
     stats: dict = {}
     start = time.perf_counter()
@@ -146,9 +169,9 @@ def cmd_solve(args) -> int:
             except SizeWindowError:
                 # sizes outside the chosen algorithm's window still count:
                 # fall back to the exhaustive exact-size solve when legal
-                if args.problem in ("multidom", "tupledom") and 1 <= args.r <= kp <= G.n:
-                    variant = "multiple" if args.problem == "multidom" else "tuple"
-                    solution = solve_multidom_bruteforce(G, kp, args.r, variant)
+                kind = PROBLEMS[args.problem][0]
+                if kind in VARIANTS and 1 <= args.r <= kp <= G.n:
+                    solution = solve_multidom_bruteforce(G, kp, args.r, kind)
                 else:
                     continue
             if solution is not None:
@@ -200,8 +223,10 @@ def _random_kpartite(rng: random.Random, sizes: list[int],
 
 
 def cmd_generate(args) -> int:
+    sources = () if args.reduction == "is-multidom" else ("sizes",)
+    _require(args, f"--reduction {args.reduction}",
+             sources + REDUCTION_PARAMS[args.reduction])
     rng = random.Random(args.seed)
-    sizes = [int(x) for x in args.sizes.split(",")] if args.sizes else None
     if args.reduction == "is-multidom":
         gamma = Fraction(args.gamma)
         kprime = (args.k - 1) * gamma.numerator + gamma.denominator
@@ -210,18 +235,13 @@ def cmd_generate(args) -> int:
         out = indepset_to_multidom(source, args.k, gamma, args.d)
         print(f"reduction: is-multidom  k={args.k}  gamma={gamma}  d={args.d}  k'={kprime}")
     else:
-        if sizes is None:
-            raise CliError("--sizes is required for OV reductions")
+        sizes = [int(x) for x in args.sizes.split(",")]
         if len(sizes) != args.k:
             raise CliError(f"--sizes must list {args.k} set sizes")
         inst = _random_ov(rng, sizes, args.d, args.zero_prob)
         if args.reduction == "ov-multidom":
-            if args.r is None:
-                raise CliError("ov-multidom requires --r")
             out = ov_to_multidom(inst, args.r)
         elif args.reduction == "ov-hdom":
-            if args.pattern is None:
-                raise CliError("ov-hdom requires --pattern FILE")
             out = ov_to_hdom(inst, load_pattern(args.pattern))
         else:
             try:
@@ -238,34 +258,28 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.reduction:
-        from .reductions import load_ov
-        param_flag = {"ov-multidom": "r", "ov-hdom": "pattern"}.get(args.reduction)
-        for flag in ("source", param_flag):
-            if flag is not None and getattr(args, flag) is None:
-                raise CliError(f"--reduction {args.reduction} requires --{flag}")
+        _require(args, f"--reduction {args.reduction}",
+                 ("source",) + REDUCTION_PARAMS[args.reduction])
         inst = load_ov(args.source)
         param = args.r if args.reduction == "ov-multidom" else (
             load_pattern(args.pattern) if args.reduction == "ov-hdom" else None)
         ok = verify_reduction(args.reduction, inst, param, max_n=args.max_n)
         print("PASS" if ok else "FAIL: source and target oracles disagree")
         return 0 if ok else 1
+    _require(args, "verify", ("graph", "problem", "k", "solution"))
+    kind, needs = PROBLEMS[args.problem]
+    _require(args, f"--problem {args.problem}", needs)
     G = load_graph(args.graph, fmt=args.format)
     with open(args.solution) as fh:
         payload = json.load(fh)
     vertices = payload["solution"] if isinstance(payload, dict) else payload
     if vertices is None:
         raise CliError("solution file contains no vertex list")
-    if args.problem in ("multidom", "tupledom"):
-        if args.r is None:
-            raise CliError(f"--problem {args.problem} requires --r")
-        variant = "multiple" if args.problem == "multidom" else "tuple"
-        problem = Problem(variant, args.k, args.r)
-    elif args.problem == "pattern":
-        H = load_pattern(args.pattern)
-        problem = Problem("pattern", args.k, pattern_edges=H.edges)
+    if kind in VARIANTS:
+        problem = Problem(kind, args.k, args.r)
+    elif kind == "pattern":
+        problem = Problem(kind, args.k, pattern_edges=load_pattern(args.pattern).edges)
     else:
-        kind = {"dom-clique": "clique", "dom-indepset": "indepset",
-                "dom-matching": "matching"}[args.problem]
         problem = Problem(kind, args.k)
     reason = diagnose_solution(G, problem, vertices)
     if reason is None:
@@ -337,9 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="solve a domination problem on a graph file")
     ps.add_argument("graph")
-    ps.add_argument("--problem", required=True,
-                    choices=["multidom", "tupledom", "dom-clique", "dom-indepset",
-                             "dom-matching", "pattern"])
+    ps.add_argument("--problem", required=True, choices=list(PROBLEMS))
     ps.add_argument("--k", type=int, required=True)
     ps.add_argument("--r", type=int)
     ps.add_argument("--pattern")
@@ -355,8 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_solve)
 
     pg = sub.add_parser("generate", help="generate a certified reduction instance")
-    pg.add_argument("--reduction", required=True,
-                    choices=["ov-multidom", "ov-hdom", "ov-matching", "is-multidom"])
+    pg.add_argument("--reduction", required=True, choices=list(REDUCTION_PARAMS))
     pg.add_argument("--k", type=int, required=True)
     pg.add_argument("--r", type=int)
     pg.add_argument("--d", type=int, default=1)
@@ -372,9 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="verify a solution or a generated reduction")
     pv.add_argument("graph", nargs="?")
-    pv.add_argument("--problem",
-                    choices=["multidom", "tupledom", "dom-clique", "dom-indepset",
-                             "dom-matching", "pattern"])
+    pv.add_argument("--problem", choices=list(PROBLEMS))
     pv.add_argument("--k", type=int)
     pv.add_argument("--r", type=int)
     pv.add_argument("--pattern")

@@ -433,7 +433,9 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     of a row-major scan, is returned. Levels are counted with saturation at
     r; by the identity min(r,a)+min(r,b) >= r <=> a+b >= r this decides
     exactly the min-degree >= r condition of the truncated polynomial
-    product. `threads` is accepted for compatibility and has no effect.
+    product (modelled by `tests/reference_algebra.py`, which a differential
+    test compares with `pair_join`). `threads` is accepted for
+    compatibility and has no effect.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")

@@ -63,17 +63,21 @@ class Pattern:
         return cls.from_edges(k, [(i, i + 1) for i in range(k - 1)])
 
 
+def _load_json(source):
+    """JSON from a stream, from text that starts with "{", or else from the
+    file at path `source`."""
+    if hasattr(source, "read"):
+        return json.load(source)
+    text = str(source)
+    if text.lstrip().startswith("{"):
+        return json.loads(text)
+    with open(text) as fh:
+        return json.load(fh)
+
+
 def load_pattern(source) -> Pattern:
     """Parse {"k": int, "edges": [[i, j], ...]} from a path, string, or stream."""
-    if hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            data = json.loads(text)
-        else:
-            with open(text) as fh:
-                data = json.load(fh)
+    data = _load_json(source)
     return Pattern.from_edges(int(data["k"]), [tuple(e) for e in data["edges"]])
 
 
@@ -98,6 +102,16 @@ def enumerate_cliques(G: Graph, t: int) -> list[tuple[int, ...]]:
     if t >= 2:
         assert len(out) ** 2 <= (2 * G.m) ** t, "clique count exceeds (2m)^{t/2}"
     return out
+
+
+def _first_2_dominating_pair(G: Graph, adjacent: bool,
+                             alive: int | None = None) -> tuple[int, int] | None:
+    """First pair of `list_2_dominating_sets(G, alive)` that is an edge of G
+    (`adjacent`) or is not one, or None."""
+    for u, v in list_2_dominating_sets(G, alive):
+        if G.has_edge(u, v) == adjacent:
+            return u, v
+    return None
 
 
 def _drawn(members: Iterable[tuple], kept: list) -> Iterator[tuple]:
@@ -127,10 +141,8 @@ def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
             return Solution(problem, (v,))
         return None
     if k == 2:
-        for u, v in list_2_dominating_sets(G):
-            if G.has_edge(u, v):
-                return Solution(problem, (u, v))
-        return None
+        pair = _first_2_dominating_pair(G, adjacent=True)
+        return None if pair is None else Solution(problem, pair)
     r1 = enumerate_cliques(G, (k - 1) // 2)
     r2 = enumerate_cliques(G, k // 2)
     heavy = heavy_vertices(G, k)
@@ -168,10 +180,7 @@ def _indepset_search(G: Graph, k: int, alive: int | None) -> tuple[int, ...] | N
             return (v,)
         return None
     if k == 2:
-        for u, v in list_2_dominating_sets(G, alive):
-            if not G.has_edge(u, v):
-                return (u, v)
-        return None
+        return _first_2_dominating_pair(G, adjacent=False, alive=alive)
     for v in heavy_vertices(G, k, alive):
         rest_alive = (G.full_mask() if alive is None else alive) & ~G.closed_mask(v)
         rest = _indepset_search(G, k - 1, rest_alive)
@@ -194,10 +203,8 @@ def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
         raise ValueError(f"k must be even and >= 2, got {k}")
     problem = Problem("matching", k)
     if k == 2:
-        for u, v in list_2_dominating_sets(G):
-            if G.has_edge(u, v):
-                return Solution(problem, (u, v), {"matching_edges": [(u, v)]})
-        return None
+        pair = _first_2_dominating_pair(G, adjacent=True)
+        return None if pair is None else Solution(problem, pair, {"matching_edges": [pair]})
     edges = list(G.edges())
     fam_s: list[tuple[tuple[int, int], ...]] = []
     ends_s = (sum(es, ()) for es in _drawn(itertools.combinations(edges, (k + 3) // 4), fam_s))

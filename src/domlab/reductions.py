@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from .graph import Graph, save_graph
 from .multidom import KPartiteGraph, Problem
 from .oracles import oracle_multidom, oracle_pattern, oracle_unbalanced_clique
-from .patterndom import Pattern
+from .patterndom import Pattern, _load_json
 
 Vector = tuple[int, ...]
 
@@ -56,11 +56,7 @@ class OVInstance:
 def load_ov(source) -> OVInstance:
     """Parse {"k": int, "d": int, "sets": [["0101", ...], ...]} with
     bit-string vectors from a path, JSON string, or stream."""
-    if hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        text = str(source)
-        data = json.loads(text) if text.lstrip().startswith("{") else json.loads(Path(text).read_text())
+    data = _load_json(source)
     sets = [[tuple(int(c) for c in vec) for vec in s] for s in data["sets"]]
     inst = OVInstance.from_lists(int(data["d"]), sets)
     if inst.k != int(data["k"]):

@@ -31,7 +31,6 @@ from domlab import (
     ov_to_induced_matching,
     ov_to_multidom,
     indepset_to_multidom,
-    poly_mat_mul,
     solve_dominating_clique,
     solve_dominating_indepset,
     solve_dominating_induced_matching,
@@ -40,10 +39,11 @@ from domlab import (
     verify_reduction,
     verify_solution,
 )
-from domlab.algebra import BoolMatrix, PolyMatrix, TruncatedPoly
+from domlab.algebra import BoolMatrix
 from domlab.cli import closed_form_family_size, main, _random_gnm
 
 from .conftest import complete_graph, cycle_graph, path_graph, random_graph
+from .reference_algebra import PolyMatrix, TruncatedPoly, poly_mat_mul
 
 
 def _closed_form(G: Graph, k: int, fam) -> int:

@@ -6,11 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from domlab import (
-    BoolMatrix,
+from domlab import BoolMatrix, complement_zero_pairs
+
+from .reference_algebra import (
     PolyMatrix,
     TruncatedPoly,
-    complement_zero_pairs,
     min_degree,
     poly_add,
     poly_mat_mul,

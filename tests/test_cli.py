@@ -158,6 +158,31 @@ def test_verify_ov_hdom_without_pattern_is_error(tmp_path, capsys):
     assert "requires --pattern" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (["verify", "--problem", "multidom", "--k", "3", "--r", "1", "--solution", "SOL"],
+     "verify requires a graph file"),
+    (["verify", "GRAPH", "--problem", "multidom", "--r", "1", "--solution", "SOL"],
+     "verify requires --k"),
+    (["verify", "GRAPH", "--k", "3", "--r", "1", "--solution", "SOL"],
+     "verify requires --problem"),
+    (["verify", "GRAPH", "--problem", "multidom", "--k", "3", "--r", "1"],
+     "verify requires --solution"),
+    (["verify", "GRAPH", "--problem", "pattern", "--k", "3", "--solution", "SOL"],
+     "--problem pattern requires --pattern"),
+    (["generate", "--reduction", "is-multidom", "--k", "2", "--out", "OUT"],
+     "--reduction is-multidom requires --gamma"),
+], ids=["no-graph", "no-k", "no-problem", "no-solution", "no-pattern", "no-gamma"])
+def test_missing_flag_exits_two(tmp_path, capsys, c5_file, argv, missing):
+    solution = tmp_path / "sol.json"
+    solution.write_text(json.dumps({"solution": [0, 2, 4]}))
+    paths = {"GRAPH": c5_file, "SOL": str(solution), "OUT": str(tmp_path / "g")}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {missing}\n"
+    assert not list(tmp_path.glob("g*"))
+
+
 def test_verify_oracle_budget_overrun_exits_three(tmp_path, capsys):
     source = _generated_ov_source(tmp_path, capsys, "--reduction", "ov-multidom",
                                   "--k", "3", "--r", "1")

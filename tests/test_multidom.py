@@ -33,6 +33,7 @@ from domlab import (
 )
 
 from .conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
+from .reference_algebra import PolyMatrix, min_degree, poly_mat_mul, poly_mono
 
 
 def test_bruteforce_c5_multiple():
@@ -328,6 +329,42 @@ def test_pair_join_matches_nested_reference():
                     assert stats["rows_drawn"] == len(row_list)
                     certified += stats["rows_certified"]
     assert certified > 0
+
+
+def test_pair_join_matches_truncated_poly_product():
+    # the ring model of the join: A[i, v] = x^(level rows[i] gives v) and
+    # B[v, j] = x^(level cols[j] gives v), capped at r (x^r at v in the
+    # member under "multiple"); (i, j) is a pair iff the members are
+    # disjoint and min_degree((A·B)[i, j]) >= r. Lexicographic rows make the
+    # prefix certificates fire; shuffled rows mostly change prefix.
+    hits = misses = certified = 0
+    for seed in range(300):
+        rng = random.Random(f"ring:{seed}")
+        n = rng.randint(3, 9)
+        G = random_graph(f"ring:{seed}", n, rng.choice([0.2, 0.4, 0.6, 0.8]))
+        r = 1 + seed % 3
+        rows = list(itertools.combinations(range(n), rng.randint(1, 2)))
+        cols = list(itertools.combinations(range(n), rng.randint(1, 2)))
+        order = rng.sample(range(len(rows)), len(rows))
+        for variant in ("multiple", "tuple"):
+            row_levels = [_reference_levels(G, S, r, variant) for S in rows]
+            col_levels = [_reference_levels(G, T, r, variant) for T in cols]
+            A = PolyMatrix.build(len(rows), n, r, lambda i, v: poly_mono(row_levels[i][v], r))
+            B = PolyMatrix.build(n, len(cols), r, lambda v, j: poly_mono(col_levels[j][v], r))
+            C = poly_mat_mul(A, B)
+            ok = [[set(S).isdisjoint(T) and min_degree(C[i, j]) >= r
+                   for j, T in enumerate(cols)] for i, S in enumerate(rows)]
+            for perm in (range(len(rows)), order):
+                expected = [(i, j) for i, p in enumerate(perm)
+                            for j in range(len(cols)) if ok[p][j]]
+                stats = {}
+                got = list(multidom.pair_join(G, (rows[p] for p in perm), cols, r, variant,
+                                              stats=stats))
+                assert got == expected, (seed, variant, r, list(perm))
+                certified += stats["rows_certified"]
+            hits += sum(map(sum, ok))
+            misses += sum(row.count(False) for row in ok)
+    assert hits > 0 and misses > 0 and certified > 0
 
 
 def _ov_multidom_no_instance():

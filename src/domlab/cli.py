@@ -271,10 +271,17 @@ def cmd_verify(args) -> int:
     _require(args, f"--problem {args.problem}", needs)
     G = load_graph(args.graph, fmt=args.format)
     with open(args.solution) as fh:
-        payload = json.load(fh)
-    vertices = payload["solution"] if isinstance(payload, dict) else payload
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"solution file {args.solution}: {exc}") from None
+    vertices = payload.get("solution") if isinstance(payload, dict) else payload
     if vertices is None:
-        raise CliError("solution file contains no vertex list")
+        raise CliError(f"solution file {args.solution} contains no vertex list")
+    # bool is a subclass of int, but JSON true/false are not vertex ids
+    if not (isinstance(vertices, list) and all(type(v) is int for v in vertices)):
+        raise CliError(f"solution file {args.solution} must hold a list of integer vertex "
+                       'ids, or an object with one under "solution"')
     if kind in VARIANTS:
         problem = Problem(kind, args.k, args.r)
     elif kind == "pattern":

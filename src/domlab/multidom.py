@@ -8,10 +8,11 @@ detection with the triangle-grouping construction.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import or_, sub
+from operator import add, or_, sub
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import covering_pairs, iter_bits
@@ -223,32 +224,54 @@ def build_candidate_families(G: Graph, k: int, r: int) -> tuple[CandidateFamily,
     heavy vertices: sizes ceil((k-r)/2)+floor(r/2) and floor((k-r)/2)+ceil(r/2),
     with heavy quotas floor(r/2) and ceil(r/2).
 
-    Each family is built heavy-first: for j = quota..min(size, h) every
-    j-subset of the h heavy vertices is joined with every (size-j)-subset of
-    the light ones, so the cost is proportional to the members kept (plus one
-    sort), not to C(n, size). The members come out in lexicographic order,
-    the order of a filtered `combinations(range(n), size)` scan.
+    Each family is built in lexicographic order, the order of a filtered
+    `combinations(range(n), size)` scan, by a depth-first walk over
+    prefixes. With q heavy vertices still owed and `left` places to fill, a
+    prefix takes its next vertex v only while at least q heavy ids are >= v,
+    so every prefix leads to a member. Once q = 0 every tail is a
+    `combinations` of the ids after the prefix, and once left = q of the
+    heavy ids after it; both are appended to the prefix in C. The cost is at
+    most (members kept) x size, plus n, not C(n, size), with no sort. When k
+    and r are both even the two families are equal, and one tuple of members
+    serves both.
     """
     if not (1 <= r <= k - 1):
         raise ValueError(f"need 1 <= r <= k-1, got r={r}, k={k}")
+    n = G.n
     heavy = heavy_vertices(G, k)
-    heavy_set = set(heavy)
-    light = [v for v in range(G.n) if v not in heavy_set]
+    h = len(heavy)
+    is_heavy = bytearray(n)
+    for v in heavy:
+        is_heavy[v] = 1
     size_s = (k - r + 1) // 2 + r // 2
     quota_s = r // 2
     size_t = (k - r) // 2 + (r + 1) // 2
     quota_t = (r + 1) // 2
 
     def members(size: int, quota: int) -> tuple[tuple[int, ...], ...]:
-        out = [tuple(sorted(H + L))
-               for j in range(quota, min(size, len(heavy)) + 1)
-               for H in itertools.combinations(heavy, j)
-               for L in itertools.combinations(light, size - j)]
-        out.sort()
+        out: list[tuple[int, ...]] = []
+        # (prefix, start, left, q), popped in lexicographic order of prefix;
+        # for every entry at least q heavy ids are >= start
+        stack = [((), 0, size, quota)] if quota <= h else []
+        while stack:
+            prefix, start, left, q = stack.pop()
+            if q <= 0:
+                tails = itertools.combinations(range(start, n), left)
+            elif left == q:
+                tails = itertools.combinations(heavy[bisect_left(heavy, start):], left)
+            else:
+                # the last v with q heavy ids >= v is heavy[h - q]
+                stop = min(n - left, heavy[h - q]) + 1
+                stack.extend((prefix + (v,), v + 1, left - 1, q - is_heavy[v])
+                             for v in reversed(range(start, stop)))
+                continue
+            out.extend(map(add, itertools.repeat(prefix), tails))
         return tuple(out)
 
-    return (CandidateFamily(size_s, quota_s, members(size_s, quota_s)),
-            CandidateFamily(size_t, quota_t, members(size_t, quota_t)))
+    fam_s = CandidateFamily(size_s, quota_s, members(size_s, quota_s))
+    if (size_t, quota_t) == (size_s, quota_s):
+        return fam_s, fam_s
+    return fam_s, CandidateFamily(size_t, quota_t, members(size_t, quota_t))
 
 
 def _at_least(masks: Iterable[int], r: int, full: int) -> list[int]:

@@ -75,10 +75,43 @@ def _load_json(source):
         return json.load(fh)
 
 
+def _is_int(x) -> bool:
+    return type(x) is int  # JSON true/false load as bool, a subclass of int
+
+
 def load_pattern(source) -> Pattern:
-    """Parse {"k": int, "edges": [[i, j], ...]} from a path, string, or stream."""
-    data = _load_json(source)
-    return Pattern.from_edges(int(data["k"]), [tuple(e) for e in data["edges"]])
+    """Parse {"k": int, "edges": [[i, j], ...]} from a path, string, or stream.
+
+    Malformed input raises ValueError naming the source and the missing or
+    ill-typed field."""
+    if hasattr(source, "read"):
+        where = f"pattern {getattr(source, 'name', 'stream')}"
+    elif str(source).lstrip().startswith("{"):
+        where = "pattern text"
+    else:
+        where = f"pattern file {source}"
+    try:
+        data = _load_json(source)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f'{where}: expected an object {{"k": int, "edges": [[i, j], ...]}}')
+    for field in ("k", "edges"):
+        if field not in data:
+            raise ValueError(f"{where}: missing field {field!r}")
+    k, edges = data["k"], data["edges"]
+    if not _is_int(k):
+        raise ValueError(f"{where}: field 'k' must be an integer, got {type(k).__name__}")
+    if not isinstance(edges, list):
+        raise ValueError(f"{where}: field 'edges' must be a list of [i, j] pairs, "
+                         f"got {type(edges).__name__}")
+    for i, e in enumerate(edges):
+        if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
+            raise ValueError(f"{where}: edges[{i}] is not a pair of integers: {e!r:.40}")
+    try:
+        return Pattern.from_edges(k, edges)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def enumerate_cliques(G: Graph, t: int) -> list[tuple[int, ...]]:

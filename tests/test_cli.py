@@ -183,6 +183,37 @@ def test_missing_flag_exits_two(tmp_path, capsys, c5_file, argv, missing):
     assert not list(tmp_path.glob("g*"))
 
 
+@pytest.mark.parametrize("payload", [
+    {"solution": 5}, [0.0, 2], ["a"], [True, False], {"x": 1},
+], ids=["int-under-key", "float-vertex", "str-vertex", "bool-vertices", "no-solution-key"])
+def test_verify_malformed_solution_exits_two(tmp_path, capsys, c5_file, payload):
+    solution = tmp_path / "sol.json"
+    solution.write_text(json.dumps(payload))
+    assert main(["verify", c5_file, "--problem", "multidom", "--k", "2", "--r", "1",
+                 "--solution", str(solution)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(solution) in captured.err
+
+
+@pytest.mark.parametrize("payload, field", [
+    ([1, 2], "expected an object"),
+    ({"k": 3, "edges": 5}, "'edges'"),
+    ({"k": 3}, "'edges'"),
+    ({"edges": []}, "'k'"),
+    ({"k": 3, "edges": [[0, 1], [0, 1, 2]]}, "edges[1]"),
+], ids=["list", "edges-not-list", "no-edges", "no-k", "edge-not-pair"])
+def test_solve_malformed_pattern_exits_two(tmp_path, capsys, c5_file, payload, field):
+    pattern = tmp_path / "pattern.json"
+    pattern.write_text(json.dumps(payload))
+    assert main(["solve", c5_file, "--problem", "pattern", "--pattern", str(pattern),
+                 "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(pattern) in captured.err and field in captured.err
+
+
 def test_verify_oracle_budget_overrun_exits_three(tmp_path, capsys):
     source = _generated_ov_source(tmp_path, capsys, "--reduction", "ov-multidom",
                                   "--k", "3", "--r", "1")

@@ -245,6 +245,38 @@ def test_families_match_filtered_scan():
     assert shapes == {"none", "below-quota", "all", "some"}
 
 
+def _planted_hub_graph(seed, n: int, hubs: int) -> Graph:
+    """A sparse random background (about n edges) plus `hubs` vertices at
+    random ids, each joined to about 40% of the others. The hubs are heavy
+    for k >= 5, and light ids fall before, between and after the heavy ones
+    (at n = 60 and k = 5 only the hubs are heavy)."""
+    rng = random.Random(f"hubs:{seed}")
+    hub_ids = rng.sample(range(n), hubs)
+    edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n)}
+    edges |= {(min(h, v), max(h, v)) for h in hub_ids for v in range(n)
+              if v != h and rng.random() < 0.4}
+    return Graph(n, sorted(edges))
+
+
+def test_families_match_filtered_scan_on_hub_graphs():
+    # member sizes 3-4 with quotas up to 3: the prefix recursion goes
+    # several levels deep before it hands a tail to `combinations`
+    reached = set()
+    for seed, (n, k, hubs) in enumerate([(60, 5, 3), (48, 6, 4), (30, 7, 5), (20, 7, 2)]):
+        G = _planted_hub_graph(seed, n, hubs)
+        assert 0 < len(heavy_vertices(G, k)) < n
+        for r in range(1, k):
+            families = build_candidate_families(G, k, r)
+            got = [(f.size, f.quota, f.members) for f in families]
+            assert got == _reference_families(G, k, r), (n, k, r)
+            for f in families:
+                if f.members and f.size >= 3 and f.quota >= 2:
+                    reached.add("b-hubs")
+                if f.members and f.size >= 3 and f.quota == 0:
+                    reached.add("quota-0")
+    assert reached == {"b-hubs", "quota-0"}
+
+
 def test_2_dominating_sets_match_full_scan():
     # a pair (u, v) with only v heavy is found from v's row; the output
     # must still list it as (u, v)

@@ -1,7 +1,7 @@
-"""Bit-packed boolean matrices and the covering-pairs kernel.
+"""Bit-packed boolean matrices, `iter_bits`, and the covering-pairs search.
 
-`covering_pairs` is the one pair search the solvers run (through
-`multidom.pair_join`). No solver calls `BoolMatrix` or
+The solvers use only `iter_bits`; their pair search is
+`multidom.pair_join`. No solver calls `BoolMatrix`, `covering_pairs` or
 `complement_zero_pairs` (the zero entries of a boolean product A·B); they
 stay because the benchmark's traced run (`perfbench/spans.py`) wraps
 `complement_zero_pairs` and `BoolMatrix.transpose` by attribute name. The

@@ -184,6 +184,8 @@ def cmd_solve(args) -> int:
     stats.setdefault("scalar_op_count", None)
     stats.setdefault("rows_drawn", None)
     stats.setdefault("rows_certified", None)
+    stats.setdefault("gap_masks", None)
+    stats.setdefault("below_built", None)
     stats["elapsed_ms"] = elapsed
     config = {"algo": args.algo, "seed": None, "threads": args.threads}
     result = run_result(solution is not None,

@@ -15,7 +15,7 @@ from functools import reduce
 from operator import add, or_, sub
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import covering_pairs, iter_bits
+from .algebra import iter_bits
 from .graph import Graph, heavy_vertices
 
 VARIANTS = ("multiple", "tuple")
@@ -279,6 +279,12 @@ def _at_least(masks: Iterable[int], r: int, full: int) -> list[int]:
     bits set in at least b of them, so entry 0 is `full`."""
     if r == 1:
         return [full, full & reduce(or_, masks, 0)]
+    if r == 2:
+        one = two = 0
+        for m in masks:
+            two |= one & m
+            one |= m
+        return [full, full & one, full & two]
     ge = [full] + [0] * r
     for m in masks:
         for b in range(r, 0, -1):
@@ -331,12 +337,14 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]], cols: Sequence[tuple[in
     vertices must be distinct.
 
     Pairs come lazily in row-major order, lowest j first within a row: the
-    order of a nested scan over rows, then cols. A row's gap masks are the
-    columns that meet it (the disjointness rule), then, for each vertex v
-    the row leaves at level c < r, the columns that give v fewer than r - c
-    dominators; `algebra.covering_pairs` reports the columns left over.
-    Those column masks of v (`below[v]`) are built the first time a row
-    draws v, so vertices no row leaves short cost nothing.
+    order of a nested scan over rows, then cols. The join is one loop over
+    the rows. A row's gap masks are the columns that meet it (the
+    disjointness rule), then, for each vertex v the row leaves at level
+    c < r, the columns that give v fewer than r - c dominators. The row ORs
+    them into `seen`, stopping once `seen` holds every column, and yields
+    the columns left over. Those column masks of v (`below[v]`) are built
+    the first time a row draws v, so vertices no row leaves short cost
+    nothing.
 
     Row certificate. Consecutive rows often share a prefix P = S[:-1] (the
     lexicographic families, clique rows S + (h,), matching endpoint
@@ -347,16 +355,19 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]], cols: Sequence[tuple[in
     the second row of a run the join picks K_P: vertices short under P,
     lowest level first (their gap masks are the widest), then lowest degree
     first (few N[b] meet them), until their gap masks under P and the
-    columns meeting P cover every column. A later row P + (b,) whose N[b]
-    misses K_P then has no pair, and one AND replaces its gap walk. The
-    first row of each run, the rows of a prefix with no such K_P, and
-    size-1 rows (empty P) are walked as above. Certified rows yield nothing
-    and every other row is walked unchanged, so the pairs and their order
-    are exactly those of the plain walk.
+    columns meeting P cover every column. With K_P it keeps `hit`, the OR of
+    N[w] over w in K_P. Closed neighbourhoods are symmetric (b is in N[w]
+    iff w is in N[b]), so `hit` is the set of b whose N[b] meets K_P. A
+    later row P + (b,) with b outside `hit` then has no pair, and one bit
+    test replaces its gap walk. The first row of each run, the rows of a
+    prefix with no such K_P, and size-1 rows (empty P) are walked as above.
+    Certified rows yield nothing and every other row is walked unchanged,
+    so the pairs and their order are exactly those of the plain walk.
 
-    With a `stats` dict, `stats["rows_drawn"]` and `stats["rows_certified"]`
-    (rows skipped by a certificate) are set to 0, then counted as rows are
-    drawn.
+    With a `stats` dict, four counters are set to 0 and then counted as
+    rows are drawn: `rows_drawn`; `rows_certified`, the rows skipped by a
+    certificate; `gap_masks`, the gap masks ORed, by walked rows and by
+    certificates alike; and `below_built`, the `below[v]` lists built.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -373,6 +384,8 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]], cols: Sequence[tuple[in
     buckets: list[int] = []
 
     def below_of(v: int) -> list[int]:
+        if stats is not None:
+            stats["below_built"] += 1
         nbrs = G.adjacency(v) if multiple else G.adjacency(v) + (v,)
         ge = _at_least(map(contains.__getitem__, nbrs), r, full)
         if multiple:
@@ -386,16 +399,11 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]], cols: Sequence[tuple[in
             return [m | smask for m in _at_least(map(nbr, S), r, vfull)]
         return _at_least((nbr(s) | 1 << s for s in S), r, vfull)
 
-    def gaps(S: tuple[int, ...]) -> Iterator[int]:
-        yield from (contains[s] for s in S)
-        lev = levels(S)
-        for c in range(r):
-            for v in iter_bits(lev[c] ^ lev[c + 1]):
-                yield (below[v] or below_of(v))[r - c]
-
     def certificate(P: tuple[int, ...]) -> int | None:
-        """K_P as a vertex mask, or None when P's short vertices leave a
-        column uncovered."""
+        """`hit` for K_P, or None when P's short vertices leave a column
+        uncovered."""
+        if stats is not None:
+            stats["gap_masks"] += len(P)
         covered = reduce(or_, map(contains.__getitem__, P), 0)
         if covered == full:
             return 0
@@ -406,7 +414,7 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]], cols: Sequence[tuple[in
                 by_degree[d] = by_degree.get(d, 0) | 1 << v
             buckets.extend(by_degree[d] for d in sorted(by_degree))
         lev = levels(P)
-        chosen = 0
+        hit = 0
         for c in range(r):
             short = lev[c] ^ lev[c + 1]
             for bucket in buckets:
@@ -415,9 +423,11 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]], cols: Sequence[tuple[in
                     continue
                 for w in iter_bits(ws):
                     covered |= (below[w] or below_of(w))[r - c]
-                    chosen |= 1 << w
+                    hit |= G.closed_mask(w)
+                    if stats is not None:
+                        stats["gap_masks"] += 1
                     if covered == full:
-                        return chosen
+                        return hit
                 short ^= ws
                 if not short:
                     break
@@ -425,26 +435,42 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]], cols: Sequence[tuple[in
 
     if stats is not None:
         stats["rows_drawn"] = stats["rows_certified"] = 0
+        stats["gap_masks"] = stats["below_built"] = 0
 
-    def row_gaps() -> Iterator[Iterable[int]]:
-        closed = G.closed_mask
-        prefix, cert, pending = None, None, False
-        for S in rows:
+    def walk() -> Iterator[tuple[int, int]]:
+        prefix, hit, pending = None, None, False
+        for i, S in enumerate(rows):
             if stats is not None:
                 stats["rows_drawn"] += 1
             P = S[:-1]
             if P != prefix:
-                prefix, cert, pending = P, None, bool(P)
+                prefix, hit, pending = P, None, bool(P)
             elif pending:
-                cert, pending = certificate(P), False
-            if cert is not None and not closed(S[-1]) & cert:
+                hit, pending = certificate(P), False
+            if hit is not None and not (hit >> S[-1]) & 1:
                 if stats is not None:
                     stats["rows_certified"] += 1
-                yield (full,)  # no pair: one gap mask covering every column
-            else:
-                yield gaps(S)
+                continue
+            seen = 0
+            for s in S:
+                seen |= contains[s]
+            ored = len(S)
+            if seen != full:
+                lev = levels(S)
+                for c in range(r):
+                    short = lev[c] ^ lev[c + 1]
+                    while short and seen != full:
+                        low = short & -short
+                        short ^= low
+                        v = low.bit_length() - 1
+                        seen |= (below[v] or below_of(v))[r - c]
+                        ored += 1
+            if stats is not None:
+                stats["gap_masks"] += ored
+            for j in iter_bits(full ^ seen):
+                yield i, j
 
-    return covering_pairs(row_gaps(), len(cols))
+    return walk()
 
 
 def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,

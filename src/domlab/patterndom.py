@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Iterator
 
 from .graph import Graph, heavy_vertices
@@ -79,26 +81,35 @@ def _is_int(x) -> bool:
     return type(x) is int  # JSON true/false load as bool, a subclass of int
 
 
-def load_pattern(source) -> Pattern:
-    """Parse {"k": int, "edges": [[i, j], ...]} from a path, string, or stream.
-
-    Malformed input raises ValueError naming the source and the missing or
-    ill-typed field."""
+def _load_object(source, kind: str, fields: tuple[str, ...], shape: str) -> tuple[dict, str]:
+    """The JSON object in `source` and a label naming the source for error
+    messages. Raises ValueError, naming the source, when the text is not
+    JSON or not an object, or lacks one of `fields`."""
     if hasattr(source, "read"):
-        where = f"pattern {getattr(source, 'name', 'stream')}"
+        where = f"{kind} {getattr(source, 'name', 'stream')}"
     elif str(source).lstrip().startswith("{"):
-        where = "pattern text"
+        where = f"{kind} text"
     else:
-        where = f"pattern file {source}"
+        where = f"{kind} file {source}"
     try:
         data = _load_json(source)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{where}: {exc}") from None
     if not isinstance(data, dict):
-        raise ValueError(f'{where}: expected an object {{"k": int, "edges": [[i, j], ...]}}')
-    for field in ("k", "edges"):
+        raise ValueError(f"{where}: expected an object {shape}")
+    for field in fields:
         if field not in data:
             raise ValueError(f"{where}: missing field {field!r}")
+    return data, where
+
+
+def load_pattern(source) -> Pattern:
+    """Parse {"k": int, "edges": [[i, j], ...]} from a path, string, or stream.
+
+    Malformed input raises ValueError naming the source and the missing or
+    ill-typed field."""
+    data, where = _load_object(source, "pattern", ("k", "edges"),
+                               '{"k": int, "edges": [[i, j], ...]}')
     k, edges = data["k"], data["edges"]
     if not _is_int(k):
         raise ValueError(f"{where}: field 'k' must be an integer, got {type(k).__name__}")
@@ -115,25 +126,41 @@ def load_pattern(source) -> Pattern:
 
 
 def enumerate_cliques(G: Graph, t: int) -> list[tuple[int, ...]]:
-    """All t-cliques, sorted within and lexicographic across. For t >= 2 the
-    count is asserted against the (2m)^{t/2} bound."""
+    """All t-cliques, sorted within and lexicographic across.
+
+    A clique grows from its lowest vertex through higher neighbours only. A
+    partial clique C carries its candidates: the vertices above max(C)
+    adjacent to all of C, in increasing order. They start as the CSR
+    neighbours of C's first vertex above it, and adding v keeps those above
+    v among v's higher neighbours. The cost is O(n + m) plus, for each
+    partial clique with c candidates, O(c^2) set lookups, with no scan over
+    all n vertices per clique and no n-bit mask."""
     if t < 1:
         raise ValueError(f"clique size must be >= 1, got {t}")
+    n, offsets, neighbors = G.n, G.offsets, G.neighbors
+    if t == 1:
+        return [(v,) for v in range(n)]
+    # higher[v]: the neighbours of v above v, in increasing order
+    higher = [neighbors[bisect_right(neighbors, v, offsets[v], offsets[v + 1]):offsets[v + 1]]
+              for v in range(n)]
+    above = list(map(frozenset, higher)) if t > 2 else []
     out: list[tuple[int, ...]] = []
-
-    def extend(clique: list[int], common: int, start: int):
-        if len(clique) == t:
-            out.append(tuple(clique))
-            return
-        for v in range(start, G.n):
-            if (common >> v) & 1:
-                clique.append(v)
-                extend(clique, common & G.neighbor_mask(v), v + 1)
-                clique.pop()
-
-    extend([], G.full_mask(), 0)
-    if t >= 2:
-        assert len(out) ** 2 <= (2 * G.m) ** t, "clique count exceeds (2m)^{t/2}"
+    for u in range(n):
+        # (clique, candidates), popped in lexicographic order of clique
+        stack = [((u,), higher[u])]
+        while stack:
+            clique, cand = stack.pop()
+            need = t - len(clique)
+            if need == 1:
+                out.extend(map(add, itertools.repeat(clique), zip(cand)))
+                continue
+            children = []
+            for i in range(len(cand) - need + 1):
+                v = cand[i]
+                later = [w for w in cand[i + 1:] if w in above[v]]
+                if len(later) >= need - 1:
+                    children.append((clique + (v,), later))
+            stack.extend(reversed(children))
     return out
 
 

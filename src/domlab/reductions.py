@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from .graph import Graph, save_graph
 from .multidom import KPartiteGraph, Problem
 from .oracles import oracle_multidom, oracle_pattern, oracle_unbalanced_clique
-from .patterndom import Pattern, _load_json
+from .patterndom import Pattern, _is_int, _load_object
 
 Vector = tuple[int, ...]
 
@@ -55,12 +55,36 @@ class OVInstance:
 
 def load_ov(source) -> OVInstance:
     """Parse {"k": int, "d": int, "sets": [["0101", ...], ...]} with
-    bit-string vectors from a path, JSON string, or stream."""
-    data = _load_json(source)
-    sets = [[tuple(int(c) for c in vec) for vec in s] for s in data["sets"]]
-    inst = OVInstance.from_lists(int(data["d"]), sets)
-    if inst.k != int(data["k"]):
-        raise ValueError(f"declared k={data['k']} but found {inst.k} sets")
+    bit-string vectors (or lists of 0/1 integers) from a path, JSON string,
+    or stream.
+
+    Malformed input raises ValueError naming the source and the missing or
+    ill-typed field."""
+    data, where = _load_object(source, "OV source", ("k", "d", "sets"),
+                               '{"k": int, "d": int, "sets": [["0101", ...], ...]}')
+    for field in ("k", "d"):
+        if not _is_int(data[field]):
+            raise ValueError(f"{where}: field {field!r} must be an integer, "
+                             f"got {type(data[field]).__name__}")
+    if not isinstance(data["sets"], list):
+        raise ValueError(f"{where}: field 'sets' must be a list of vector lists, "
+                         f"got {type(data['sets']).__name__}")
+    sets = []
+    for i, vectors in enumerate(data["sets"]):
+        if not isinstance(vectors, list):
+            raise ValueError(f"{where}: sets[{i}] must be a list of vectors, "
+                             f"got {type(vectors).__name__}")
+        for j, vec in enumerate(vectors):
+            if not (isinstance(vec, str) and set(vec) <= {"0", "1"}
+                    or isinstance(vec, list) and all(_is_int(x) and x in (0, 1) for x in vec)):
+                raise ValueError(f"{where}: sets[{i}][{j}] is not a 0/1 vector: {vec!r:.40}")
+        sets.append([tuple(map(int, vec)) for vec in vectors])
+    try:
+        inst = OVInstance.from_lists(data["d"], sets)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    if inst.k != data["k"]:
+        raise ValueError(f"{where}: declared k={data['k']} but found {inst.k} sets")
     return inst
 
 

@@ -82,9 +82,12 @@ def test_solve_json_reports_join_row_counters(tmp_path, c5_file, capsys):
     stats = json.loads(first)["stats"]
     assert isinstance(stats["rows_drawn"], int) and stats["rows_drawn"] > 0
     assert 0 <= stats["rows_certified"] <= stats["rows_drawn"]
+    assert isinstance(stats["gap_masks"], int) and stats["gap_masks"] > 0
+    assert 0 < stats["below_built"] <= 8
     main(["solve", c5_file, "--problem", "dom-clique", "--k", "2", "--json", "--no-timing"])
     stats = json.loads(capsys.readouterr().out)["stats"]
     assert stats["rows_drawn"] is None and stats["rows_certified"] is None
+    assert stats["gap_masks"] is None and stats["below_built"] is None
 
 
 def test_solve_at_most_k(tmp_path, capsys):
@@ -212,6 +215,22 @@ def test_solve_malformed_pattern_exits_two(tmp_path, capsys, c5_file, payload, f
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert str(pattern) in captured.err and field in captured.err
+
+
+@pytest.mark.parametrize("payload, field", [
+    ({"k": 2, "d": 3, "sets": 5}, "'sets'"),
+    ([1], "expected an object"),
+    ({"k": 2, "d": 3}, "'sets'"),
+], ids=["sets-not-list", "list", "no-sets"])
+def test_verify_malformed_ov_source_exits_two(tmp_path, capsys, payload, field):
+    source = tmp_path / "source.json"
+    source.write_text(json.dumps(payload))
+    assert main(["verify", "--reduction", "ov-multidom", "--source", str(source),
+                 "--r", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(source) in captured.err and field in captured.err
 
 
 def test_verify_oracle_budget_overrun_exits_three(tmp_path, capsys):

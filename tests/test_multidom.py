@@ -408,29 +408,51 @@ def _ov_multidom_no_instance():
             return ov_to_multidom(inst, 2).graph
 
 
-def test_pair_join_certifies_most_rows_on_ov_no_instance(monkeypatch):
+def test_pair_join_certifies_most_rows_on_ov_no_instance():
     # every row of a NO instance is drawn; most share a prefix whose
-    # certificate already covers every column, so they skip the gap walk
+    # certificate already covers every column, so they skip the gap walk:
+    # in lexicographic order the join ORs under half the gap masks it ORs
+    # when the same rows come shuffled (so that hardly any prefix repeats)
     G = _ov_multidom_no_instance()
-    walks = []
-    covering_pairs = multidom.covering_pairs
-
-    def counting(row_gaps, cols):
-        def counted():
-            for gaps in row_gaps:
-                drawn = []
-                walks.append(drawn)
-                yield (drawn.append(g) or g for g in gaps)
-        return covering_pairs(counted(), cols)
-
-    monkeypatch.setattr(multidom, "covering_pairs", counting)
     stats = {}
     assert solve_multidom_fast(G, 4, 2, "multiple", stats=stats) is None
     fam_s, _ = stats["candidate_family_sizes"]
-    assert stats["rows_drawn"] == len(walks) == fam_s
-    full = (1 << stats["candidate_family_sizes"][1]) - 1
-    skipped = sum(1 for drawn in walks if drawn == [full])
-    assert skipped >= stats["rows_certified"] >= 0.8 * fam_s
+    assert stats["rows_drawn"] == fam_s
+    assert stats["rows_certified"] >= 0.8 * fam_s
+    assert 0 < stats["below_built"] <= G.n
+    rows, cols = build_candidate_families(G, 4, 2)
+    shuffled = random.Random("ov-multidom-no").sample(rows.members, len(rows.members))
+    walked = {}
+    assert list(multidom.pair_join(G, shuffled, cols.members, 2, "multiple",
+                                   stats=walked)) == []
+    assert walked["rows_drawn"] == fam_s
+    assert stats["gap_masks"] < walked["gap_masks"] / 2
+
+
+@pytest.mark.parametrize("variant", multidom.VARIANTS)
+@pytest.mark.parametrize("r", (1, 2, 3))
+def test_pair_join_draws_no_row_past_the_first_pair(variant, r):
+    # the row generator raises if it is asked for the row after the first
+    # pair's row; lexicographic rows let the certificates fire before it.
+    # Only graphs whose first pair is past row 0 count.
+    tried = 0
+    for seed in range(60):
+        G = random_graph(f"lazy:{seed}", 8, (0.2, 0.4, 0.6)[seed % 3])
+        rows = list(itertools.combinations(range(G.n), 2))
+        cols = list(itertools.combinations(range(G.n), 1 + seed % 2))
+        first = next(iter(_reference_pair_join(G, rows, cols, r, variant)), None)
+        if first is None or first[0] == 0:
+            continue
+
+        def drawn():
+            yield from rows[:first[0] + 1]
+            raise AssertionError("row drawn past the first pair's row")
+
+        stats = {}
+        assert next(multidom.pair_join(G, drawn(), cols, r, variant, stats=stats)) == first
+        assert stats["rows_drawn"] == first[0] + 1
+        tried += 1
+    assert tried >= 2
 
 
 def test_fast_threaded_result_identical():

@@ -57,6 +57,42 @@ def test_enumerate_cliques_lexicographic_and_sorted():
         assert all(c == tuple(sorted(c)) for c in cliques)
 
 
+def _scan_cliques(G, t):
+    """Every t-clique by a depth-first scan over all higher vertex ids with
+    n-bit common-neighbourhood masks: the plain listing the CSR walk of
+    `enumerate_cliques` must reproduce, list and order."""
+    out = []
+
+    def extend(clique, common, start):
+        if len(clique) == t:
+            out.append(tuple(clique))
+            return
+        for v in range(start, G.n):
+            if (common >> v) & 1:
+                clique.append(v)
+                extend(clique, common & G.neighbor_mask(v), v + 1)
+                clique.pop()
+
+    extend([], G.full_mask(), 0)
+    return out
+
+
+def test_enumerate_cliques_matches_mask_scan_and_count_bound():
+    for seed in range(150):
+        rng = random.Random(f"cliques:{seed}")
+        n = rng.randint(1, 14)
+        G = random_graph(f"cliques:{seed}", n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+        for t in (1, 2, 3, 4):
+            cliques = enumerate_cliques(G, t)
+            assert cliques == _scan_cliques(G, t), (seed, t)
+            if t >= 2:
+                assert len(cliques) ** 2 <= (2 * G.m) ** t, (seed, t)
+    # sparse and wider, where most higher neighbours share no candidate
+    G = random_graph("cliques:sparse", 600, 0.012)
+    for t in (2, 3):
+        assert enumerate_cliques(G, t) == _scan_cliques(G, t)
+
+
 @given(st.integers(0, 400), st.integers(2, 11), st.floats(0.1, 0.8))
 def test_clique_count_bound(seed, n, p):
     G = random_graph(seed, n, p)

@@ -2,10 +2,6 @@
 variants (multiple/tuple domination, dominating cliques, independent sets,
 induced matchings, and generic patterns)."""
 
-from .algebra import (
-    BoolMatrix,
-    complement_zero_pairs,
-)
 from .graph import (
     Graph,
     GraphFormatError,
@@ -26,7 +22,6 @@ from .multidom import (
     diagnose_solution,
     grouping_parameters,
     list_2_dominating_sets,
-    solve_multidom_bruteforce,
     solve_multidom_fast,
     solve_multidom_kminus1,
     verify_solution,

@@ -1,7 +1,7 @@
-"""Bit-packed boolean matrices, `iter_bits`, and the covering-pairs search.
+"""Bit-packed boolean matrices, their product's zero entries, and `iter_bits`.
 
 The solvers use only `iter_bits`; their pair search is
-`multidom.pair_join`. No solver calls `BoolMatrix`, `covering_pairs` or
+`multidom.pair_join`. No solver calls `BoolMatrix` or
 `complement_zero_pairs` (the zero entries of a boolean product A·B); they
 stay because the benchmark's traced run (`perfbench/spans.py`) wraps
 `complement_zero_pairs` and `BoolMatrix.transpose` by attribute name. The
@@ -78,36 +78,23 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def covering_pairs(row_gaps: Iterable[Iterable[int]], cols: int) -> Iterator[tuple[int, int]]:
-    """Every (i, j) such that column j < `cols` is in none of row i's gap masks.
-
-    `row_gaps` gives, per row, an iterable of column bitmasks (bits at or
-    beyond `cols` must be zero). A row's masks are ORed until they cover every
-    column; the rest of that row's masks are never drawn, so a lazy iterable
-    skips their construction. Pairs come in row-major order, lowest column
-    first within a row, and lazily: a caller that stops at the first pair
-    stops the search there.
-    """
-    full = (1 << cols) - 1
-    for i, gaps in enumerate(row_gaps):
-        seen = 0
-        for gap in gaps:
-            seen |= gap
-            if seen == full:
-                break
-        for j in iter_bits(full ^ seen):
-            yield i, j
-
-
 def complement_zero_pairs(A: BoolMatrix, B: BoolMatrix, threads: int = 1) -> list[tuple[int, int]]:
     """All (i, j) with (A·B)[i,j] = 0 over the integers, i.e. for every t
     either A[i,t] = 0 or B[t,j] = 0. Row-major order.
 
-    Row i's gap masks are the rows B[t] for each t set in A[i], so no
-    transpose is needed. `threads` is accepted for compatibility and has no
-    effect.
+    Row i ORs the rows B[t] for each t set in A[i], stopping once they cover
+    every column, so no transpose is needed. `threads` is accepted for
+    compatibility and has no effect.
     """
     if A.cols != B.rows:
         raise ValueError(f"dimension mismatch: {A.rows}x{A.cols} · {B.rows}x{B.cols}")
-    b_rows = B.row_bits
-    return list(covering_pairs(((b_rows[t] for t in iter_bits(ra)) for ra in A.row_bits), B.cols))
+    b_rows, full = B.row_bits, (1 << B.cols) - 1
+    out = []
+    for i, ra in enumerate(A.row_bits):
+        seen = 0
+        for t in iter_bits(ra):
+            seen |= b_rows[t]
+            if seen == full:
+                break
+        out.extend((i, j) for j in iter_bits(full ^ seen))
+    return out

@@ -23,15 +23,16 @@ from .multidom import (
     VARIANTS,
     Problem,
     Solution,
-    solve_multidom_bruteforce,
     solve_multidom_fast,
     solve_multidom_kminus1,
     diagnose_solution,
     KPartiteGraph,
 )
-from .oracles import OracleBudgetError, oracle_pattern
+from .oracles import OracleBudgetError, oracle_multidom, oracle_pattern
 from .patterndom import (
+    MAX_PATTERN_SIZE,
     Pattern,
+    PatternTooLargeError,
     load_pattern,
     solve_dominating_clique,
     solve_dominating_indepset,
@@ -51,7 +52,7 @@ from .reductions import (
 )
 
 BENCH_HEADER = ["algo", "n", "m", "k", "r", "rep", "seed",
-                "family_s", "family_t", "scalar_ops", "elapsed_ms"]
+                "family_s", "family_t", "rows_drawn", "elapsed_ms"]
 
 # --problem name -> (Problem kind, the flags it needs besides the graph and --k)
 PROBLEMS = {
@@ -86,6 +87,15 @@ def _require(args, context: str, flags) -> None:
             raise CliError(f"{context} requires {name}")
 
 
+def _load_pattern_of_size(path, k: int) -> Pattern:
+    """The pattern in file `path`; SizeWindowError (exit code 2) unless it
+    has exactly k vertices."""
+    H = load_pattern(path)
+    if H.k != k:
+        raise SizeWindowError(f"pattern has {H.k} vertices but --k is {k}")
+    return H
+
+
 def run_result(answer: bool, solution, certificate, stats: dict, config: dict) -> dict:
     return {
         "answer": answer,
@@ -117,7 +127,7 @@ def _solve_once(G: Graph, args, k: int, stats: dict) -> Solution | None:
             raise CliError(f"--r must be >= 1, got {r}")
         if algo == "brute":
             try:
-                return solve_multidom_bruteforce(G, k, r, kind)
+                return oracle_multidom(G, k, r, kind, max_n=G.n)
             except ValueError as exc:
                 raise SizeWindowError(str(exc)) from None
         if algo == "pipeline":
@@ -133,9 +143,7 @@ def _solve_once(G: Graph, args, k: int, stats: dict) -> Solution | None:
     if args.r is not None:
         raise CliError(f"--r is not valid with --problem {problem}")
     if problem == "pattern":
-        H = load_pattern(args.pattern)
-        if H.k != k:
-            raise SizeWindowError(f"pattern has {H.k} vertices but --k is {k}")
+        H = _load_pattern_of_size(args.pattern, k)
     else:
         builders = {"dom-clique": Pattern.clique, "dom-indepset": Pattern.edgeless,
                     "dom-matching": Pattern.matching}
@@ -171,7 +179,7 @@ def cmd_solve(args) -> int:
                 # fall back to the exhaustive exact-size solve when legal
                 kind = PROBLEMS[args.problem][0]
                 if kind in VARIANTS and 1 <= args.r <= kp <= G.n:
-                    solution = solve_multidom_bruteforce(G, kp, args.r, kind)
+                    solution = oracle_multidom(G, kp, args.r, kind, max_n=G.n)
                 else:
                     continue
             if solution is not None:
@@ -180,8 +188,6 @@ def cmd_solve(args) -> int:
         solution = _solve_once(G, args, args.k, stats)
     elapsed = None if args.no_timing else round((time.perf_counter() - start) * 1000.0, 3)
     stats.setdefault("candidate_family_sizes", None)
-    stats.setdefault("product_dims", None)
-    stats.setdefault("scalar_op_count", None)
     stats.setdefault("rows_drawn", None)
     stats.setdefault("rows_certified", None)
     stats.setdefault("gap_masks", None)
@@ -287,7 +293,11 @@ def cmd_verify(args) -> int:
     if kind in VARIANTS:
         problem = Problem(kind, args.k, args.r)
     elif kind == "pattern":
-        problem = Problem(kind, args.k, pattern_edges=load_pattern(args.pattern).edges)
+        H = _load_pattern_of_size(args.pattern, args.k)
+        # diagnose_solution's isomorphism test is factorial in the pattern size
+        if H.k > MAX_PATTERN_SIZE:
+            raise PatternTooLargeError(f"pattern size {H.k} exceeds {MAX_PATTERN_SIZE}")
+        problem = Problem(kind, args.k, pattern_edges=H.edges)
     else:
         problem = Problem(kind, args.k)
     reason = diagnose_solution(G, problem, vertices)
@@ -340,7 +350,7 @@ def cmd_bench(args) -> int:
                     if algo == "fast":
                         solve_multidom_fast(G, args.k, args.r, "multiple", stats=stats)
                     elif algo == "brute":
-                        solve_multidom_bruteforce(G, args.k, args.r, "multiple")
+                        oracle_multidom(G, args.k, args.r, "multiple", max_n=G.n)
                     else:
                         raise CliError(f"unknown bench algo {algo!r}")
                     elapsed = "" if args.no_timing else round(
@@ -348,7 +358,7 @@ def cmd_bench(args) -> int:
                     fam = stats.get("candidate_family_sizes") or ["", ""]
                     writer.writerow([algo, n, G.m, args.k, args.r, rep, args.seed,
                                      fam[0], fam[1],
-                                     stats.get("scalar_op_count", ""), elapsed])
+                                     stats.get("rows_drawn", ""), elapsed])
     sys.stdout.write(buf.getvalue())
     return 0
 
@@ -404,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--format", default="edgelist", choices=["edgelist", "dimacs"])
     pv.set_defaults(func=cmd_verify)
 
-    pb = sub.add_parser("bench", help="parameter sweep with op counts")
+    pb = sub.add_parser("bench", help="parameter sweep with join row counts")
     pb.add_argument("--n", required=True, help="comma-separated vertex counts")
     pb.add_argument("--density", required=True, help="comma-separated m/n targets")
     pb.add_argument("--k", type=int, required=True)

@@ -195,30 +195,6 @@ def verify_solution(G: Graph, problem: Problem, vertices: Sequence[int]) -> bool
     return diagnose_solution(G, problem, vertices) is None
 
 
-def solve_multidom_bruteforce(G: Graph, k: int, r: int, variant: str) -> Solution | None:
-    """Exhaustive scan over all k-subsets in lexicographic order; first
-    feasible subset wins. Ground truth for the fast solvers."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if not (1 <= r <= k <= G.n):
-        raise ValueError(f"need 1 <= r <= k <= n, got r={r}, k={k}, n={G.n}")
-    problem = Problem(variant, k, r)
-    mask_of = G.neighbor_mask if variant == "multiple" else G.closed_mask
-    masks = [mask_of(v) for v in range(G.n)]
-    for S in itertools.combinations(range(G.n), k):
-        smask = _set_mask(S)
-        ok = True
-        for v in range(G.n):
-            if variant == "multiple" and (smask >> v) & 1:
-                continue
-            if (masks[v] & smask).bit_count() < r:
-                ok = False
-                break
-        if ok:
-            return Solution(problem, S)
-    return None
-
-
 def build_candidate_families(G: Graph, k: int, r: int) -> tuple[CandidateFamily, CandidateFamily]:
     """The two families whose disjoint unions cover every k-set with >= r
     heavy vertices: sizes ceil((k-r)/2)+floor(r/2) and floor((k-r)/2)+ceil(r/2),
@@ -493,8 +469,6 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     fam_s, fam_t = build_candidate_families(G, k, r)
     if stats is not None:
         stats["candidate_family_sizes"] = [len(fam_s.members), len(fam_t.members)]
-        stats["product_dims"] = [len(fam_s.members), G.n, len(fam_t.members)]
-        stats["scalar_op_count"] = len(fam_s.members) * G.n * len(fam_t.members)
     for i, j in pair_join(G, fam_s.members, fam_t.members, r, variant, stats=stats):
         return Solution(Problem(variant, k, r), tuple(sorted(fam_s.members[i] + fam_t.members[j])))
     return None

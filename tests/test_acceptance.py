@@ -19,7 +19,6 @@ from domlab import (
     Pattern,
     Problem,
     build_candidate_families,
-    complement_zero_pairs,
     detect_unbalanced_kclique,
     enumerate_cliques,
     grouping_parameters,
@@ -39,7 +38,7 @@ from domlab import (
     verify_reduction,
     verify_solution,
 )
-from domlab.algebra import BoolMatrix
+from domlab.algebra import BoolMatrix, complement_zero_pairs
 from domlab.cli import closed_form_family_size, main, _random_gnm
 
 from .conftest import complete_graph, cycle_graph, path_graph, random_graph

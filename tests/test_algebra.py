@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from domlab import BoolMatrix, complement_zero_pairs
+from domlab.algebra import BoolMatrix, complement_zero_pairs
 
 from .reference_algebra import (
     PolyMatrix,

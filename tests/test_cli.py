@@ -13,7 +13,7 @@ from domlab import cli
 from domlab.cli import main
 
 from .conftest import cycle_graph, path_graph
-from domlab import Graph, save_graph
+from domlab import Graph, save_graph, solve_multidom_fast
 
 
 @pytest.fixture
@@ -217,6 +217,37 @@ def test_solve_malformed_pattern_exits_two(tmp_path, capsys, c5_file, payload, f
     assert str(pattern) in captured.err and field in captured.err
 
 
+@pytest.mark.parametrize("edges", [[[3, 4]], [[0, 1], [3, 4]]],
+                         ids=["edge-beyond-k", "edges-within-k"])
+def test_verify_pattern_size_mismatch_exits_two(tmp_path, capsys, c5_file, edges):
+    pattern = tmp_path / "pattern.json"
+    pattern.write_text(json.dumps({"k": 5, "edges": edges}))
+    solution = tmp_path / "sol.json"
+    solution.write_text("[0, 1, 3]")
+    assert main(["verify", c5_file, "--problem", "pattern", "--pattern", str(pattern),
+                 "--k", "3", "--solution", str(solution)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pattern has 5 vertices but --k is 3\n"
+
+
+def test_verify_oversized_pattern_exits_two(tmp_path, capsys):
+    # C4 + C5 against the 9-cycle: the same edge count and degree sequence,
+    # so without the size cap the isomorphism test tries all 9! permutations
+    gpath = tmp_path / "c4c5.txt"
+    save_graph(Graph(9, [(0, 1), (1, 2), (2, 3), (0, 3),
+                         (4, 5), (5, 6), (6, 7), (7, 8), (4, 8)]), gpath)
+    pattern = tmp_path / "c9.json"
+    pattern.write_text(json.dumps({"k": 9, "edges": [[i, (i + 1) % 9] for i in range(9)]}))
+    solution = tmp_path / "sol.json"
+    solution.write_text(json.dumps(list(range(9))))
+    assert main(["verify", str(gpath), "--problem", "pattern", "--pattern", str(pattern),
+                 "--k", "9", "--solution", str(solution)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pattern size 9 exceeds 8\n"
+
+
 @pytest.mark.parametrize("payload, field", [
     ({"k": 2, "d": 3, "sets": 5}, "'sets'"),
     ([1], "expected an object"),
@@ -323,6 +354,16 @@ def test_bench_rows_and_determinism(capsys):
     lines = first.strip().splitlines()
     assert lines[0].startswith("algo,n,m,k,r,rep,seed")
     assert len(lines) == 1 + 2 * 2 * 2  # header + n * density * reps
+    header = lines[0].split(",")
+    assert "rows_drawn" in header
+    runs = [(n, dens, rep) for n in (16, 20) for dens in (2.0, 4.0) for rep in (0, 1)]
+    for line, (n, dens, rep) in zip(lines[1:], runs):
+        row = dict(zip(header, line.split(",")))
+        assert (row["algo"], row["n"], row["rep"]) == ("fast", str(n), str(rep))
+        G = cli._random_gnm(random.Random(f"9:{n}:{dens}:{rep}"), n, int(dens * n))
+        stats = {}
+        solve_multidom_fast(G, 4, 2, "multiple", stats=stats)
+        assert int(row["rows_drawn"]) == stats["rows_drawn"]
 
 
 def _list_random_gnm(rng: random.Random, n: int, m: int) -> Graph:

@@ -22,11 +22,11 @@ from domlab import (
     heavy_vertices,
     list_2_dominating_sets,
     list_dominating_ksets,
+    oracle_multidom,
     oracle_unbalanced_clique,
     OVInstance,
     ov_to_multidom,
     solve_ov_bruteforce,
-    solve_multidom_bruteforce,
     solve_multidom_fast,
     solve_multidom_kminus1,
     verify_solution,
@@ -37,24 +37,24 @@ from .reference_algebra import PolyMatrix, min_degree, poly_mat_mul, poly_mono
 
 
 def test_bruteforce_c5_multiple():
-    sol = solve_multidom_bruteforce(cycle_graph(5), 3, 2, "multiple")
+    sol = oracle_multidom(cycle_graph(5), 3, 2, "multiple")
     assert sol is not None and verify_solution(cycle_graph(5), sol.problem, sol.vertices)
 
 
 def test_bruteforce_p4_distinguishes_variants():
     P4 = path_graph(4)
-    assert solve_multidom_bruteforce(P4, 3, 2, "multiple").vertices == (0, 1, 3)
-    assert solve_multidom_bruteforce(P4, 3, 2, "tuple") is None
+    assert oracle_multidom(P4, 3, 2, "multiple").vertices == (0, 1, 3)
+    assert oracle_multidom(P4, 3, 2, "tuple") is None
 
 
 def test_bruteforce_k4_tuple():
-    sol = solve_multidom_bruteforce(complete_graph(4), 3, 3, "tuple")
+    sol = oracle_multidom(complete_graph(4), 3, 3, "tuple")
     assert sol.vertices == (0, 1, 2)
 
 
 def test_bruteforce_returns_lexicographically_least():
     G = cycle_graph(5)
-    sol = solve_multidom_bruteforce(G, 3, 2, "multiple")
+    sol = oracle_multidom(G, 3, 2, "multiple")
     earlier = [S for S in itertools.combinations(range(5), 3) if S < sol.vertices]
     assert all(not verify_solution(G, sol.problem, S) for S in earlier)
 
@@ -126,7 +126,7 @@ def test_fast_agrees_with_bruteforce(seed, n, p, k, r, variant):
         return
     G = random_graph(seed, n, p)
     fast = solve_multidom_fast(G, k, r, variant)
-    brute = solve_multidom_bruteforce(G, k, r, variant)
+    brute = oracle_multidom(G, k, r, variant)
     assert (fast is None) == (brute is None)
     if fast is not None:
         assert verify_solution(G, fast.problem, fast.vertices)
@@ -316,9 +316,10 @@ def test_2_dominating_sets_skip_join_without_heavy_vertex(monkeypatch):
 def test_fast_reports_stats():
     stats = {}
     solve_multidom_fast(cycle_graph(6), 3, 1, "multiple", stats=stats)
-    fam_s, fam_t = stats["candidate_family_sizes"]
-    assert stats["product_dims"] == [fam_s, 6, fam_t]
-    assert stats["scalar_op_count"] == fam_s * 6 * fam_t
+    # every vertex of C6 is heavy for k = 3 (|N[v]| = 3 >= 6/3), so the
+    # families are all 1-sets and all 2-sets
+    assert stats["candidate_family_sizes"] == [6, 15]
+    assert "product_dims" not in stats and "scalar_op_count" not in stats
 
 
 def _reference_pair_join(G, rows, cols, r, variant, universe=None):
@@ -525,7 +526,7 @@ def test_tuple_solutions_map_to_cliques():
     for seed in range(40):
         G = random_graph(seed, 9, 0.6)
         for k in (3, 4):
-            sol = solve_multidom_bruteforce(G, k, k - 1, "tuple")
+            sol = oracle_multidom(G, k, k - 1, "tuple")
             kp, labels = build_clique_graph(G, k)
             assert (sol is not None) == (detect_unbalanced_kclique(kp) is not None)
 
@@ -547,7 +548,7 @@ def test_pipeline_c6_matches_bruteforce():
     kp, _ = build_clique_graph(C6, 3)
     assert detect_unbalanced_kclique(kp) is None
     sol = solve_multidom_kminus1(C6, 3)
-    brute = solve_multidom_bruteforce(C6, 3, 2, "multiple")
+    brute = oracle_multidom(C6, 3, 2, "multiple")
     assert sol is not None and brute is not None
     assert sol.vertices == brute.vertices == (0, 2, 4)
 
@@ -560,7 +561,7 @@ def test_pipeline_agrees_with_bruteforce(seed, n, k, p):
         return
     G = random_graph(seed, n, p)
     sol = solve_multidom_kminus1(G, k)
-    brute = solve_multidom_bruteforce(G, k, k - 1, "multiple")
+    brute = oracle_multidom(G, k, k - 1, "multiple")
     assert (sol is None) == (brute is None)
     if sol is not None:
         assert verify_solution(G, sol.problem, sol.vertices)

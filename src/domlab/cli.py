@@ -89,10 +89,14 @@ def _require(args, context: str, flags) -> None:
 
 def _load_pattern_of_size(path, k: int) -> Pattern:
     """The pattern in file `path`; SizeWindowError (exit code 2) unless it
-    has exactly k vertices."""
+    has exactly k vertices, and PatternTooLargeError (exit code 2) above
+    MAX_PATTERN_SIZE vertices, since every isomorphism test against it, in
+    `solve` (either algo) or `verify`, is factorial in its size."""
     H = load_pattern(path)
     if H.k != k:
         raise SizeWindowError(f"pattern has {H.k} vertices but --k is {k}")
+    if H.k > MAX_PATTERN_SIZE:
+        raise PatternTooLargeError(f"pattern size {H.k} exceeds {MAX_PATTERN_SIZE}")
     return H
 
 
@@ -294,9 +298,6 @@ def cmd_verify(args) -> int:
         problem = Problem(kind, args.k, args.r)
     elif kind == "pattern":
         H = _load_pattern_of_size(args.pattern, args.k)
-        # diagnose_solution's isomorphism test is factorial in the pattern size
-        if H.k > MAX_PATTERN_SIZE:
-            raise PatternTooLargeError(f"pattern size {H.k} exceeds {MAX_PATTERN_SIZE}")
         problem = Problem(kind, args.k, pattern_edges=H.edges)
     else:
         problem = Problem(kind, args.k)

@@ -11,8 +11,9 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import add, or_, sub
+from functools import cached_property, reduce
+from math import comb
+from operator import add, or_, rshift, sub
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import iter_bits
@@ -45,11 +46,96 @@ class Solution:
 @dataclass(frozen=True)
 class CandidateFamily:
     """All vertex subsets of a fixed size containing at least `quota` heavy
-    vertices, lexicographically sorted."""
+    vertices, lexicographically sorted.
+
+    `members` is the concatenation of `blocks`, in order. A block
+    (offset, prefix, left, start, in_heavy) holds the members from index
+    `offset` on: prefix + t for each t in combinations(ids[start:], left),
+    where ids is `heavy` (G's heavy ids, sorted) when in_heavy is true and
+    range(n) otherwise.
+
+    `column_masks[u]` is the bitmask of the indices j with u in members[j],
+    for u < n: what `pair_join` needs for its columns. It is derived from
+    the blocks by `_block_masks` the first time a join asks for it, and then
+    kept, so a family shared by both sides of a join builds it once.
+    """
 
     size: int
     quota: int
     members: tuple[tuple[int, ...], ...]
+    n: int
+    heavy: tuple[int, ...]
+    blocks: tuple[tuple[int, tuple[int, ...], int, int, bool], ...]
+
+    @cached_property
+    def column_masks(self) -> list[int]:
+        return _block_masks(self.n, self.heavy, self.blocks, len(self.members))
+
+
+def _block_masks(n: int, heavy: Sequence[int],
+                 blocks: Sequence[tuple[int, tuple[int, ...], int, int, bool]],
+                 count: int) -> list[int]:
+    """Column masks of `count` members laid out as `blocks` (see
+    `CandidateFamily`): masks[u] has bit j when u is in member j, for u < n.
+
+    - Each prefix vertex of a block takes the block's whole index range, one
+      OR per prefix vertex.
+    - A left = 1 block gives ids[i] the bit offset + i - start for each
+      i >= start: a diagonal. It enters a running sum over the ids as
+      1 << (offset - start + len(ids)), at index start; at index i the sum
+      shifted right by len(ids) - i holds the bits of every diagonal begun
+      so far. Blocks are disjoint, so no two diagonals of one sum share a
+      bit.
+    - The tails combinations(ids[start:], left) of a left >= 2 block are,
+      over local indices, a suffix of combinations(range(L), left) for the
+      longest L any block of that `left` draws from: the last
+      C(len(ids) - start, left) of them, on the last len(ids) - start
+      local indices. So one `_tail_masks(L, left)` serves every such
+      block: shifted down past the members it drops, then up to the
+      block's offset.
+    So a block costs one OR per prefix vertex, plus one shift pair per tail
+    id when left >= 2; the diagonals cost n + len(heavy) shifts, and each
+    tail size its `_tail_masks` once. `_column_masks` sets one bit per
+    member vertex instead.
+    """
+    masks = [0] * n
+    spaces = (range(n), heavy)
+    # longest[left]: the most ids a tail of that size draws from
+    longest: dict[int, int] = {}
+    for _, _, left, start, in_heavy in blocks:
+        if left > 1:
+            longest[left] = max(longest.get(left, 0), len(spaces[in_heavy]) - start)
+    tails = {left: _tail_masks(size, left) for left, size in longest.items()}
+    # enters[in_heavy][i]: the diagonals that begin at index i
+    enters = ([0] * n, [0] * len(heavy))
+    ends = itertools.chain((block[0] for block in blocks[1:]), (count,))
+    for (offset, prefix, left, start, in_heavy), end in zip(blocks, ends):
+        span = ((1 << (end - offset)) - 1) << offset
+        for v in prefix:
+            masks[v] |= span
+        ids = spaces[in_heavy]
+        if left == 1:
+            enters[in_heavy][start] |= 1 << (offset - start + len(ids))
+            continue
+        size, most = len(ids) - start, longest[left]
+        drop = comb(most, left) - comb(size, left)
+        for v, tail in zip(ids[start:], tails[left][most - size:]):
+            masks[v] |= tail >> drop << offset
+    for ids, enter in zip(spaces, enters):
+        diagonals = itertools.accumulate(enter, or_)
+        for v, bits in zip(ids, map(rshift, diagonals, range(len(ids), 0, -1))):
+            masks[v] |= bits
+    return masks
+
+
+def _tail_masks(size: int, left: int) -> list[int]:
+    """Column masks of combinations(range(size), left), for left >= 2: one
+    block per first element a, with prefix (a,) and tails of left - 1."""
+    blocks, offset = [], 0
+    for a in range(size - left + 1):
+        blocks.append((offset, (a,), left - 1, a + 1, False))
+        offset += comb(size - 1 - a, left - 1)
+    return _block_masks(size, (), blocks, offset)
 
 
 class KPartiteGraph:
@@ -206,10 +292,12 @@ def build_candidate_families(G: Graph, k: int, r: int) -> tuple[CandidateFamily,
     prefix takes its next vertex v only while at least q heavy ids are >= v,
     so every prefix leads to a member. Once q = 0 every tail is a
     `combinations` of the ids after the prefix, and once left = q of the
-    heavy ids after it; both are appended to the prefix in C. The cost is at
-    most (members kept) x size, plus n, not C(n, size), with no sort. When k
-    and r are both even the two families are equal, and one tuple of members
-    serves both.
+    heavy ids after it; both are appended to the prefix in C, and recorded as
+    one block of the family (see `CandidateFamily`), from which a join
+    derives the column masks. The cost is at most (members kept) x size,
+    plus n, not C(n, size), with no sort. When k and r are both even the two
+    families are equal, and one `CandidateFamily`, with its masks, serves
+    both.
     """
     if not (1 <= r <= k - 1):
         raise ValueError(f"need 1 <= r <= k-1, got r={r}, k={k}")
@@ -224,30 +312,35 @@ def build_candidate_families(G: Graph, k: int, r: int) -> tuple[CandidateFamily,
     size_t = (k - r) // 2 + (r + 1) // 2
     quota_t = (r + 1) // 2
 
-    def members(size: int, quota: int) -> tuple[tuple[int, ...], ...]:
+    def family(size: int, quota: int) -> CandidateFamily:
         out: list[tuple[int, ...]] = []
+        blocks = []
         # (prefix, start, left, q), popped in lexicographic order of prefix;
         # for every entry at least q heavy ids are >= start
         stack = [((), 0, size, quota)] if quota <= h else []
         while stack:
             prefix, start, left, q = stack.pop()
             if q <= 0:
+                block = (len(out), prefix, left, start, False)
                 tails = itertools.combinations(range(start, n), left)
             elif left == q:
-                tails = itertools.combinations(heavy[bisect_left(heavy, start):], left)
+                first = bisect_left(heavy, start)
+                block = (len(out), prefix, left, first, True)
+                tails = itertools.combinations(heavy[first:], left)
             else:
                 # the last v with q heavy ids >= v is heavy[h - q]
                 stop = min(n - left, heavy[h - q]) + 1
                 stack.extend((prefix + (v,), v + 1, left - 1, q - is_heavy[v])
                              for v in reversed(range(start, stop)))
                 continue
+            blocks.append(block)
             out.extend(map(add, itertools.repeat(prefix), tails))
-        return tuple(out)
+        return CandidateFamily(size, quota, tuple(out), n, heavy, tuple(blocks))
 
-    fam_s = CandidateFamily(size_s, quota_s, members(size_s, quota_s))
+    fam_s = family(size_s, quota_s)
     if (size_t, quota_t) == (size_s, quota_s):
         return fam_s, fam_s
-    return fam_s, CandidateFamily(size_t, quota_t, members(size_t, quota_t))
+    return fam_s, family(size_t, quota_t)
 
 
 def _at_least(masks: Iterable[int], r: int, full: int) -> list[int]:
@@ -261,6 +354,13 @@ def _at_least(masks: Iterable[int], r: int, full: int) -> list[int]:
             two |= one & m
             one |= m
         return [full, full & one, full & two]
+    if r == 3:
+        one = two = three = 0
+        for m in masks:
+            three |= two & m
+            two |= one & m
+            one |= m
+        return [full, full & one, full & two, full & three]
     ge = [full] + [0] * r
     for m in masks:
         for b in range(r, 0, -1):
@@ -270,6 +370,10 @@ def _at_least(masks: Iterable[int], r: int, full: int) -> list[int]:
 
 def _column_masks(n: int, cols: Sequence[tuple[int, ...]]) -> list[int]:
     """masks[u]: the bitmask of the indices j with u in cols[j], for u < n.
+
+    For columns that come as a plain sequence: the singleton, clique and
+    matching columns. A `CandidateFamily` derives its masks from its blocks
+    instead (`CandidateFamily.column_masks`).
 
     Each `masks[u] |= 1 << j` copies u's mask, so a vertex that sits in
     many of a long list of columns costs time quadratic in the column
@@ -294,7 +398,8 @@ def _column_masks(n: int, cols: Sequence[tuple[int, ...]]) -> list[int]:
     return list(map(int.from_bytes, bufs, itertools.repeat("little")))
 
 
-def pair_join(G: Graph, rows: Iterable[tuple[int, ...]], cols: Sequence[tuple[int, ...]],
+def pair_join(G: Graph, rows: Iterable[tuple[int, ...]],
+              cols: CandidateFamily | Sequence[tuple[int, ...]],
               r: int, variant: str, universe: int | None = None,
               stats: dict | None = None) -> Iterator[tuple[int, int]]:
     """Every (i, j) whose i-th row member and member cols[j] are disjoint and
@@ -302,10 +407,13 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]], cols: Sequence[tuple[in
     default all of V) at least r times under `variant`. With members inside
     `universe`, this is the join on the subgraph `universe` induces.
 
-    `rows` may be any iterable, a generator included: it is walked once, and
-    only as far as the consumer reads pairs, so a caller that stops at the
-    first pair never builds the rows after its row. `cols` must be a
-    sequence; every column enters the bitmasks before the first row is drawn.
+    `rows` may be any iterable of non-empty tuples, a generator included: it
+    is walked once, and only as far as the consumer reads pairs, so a caller
+    that stops at the first pair never builds the rows after its row. `cols`
+    is a sequence of members, or a `CandidateFamily` whose members are the
+    columns; every column enters the bitmasks before the first row is drawn.
+    A family brings its own `column_masks`, built from its blocks once per
+    family; a sequence gets them from `_column_masks`.
 
     "multiple" counts open-neighborhood dominators and exempts the union's own
     vertices; "tuple" counts closed-neighborhood dominators at every vertex.
@@ -322,21 +430,31 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]], cols: Sequence[tuple[in
     the first time a row draws v, so vertices no row leaves short cost
     nothing.
 
-    Row certificate. Consecutive rows often share a prefix P = S[:-1] (the
+    Levels per prefix. A row S = P + (b,) is read as its prefix P and its
+    last vertex b. The loop keeps, for the current prefix, the OR of the
+    column masks of P's members and levels(P): entry c holds the vertices P
+    dominates at least c times (plus P's own vertices under "multiple"),
+    capped at r. The empty prefix of size-1 rows has [vfull, 0, ...]. A
+    walked row's levels are one saturating step from P's:
+    lev[c] = lp[c] | lp[c - 1] & m, with m = N[b] under "tuple" and
+    m = N(b) under "multiple", where bit b then joins every level. So each
+    prefix builds its levels once, for its certificate and all its rows.
+
+    Row certificate. Consecutive rows often share a prefix P (the
     lexicographic families, clique rows S + (h,), matching endpoint
-    tuples). Let b = S[-1]. A vertex w outside N[b] gets the same level from
-    S as from P, in both variants and under any `universe`: b neither
-    dominates w nor, under "multiple", exempts it. So each gap mask that P
-    gives such a w is a gap mask of S too, as are the columns meeting P. On
-    the second row of a run the join picks K_P: vertices short under P,
-    lowest level first (their gap masks are the widest), then lowest degree
-    first (few N[b] meet them), until their gap masks under P and the
-    columns meeting P cover every column. With K_P it keeps `hit`, the OR of
-    N[w] over w in K_P. Closed neighbourhoods are symmetric (b is in N[w]
-    iff w is in N[b]), so `hit` is the set of b whose N[b] meets K_P. A
-    later row P + (b,) with b outside `hit` then has no pair, and one bit
-    test replaces its gap walk. The first row of each run, the rows of a
-    prefix with no such K_P, and size-1 rows (empty P) are walked as above.
+    tuples). A vertex w outside N[b] gets the same level from S as from P,
+    in both variants and under any `universe`: b neither dominates w nor,
+    under "multiple", exempts it. So each gap mask that P gives such a w is
+    a gap mask of S too, as are the columns meeting P. On the second row of
+    a run the join picks K_P: vertices short under P, lowest level first
+    (their gap masks are the widest), then lowest degree first (few N[b]
+    meet them), until their gap masks under P and the columns meeting P
+    cover every column. With K_P it keeps `hit`, the OR of N[w] over w in
+    K_P. Closed neighbourhoods are symmetric (b is in N[w] iff w is in
+    N[b]), so `hit` is the set of b whose N[b] meets K_P. A later row
+    P + (b,) with b outside `hit` then has no pair, and one bit test
+    replaces its gap walk. The first row of each run, the rows of a prefix
+    with no such K_P, and size-1 rows (empty P) are walked as above.
     Certified rows yield nothing and every other row is walked unchanged,
     so the pairs and their order are exactly those of the plain walk.
 
@@ -350,9 +468,13 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]], cols: Sequence[tuple[in
     multiple = variant == "multiple"
     nbr = G.neighbor_mask
     # contains[u]: the columns that hold u
-    contains = _column_masks(G.n, cols)
+    if isinstance(cols, CandidateFamily):
+        contains, cols = cols.column_masks, cols.members
+    else:
+        contains = _column_masks(G.n, cols)
     full = (1 << len(cols)) - 1
     vfull = G.full_mask() if universe is None else universe
+    offsets, neighbors = G.offsets, G.neighbors
     # below[v][b]: the columns that give v fewer than b dominators
     below: list[list[int] | None] = [None] * G.n
     # one vertex mask per distinct degree, lowest degree first; built by
@@ -362,37 +484,34 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]], cols: Sequence[tuple[in
     def below_of(v: int) -> list[int]:
         if stats is not None:
             stats["below_built"] += 1
-        nbrs = G.adjacency(v) if multiple else G.adjacency(v) + (v,)
-        ge = _at_least(map(contains.__getitem__, nbrs), r, full)
+        nbrs = neighbors[offsets[v]:offsets[v + 1]]
+        ge = _at_least(map(contains.__getitem__, nbrs if multiple else nbrs + (v,)), r, full)
         if multiple:
             ge = [m | contains[v] for m in ge]
         below[v] = [full ^ m for m in ge]
         return below[v]
 
-    def levels(S: tuple[int, ...]) -> list[int]:
+    def levels(P: tuple[int, ...]) -> list[int]:
         if multiple:
-            smask = _set_mask(S)
-            return [m | smask for m in _at_least(map(nbr, S), r, vfull)]
-        return _at_least((nbr(s) | 1 << s for s in S), r, vfull)
+            pmask = _set_mask(P)
+            return [m | pmask for m in _at_least(map(nbr, P), r, vfull)]
+        return _at_least((nbr(s) | 1 << s for s in P), r, vfull)
 
-    def certificate(P: tuple[int, ...]) -> int | None:
+    def certificate(P: tuple[int, ...], covered: int, lp: list[int]) -> int | None:
         """`hit` for K_P, or None when P's short vertices leave a column
-        uncovered."""
+        uncovered; `covered` holds the columns meeting P."""
         if stats is not None:
             stats["gap_masks"] += len(P)
-        covered = reduce(or_, map(contains.__getitem__, P), 0)
         if covered == full:
             return 0
         if not buckets:
             by_degree: dict[int, int] = {}
-            offsets = G.offsets
             for v, d in enumerate(map(sub, itertools.islice(offsets, 1, None), offsets)):
                 by_degree[d] = by_degree.get(d, 0) | 1 << v
             buckets.extend(by_degree[d] for d in sorted(by_degree))
-        lev = levels(P)
         hit = 0
         for c in range(r):
-            short = lev[c] ^ lev[c + 1]
+            short = lp[c] ^ lp[c + 1]
             for bucket in buckets:
                 ws = bucket & short
                 if not ws:
@@ -418,21 +537,28 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]], cols: Sequence[tuple[in
         for i, S in enumerate(rows):
             if stats is not None:
                 stats["rows_drawn"] += 1
-            P = S[:-1]
+            P, b = S[:-1], S[-1]
             if P != prefix:
                 prefix, hit, pending = P, None, bool(P)
+                # the columns meeting P, levels(P), and levels(P) one level up
+                cp = reduce(or_, map(contains.__getitem__, P), 0)
+                lp = levels(P)
+                up = [0] + lp[:-1]
             elif pending:
-                hit, pending = certificate(P), False
-            if hit is not None and not (hit >> S[-1]) & 1:
+                hit, pending = certificate(P, cp, lp), False
+            if hit is not None and not (hit >> b) & 1:
                 if stats is not None:
                     stats["rows_certified"] += 1
                 continue
-            seen = 0
-            for s in S:
-                seen |= contains[s]
+            seen = cp | contains[b]
             ored = len(S)
             if seen != full:
-                lev = levels(S)
+                # lev[c] = lp[c] | lp[c - 1] & m, with b exempt under "multiple"
+                if multiple:
+                    m, own = nbr(b), 1 << b
+                else:
+                    m, own = nbr(b) | 1 << b, 0
+                lev = [x | y & m | own for x, y in zip(lp, up)]
                 for c in range(r):
                     short = lev[c] ^ lev[c + 1]
                     while short and seen != full:
@@ -469,7 +595,7 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     fam_s, fam_t = build_candidate_families(G, k, r)
     if stats is not None:
         stats["candidate_family_sizes"] = [len(fam_s.members), len(fam_t.members)]
-    for i, j in pair_join(G, fam_s.members, fam_t.members, r, variant, stats=stats):
+    for i, j in pair_join(G, fam_s.members, fam_t, r, variant, stats=stats):
         return Solution(Problem(variant, k, r), tuple(sorted(fam_s.members[i] + fam_t.members[j])))
     return None
 

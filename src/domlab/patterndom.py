@@ -298,7 +298,7 @@ def list_dominating_ksets(G: Graph, k: int) -> Iterator[tuple[int, ...]]:
         return
     fam_s, fam_t = build_candidate_families(G, k, 1)
     seen: set[tuple[int, ...]] = set()
-    for i, j in pair_join(G, fam_s.members, fam_t.members, 1, "tuple"):
+    for i, j in pair_join(G, fam_s.members, fam_t, 1, "tuple"):
         # disjoint members of sizes summing to k: the union has k vertices
         cand = tuple(sorted(fam_s.members[i] + fam_t.members[j]))
         if cand not in seen:

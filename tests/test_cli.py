@@ -248,6 +248,18 @@ def test_verify_oversized_pattern_exits_two(tmp_path, capsys):
     assert captured.err == "error: pattern size 9 exceeds 8\n"
 
 
+def test_solve_brute_oversized_pattern_exits_two(tmp_path, capsys, c5_file):
+    # the brute-force decider tests every dominating 9-set against the
+    # pattern by permutation search, so it needs the same cap as the fast path
+    pattern = tmp_path / "p9.json"
+    pattern.write_text(json.dumps({"k": 9, "edges": [[i, i + 1] for i in range(8)]}))
+    assert main(["solve", c5_file, "--problem", "pattern", "--pattern", str(pattern),
+                 "--k", "9", "--algo", "brute"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pattern size 9 exceeds 8\n"
+
+
 @pytest.mark.parametrize("payload, field", [
     ({"k": 2, "d": 3, "sets": 5}, "'sets'"),
     ([1], "expected an object"),

@@ -277,6 +277,79 @@ def test_families_match_filtered_scan_on_hub_graphs():
     assert reached == {"b-hubs", "quota-0"}
 
 
+def test_family_masks_match_column_masks():
+    # the masks built from the blocks equal the per-member bit sets;
+    # quota-0 families are one block over range(n) (left = size), quota
+    # families add prefix blocks with vertex or heavy tails
+    reached = set()
+    hub_graphs = [_planted_hub_graph(seed, n, hubs)
+                  for seed, (n, hubs) in enumerate([(40, 3), (30, 4), (24, 5), (18, 2)])]
+    for G in _equivalence_graphs()[::3] + hub_graphs:
+        for k in range(2, 8):
+            for r in range(1, k):
+                fam_s, fam_t = build_candidate_families(G, k, r)
+                if fam_s is fam_t:
+                    reached.add("shared")
+                for fam in {id(fam_s): fam_s, id(fam_t): fam_t}.values():
+                    assert fam.column_masks == multidom._column_masks(G.n, fam.members), (
+                        G.n, k, r, fam.size, fam.quota)
+                    for _, _, left, _, in_heavy in fam.blocks:
+                        if in_heavy:
+                            reached.add("heavy-tail")
+                        if left == 2:
+                            reached.add("left-2")
+    assert reached == {"shared", "heavy-tail", "left-2"}
+
+
+def _join_instances():
+    """(G, k) pairs: seeded ov_to_multidom targets (k = 4, r = 1..3) and
+    random graphs."""
+    out = []
+    for seed in range(6):
+        rng = random.Random(f"join-ov:{seed}")
+        inst = OVInstance.from_lists(5, [[tuple(int(rng.random() >= 0.4) for _ in range(5))
+                                          for _ in range(size)] for size in (2, 2, 3, 2)])
+        out.append((ov_to_multidom(inst, 1 + seed % 3).graph, 4))
+    for seed in range(40):
+        rng = random.Random(f"join-random:{seed}")
+        out.append((random_graph(f"join-random:{seed}", rng.randint(3, 10),
+                                 rng.choice([0.2, 0.4, 0.6])), rng.randint(2, 5)))
+    return out
+
+
+def test_pair_join_family_columns_match_member_columns():
+    # a CandidateFamily brings its block-built masks; a plain list of the
+    # same members gets `_column_masks`; pairs and counters must agree
+    pairs = 0
+    for G, k in _join_instances():
+        for r in range(1, k):
+            fam_s, fam_t = build_candidate_families(G, k, r)
+            for variant in multidom.VARIANTS:
+                by_family, by_list = {}, {}
+                got = list(multidom.pair_join(G, fam_s.members, fam_t, r, variant,
+                                              stats=by_family))
+                assert got == list(multidom.pair_join(G, fam_s.members, list(fam_t.members),
+                                                      r, variant, stats=by_list)), (G.n, k, r)
+                assert by_family == by_list
+                pairs += len(got)
+    assert pairs > 0
+
+
+def test_family_joins_skip_column_masks(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("_column_masks called on a candidate family")
+
+    monkeypatch.setattr(multidom, "_column_masks", fail)
+    drawn = 0
+    for G, k in _join_instances()[::4]:
+        for r in range(1, k):
+            stats = {}
+            solve_multidom_fast(G, k, r, "multiple", stats=stats)
+            drawn += stats.get("rows_drawn", 0)
+        list(list_dominating_ksets(G, k))
+    assert drawn > 0
+
+
 def test_2_dominating_sets_match_full_scan():
     # a pair (u, v) with only v heavy is found from v's row; the output
     # must still list it as (u, v)
@@ -347,7 +420,7 @@ def test_pair_join_matches_nested_reference():
         G = random_graph(seed, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
         universe = None if seed % 3 else rng.getrandbits(n)
         for variant in ("multiple", "tuple"):
-            for r in (1, 2, 3):
+            for r in (1, 2, 3, 4):
                 s_size, t_size = rng.randint(1, 3), rng.randint(1, 3)
                 rows = list(itertools.combinations(range(n), s_size))
                 cols = list(itertools.combinations(range(n), t_size))

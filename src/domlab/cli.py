@@ -41,6 +41,7 @@ from .patterndom import (
 )
 from .reductions import (
     OVInstance,
+    indepset_groups,
     indepset_to_multidom,
     load_ov,
     ov_to_hdom,
@@ -240,9 +241,13 @@ def cmd_generate(args) -> int:
              sources + REDUCTION_PARAMS[args.reduction])
     rng = random.Random(args.seed)
     if args.reduction == "is-multidom":
-        gamma = Fraction(args.gamma)
+        try:
+            gamma = Fraction(args.gamma)
+        except (ValueError, ZeroDivisionError):
+            raise CliError(f"--gamma must be a fraction p/q, got {args.gamma!r}") from None
         kprime = (args.k - 1) * gamma.numerator + gamma.denominator
         part_sizes = [args.part_size] * (args.d * kprime)
+        indepset_groups(part_sizes, args.k, gamma, args.d)  # before drawing the source
         source = _random_kpartite(rng, part_sizes, args.edge_prob)
         out = indepset_to_multidom(source, args.k, gamma, args.d)
         print(f"reduction: is-multidom  k={args.k}  gamma={gamma}  d={args.d}  k'={kprime}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import io
 import json
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, eq, ge, lt, mul, sub
+from operator import add, ge, lt, mul, sub
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -50,26 +50,21 @@ class Graph:
     @classmethod
     def _from_flat(cls, n: int, flat: list[int]) -> "Graph":
         """Graph on the edges (flat[0], flat[1]), (flat[2], flat[3]), ...: the
-        loaders' bulk path, with its checks done a whole list at a time."""
+        loaders' bulk path. Canonical edges (u < v, in range, keys u·n + v
+        strictly increasing) fill each adjacency list in order, checked a whole
+        list at a time; any other list goes to the constructor, which sorts,
+        dedups and names the first bad edge."""
         us, vs = flat[0::2], flat[1::2]
-        ordered = all(map(lt, us, vs))
-        if ordered:  # no self-loop, and min(flat), max(flat) are min(us), max(vs)
-            bad = us and (min(us) < 0 or max(vs) >= n)
-        else:
-            bad = min(flat) < 0 or max(flat) >= n or any(map(eq, us, vs))
-        if n < 0 or bad:
-            return cls(n, zip(us, vs))  # raises, naming the first bad edge
+        # u < v everywhere: no self-loop, and min(us), max(vs) bound all ids
+        if n < 0 or not all(map(lt, us, vs)) or us and (min(us) < 0 or max(vs) >= n):
+            return cls(n, zip(us, vs))
+        keys = list(map(add, map(mul, us, repeat(n)), vs))
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            return cls(n, zip(us, vs))
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in zip(us, vs):
             adj[u].append(v)
             adj[v].append(u)
-        # canonical edges (u < v, sorted, no repeats) fill every adjacency
-        # list in increasing order; any others need a sort and a dedup
-        if ordered:
-            keys = list(map(add, map(mul, us, repeat(n)), vs))
-            ordered = all(map(lt, keys, islice(keys, 1, None)))
-        if not ordered:
-            adj = list(map(sorted, map(set, adj)))
         G = cls.__new__(cls)
         G._set_csr(n, adj)
         return G

@@ -142,13 +142,16 @@ class KPartiteGraph:
     """k-partite graph with cross-part adjacency stored as bit rows.
 
     adj[i][a][j] is the bitmask over part j of neighbors of vertex a in
-    part i. Intra-part edges are forbidden.
+    part i. Intra-part edges and negative part sizes are refused with a
+    ValueError.
     """
 
     __slots__ = ("sizes", "adj")
 
     def __init__(self, sizes: Sequence[int], edges: Iterable[tuple[tuple[int, int], tuple[int, int]]]):
         self.sizes = tuple(sizes)
+        if min(self.sizes, default=0) < 0:
+            raise ValueError(f"part sizes must be nonnegative, got {min(self.sizes)}")
         k = len(self.sizes)
         self.adj = [[[0] * k for _ in range(s)] for s in self.sizes]
         for (i, a), (j, b) in edges:
@@ -208,7 +211,9 @@ def _edge_sets_isomorphic(k: int, edges_a: frozenset[tuple[int, int]],
 
 def diagnose_solution(G: Graph, problem: Problem, vertices: Sequence[int]) -> str | None:
     """None when `vertices` solves `problem` on G; otherwise a message naming
-    the violated condition."""
+    the violated condition: the first vertex dominated too few times, then
+    the shape (`_shape_error`). Domination is counted from the solution's
+    CSR lists, in O(n + their degrees) time, with no vertex mask."""
     S = tuple(sorted(vertices))
     if len(set(S)) != len(S):
         return "duplicate vertices in solution"
@@ -216,40 +221,38 @@ def diagnose_solution(G: Graph, problem: Problem, vertices: Sequence[int]) -> st
         return f"solution has {len(S)} vertices, expected k={problem.k}"
     if any(v < 0 or v >= G.n for v in S):
         return "vertex id out of range"
-    smask = _set_mask(S)
     kind = problem.kind
+    r = problem.r if kind in VARIANTS else 1
+    if r is None:
+        return "problem is missing r"
+    # hits[v]: the solution's vertices in N(v), and then in N[v]
+    hits = [0] * G.n
+    for v in itertools.chain.from_iterable(map(G.adjacency, S)):
+        hits[v] += 1
+    for s in S:
+        # under "multiple" the solution's own vertices are exempt
+        hits[s] = r if kind == "multiple" else hits[s] + 1
+    for v, h in enumerate(hits):
+        if h < r:
+            if kind in VARIANTS:
+                return f"vertex {v} has {h} < {r} dominators"
+            return f"vertex {v} is not dominated"
+    return _shape_error(G, problem, S)
 
-    if kind in ("multiple", "tuple"):
-        r = problem.r
-        if r is None:
-            return "problem is missing r"
-        for v in range(G.n):
-            if kind == "multiple":
-                if (smask >> v) & 1:
-                    continue
-                hits = (G.neighbor_mask(v) & smask).bit_count()
-            else:
-                hits = (G.closed_mask(v) & smask).bit_count()
-            if hits < r:
-                return f"vertex {v} has {hits} < {r} dominators"
+
+def _shape_error(G: Graph, problem: Problem, S: tuple[int, ...]) -> str | None:
+    """None when the distinct vertices S induce the shape `problem` asks for
+    (a clique, an independent set, a perfect matching, or the pattern up to
+    isomorphism), else a message naming the violated condition. Domination
+    is not checked; multiple, tuple and dominating have no shape."""
+    kind, k = problem.kind, problem.k
+    if kind in VARIANTS or kind == "dominating":
         return None
-
-    covered = 0
-    for v in S:
-        covered |= G.closed_mask(v)
-    if covered != G.full_mask():
-        missed = next(v for v in range(G.n) if not (covered >> v) & 1)
-        return f"vertex {missed} is not dominated"
-
-    if kind == "dominating":
-        return None
-
-    induced = [(u, v) for u, v in itertools.combinations(S, 2) if G.has_edge(u, v)]
-    k = problem.k
     if kind == "clique":
-        if len(induced) != k * (k - 1) // 2:
-            return "solution does not induce a clique"
-        return None
+        if all(G.has_edge(u, v) for u, v in itertools.combinations(S, 2)):
+            return None
+        return "solution does not induce a clique"
+    induced = [(u, v) for u, v in itertools.combinations(S, 2) if G.has_edge(u, v)]
     if kind == "indepset":
         if induced:
             u, v = induced[0]
@@ -258,11 +261,8 @@ def diagnose_solution(G: Graph, problem: Problem, vertices: Sequence[int]) -> st
     if kind == "matching":
         if k % 2:
             return "matching size k must be even"
-        deg = {v: 0 for v in S}
-        for u, v in induced:
-            deg[u] += 1
-            deg[v] += 1
-        if len(induced) != k // 2 or any(d != 1 for d in deg.values()):
+        # k/2 edges that touch all k vertices touch each exactly once
+        if len(induced) != k // 2 or len(set(itertools.chain.from_iterable(induced))) != k:
             return "solution does not induce a perfect matching"
         return None
     if kind == "pattern":
@@ -374,28 +374,12 @@ def _column_masks(n: int, cols: Sequence[tuple[int, ...]]) -> list[int]:
     For columns that come as a plain sequence: the singleton, clique and
     matching columns. A `CandidateFamily` derives its masks from its blocks
     instead (`CandidateFamily.column_masks`).
-
-    Each `masks[u] |= 1 << j` copies u's mask, so a vertex that sits in
-    many of a long list of columns costs time quadratic in the column
-    count. Past 16 columns per vertex (about 30 members per vertex at
-    member sizes 2 and 3) the bits go into one byte buffer per vertex
-    instead, each converted once: n * len(cols) / 8 byte steps plus one per
-    member. With fewer columns the buffers cost more than the copies they
-    save (measured crossover 10-30 members per vertex, CPython 3.11 on
-    x86-64), as for the single-vertex columns of `list_2_dominating_sets`.
     """
-    if len(cols) <= 16 * n:
-        masks = [0] * n
-        for j, T in enumerate(cols):
-            for u in T:
-                masks[u] |= 1 << j
-        return masks
-    bufs = list(map(bytearray, itertools.repeat((len(cols) + 7) >> 3, n)))
+    masks = [0] * n
     for j, T in enumerate(cols):
-        byte, bit = j >> 3, 1 << (j & 7)
         for u in T:
-            bufs[u][byte] |= bit
-    return list(map(int.from_bytes, bufs, itertools.repeat("little")))
+            masks[u] |= 1 << j
+    return masks
 
 
 def pair_join(G: Graph, rows: Iterable[tuple[int, ...]],

@@ -14,7 +14,7 @@ from .graph import Graph, heavy_vertices
 from .multidom import (
     Problem,
     Solution,
-    _edge_sets_isomorphic,
+    _shape_error,
     build_candidate_families,
     list_2_dominating_sets,
     pair_join,
@@ -164,22 +164,31 @@ def enumerate_cliques(G: Graph, t: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _first_2_dominating_pair(G: Graph, adjacent: bool,
+def _first_2_dominating_pair(G: Graph, problem: Problem,
                              alive: int | None = None) -> tuple[int, int] | None:
-    """First pair of `list_2_dominating_sets(G, alive)` that is an edge of G
-    (`adjacent`) or is not one, or None."""
-    for u, v in list_2_dominating_sets(G, alive):
-        if G.has_edge(u, v) == adjacent:
-            return u, v
+    """First pair of `list_2_dominating_sets(G, alive)` with the shape of
+    `problem` (see `_shape_error`), or None."""
+    for pair in list_2_dominating_sets(G, alive):
+        if _shape_error(G, problem, pair) is None:
+            return pair
     return None
 
 
-def _drawn(members: Iterable[tuple], kept: list) -> Iterator[tuple]:
-    """Each of `members` in turn, appended to `kept` as it is drawn: kept[i]
-    is the i-th member a lazy consumer such as `pair_join` has reached."""
-    for member in members:
-        kept.append(member)
-        yield member
+def _first_shaped_union(G: Graph, problem: Problem, rows: Iterable[tuple[int, ...]],
+                        cols: list[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """First sorted union of problem.k distinct vertices, over the pairs of
+    `pair_join(G, rows, cols, 1, "tuple")` in their order, that has the shape
+    of `problem`, or None. The rows are drawn lazily: a hit costs only the
+    rows up to its own, and a NO instance draws them all."""
+    kept: list[tuple[int, ...]] = []  # kept[i]: the i-th row pair_join drew
+    drawn = (kept.append(row) or row for row in rows)
+    for i, j in pair_join(G, drawn, cols, 1, "tuple"):
+        union = set(kept[i]).union(cols[j])
+        if len(union) == problem.k:
+            cand = tuple(sorted(union))
+            if _shape_error(G, problem, cand) is None:
+                return cand
+    return None
 
 
 def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
@@ -189,8 +198,7 @@ def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
     For k >= 3 the rows are the (k-1)//2-cliques extended by one heavy vertex
     and the columns the k//2-cliques. Both clique lists are enumerated in
     full and the columns are materialised, but the rows are drawn lazily by
-    `pair_join`: the join costs only the rows drawn before the first hit,
-    and on a NO instance all of them.
+    `_first_shaped_union`.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -201,21 +209,13 @@ def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
             return Solution(problem, (v,))
         return None
     if k == 2:
-        pair = _first_2_dominating_pair(G, adjacent=True)
+        pair = _first_2_dominating_pair(G, problem)
         return None if pair is None else Solution(problem, pair)
     r1 = enumerate_cliques(G, (k - 1) // 2)
     r2 = enumerate_cliques(G, k // 2)
     heavy = heavy_vertices(G, k)
-    rows: list[tuple[int, ...]] = []
-    drawn = _drawn((S + (h,) for S in r1 for h in heavy), rows)
-    for i, j in pair_join(G, drawn, r2, 1, "tuple"):
-        union = set(rows[i]) | set(r2[j])
-        if len(union) != k:
-            continue
-        cand = tuple(sorted(union))
-        if all(G.has_edge(u, v) for u, v in itertools.combinations(cand, 2)):
-            return Solution(problem, cand)
-    return None
+    cand = _first_shaped_union(G, problem, (S + (h,) for S in r1 for h in heavy), r2)
+    return None if cand is None else Solution(problem, cand)
 
 
 def solve_dominating_indepset(G: Graph, k: int) -> Solution | None:
@@ -240,7 +240,7 @@ def _indepset_search(G: Graph, k: int, alive: int | None) -> tuple[int, ...] | N
             return (v,)
         return None
     if k == 2:
-        return _first_2_dominating_pair(G, adjacent=False, alive=alive)
+        return _first_2_dominating_pair(G, Problem("indepset", 2), alive)
     for v in heavy_vertices(G, k, alive):
         rest_alive = (G.full_mask() if alive is None else alive) & ~G.closed_mask(v)
         rest = _indepset_search(G, k - 1, rest_alive)
@@ -253,33 +253,27 @@ def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
     """Dominating set of k vertices inducing exactly k/2 independent edges.
 
     Splits the k/2 matching edges into edge subsets of sizes ceil(k/4) and
-    floor(k/4); a `pair_join` pair of endpoint sets certifies domination and
-    the induced-matching shape is checked on the endpoint union. The
-    C(m, floor(k/4)) column subsets are materialised; the C(m, ceil(k/4))
-    row subsets are drawn lazily by `pair_join`, so the cost depends on the
-    rows drawn before the first hit (all of them on a NO instance).
+    floor(k/4), and joins their endpoint tuples with `_first_shaped_union`,
+    which checks the induced-matching shape on each union of k vertices.
+    The C(m, floor(k/4)) column subsets are materialised; the C(m, ceil(k/4))
+    row subsets are drawn lazily, so the cost depends on the rows drawn
+    before the first hit (all of them on a NO instance). The certificate's
+    `matching_edges` are the edges the solution induces.
     """
     if k % 2 or k < 2:
         raise ValueError(f"k must be even and >= 2, got {k}")
     problem = Problem("matching", k)
     if k == 2:
-        pair = _first_2_dominating_pair(G, adjacent=True)
+        pair = _first_2_dominating_pair(G, problem)
         return None if pair is None else Solution(problem, pair, {"matching_edges": [pair]})
     edges = list(G.edges())
-    fam_s: list[tuple[tuple[int, int], ...]] = []
-    ends_s = (sum(es, ()) for es in _drawn(itertools.combinations(edges, (k + 3) // 4), fam_s))
-    fam_t = list(itertools.combinations(edges, k // 4))
-    ends_t = [sum(et, ()) for et in fam_t]
-    for i, j in pair_join(G, ends_s, ends_t, 1, "tuple"):
-        chosen = fam_s[i] + fam_t[j]
-        ends = [v for e in chosen for v in e]
-        if len(set(ends)) != k:
-            continue
-        cand = tuple(sorted(ends))
-        induced = [e for e in itertools.combinations(cand, 2) if G.has_edge(*e)]
-        if len(induced) == k // 2 and set(induced) == set(chosen):
-            return Solution(problem, cand, {"matching_edges": sorted(chosen)})
-    return None
+    rows = (sum(es, ()) for es in itertools.combinations(edges, (k + 3) // 4))
+    cols = [sum(et, ()) for et in itertools.combinations(edges, k // 4)]
+    cand = _first_shaped_union(G, problem, rows, cols)
+    if cand is None:
+        return None
+    induced = [e for e in itertools.combinations(cand, 2) if G.has_edge(*e)]
+    return Solution(problem, cand, {"matching_edges": induced})
 
 
 def list_dominating_ksets(G: Graph, k: int) -> Iterator[tuple[int, ...]]:
@@ -312,9 +306,6 @@ def solve_pattern_domination(G: Graph, H: Pattern) -> Solution | None:
         raise PatternTooLargeError(f"pattern size {H.k} exceeds {MAX_PATTERN_SIZE}")
     problem = Problem("pattern", H.k, pattern_edges=H.edges)
     for S in list_dominating_ksets(G, H.k):
-        pos = {v: i for i, v in enumerate(S)}
-        local = frozenset(
-            (pos[u], pos[v]) for u, v in itertools.combinations(S, 2) if G.has_edge(u, v))
-        if _edge_sets_isomorphic(H.k, local, H.edges):
+        if _shape_error(G, problem, S) is None:
             return Solution(problem, S)
     return None

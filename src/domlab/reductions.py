@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 
 from .graph import Graph, save_graph
 from .multidom import KPartiteGraph, Problem
-from .oracles import oracle_multidom, oracle_pattern, oracle_unbalanced_clique
+from .oracles import (MAX_TRANSVERSALS, OracleBudgetError, oracle_multidom, oracle_pattern,
+                      oracle_unbalanced_clique)
 from .patterndom import Pattern, _is_int, _load_object
 
 Vector = tuple[int, ...]
@@ -250,6 +251,34 @@ def _independent_transversals(source: KPartiteGraph, parts: Sequence[int]) -> li
     return out
 
 
+def indepset_groups(sizes: Sequence[int], k: int, gamma: Fraction, d: int) -> list[range]:
+    """The groups of source parts (part sizes `sizes`) that the V_i of
+    `indepset_to_multidom` list the independent transversals of. ValueError
+    for parameters outside the construction; OracleBudgetError when a group
+    has more than MAX_TRANSVERSALS transversals. O(len(sizes)) time, so it
+    can run before a source is drawn."""
+    g = Fraction(gamma)
+    p, q = g.numerator, g.denominator
+    if not 0 < g < 1:
+        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
+    if k < 2 or d < 1:
+        raise ValueError(f"need k >= 2 and d >= 1, got k={k}, d={d}")
+    kprime = (k - 1) * p + q
+    if len(sizes) != d * kprime:
+        raise ValueError(f"source must have d*k' = {d * kprime} parts, got {len(sizes)}")
+    groups = [range(i * d * p, (i + 1) * d * p) for i in range(k - 1)]
+    groups.append(range((k - 1) * d * p, d * kprime))
+    for i, grp in enumerate(groups):
+        count = 1
+        for part in grp:
+            # a negative size is KPartiteGraph's error, not a budget one
+            count *= max(sizes[part], 0)
+            if count > MAX_TRANSVERSALS:
+                raise OracleBudgetError(f"group {i} ({len(grp)} source parts) has more than "
+                                        f"{MAX_TRANSVERSALS} transversals")
+    return groups
+
+
 def indepset_to_multidom(source: KPartiteGraph, k: int, gamma: Fraction,
                          d: int = 1) -> ReductionOutput:
     """Multipartite independent set to (k-1)-Multiple k-Dominating Set.
@@ -260,18 +289,7 @@ def indepset_to_multidom(source: KPartiteGraph, k: int, gamma: Fraction,
     with block i joined to every V_j, j != i. V parts are fully joined; an
     edge node attaches to the transversals avoiding both its endpoints.
     """
-    g = Fraction(gamma)
-    p, q = g.numerator, g.denominator
-    if not 0 < g < 1:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    if k < 2 or d < 1:
-        raise ValueError(f"need k >= 2 and d >= 1, got k={k}, d={d}")
-    kprime = (k - 1) * p + q
-    if source.k != d * kprime:
-        raise ValueError(f"source must have d*k' = {d * kprime} parts, got {source.k}")
-
-    groups = [list(range(i * d * p, (i + 1) * d * p)) for i in range(k - 1)]
-    groups.append(list(range((k - 1) * d * p, d * kprime)))
+    groups = indepset_groups(source.sizes, k, gamma, d)
     members = [_independent_transversals(source, grp) for grp in groups]
 
     roles: list[tuple] = []
@@ -294,7 +312,8 @@ def indepset_to_multidom(source: KPartiteGraph, k: int, gamma: Fraction,
         edges.extend((fid, vid) for vid, member in v_members if ends.isdisjoint(member))
 
     graph = Graph(len(roles), edges)
-    params = {"k": k, "gamma": f"{p}/{q}", "d": d, "k_prime": kprime,
+    params = {"k": k, "gamma": str(Fraction(gamma)), "d": d,
+              "k_prime": len(source.sizes) // d,
               "group_sizes": [len(g) for g in groups],
               "family_sizes": [len(ms) for ms in members],
               "edge_nodes": len(edge_list)}

@@ -323,6 +323,20 @@ def test_generate_is_multidom_echoes_kprime(tmp_path, capsys):
     assert "k'=3" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags, code, message", [
+    (["--gamma", "1/0"], 2, "--gamma must be a fraction p/q, got '1/0'"),
+    (["--gamma", "1/2", "--part-size", "-1"], 2, "part sizes must be nonnegative, got -1"),
+    # 3^24 transversals in the last group; 10^5 parts would be drawn pairwise
+    (["--gamma", "1/2", "--d", "12", "--part-size", "3"], 3, "transversals"),
+    (["--gamma", "1/100000"], 3, "transversals"),
+])
+def test_generate_is_multidom_refuses_bad_input(tmp_path, capsys, flags, code, message):
+    assert main(["generate", "--reduction", "is-multidom", "--k", "3", *flags,
+                 "--out", str(tmp_path / "g")]) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "g.graph").exists()
+
+
 def test_generate_matching_odd_k_is_error(tmp_path, capsys):
     assert main(["generate", "--reduction", "ov-matching", "--k", "3",
                  "--sizes", "1,1,1", "--out", str(tmp_path / "g")]) == 2

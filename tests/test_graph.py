@@ -351,3 +351,46 @@ def test_edgelist_canonical_shape_is_read_in_bulk(monkeypatch, tmp_path):
     assert load_graph(str(path)) == load_graph(io.BytesIO(text.encode())) == G
     with pytest.raises(AssertionError):
         load_graph(("# comment\n" + text).encode())
+
+
+def _flat_outcome(build, n, flat):
+    try:
+        G = build(n, flat)
+    except ValueError as exc:  # GraphFormatError included
+        return type(exc).__name__, str(exc)
+    return G.n, G.offsets, G.neighbors
+
+
+def _flat_variants(rng, n, flat):
+    """`flat` (canonical: u < v, sorted, no repeats) and variants of it."""
+    yield n, flat
+    yield n + 3, flat
+    yield -1, flat
+    if not flat:
+        return
+    i = 2 * rng.randrange(len(flat) // 2)
+    pairs = [flat[j:j + 2] for j in range(0, len(flat), 2)]
+    yield n, flat[:i] + flat[i:i + 2][::-1] + flat[i + 2:]
+    yield n, flat[:i + 2] + flat[i:]
+    yield n, [x for pair in rng.sample(pairs, len(pairs)) for x in pair]
+    yield n, flat + flat[:2]
+    yield n, flat[:i] + [flat[i], n] + flat[i + 2:]
+    yield n, flat[:i] + [-1, flat[i + 1]] + flat[i + 2:]
+    yield n, flat[:i] + [flat[i], flat[i]] + flat[i + 2:]
+    yield max(flat) - 1, flat
+
+
+def test_from_flat_matches_constructor():
+    """The bulk builder reads only canonical lists itself; on any list it
+    must give what the constructor gives: the same graph or the same error."""
+    rng = random.Random(19)
+    cases = [(0, []), (4, []), (-1, []), (2, [0, 1])]
+    for seed in range(80):
+        n = rng.randint(1, 12)
+        G = random_graph(seed, n, rng.choice((0.2, 0.5, 0.9)))
+        cases.extend(_flat_variants(rng, n, [x for e in G.edges() for x in e]))
+    outcomes = [_flat_outcome(Graph._from_flat, n, flat) for n, flat in cases]
+    assert outcomes == [_flat_outcome(lambda n, f: Graph(n, zip(f[0::2], f[1::2])), n, flat)
+                        for n, flat in cases]
+    errors = sum(isinstance(o[0], str) for o in outcomes)
+    assert len(cases) // 4 <= errors <= 3 * len(cases) // 4

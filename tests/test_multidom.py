@@ -26,6 +26,7 @@ from domlab import (
     oracle_unbalanced_clique,
     OVInstance,
     ov_to_multidom,
+    Pattern,
     solve_ov_bruteforce,
     solve_multidom_fast,
     solve_multidom_kminus1,
@@ -69,6 +70,70 @@ def test_verify_solution_examples():
 def test_diagnose_names_the_failing_vertex():
     msg = diagnose_solution(cycle_graph(5), Problem("multiple", 3, 2), (0, 1, 2))
     assert "vertex 3" in msg
+
+
+# C6 (0-1-2-3-4-5-0) with the chord 0-3
+CHORDED_C6 = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)])
+P3_EDGES = Pattern.path(3).edges
+
+
+@pytest.mark.parametrize("problem, S, message", [
+    (Problem("multiple", 3, 2), (0, 1, 2), "vertex 4 has 0 < 2 dominators"),
+    (Problem("multiple", 3), (0, 2, 4), "problem is missing r"),
+    (Problem("tuple", 3, 2), (0, 1, 2), "vertex 4 has 0 < 2 dominators"),
+    (Problem("dominating", 2), (0, 1), "vertex 4 is not dominated"),
+    (Problem("dominating", 2), (0, 3), None),
+    (Problem("clique", 2), (1, 4), "solution does not induce a clique"),
+    (Problem("clique", 2), (0, 3), None),
+    (Problem("indepset", 2), (0, 3), "solution vertices 0,3 are adjacent"),
+    (Problem("indepset", 2), (1, 4), None),
+    (Problem("matching", 3), (0, 2, 4), "matching size k must be even"),
+    (Problem("matching", 4), (0, 1, 3, 4), "solution does not induce a perfect matching"),
+    (Problem("matching", 4), (1, 2, 4, 5), None),
+    (Problem("pattern", 3), (0, 2, 4), "problem is missing pattern edges"),
+    (Problem("pattern", 3, pattern_edges=P3_EDGES), (0, 2, 4),
+     "induced subgraph is not isomorphic to the pattern"),
+    (Problem("pattern", 3, pattern_edges=P3_EDGES), (0, 1, 3), None),
+    (Problem("weird", 2), (0, 1), "vertex 4 is not dominated"),
+    (Problem("weird", 2), (0, 3), "unknown problem kind 'weird'"),
+    (Problem("clique", 2), (0, 0), "duplicate vertices in solution"),
+    (Problem("clique", 3), (0, 3), "solution has 2 vertices, expected k=3"),
+    (Problem("clique", 2), (0, 6), "vertex id out of range"),
+])
+def test_diagnose_pins_one_message_per_kind(problem, S, message):
+    assert diagnose_solution(CHORDED_C6, problem, S) == message
+
+
+def test_diagnose_multiple_and_tuple_build_no_vertex_mask(monkeypatch):
+    def no_mask(self, v):
+        raise AssertionError(f"n-bit mask built for vertex {v}")
+
+    monkeypatch.setattr(Graph, "_build_mask", no_mask)
+    C5 = cycle_graph(5)
+    assert diagnose_solution(C5, Problem("multiple", 3, 2), (0, 2, 4)) is None
+    assert diagnose_solution(C5, Problem("multiple", 3, 2), (0, 1, 2)) == "vertex 3 has 1 < 2 dominators"
+    assert diagnose_solution(C5, Problem("tuple", 3, 1), (0, 1, 3)) is None
+    assert diagnose_solution(C5, Problem("tuple", 3, 2), (0, 1, 2)) == "vertex 3 has 1 < 2 dominators"
+
+
+def test_shape_kinds_agree_with_their_patterns():
+    """clique, indepset and matching verdicts equal those of the "pattern"
+    problem on Pattern.clique, .edgeless and .matching, on every k-subset."""
+    verdicts = set()
+    for seed in range(10):
+        rng = random.Random(seed)
+        n = rng.randint(4, 8)
+        G = random_graph(seed, n, rng.choice((0.3, 0.5, 0.7)))
+        for k in range(1, n + 1):
+            shapes = [("clique", Pattern.clique(k)), ("indepset", Pattern.edgeless(k))]
+            if k % 2 == 0:
+                shapes.append(("matching", Pattern.matching(k)))
+            for S in itertools.combinations(range(n), k):
+                for kind, H in shapes:
+                    verdict = verify_solution(G, Problem(kind, k), S)
+                    assert verdict == verify_solution(G, Problem("pattern", k, pattern_edges=H.edges), S)
+                    verdicts.add((kind, verdict))
+    assert verdicts == {(kind, v) for kind in ("clique", "indepset", "matching") for v in (True, False)}
 
 
 def test_family_sizes_k3_r1():

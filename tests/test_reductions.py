@@ -23,6 +23,8 @@ from domlab import (
     solve_ov_bruteforce,
     verify_reduction,
 )
+from domlab import reductions
+from domlab.oracles import OracleBudgetError
 from domlab.reductions import pad_special_coordinates
 
 
@@ -155,6 +157,22 @@ def test_indepset_reduction_block_structure():
 def test_indepset_reduction_part_count_mismatch():
     with pytest.raises(ValueError):
         indepset_to_multidom(_random_kpartite(0, [2, 2]), 2, Fraction(1, 2))
+
+
+def test_kpartite_refuses_negative_part_size():
+    with pytest.raises(ValueError, match="part sizes must be nonnegative, got -1"):
+        KPartiteGraph([2, -1, 2], [])
+
+
+def test_indepset_reduction_checks_the_transversal_budget_first(monkeypatch):
+    def listed(*args):
+        raise AssertionError("a transversal was listed before the budget check")
+
+    monkeypatch.setattr(reductions, "_independent_transversals", listed)
+    # k = 2, gamma = 1/2: the last group is parts 1 and 2, 1001^2 > 10^6 transversals
+    with pytest.raises(OracleBudgetError,
+                       match=r"group 1 \(2 source parts\) has more than 1000000 transversals"):
+        indepset_to_multidom(KPartiteGraph([1001] * 3, []), 2, Fraction(1, 2))
 
 
 def test_generated_graphs_are_simple_and_maps_total():

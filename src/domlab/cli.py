@@ -101,16 +101,6 @@ def _load_pattern_of_size(path, k: int) -> Pattern:
     return H
 
 
-def run_result(answer: bool, solution, certificate, stats: dict, config: dict) -> dict:
-    return {
-        "answer": answer,
-        "solution": sorted(solution) if solution is not None else None,
-        "certificate": certificate,
-        "stats": stats,
-        "config": config,
-    }
-
-
 def format_result(result: dict, as_json: bool) -> str:
     if as_json:
         return json.dumps(result, sort_keys=True, separators=(",", ":"))
@@ -198,21 +188,14 @@ def cmd_solve(args) -> int:
     stats.setdefault("gap_masks", None)
     stats.setdefault("below_built", None)
     stats["elapsed_ms"] = elapsed
-    config = {"algo": args.algo, "seed": None, "threads": args.threads}
-    result = run_result(solution is not None,
-                        list(solution.vertices) if solution else None,
-                        _jsonable(solution.certificate) if solution else None,
-                        stats, config)
+    # json.dumps writes the certificate's tuples as lists
+    result = {"answer": solution is not None,
+              "solution": sorted(solution.vertices) if solution else None,
+              "certificate": solution.certificate if solution else None,
+              "stats": stats,
+              "config": {"algo": args.algo, "seed": None, "threads": args.threads}}
     print(format_result(result, args.json))
     return 0 if solution is not None else 1
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return obj
 
 
 def _random_ov(rng: random.Random, sizes: list[int], d: int,

@@ -314,6 +314,7 @@ def _edgelist_body(lines: list[str], header_line: int) -> list[int]:
 def _parse_dimacs(text: str) -> Graph:
     n = None
     flat: list[int] = []
+    error = None  # the first bad edge line, reported after the edge count
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -337,12 +338,19 @@ def _parse_dimacs(text: str) -> Graph:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: not integers: {raw!r}") from None
+            if error is None:
+                if not (1 <= u <= n and 1 <= v <= n):
+                    error = f"line {lineno}: edge ({u},{v}) out of range 1..{n}"
+                elif u == v:
+                    error = f"line {lineno}: self-loop at vertex {u}"
             flat += (u - 1, v - 1)
             continue
         raise GraphFormatError(f"line {lineno}: unrecognized line: {raw!r}")
     if n is None:
         raise GraphFormatError("missing 'p edge n m' header")
     _check_edge_count(header_line, m, len(flat) // 2)
+    if error is not None:
+        raise GraphFormatError(error)
     return Graph._from_flat(n, flat)
 
 

@@ -65,34 +65,27 @@ class Pattern:
         return cls.from_edges(k, [(i, i + 1) for i in range(k - 1)])
 
 
-def _load_json(source):
-    """JSON from a stream, from text that starts with "{", or else from the
-    file at path `source`."""
-    if hasattr(source, "read"):
-        return json.load(source)
-    text = str(source)
-    if text.lstrip().startswith("{"):
-        return json.loads(text)
-    with open(text) as fh:
-        return json.load(fh)
-
-
 def _is_int(x) -> bool:
     return type(x) is int  # JSON true/false load as bool, a subclass of int
 
 
 def _load_object(source, kind: str, fields: tuple[str, ...], shape: str) -> tuple[dict, str]:
-    """The JSON object in `source` and a label naming the source for error
-    messages. Raises ValueError, naming the source, when the text is not
-    JSON or not an object, or lacks one of `fields`."""
-    if hasattr(source, "read"):
-        where = f"{kind} {getattr(source, 'name', 'stream')}"
-    elif str(source).lstrip().startswith("{"):
-        where = f"{kind} text"
-    else:
-        where = f"{kind} file {source}"
+    """The JSON object in `source` (a stream, text that starts with "{", or
+    else a file path) and a label naming the source for error messages.
+    Raises ValueError, naming the source, when the text is not JSON or not
+    an object, or lacks one of `fields`; OSError when the file cannot be
+    read."""
     try:
-        data = _load_json(source)
+        if hasattr(source, "read"):
+            where = f"{kind} {getattr(source, 'name', 'stream')}"
+            data = json.load(source)
+        elif (text := str(source)).lstrip().startswith("{"):
+            where = f"{kind} text"
+            data = json.loads(text)
+        else:
+            where = f"{kind} file {source}"
+            with open(text) as fh:
+                data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{where}: {exc}") from None
     if not isinstance(data, dict):
@@ -179,11 +172,18 @@ def _first_shaped_union(G: Graph, problem: Problem, rows: Iterable[tuple[int, ..
     """First sorted union of problem.k distinct vertices, over the pairs of
     `pair_join(G, rows, cols, 1, "tuple")` in their order, that has the shape
     of `problem`, or None. The rows are drawn lazily: a hit costs only the
-    rows up to its own, and a NO instance draws them all."""
-    kept: list[tuple[int, ...]] = []  # kept[i]: the i-th row pair_join drew
-    drawn = (kept.append(row) or row for row in rows)
-    for i, j in pair_join(G, drawn, cols, 1, "tuple"):
-        union = set(kept[i]).union(cols[j])
+    rows up to its own, and a NO instance draws them all. `pair_join` yields
+    the pairs of a row before it draws the next, so only the row drawn last
+    is held."""
+    row: tuple[int, ...] = ()
+
+    def drawn() -> Iterator[tuple[int, ...]]:
+        nonlocal row
+        for row in rows:
+            yield row
+
+    for _, j in pair_join(G, drawn(), cols, 1, "tuple"):
+        union = set(row).union(cols[j])
         if len(union) == problem.k:
             cand = tuple(sorted(union))
             if _shape_error(G, problem, cand) is None:
@@ -196,9 +196,9 @@ def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
     is all of V, or None.
 
     For k >= 3 the rows are the (k-1)//2-cliques extended by one heavy vertex
-    and the columns the k//2-cliques. Both clique lists are enumerated in
-    full and the columns are materialised, but the rows are drawn lazily by
-    `_first_shaped_union`.
+    and the columns the k//2-cliques, one list when k is odd and the sizes
+    agree. The clique lists are enumerated in full and the columns are
+    materialised, but the rows are drawn lazily by `_first_shaped_union`.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -212,7 +212,7 @@ def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
         pair = _first_2_dominating_pair(G, problem)
         return None if pair is None else Solution(problem, pair)
     r1 = enumerate_cliques(G, (k - 1) // 2)
-    r2 = enumerate_cliques(G, k // 2)
+    r2 = r1 if k % 2 else enumerate_cliques(G, k // 2)
     heavy = heavy_vertices(G, k)
     cand = _first_shaped_union(G, problem, (S + (h,) for S in r1 for h in heavy), r2)
     return None if cand is None else Solution(problem, cand)

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .graph import Graph, save_graph
-from .multidom import KPartiteGraph, Problem
+from .multidom import KPartiteGraph, Problem, _range_cliques
 from .oracles import (MAX_TRANSVERSALS, OracleBudgetError, oracle_multidom, oracle_pattern,
                       oracle_unbalanced_clique)
 from .patterndom import Pattern, _is_int, _load_object
@@ -241,22 +241,14 @@ def ov_to_induced_matching(inst: OVInstance) -> ReductionOutput:
     return ReductionOutput(graph, Problem("matching", k), params, tuple(roles))
 
 
-def _independent_transversals(source: KPartiteGraph, parts: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
-    out = []
-    for choice in itertools.product(*(range(source.sizes[i]) for i in parts)):
-        member = tuple((i, a) for i, a in zip(parts, choice))
-        if all(not source.has_edge(i, a, j, b)
-               for (i, a), (j, b) in itertools.combinations(member, 2)):
-            out.append(member)
-    return out
-
-
 def indepset_groups(sizes: Sequence[int], k: int, gamma: Fraction, d: int) -> list[range]:
     """The groups of source parts (part sizes `sizes`) that the V_i of
     `indepset_to_multidom` list the independent transversals of. ValueError
     for parameters outside the construction; OracleBudgetError when a group
-    has more than MAX_TRANSVERSALS transversals. O(len(sizes)) time, so it
-    can run before a source is drawn."""
+    has more than MAX_TRANSVERSALS transversals, or the source more than
+    MAX_TRANSVERSALS vertex pairs across parts (drawing a source, and its
+    complement, visits each). O(len(sizes)) time, so it can run before a
+    source is drawn."""
     g = Fraction(gamma)
     p, q = g.numerator, g.denominator
     if not 0 < g < 1:
@@ -268,14 +260,20 @@ def indepset_groups(sizes: Sequence[int], k: int, gamma: Fraction, d: int) -> li
         raise ValueError(f"source must have d*k' = {d * kprime} parts, got {len(sizes)}")
     groups = [range(i * d * p, (i + 1) * d * p) for i in range(k - 1)]
     groups.append(range((k - 1) * d * p, d * kprime))
+    # a negative size is KPartiteGraph's error, not a budget one
+    sizes = [max(s, 0) for s in sizes]
     for i, grp in enumerate(groups):
         count = 1
         for part in grp:
-            # a negative size is KPartiteGraph's error, not a budget one
-            count *= max(sizes[part], 0)
+            count *= sizes[part]
             if count > MAX_TRANSVERSALS:
                 raise OracleBudgetError(f"group {i} ({len(grp)} source parts) has more than "
                                         f"{MAX_TRANSVERSALS} transversals")
+    # sum over i < j of s_i * s_j
+    pairs = (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2
+    if pairs > MAX_TRANSVERSALS:
+        raise OracleBudgetError(f"{len(sizes)} source parts have {pairs} cross-part vertex "
+                                f"pairs, more than {MAX_TRANSVERSALS}")
     return groups
 
 
@@ -287,10 +285,13 @@ def indepset_to_multidom(source: KPartiteGraph, k: int, gamma: Fraction,
     Nodes: V_i = independent transversals of consecutive groups of d*p parts
     (d*q for the last group), F = source edges, R = k blocks of k+1 vertices
     with block i joined to every V_j, j != i. V parts are fully joined; an
-    edge node attaches to the transversals avoiding both its endpoints.
+    edge node attaches to the transversals avoiding both its endpoints. The
+    transversals of a group are its transversal cliques in the source's
+    complement, listed by `_range_cliques` in lexicographic order.
     """
     groups = indepset_groups(source.sizes, k, gamma, d)
-    members = [_independent_transversals(source, grp) for grp in groups]
+    complement = _complement_kpartite(source)
+    members = [list(_range_cliques(complement, grp)) for grp in groups]
 
     roles: list[tuple] = []
     v_ids = [_part(roles, (("indep", i, member) for member in ms))

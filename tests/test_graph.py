@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -74,6 +75,17 @@ def test_load_dimacs_rejects_wrong_edge_count():
         load_graph(b"c comment\np edge 3 5\ne 1 2", fmt="dimacs")
     with pytest.raises(GraphFormatError, match="line 1: header declares 0 edges, found 1"):
         load_graph(b"p edge 3 0\ne 1 2", fmt="dimacs")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("e 0 1", "line 3: edge (0,1) out of range 1..3"),
+    ("e 1 4", "line 3: edge (1,4) out of range 1..3"),
+    ("e 2 2", "line 3: self-loop at vertex 2"),
+])
+def test_load_dimacs_bad_edge_names_line_and_ids_as_written(line, message):
+    text = f"c comment\np edge 3 2\n{line}\ne 1 2\n"
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+        load_graph(text.encode(), fmt="dimacs")
 
 
 def test_load_dimacs_non_integer_edge_count_names_line():

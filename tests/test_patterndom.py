@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import random
@@ -239,6 +240,9 @@ def test_pattern_json_round_trip(tmp_path):
     p.write_text(text)
     assert load_pattern(p) == Pattern.matching(4)
     assert load_pattern(text) == Pattern.matching(4)
+    assert load_pattern(io.StringIO(text)) == Pattern.matching(4)
+    with pytest.raises(ValueError, match="^pattern stream: "):
+        load_pattern(io.StringIO(text[:-1]))
 
 
 def test_pattern_rejects_bad_edges():
@@ -421,3 +425,52 @@ def test_matching_draws_rows_only_up_to_the_first_hit(monkeypatch):
     monkeypatch.setattr(patterndom, "pair_join", counting_join)
     assert solve_dominating_induced_matching(G, 6) is not None
     assert 0 < len(drawn) < comb(G.m, 2)
+
+
+def test_matching_holds_one_drawn_row_at_a_time(monkeypatch):
+    """`_first_shaped_union` keeps only the row pair_join drew last: rows
+    count their live instances. The hit on G(30, 0.25) comes after 2,721
+    rows, all of which a list of the drawn rows would hold."""
+    live = [0]
+
+    class Row(tuple):
+        def __new__(cls, vertices):
+            live[0] += 1
+            return super().__new__(cls, vertices)
+
+        def __del__(self):
+            live[0] -= 1
+
+    most = []
+    real_join = patterndom.pair_join
+
+    def watched_join(*args):
+        for pair in real_join(*args):
+            most.append(live[0])
+            yield pair
+
+    G = random_graph(0, 30, 0.25)
+    expected = solve_dominating_induced_matching(G, 6).vertices
+    monkeypatch.setattr(patterndom, "pair_join", watched_join)
+    edges = list(G.edges())
+    rows = (Row(sum(es, ())) for es in itertools.combinations(edges, 2))
+    cols = [sum(et, ()) for et in itertools.combinations(edges, 1)]
+    assert patterndom._first_shaped_union(G, Problem("matching", 6), rows, cols) == expected
+    assert most and max(most) <= 2
+
+
+def test_dominating_clique_lists_each_clique_size_once(monkeypatch):
+    sizes = []
+    real_enumerate = patterndom.enumerate_cliques
+
+    def counted(G, t):
+        sizes.append(t)
+        return real_enumerate(G, t)
+
+    monkeypatch.setattr(patterndom, "enumerate_cliques", counted)
+    G = random_graph(5, 12, 0.5)
+    for k in range(3, 7):
+        sizes.clear()
+        solve_dominating_clique(G, k)
+        # for odd k the row and column cliques have the same size
+        assert sorted(sizes) == sorted({(k - 1) // 2, k // 2})

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import random
 from fractions import Fraction
@@ -69,6 +70,9 @@ def test_ov_json_round_trip(tmp_path):
     save_ov(inst, path)
     assert load_ov(path) == inst
     assert load_ov(save_ov(inst)) == inst
+    assert load_ov(io.StringIO(save_ov(inst))) == inst
+    with pytest.raises(ValueError, match="^OV source stream: "):
+        load_ov(io.StringIO(save_ov(inst)[:-1]))
 
 
 def test_ov_instance_validation():
@@ -168,11 +172,21 @@ def test_indepset_reduction_checks_the_transversal_budget_first(monkeypatch):
     def listed(*args):
         raise AssertionError("a transversal was listed before the budget check")
 
-    monkeypatch.setattr(reductions, "_independent_transversals", listed)
+    monkeypatch.setattr(reductions, "_range_cliques", listed)
+    monkeypatch.setattr(reductions, "_complement_kpartite", listed)
     # k = 2, gamma = 1/2: the last group is parts 1 and 2, 1001^2 > 10^6 transversals
     with pytest.raises(OracleBudgetError,
                        match=r"group 1 \(2 source parts\) has more than 1000000 transversals"):
         indepset_to_multidom(KPartiteGraph([1001] * 3, []), 2, Fraction(1, 2))
+
+
+def test_indepset_groups_check_the_cross_pair_budget():
+    # one transversal per group, but C(100002, 2) > 10^6 vertex pairs to draw
+    with pytest.raises(OracleBudgetError,
+                       match=r"100002 source parts have 5000150001 cross-part vertex pairs"):
+        reductions.indepset_groups([1] * 100_002, 3, Fraction(1, 100_000), 1)
+    # exactly at the budget: 1000 * 1000 pairs between two parts
+    assert len(reductions.indepset_groups([1000, 1000, 0], 2, Fraction(1, 2), 1)) == 2
 
 
 def test_generated_graphs_are_simple_and_maps_total():

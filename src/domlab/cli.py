@@ -28,15 +28,13 @@ from .multidom import (
     diagnose_solution,
     KPartiteGraph,
 )
-from .oracles import OracleBudgetError, oracle_multidom, oracle_pattern
+from . import patterndom
+from .oracles import MAX_TRANSVERSALS, OracleBudgetError, oracle_multidom, oracle_pattern
 from .patterndom import (
     MAX_PATTERN_SIZE,
     Pattern,
     PatternTooLargeError,
     load_pattern,
-    solve_dominating_clique,
-    solve_dominating_indepset,
-    solve_dominating_induced_matching,
     solve_pattern_domination,
 )
 from .reductions import (
@@ -55,14 +53,17 @@ from .reductions import (
 BENCH_HEADER = ["algo", "n", "m", "k", "r", "rep", "seed",
                 "family_s", "family_t", "rows_drawn", "elapsed_ms"]
 
-# --problem name -> (Problem kind, the flags it needs besides the graph and --k)
+# --problem name -> (Problem kind, the flags it needs besides the graph and
+# --k, and for a problem of fixed shape its Pattern builder and the name of
+# its patterndom solver). The solver is looked up on the module when it is
+# called, so a wrapper installed there, such as a tracer's, is the one run.
 PROBLEMS = {
-    "multidom": ("multiple", ("r",)),
-    "tupledom": ("tuple", ("r",)),
-    "dom-clique": ("clique", ()),
-    "dom-indepset": ("indepset", ()),
-    "dom-matching": ("matching", ()),
-    "pattern": ("pattern", ("pattern",)),
+    "multidom": ("multiple", ("r",), None, None),
+    "tupledom": ("tuple", ("r",), None, None),
+    "dom-clique": ("clique", (), Pattern.clique, "solve_dominating_clique"),
+    "dom-indepset": ("indepset", (), Pattern.edgeless, "solve_dominating_indepset"),
+    "dom-matching": ("matching", (), Pattern.matching, "solve_dominating_induced_matching"),
+    "pattern": ("pattern", ("pattern",), None, None),
 }
 
 # --reduction name -> the flag that gives its parameter, if any; generate
@@ -115,7 +116,7 @@ def format_result(result: dict, as_json: bool) -> str:
 
 def _solve_once(G: Graph, args, k: int, stats: dict) -> Solution | None:
     problem, algo = args.problem, args.algo
-    kind = PROBLEMS[problem][0]
+    kind, _, build, solver = PROBLEMS[problem]
     if kind in VARIANTS:
         r = args.r
         if r < 1:
@@ -137,26 +138,20 @@ def _solve_once(G: Graph, args, k: int, stats: dict) -> Solution | None:
         return solve_multidom_fast(G, k, r, kind, stats=stats)
     if args.r is not None:
         raise CliError(f"--r is not valid with --problem {problem}")
-    if problem == "pattern":
+    if build is None:
         H = _load_pattern_of_size(args.pattern, k)
     else:
-        builders = {"dom-clique": Pattern.clique, "dom-indepset": Pattern.edgeless,
-                    "dom-matching": Pattern.matching}
         try:
-            H = builders[problem](k)
+            H = build(k)
         except ValueError as exc:
             raise SizeWindowError(str(exc)) from None
     if algo == "brute":
         return oracle_pattern(G, H, max_n=G.n, max_k=H.k)
     if algo == "pipeline":
         raise CliError("--algo pipeline only applies to multidom")
-    if problem == "dom-clique":
-        return solve_dominating_clique(G, k)
-    if problem == "dom-indepset":
-        return solve_dominating_indepset(G, k)
-    if problem == "dom-matching":
-        return solve_dominating_induced_matching(G, k)
-    return solve_pattern_domination(G, H)
+    if solver is None:
+        return solve_pattern_domination(G, H)
+    return getattr(patterndom, solver)(G, k)
 
 
 def cmd_solve(args) -> int:
@@ -173,10 +168,13 @@ def cmd_solve(args) -> int:
                 # sizes outside the chosen algorithm's window still count:
                 # fall back to the exhaustive exact-size solve when legal
                 kind = PROBLEMS[args.problem][0]
-                if kind in VARIANTS and 1 <= args.r <= kp <= G.n:
-                    solution = oracle_multidom(G, kp, args.r, kind, max_n=G.n)
-                else:
+                if not (kind in VARIANTS and 1 <= args.r <= kp <= G.n):
                     continue
+                if (subsets := comb(G.n, kp)) > MAX_TRANSVERSALS:
+                    raise OracleBudgetError(
+                        f"--at-most-k: the exhaustive scan at k={kp} has C({G.n}, {kp}) = "
+                        f"{subsets} subsets, more than {MAX_TRANSVERSALS}")
+                solution = oracle_multidom(G, kp, args.r, kind, max_n=G.n)
             if solution is not None:
                 break
     else:
@@ -267,7 +265,7 @@ def cmd_verify(args) -> int:
         print("PASS" if ok else "FAIL: source and target oracles disagree")
         return 0 if ok else 1
     _require(args, "verify", ("graph", "problem", "k", "solution"))
-    kind, needs = PROBLEMS[args.problem]
+    kind, needs = PROBLEMS[args.problem][:2]
     _require(args, f"--problem {args.problem}", needs)
     G = load_graph(args.graph, fmt=args.format)
     with open(args.solution) as fh:
@@ -295,12 +293,6 @@ def cmd_verify(args) -> int:
         return 0
     print(f"FAIL: {reason}")
     return 1
-
-
-def closed_form_family_size(n: int, n_heavy: int, size: int, quota: int) -> int:
-    """Number of size-subsets with at least `quota` heavy vertices."""
-    return sum(comb(n_heavy, j) * comb(n - n_heavy, size - j)
-               for j in range(quota, size + 1))
 
 
 def _random_gnm(rng: random.Random, n: int, m: int) -> Graph:

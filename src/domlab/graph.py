@@ -321,6 +321,9 @@ def _parse_dimacs(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "p":
+            if n is not None:
+                raise GraphFormatError(f"line {lineno}: second problem line, the first is "
+                                       f"line {header_line}: {raw!r}")
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphFormatError(f"line {lineno}: bad problem line: {raw!r}")
             try:

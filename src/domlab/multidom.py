@@ -385,8 +385,8 @@ def _column_masks(n: int, cols: Sequence[tuple[int, ...]]) -> list[int]:
 def pair_join(G: Graph, rows: Iterable[tuple[int, ...]],
               cols: CandidateFamily | Sequence[tuple[int, ...]],
               r: int, variant: str, universe: int | None = None,
-              stats: dict | None = None) -> Iterator[tuple[int, int]]:
-    """Every (i, j) whose i-th row member and member cols[j] are disjoint and
+              stats: dict | None = None) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every member pair (S, T), S a row and T a column, that is disjoint and
     whose union dominates every vertex of `universe` (a vertex bitmask,
     default all of V) at least r times under `variant`. With members inside
     `universe`, this is the join on the subgraph `universe` induces.
@@ -404,9 +404,10 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]],
     With r = 1 the tuple variant is plain domination. For r > 1 a member's
     vertices must be distinct.
 
-    Pairs come lazily in row-major order, lowest j first within a row: the
-    order of a nested scan over rows, then cols. The join is one loop over
-    the rows. A row's gap masks are the columns that meet it (the
+    Pairs come lazily in row-major order, lowest column index first within a
+    row: the order of a nested scan over rows, then cols. S is the row tuple
+    as drawn, so a consumer holds no row but the last. The join is one loop
+    over the rows. A row's gap masks are the columns that meet it (the
     disjointness rule), then, for each vertex v the row leaves at level
     c < r, the columns that give v fewer than r - c dominators. The row ORs
     them into `seen`, stopping once `seen` holds every column, and yields
@@ -516,9 +517,9 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]],
         stats["rows_drawn"] = stats["rows_certified"] = 0
         stats["gap_masks"] = stats["below_built"] = 0
 
-    def walk() -> Iterator[tuple[int, int]]:
+    def walk() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         prefix, hit, pending = None, None, False
-        for i, S in enumerate(rows):
+        for S in rows:
             if stats is not None:
                 stats["rows_drawn"] += 1
             P, b = S[:-1], S[-1]
@@ -554,7 +555,7 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]],
             if stats is not None:
                 stats["gap_masks"] += ored
             for j in iter_bits(full ^ seen):
-                yield i, j
+                yield S, cols[j]
 
     return walk()
 
@@ -565,22 +566,20 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     vertex collects at least r domination levels from the two sides.
 
     The first pair of `pair_join` over the two families, i.e. the first hit
-    of a row-major scan, is returned. Levels are counted with saturation at
-    r; by the identity min(r,a)+min(r,b) >= r <=> a+b >= r this decides
+    of a row-major scan, is returned. `build_candidate_families` refuses an
+    r outside 1..k-1, and `pair_join` an unknown variant, with a ValueError.
+    Levels are counted with saturation at r; by the identity
+    min(r,a)+min(r,b) >= r <=> a+b >= r this decides
     exactly the min-degree >= r condition of the truncated polynomial
     product (modelled by `tests/reference_algebra.py`, which a differential
     test compares with `pair_join`). `threads` is accepted for
     compatibility and has no effect.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if not (1 <= r <= k - 1):
-        raise ValueError(f"fast solver needs 1 <= r <= k-1, got r={r}, k={k}")
     fam_s, fam_t = build_candidate_families(G, k, r)
     if stats is not None:
         stats["candidate_family_sizes"] = [len(fam_s.members), len(fam_t.members)]
-    for i, j in pair_join(G, fam_s.members, fam_t, r, variant, stats=stats):
-        return Solution(Problem(variant, k, r), tuple(sorted(fam_s.members[i] + fam_t.members[j])))
+    for S, T in pair_join(G, fam_s.members, fam_t, r, variant, stats=stats):
+        return Solution(Problem(variant, k, r), tuple(sorted(S + T)))
     return None
 
 
@@ -603,8 +602,7 @@ def list_2_dominating_sets(G: Graph, alive: int | None = None) -> list[tuple[int
     heavy_set = set(heavy)
     cols = range(G.n) if alive is None else tuple(iter_bits(alive))
     pairs = []
-    for i, j in pair_join(G, [(u,) for u in heavy], [(v,) for v in cols], 1, "tuple", alive):
-        u, v = heavy[i], cols[j]
+    for (u,), (v,) in pair_join(G, [(u,) for u in heavy], [(v,) for v in cols], 1, "tuple", alive):
         if u < v:
             pairs.append((u, v))
         elif v not in heavy_set:  # a heavy v < u already met u in its own row

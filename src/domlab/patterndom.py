@@ -157,38 +157,25 @@ def enumerate_cliques(G: Graph, t: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _first_2_dominating_pair(G: Graph, problem: Problem,
-                             alive: int | None = None) -> tuple[int, int] | None:
-    """First pair of `list_2_dominating_sets(G, alive)` with the shape of
-    `problem` (see `_shape_error`), or None."""
-    for pair in list_2_dominating_sets(G, alive):
-        if _shape_error(G, problem, pair) is None:
-            return pair
-    return None
+def _first_shaped(G: Graph, problem: Problem,
+                  sets: Iterable[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """The first of the sorted candidate tuples `sets` that has the shape of
+    `problem` (see `_shape_error`), or None. `sets` is read only as far as
+    the hit."""
+    return next((S for S in sets if _shape_error(G, problem, S) is None), None)
 
 
-def _first_shaped_union(G: Graph, problem: Problem, rows: Iterable[tuple[int, ...]],
-                        cols: list[tuple[int, ...]]) -> tuple[int, ...] | None:
-    """First sorted union of problem.k distinct vertices, over the pairs of
-    `pair_join(G, rows, cols, 1, "tuple")` in their order, that has the shape
-    of `problem`, or None. The rows are drawn lazily: a hit costs only the
-    rows up to its own, and a NO instance draws them all. `pair_join` yields
-    the pairs of a row before it draws the next, so only the row drawn last
-    is held."""
-    row: tuple[int, ...] = ()
-
-    def drawn() -> Iterator[tuple[int, ...]]:
-        nonlocal row
-        for row in rows:
-            yield row
-
-    for _, j in pair_join(G, drawn(), cols, 1, "tuple"):
-        union = set(row).union(cols[j])
-        if len(union) == problem.k:
-            cand = tuple(sorted(union))
-            if _shape_error(G, problem, cand) is None:
-                return cand
-    return None
+def _joined_unions(G: Graph, k: int, rows: Iterable[tuple[int, ...]],
+                   cols: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """The sorted unions of k distinct vertices over the pairs of
+    `pair_join(G, rows, cols, 1, "tuple")`, in their order. The rows are
+    drawn lazily: a consumer that stops at a union costs only the rows up to
+    its own, and since `pair_join` yields the pairs of a row before it draws
+    the next, only the row drawn last is held."""
+    for S, T in pair_join(G, rows, cols, 1, "tuple"):
+        union = set(S).union(T)
+        if len(union) == k:
+            yield tuple(sorted(union))
 
 
 def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
@@ -198,23 +185,20 @@ def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
     For k >= 3 the rows are the (k-1)//2-cliques extended by one heavy vertex
     and the columns the k//2-cliques, one list when k is odd and the sizes
     agree. The clique lists are enumerated in full and the columns are
-    materialised, but the rows are drawn lazily by `_first_shaped_union`.
+    materialised, but the rows are drawn lazily by `_joined_unions`.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     problem = Problem("clique", k)
-    if k == 1:
+    if k <= 2:
         # heavy at k = 1 means |N[v]| = n: the universal vertices
-        for v in heavy_vertices(G, 1):
-            return Solution(problem, (v,))
-        return None
-    if k == 2:
-        pair = _first_2_dominating_pair(G, problem)
-        return None if pair is None else Solution(problem, pair)
-    r1 = enumerate_cliques(G, (k - 1) // 2)
-    r2 = r1 if k % 2 else enumerate_cliques(G, k // 2)
-    heavy = heavy_vertices(G, k)
-    cand = _first_shaped_union(G, problem, (S + (h,) for S in r1 for h in heavy), r2)
+        sets = zip(heavy_vertices(G, 1)) if k == 1 else list_2_dominating_sets(G)
+    else:
+        r1 = enumerate_cliques(G, (k - 1) // 2)
+        r2 = r1 if k % 2 else enumerate_cliques(G, k // 2)
+        heavy = heavy_vertices(G, k)
+        sets = _joined_unions(G, k, (S + (h,) for S in r1 for h in heavy), r2)
+    cand = _first_shaped(G, problem, sets)
     return None if cand is None else Solution(problem, cand)
 
 
@@ -235,12 +219,9 @@ def _indepset_search(G: Graph, k: int, alive: int | None) -> tuple[int, ...] | N
     for all of V), in G's ids: deleting N[v] clears its bits. The ids keep
     their order, so each level tries heavy vertices in the order a relabelled
     copy would."""
-    if k == 1:
-        for v in heavy_vertices(G, 1, alive):
-            return (v,)
-        return None
-    if k == 2:
-        return _first_2_dominating_pair(G, Problem("indepset", 2), alive)
+    if k <= 2:
+        sets = zip(heavy_vertices(G, 1, alive)) if k == 1 else list_2_dominating_sets(G, alive)
+        return _first_shaped(G, Problem("indepset", k), sets)
     for v in heavy_vertices(G, k, alive):
         rest_alive = (G.full_mask() if alive is None else alive) & ~G.closed_mask(v)
         rest = _indepset_search(G, k - 1, rest_alive)
@@ -253,8 +234,8 @@ def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
     """Dominating set of k vertices inducing exactly k/2 independent edges.
 
     Splits the k/2 matching edges into edge subsets of sizes ceil(k/4) and
-    floor(k/4), and joins their endpoint tuples with `_first_shaped_union`,
-    which checks the induced-matching shape on each union of k vertices.
+    floor(k/4), and joins their endpoint tuples with `_joined_unions`; the
+    first union of k vertices that induces a perfect matching is the answer.
     The C(m, floor(k/4)) column subsets are materialised; the C(m, ceil(k/4))
     row subsets are drawn lazily, so the cost depends on the rows drawn
     before the first hit (all of them on a NO instance). The certificate's
@@ -264,12 +245,13 @@ def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
         raise ValueError(f"k must be even and >= 2, got {k}")
     problem = Problem("matching", k)
     if k == 2:
-        pair = _first_2_dominating_pair(G, problem)
-        return None if pair is None else Solution(problem, pair, {"matching_edges": [pair]})
-    edges = list(G.edges())
-    rows = (sum(es, ()) for es in itertools.combinations(edges, (k + 3) // 4))
-    cols = [sum(et, ()) for et in itertools.combinations(edges, k // 4)]
-    cand = _first_shaped_union(G, problem, rows, cols)
+        sets = list_2_dominating_sets(G)
+    else:
+        edges = list(G.edges())
+        rows = (sum(es, ()) for es in itertools.combinations(edges, (k + 3) // 4))
+        cols = [sum(et, ()) for et in itertools.combinations(edges, k // 4)]
+        sets = _joined_unions(G, k, rows, cols)
+    cand = _first_shaped(G, problem, sets)
     if cand is None:
         return None
     induced = [e for e in itertools.combinations(cand, 2) if G.has_edge(*e)]
@@ -292,9 +274,9 @@ def list_dominating_ksets(G: Graph, k: int) -> Iterator[tuple[int, ...]]:
         return
     fam_s, fam_t = build_candidate_families(G, k, 1)
     seen: set[tuple[int, ...]] = set()
-    for i, j in pair_join(G, fam_s.members, fam_t, 1, "tuple"):
+    for S, T in pair_join(G, fam_s.members, fam_t, 1, "tuple"):
         # disjoint members of sizes summing to k: the union has k vertices
-        cand = tuple(sorted(fam_s.members[i] + fam_t.members[j]))
+        cand = tuple(sorted(S + T))
         if cand not in seen:
             seen.add(cand)
             yield cand
@@ -305,7 +287,5 @@ def solve_pattern_domination(G: Graph, H: Pattern) -> Solution | None:
     if H.k > MAX_PATTERN_SIZE:
         raise PatternTooLargeError(f"pattern size {H.k} exceeds {MAX_PATTERN_SIZE}")
     problem = Problem("pattern", H.k, pattern_edges=H.edges)
-    for S in list_dominating_ksets(G, H.k):
-        if _shape_error(G, problem, S) is None:
-            return Solution(problem, S)
-    return None
+    cand = _first_shaped(G, problem, list_dominating_ksets(G, H.k))
+    return None if cand is None else Solution(problem, cand)

@@ -289,6 +289,13 @@ def indepset_to_multidom(source: KPartiteGraph, k: int, gamma: Fraction,
     transversals of a group are its transversal cliques in the source's
     complement, listed by `_range_cliques` in lexicographic order.
     """
+    return _indepset_reduction(source, k, gamma, d)[0]
+
+
+def _indepset_reduction(source: KPartiteGraph, k: int, gamma: Fraction,
+                        d: int) -> tuple[ReductionOutput, KPartiteGraph]:
+    """`indepset_to_multidom`, and the complement of the source it lists the
+    transversals in, so a caller that needs both builds it once."""
     groups = indepset_groups(source.sizes, k, gamma, d)
     complement = _complement_kpartite(source)
     members = [list(_range_cliques(complement, grp)) for grp in groups]
@@ -318,7 +325,7 @@ def indepset_to_multidom(source: KPartiteGraph, k: int, gamma: Fraction,
               "group_sizes": [len(g) for g in groups],
               "family_sizes": [len(ms) for ms in members],
               "edge_nodes": len(edge_list)}
-    return ReductionOutput(graph, Problem("multiple", k, k - 1), params, tuple(roles))
+    return ReductionOutput(graph, Problem("multiple", k, k - 1), params, tuple(roles)), complement
 
 
 def _complement_kpartite(source: KPartiteGraph) -> KPartiteGraph:
@@ -350,8 +357,8 @@ def verify_reduction(generator: str, source, param=None, max_n: int = 60) -> boo
         tgt = oracle_pattern(out.graph, Pattern.matching(source.k), max_n=max_n) is not None
     elif generator == "is-multidom":
         k, gamma, d = param
-        out = indepset_to_multidom(source, k, gamma, d)
-        src = oracle_unbalanced_clique(_complement_kpartite(source)) is not None
+        out, complement = _indepset_reduction(source, k, gamma, d)
+        src = oracle_unbalanced_clique(complement) is not None
         tgt = oracle_multidom(out.graph, k, k - 1, "multiple", max_n=max_n) is not None
     else:
         raise ValueError(f"unknown generator {generator!r}")

@@ -115,6 +115,23 @@ def test_solve_at_most_k_keeps_real_errors(tmp_path, capsys):
     assert "--r must be >= 1" in capsys.readouterr().err
 
 
+def test_solve_at_most_k_budgets_the_exhaustive_fallback(tmp_path, capsys, monkeypatch):
+    # at k' = r = 3 the fast path cannot run; C(300, 3) = 4,455,100 subsets
+    # exceed the budget, so the scan (about 4 s) must not start
+    path = tmp_path / "gnm.txt"
+    save_graph(cli._random_gnm(random.Random(1), 300, 1500), path)
+
+    def scan(*args, **kwargs):
+        raise AssertionError("exhaustive scan started above the budget")
+
+    monkeypatch.setattr(cli, "oracle_multidom", scan)
+    code = main(["solve", str(path), "--problem", "multidom", "--k", "3", "--r", "3",
+                 "--at-most-k"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "C(300, 3) = 4455100 subsets, more than 1000000" in captured.err
+
+
 def test_solve_pipeline_algo(tmp_path, capsys):
     path = tmp_path / "p4.txt"
     save_graph(path_graph(4), path)

@@ -88,6 +88,12 @@ def test_load_dimacs_bad_edge_names_line_and_ids_as_written(line, message):
         load_graph(text.encode(), fmt="dimacs")
 
 
+def test_load_dimacs_rejects_a_second_problem_line():
+    # the second header must not replace the first (n = 5 here)
+    with pytest.raises(GraphFormatError, match="^line 3: second problem line, the first is line 1"):
+        load_graph(b"p edge 3 1\ne 1 2\np edge 5 1\n", fmt="dimacs")
+
+
 def test_load_dimacs_non_integer_edge_count_names_line():
     with pytest.raises(GraphFormatError, match="line 2"):
         load_graph(b"c comment\np edge 3 x\ne 1 2", fmt="dimacs")

@@ -495,7 +495,8 @@ def test_pair_join_matches_nested_reference():
                     stats = {}
                     got = list(multidom.pair_join(G, iter(row_list), cols, r, variant,
                                                   universe, stats))
-                    assert got == _reference_pair_join(G, row_list, cols, r, variant, universe), (
+                    expected = _reference_pair_join(G, row_list, cols, r, variant, universe)
+                    assert got == [(row_list[i], cols[j]) for i, j in expected], (
                         seed, variant, r, row_list)
                     assert stats["rows_drawn"] == len(row_list)
                     certified += stats["rows_certified"]
@@ -526,7 +527,7 @@ def test_pair_join_matches_truncated_poly_product():
             ok = [[set(S).isdisjoint(T) and min_degree(C[i, j]) >= r
                    for j, T in enumerate(cols)] for i, S in enumerate(rows)]
             for perm in (range(len(rows)), order):
-                expected = [(i, j) for i, p in enumerate(perm)
+                expected = [(rows[p], cols[j]) for p in perm
                             for j in range(len(cols)) if ok[p][j]]
                 stats = {}
                 got = list(multidom.pair_join(G, (rows[p] for p in perm), cols, r, variant,
@@ -588,7 +589,8 @@ def test_pair_join_draws_no_row_past_the_first_pair(variant, r):
             raise AssertionError("row drawn past the first pair's row")
 
         stats = {}
-        assert next(multidom.pair_join(G, drawn(), cols, r, variant, stats=stats)) == first
+        assert next(multidom.pair_join(G, drawn(), cols, r, variant, stats=stats)) == (
+            rows[first[0]], cols[first[1]])
         assert stats["rows_drawn"] == first[0] + 1
         tried += 1
     assert tried >= 2

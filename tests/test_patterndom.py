@@ -338,8 +338,8 @@ def _clique_row_major(G: Graph, k: int) -> Solution | None:
     r2 = enumerate_cliques(G, k // 2)
     heavy = heavy_vertices(G, k)
     rows = [S + (h,) for S in r1 for h in heavy]
-    for i, j in pair_join(G, rows, r2, 1, "tuple"):
-        union = set(rows[i]) | set(r2[j])
+    for S, T in pair_join(G, rows, r2, 1, "tuple"):
+        union = set(S) | set(T)
         if len(union) != k:
             continue
         cand = tuple(sorted(union))
@@ -357,9 +357,10 @@ def _matching_row_major(G: Graph, k: int) -> Solution | None:
     fam_t = list(itertools.combinations(edges, k // 4))
     ends_s = [sum(es, ()) for es in fam_s]
     ends_t = [sum(et, ()) for et in fam_t]
-    for i, j in pair_join(G, ends_s, ends_t, 1, "tuple"):
-        chosen = fam_s[i] + fam_t[j]
-        ends = [v for e in chosen for v in e]
+    for S, T in pair_join(G, ends_s, ends_t, 1, "tuple"):
+        # the endpoint tuples list each edge as two consecutive vertices
+        ends = S + T
+        chosen = tuple(zip(ends[::2], ends[1::2]))
         if len(set(ends)) != k:
             continue
         cand = tuple(sorted(ends))
@@ -428,8 +429,8 @@ def test_matching_draws_rows_only_up_to_the_first_hit(monkeypatch):
 
 
 def test_matching_holds_one_drawn_row_at_a_time(monkeypatch):
-    """`_first_shaped_union` keeps only the row pair_join drew last: rows
-    count their live instances. The hit on G(30, 0.25) comes after 2,721
+    """`_joined_unions` keeps only the row pair_join drew last: rows count
+    their live instances. The hit on G(30, 0.25) comes after 2,721
     rows, all of which a list of the drawn rows would hold."""
     live = [0]
 
@@ -455,7 +456,8 @@ def test_matching_holds_one_drawn_row_at_a_time(monkeypatch):
     edges = list(G.edges())
     rows = (Row(sum(es, ())) for es in itertools.combinations(edges, 2))
     cols = [sum(et, ()) for et in itertools.combinations(edges, 1)]
-    assert patterndom._first_shaped_union(G, Problem("matching", 6), rows, cols) == expected
+    unions = patterndom._joined_unions(G, 6, rows, cols)
+    assert patterndom._first_shaped(G, Problem("matching", 6), unions) == expected
     assert most and max(most) <= 2
 
 

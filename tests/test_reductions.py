@@ -226,6 +226,22 @@ def test_verify_reduction_is_multidom_complete_source():
     assert verify_reduction("is-multidom", complete, (2, Fraction(1, 2), 1))
 
 
+def test_verify_reduction_is_multidom_builds_the_complement_once(monkeypatch):
+    calls = []
+    real = reductions._complement_kpartite
+
+    def counted(source):
+        calls.append(source)
+        return real(source)
+
+    monkeypatch.setattr(reductions, "_complement_kpartite", counted)
+    for seed in range(4):
+        calls.clear()
+        source = _random_kpartite(seed, [2, 2, 2])
+        assert verify_reduction("is-multidom", source, (2, Fraction(1, 2), 1))
+        assert calls == [source]
+
+
 def test_verify_reduction_unknown_generator():
     with pytest.raises(ValueError):
         verify_reduction("nope", _random_ov(0, [1, 1], 1), 1)

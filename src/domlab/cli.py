@@ -102,6 +102,15 @@ def _load_pattern_of_size(path, k: int) -> Pattern:
     return H
 
 
+def _check_scan_budget(n: int, k: int, context: str) -> None:
+    """OracleBudgetError (exit code 3) when an exhaustive scan over the
+    C(n, k) k-subsets would pass MAX_TRANSVERSALS, before the scan starts."""
+    if (subsets := comb(n, k)) > MAX_TRANSVERSALS:
+        raise OracleBudgetError(
+            f"{context}: the exhaustive scan at k={k} has C({n}, {k}) = "
+            f"{subsets} subsets, more than {MAX_TRANSVERSALS}")
+
+
 def format_result(result: dict, as_json: bool) -> str:
     if as_json:
         return json.dumps(result, sort_keys=True, separators=(",", ":"))
@@ -123,6 +132,7 @@ def _solve_once(G: Graph, args, k: int, stats: dict) -> Solution | None:
             raise CliError(f"--r must be >= 1, got {r}")
         if algo == "brute":
             try:
+                _check_scan_budget(G.n, k, "--algo brute")
                 return oracle_multidom(G, k, r, kind, max_n=G.n)
             except ValueError as exc:
                 raise SizeWindowError(str(exc)) from None
@@ -146,6 +156,7 @@ def _solve_once(G: Graph, args, k: int, stats: dict) -> Solution | None:
         except ValueError as exc:
             raise SizeWindowError(str(exc)) from None
     if algo == "brute":
+        _check_scan_budget(G.n, H.k, "--algo brute")
         return oracle_pattern(G, H, max_n=G.n, max_k=H.k)
     if algo == "pipeline":
         raise CliError("--algo pipeline only applies to multidom")
@@ -170,10 +181,7 @@ def cmd_solve(args) -> int:
                 kind = PROBLEMS[args.problem][0]
                 if not (kind in VARIANTS and 1 <= args.r <= kp <= G.n):
                     continue
-                if (subsets := comb(G.n, kp)) > MAX_TRANSVERSALS:
-                    raise OracleBudgetError(
-                        f"--at-most-k: the exhaustive scan at k={kp} has C({G.n}, {kp}) = "
-                        f"{subsets} subsets, more than {MAX_TRANSVERSALS}")
+                _check_scan_budget(G.n, kp, "--at-most-k")
                 solution = oracle_multidom(G, kp, args.r, kind, max_n=G.n)
             if solution is not None:
                 break

@@ -281,13 +281,42 @@ def verify_solution(G: Graph, problem: Problem, vertices: Sequence[int]) -> bool
     return diagnose_solution(G, problem, vertices) is None
 
 
+def _family_shapes(k: int, r: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(size, heavy quota) of the row and the column family for (k, r); a
+    ValueError for r outside 1..k-1."""
+    if not (1 <= r <= k - 1):
+        raise ValueError(f"need 1 <= r <= k-1, got r={r}, k={k}")
+    return ((k - r + 1) // 2 + r // 2, r // 2), ((k - r) // 2 + (r + 1) // 2, (r + 1) // 2)
+
+
+def closed_form_family_size(n: int, n_heavy: int, size: int, quota: int) -> int:
+    """Number of size-subsets of n vertices with at least `quota` of the
+    `n_heavy` heavy ones: sum over j >= quota of C(h, j) * C(n - h, size - j)."""
+    return sum(comb(n_heavy, j) * comb(n - n_heavy, size - j)
+               for j in range(quota, size + 1))
+
+
 def build_candidate_families(G: Graph, k: int, r: int) -> tuple[CandidateFamily, CandidateFamily]:
     """The two families whose disjoint unions cover every k-set with >= r
     heavy vertices: sizes ceil((k-r)/2)+floor(r/2) and floor((k-r)/2)+ceil(r/2),
     with heavy quotas floor(r/2) and ceil(r/2).
 
-    Each family is built in lexicographic order, the order of a filtered
-    `combinations(range(n), size)` scan, by a depth-first walk over
+    Each family is built by `_candidate_family`. When k and r are both even
+    the two families are equal, and one `CandidateFamily`, with its masks,
+    serves both.
+    """
+    shape_s, shape_t = _family_shapes(k, r)
+    heavy = heavy_vertices(G, k)
+    fam_s = _candidate_family(G.n, heavy, *shape_s)
+    if shape_t == shape_s:
+        return fam_s, fam_s
+    return fam_s, _candidate_family(G.n, heavy, *shape_t)
+
+
+def _candidate_family(n: int, heavy: tuple[int, ...], size: int, quota: int) -> CandidateFamily:
+    """The size-subsets of range(n) with at least `quota` ids of the sorted
+    `heavy`, in lexicographic order, the order of a filtered
+    `combinations(range(n), size)` scan, built by a depth-first walk over
     prefixes. With q heavy vertices still owed and `left` places to fill, a
     prefix takes its next vertex v only while at least q heavy ids are >= v,
     so every prefix leads to a member. Once q = 0 every tail is a
@@ -295,52 +324,105 @@ def build_candidate_families(G: Graph, k: int, r: int) -> tuple[CandidateFamily,
     heavy ids after it; both are appended to the prefix in C, and recorded as
     one block of the family (see `CandidateFamily`), from which a join
     derives the column masks. The cost is at most (members kept) x size,
-    plus n, not C(n, size), with no sort. When k and r are both even the two
-    families are equal, and one `CandidateFamily`, with its masks, serves
-    both.
+    plus n, not C(n, size), with no sort.
     """
-    if not (1 <= r <= k - 1):
-        raise ValueError(f"need 1 <= r <= k-1, got r={r}, k={k}")
-    n = G.n
-    heavy = heavy_vertices(G, k)
     h = len(heavy)
     is_heavy = bytearray(n)
     for v in heavy:
         is_heavy[v] = 1
-    size_s = (k - r + 1) // 2 + r // 2
-    quota_s = r // 2
-    size_t = (k - r) // 2 + (r + 1) // 2
-    quota_t = (r + 1) // 2
+    out: list[tuple[int, ...]] = []
+    blocks = []
+    # (prefix, start, left, q), popped in lexicographic order of prefix;
+    # for every entry at least q heavy ids are >= start
+    stack = [((), 0, size, quota)] if quota <= h else []
+    while stack:
+        prefix, start, left, q = stack.pop()
+        if q <= 0:
+            block = (len(out), prefix, left, start, False)
+            tails = itertools.combinations(range(start, n), left)
+        elif left == q:
+            first = bisect_left(heavy, start)
+            block = (len(out), prefix, left, first, True)
+            tails = itertools.combinations(heavy[first:], left)
+        else:
+            # the last v with q heavy ids >= v is heavy[h - q]
+            stop = min(n - left, heavy[h - q]) + 1
+            stack.extend((prefix + (v,), v + 1, left - 1, q - is_heavy[v])
+                         for v in reversed(range(start, stop)))
+            continue
+        blocks.append(block)
+        out.extend(map(add, itertools.repeat(prefix), tails))
+    return CandidateFamily(size, quota, tuple(out), n, heavy, tuple(blocks))
 
-    def family(size: int, quota: int) -> CandidateFamily:
-        out: list[tuple[int, ...]] = []
-        blocks = []
-        # (prefix, start, left, q), popped in lexicographic order of prefix;
-        # for every entry at least q heavy ids are >= start
-        stack = [((), 0, size, quota)] if quota <= h else []
-        while stack:
-            prefix, start, left, q = stack.pop()
-            if q <= 0:
-                block = (len(out), prefix, left, start, False)
-                tails = itertools.combinations(range(start, n), left)
-            elif left == q:
-                first = bisect_left(heavy, start)
-                block = (len(out), prefix, left, first, True)
-                tails = itertools.combinations(heavy[first:], left)
-            else:
-                # the last v with q heavy ids >= v is heavy[h - q]
-                stop = min(n - left, heavy[h - q]) + 1
-                stack.extend((prefix + (v,), v + 1, left - 1, q - is_heavy[v])
-                             for v in reversed(range(start, stop)))
+
+def near_partners(G: Graph, miss: int) -> list[int]:
+    """near[a]: the bitmask of the vertices b != a that leave at most `miss`
+    vertices outside N[a] ∪ N[b]. With miss = 0 these are a's dominating
+    partners, the pairs of `list_2_dominating_sets`.
+
+    |N[a] ∪ N[b]| <= d[a] + d[b] for closed degrees d, so a pair needs
+    d[a] + d[b] >= n - miss, and then its vertex of larger degree has
+    2·d >= n - miss. Only those vertices start a scan. Each tests the
+    partners b with d[b] >= n - miss - d[a], a suffix of the vertices
+    sorted by degree, once per pair. With no start every mask is 0 and
+    nothing is sorted.
+    """
+    n = G.n
+    near = [0] * n
+    need = n - miss
+    offsets = G.offsets
+    degree = [d + 1 for d in map(sub, itertools.islice(offsets, 1, None), offsets)]
+    is_start = [2 * d >= need for d in degree]
+    if not any(is_start):
+        return near
+    order = sorted(range(n), key=degree.__getitem__)
+    ordered = [degree[v] for v in order]
+    # only the vertices some start can pair with need a mask; every start
+    # is among them
+    first = bisect_left(ordered, need - ordered[-1])
+    order, ordered = order[first:], ordered[first:]
+    masks = list(map(G.closed_mask, order))
+    full = G.full_mask()
+    for a in itertools.compress(range(n), is_start):
+        na = G.closed_mask(a)
+        lo = bisect_left(ordered, need - degree[a])
+        for b, nb in zip(order[lo:], masks[lo:]):
+            # a pair of two starts is tested from its larger id
+            if is_start[b] and b >= a:
                 continue
-            blocks.append(block)
-            out.extend(map(add, itertools.repeat(prefix), tails))
-        return CandidateFamily(size, quota, tuple(out), n, heavy, tuple(blocks))
+            if (full ^ (na | nb)).bit_count() <= miss:
+                near[a] |= 1 << b
+                near[b] |= 1 << a
+    return near
 
-    fam_s = family(size_s, quota_s)
-    if (size_t, quota_t) == (size_s, quota_s):
-        return fam_s, fam_s
-    return fam_s, family(size_t, quota_t)
+
+def _near_rows(near: Sequence[int], heavy: int, size: int, quota: int,
+               full: int) -> Iterator[tuple[int, ...]]:
+    """The size-subsets of the vertices in `full` that hold at least `quota`
+    ids of the vertex mask `heavy` and are cliques of the graph `near`,
+    lazily and in lexicographic order.
+
+    An explicit stack of (prefix, candidates, heavy still owed): the
+    candidates are the vertices above the prefix's last that are near every
+    prefix vertex. A child is kept only while its candidates still hold
+    enough vertices, and enough heavy ones, to finish a row. Rows of two or
+    more start only at a vertex with a near partner.
+    """
+    stack = [((), full if size == 1 else full & reduce(or_, near, 0), quota)]
+    while stack:
+        prefix, cands, owed = stack.pop()
+        left = size - len(prefix)
+        if left == 1:
+            last = cands if owed <= 0 else cands & heavy
+            yield from map(add, itertools.repeat(prefix), zip(iter_bits(last)))
+            continue
+        children = []
+        for v in iter_bits(cands):
+            rest = cands >> (v + 1) << (v + 1) & near[v]
+            still = owed - (heavy >> v & 1)
+            if rest.bit_count() >= left - 1 and (rest & heavy).bit_count() >= still:
+                children.append((prefix + (v,), rest, still))
+        stack.extend(reversed(children))
 
 
 def _at_least(masks: Iterable[int], r: int, full: int) -> list[int]:
@@ -395,9 +477,10 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]],
     is walked once, and only as far as the consumer reads pairs, so a caller
     that stops at the first pair never builds the rows after its row. `cols`
     is a sequence of members, or a `CandidateFamily` whose members are the
-    columns; every column enters the bitmasks before the first row is drawn.
-    A family brings its own `column_masks`, built from its blocks once per
-    family; a sequence gets them from `_column_masks`.
+    columns; every column enters the bitmasks when the first row is drawn,
+    and none when no row is. A family brings its own `column_masks`, built
+    from its blocks once per family; a sequence gets them from
+    `_column_masks`.
 
     "multiple" counts open-neighborhood dominators and exempts the union's own
     vertices; "tuple" counts closed-neighborhood dominators at every vertex.
@@ -452,11 +535,12 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]],
         raise ValueError(f"unknown variant {variant!r}")
     multiple = variant == "multiple"
     nbr = G.neighbor_mask
-    # contains[u]: the columns that hold u
-    if isinstance(cols, CandidateFamily):
-        contains, cols = cols.column_masks, cols.members
-    else:
-        contains = _column_masks(G.n, cols)
+    # contains[u]: the columns that hold u, fetched when the first row is
+    # drawn, so a join that draws no row builds no column mask
+    family = cols if isinstance(cols, CandidateFamily) else None
+    if family is not None:
+        cols = family.members
+    contains: list[int] | None = None
     full = (1 << len(cols)) - 1
     vfull = G.full_mask() if universe is None else universe
     offsets, neighbors = G.offsets, G.neighbors
@@ -518,8 +602,11 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]],
         stats["gap_masks"] = stats["below_built"] = 0
 
     def walk() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        nonlocal contains
         prefix, hit, pending = None, None, False
         for S in rows:
+            if contains is None:
+                contains = family.column_masks if family is not None else _column_masks(G.n, cols)
             if stats is not None:
                 stats["rows_drawn"] += 1
             P, b = S[:-1], S[-1]
@@ -574,11 +661,32 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     product (modelled by `tests/reference_algebra.py`, which a differential
     test compares with `pair_join`). `threads` is accepted for
     compatibility and has no effect.
+
+    At r = k-1 the rows are drawn from a pair lemma. Take a solution S and
+    a, b in S. A vertex outside S has >= k-1 neighbours in S, so it is
+    adjacent to a or to b: at most k-2 vertices (the rest of S) lie outside
+    N[a] ∪ N[b] under "multiple", and none under "tuple", where every
+    vertex has k-1 closed dominators in S. So every row that pairs is a
+    clique of the `near_partners` graph with that many misses. The rows are
+    drawn lazily as those cliques (`_near_rows`), a subsequence of the row
+    family in its order, and the rows left out have no pair: the first hit
+    is the same, and `rows_drawn` counts only the near-dominating rows.
+    `candidate_family_sizes` still gives the family sizes, the row
+    family's from `closed_form_family_size`.
     """
-    fam_s, fam_t = build_candidate_families(G, k, r)
+    shape_s, shape_t = _family_shapes(k, r)
+    if r == k - 1:
+        heavy = heavy_vertices(G, k)
+        fam_t = _candidate_family(G.n, heavy, *shape_t)
+        near = near_partners(G, k - 2 if variant == "multiple" else 0)
+        rows = _near_rows(near, _set_mask(heavy), *shape_s, G.full_mask())
+        sizes = [closed_form_family_size(G.n, len(heavy), *shape_s), len(fam_t.members)]
+    else:
+        fam_s, fam_t = build_candidate_families(G, k, r)
+        rows, sizes = fam_s.members, [len(fam_s.members), len(fam_t.members)]
     if stats is not None:
-        stats["candidate_family_sizes"] = [len(fam_s.members), len(fam_t.members)]
-    for S, T in pair_join(G, fam_s.members, fam_t, r, variant, stats=stats):
+        stats["candidate_family_sizes"] = sizes
+    for S, T in pair_join(G, rows, fam_t, r, variant, stats=stats):
         return Solution(Problem(variant, k, r), tuple(sorted(S + T)))
     return None
 
@@ -617,16 +725,13 @@ def build_clique_graph(G: Graph, k: int) -> tuple[KPartiteGraph, list[list[int]]
     cross edges join distinct originals that form a dominating pair.
 
     Edges are read off one dominating-partner bitmask per vertex, so past
-    `list_2_dominating_sets` the cost is O(k^2 * h) plus the edges emitted."""
+    `near_partners(G, 0)` the cost is O(k^2 * h) plus the edges emitted."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     heavy = list(heavy_vertices(G, k))
     labels = [list(heavy) for _ in range(k - 1)] + [list(range(G.n))]
     # partners[u]: the vertices v with N[u] ∪ N[v] = V
-    partners = [0] * G.n
-    for u, v in list_2_dominating_sets(G):
-        partners[u] |= 1 << v
-        partners[v] |= 1 << u
+    partners = near_partners(G, 0)
     heavy_index = {v: b for b, v in enumerate(heavy)}
     edges = []
     for a, u in enumerate(heavy):
@@ -743,7 +848,9 @@ def solve_multidom_kminus1(G: Graph, k: int) -> Solution | None:
     members are all closed-dominated >= k-1 times. Solutions with a weakly
     dominated member (legal under the V\\S convention, e.g. {a,b,d} in the
     path a-b-c-d) have no clique image, so a candidate-family pass completes
-    the search when the clique side comes up empty.
+    the search when the clique side comes up empty. That pass is
+    `solve_multidom_fast` at r = k-1, which draws only the near-dominating
+    rows.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")

@@ -40,15 +40,10 @@ from domlab import (
 )
 from domlab.algebra import BoolMatrix, complement_zero_pairs
 from domlab.cli import main, _random_gnm
+from domlab.multidom import closed_form_family_size
 
 from .conftest import complete_graph, cycle_graph, path_graph, random_graph
 from .reference_algebra import PolyMatrix, TruncatedPoly, poly_mat_mul
-
-
-def closed_form_family_size(n: int, n_heavy: int, size: int, quota: int) -> int:
-    """Number of size-subsets with at least `quota` heavy vertices."""
-    return sum(comb(n_heavy, j) * comb(n - n_heavy, size - j)
-               for j in range(quota, size + 1))
 
 
 def _closed_form(G: Graph, k: int, fam) -> int:

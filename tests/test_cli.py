@@ -132,6 +132,34 @@ def test_solve_at_most_k_budgets_the_exhaustive_fallback(tmp_path, capsys, monke
     assert "C(300, 3) = 4455100 subsets, more than 1000000" in captured.err
 
 
+@pytest.mark.parametrize("problem, oracle", [
+    (["--problem", "multidom", "--r", "3"], "oracle_multidom"),
+    (["--problem", "dom-indepset"], "oracle_pattern"),
+], ids=["multidom", "dom-indepset"])
+def test_solve_brute_budgets_the_exhaustive_scan(tmp_path, capsys, monkeypatch, problem, oracle):
+    # the same C(300, 3) scan under --algo brute (4-7 s) must not start
+    # either; a budget error is exit code 3
+    path = tmp_path / "gnm.txt"
+    save_graph(cli._random_gnm(random.Random(1), 300, 1500), path)
+
+    def scan(*args, **kwargs):
+        raise AssertionError("exhaustive scan started above the budget")
+
+    monkeypatch.setattr(cli, oracle, scan)
+    code = main(["solve", str(path), *problem, "--k", "3", "--algo", "brute"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("error: --algo brute: the exhaustive scan at k=3 has "
+                            "C(300, 3) = 4455100 subsets, more than 1000000\n")
+
+
+def test_solve_brute_below_the_budget_still_scans(c5_file, capsys):
+    # C(5, 3) = 10 subsets: the oracle answers
+    assert main(["solve", c5_file, "--problem", "multidom", "--k", "3", "--r", "2",
+                 "--algo", "brute", "--json", "--no-timing"]) == 0
+    assert json.loads(capsys.readouterr().out)["solution"] == [0, 1, 3]
+
+
 def test_solve_pipeline_algo(tmp_path, capsys):
     path = tmp_path / "p4.txt"
     save_graph(path_graph(4), path)

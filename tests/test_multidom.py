@@ -8,11 +8,12 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from domlab import multidom
+from domlab import cli, multidom
 from domlab import (
     Graph,
     KPartiteGraph,
     Problem,
+    Solution,
     build_candidate_families,
     build_clique_graph,
     delete_closed_neighborhood,
@@ -162,6 +163,7 @@ def test_family_cardinality_closed_form(seed, n, k):
             expected = sum(comb(n_heavy, j) * comb(n - n_heavy, fam.size - j)
                            for j in range(fam.quota, fam.size + 1))
             assert len(fam.members) == expected
+            assert multidom.closed_form_family_size(n, n_heavy, fam.size, fam.quota) == expected
 
 
 @given(st.integers(0, 200), st.integers(4, 9), st.integers(2, 5))
@@ -428,11 +430,13 @@ def test_2_dominating_sets_match_full_scan():
 
 
 def test_clique_graph_matches_double_loop():
-    for G in _equivalence_graphs():
+    # also against partner masks read off `list_2_dominating_sets`, which
+    # build_clique_graph used before `near_partners(G, 0)`
+    for G in _equivalence_graphs() + _kminus1_graphs():
         for k in range(2, min(G.n, 5) + 1):
             kp, labels = build_clique_graph(G, k)
-            ref, ref_labels = _reference_clique_graph(G, k)
-            assert (kp.sizes, kp.adj, labels) == (ref.sizes, ref.adj, ref_labels)
+            for ref, ref_labels in (_reference_clique_graph(G, k), _list2_clique_graph(G, k)):
+                assert (kp.sizes, kp.adj, labels) == (ref.sizes, ref.adj, ref_labels)
 
 
 def test_2_dominating_sets_skip_join_without_heavy_vertex(monkeypatch):
@@ -594,6 +598,153 @@ def test_pair_join_draws_no_row_past_the_first_pair(variant, r):
         assert stats["rows_drawn"] == first[0] + 1
         tried += 1
     assert tried >= 2
+
+
+def _reference_near(G, miss):
+    """near[a] by its definition: every b != a that leaves at most `miss`
+    vertices outside N[a] | N[b]."""
+    full = G.full_mask()
+    return [sum(1 << b for b in range(G.n)
+                if b != a and (full & ~(G.closed_mask(a) | G.closed_mask(b))).bit_count() <= miss)
+            for a in range(G.n)]
+
+
+def _planted_kminus1_graph(seed, n: int, k: int) -> Graph:
+    """k hubs at random ids; every other vertex is joined to k-1 of them,
+    plus about n random edges: the hubs are a (k-1)-multiple dominating set."""
+    rng = random.Random(f"kminus1:{seed}")
+    hubs = rng.sample(range(n), k)
+    edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n)}
+    for v in set(range(n)) - set(hubs):
+        edges |= {(min(h, v), max(h, v)) for h in rng.sample(hubs, k - 1)}
+    return Graph(n, sorted(edges))
+
+
+def _kminus1_graphs():
+    graphs = [Graph(7, []), star_graph(6), complete_graph(6)]
+    for seed in range(60):
+        rng = random.Random(f"kminus1-random:{seed}")
+        graphs.append(random_graph(f"kminus1-random:{seed}", rng.randint(5, 13),
+                                   rng.choice([0.3, 0.5, 0.7, 0.85])))
+    for seed, k in enumerate([3, 4, 5, 6] * 3):
+        graphs.append(_planted_kminus1_graph(seed, 14 + 3 * seed, k))
+    graphs += [_planted_hub_graph(seed, n, hubs) for seed, (n, hubs) in enumerate([(30, 4), (24, 5)])]
+    return graphs
+
+
+def test_near_partners_match_definition():
+    reached = set()
+    for G in _equivalence_graphs()[::2] + _kminus1_graphs()[::3]:
+        for miss in range(4):
+            near = multidom.near_partners(G, miss)
+            assert near == _reference_near(G, miss), (G, miss)
+            if any(near):
+                reached.add(miss)
+    assert reached == {0, 1, 2, 3}
+
+
+def _list2_clique_graph(G, k):
+    """The clique graph with its dominating partners read off
+    `list_2_dominating_sets`."""
+    heavy = list(heavy_vertices(G, k))
+    labels = [list(heavy) for _ in range(k - 1)] + [list(range(G.n))]
+    partners = [0] * G.n
+    for u, v in list_2_dominating_sets(G):
+        partners[u] |= 1 << v
+        partners[v] |= 1 << u
+    index = {v: b for b, v in enumerate(heavy)}
+    edges = []
+    for a, u in enumerate(heavy):
+        found = [v for v in range(G.n) if (partners[u] >> v) & 1]
+        for i in range(k - 1):
+            for j in range(i + 1, k - 1):
+                edges.extend(((i, a), (j, index[v])) for v in found if v in index)
+            edges.extend(((i, a), (k - 1, v)) for v in found)
+    return KPartiteGraph([len(p) for p in labels], edges), labels
+
+
+def _unfiltered_fast(G, k, variant):
+    """The first pair of the join over every row of the family, at r = k-1."""
+    fam_s, fam_t = build_candidate_families(G, k, k - 1)
+    for S, T in multidom.pair_join(G, fam_s.members, fam_t, k - 1, variant):
+        return Solution(Problem(variant, k, k - 1), tuple(sorted(S + T)))
+    return None
+
+
+def _unfiltered_kminus1(G, k):
+    """The pipeline on the list2 clique graph, with the unfiltered join as
+    its fallback."""
+    problem = Problem("multiple", k, k - 1)
+    kp, labels = _list2_clique_graph(G, k)
+    wit = detect_unbalanced_kclique(kp)
+    if wit is not None:
+        return Solution(problem, tuple(sorted(labels[i][a] for i, a in wit)),
+                        {"clique_witness": list(wit)})
+    fallback = _unfiltered_fast(G, k, "multiple")
+    return None if fallback is None else Solution(problem, fallback.vertices,
+                                                  {"clique_witness": None})
+
+
+def test_kminus1_solutions_match_unfiltered_join():
+    # the near-clique rows are the family rows that can pair, in family
+    # order, so the first hit is the same and the family sizes are reported
+    answers = {True: 0, False: 0}
+    for G in _kminus1_graphs():
+        for k in range(3, min(G.n, 6) + 1):
+            fam_s, fam_t = build_candidate_families(G, k, k - 1)
+            for variant in multidom.VARIANTS:
+                stats = {}
+                got = solve_multidom_fast(G, k, k - 1, variant, stats=stats)
+                assert got == _unfiltered_fast(G, k, variant), (G, k, variant)
+                assert stats["candidate_family_sizes"] == [len(fam_s.members), len(fam_t.members)]
+                assert stats["rows_drawn"] <= len(fam_s.members)
+                answers[got is not None] += 1
+            assert solve_multidom_kminus1(G, k) == _unfiltered_kminus1(G, k), (G, k)
+    assert min(answers.values()) >= 50, answers
+
+
+def _near_cliques(G, k, variant):
+    """The row family's members at r = k-1 whose pairs are all near."""
+    near = _reference_near(G, k - 2 if variant == "multiple" else 0)
+    fam_s, _ = build_candidate_families(G, k, k - 1)
+    return [S for S in fam_s.members
+            if all((near[a] >> b) & 1 for a, b in itertools.combinations(S, 2))]
+
+
+def test_near_rows_are_the_near_cliques_of_the_family():
+    for G in _kminus1_graphs()[::2]:
+        heavy = heavy_vertices(G, 5)
+        for variant in multidom.VARIANTS:
+            near = multidom.near_partners(G, 3 if variant == "multiple" else 0)
+            rows = multidom._near_rows(near, sum(1 << v for v in heavy), 3, 2, G.full_mask())
+            assert list(rows) == _near_cliques(G, 5, variant)
+
+
+def test_kminus1_draws_only_near_rows():
+    # deterministic counters, not timings: a NO instance draws every row
+    # that is a near clique and no other
+    G = cli._random_gnm(random.Random(1), 120, 2100)
+    stats = {}
+    assert solve_multidom_fast(G, 5, 4, "multiple", stats=stats) is None
+    assert stats["candidate_family_sizes"][0] == 280840
+    heavy = set(heavy_vertices(G, 5))
+    near = _reference_near(G, 3)
+    partnered = [v for v in range(G.n) if near[v]]
+    cliques = [S for S in itertools.combinations(partnered, 3)
+               if len(heavy.intersection(S)) >= 2
+               and all((near[a] >> b) & 1 for a, b in itertools.combinations(S, 2))]
+    assert stats["rows_drawn"] == len(cliques) <= stats["candidate_family_sizes"][0] // 1000
+    rng = random.Random("ov-multidom-no-r3")
+    while True:
+        inst = OVInstance.from_lists(6, [[tuple(int(rng.random() >= 0.3) for _ in range(6))
+                                          for _ in range(size)] for size in (2, 2, 3, 3)])
+        if not solve_ov_bruteforce(inst, 3):
+            break
+    G = ov_to_multidom(inst, 3).graph
+    stats = {}
+    assert solve_multidom_fast(G, 4, 3, "multiple", stats=stats) is None
+    assert stats["rows_drawn"] == len(_near_cliques(G, 4, "multiple"))
+    assert stats["rows_drawn"] < stats["candidate_family_sizes"][0]
 
 
 def test_fast_threaded_result_identical():

@@ -324,6 +324,8 @@ def cmd_bench(args) -> int:
     ns = [int(x) for x in args.n.split(",")]
     densities = [float(x) for x in args.density.split(",")]
     algos = args.algos.split(",")
+    if "brute" in algos:
+        _check_scan_budget(max(ns), args.k, "bench --algos brute")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(BENCH_HEADER)

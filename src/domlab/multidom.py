@@ -355,37 +355,45 @@ def _candidate_family(n: int, heavy: tuple[int, ...], size: int, quota: int) -> 
     return CandidateFamily(size, quota, tuple(out), n, heavy, tuple(blocks))
 
 
-def near_partners(G: Graph, miss: int) -> list[int]:
-    """near[a]: the bitmask of the vertices b != a that leave at most `miss`
-    vertices outside N[a] ∪ N[b]. With miss = 0 these are a's dominating
-    partners, the pairs of `list_2_dominating_sets`.
+def near_partners(G: Graph, miss: int, alive: int | None = None) -> list[int]:
+    """near[a]: the bitmask of the vertices b != a of the vertex mask `alive`
+    (default V) that leave at most `miss` vertices of `alive` outside
+    N[a] ∪ N[b]; 0 for every a outside `alive`. With miss = 0 these are a's
+    dominating partners in the subgraph `alive` induces, by their ids in G.
 
-    |N[a] ∪ N[b]| <= d[a] + d[b] for closed degrees d, so a pair needs
-    d[a] + d[b] >= n - miss, and then its vertex of larger degree has
-    2·d >= n - miss. Only those vertices start a scan. Each tests the
-    partners b with d[b] >= n - miss - d[a], a suffix of the vertices
-    sorted by degree, once per pair. With no start every mask is 0 and
-    nothing is sorted.
+    With s(v) = |N[v] ∩ alive| and d(v) the closed CSR degree, s(v) <= d(v),
+    equal when `alive` is V. A pair needs s(a) + s(b) >= |alive| - miss, so
+    its vertex of larger s has 2·s >= |alive| - miss. Only those vertices
+    start a scan, and s is counted only where d passes that test first. A
+    start a tests the partners b with d(b) >= |alive| - miss - s(a), a
+    suffix of the alive vertices sorted by d, once per pair. When no d
+    passes, every mask is 0 and no degree list or vertex mask is built.
     """
     n = G.n
     near = [0] * n
-    need = n - miss
+    full = G.full_mask() if alive is None else alive
+    need = full.bit_count() - miss
     offsets = G.offsets
-    degree = [d + 1 for d in map(sub, itertools.islice(offsets, 1, None), offsets)]
-    is_start = [2 * d >= need for d in degree]
-    if not any(is_start):
+    if 2 * (max(map(sub, itertools.islice(offsets, 1, None), offsets), default=0) + 1) < need:
         return near
-    order = sorted(range(n), key=degree.__getitem__)
+    degree = [d + 1 for d in map(sub, itertools.islice(offsets, 1, None), offsets)]
+    # starts[v] = N[v] ∩ alive, for the vertices whose d passes first
+    starts = {v: nv for v in itertools.compress(range(n), [2 * d >= need for d in degree])
+              if full >> v & 1 and 2 * (nv := G.closed_mask(v) & full).bit_count() >= need}
+    if not starts:
+        return near
+    is_start = [False] * n
+    for v in starts:
+        is_start[v] = True
+    order = sorted(range(n) if alive is None else iter_bits(alive), key=degree.__getitem__)
     ordered = [degree[v] for v in order]
     # only the vertices some start can pair with need a mask; every start
     # is among them
-    first = bisect_left(ordered, need - ordered[-1])
+    first = bisect_left(ordered, need - max(map(int.bit_count, starts.values())))
     order, ordered = order[first:], ordered[first:]
-    masks = list(map(G.closed_mask, order))
-    full = G.full_mask()
-    for a in itertools.compress(range(n), is_start):
-        na = G.closed_mask(a)
-        lo = bisect_left(ordered, need - degree[a])
+    masks = [G.closed_mask(v) & full for v in order]
+    for a, na in starts.items():
+        lo = bisect_left(ordered, need - na.bit_count())
         for b, nb in zip(order[lo:], masks[lo:]):
             # a pair of two starts is tested from its larger id
             if is_start[b] and b >= a:
@@ -453,8 +461,8 @@ def _at_least(masks: Iterable[int], r: int, full: int) -> list[int]:
 def _column_masks(n: int, cols: Sequence[tuple[int, ...]]) -> list[int]:
     """masks[u]: the bitmask of the indices j with u in cols[j], for u < n.
 
-    For columns that come as a plain sequence: the singleton, clique and
-    matching columns. A `CandidateFamily` derives its masks from its blocks
+    For columns that come as a plain sequence: the clique and matching
+    columns. A `CandidateFamily` derives its masks from its blocks
     instead (`CandidateFamily.column_masks`).
     """
     masks = [0] * n
@@ -466,12 +474,10 @@ def _column_masks(n: int, cols: Sequence[tuple[int, ...]]) -> list[int]:
 
 def pair_join(G: Graph, rows: Iterable[tuple[int, ...]],
               cols: CandidateFamily | Sequence[tuple[int, ...]],
-              r: int, variant: str, universe: int | None = None,
+              r: int, variant: str,
               stats: dict | None = None) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every member pair (S, T), S a row and T a column, that is disjoint and
-    whose union dominates every vertex of `universe` (a vertex bitmask,
-    default all of V) at least r times under `variant`. With members inside
-    `universe`, this is the join on the subgraph `universe` induces.
+    whose union dominates every vertex at least r times under `variant`.
 
     `rows` may be any iterable of non-empty tuples, a generator included: it
     is walked once, and only as far as the consumer reads pairs, so a caller
@@ -511,10 +517,10 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]],
     Row certificate. Consecutive rows often share a prefix P (the
     lexicographic families, clique rows S + (h,), matching endpoint
     tuples). A vertex w outside N[b] gets the same level from S as from P,
-    in both variants and under any `universe`: b neither dominates w nor,
-    under "multiple", exempts it. So each gap mask that P gives such a w is
-    a gap mask of S too, as are the columns meeting P. On the second row of
-    a run the join picks K_P: vertices short under P, lowest level first
+    in both variants: b neither dominates w nor, under "multiple", exempts
+    it. So each gap mask that P gives such a w is a gap mask of S too, as
+    are the columns meeting P. On the second row of a run the join picks
+    K_P: vertices short under P, lowest level first
     (their gap masks are the widest), then lowest degree first (few N[b]
     meet them), until their gap masks under P and the columns meeting P
     cover every column. With K_P it keeps `hit`, the OR of N[w] over w in
@@ -542,7 +548,7 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]],
         cols = family.members
     contains: list[int] | None = None
     full = (1 << len(cols)) - 1
-    vfull = G.full_mask() if universe is None else universe
+    vfull = G.full_mask()
     offsets, neighbors = G.offsets, G.neighbors
     # below[v][b]: the columns that give v fewer than b dominators
     below: list[list[int] | None] = [None] * G.n
@@ -698,25 +704,15 @@ def list_2_dominating_sets(G: Graph, alive: int | None = None) -> list[tuple[int
     every alive vertex: the dominating pairs of the subgraph `alive` induces,
     by their ids in G.
 
-    A dominating pair has |N[u]| + |N[v]| >= n, so one of its vertices is in
-    `heavy_vertices(G, 2)`. Only those h vertices are joined against all n;
-    each pair is normalised to (min, max), kept once and sorted: O(n + m +
-    h*n) mask operations plus a sort of the pairs found. With no heavy
-    vertex the answer is empty and nothing beyond the heavy scan runs.
+    The pairs are read off `near_partners(G, 0, alive)`, each from the
+    partner mask of its smaller vertex, in id order, which is already
+    lexicographic: O(n + m) for the degrees, one mask test per (start,
+    candidate partner) pair, and the pairs found. With no vertex of
+    |N[v]| >= |alive|/2 the answer is empty and no vertex mask is built.
     """
-    heavy = heavy_vertices(G, 2, alive)
-    if not heavy:
-        return []
-    heavy_set = set(heavy)
-    cols = range(G.n) if alive is None else tuple(iter_bits(alive))
-    pairs = []
-    for (u,), (v,) in pair_join(G, [(u,) for u in heavy], [(v,) for v in cols], 1, "tuple", alive):
-        if u < v:
-            pairs.append((u, v))
-        elif v not in heavy_set:  # a heavy v < u already met u in its own row
-            pairs.append((v, u))
-    pairs.sort()
-    return pairs
+    near = near_partners(G, 0, alive)
+    return [(u, v) for u, partners in itertools.compress(enumerate(near), near)
+            for v in iter_bits(partners >> u << u)]
 
 
 def build_clique_graph(G: Graph, k: int) -> tuple[KPartiteGraph, list[list[int]]]:
@@ -772,25 +768,24 @@ def _range_cliques(kp: KPartiteGraph, parts: Sequence[int]) -> Iterator[tuple[tu
     """All transversal cliques (one vertex per listed part, pairwise adjacent),
     lazily, in lexicographic index order over `parts`.
 
-    A branch carries, for each part not yet chosen, the bitmask of its
-    vertices adjacent to every chosen vertex, and stops as soon as one of
-    those masks is empty."""
-
-    def extend(idx: int, masks: list[int], chosen: list[tuple[int, int]]):
-        if idx == len(parts):
-            yield tuple(chosen)
-            return
-        j, rest, later = parts[idx], masks[1:], parts[idx + 1:]
+    An explicit stack of (chosen, masks): `masks` holds, for each part not
+    yet chosen, the bitmask of its vertices adjacent to every chosen vertex.
+    A child is kept only while none of its masks is empty."""
+    masks = [(1 << kp.sizes[j]) - 1 for j in parts]
+    stack = [((), masks)] if all(masks) else []
+    while stack:
+        chosen, masks = stack.pop()
+        if not masks:
+            yield chosen
+            continue
+        j, rest, later = parts[len(chosen)], masks[1:], parts[len(chosen) + 1:]
+        adj, children = kp.adj[j], []
         for b in iter_bits(masks[0]):
-            row = kp.adj[j][b]
+            row = adj[b]
             narrowed = [mask & row[p] for mask, p in zip(rest, later)]
             if all(narrowed):
-                chosen.append((j, b))
-                yield from extend(idx + 1, narrowed, chosen)
-                chosen.pop()
-
-    masks = [(1 << kp.sizes[j]) - 1 for j in parts]
-    return extend(0, masks, []) if all(masks) else iter(())
+                children.append((chosen + ((j, b),), narrowed))
+        stack.extend(reversed(children))
 
 
 def _joins_clique(kp: KPartiteGraph, w1: tuple[tuple[int, int], ...],

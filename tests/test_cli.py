@@ -153,6 +153,22 @@ def test_solve_brute_budgets_the_exhaustive_scan(tmp_path, capsys, monkeypatch, 
                             "C(300, 3) = 4455100 subsets, more than 1000000\n")
 
 
+def test_bench_brute_budgets_the_exhaustive_scan(capsys, monkeypatch):
+    # bench --algos brute runs the same C(300, 3) scan per row (4.6 s);
+    # it must exit 3 before drawing a graph
+    def fail(*args, **kwargs):
+        raise AssertionError("bench work started above the budget")
+
+    monkeypatch.setattr(cli, "oracle_multidom", fail)
+    monkeypatch.setattr(cli, "_random_gnm", fail)
+    code = main(["bench", "--n", "20,300", "--density", "5", "--k", "3", "--r", "3",
+                 "--algos", "fast,brute", "--no-timing"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("error: bench --algos brute: the exhaustive scan at k=3 has "
+                            "C(300, 3) = 4455100 subsets, more than 1000000\n")
+
+
 def test_solve_brute_below_the_budget_still_scans(c5_file, capsys):
     # C(5, 3) = 10 subsets: the oracle answers
     assert main(["solve", c5_file, "--problem", "multidom", "--k", "3", "--r", "2",

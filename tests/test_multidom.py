@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from domlab import (
     diagnose_solution,
     grouping_parameters,
     heavy_vertices,
+    indepset_to_multidom,
     list_2_dominating_sets,
     list_dominating_ksets,
     oracle_multidom,
@@ -418,7 +420,7 @@ def test_family_joins_skip_column_masks(monkeypatch):
 
 
 def test_2_dominating_sets_match_full_scan():
-    # a pair (u, v) with only v heavy is found from v's row; the output
+    # a pair (u, v) with only v heavy is found from v's scan; the output
     # must still list it as (u, v)
     light_first = 0
     for G in _equivalence_graphs() + [Graph(5, [(i, 4) for i in range(4)])]:
@@ -449,9 +451,9 @@ def test_2_dominating_sets_skip_join_without_heavy_vertex(monkeypatch):
     assert all(2 * G.degstar(v) < n for v in range(n))
 
     def fail(*args, **kwargs):
-        raise AssertionError("pair_join called on a graph with no heavy vertex")
+        raise AssertionError("vertex mask built on a graph with no heavy vertex")
 
-    monkeypatch.setattr(multidom, "pair_join", fail)
+    monkeypatch.setattr(Graph, "neighbor_mask", fail)
     assert list_2_dominating_sets(G) == []
 
 
@@ -464,16 +466,15 @@ def test_fast_reports_stats():
     assert "product_dims" not in stats and "scalar_op_count" not in stats
 
 
-def _reference_pair_join(G, rows, cols, r, variant, universe=None):
+def _reference_pair_join(G, rows, cols, r, variant):
     """Nested row x column scan: the disjoint pairs whose capped levels add
-    up to r at every vertex of `universe`. A repeated vertex counts once."""
-    check = [v for v in range(G.n) if universe is None or (universe >> v) & 1]
+    up to r at every vertex. A repeated vertex counts once."""
     col_levels = [_reference_levels(G, T, r, variant) for T in cols]
     pairs = []
     for i, S in enumerate(rows):
         lev_s = _reference_levels(G, set(S), r, variant)
         for j, T in enumerate(cols):
-            if set(S).isdisjoint(T) and all(lev_s[v] + col_levels[j][v] >= r for v in check):
+            if set(S).isdisjoint(T) and all(lev_s[v] + col_levels[j][v] >= r for v in range(G.n)):
                 pairs.append((i, j))
     return pairs
 
@@ -487,7 +488,6 @@ def test_pair_join_matches_nested_reference():
         rng = random.Random(f"pair-join:{seed}")
         n = rng.randint(1, 9)
         G = random_graph(seed, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
-        universe = None if seed % 3 else rng.getrandbits(n)
         for variant in ("multiple", "tuple"):
             for r in (1, 2, 3, 4):
                 s_size, t_size = rng.randint(1, 3), rng.randint(1, 3)
@@ -497,9 +497,8 @@ def test_pair_join_matches_nested_reference():
                 repeats = [tuple(rng.randrange(n) for _ in range(s_size)) for _ in range(12)]
                 for row_list in (rows, shuffled) + ((repeats,) if r == 1 else ()):
                     stats = {}
-                    got = list(multidom.pair_join(G, iter(row_list), cols, r, variant,
-                                                  universe, stats))
-                    expected = _reference_pair_join(G, row_list, cols, r, variant, universe)
+                    got = list(multidom.pair_join(G, iter(row_list), cols, r, variant, stats))
+                    expected = _reference_pair_join(G, row_list, cols, r, variant)
                     assert got == [(row_list[i], cols[j]) for i, j in expected], (
                         seed, variant, r, row_list)
                     assert stats["rows_drawn"] == len(row_list)
@@ -600,12 +599,14 @@ def test_pair_join_draws_no_row_past_the_first_pair(variant, r):
     assert tried >= 2
 
 
-def _reference_near(G, miss):
-    """near[a] by its definition: every b != a that leaves at most `miss`
-    vertices outside N[a] | N[b]."""
-    full = G.full_mask()
+def _reference_near(G, miss, alive=None):
+    """near[a] by its definition: every b != a of `alive` (default V) that
+    leaves at most `miss` vertices of `alive` outside N[a] | N[b]; 0 for a
+    outside `alive`."""
+    full = G.full_mask() if alive is None else alive
     return [sum(1 << b for b in range(G.n)
-                if b != a and (full & ~(G.closed_mask(a) | G.closed_mask(b))).bit_count() <= miss)
+                if b != a and (full >> a) & 1 and (full >> b) & 1
+                and (full & ~(G.closed_mask(a) | G.closed_mask(b))).bit_count() <= miss)
             for a in range(G.n)]
 
 
@@ -633,14 +634,17 @@ def _kminus1_graphs():
 
 
 def test_near_partners_match_definition():
+    # each graph also under an empty, a full and a random `alive` mask
     reached = set()
+    rng = random.Random("near-alive")
     for G in _equivalence_graphs()[::2] + _kminus1_graphs()[::3]:
         for miss in range(4):
-            near = multidom.near_partners(G, miss)
-            assert near == _reference_near(G, miss), (G, miss)
-            if any(near):
-                reached.add(miss)
-    assert reached == {0, 1, 2, 3}
+            for alive in (None, 0, G.full_mask(), rng.getrandbits(G.n)):
+                near = multidom.near_partners(G, miss, alive)
+                assert near == _reference_near(G, miss, alive), (G, miss, alive)
+                if any(near):
+                    reached.add((miss, alive is None or alive == G.full_mask()))
+    assert reached == {(miss, whole) for miss in range(4) for whole in (True, False)}
 
 
 def _list2_clique_graph(G, k):
@@ -982,6 +986,31 @@ def test_range_cliques_match_reference(monkeypatch):
     monkeypatch.setattr(multidom, "_range_cliques", _reference_range_cliques)
     assert found == [detect_unbalanced_kclique(kp, gamma) for kp, gamma in cases]
     assert 10 <= sum(w is not None for w in found[-60:]) <= 50
+
+
+def test_clique_searches_leave_no_reference_cycles():
+    # a self-referencing nested generator leaves a cycle per call, which
+    # only the cyclic collector frees; the searches must leave none. The
+    # is-multidom instances mirror the certified pipeline solves, k = 4 on
+    # five source parts of 2 and of 3 vertices.
+    graphs = [indepset_to_multidom(_random_kpartite(seed, [size] * 5, 0.5), 4,
+                                   Fraction(1, 2)).graph
+              for seed, size in ((1, 2), (2, 3), (3, 3))]
+    graphs.append(_planted_kminus1_graph(0, 20, 4))
+    kps = [build_clique_graph(G, 4)[0] for G in graphs]
+    answers = {solve_multidom_kminus1(G, 4) is not None for G in graphs}
+    assert answers == {True, False}
+    assert {detect_unbalanced_kclique(kp) is not None for kp in kps} == {True, False}
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100 // len(graphs)):
+            for G, kp in zip(graphs, kps):
+                detect_unbalanced_kclique(kp)
+                solve_multidom_kminus1(G, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_kpartite_rejects_intra_part_edges():

@@ -16,9 +16,9 @@ import random
 import sys
 import time
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, factorial, isqrt
 
-from .graph import Graph, load_graph
+from .graph import MAX_VERTICES, Graph, load_graph
 from .multidom import (
     VARIANTS,
     Problem,
@@ -157,6 +157,10 @@ def _solve_once(G: Graph, args, k: int, stats: dict) -> Solution | None:
             raise SizeWindowError(str(exc)) from None
     if algo == "brute":
         _check_scan_budget(G.n, H.k, "--algo brute")
+        if (orderings := comb(G.n, H.k) * factorial(H.k)) > MAX_TRANSVERSALS:
+            raise OracleBudgetError(
+                f"--algo brute: the pattern scan at k={H.k} tries C({G.n}, {H.k}) * "
+                f"{H.k}! = {orderings} orderings, more than {MAX_TRANSVERSALS}")
         return oracle_pattern(G, H, max_n=G.n, max_k=H.k)
     if algo == "pipeline":
         raise CliError("--algo pipeline only applies to multidom")
@@ -322,6 +326,8 @@ def _pair_at(n: int, i: int) -> tuple[int, int]:
 
 def cmd_bench(args) -> int:
     ns = [int(x) for x in args.n.split(",")]
+    if bad := [n for n in ns if not 0 <= n <= MAX_VERTICES]:
+        raise CliError(f"--n {bad[0]} is outside 0..{MAX_VERTICES}")
     densities = [float(x) for x in args.density.split(",")]
     algos = args.algos.split(",")
     if "brute" in algos:

@@ -241,13 +241,15 @@ def diagnose_solution(G: Graph, problem: Problem, vertices: Sequence[int]) -> st
 
 
 def _shape_error(G: Graph, problem: Problem, S: tuple[int, ...]) -> str | None:
-    """None when the distinct vertices S induce the shape `problem` asks for
-    (a clique, an independent set, a perfect matching, or the pattern up to
-    isomorphism), else a message naming the violated condition. Domination
+    """None when S, with no vertex repeated, induces the shape `problem` asks
+    for (a clique, an independent set, a perfect matching, or the pattern up
+    to isomorphism), else a message naming the violated condition. Domination
     is not checked; multiple, tuple and dominating have no shape."""
     kind, k = problem.kind, problem.k
     if kind in VARIANTS or kind == "dominating":
         return None
+    if len(set(S)) != len(S):
+        return "duplicate vertices in solution"
     if kind == "clique":
         if all(G.has_edge(u, v) for u, v in itertools.combinations(S, 2)):
             return None

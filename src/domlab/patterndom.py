@@ -7,15 +7,19 @@ import itertools
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import add
-from typing import Iterable, Iterator
+from functools import reduce
+from operator import add, and_
+from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph, heavy_vertices
 from .multidom import (
+    CandidateFamily,
     Problem,
     Solution,
+    _set_mask,
     _shape_error,
     build_candidate_families,
+    iter_bits,
     list_2_dominating_sets,
     pair_join,
 )
@@ -165,27 +169,26 @@ def _first_shaped(G: Graph, problem: Problem,
     return next((S for S in sets if _shape_error(G, problem, S) is None), None)
 
 
-def _joined_unions(G: Graph, k: int, rows: Iterable[tuple[int, ...]],
-                   cols: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
-    """The sorted unions of k distinct vertices over the pairs of
-    `pair_join(G, rows, cols, 1, "tuple")`, in their order. The rows are
-    drawn lazily: a consumer that stops at a union costs only the rows up to
-    its own, and since `pair_join` yields the pairs of a row before it draws
-    the next, only the row drawn last is held."""
-    for S, T in pair_join(G, rows, cols, 1, "tuple"):
-        union = set(S).union(T)
-        if len(union) == k:
-            yield tuple(sorted(union))
+def _sorted_unions(G: Graph, rows: Iterable[tuple[int, ...]],
+                   cols: Sequence[tuple[int, ...]] | CandidateFamily) -> Iterator[tuple[int, ...]]:
+    """`tuple(sorted(S + T))` over the pairs of `pair_join(G, rows, cols, 1,
+    "tuple")`, in their order. The rows are drawn lazily: a consumer that
+    stops at a union costs only the rows up to its own, and since `pair_join`
+    yields the pairs of a row before it draws the next, only the row drawn
+    last is held."""
+    return (tuple(sorted(S + T)) for S, T in pair_join(G, rows, cols, 1, "tuple"))
 
 
 def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
     """First k-clique (in the half-split scan order) whose closed neighborhood
     is all of V, or None.
 
-    For k >= 3 the rows are the (k-1)//2-cliques extended by one heavy vertex
-    and the columns the k//2-cliques, one list when k is odd and the sizes
+    For k >= 3 the rows are the cliques S + (h,) of a (k-1)//2-clique S and
+    a heavy h adjacent to all of S, in the order of a scan over every (S, h)
+    (a row left out holds a non-edge, so the first hit is the same), and
+    the columns the k//2-cliques, one list when k is odd and the sizes
     agree. The clique lists are enumerated in full and the columns are
-    materialised, but the rows are drawn lazily by `_joined_unions`.
+    materialised, but the rows are drawn lazily by `_sorted_unions`.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -196,8 +199,11 @@ def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
     else:
         r1 = enumerate_cliques(G, (k - 1) // 2)
         r2 = r1 if k % 2 else enumerate_cliques(G, k // 2)
-        heavy = heavy_vertices(G, k)
-        sets = _joined_unions(G, k, (S + (h,) for S in r1 for h in heavy), r2)
+        heavy = _set_mask(heavy_vertices(G, k))
+        # with no heavy vertex there is no row, and no mask is built for S
+        rows = (S + (h,) for S in r1 if heavy
+                for h in iter_bits(reduce(and_, map(G.neighbor_mask, S), heavy)))
+        sets = _sorted_unions(G, rows, r2)
     cand = _first_shaped(G, problem, sets)
     return None if cand is None else Solution(problem, cand)
 
@@ -234,8 +240,8 @@ def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
     """Dominating set of k vertices inducing exactly k/2 independent edges.
 
     Splits the k/2 matching edges into edge subsets of sizes ceil(k/4) and
-    floor(k/4), and joins their endpoint tuples with `_joined_unions`; the
-    first union of k vertices that induces a perfect matching is the answer.
+    floor(k/4), and joins their endpoint tuples with `_sorted_unions`; the
+    first union that induces a perfect matching is the answer.
     The C(m, floor(k/4)) column subsets are materialised; the C(m, ceil(k/4))
     row subsets are drawn lazily, so the cost depends on the rows drawn
     before the first hit (all of them on a NO instance). The certificate's
@@ -250,7 +256,7 @@ def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
         edges = list(G.edges())
         rows = (sum(es, ()) for es in itertools.combinations(edges, (k + 3) // 4))
         cols = [sum(et, ()) for et in itertools.combinations(edges, k // 4)]
-        sets = _joined_unions(G, k, rows, cols)
+        sets = _sorted_unions(G, rows, cols)
     cand = _first_shaped(G, problem, sets)
     if cand is None:
         return None
@@ -274,9 +280,8 @@ def list_dominating_ksets(G: Graph, k: int) -> Iterator[tuple[int, ...]]:
         return
     fam_s, fam_t = build_candidate_families(G, k, 1)
     seen: set[tuple[int, ...]] = set()
-    for S, T in pair_join(G, fam_s.members, fam_t, 1, "tuple"):
-        # disjoint members of sizes summing to k: the union has k vertices
-        cand = tuple(sorted(S + T))
+    # disjoint members of sizes summing to k: each union has k vertices
+    for cand in _sorted_unions(G, fam_s.members, fam_t):
         if cand not in seen:
             seen.add(cand)
             yield cand

@@ -12,6 +12,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -115,9 +116,12 @@ class ReductionOutput:
 
 
 def solve_ov_bruteforce(inst: OVInstance, r: int) -> bool:
-    """True iff some transversal a_1,...,a_k has >= r zeros in every coordinate."""
+    """True iff some transversal a_1,...,a_k has >= r zeros in every coordinate.
+    OracleBudgetError when there are more than MAX_TRANSVERSALS of them."""
     if not (1 <= r <= inst.k):
         raise ValueError(f"need 1 <= r <= k, got r={r}, k={inst.k}")
+    if (count := prod(map(len, inst.sets))) > MAX_TRANSVERSALS:
+        raise OracleBudgetError(f"{count} transversals exceed the budget {MAX_TRANSVERSALS}")
     for choice in itertools.product(*inst.sets):
         if all(sum(1 for vec in choice if vec[t] == 0) >= r for t in range(inst.d)):
             return True
@@ -337,29 +341,30 @@ def _complement_kpartite(source: KPartiteGraph) -> KPartiteGraph:
 
 
 def verify_reduction(generator: str, source, param=None, max_n: int = 60) -> bool:
-    """True iff the source oracle and the target oracle agree.
+    """True iff the source oracle and the target oracle agree. The target
+    oracle runs first, so its `max_n` budget is checked before the source's.
 
     generator ids: ov-multidom (param = r), ov-hdom (param = Pattern),
     ov-matching (no param), is-multidom (param = (k, gamma, d)).
     """
     if generator == "ov-multidom":
         out = ov_to_multidom(source, param)
-        src = solve_ov_bruteforce(source, param)
         tgt = oracle_multidom(out.graph, out.problem.k, out.problem.r,
                               "multiple", max_n=max_n) is not None
+        src = solve_ov_bruteforce(source, param)
     elif generator == "ov-hdom":
         out = ov_to_hdom(source, param)
-        src = solve_ov_bruteforce(source, 1)
         tgt = oracle_pattern(out.graph, param, max_n=max_n) is not None
+        src = solve_ov_bruteforce(source, 1)
     elif generator == "ov-matching":
         out = ov_to_induced_matching(source)
-        src = solve_ov_bruteforce(source, 1)
         tgt = oracle_pattern(out.graph, Pattern.matching(source.k), max_n=max_n) is not None
+        src = solve_ov_bruteforce(source, 1)
     elif generator == "is-multidom":
         k, gamma, d = param
         out, complement = _indepset_reduction(source, k, gamma, d)
-        src = oracle_unbalanced_clique(complement) is not None
         tgt = oracle_multidom(out.graph, k, k - 1, "multiple", max_n=max_n) is not None
+        src = oracle_unbalanced_clique(complement) is not None
     else:
         raise ValueError(f"unknown generator {generator!r}")
     return src == tgt

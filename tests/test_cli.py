@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from domlab import cli
+from domlab import cli, reductions
 from domlab.cli import main
 
 from .conftest import cycle_graph, path_graph
@@ -167,6 +167,58 @@ def test_bench_brute_budgets_the_exhaustive_scan(capsys, monkeypatch):
     assert code == 3 and captured.out == ""
     assert captured.err == ("error: bench --algos brute: the exhaustive scan at k=3 has "
                             "C(300, 3) = 4455100 subsets, more than 1000000\n")
+
+
+@pytest.mark.parametrize("problem", ["pattern", "dom-clique"])
+def test_solve_brute_budgets_the_pattern_orderings(tmp_path, capsys, monkeypatch, problem):
+    # K10 has only C(10, 8) = 45 subsets of 8, but the pattern oracle tries
+    # up to 8! orderings of each dominating one (32 s for path(8)): 45 * 8!
+    # = 1814400 orderings are above the budget, so the scan must not start
+    gpath = tmp_path / "k10.txt"
+    save_graph(Graph(10, [(u, v) for u in range(10) for v in range(u + 1, 10)]), gpath)
+    pattern = tmp_path / "path8.json"
+    pattern.write_text(json.dumps({"k": 8, "edges": [[i, i + 1] for i in range(7)]}))
+
+    def scan(*args, **kwargs):
+        raise AssertionError("pattern scan started above the budget")
+
+    monkeypatch.setattr(cli, "oracle_pattern", scan)
+    extra = ["--pattern", str(pattern)] if problem == "pattern" else []
+    code = main(["solve", str(gpath), "--problem", problem, *extra, "--k", "8", "--algo", "brute"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("error: --algo brute: the pattern scan at k=8 tries C(10, 8) * "
+                            "8! = 1814400 orderings, more than 1000000\n")
+
+
+def test_bench_refuses_vertex_counts_beyond_the_loader_limit(capsys, monkeypatch):
+    # a typo such as --n 100000000 must exit 2 before a graph is drawn
+    def draw(*args, **kwargs):
+        raise AssertionError("a graph was drawn for an out-of-range --n")
+
+    monkeypatch.setattr(cli, "_random_gnm", draw)
+    for n, bad in (("20,100000000", "100000000"), ("-5", "-5")):
+        code = main(["bench", "--n", n, "--density", "2", "--k", "3", "--r", "1", "--no-timing"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: --n {bad} is outside 0..1000000\n"
+
+
+def test_verify_checks_the_target_budget_before_the_source(tmp_path, capsys, monkeypatch):
+    # three sets of 200 "11" vectors (a NO source of 8 * 10^6 transversals)
+    # give a target of 614 vertices, above --max-n 60: exit 3 before any
+    # brute force on the source (14 s when it ran first)
+    source = tmp_path / "source.json"
+    source.write_text(json.dumps({"k": 3, "d": 2, "sets": [["11"] * 200] * 3}))
+
+    def brute(*args, **kwargs):
+        raise AssertionError("source brute force ran before the target budget check")
+
+    monkeypatch.setattr(reductions, "solve_ov_bruteforce", brute)
+    code = main(["verify", "--reduction", "ov-multidom", "--source", str(source), "--r", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: n=614 exceeds oracle budget 60\n"
 
 
 def test_solve_brute_below_the_budget_still_scans(c5_file, capsys):

@@ -32,7 +32,7 @@ from domlab import (
     verify_solution,
 )
 from domlab import patterndom
-from domlab.multidom import Solution, pair_join
+from domlab.multidom import Solution, _shape_error, pair_join
 
 from .conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
 
@@ -325,6 +325,8 @@ def test_sparse_solves_build_no_masks(monkeypatch):
     monkeypatch.setattr(Graph, "_build_mask", lambda self, v: built.append(v) or original(self, v))
     assert solve_dominating_clique(G, 1) is None
     assert list_2_dominating_sets(G) == []
+    # no vertex is heavy for k = 3..5, so the clique rows need no mask
+    assert all(solve_dominating_clique(G, k) is None for k in (3, 4, 5))
     assert built == []
     G.has_edge(0, 1)  # the counter does see a build
     assert built == [0]
@@ -429,7 +431,7 @@ def test_matching_draws_rows_only_up_to_the_first_hit(monkeypatch):
 
 
 def test_matching_holds_one_drawn_row_at_a_time(monkeypatch):
-    """`_joined_unions` keeps only the row pair_join drew last: rows count
+    """`_sorted_unions` keeps only the row pair_join drew last: rows count
     their live instances. The hit on G(30, 0.25) comes after 2,721
     rows, all of which a list of the drawn rows would hold."""
     live = [0]
@@ -456,7 +458,7 @@ def test_matching_holds_one_drawn_row_at_a_time(monkeypatch):
     edges = list(G.edges())
     rows = (Row(sum(es, ())) for es in itertools.combinations(edges, 2))
     cols = [sum(et, ()) for et in itertools.combinations(edges, 1)]
-    unions = patterndom._joined_unions(G, 6, rows, cols)
+    unions = patterndom._sorted_unions(G, rows, cols)
     assert patterndom._first_shaped(G, Problem("matching", 6), unions) == expected
     assert most and max(most) <= 2
 
@@ -476,3 +478,76 @@ def test_dominating_clique_lists_each_clique_size_once(monkeypatch):
         solve_dominating_clique(G, k)
         # for odd k the row and column cliques have the same size
         assert sorted(sizes) == sorted({(k - 1) // 2, k // 2})
+
+
+def _clique_hub_graph(seed, n: int, hubs: int, planted: bool) -> Graph:
+    """A sparse random background (about n edges) plus `hubs` vertices at
+    random ids, each joined to about 40% of the others. When `planted`, the
+    hubs are also pairwise adjacent and every other vertex has a hub
+    neighbour, so the hubs form a dominating clique."""
+    rng = random.Random(f"clique-hubs:{seed}")
+    hub_ids = rng.sample(range(n), hubs)
+    edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n)}
+    edges |= {(min(h, v), max(h, v)) for h in hub_ids for v in range(n)
+              if v != h and rng.random() < 0.4}
+    if planted:
+        edges |= {(min(h, v), max(h, v)) for h, v in itertools.combinations(hub_ids, 2)}
+        edges |= {(min(v, h), max(v, h)) for v in range(n) if v not in hub_ids
+                  for h in [rng.choice(hub_ids)]}
+    return Graph(n, sorted(edges))
+
+
+def _clique_hub_graphs() -> list[Graph]:
+    return [_clique_hub_graph(seed, 20 + 4 * (seed % 5), 3 + seed % 4, seed % 2 == 0)
+            for seed in range(16)]
+
+
+def test_dominating_clique_rows_are_cliques(monkeypatch):
+    # every row S + (h,) is a ceil(k/2)-clique, and each such clique is the
+    # row of at most ceil(k/2) choices of h, so the rows drawn stay within
+    # ceil(k/2) times the ceil(k/2)-cliques (one heavy row per (S, h) pair
+    # overran it on most of these graphs)
+    drawn = []
+    real_join = patterndom.pair_join
+
+    def counting_join(G, rows, cols, *args):
+        def counted():
+            for row in rows:
+                drawn.append(row)
+                yield row
+        return real_join(G, counted(), cols, *args)
+
+    monkeypatch.setattr(patterndom, "pair_join", counting_join)
+    graphs = [random_graph(seed, 10 + seed % 12, 0.3 + 0.05 * (seed % 7)) for seed in range(24)]
+    for G in graphs + _clique_hub_graphs():
+        for k in range(3, 7):
+            drawn.clear()
+            solve_dominating_clique(G, k)
+            half = (k + 1) // 2
+            assert len(drawn) <= half * len(enumerate_cliques(G, half)), (G.n, G.m, k)
+            assert all(len(set(row)) == half and
+                       all(G.has_edge(u, v) for u, v in itertools.combinations(row, 2))
+                       for row in drawn)
+
+
+def test_dominating_clique_matches_row_major_on_hub_graphs():
+    answers = set()
+    for G in _clique_hub_graphs():
+        for k in range(3, 7):
+            sol = solve_dominating_clique(G, k)
+            answers.add(sol is not None)
+            assert repr(sol) == repr(_clique_row_major(G, k)), (G.n, G.m, k)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("problem, S", [
+    (Problem("clique", 3), (0, 1, 1)),
+    (Problem("indepset", 3), (2, 2, 4)),
+    (Problem("matching", 4), (0, 1, 1, 2)),
+    (Problem("pattern", 3, pattern_edges=frozenset()), (2, 2, 4)),
+], ids=["clique", "indepset", "matching", "pattern"])
+def test_shape_test_rejects_a_repeated_vertex(problem, S):
+    # on the edgeless graph the independent-set and edgeless-pattern cases
+    # would pass but for the repeat; the others must name it too
+    G = complete_graph(5) if problem.kind in ("clique", "matching") else Graph(5, [])
+    assert _shape_error(G, problem, S) == "duplicate vertices in solution"

@@ -281,3 +281,12 @@ def test_generator_output_is_pinned(name):
     blob = save_graph(out.graph) + json.dumps(
         [out.params, [list(map(str, role)) for role in out.id_map]])
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def test_ov_bruteforce_checks_the_transversal_budget_first():
+    # 101^3 > 10^6 transversals: refused before the first one is tried
+    inst = OVInstance.from_lists(1, [[(1,)] * 101] * 3)
+    with pytest.raises(OracleBudgetError, match="1030301 transversals exceed the budget 1000000"):
+        solve_ov_bruteforce(inst, 1)
+    # exactly at the budget: 100^3 transversals, and the first is orthogonal
+    assert solve_ov_bruteforce(OVInstance.from_lists(1, [[(0,)] * 100] * 3), 1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import comb
-from operator import add, or_, rshift, sub
+from operator import add, and_, or_, rshift, sub
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import iter_bits
@@ -414,9 +414,10 @@ def _near_rows(near: Sequence[int], heavy: int, size: int, quota: int,
 
     An explicit stack of (prefix, candidates, heavy still owed): the
     candidates are the vertices above the prefix's last that are near every
-    prefix vertex. A child is kept only while its candidates still hold
-    enough vertices, and enough heavy ones, to finish a row. Rows of two or
-    more start only at a vertex with a near partner.
+    prefix vertex. A child is kept only while it owes no more heavy vertices
+    than it has places left, and its candidates still hold enough vertices,
+    and enough heavy ones, to finish a row. Rows of two or more start only
+    at a vertex with a near partner.
     """
     stack = [((), full if size == 1 else full & reduce(or_, near, 0), quota)]
     while stack:
@@ -430,7 +431,8 @@ def _near_rows(near: Sequence[int], heavy: int, size: int, quota: int,
         for v in iter_bits(cands):
             rest = cands >> (v + 1) << (v + 1) & near[v]
             still = owed - (heavy >> v & 1)
-            if rest.bit_count() >= left - 1 and (rest & heavy).bit_count() >= still:
+            if (still < left and rest.bit_count() >= left - 1
+                    and (rest & heavy).bit_count() >= still):
                 children.append((prefix + (v,), rest, still))
         stack.extend(reversed(children))
 
@@ -661,8 +663,8 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     vertex collects at least r domination levels from the two sides.
 
     The first pair of `pair_join` over the two families, i.e. the first hit
-    of a row-major scan, is returned. `build_candidate_families` refuses an
-    r outside 1..k-1, and `pair_join` an unknown variant, with a ValueError.
+    of a row-major scan, is returned. `_family_shapes` refuses an r outside
+    1..k-1, and `pair_join` an unknown variant, with a ValueError.
     Levels are counted with saturation at r; by the identity
     min(r,a)+min(r,b) >= r <=> a+b >= r this decides
     exactly the min-degree >= r condition of the truncated polynomial
@@ -682,20 +684,31 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     `candidate_family_sizes` still gives the family sizes, the row
     family's from `closed_form_family_size`.
     """
-    shape_s, shape_t = _family_shapes(k, r)
+    _family_shapes(k, r)
     if r == k - 1:
-        heavy = heavy_vertices(G, k)
-        fam_t = _candidate_family(G.n, heavy, *shape_t)
         near = near_partners(G, k - 2 if variant == "multiple" else 0)
-        rows = _near_rows(near, _set_mask(heavy), *shape_s, G.full_mask())
-        sizes = [closed_form_family_size(G.n, len(heavy), *shape_s), len(fam_t.members)]
-    else:
-        fam_s, fam_t = build_candidate_families(G, k, r)
-        rows, sizes = fam_s.members, [len(fam_s.members), len(fam_t.members)]
+        return _solve_kminus1(G, k, variant, heavy_vertices(G, k), near, stats)
+    fam_s, fam_t = build_candidate_families(G, k, r)
     if stats is not None:
-        stats["candidate_family_sizes"] = sizes
-    for S, T in pair_join(G, rows, fam_t, r, variant, stats=stats):
+        stats["candidate_family_sizes"] = [len(fam_s.members), len(fam_t.members)]
+    for S, T in pair_join(G, fam_s.members, fam_t, r, variant, stats=stats):
         return Solution(Problem(variant, k, r), tuple(sorted(S + T)))
+    return None
+
+
+def _solve_kminus1(G: Graph, k: int, variant: str, heavy: tuple[int, ...],
+                   near: Sequence[int], stats: dict | None = None) -> Solution | None:
+    """`solve_multidom_fast` at r = k-1, on heavy = heavy_vertices(G, k) and
+    near = near_partners(G, miss), with miss = k-2 under "multiple" and 0
+    under "tuple": the rows are the near cliques of the row family."""
+    shape_s, shape_t = _family_shapes(k, k - 1)
+    fam_t = _candidate_family(G.n, heavy, *shape_t)
+    rows = _near_rows(near, _set_mask(heavy), *shape_s, G.full_mask())
+    if stats is not None:
+        stats["candidate_family_sizes"] = [closed_form_family_size(G.n, len(heavy), *shape_s),
+                                           len(fam_t.members)]
+    for S, T in pair_join(G, rows, fam_t, k - 1, variant, stats=stats):
+        return Solution(Problem(variant, k, k - 1), tuple(sorted(S + T)))
     return None
 
 
@@ -722,8 +735,11 @@ def build_clique_graph(G: Graph, k: int) -> tuple[KPartiteGraph, list[list[int]]
     k-sets: parts 1..k-1 are copies of the heavy set, part k a copy of V;
     cross edges join distinct originals that form a dominating pair.
 
-    Edges are read off one dominating-partner bitmask per vertex, so past
-    `near_partners(G, 0)` the cost is O(k^2 * h) plus the edges emitted."""
+    The explicit reference construction: `solve_multidom_kminus1` finds the
+    same first clique on partner masks without building this graph, and the
+    tests compare the two. Edges are read off one dominating-partner bitmask
+    per vertex, so past `near_partners(G, 0)` the cost is O(k^2 * h) plus
+    the edges emitted."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     heavy = list(heavy_vertices(G, k))
@@ -845,19 +861,40 @@ def solve_multidom_kminus1(G: Graph, k: int) -> Solution | None:
     members are all closed-dominated >= k-1 times. Solutions with a weakly
     dominated member (legal under the V\\S convention, e.g. {a,b,d} in the
     path a-b-c-d) have no clique image, so a candidate-family pass completes
-    the search when the clique side comes up empty. That pass is
-    `solve_multidom_fast` at r = k-1, which draws only the near-dominating
-    rows.
+    the search when the clique side comes up empty.
+
+    Both stages read one heavy set, `heavy_vertices(G, k)`, and one partner
+    scan, near = `near_partners(G, k - 2)`. The dominating partners are the
+    near pairs a, b with N[a] ∪ N[b] = V (at k = 2, near itself). The
+    witness is the first (k-1)-clique S of heavy vertices in that graph, in
+    lexicographic order, whose members share a dominating partner v, the
+    lowest such: [(i, heavy index of S[i]) ...] + [(k-1, v)]. That is the
+    clique `detect_unbalanced_kclique(build_clique_graph(G, k))` returns.
+    Its search puts the k-1 heavy parts first, and sorting the heavy half of
+    a clique never makes it larger, so the first clique has increasing heavy
+    indices and ends at the lowest common partner. No `KPartiteGraph` is
+    built. The fallback is `solve_multidom_fast` at r = k-1 on the same heavy
+    set and near masks, drawing only the near-dominating rows.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     problem = Problem("multiple", k, k - 1)
-    kp, labels = build_clique_graph(G, k)
-    wit = detect_unbalanced_kclique(kp)
-    if wit is not None:
-        verts = tuple(sorted(labels[i][a] for i, a in wit))
-        return Solution(problem, verts, {"clique_witness": list(wit)})
-    fallback = solve_multidom_fast(G, k, k - 1, "multiple")
+    heavy = heavy_vertices(G, k)
+    near = near_partners(G, k - 2)
+    dom = near
+    if k > 2:
+        # dom[a] for the heavy a with a near partner; the witness reads no other
+        full, dom = G.full_mask(), [0] * G.n
+        for a in filter(near.__getitem__, heavy):
+            na = G.closed_mask(a)
+            dom[a] = _set_mask(b for b in iter_bits(near[a]) if na | G.closed_mask(b) == full)
+    for S in _near_rows(dom, 0, k - 1, 0, _set_mask(heavy)):
+        common = reduce(and_, map(dom.__getitem__, S))
+        if common:
+            v = (common & -common).bit_length() - 1
+            witness = [(i, bisect_left(heavy, a)) for i, a in enumerate(S)] + [(k - 1, v)]
+            return Solution(problem, tuple(sorted(S + (v,))), {"clique_witness": witness})
+    fallback = _solve_kminus1(G, k, "multiple", heavy, near)
     if fallback is not None:
         return Solution(problem, fallback.vertices, {"clique_witness": None})
     return None

@@ -12,7 +12,7 @@ import pytest
 from domlab import cli, reductions
 from domlab.cli import main
 
-from .conftest import cycle_graph, path_graph
+from .conftest import complete_graph, cycle_graph, path_graph
 from domlab import Graph, save_graph, solve_multidom_fast
 
 
@@ -235,6 +235,18 @@ def test_solve_pipeline_algo(tmp_path, capsys):
                  "--algo", "pipeline", "--json", "--no-timing"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["solution"] == [0, 1, 3]
+
+
+def test_solve_pipeline_clique_witness(tmp_path, capsys):
+    # K4 at k = 3: heavy copies 0 and 1 take vertices 0 and 1, and the
+    # vertex part their lowest common dominating partner, 2
+    path = tmp_path / "k4.txt"
+    save_graph(complete_graph(4), path)
+    code = main(["solve", str(path), "--problem", "multidom", "--k", "3", "--r", "2",
+                 "--algo", "pipeline", "--json", "--no-timing"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["solution"] == [0, 1, 2]
+    assert out["certificate"] == {"clique_witness": [[0, 0], [1, 1], [2, 2]]}
 
 
 def test_generate_and_verify_round_trip(tmp_path, capsys):

@@ -694,7 +694,7 @@ def test_kminus1_solutions_match_unfiltered_join():
     # order, so the first hit is the same and the family sizes are reported
     answers = {True: 0, False: 0}
     for G in _kminus1_graphs():
-        for k in range(3, min(G.n, 6) + 1):
+        for k in range(2, min(G.n, 6) + 1):
             fam_s, fam_t = build_candidate_families(G, k, k - 1)
             for variant in multidom.VARIANTS:
                 stats = {}
@@ -722,6 +722,37 @@ def test_near_rows_are_the_near_cliques_of_the_family():
             near = multidom.near_partners(G, 3 if variant == "multiple" else 0)
             rows = multidom._near_rows(near, sum(1 << v for v in heavy), 3, 2, G.full_mask())
             assert list(rows) == _near_cliques(G, 5, variant)
+
+
+def _reference_near_rows(near, heavy, size, quota, full):
+    """The size-subsets of `full` with at least `quota` ids of `heavy` whose
+    pairs are all near, from a filtered `itertools.combinations` scan."""
+    ids = [v for v in range(full.bit_length()) if full >> v & 1]
+    return [S for S in itertools.combinations(ids, size)
+            if sum(heavy >> v & 1 for v in S) >= quota
+            and all(near[a] >> b & 1 for a, b in itertools.combinations(S, 2))]
+
+
+def test_near_rows_meet_the_heavy_quota():
+    # complete `near` on 6 vertices, two heavy ones: every row of 3 with a
+    # quota of 2 holds both, so (0, 1, 4) is not a row
+    near = [0b111111 ^ 1 << v for v in range(6)]
+    assert list(multidom._near_rows(near, 0b110000, 3, 2, 0b111111)) == [
+        (0, 4, 5), (1, 4, 5), (2, 4, 5), (3, 4, 5)]
+    rng = random.Random("near-rows")
+    for _ in range(150):
+        n = rng.randint(1, 10)
+        near = [0] * n
+        for a, b in itertools.combinations(range(n), 2):
+            if rng.random() < 0.7:
+                near[a] |= 1 << b
+                near[b] |= 1 << a
+        heavy, full = rng.getrandbits(n), rng.choice([(1 << n) - 1, rng.getrandbits(n)])
+        for size in range(1, 5):
+            for quota in range(size + 1):
+                got = list(multidom._near_rows(near, heavy, size, quota, full))
+                assert got == _reference_near_rows(near, heavy, size, quota, full), (
+                    near, heavy, size, quota, full)
 
 
 def test_kminus1_draws_only_near_rows():
@@ -824,6 +855,38 @@ def test_tuple_solutions_map_to_cliques():
             sol = oracle_multidom(G, k, k - 1, "tuple")
             kp, labels = build_clique_graph(G, k)
             assert (sol is not None) == (detect_unbalanced_kclique(kp) is not None)
+
+
+def test_pipeline_scans_partners_once_without_a_clique_graph(monkeypatch):
+    # the witness comes from partner masks, and the fallback reuses them
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline built or searched a clique graph")
+
+    for name in ("KPartiteGraph", "build_clique_graph", "detect_unbalanced_kclique"):
+        monkeypatch.setattr(multidom, name, refuse)
+    calls = {"near_partners": 0, "heavy_vertices": 0}
+
+    def counted(name):
+        original = getattr(multidom, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(multidom, name, counted(name))
+    graphs = [path_graph(4), complete_graph(4), cycle_graph(6), Graph(5, [])]
+    graphs += [_planted_kminus1_graph(seed, 20, 4) for seed in range(3)]
+    certificates = set()
+    for G in graphs:
+        for k in range(2, 5):
+            calls.update(dict.fromkeys(calls, 0))
+            sol = solve_multidom_kminus1(G, k)
+            assert calls == {"near_partners": 1, "heavy_vertices": 1}, (G, k)
+            certificates.add("none" if sol is None else
+                             "fallback" if sol.certificate["clique_witness"] is None else "witness")
+    assert certificates == {"none", "fallback", "witness"}
 
 
 def test_pipeline_p4_yes():

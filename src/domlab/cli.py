@@ -142,7 +142,7 @@ def _solve_once(G: Graph, args, k: int, stats: dict) -> Solution | None:
                 raise CliError(message)
             if r != k - 1:
                 raise SizeWindowError(message)
-            return solve_multidom_kminus1(G, k)
+            return solve_multidom_kminus1(G, k, stats=stats)
         if not (1 <= r <= k - 1):
             raise SizeWindowError(f"fast path requires 1 <= r <= k-1, got r={r}, k={k}")
         return solve_multidom_fast(G, k, r, kind, stats=stats)
@@ -193,6 +193,7 @@ def cmd_solve(args) -> int:
         solution = _solve_once(G, args, args.k, stats)
     elapsed = None if args.no_timing else round((time.perf_counter() - start) * 1000.0, 3)
     stats.setdefault("candidate_family_sizes", None)
+    stats.setdefault("columns_kept", None)
     stats.setdefault("rows_drawn", None)
     stats.setdefault("rows_certified", None)
     stats.setdefault("gap_masks", None)

@@ -357,6 +357,74 @@ def _candidate_family(n: int, heavy: tuple[int, ...], size: int, quota: int) -> 
     return CandidateFamily(size, quota, tuple(out), n, heavy, tuple(blocks))
 
 
+def _near_columns(G: Graph, heavy: tuple[int, ...], k: int, r: int,
+                  variant: str) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The members T of the column family of (k, r) that can be part of a
+    solution, in family order, with each one's short set as a vertex mask:
+    the vertices T leaves below level L = r - (k - |T|). For L >= 1 only.
+
+    A solution's row has k - |T| vertices, so every vertex outside the
+    solution takes at least L dominators from T. T is kept when its short
+    set has at most k - |T| vertices under "multiple" (they must be the
+    row's, which T does not exempt), and none under "tuple", where every
+    vertex has r closed dominators in the solution.
+
+    When |T| = quota + 1, every member is a quota-set Q of heavy ids plus
+    one vertex c. A vertex w that Q leaves short stays short unless c is in
+    N[w] and Q gives w exactly L - 1, or c = w under "multiple". One
+    saturating count of those misses, capped at one past the allowance,
+    gives every valid c for Q at once. A member with every vertex heavy
+    comes from several Q, so the members are deduplicated and sorted.
+    Other shapes test each member of `_candidate_family`.
+    """
+    size, quota = _family_shapes(k, r)[1]
+    level = r - (k - size)
+    multiple = variant == "multiple"
+    allowed = k - size if multiple else 0
+    vfull = G.full_mask()
+    nbr, closed = G.neighbor_mask, G.closed_mask
+
+    def levels(X: tuple[int, ...]) -> list[int]:
+        if multiple:
+            own = _set_mask(X)
+            return [m | own for m in _at_least(map(nbr, X), level, vfull)]
+        return _at_least(map(closed, X), level, vfull)
+
+    if size - quota != 1:
+        members = _candidate_family(G.n, heavy, size, quota).members
+        shorts = [vfull ^ levels(T)[level] for T in members]
+        kept = [i for i, short in enumerate(shorts) if short.bit_count() <= allowed]
+        return [members[i] for i in kept], [shorts[i] for i in kept]
+    found: dict[tuple[int, ...], int] = {}
+    for Q in itertools.combinations(heavy, quota):
+        lev = levels(Q)
+        short, rescuable = vfull ^ lev[level], lev[level - 1]
+        misses = (vfull ^ (nbr(w) | 1 << w) if rescuable >> w & 1
+                  else vfull ^ 1 << w if multiple else vfull for w in iter_bits(short))
+        failed = _at_least(misses, allowed + 1, vfull)[allowed + 1]
+        for c in iter_bits(vfull & ~(failed | _set_mask(Q))):
+            T = tuple(sorted(Q + (c,)))
+            if T not in found:
+                found[T] = short & ~(closed(c) & rescuable | (1 << c if multiple else 0))
+    members = sorted(found)
+    return members, [found[T] for T in members]
+
+
+def _rows_holding(rows: Iterable[tuple[int, ...]], shorts: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The rows that hold every vertex of at least one of the non-zero
+    vertex masks `shorts`, lazily and in order. Each mask is filed under its
+    lowest vertex, so a row reads only the masks filed under its own."""
+    by_low: dict[int, list[int]] = {}
+    for m in set(shorts):
+        by_low.setdefault((m & -m).bit_length() - 1, []).append(m)
+    for S in rows:
+        filed = [by_low[v] for v in S if v in by_low]
+        if filed:
+            own = _set_mask(S)
+            if any(m & own == m for ms in filed for m in ms):
+                yield S
+
+
 def near_partners(G: Graph, miss: int, alive: int | None = None) -> list[int]:
     """near[a]: the bitmask of the vertices b != a of the vertex mask `alive`
     (default V) that leave at most `miss` vertices of `alive` outside
@@ -683,15 +751,50 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     is the same, and `rows_drawn` counts only the near-dominating rows.
     `candidate_family_sizes` still gives the family sizes, the row
     family's from `closed_form_family_size`.
+
+    For r <= k-2 the columns are cut by a subset lemma. In a solution X,
+    a vertex outside X has >= r dominators in X, and a subset of k-r+1
+    members misses at most r-1 of them, so it dominates every vertex
+    outside X; under "tuple" every vertex, with closed dominators. Likewise
+    a column T of t >= k-r+1 members gives each vertex outside X at least
+    L = r - (k-t) >= 1 dominators, so it leaves at most the row's k-t
+    vertices below L under "multiple", and none under "tuple". The column
+    shape has t >= k-r+1 at r = k-2 from k = 5 on, and at r = k-3 from
+    k = 8 on. There the join gets only the columns that pass
+    (`_near_columns`), and `None` comes before any row is built when none
+    does. A row pairs only with a column whose short set it holds, so the
+    rows that hold none are dropped before the join (`_rows_holding`),
+    unless some kept column leaves nothing short. Both cuts keep a
+    subsequence, and what they drop has no pair: the first hit is the same.
+
+    With a `stats` dict, `candidate_family_sizes` holds the sizes of the
+    two families before any cut, `columns_kept` the columns the join
+    receives, and `rows_drawn` (with `pair_join`'s other counters) counts
+    only the rows that reach the join.
     """
-    _family_shapes(k, r)
+    shape_s, shape_t = _family_shapes(k, r)
     if r == k - 1:
         near = near_partners(G, k - 2 if variant == "multiple" else 0)
         return _solve_kminus1(G, k, variant, heavy_vertices(G, k), near, stats)
-    fam_s, fam_t = build_candidate_families(G, k, r)
-    if stats is not None:
-        stats["candidate_family_sizes"] = [len(fam_s.members), len(fam_t.members)]
-    for S, T in pair_join(G, fam_s.members, fam_t, r, variant, stats=stats):
+    if shape_t[0] < k - r + 1:
+        fam_s, fam_t = build_candidate_families(G, k, r)
+        if stats is not None:
+            stats["candidate_family_sizes"] = [len(fam_s.members), len(fam_t.members)]
+            stats["columns_kept"] = len(fam_t.members)
+        rows, cols = fam_s.members, fam_t
+    else:
+        heavy = heavy_vertices(G, k)
+        cols, shorts = _near_columns(G, heavy, k, r, variant)
+        if stats is not None:
+            stats["candidate_family_sizes"] = [closed_form_family_size(G.n, len(heavy), *shape)
+                                               for shape in (shape_s, shape_t)]
+            stats["columns_kept"] = len(cols)
+        rows = ()
+        if cols:
+            rows = _candidate_family(G.n, heavy, *shape_s).members
+            if all(shorts):
+                rows = _rows_holding(rows, shorts)
+    for S, T in pair_join(G, rows, cols, r, variant, stats=stats):
         return Solution(Problem(variant, k, r), tuple(sorted(S + T)))
     return None
 
@@ -707,6 +810,7 @@ def _solve_kminus1(G: Graph, k: int, variant: str, heavy: tuple[int, ...],
     if stats is not None:
         stats["candidate_family_sizes"] = [closed_form_family_size(G.n, len(heavy), *shape_s),
                                            len(fam_t.members)]
+        stats["columns_kept"] = len(fam_t.members)
     for S, T in pair_join(G, rows, fam_t, k - 1, variant, stats=stats):
         return Solution(Problem(variant, k, k - 1), tuple(sorted(S + T)))
     return None
@@ -854,7 +958,7 @@ def detect_unbalanced_kclique(kp: KPartiteGraph,
     return None
 
 
-def solve_multidom_kminus1(G: Graph, k: int) -> Solution | None:
+def solve_multidom_kminus1(G: Graph, k: int, stats: dict | None = None) -> Solution | None:
     """(k-1)-Multiple k-Dominating Set through the clique-graph pipeline.
 
     A k-clique of the pairwise-domination graph maps to a solution whose
@@ -874,7 +978,8 @@ def solve_multidom_kminus1(G: Graph, k: int) -> Solution | None:
     a clique never makes it larger, so the first clique has increasing heavy
     indices and ends at the lowest common partner. No `KPartiteGraph` is
     built. The fallback is `solve_multidom_fast` at r = k-1 on the same heavy
-    set and near masks, drawing only the near-dominating rows.
+    set and near masks, drawing only the near-dominating rows. A `stats`
+    dict gets the fallback join's counters, and none when a witness is found.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
@@ -894,7 +999,7 @@ def solve_multidom_kminus1(G: Graph, k: int) -> Solution | None:
             v = (common & -common).bit_length() - 1
             witness = [(i, bisect_left(heavy, a)) for i, a in enumerate(S)] + [(k - 1, v)]
             return Solution(problem, tuple(sorted(S + (v,))), {"clique_witness": witness})
-    fallback = _solve_kminus1(G, k, "multiple", heavy, near)
+    fallback = _solve_kminus1(G, k, "multiple", heavy, near, stats)
     if fallback is not None:
         return Solution(problem, fallback.vertices, {"clique_witness": None})
     return None

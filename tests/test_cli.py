@@ -90,6 +90,28 @@ def test_solve_json_reports_join_row_counters(tmp_path, c5_file, capsys):
     assert stats["gap_masks"] is None and stats["below_built"] is None
 
 
+def test_pipeline_json_reports_the_fallback_join(tmp_path, capsys):
+    # C8 at k = 4, r = 3 has no clique witness, so the fallback join runs and
+    # its counters reach --json; K5 has a witness and reports no join
+    for name, G, answer in (("c8", cycle_graph(8), False), ("k5", complete_graph(5), True)):
+        path = tmp_path / f"{name}.txt"
+        save_graph(G, path)
+        argv = ["solve", str(path), "--problem", "multidom", "--k", "4", "--r", "3",
+                "--algo", "pipeline", "--json", "--no-timing"]
+        main(argv)
+        first = capsys.readouterr().out
+        main(argv)
+        assert capsys.readouterr().out == first
+        result = json.loads(first)
+        assert result["answer"] is answer
+        stats = result["stats"]
+        if answer:
+            assert stats["rows_drawn"] is None and stats["columns_kept"] is None
+        else:
+            assert stats["candidate_family_sizes"] == [28, 28] and stats["columns_kept"] == 28
+            assert stats["rows_drawn"] > 0 and stats["gap_masks"] > 0
+
+
 def test_solve_at_most_k(tmp_path, capsys):
     path = tmp_path / "star.txt"
     save_graph(path_graph(3), path)

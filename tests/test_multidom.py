@@ -9,7 +9,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from domlab import cli, multidom
+from domlab import cli, multidom, patterndom
 from domlab import (
     Graph,
     KPartiteGraph,
@@ -405,10 +405,25 @@ def test_pair_join_family_columns_match_member_columns():
 
 
 def test_family_joins_skip_column_masks(monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("_column_masks called on a candidate family")
+    # a join handed a CandidateFamily takes the masks built from its blocks;
+    # only the near columns of r <= k-2 reach the join as a plain list
+    families, plain = [], []
+    join, column_masks = multidom.pair_join, multidom._column_masks
 
-    monkeypatch.setattr(multidom, "_column_masks", fail)
+    def recording_join(G, rows, cols, *args, **kwargs):
+        if isinstance(cols, multidom.CandidateFamily):
+            families.append(cols.members)
+        return join(G, rows, cols, *args, **kwargs)
+
+    def masks(n, cols):
+        if any(cols is members for members in families):
+            raise AssertionError("_column_masks called on a candidate family")
+        plain.append(len(cols))
+        return column_masks(n, cols)
+
+    monkeypatch.setattr(multidom, "pair_join", recording_join)
+    monkeypatch.setattr(patterndom, "pair_join", recording_join)
+    monkeypatch.setattr(multidom, "_column_masks", masks)
     drawn = 0
     for G, k in _join_instances()[::4]:
         for r in range(1, k):
@@ -416,7 +431,7 @@ def test_family_joins_skip_column_masks(monkeypatch):
             solve_multidom_fast(G, k, r, "multiple", stats=stats)
             drawn += stats.get("rows_drawn", 0)
         list(list_dominating_ksets(G, k))
-    assert drawn > 0
+    assert drawn > 0 and families and plain
 
 
 def test_2_dominating_sets_match_full_scan():
@@ -667,11 +682,11 @@ def _list2_clique_graph(G, k):
     return KPartiteGraph([len(p) for p in labels], edges), labels
 
 
-def _unfiltered_fast(G, k, variant):
-    """The first pair of the join over every row of the family, at r = k-1."""
-    fam_s, fam_t = build_candidate_families(G, k, k - 1)
-    for S, T in multidom.pair_join(G, fam_s.members, fam_t, k - 1, variant):
-        return Solution(Problem(variant, k, k - 1), tuple(sorted(S + T)))
+def _unfiltered_fast(G, k, r, variant):
+    """The first pair of the join over every row and column of the families."""
+    fam_s, fam_t = build_candidate_families(G, k, r)
+    for S, T in multidom.pair_join(G, fam_s.members, fam_t, r, variant):
+        return Solution(Problem(variant, k, r), tuple(sorted(S + T)))
     return None
 
 
@@ -684,7 +699,7 @@ def _unfiltered_kminus1(G, k):
     if wit is not None:
         return Solution(problem, tuple(sorted(labels[i][a] for i, a in wit)),
                         {"clique_witness": list(wit)})
-    fallback = _unfiltered_fast(G, k, "multiple")
+    fallback = _unfiltered_fast(G, k, k - 1, "multiple")
     return None if fallback is None else Solution(problem, fallback.vertices,
                                                   {"clique_witness": None})
 
@@ -699,7 +714,7 @@ def test_kminus1_solutions_match_unfiltered_join():
             for variant in multidom.VARIANTS:
                 stats = {}
                 got = solve_multidom_fast(G, k, k - 1, variant, stats=stats)
-                assert got == _unfiltered_fast(G, k, variant), (G, k, variant)
+                assert got == _unfiltered_fast(G, k, k - 1, variant), (G, k, variant)
                 assert stats["candidate_family_sizes"] == [len(fam_s.members), len(fam_t.members)]
                 assert stats["rows_drawn"] <= len(fam_s.members)
                 answers[got is not None] += 1
@@ -780,6 +795,143 @@ def test_kminus1_draws_only_near_rows():
     assert solve_multidom_fast(G, 4, 3, "multiple", stats=stats) is None
     assert stats["rows_drawn"] == len(_near_cliques(G, 4, "multiple"))
     assert stats["rows_drawn"] < stats["candidate_family_sizes"][0]
+
+
+def _near_shapes():
+    """(k, r) for k = 5..8 and every r whose column shape has L >= 1."""
+    return [(k, r) for k in range(5, 9) for r in range(1, k)
+            if multidom._family_shapes(k, r)[1][0] >= k - r + 1]
+
+
+def _planted_near_graph(seed, k: int, r: int) -> Graph:
+    """k hubs at random ids, pairwise adjacent, among n = k(r + 4) vertices;
+    every other vertex is joined to r of them, plus about n/4 random edges.
+    The hubs are an r-multiple and an r-tuple dominating set, and few other
+    vertices reach the heavy degree n/k."""
+    n = k * (r + 4)
+    rng = random.Random(f"near-hubs:{seed}")
+    hubs = rng.sample(range(n), k)
+    edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n // 4)}
+    edges |= {(min(a, b), max(a, b)) for a, b in itertools.combinations(hubs, 2)}
+    for v in set(range(n)) - set(hubs):
+        edges |= {(min(h, v), max(h, v)) for h in rng.sample(hubs, r)}
+    return Graph(n, sorted(edges))
+
+
+def _near_graphs():
+    """(G, shapes): small random graphs under every near shape, and one
+    planted hub graph per shape under its own."""
+    shapes = _near_shapes()
+    out = [(G, shapes) for G in (Graph(9, []), star_graph(9), complete_graph(9))]
+    for seed in range(16):
+        rng = random.Random(f"near-columns:{seed}")
+        out.append((random_graph(f"near-columns:{seed}", rng.randint(8, 10),
+                                 rng.choice([0.3, 0.5, 0.7, 0.85])), shapes))
+    out += [(_planted_near_graph(seed, k, r), [(k, r)]) for seed, (k, r) in enumerate(shapes)]
+    return out
+
+
+def test_near_columns_are_the_filtered_column_family():
+    # every (k, r) with L >= 1, r = k-1 included; |T| = quota + 1 is built
+    # from heavy quota-sets, the other shapes filter the family
+    reached = set()
+    for G, shapes in _near_graphs():
+        for k, r in shapes:
+            heavy = heavy_vertices(G, k)
+            size, quota = multidom._family_shapes(k, r)[1]
+            level = r - (k - size)
+            family = multidom._candidate_family(G.n, heavy, size, quota).members
+            for variant in multidom.VARIANTS:
+                allowed = k - size if variant == "multiple" else 0
+                shorts = {T: sum(1 << v for v, lev in
+                                 enumerate(_reference_levels(G, T, level, variant))
+                                 if lev < level)
+                          for T in family}
+                expected = [T for T in family if shorts[T].bit_count() <= allowed]
+                cols, got = multidom._near_columns(G, heavy, k, r, variant)
+                assert cols == expected, (G, k, r, variant)
+                assert got == [shorts[T] for T in cols]
+                if len(cols) < len(family):
+                    reached.add((size - quota == 1, level, variant))
+    assert reached >= {(True, 1, "multiple"), (True, 2, "multiple"), (True, 1, "tuple"),
+                       (True, 2, "tuple"), (False, 3, "multiple"), (False, 3, "tuple")}
+
+
+def test_near_column_solutions_match_unfiltered_join():
+    # both cuts keep a subsequence of the rows and columns and drop only
+    # what cannot pair, so the first hit is the same
+    answers = {True: 0, False: 0}
+    rows_cut = 0
+    for G, shapes in _near_graphs():
+        for k, r in shapes:
+            if r == k - 1:
+                continue
+            fam_s, fam_t = build_candidate_families(G, k, r)
+            for variant in multidom.VARIANTS:
+                stats = {}
+                got = solve_multidom_fast(G, k, r, variant, stats=stats)
+                assert got == _unfiltered_fast(G, k, r, variant), (G, k, r, variant)
+                assert stats["candidate_family_sizes"] == [len(fam_s.members),
+                                                           len(fam_t.members)]
+                assert stats["columns_kept"] <= len(fam_t.members)
+                assert stats["rows_drawn"] <= len(fam_s.members)
+                answers[got is not None] += 1
+                if got is None and stats["columns_kept"]:
+                    rows_cut += stats["rows_drawn"] < len(fam_s.members)
+    assert min(answers.values()) >= 50, answers
+    assert rows_cut > 0
+
+
+def test_rows_holding_keeps_the_rows_that_hold_a_mask():
+    rng = random.Random("rows-holding")
+    rows = list(itertools.combinations(range(9), 3))
+    for _ in range(100):
+        shorts = [rng.getrandbits(9) & rng.getrandbits(9) or 1 for _ in range(rng.randint(1, 4))]
+        expected = [S for S in rows
+                    if any(all(m >> v & 1 == 0 or v in S for v in range(9)) for m in shorts)]
+        assert list(multidom._rows_holding(iter(rows), shorts)) == expected, shorts
+
+
+def _ov_k5_r3_no_graphs(count: int):
+    rng = random.Random("ov-multidom-k5-r3-no")
+    graphs = []
+    while len(graphs) < count:
+        inst = OVInstance.from_lists(8, [[tuple(int(rng.random() >= 0.3) for _ in range(8))
+                                          for _ in range(2)] for _ in range(5)])
+        if not solve_ov_bruteforce(inst, 3):
+            graphs.append(ov_to_multidom(inst, 3).graph)
+    return graphs
+
+
+def test_near_columns_on_certified_ov_no_group():
+    # ov_to_multidom at k = 5, r = 3 on sources the brute force certifies
+    # NO: the join gets a strict subset of the column family
+    for G in _ov_k5_r3_no_graphs(4):
+        _, fam_t = build_candidate_families(G, 5, 3)
+        for variant in multidom.VARIANTS:
+            stats = {}
+            assert solve_multidom_fast(G, 5, 3, variant, stats=stats) is None
+            assert _unfiltered_fast(G, 5, 3, variant) is None
+            assert stats["columns_kept"] < len(fam_t.members)
+            assert stats["candidate_family_sizes"][1] == len(fam_t.members)
+
+
+def test_no_near_column_builds_no_row(monkeypatch):
+    # five hubs each joined to about 40% of the vertices: the 560 columns
+    # of size 3 all leave more than two vertices undominated, so None comes
+    # before any row family is built, and the join draws nothing
+    G = _planted_hub_graph(0, 60, 5)
+    _, fam_t = build_candidate_families(G, 5, 3)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("row family built with no column left")
+
+    monkeypatch.setattr(multidom, "_candidate_family", fail)
+    for variant in multidom.VARIANTS:
+        stats = {}
+        assert solve_multidom_fast(G, 5, 3, variant, stats=stats) is None
+        assert stats["candidate_family_sizes"][1] == len(fam_t.members) == 560
+        assert stats["columns_kept"] == 0 and stats["rows_drawn"] == 0
 
 
 def test_fast_threaded_result_identical():

@@ -20,7 +20,6 @@ from .multidom import (
     build_clique_graph,
     detect_unbalanced_kclique,
     diagnose_solution,
-    grouping_parameters,
     list_2_dominating_sets,
     solve_multidom_fast,
     solve_multidom_kminus1,

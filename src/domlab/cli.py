@@ -20,6 +20,7 @@ from math import comb, factorial, isqrt
 
 from .graph import MAX_VERTICES, Graph, load_graph
 from .multidom import (
+    STATS_KEYS,
     VARIANTS,
     Problem,
     Solution,
@@ -192,12 +193,8 @@ def cmd_solve(args) -> int:
     else:
         solution = _solve_once(G, args, args.k, stats)
     elapsed = None if args.no_timing else round((time.perf_counter() - start) * 1000.0, 3)
-    stats.setdefault("candidate_family_sizes", None)
-    stats.setdefault("columns_kept", None)
-    stats.setdefault("rows_drawn", None)
-    stats.setdefault("rows_certified", None)
-    stats.setdefault("gap_masks", None)
-    stats.setdefault("below_built", None)
+    for key in STATS_KEYS:
+        stats.setdefault(key, None)
     stats["elapsed_ms"] = elapsed
     # json.dumps writes the certificate's tuples as lists
     result = {"answer": solution is not None,

@@ -2,7 +2,7 @@
 
 Covers the candidate-family level-matrix algorithm, 2-dominating-pair
 listing, the clique-graph pipeline for r = k-1, and unbalanced k-clique
-detection with the triangle-grouping construction.
+detection by backtracking.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, reduce
 from math import comb
 from operator import add, and_, or_, rshift, sub
@@ -20,6 +19,9 @@ from .algebra import iter_bits
 from .graph import Graph, heavy_vertices
 
 VARIANTS = ("multiple", "tuple")
+# the keys the fast solvers set in a `stats` dict, the last four by `pair_join`
+STATS_KEYS = ("candidate_family_sizes", "columns_kept",
+              "rows_drawn", "rows_certified", "gap_masks", "below_built")
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,9 @@ class CandidateFamily:
     n: int
     heavy: tuple[int, ...]
     blocks: tuple[tuple[int, tuple[int, ...], int, int, bool], ...]
+
+    def __len__(self) -> int:
+        return len(self.members)
 
     @cached_property
     def column_masks(self) -> list[int]:
@@ -382,30 +387,22 @@ def _near_columns(G: Graph, heavy: tuple[int, ...], k: int, r: int,
     multiple = variant == "multiple"
     allowed = k - size if multiple else 0
     vfull = G.full_mask()
-    nbr, closed = G.neighbor_mask, G.closed_mask
-
-    def levels(X: tuple[int, ...]) -> list[int]:
-        if multiple:
-            own = _set_mask(X)
-            return [m | own for m in _at_least(map(nbr, X), level, vfull)]
-        return _at_least(map(closed, X), level, vfull)
-
     if size - quota != 1:
         members = _candidate_family(G.n, heavy, size, quota).members
-        shorts = [vfull ^ levels(T)[level] for T in members]
+        shorts = [vfull ^ _levels(G, T, level, multiple)[level] for T in members]
         kept = [i for i, short in enumerate(shorts) if short.bit_count() <= allowed]
         return [members[i] for i in kept], [shorts[i] for i in kept]
     found: dict[tuple[int, ...], int] = {}
     for Q in itertools.combinations(heavy, quota):
-        lev = levels(Q)
+        lev = _levels(G, Q, level, multiple)
         short, rescuable = vfull ^ lev[level], lev[level - 1]
-        misses = (vfull ^ (nbr(w) | 1 << w) if rescuable >> w & 1
+        misses = (vfull ^ G.closed_mask(w) if rescuable >> w & 1
                   else vfull ^ 1 << w if multiple else vfull for w in iter_bits(short))
         failed = _at_least(misses, allowed + 1, vfull)[allowed + 1]
         for c in iter_bits(vfull & ~(failed | _set_mask(Q))):
             T = tuple(sorted(Q + (c,)))
             if T not in found:
-                found[T] = short & ~(closed(c) & rescuable | (1 << c if multiple else 0))
+                found[T] = short & ~(G.closed_mask(c) & rescuable | (1 << c if multiple else 0))
     members = sorted(found)
     return members, [found[T] for T in members]
 
@@ -505,6 +502,16 @@ def _near_rows(near: Sequence[int], heavy: int, size: int, quota: int,
         stack.extend(reversed(children))
 
 
+def _levels(G: Graph, X: Sequence[int], r: int, multiple: bool) -> list[int]:
+    """`_at_least` over the members X, capped at r: entry c holds the
+    vertices X dominates at least c times, by open neighbourhoods with X's
+    own vertices in every level when `multiple`, else by closed ones."""
+    if multiple:
+        own = _set_mask(X)
+        return [m | own for m in _at_least(map(G.neighbor_mask, X), r, G.full_mask())]
+    return _at_least(map(G.closed_mask, X), r, G.full_mask())
+
+
 def _at_least(masks: Iterable[int], r: int, full: int) -> list[int]:
     """Saturating bit-sliced count of `masks`: entry b (0 <= b <= r) has the
     bits set in at least b of them, so entry 0 is `full`."""
@@ -580,7 +587,7 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]],
     last vertex b. The loop keeps, for the current prefix, the OR of the
     column masks of P's members and levels(P): entry c holds the vertices P
     dominates at least c times (plus P's own vertices under "multiple"),
-    capped at r. The empty prefix of size-1 rows has [vfull, 0, ...]. A
+    capped at r. The empty prefix of size-1 rows has [V, 0, ...]. A
     walked row's levels are one saturating step from P's:
     lev[c] = lp[c] | lp[c - 1] & m, with m = N[b] under "tuple" and
     m = N(b) under "multiple", where bit b then joins every level. So each
@@ -620,7 +627,6 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]],
         cols = family.members
     contains: list[int] | None = None
     full = (1 << len(cols)) - 1
-    vfull = G.full_mask()
     offsets, neighbors = G.offsets, G.neighbors
     # below[v][b]: the columns that give v fewer than b dominators
     below: list[list[int] | None] = [None] * G.n
@@ -637,12 +643,6 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]],
             ge = [m | contains[v] for m in ge]
         below[v] = [full ^ m for m in ge]
         return below[v]
-
-    def levels(P: tuple[int, ...]) -> list[int]:
-        if multiple:
-            pmask = _set_mask(P)
-            return [m | pmask for m in _at_least(map(nbr, P), r, vfull)]
-        return _at_least((nbr(s) | 1 << s for s in P), r, vfull)
 
     def certificate(P: tuple[int, ...], covered: int, lp: list[int]) -> int | None:
         """`hit` for K_P, or None when P's short vertices leave a column
@@ -676,8 +676,7 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]],
         return None
 
     if stats is not None:
-        stats["rows_drawn"] = stats["rows_certified"] = 0
-        stats["gap_masks"] = stats["below_built"] = 0
+        stats.update(dict.fromkeys(STATS_KEYS[2:], 0))
 
     def walk() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         nonlocal contains
@@ -692,7 +691,7 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]],
                 prefix, hit, pending = P, None, bool(P)
                 # the columns meeting P, levels(P), and levels(P) one level up
                 cp = reduce(or_, map(contains.__getitem__, P), 0)
-                lp = levels(P)
+                lp = _levels(G, P, r, multiple)
                 up = [0] + lp[:-1]
             elif pending:
                 hit, pending = certificate(P, cp, lp), False
@@ -749,8 +748,6 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     drawn lazily as those cliques (`_near_rows`), a subsequence of the row
     family in its order, and the rows left out have no pair: the first hit
     is the same, and `rows_drawn` counts only the near-dominating rows.
-    `candidate_family_sizes` still gives the family sizes, the row
-    family's from `closed_form_family_size`.
 
     For r <= k-2 the columns are cut by a subset lemma. In a solution X,
     a vertex outside X has >= r dominators in X, and a subset of k-r+1
@@ -758,14 +755,15 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     outside X; under "tuple" every vertex, with closed dominators. Likewise
     a column T of t >= k-r+1 members gives each vertex outside X at least
     L = r - (k-t) >= 1 dominators, so it leaves at most the row's k-t
-    vertices below L under "multiple", and none under "tuple". The column
-    shape has t >= k-r+1 at r = k-2 from k = 5 on, and at r = k-3 from
-    k = 8 on. There the join gets only the columns that pass
-    (`_near_columns`), and `None` comes before any row is built when none
-    does. A row pairs only with a column whose short set it holds, so the
-    rows that hold none are dropped before the join (`_rows_holding`),
-    unless some kept column leaves nothing short. Both cuts keep a
-    subsequence, and what they drop has no pair: the first hit is the same.
+    vertices below L under "multiple", and none under "tuple". Wherever
+    the column shape (t, q) has t >= k-r+1, the join gets only the columns
+    that pass (`_near_columns`: built from the heavy q-sets when t = q + 1,
+    filtered from the family otherwise), and `None` comes before any row
+    is built when none does. A row pairs only with a column whose short set
+    it holds, so the rows that hold none are dropped before the join
+    (`_rows_holding`), unless some kept column leaves nothing short. Both
+    cuts keep a subsequence, and what they drop has no pair: the first hit
+    is the same.
 
     With a `stats` dict, `candidate_family_sizes` holds the sizes of the
     two families before any cut, `columns_kept` the columns the join
@@ -778,25 +776,15 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
         return _solve_kminus1(G, k, variant, heavy_vertices(G, k), near, stats)
     if shape_t[0] < k - r + 1:
         fam_s, fam_t = build_candidate_families(G, k, r)
-        if stats is not None:
-            stats["candidate_family_sizes"] = [len(fam_s.members), len(fam_t.members)]
-            stats["columns_kept"] = len(fam_t.members)
-        rows, cols = fam_s.members, fam_t
-    else:
-        heavy = heavy_vertices(G, k)
-        cols, shorts = _near_columns(G, heavy, k, r, variant)
-        if stats is not None:
-            stats["candidate_family_sizes"] = [closed_form_family_size(G.n, len(heavy), *shape)
-                                               for shape in (shape_s, shape_t)]
-            stats["columns_kept"] = len(cols)
-        rows = ()
-        if cols:
-            rows = _candidate_family(G.n, heavy, *shape_s).members
-            if all(shorts):
-                rows = _rows_holding(rows, shorts)
-    for S, T in pair_join(G, rows, cols, r, variant, stats=stats):
-        return Solution(Problem(variant, k, r), tuple(sorted(S + T)))
-    return None
+        return _first_pair(G, k, r, variant, fam_t.heavy, fam_s.members, fam_t, stats)
+    heavy = heavy_vertices(G, k)
+    cols, shorts = _near_columns(G, heavy, k, r, variant)
+    rows = ()
+    if cols:
+        rows = _candidate_family(G.n, heavy, *shape_s).members
+        if all(shorts):
+            rows = _rows_holding(rows, shorts)
+    return _first_pair(G, k, r, variant, heavy, rows, cols, stats)
 
 
 def _solve_kminus1(G: Graph, k: int, variant: str, heavy: tuple[int, ...],
@@ -805,14 +793,24 @@ def _solve_kminus1(G: Graph, k: int, variant: str, heavy: tuple[int, ...],
     near = near_partners(G, miss), with miss = k-2 under "multiple" and 0
     under "tuple": the rows are the near cliques of the row family."""
     shape_s, shape_t = _family_shapes(k, k - 1)
-    fam_t = _candidate_family(G.n, heavy, *shape_t)
     rows = _near_rows(near, _set_mask(heavy), *shape_s, G.full_mask())
+    return _first_pair(G, k, k - 1, variant, heavy, rows,
+                       _candidate_family(G.n, heavy, *shape_t), stats)
+
+
+def _first_pair(G: Graph, k: int, r: int, variant: str, heavy: tuple[int, ...],
+                rows: Iterable[tuple[int, ...]], cols: CandidateFamily | Sequence[tuple[int, ...]],
+                stats: dict | None) -> Solution | None:
+    """The solution of the first pair `pair_join` yields over `rows` and
+    `cols`, or None. A `stats` dict gets the uncut family sizes of (k, r)
+    from `closed_form_family_size` on `heavy`, the number of columns as
+    `columns_kept`, and the join's counters."""
     if stats is not None:
-        stats["candidate_family_sizes"] = [closed_form_family_size(G.n, len(heavy), *shape_s),
-                                           len(fam_t.members)]
-        stats["columns_kept"] = len(fam_t.members)
-    for S, T in pair_join(G, rows, fam_t, k - 1, variant, stats=stats):
-        return Solution(Problem(variant, k, k - 1), tuple(sorted(S + T)))
+        stats["candidate_family_sizes"] = [closed_form_family_size(G.n, len(heavy), *shape)
+                                           for shape in _family_shapes(k, r)]
+        stats["columns_kept"] = len(cols)
+    for S, T in pair_join(G, rows, cols, r, variant, stats=stats):
+        return Solution(Problem(variant, k, r), tuple(sorted(S + T)))
     return None
 
 
@@ -862,30 +860,6 @@ def build_clique_graph(G: Graph, k: int) -> tuple[KPartiteGraph, list[list[int]]
     return KPartiteGraph([len(p) for p in labels], edges), labels
 
 
-def grouping_parameters(k: int, gamma: Fraction) -> tuple[int, int] | None:
-    """Triangle-grouping split (alpha, beta) with alpha + 2*beta + 1 = k,
-    where beta = (k-1+1/gamma)/3. Requires k-1+1/gamma to be an integer
-    divisible by 3 and 2/gamma < k-1; returns None otherwise.
-
-    Library-only: no solver or CLI path passes `gamma`, so the grouped
-    triangle search runs only when a caller of `detect_unbalanced_kclique`
-    asks for it. Feeding it from generator parameters would change which
-    clique the pipeline finds first."""
-    g = Fraction(gamma)
-    if not (0 < g <= 1):
-        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-    t = k - 1 + 1 / g
-    if t.denominator != 1 or t.numerator % 3 != 0:
-        return None
-    if 2 / g >= k - 1:
-        return None
-    beta = t.numerator // 3
-    alpha = k - 1 - 2 * beta
-    if alpha <= 0 or beta <= 0:
-        return None
-    return alpha, beta
-
-
 def _range_cliques(kp: KPartiteGraph, parts: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
     """All transversal cliques (one vertex per listed part, pairwise adjacent),
     lazily, in lexicographic index order over `parts`.
@@ -910,48 +884,13 @@ def _range_cliques(kp: KPartiteGraph, parts: Sequence[int]) -> Iterator[tuple[tu
         stack.extend(reversed(children))
 
 
-def _joins_clique(kp: KPartiteGraph, w1: tuple[tuple[int, int], ...],
-                  w2: tuple[tuple[int, int], ...]) -> bool:
-    return all(kp.has_edge(i, a, j, b) for i, a in w1 for j, b in w2)
-
-
-def _grouped_triangle(kp: KPartiteGraph, alpha: int, beta: int) -> tuple[tuple[int, int], ...] | None:
-    k = kp.k
-    parts1 = list(range(alpha + 1))
-    parts2 = list(range(alpha + 1, alpha + 1 + beta))
-    parts3 = list(range(alpha + 1 + beta, k))
-    w1 = list(_range_cliques(kp, parts1))
-    w2 = list(_range_cliques(kp, parts2))
-    w3 = list(_range_cliques(kp, parts3))
-    if not (w1 and w2 and w3):
-        return None
-    # compatibility bit rows towards W3, then triangle scan over W1 x W2
-    w1_to_3 = [_set_mask(c for c, x in enumerate(w3) if _joins_clique(kp, a, x)) for a in w1]
-    w2_to_3 = [_set_mask(c for c, x in enumerate(w3) if _joins_clique(kp, b, x)) for b in w2]
-    for ia, a in enumerate(w1):
-        for ib, b in enumerate(w2):
-            if not _joins_clique(kp, a, b):
-                continue
-            both = w1_to_3[ia] & w2_to_3[ib]
-            if both:
-                ic = (both & -both).bit_length() - 1
-                return tuple(sorted(a + b + w3[ic]))
-    return None
-
-
-def detect_unbalanced_kclique(kp: KPartiteGraph,
-                              gamma: Fraction | None = None) -> tuple[tuple[int, int], ...] | None:
-    """One vertex per part forming a clique, or None.
-
-    With a gamma hint satisfying the grouping conditions, partial cliques are
-    grouped into three blocks and a triangle is searched; otherwise plain
-    backtracking over parts ordered by increasing size. The grouped path is
-    library-only: `solve_multidom_kminus1` and the CLI never pass `gamma`,
-    and the two paths may return different cliques.
+def detect_unbalanced_kclique(kp: KPartiteGraph) -> tuple[tuple[int, int], ...] | None:
+    """One vertex per part forming a clique, sorted by part, or None: the
+    first clique of a backtracking search over the parts ordered by
+    increasing size. The grouped triangle search of Eisenbrand & Grandoni,
+    which pays off only with fast matrix multiplication, is a test-side
+    model (`tests/reference_cliquegraph.py`).
     """
-    params = grouping_parameters(kp.k, gamma) if gamma is not None else None
-    if params is not None:
-        return _grouped_triangle(kp, *params)
     order = sorted(range(kp.k), key=lambda i: (kp.sizes[i], i))
     for first in _range_cliques(kp, order):
         return tuple(sorted(first))

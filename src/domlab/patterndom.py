@@ -187,7 +187,8 @@ def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
     a heavy h adjacent to all of S, in the order of a scan over every (S, h)
     (a row left out holds a non-edge, so the first hit is the same), and
     the columns the k//2-cliques, one list when k is odd and the sizes
-    agree. The clique lists are enumerated in full and the columns are
+    agree. With no heavy vertex there is no row, and no clique is listed.
+    Otherwise the clique lists are enumerated in full and the columns are
     materialised, but the rows are drawn lazily by `_sorted_unions`.
     """
     if k < 1:
@@ -197,11 +198,12 @@ def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
         # heavy at k = 1 means |N[v]| = n: the universal vertices
         sets = zip(heavy_vertices(G, 1)) if k == 1 else list_2_dominating_sets(G)
     else:
+        heavy = _set_mask(heavy_vertices(G, k))
+        if not heavy:
+            return None
         r1 = enumerate_cliques(G, (k - 1) // 2)
         r2 = r1 if k % 2 else enumerate_cliques(G, k // 2)
-        heavy = _set_mask(heavy_vertices(G, k))
-        # with no heavy vertex there is no row, and no mask is built for S
-        rows = (S + (h,) for S in r1 if heavy
+        rows = (S + (h,) for S in r1
                 for h in iter_bits(reduce(and_, map(G.neighbor_mask, S), heavy)))
         sets = _sorted_unions(G, rows, r2)
     cand = _first_shaped(G, problem, sets)

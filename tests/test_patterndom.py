@@ -32,6 +32,7 @@ from domlab import (
     verify_solution,
 )
 from domlab import patterndom
+from domlab.cli import _random_gnm
 from domlab.multidom import Solution, _shape_error, pair_join
 
 from .conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
@@ -478,6 +479,18 @@ def test_dominating_clique_lists_each_clique_size_once(monkeypatch):
         solve_dominating_clique(G, k)
         # for odd k the row and column cliques have the same size
         assert sorted(sizes) == sorted({(k - 1) // 2, k // 2})
+
+
+def test_dominating_clique_without_heavy_vertex_lists_no_clique(monkeypatch):
+    # G(10^4, 3*10^4) has no vertex of |N[v]| >= n/k: every row needs one
+    G = _random_gnm(random.Random(1), 10 ** 4, 3 * 10 ** 4)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("cliques listed on a graph with no heavy vertex")
+
+    monkeypatch.setattr(patterndom, "enumerate_cliques", fail)
+    for k in (3, 4, 6, 7):
+        assert solve_dominating_clique(G, k) is None
 
 
 def _clique_hub_graph(seed, n: int, hubs: int, planted: bool) -> Graph:

@@ -5,8 +5,6 @@ induced matchings, and generic patterns)."""
 from .graph import (
     Graph,
     GraphFormatError,
-    closed_neighborhood,
-    delete_closed_neighborhood,
     heavy_vertices,
     load_graph,
     save_graph,
@@ -17,8 +15,6 @@ from .multidom import (
     Problem,
     Solution,
     build_candidate_families,
-    build_clique_graph,
-    detect_unbalanced_kclique,
     diagnose_solution,
     list_2_dominating_sets,
     solve_multidom_fast,

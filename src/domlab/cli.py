@@ -252,10 +252,7 @@ def cmd_generate(args) -> int:
         elif args.reduction == "ov-hdom":
             out = ov_to_hdom(inst, load_pattern(args.pattern))
         else:
-            try:
-                out = ov_to_induced_matching(inst)
-            except ValueError as exc:
-                raise CliError(str(exc)) from None
+            out = ov_to_induced_matching(inst)
         save_ov(inst, args.out + ".source.json")
         print(f"reduction: {args.reduction}  k={args.k}  d={args.d}  sizes={sizes}")
     save_reduction(out, args.out + ".graph", args.out + ".json")

@@ -88,10 +88,6 @@ class Graph:
         self._check(v)
         return self.offsets[v + 1] - self.offsets[v]
 
-    def degstar(self, v: int) -> int:
-        """Closed-neighborhood size |N[v]| = deg(v) + 1."""
-        return self.degree(v) + 1
-
     def neighbor_mask(self, v: int) -> int:
         """Bitmask of N(v); built on the first call for v, then cached."""
         mask = self._masks.get(v)
@@ -134,11 +130,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def closed_neighborhood(G: Graph, v: int) -> tuple[int, ...]:
-    """N[v] = N(v) ∪ {v}, sorted."""
-    return tuple(sorted(G.adjacency(v) + (v,)))
 
 
 def heavy_vertices(G: Graph, k: int, alive: int | None = None) -> tuple[int, ...]:

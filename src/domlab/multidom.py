@@ -763,7 +763,8 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     it holds, so the rows that hold none are dropped before the join
     (`_rows_holding`), unless some kept column leaves nothing short. Both
     cuts keep a subsequence, and what they drop has no pair: the first hit
-    is the same.
+    is the same. A solution dominates V, so it holds a heavy vertex
+    (|N[v]|·k >= n): with none, `None` comes before any row or column.
 
     With a `stats` dict, `candidate_family_sizes` holds the sizes of the
     two families before any cut, `columns_kept` the columns the join
@@ -771,13 +772,15 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     only the rows that reach the join.
     """
     shape_s, shape_t = _family_shapes(k, r)
+    heavy = heavy_vertices(G, k)
+    if not heavy:
+        return _first_pair(G, k, r, variant, heavy, (), (), stats)
     if r == k - 1:
         near = near_partners(G, k - 2 if variant == "multiple" else 0)
-        return _solve_kminus1(G, k, variant, heavy_vertices(G, k), near, stats)
+        return _solve_kminus1(G, k, variant, heavy, near, stats)
     if shape_t[0] < k - r + 1:
         fam_s, fam_t = build_candidate_families(G, k, r)
-        return _first_pair(G, k, r, variant, fam_t.heavy, fam_s.members, fam_t, stats)
-    heavy = heavy_vertices(G, k)
+        return _first_pair(G, k, r, variant, heavy, fam_s.members, fam_t, stats)
     cols, shorts = _near_columns(G, heavy, k, r, variant)
     rows = ()
     if cols:

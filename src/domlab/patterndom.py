@@ -244,14 +244,18 @@ def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
     Splits the k/2 matching edges into edge subsets of sizes ceil(k/4) and
     floor(k/4), and joins their endpoint tuples with `_sorted_unions`; the
     first union that induces a perfect matching is the answer.
-    The C(m, floor(k/4)) column subsets are materialised; the C(m, ceil(k/4))
-    row subsets are drawn lazily, so the cost depends on the rows drawn
-    before the first hit (all of them on a NO instance). The certificate's
+    Every dominating k-set holds a heavy vertex, so with none the answer is
+    None before any edge subset is listed. Otherwise the C(m, floor(k/4))
+    column subsets are materialised; the C(m, ceil(k/4)) row subsets are
+    drawn lazily, so the cost depends on the rows drawn before the first
+    hit (all of them on a NO instance). The certificate's
     `matching_edges` are the edges the solution induces.
     """
     if k % 2 or k < 2:
         raise ValueError(f"k must be even and >= 2, got {k}")
     problem = Problem("matching", k)
+    if not heavy_vertices(G, k):
+        return None
     if k == 2:
         sets = list_2_dominating_sets(G)
     else:
@@ -269,16 +273,15 @@ def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
 def list_dominating_ksets(G: Graph, k: int) -> Iterator[tuple[int, ...]]:
     """All k-subsets S with N[S] = V, each yielded once.
 
-    For k >= 2 this reuses the quota-1 candidate-family split (every
-    dominating set contains a heavy vertex) and `pair_join`, lazily: a
-    consumer that stops early stops the search.
+    Every dominating set contains a heavy vertex, so with none nothing is
+    yielded. For k >= 2 this reuses the quota-1 candidate-family split and
+    `pair_join`, lazily: a consumer that stops early stops the search.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    heavy = heavy_vertices(G, k)  # a ValueError for k < 1
     if k == 1:
-        yield from ((v,) for v in heavy_vertices(G, 1))
+        yield from zip(heavy)
         return
-    if k > G.n:
+    if k > G.n or not heavy:
         return
     fam_s, fam_t = build_candidate_families(G, k, 1)
     seen: set[tuple[int, ...]] = set()

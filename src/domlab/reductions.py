@@ -342,32 +342,32 @@ def _complement_kpartite(source: KPartiteGraph) -> KPartiteGraph:
 
 def verify_reduction(generator: str, source, param=None, max_n: int = 60) -> bool:
     """True iff the source oracle and the target oracle agree. The target
-    oracle runs first, so its `max_n` budget is checked before the source's.
+    oracle decides the generated `Problem` and runs first, so its `max_n`
+    budget is checked before the source's.
 
     generator ids: ov-multidom (param = r), ov-hdom (param = Pattern),
     ov-matching (no param), is-multidom (param = (k, gamma, d)).
     """
     if generator == "ov-multidom":
-        out = ov_to_multidom(source, param)
-        tgt = oracle_multidom(out.graph, out.problem.k, out.problem.r,
-                              "multiple", max_n=max_n) is not None
-        src = solve_ov_bruteforce(source, param)
+        out, r = ov_to_multidom(source, param), param
     elif generator == "ov-hdom":
-        out = ov_to_hdom(source, param)
-        tgt = oracle_pattern(out.graph, param, max_n=max_n) is not None
-        src = solve_ov_bruteforce(source, 1)
+        out, r = ov_to_hdom(source, param), 1
     elif generator == "ov-matching":
-        out = ov_to_induced_matching(source)
-        tgt = oracle_pattern(out.graph, Pattern.matching(source.k), max_n=max_n) is not None
-        src = solve_ov_bruteforce(source, 1)
+        out, r = ov_to_induced_matching(source), 1
     elif generator == "is-multidom":
         k, gamma, d = param
         out, complement = _indepset_reduction(source, k, gamma, d)
-        tgt = oracle_multidom(out.graph, k, k - 1, "multiple", max_n=max_n) is not None
-        src = oracle_unbalanced_clique(complement) is not None
     else:
         raise ValueError(f"unknown generator {generator!r}")
-    return src == tgt
+    p = out.problem
+    if p.kind == "multiple":
+        tgt = oracle_multidom(out.graph, p.k, p.r, "multiple", max_n=max_n)
+    else:
+        H = Pattern.matching(p.k) if p.kind == "matching" else Pattern(p.k, p.pattern_edges)
+        tgt = oracle_pattern(out.graph, H, max_n=max_n)
+    if generator == "is-multidom":
+        return (oracle_unbalanced_clique(complement) is not None) == (tgt is not None)
+    return solve_ov_bruteforce(source, r) == (tgt is not None)
 
 
 def save_reduction(out: ReductionOutput, graph_path, sidecar_path) -> None:

@@ -15,7 +15,6 @@ from domlab import (
     Pattern,
     PatternTooLargeError,
     Problem,
-    delete_closed_neighborhood,
     enumerate_cliques,
     heavy_vertices,
     list_2_dominating_sets,
@@ -27,11 +26,13 @@ from domlab import (
     solve_dominating_clique,
     solve_dominating_indepset,
     solve_dominating_induced_matching,
+    solve_multidom_fast,
     solve_ov_bruteforce,
     solve_pattern_domination,
     verify_solution,
 )
 from domlab import patterndom
+from domlab.graph import delete_closed_neighborhood
 from domlab.cli import _random_gnm
 from domlab.multidom import Solution, _shape_error, pair_join
 
@@ -275,7 +276,7 @@ def _indepset_rebuild(G: Graph, k: int) -> tuple[int, ...] | None:
     """The independent-set recursion as it ran on a relabelled subgraph per
     level, before the search moved onto an alive vertex mask."""
     if k == 1:
-        for v in (v for v in range(G.n) if G.degstar(v) == G.n):
+        for v in (v for v in range(G.n) if G.degree(v) + 1 == G.n):
             return (v,)
         return None
     if k == 2:
@@ -328,6 +329,14 @@ def test_sparse_solves_build_no_masks(monkeypatch):
     assert list_2_dominating_sets(G) == []
     # no vertex is heavy for k = 3..5, so the clique rows need no mask
     assert all(solve_dominating_clique(G, k) is None for k in (3, 4, 5))
+    # nor for k = 4: the matching, pattern and multidom solves draw no row
+    assert solve_dominating_induced_matching(G, 4) is None
+    assert solve_pattern_domination(G, Pattern.path(4)) is None
+    assert all(solve_multidom_fast(G, 4, 1, v) is None for v in ("multiple", "tuple"))
+    stats = {}
+    assert solve_multidom_fast(G, 4, 1, "tuple", stats=stats) is None
+    assert (stats["rows_drawn"], stats["columns_kept"]) == (0, 0)
+    assert stats["candidate_family_sizes"] == [1999000, 0]
     assert built == []
     G.has_edge(0, 1)  # the counter does see a build
     assert built == [0]

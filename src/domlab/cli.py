@@ -2,7 +2,8 @@
 
 Exit codes: 0 = solution found (solve) or PASS (verify), 1 = no solution or
 FAIL, 2 = error, 3 = budget exceeded (an oracle's size cap, such as
-`verify --reduction ... --max-n`, is smaller than the instance).
+`verify --reduction ... --max-n`, is smaller than the instance, or a search
+recurses past Python's recursion limit).
 """
 
 from __future__ import annotations
@@ -435,7 +436,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OracleBudgetError as exc:
+    except (OracleBudgetError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, KeyError) as exc:

@@ -2,7 +2,7 @@
 
 Covers the candidate-family level-matrix algorithm, 2-dominating-pair
 listing, the clique-graph pipeline for r = k-1, and unbalanced k-clique
-detection by backtracking.
+detection, the last two on one bitmask clique walker (`_near_rows`).
 """
 
 from __future__ import annotations
@@ -482,7 +482,8 @@ def _near_rows(near: Sequence[int], heavy: int, size: int, quota: int,
     prefix vertex. A child is kept only while it owes no more heavy vertices
     than it has places left, and its candidates still hold enough vertices,
     and enough heavy ones, to finish a row. Rows of two or more start only
-    at a vertex with a near partner.
+    at a vertex with a near partner. `_range_cliques` lists the transversal
+    cliques of a `KPartiteGraph` as these rows, with heavy = quota = 0.
     """
     stack = [((), full if size == 1 else full & reduce(or_, near, 0), quota)]
     while stack:
@@ -865,34 +866,23 @@ def build_clique_graph(G: Graph, k: int) -> tuple[KPartiteGraph, list[list[int]]
 
 def _range_cliques(kp: KPartiteGraph, parts: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
     """All transversal cliques (one vertex per listed part, pairwise adjacent),
-    lazily, in lexicographic index order over `parts`.
-
-    An explicit stack of (chosen, masks): `masks` holds, for each part not
-    yet chosen, the bitmask of its vertices adjacent to every chosen vertex.
-    A child is kept only while none of its masks is empty."""
-    masks = [(1 << kp.sizes[j]) - 1 for j in parts]
-    stack = [((), masks)] if all(masks) else []
-    while stack:
-        chosen, masks = stack.pop()
-        if not masks:
-            yield chosen
-            continue
-        j, rest, later = parts[len(chosen)], masks[1:], parts[len(chosen) + 1:]
-        adj, children = kp.adj[j], []
-        for b in iter_bits(masks[0]):
-            row = adj[b]
-            narrowed = [mask & row[p] for mask, p in zip(rest, later)]
-            if all(narrowed):
-                children.append((chosen + ((j, b),), narrowed))
-        stack.extend(reversed(children))
+    lazily, in lexicographic index order over `parts`: no part holds an edge,
+    so they are the `_near_rows` cliques of size len(parts) on the parts'
+    vertices, numbered part after part in `parts` order."""
+    offsets = list(itertools.accumulate((kp.sizes[j] for j in parts), initial=0))
+    # the parts' id ranges are disjoint, so summing the shifted rows ORs them
+    near = [sum(row[p] << o for p, o in zip(parts, offsets)) for j in parts for row in kp.adj[j]]
+    rows = _near_rows(near, 0, len(parts), 0, (1 << offsets[-1]) - 1) if parts else [()]
+    for S in rows:
+        yield tuple(zip(parts, map(sub, S, offsets)))
 
 
 def detect_unbalanced_kclique(kp: KPartiteGraph) -> tuple[tuple[int, int], ...] | None:
     """One vertex per part forming a clique, sorted by part, or None: the
-    first clique of a backtracking search over the parts ordered by
-    increasing size. The grouped triangle search of Eisenbrand & Grandoni,
-    which pays off only with fast matrix multiplication, is a test-side
-    model (`tests/reference_cliquegraph.py`).
+    first `_near_rows` clique on the parts' vertices, numbered part after
+    part in order of increasing part size (`_range_cliques`). The grouped
+    triangle search of Eisenbrand & Grandoni, which pays off only with fast
+    matrix multiplication, is a test-side model (`tests/reference_cliquegraph.py`).
     """
     order = sorted(range(kp.k), key=lambda i: (kp.sizes[i], i))
     for first in _range_cliques(kp, order):

@@ -275,8 +275,12 @@ def list_dominating_ksets(G: Graph, k: int) -> Iterator[tuple[int, ...]]:
 
     Every dominating set contains a heavy vertex, so with none nothing is
     yielded. For k >= 2 this reuses the quota-1 candidate-family split and
-    `pair_join`, lazily: a consumer that stops early stops the search.
+    `pair_join`, lazily: a consumer that stops early stops the search. It
+    raises OracleBudgetError once it has drawn `MAX_TRANSVERSALS` unions,
+    duplicates included, and would draw another.
     """
+    from .oracles import MAX_TRANSVERSALS, OracleBudgetError  # oracles imports this module
+
     heavy = heavy_vertices(G, k)  # a ValueError for k < 1
     if k == 1:
         yield from zip(heavy)
@@ -286,7 +290,10 @@ def list_dominating_ksets(G: Graph, k: int) -> Iterator[tuple[int, ...]]:
     fam_s, fam_t = build_candidate_families(G, k, 1)
     seen: set[tuple[int, ...]] = set()
     # disjoint members of sizes summing to k: each union has k vertices
-    for cand in _sorted_unions(G, fam_s.members, fam_t):
+    for drawn, cand in enumerate(_sorted_unions(G, fam_s.members, fam_t), 1):
+        if drawn > MAX_TRANSVERSALS:
+            raise OracleBudgetError(f"the dominating {k}-set listing drew more than "
+                                    f"{MAX_TRANSVERSALS} unions")
         if cand not in seen:
             seen.add(cand)
             yield cand

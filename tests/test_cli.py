@@ -175,6 +175,17 @@ def test_solve_brute_budgets_the_exhaustive_scan(tmp_path, capsys, monkeypatch, 
                             "C(300, 3) = 4455100 subsets, more than 1000000\n")
 
 
+def test_solve_past_the_recursion_limit_exits_3(tmp_path, capsys):
+    # every vertex of the edgeless graph on 1,200 vertices is needed, so the
+    # dom-indepset search recurses 1,200 levels, past Python's default limit
+    graph = tmp_path / "edgeless.graph"
+    graph.write_text("1200 0\n")
+    code = main(["solve", str(graph), "--problem", "dom-indepset", "--k", "1200"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: maximum recursion depth exceeded")
+
+
 def test_bench_brute_budgets_the_exhaustive_scan(capsys, monkeypatch):
     # bench --algos brute runs the same C(300, 3) scan per row (4.6 s);
     # it must exit 3 before drawing a graph

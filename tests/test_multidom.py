@@ -1235,6 +1235,16 @@ def test_range_cliques_match_reference(monkeypatch):
     assert 10 <= sum(w is not None for w in found[-60:]) <= 50
 
 
+def test_range_cliques_walk_more_parts_than_the_recursion_limit():
+    # `generate --reduction is-multidom --gamma 1/1400 --part-size 1` lists a
+    # group of 1,400 singleton parts; a walk that recursed once per part
+    # would stop at Python's default limit of 1,000
+    parts = 1100
+    kp = KPartiteGraph([1] * parts, [((i, 0), (j, 0))
+                                     for i, j in itertools.combinations(range(parts), 2)])
+    assert list(multidom._range_cliques(kp, range(parts))) == [tuple((i, 0) for i in range(parts))]
+
+
 def test_clique_searches_leave_no_reference_cycles():
     # a self-referencing nested generator leaves a cycle per call, which
     # only the cyclic collector frees; the searches must leave none. The

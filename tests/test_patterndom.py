@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from domlab import (
     Graph,
+    OracleBudgetError,
     OVInstance,
     Pattern,
     PatternTooLargeError,
@@ -31,7 +32,7 @@ from domlab import (
     solve_pattern_domination,
     verify_solution,
 )
-from domlab import patterndom
+from domlab import oracles, patterndom
 from domlab.graph import delete_closed_neighborhood
 from domlab.cli import _random_gnm
 from domlab.multidom import Solution, _shape_error, pair_join
@@ -208,6 +209,52 @@ def test_list_dominating_ksets_matches_filter(seed, n, k, p):
         S for S in itertools.combinations(range(n), k)
         if _union_closed(G, S) == full)
     assert sorted(list_dominating_ksets(G, k)) == expected
+
+
+def _planted_hub_edges(rng, n: int, hubs: int, r: int) -> list[tuple[int, int]]:
+    """A copy of the benchmark's planted-hub builder: n random edges among
+    the non-hubs, and every non-hub joined to r random hubs."""
+    hub_ids = sorted(rng.sample(range(n), hubs))
+    is_hub = set(hub_ids)
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < n:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v and u not in is_hub and v not in is_hub:
+            edges.add((min(u, v), max(u, v)))
+    for v in range(n):
+        if v not in is_hub:
+            edges.update((min(v, h), max(v, h)) for h in rng.sample(hub_ids, r))
+    return sorted(edges)
+
+
+def test_dominating_kset_listing_stops_at_the_union_budget():
+    # no dominating 6-set here induces the 6-star, so without a bound the
+    # listing draws all 37,461,982 unions (2,291,341 distinct) and answers
+    # NO after about 40 s
+    G = Graph(60, _planted_hub_edges(random.Random(0), 60, 4, 3))
+    assert G.m == 228
+    star = Pattern.from_edges(6, [(0, j) for j in range(1, 6)])
+    with pytest.raises(OracleBudgetError,
+                       match="the dominating 6-set listing drew more than 1000000 unions"):
+        solve_pattern_domination(G, star)
+
+
+def test_dominating_kset_listing_budget_counts_duplicate_unions(monkeypatch):
+    G = random_graph(3, 10, 0.5)
+    drawn = []
+    sorted_unions = patterndom._sorted_unions
+    monkeypatch.setattr(patterndom, "_sorted_unions",
+                        lambda *args: (drawn.append(S) or S for S in sorted_unions(*args)))
+    listed = list(list_dominating_ksets(G, 4))
+    count = len(drawn)
+    assert count > len(listed) > 0
+    # every union counts, the repeated ones too: the listing runs to its end
+    # at a budget of exactly the unions drawn, and stops one below it
+    monkeypatch.setattr(oracles, "MAX_TRANSVERSALS", count)
+    assert list(list_dominating_ksets(G, 4)) == listed
+    monkeypatch.setattr(oracles, "MAX_TRANSVERSALS", count - 1)
+    with pytest.raises(OracleBudgetError):
+        list(list_dominating_ksets(G, 4))
 
 
 def _union_closed(G, S):

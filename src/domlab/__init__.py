@@ -33,6 +33,7 @@ from .patterndom import (
     enumerate_cliques,
     list_dominating_ksets,
     load_pattern,
+    solve,
     solve_dominating_clique,
     solve_dominating_indepset,
     solve_dominating_induced_matching,

@@ -20,25 +20,9 @@ from fractions import Fraction
 from math import comb, factorial, isqrt
 
 from .graph import MAX_VERTICES, Graph, load_graph
-from .multidom import (
-    STATS_KEYS,
-    VARIANTS,
-    Problem,
-    Solution,
-    solve_multidom_fast,
-    solve_multidom_kminus1,
-    diagnose_solution,
-    KPartiteGraph,
-)
-from . import patterndom
-from .oracles import MAX_TRANSVERSALS, OracleBudgetError, oracle_multidom, oracle_pattern
-from .patterndom import (
-    MAX_PATTERN_SIZE,
-    Pattern,
-    PatternTooLargeError,
-    load_pattern,
-    solve_pattern_domination,
-)
+from .multidom import STATS_KEYS, VARIANTS, Problem, Solution, diagnose_solution, KPartiteGraph
+from .oracles import MAX_TRANSVERSALS, OracleBudgetError
+from .patterndom import MAX_PATTERN_SIZE, PatternTooLargeError, load_pattern, solve
 from .reductions import (
     OVInstance,
     indepset_groups,
@@ -55,17 +39,14 @@ from .reductions import (
 BENCH_HEADER = ["algo", "n", "m", "k", "r", "rep", "seed",
                 "family_s", "family_t", "rows_drawn", "elapsed_ms"]
 
-# --problem name -> (Problem kind, the flags it needs besides the graph and
-# --k, and for a problem of fixed shape its Pattern builder and the name of
-# its patterndom solver). The solver is looked up on the module when it is
-# called, so a wrapper installed there, such as a tracer's, is the one run.
+# --problem name -> (Problem kind, the flags it needs besides the graph and --k)
 PROBLEMS = {
-    "multidom": ("multiple", ("r",), None, None),
-    "tupledom": ("tuple", ("r",), None, None),
-    "dom-clique": ("clique", (), Pattern.clique, "solve_dominating_clique"),
-    "dom-indepset": ("indepset", (), Pattern.edgeless, "solve_dominating_indepset"),
-    "dom-matching": ("matching", (), Pattern.matching, "solve_dominating_induced_matching"),
-    "pattern": ("pattern", ("pattern",), None, None),
+    "multidom": ("multiple", ("r",)),
+    "tupledom": ("tuple", ("r",)),
+    "dom-clique": ("clique", ()),
+    "dom-indepset": ("indepset", ()),
+    "dom-matching": ("matching", ()),
+    "pattern": ("pattern", ("pattern",)),
 }
 
 # --reduction name -> the flag that gives its parameter, if any; generate
@@ -91,26 +72,37 @@ def _require(args, context: str, flags) -> None:
             raise CliError(f"{context} requires {name}")
 
 
-def _load_pattern_of_size(path, k: int) -> Pattern:
-    """The pattern in file `path`; SizeWindowError (exit code 2) unless it
-    has exactly k vertices, and PatternTooLargeError (exit code 2) above
-    MAX_PATTERN_SIZE vertices, since every isomorphism test against it, in
-    `solve` (either algo) or `verify`, is factorial in its size."""
-    H = load_pattern(path)
+def _problem(args, k: int) -> Problem:
+    """The Problem that --problem and its flags ask for at size k. A pattern
+    file must hold exactly k vertices (else SizeWindowError, exit code 2),
+    and at most MAX_PATTERN_SIZE (else PatternTooLargeError, exit code 2),
+    since every isomorphism test against it, in `solve` (either algo) or
+    `verify`, is factorial in its size."""
+    kind = PROBLEMS[args.problem][0]
+    if kind != "pattern":
+        return Problem(kind, k, args.r if kind in VARIANTS else None)
+    H = load_pattern(args.pattern)
     if H.k != k:
         raise SizeWindowError(f"pattern has {H.k} vertices but --k is {k}")
     if H.k > MAX_PATTERN_SIZE:
         raise PatternTooLargeError(f"pattern size {H.k} exceeds {MAX_PATTERN_SIZE}")
-    return H
+    return Problem(kind, k, pattern_edges=H.edges)
 
 
-def _check_scan_budget(n: int, k: int, context: str) -> None:
+def _check_scan_budget(n: int, problem: Problem, context: str) -> None:
     """OracleBudgetError (exit code 3) when an exhaustive scan over the
-    C(n, k) k-subsets would pass MAX_TRANSVERSALS, before the scan starts."""
+    C(n, k) k-subsets would pass MAX_TRANSVERSALS, or for a problem of a
+    shape, the k! orderings the pattern oracle may try on each, before the
+    scan starts."""
+    k = problem.k
     if (subsets := comb(n, k)) > MAX_TRANSVERSALS:
         raise OracleBudgetError(
             f"{context}: the exhaustive scan at k={k} has C({n}, {k}) = "
             f"{subsets} subsets, more than {MAX_TRANSVERSALS}")
+    if problem.kind not in VARIANTS and (orderings := subsets * factorial(k)) > MAX_TRANSVERSALS:
+        raise OracleBudgetError(
+            f"{context}: the pattern scan at k={k} tries C({n}, {k}) * "
+            f"{k}! = {orderings} orderings, more than {MAX_TRANSVERSALS}")
 
 
 def format_result(result: dict, as_json: bool) -> str:
@@ -126,53 +118,27 @@ def format_result(result: dict, as_json: bool) -> str:
 
 
 def _solve_once(G: Graph, args, k: int, stats: dict) -> Solution | None:
-    problem, algo = args.problem, args.algo
-    kind, _, build, solver = PROBLEMS[problem]
-    if kind in VARIANTS:
-        r = args.r
-        if r < 1:
-            raise CliError(f"--r must be >= 1, got {r}")
-        if algo == "brute":
-            try:
-                _check_scan_budget(G.n, k, "--algo brute")
-                return oracle_multidom(G, k, r, kind, max_n=G.n)
-            except ValueError as exc:
-                raise SizeWindowError(str(exc)) from None
-        if algo == "pipeline":
-            message = "--algo pipeline requires multidom with r = k-1"
-            if kind != "multiple":
-                raise CliError(message)
-            if r != k - 1:
-                raise SizeWindowError(message)
-            return solve_multidom_kminus1(G, k, stats=stats)
-        if not (1 <= r <= k - 1):
-            raise SizeWindowError(f"fast path requires 1 <= r <= k-1, got r={r}, k={k}")
-        return solve_multidom_fast(G, k, r, kind, stats=stats)
-    if args.r is not None:
-        raise CliError(f"--r is not valid with --problem {problem}")
-    if build is None:
-        H = _load_pattern_of_size(args.pattern, k)
-    else:
-        try:
-            H = build(k)
-        except ValueError as exc:
-            raise SizeWindowError(str(exc)) from None
-    if algo == "brute":
-        _check_scan_budget(G.n, H.k, "--algo brute")
-        if (orderings := comb(G.n, H.k) * factorial(H.k)) > MAX_TRANSVERSALS:
-            raise OracleBudgetError(
-                f"--algo brute: the pattern scan at k={H.k} tries C({G.n}, {H.k}) * "
-                f"{H.k}! = {orderings} orderings, more than {MAX_TRANSVERSALS}")
-        return oracle_pattern(G, H, max_n=G.n, max_k=H.k)
-    if algo == "pipeline":
+    """`solve` on the Problem of `args` at size k, with a ValueError (a k
+    outside the algorithm's or the shape's window) as a SizeWindowError."""
+    if PROBLEMS[args.problem][0] in VARIANTS:
+        if args.r < 1:
+            raise CliError(f"--r must be >= 1, got {args.r}")
+    elif args.r is not None:
+        raise CliError(f"--r is not valid with --problem {args.problem}")
+    if args.algo == "pipeline" and args.problem != "multidom":
         raise CliError("--algo pipeline only applies to multidom")
-    if solver is None:
-        return solve_pattern_domination(G, H)
-    return getattr(patterndom, solver)(G, k)
+    problem = _problem(args, k)
+    try:
+        if args.algo == "brute":
+            _check_scan_budget(G.n, problem, "--algo brute")
+        return solve(G, problem, args.algo, stats)
+    except ValueError as exc:
+        raise SizeWindowError(str(exc)) from None
 
 
 def cmd_solve(args) -> int:
-    _require(args, f"--problem {args.problem}", PROBLEMS[args.problem][1])
+    kind, needs = PROBLEMS[args.problem]
+    _require(args, f"--problem {args.problem}", needs)
     G = load_graph(args.graph, fmt=args.format)
     stats: dict = {}
     start = time.perf_counter()
@@ -184,11 +150,11 @@ def cmd_solve(args) -> int:
             except SizeWindowError:
                 # sizes outside the chosen algorithm's window still count:
                 # fall back to the exhaustive exact-size solve when legal
-                kind = PROBLEMS[args.problem][0]
-                if not (kind in VARIANTS and 1 <= args.r <= kp <= G.n):
+                if kind not in VARIANTS or args.r > kp:
                     continue
-                _check_scan_budget(G.n, kp, "--at-most-k")
-                solution = oracle_multidom(G, kp, args.r, kind, max_n=G.n)
+                problem = Problem(kind, kp, args.r)
+                _check_scan_budget(G.n, problem, "--at-most-k")
+                solution = solve(G, problem, "brute")
             if solution is not None:
                 break
     else:
@@ -273,8 +239,7 @@ def cmd_verify(args) -> int:
         print("PASS" if ok else "FAIL: source and target oracles disagree")
         return 0 if ok else 1
     _require(args, "verify", ("graph", "problem", "k", "solution"))
-    kind, needs = PROBLEMS[args.problem][:2]
-    _require(args, f"--problem {args.problem}", needs)
+    _require(args, f"--problem {args.problem}", PROBLEMS[args.problem][1])
     G = load_graph(args.graph, fmt=args.format)
     with open(args.solution) as fh:
         try:
@@ -288,13 +253,7 @@ def cmd_verify(args) -> int:
     if not (isinstance(vertices, list) and all(type(v) is int for v in vertices)):
         raise CliError(f"solution file {args.solution} must hold a list of integer vertex "
                        'ids, or an object with one under "solution"')
-    if kind in VARIANTS:
-        problem = Problem(kind, args.k, args.r)
-    elif kind == "pattern":
-        H = _load_pattern_of_size(args.pattern, args.k)
-        problem = Problem(kind, args.k, pattern_edges=H.edges)
-    else:
-        problem = Problem(kind, args.k)
+    problem = _problem(args, args.k)
     reason = diagnose_solution(G, problem, vertices)
     if reason is None:
         print("PASS")
@@ -326,8 +285,9 @@ def cmd_bench(args) -> int:
         raise CliError(f"--n {bad[0]} is outside 0..{MAX_VERTICES}")
     densities = [float(x) for x in args.density.split(",")]
     algos = args.algos.split(",")
+    problem = Problem("multiple", args.k, args.r)
     if "brute" in algos:
-        _check_scan_budget(max(ns), args.k, "bench --algos brute")
+        _check_scan_budget(max(ns), problem, "bench --algos brute")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(BENCH_HEADER)
@@ -340,12 +300,7 @@ def cmd_bench(args) -> int:
                 for algo in algos:
                     stats: dict = {}
                     start = time.perf_counter()
-                    if algo == "fast":
-                        solve_multidom_fast(G, args.k, args.r, "multiple", stats=stats)
-                    elif algo == "brute":
-                        oracle_multidom(G, args.k, args.r, "multiple", max_n=G.n)
-                    else:
-                        raise CliError(f"unknown bench algo {algo!r}")
+                    solve(G, problem, algo, stats)
                     elapsed = "" if args.no_timing else round(
                         (time.perf_counter() - start) * 1000.0, 3)
                     fam = stats.get("candidate_family_sizes") or ["", ""]

@@ -479,22 +479,23 @@ def _near_rows(near: Sequence[int], heavy: int, size: int, quota: int,
 
     An explicit stack of (prefix, candidates, heavy still owed): the
     candidates are the vertices above the prefix's last that are near every
-    prefix vertex. A child is kept only while it owes no more heavy vertices
-    than it has places left, and its candidates still hold enough vertices,
-    and enough heavy ones, to finish a row. Rows of two or more start only
-    at a vertex with a near partner. `_range_cliques` lists the transversal
-    cliques of a `KPartiteGraph` as these rows, with heavy = quota = 0.
+    prefix vertex. A child is tried while left - 1 candidates lie above it,
+    and kept only while it owes no more heavy vertices than it has places
+    left and its candidates still hold enough vertices, and enough heavy
+    ones, to finish a row. Rows of two or more start only at a vertex with
+    a near partner. `_range_cliques` lists the transversal cliques of a
+    `KPartiteGraph` as these rows, with heavy = quota = 0.
     """
     stack = [((), full if size == 1 else full & reduce(or_, near, 0), quota)]
     while stack:
         prefix, cands, owed = stack.pop()
         left = size - len(prefix)
         if left == 1:
-            last = cands if owed <= 0 else cands & heavy
+            last = cands if owed <= 0 else cands & heavy if owed == 1 else 0
             yield from map(add, itertools.repeat(prefix), zip(iter_bits(last)))
             continue
         children = []
-        for v in iter_bits(cands):
+        for v in itertools.islice(iter_bits(cands), max(0, cands.bit_count() - left + 1)):
             rest = cands >> (v + 1) << (v + 1) & near[v]
             still = owed - (heavy >> v & 1)
             if (still < left and rest.bit_count() >= left - 1

@@ -28,11 +28,11 @@ def _neighbor_sets(G: Graph) -> list[set[int]]:
 
 def oracle_multidom(G: Graph, k: int, r: int, variant: str,
                     max_n: int = DEFAULT_MAX_N) -> Solution | None:
-    """Exhaustive scan of all C(n, k) subsets in lexicographic order."""
+    """Exhaustive scan of all C(n, k) subsets in lexicographic order (none for k > n)."""
     if variant not in ("multiple", "tuple"):
         raise ValueError(f"unknown variant {variant!r}")
-    if not (1 <= r <= k <= G.n):
-        raise ValueError(f"need 1 <= r <= k <= n, got r={r}, k={k}, n={G.n}")
+    if not (1 <= r <= k):
+        raise ValueError(f"need 1 <= r <= k, got r={r}, k={k}")
     if G.n > max_n:
         raise OracleBudgetError(f"n={G.n} exceeds oracle budget {max_n}")
     nbrs = _neighbor_sets(G)

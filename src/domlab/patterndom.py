@@ -1,5 +1,6 @@
 """Pattern-domination solvers: dominating cliques, independent sets, induced
-matchings, and generic patterns via dominating-k-set listing plus isomorphism."""
+matchings, and generic patterns via dominating-k-set listing plus isomorphism;
+and `solve`, which decides any Problem with these, the multidom solvers or an oracle."""
 
 from __future__ import annotations
 
@@ -11,8 +12,10 @@ from functools import reduce
 from operator import add, and_
 from typing import Iterable, Iterator, Sequence
 
+from . import multidom
 from .graph import Graph, heavy_vertices
 from .multidom import (
+    VARIANTS,
     CandidateFamily,
     Problem,
     Solution,
@@ -306,3 +309,48 @@ def solve_pattern_domination(G: Graph, H: Pattern) -> Solution | None:
     problem = Problem("pattern", H.k, pattern_edges=H.edges)
     cand = _first_shaped(G, problem, list_dominating_ksets(G, H.k))
     return None if cand is None else Solution(problem, cand)
+
+
+# Problem.kind -> (its Pattern builder, or None when the Problem carries the
+# edges; the name of its fast solver, called with k, or with the Pattern if
+# there is no builder, and looked up when called, so a tracer's wrapper runs).
+SHAPES = {
+    "clique": (Pattern.clique, "solve_dominating_clique"),
+    "indepset": (Pattern.edgeless, "solve_dominating_indepset"),
+    "matching": (Pattern.matching, "solve_dominating_induced_matching"),
+    "pattern": (None, "solve_pattern_domination"),
+}
+
+
+def solve(G: Graph, problem: Problem, algo: str = "fast", stats: dict | None = None,
+          max_n: int | None = None) -> Solution | None:
+    """The first solution of `problem` on G that `algo` finds, or None.
+
+    "fast" runs `solve_multidom_fast` (with `stats`) on the multiple and
+    tuple kinds, and the solver `SHAPES` names on the others. "pipeline"
+    runs `solve_multidom_kminus1` (with `stats`), on the multiple kind with
+    r = k-1 only. "brute" runs `oracle_multidom` or `oracle_pattern`: with
+    `max_n` None on any n and pattern size (the caller budgets the scan),
+    else within the oracles' limits, n <= max_n and at most 6 pattern
+    vertices. A ValueError names what does not fit: the algo, the kind, an
+    r outside the fast solver's 1..k-1, a k that no pattern of the kind has.
+    """
+    from . import oracles  # oracles imports this module
+
+    kind, k, r = problem.kind, problem.k, problem.r
+    if algo not in ("fast", "brute", "pipeline") or not (kind in VARIANTS or kind in SHAPES):
+        raise ValueError(f"no algo {algo!r} for a Problem of kind {kind!r}")
+    if algo == "pipeline" and not (kind == "multiple" and r == k - 1):
+        raise ValueError(f"the pipeline needs kind 'multiple' with r = k-1, got r={r}, k={k}")
+    if kind in VARIANTS:
+        if algo == "brute":
+            return oracles.oracle_multidom(G, k, r, kind, max_n=G.n if max_n is None else max_n)
+        if algo == "pipeline":
+            return multidom.solve_multidom_kminus1(G, k, stats=stats)
+        return multidom.solve_multidom_fast(G, k, r, kind, stats=stats)
+    build, name = SHAPES[kind]
+    H = Pattern(k, problem.pattern_edges) if build is None else build(k)
+    if algo == "brute":
+        limits = {"max_n": G.n, "max_k": k} if max_n is None else {"max_n": max_n}
+        return oracles.oracle_pattern(G, H, **limits)
+    return globals()[name](G, H if build is None else k)

@@ -18,9 +18,8 @@ from typing import Iterable, Sequence
 
 from .graph import Graph, save_graph
 from .multidom import KPartiteGraph, Problem, _range_cliques
-from .oracles import (MAX_TRANSVERSALS, OracleBudgetError, oracle_multidom, oracle_pattern,
-                      oracle_unbalanced_clique)
-from .patterndom import Pattern, _is_int, _load_object
+from .oracles import MAX_TRANSVERSALS, OracleBudgetError, oracle_unbalanced_clique
+from .patterndom import Pattern, _is_int, _load_object, solve
 
 Vector = tuple[int, ...]
 
@@ -342,8 +341,8 @@ def _complement_kpartite(source: KPartiteGraph) -> KPartiteGraph:
 
 def verify_reduction(generator: str, source, param=None, max_n: int = 60) -> bool:
     """True iff the source oracle and the target oracle agree. The target
-    oracle decides the generated `Problem` and runs first, so its `max_n`
-    budget is checked before the source's.
+    oracle, `solve(..., "brute", max_n=max_n)` on the generated `Problem`,
+    runs first, so its `max_n` budget is checked before the source's.
 
     generator ids: ov-multidom (param = r), ov-hdom (param = Pattern),
     ov-matching (no param), is-multidom (param = (k, gamma, d)).
@@ -359,12 +358,7 @@ def verify_reduction(generator: str, source, param=None, max_n: int = 60) -> boo
         out, complement = _indepset_reduction(source, k, gamma, d)
     else:
         raise ValueError(f"unknown generator {generator!r}")
-    p = out.problem
-    if p.kind == "multiple":
-        tgt = oracle_multidom(out.graph, p.k, p.r, "multiple", max_n=max_n)
-    else:
-        H = Pattern.matching(p.k) if p.kind == "matching" else Pattern(p.k, p.pattern_edges)
-        tgt = oracle_pattern(out.graph, H, max_n=max_n)
+    tgt = solve(out.graph, out.problem, "brute", max_n=max_n)
     if generator == "is-multidom":
         return (oracle_unbalanced_clique(complement) is not None) == (tgt is not None)
     return solve_ov_bruteforce(source, r) == (tgt is not None)

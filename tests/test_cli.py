@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from domlab import cli, reductions
+from domlab import cli, oracles, reductions
 from domlab.cli import main
 
 from .conftest import complete_graph, cycle_graph, path_graph
@@ -146,7 +146,7 @@ def test_solve_at_most_k_budgets_the_exhaustive_fallback(tmp_path, capsys, monke
     def scan(*args, **kwargs):
         raise AssertionError("exhaustive scan started above the budget")
 
-    monkeypatch.setattr(cli, "oracle_multidom", scan)
+    monkeypatch.setattr(oracles, "oracle_multidom", scan)
     code = main(["solve", str(path), "--problem", "multidom", "--k", "3", "--r", "3",
                  "--at-most-k"])
     captured = capsys.readouterr()
@@ -167,7 +167,7 @@ def test_solve_brute_budgets_the_exhaustive_scan(tmp_path, capsys, monkeypatch, 
     def scan(*args, **kwargs):
         raise AssertionError("exhaustive scan started above the budget")
 
-    monkeypatch.setattr(cli, oracle, scan)
+    monkeypatch.setattr(oracles, oracle, scan)
     code = main(["solve", str(path), *problem, "--k", "3", "--algo", "brute"])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
@@ -192,7 +192,7 @@ def test_bench_brute_budgets_the_exhaustive_scan(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("bench work started above the budget")
 
-    monkeypatch.setattr(cli, "oracle_multidom", fail)
+    monkeypatch.setattr(oracles, "oracle_multidom", fail)
     monkeypatch.setattr(cli, "_random_gnm", fail)
     code = main(["bench", "--n", "20,300", "--density", "5", "--k", "3", "--r", "3",
                  "--algos", "fast,brute", "--no-timing"])
@@ -215,7 +215,7 @@ def test_solve_brute_budgets_the_pattern_orderings(tmp_path, capsys, monkeypatch
     def scan(*args, **kwargs):
         raise AssertionError("pattern scan started above the budget")
 
-    monkeypatch.setattr(cli, "oracle_pattern", scan)
+    monkeypatch.setattr(oracles, "oracle_pattern", scan)
     extra = ["--pattern", str(pattern)] if problem == "pattern" else []
     code = main(["solve", str(gpath), "--problem", problem, *extra, "--k", "8", "--algo", "brute"])
     captured = capsys.readouterr()
@@ -566,3 +566,23 @@ def test_random_gnm_matches_sampling_the_pair_list():
     last = n * (n - 1) // 2 - 1
     assert [cli._pair_at(n, i) for i in (0, n - 2, n - 1, last)] == \
         [(0, 1), (0, n - 1), (1, 2), (n - 2, n - 1)]
+
+
+def test_every_algo_answers_no_above_n(c5_file, tmp_path, capsys):
+    # C5 has no 6-set: each algo that takes the problem answers NO (exit 1),
+    # --algo brute on multidom and tupledom included
+    path6 = tmp_path / "path6.json"
+    path6.write_text(json.dumps({"k": 6, "edges": [[i, i + 1] for i in range(5)]}))
+    cases = [(["--problem", "multidom", "--r", "5"], ["fast", "brute", "pipeline"])]
+    cases += [(["--problem", problem, "--r", str(r)], ["fast", "brute"])
+              for problem in ("multidom", "tupledom") for r in (1, 2, 5)]
+    cases += [(["--problem", problem], ["fast", "brute"])
+              for problem in ("dom-clique", "dom-indepset", "dom-matching")]
+    cases += [(["--problem", "pattern", "--pattern", str(path6)], ["fast", "brute"])]
+    for flags, algos in cases:
+        for algo in algos:
+            code = main(["solve", c5_file, *flags, "--k", "6", "--algo", algo,
+                         "--json", "--no-timing"])
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (1, ""), (flags, algo)
+            assert json.loads(captured.out)["answer"] is False

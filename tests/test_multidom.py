@@ -769,6 +769,38 @@ def test_near_rows_meet_the_heavy_quota():
                     near, heavy, size, quota, full)
 
 
+def test_near_rows_stop_before_candidates_that_cannot_finish_a_row(monkeypatch):
+    # against the filtered combinations scan, sizes 1-5 and quotas 0-2
+    rng = random.Random("near-rows-stop")
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        near = [0] * n
+        for a, b in itertools.combinations(range(n), 2):
+            if rng.random() < 0.8:
+                near[a] |= 1 << b
+                near[b] |= 1 << a
+        heavy, full = rng.getrandbits(n), rng.choice([(1 << n) - 1, rng.getrandbits(n)])
+        for size in range(1, 6):
+            for quota in range(3):
+                got = list(multidom._near_rows(near, heavy, size, quota, full))
+                assert got == _reference_near_rows(near, heavy, size, quota, full), (
+                    near, heavy, size, quota, full)
+    # the one 40-clique of a complete `near` graph: each prefix tries only
+    # the one candidate that leaves enough above it, so the walk takes 40
+    # bit steps, not the 820 of trying every candidate
+    steps, real = [], multidom.iter_bits
+
+    def counted(mask):
+        for v in real(mask):
+            steps.append(v)
+            yield v
+
+    monkeypatch.setattr(multidom, "iter_bits", counted)
+    near = [(1 << 40) - 1 ^ 1 << v for v in range(40)]
+    assert list(multidom._near_rows(near, 0, 40, 0, (1 << 40) - 1)) == [tuple(range(40))]
+    assert len(steps) == 40
+
+
 def test_kminus1_draws_only_near_rows():
     # deterministic counters, not timings: a NO instance draws every row
     # that is a near clique and no other

@@ -21,13 +21,16 @@ from domlab import (
     list_2_dominating_sets,
     list_dominating_ksets,
     load_pattern,
+    oracle_multidom,
     oracle_pattern,
     ov_to_hdom,
     ov_to_induced_matching,
+    solve,
     solve_dominating_clique,
     solve_dominating_indepset,
     solve_dominating_induced_matching,
     solve_multidom_fast,
+    solve_multidom_kminus1,
     solve_ov_bruteforce,
     solve_pattern_domination,
     verify_solution,
@@ -620,3 +623,71 @@ def test_shape_test_rejects_a_repeated_vertex(problem, S):
     # would pass but for the repeat; the others must name it too
     G = complete_graph(5) if problem.kind in ("clique", "matching") else Graph(5, [])
     assert _shape_error(G, problem, S) == "duplicate vertices in solution"
+
+
+def _solve_graphs():
+    """30 seeded graphs of 4 to 9 vertices and three densities."""
+    return [random_graph(f"solve:{seed}", 4 + seed % 6, (0.3, 0.5, 0.7)[seed % 3])
+            for seed in range(30)]
+
+
+def test_solve_matches_each_direct_call():
+    # every kind with every algo that applies: the entry point returns what
+    # the solver or oracle it dispatches to returns, certificate included,
+    # and the multidom solvers fill `stats` as when called directly
+    path3, star4 = Pattern.path(3), Pattern.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    for G in _solve_graphs():
+        for kind in ("multiple", "tuple"):
+            for k in range(2, 5):
+                for r in range(1, k + 1):
+                    P = Problem(kind, k, r)
+                    assert solve(G, P, "brute") == oracle_multidom(G, k, r, kind, max_n=G.n)
+                    if r == k:
+                        continue
+                    got, want = {}, {}
+                    assert solve(G, P, stats=got) == solve_multidom_fast(G, k, r, kind, stats=want)
+                    assert got == want
+                    if kind == "multiple" and r == k - 1:
+                        got, want = {}, {}
+                        assert (solve(G, P, "pipeline", stats=got)
+                                == solve_multidom_kminus1(G, k, stats=want))
+                        assert got == want
+        shaped = [(Problem("clique", k), Pattern.clique(k), solve_dominating_clique)
+                  for k in range(1, 5)]
+        shaped += [(Problem("indepset", k), Pattern.edgeless(k), solve_dominating_indepset)
+                   for k in range(1, 5)]
+        shaped += [(Problem("matching", k), Pattern.matching(k), solve_dominating_induced_matching)
+                   for k in (2, 4)]
+        for P, H, solver in shaped:
+            assert solve(G, P) == solver(G, P.k)
+            assert solve(G, P, "brute") == oracle_pattern(G, H, max_n=G.n, max_k=H.k)
+        for H in (path3, star4):
+            P = Problem("pattern", H.k, pattern_edges=H.edges)
+            assert solve(G, P) == solve_pattern_domination(G, H)
+            assert solve(G, P, "brute") == oracle_pattern(G, H, max_n=G.n, max_k=H.k)
+
+
+def test_solve_brute_keeps_the_oracle_limits_under_max_n():
+    G = cycle_graph(6)
+    assert solve(G, Problem("multiple", 3, 2), "brute", max_n=6).vertices == (0, 2, 4)
+    with pytest.raises(OracleBudgetError, match="n=6 exceeds oracle budget 5"):
+        solve(G, Problem("multiple", 3, 2), "brute", max_n=5)
+    # without max_n the pattern oracle takes any size; with it, at most 6
+    assert solve(G, Problem("indepset", 7), "brute") is None
+    with pytest.raises(OracleBudgetError, match="pattern size 7 exceeds oracle budget 6"):
+        solve(G, Problem("indepset", 7), "brute", max_n=6)
+
+
+@pytest.mark.parametrize("problem, algo, message", [
+    (Problem("tuple", 3, 2), "pipeline", "pipeline needs kind 'multiple'"),
+    (Problem("multiple", 3, 1), "pipeline", "pipeline needs kind 'multiple'"),
+    (Problem("clique", 3), "pipeline", "pipeline needs kind 'multiple'"),
+    (Problem("multiple", 3, 3), "fast", "need 1 <= r <= k-1"),
+    (Problem("matching", 3), "fast", "perfect matching needs even k"),
+    (Problem("clique", 0), "brute", "pattern needs k >= 1"),
+    (Problem("dominating", 2), "fast", "no algo 'fast' for a Problem of kind 'dominating'"),
+    (Problem("clique", 2), "greedy", "no algo 'greedy'"),
+])
+def test_solve_refuses_what_does_not_fit(problem, algo, message):
+    with pytest.raises(ValueError, match=message):
+        solve(cycle_graph(5), problem, algo)

@@ -2,43 +2,10 @@
 variants (multiple/tuple domination, dominating cliques, independent sets,
 induced matchings, and generic patterns)."""
 
-from .graph import (
-    Graph,
-    GraphFormatError,
-    heavy_vertices,
-    load_graph,
-    save_graph,
-)
-from .multidom import (
-    CandidateFamily,
-    KPartiteGraph,
-    Problem,
-    Solution,
-    build_candidate_families,
-    diagnose_solution,
-    list_2_dominating_sets,
-    solve_multidom_fast,
-    solve_multidom_kminus1,
-    verify_solution,
-)
-from .oracles import (
-    OracleBudgetError,
-    oracle_multidom,
-    oracle_pattern,
-    oracle_unbalanced_clique,
-)
-from .patterndom import (
-    Pattern,
-    PatternTooLargeError,
-    enumerate_cliques,
-    list_dominating_ksets,
-    load_pattern,
-    solve,
-    solve_dominating_clique,
-    solve_dominating_indepset,
-    solve_dominating_induced_matching,
-    solve_pattern_domination,
-)
+from .graph import Graph, GraphFormatError, load_graph, save_graph
+from .multidom import KPartiteGraph, Problem, Solution, diagnose_solution, verify_solution
+from .oracles import OracleBudgetError, oracle_unbalanced_clique
+from .patterndom import Pattern, PatternTooLargeError, load_pattern, solve
 from .reductions import (
     OVInstance,
     ReductionOutput,

@@ -244,7 +244,8 @@ def cmd_verify(args) -> int:
     with open(args.solution) as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # RecursionError: nested too deep to decode, malformed like any other
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise CliError(f"solution file {args.solution}: {exc}") from None
     vertices = payload.get("solution") if isinstance(payload, dict) else payload
     if vertices is None:

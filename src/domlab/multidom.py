@@ -28,8 +28,8 @@ STATS_KEYS = ("candidate_family_sizes", "columns_kept",
 class Problem:
     """What a Solution claims to solve.
 
-    kinds: multiple | tuple (with r), dominating, clique, indepset, matching,
-    pattern (with pattern_edges on vertices 0..k-1).
+    kinds: multiple | tuple (with r), clique, indepset, matching, pattern
+    (with pattern_edges on vertices 0..k-1).
     """
 
     kind: str
@@ -249,9 +249,9 @@ def _shape_error(G: Graph, problem: Problem, S: tuple[int, ...]) -> str | None:
     """None when S, with no vertex repeated, induces the shape `problem` asks
     for (a clique, an independent set, a perfect matching, or the pattern up
     to isomorphism), else a message naming the violated condition. Domination
-    is not checked; multiple, tuple and dominating have no shape."""
+    is not checked; multiple and tuple have no shape."""
     kind, k = problem.kind, problem.k
-    if kind in VARIANTS or kind == "dominating":
+    if kind in VARIANTS:
         return None
     if len(set(S)) != len(S):
         return "duplicate vertices in solution"

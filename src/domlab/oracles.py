@@ -9,10 +9,13 @@ therefore evidence, not tautology.
 from __future__ import annotations
 
 import itertools
+from typing import TYPE_CHECKING
 
 from .graph import Graph
 from .multidom import KPartiteGraph, Problem, Solution
-from .patterndom import Pattern
+
+if TYPE_CHECKING:
+    from .patterndom import Pattern
 
 DEFAULT_MAX_N = 20
 MAX_TRANSVERSALS = 10**6

@@ -12,7 +12,7 @@ from functools import reduce
 from operator import add, and_
 from typing import Iterable, Iterator, Sequence
 
-from . import multidom
+from . import multidom, oracles
 from .graph import Graph, heavy_vertices
 from .multidom import (
     VARIANTS,
@@ -79,9 +79,9 @@ def _is_int(x) -> bool:
 def _load_object(source, kind: str, fields: tuple[str, ...], shape: str) -> tuple[dict, str]:
     """The JSON object in `source` (a stream, text that starts with "{", or
     else a file path) and a label naming the source for error messages.
-    Raises ValueError, naming the source, when the text is not JSON or not
-    an object, or lacks one of `fields`; OSError when the file cannot be
-    read."""
+    Raises ValueError, naming the source, when the text is not JSON (or is
+    nested too deep to decode) or not an object, or lacks one of `fields`;
+    OSError when the file cannot be read."""
     try:
         if hasattr(source, "read"):
             where = f"{kind} {getattr(source, 'name', 'stream')}"
@@ -93,7 +93,7 @@ def _load_object(source, kind: str, fields: tuple[str, ...], shape: str) -> tupl
             where = f"{kind} file {source}"
             with open(text) as fh:
                 data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{where}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected an object {shape}")
@@ -282,8 +282,6 @@ def list_dominating_ksets(G: Graph, k: int) -> Iterator[tuple[int, ...]]:
     raises OracleBudgetError once it has drawn `MAX_TRANSVERSALS` unions,
     duplicates included, and would draw another.
     """
-    from .oracles import MAX_TRANSVERSALS, OracleBudgetError  # oracles imports this module
-
     heavy = heavy_vertices(G, k)  # a ValueError for k < 1
     if k == 1:
         yield from zip(heavy)
@@ -291,12 +289,13 @@ def list_dominating_ksets(G: Graph, k: int) -> Iterator[tuple[int, ...]]:
     if k > G.n or not heavy:
         return
     fam_s, fam_t = build_candidate_families(G, k, 1)
+    budget = oracles.MAX_TRANSVERSALS
     seen: set[tuple[int, ...]] = set()
     # disjoint members of sizes summing to k: each union has k vertices
     for drawn, cand in enumerate(_sorted_unions(G, fam_s.members, fam_t), 1):
-        if drawn > MAX_TRANSVERSALS:
-            raise OracleBudgetError(f"the dominating {k}-set listing drew more than "
-                                    f"{MAX_TRANSVERSALS} unions")
+        if drawn > budget:
+            raise oracles.OracleBudgetError(f"the dominating {k}-set listing drew more "
+                                            f"than {budget} unions")
         if cand not in seen:
             seen.add(cand)
             yield cand
@@ -335,8 +334,6 @@ def solve(G: Graph, problem: Problem, algo: str = "fast", stats: dict | None = N
     vertices. A ValueError names what does not fit: the algo, the kind, an
     r outside the fast solver's 1..k-1, a k that no pattern of the kind has.
     """
-    from . import oracles  # oracles imports this module
-
     kind, k, r = problem.kind, problem.k, problem.r
     if algo not in ("fast", "brute", "pipeline") or not (kind in VARIANTS or kind in SHAPES):
         raise ValueError(f"no algo {algo!r} for a Problem of kind {kind!r}")

@@ -348,11 +348,11 @@ def verify_reduction(generator: str, source, param=None, max_n: int = 60) -> boo
     ov-matching (no param), is-multidom (param = (k, gamma, d)).
     """
     if generator == "ov-multidom":
-        out, r = ov_to_multidom(source, param), param
+        out = ov_to_multidom(source, param)
     elif generator == "ov-hdom":
-        out, r = ov_to_hdom(source, param), 1
+        out = ov_to_hdom(source, param)
     elif generator == "ov-matching":
-        out, r = ov_to_induced_matching(source), 1
+        out = ov_to_induced_matching(source)
     elif generator == "is-multidom":
         k, gamma, d = param
         out, complement = _indepset_reduction(source, k, gamma, d)
@@ -361,7 +361,8 @@ def verify_reduction(generator: str, source, param=None, max_n: int = 60) -> boo
     tgt = solve(out.graph, out.problem, "brute", max_n=max_n)
     if generator == "is-multidom":
         return (oracle_unbalanced_clique(complement) is not None) == (tgt is not None)
-    return solve_ov_bruteforce(source, r) == (tgt is not None)
+    # ov-multidom's Problem carries the source's r; the others ask for r = 1
+    return solve_ov_bruteforce(source, out.problem.r or 1) == (tgt is not None)
 
 
 def save_reduction(out: ReductionOutput, graph_path, sidecar_path) -> None:

@@ -18,23 +18,22 @@ from domlab import (
     OVInstance,
     Pattern,
     Problem,
-    build_candidate_families,
-    enumerate_cliques,
-    heavy_vertices,
-    oracle_multidom,
-    oracle_pattern,
     oracle_unbalanced_clique,
     ov_to_hdom,
     ov_to_induced_matching,
     ov_to_multidom,
     indepset_to_multidom,
+    verify_reduction,
+    verify_solution,
+)
+from domlab.graph import heavy_vertices
+from domlab.multidom import build_candidate_families, solve_multidom_fast, solve_multidom_kminus1
+from domlab.oracles import oracle_multidom, oracle_pattern
+from domlab.patterndom import (
+    enumerate_cliques,
     solve_dominating_clique,
     solve_dominating_indepset,
     solve_dominating_induced_matching,
-    solve_multidom_fast,
-    solve_multidom_kminus1,
-    verify_reduction,
-    verify_solution,
 )
 from domlab.algebra import BoolMatrix, complement_zero_pairs
 from domlab.cli import main, _random_gnm

@@ -13,7 +13,8 @@ from domlab import cli, oracles, reductions
 from domlab.cli import main
 
 from .conftest import complete_graph, cycle_graph, path_graph
-from domlab import Graph, save_graph, solve_multidom_fast
+from domlab import Graph, save_graph
+from domlab.multidom import solve_multidom_fast
 
 
 @pytest.fixture
@@ -432,6 +433,21 @@ def test_verify_malformed_ov_source_exits_two(tmp_path, capsys, payload, field):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert str(source) in captured.err and field in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{graph}", "--problem", "pattern", "--pattern", "{deep}", "--k", "3"],
+    ["verify", "--reduction", "ov-matching", "--source", "{deep}"],
+    ["verify", "{graph}", "--problem", "multidom", "--k", "2", "--r", "1", "--solution", "{deep}"],
+], ids=["pattern", "ov-source", "solution"])
+def test_deeply_nested_json_exits_two(tmp_path, capsys, c5_file, argv):
+    # json gives up on it with a RecursionError: malformed input, not a budget
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"k": 3, "edges": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main([a.format(graph=c5_file, deep=deep) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(deep) in captured.err
 
 
 def test_verify_oracle_budget_overrun_exits_three(tmp_path, capsys):

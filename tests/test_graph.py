@@ -10,12 +10,11 @@ from hypothesis import given, strategies as st
 from domlab import (
     Graph,
     GraphFormatError,
-    heavy_vertices,
     load_graph,
     save_graph,
 )
 from domlab import graph
-from domlab.graph import MAX_VERTICES, delete_closed_neighborhood
+from domlab.graph import MAX_VERTICES, delete_closed_neighborhood, heavy_vertices
 
 from .conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
 

@@ -11,26 +11,29 @@ from hypothesis import given, settings, strategies as st
 
 from domlab import cli, multidom, patterndom
 from domlab.graph import delete_closed_neighborhood
-from domlab.multidom import build_clique_graph, detect_unbalanced_kclique
+from domlab.multidom import (
+    build_candidate_families,
+    build_clique_graph,
+    detect_unbalanced_kclique,
+    list_2_dominating_sets,
+    solve_multidom_fast,
+    solve_multidom_kminus1,
+)
+from domlab.graph import heavy_vertices
+from domlab.oracles import oracle_multidom
+from domlab.patterndom import list_dominating_ksets
 from domlab import (
     Graph,
     KPartiteGraph,
     Problem,
     Solution,
-    build_candidate_families,
     diagnose_solution,
-    heavy_vertices,
     indepset_to_multidom,
-    list_2_dominating_sets,
-    list_dominating_ksets,
-    oracle_multidom,
     oracle_unbalanced_clique,
     OVInstance,
     ov_to_multidom,
     Pattern,
     solve_ov_bruteforce,
-    solve_multidom_fast,
-    solve_multidom_kminus1,
     verify_solution,
 )
 
@@ -83,8 +86,8 @@ P3_EDGES = Pattern.path(3).edges
     (Problem("multiple", 3, 2), (0, 1, 2), "vertex 4 has 0 < 2 dominators"),
     (Problem("multiple", 3), (0, 2, 4), "problem is missing r"),
     (Problem("tuple", 3, 2), (0, 1, 2), "vertex 4 has 0 < 2 dominators"),
-    (Problem("dominating", 2), (0, 1), "vertex 4 is not dominated"),
-    (Problem("dominating", 2), (0, 3), None),
+    (Problem("tuple", 2, 1), (0, 1), "vertex 4 has 0 < 1 dominators"),
+    (Problem("tuple", 2, 1), (0, 3), None),
     (Problem("clique", 2), (1, 4), "solution does not induce a clique"),
     (Problem("clique", 2), (0, 3), None),
     (Problem("indepset", 2), (0, 3), "solution vertices 0,3 are adjacent"),

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import importlib
 import io
 import itertools
 import json
 import random
+import types
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,29 +19,34 @@ from domlab import (
     Pattern,
     PatternTooLargeError,
     Problem,
-    enumerate_cliques,
-    heavy_vertices,
-    list_2_dominating_sets,
-    list_dominating_ksets,
     load_pattern,
-    oracle_multidom,
-    oracle_pattern,
     ov_to_hdom,
     ov_to_induced_matching,
     solve,
+    solve_ov_bruteforce,
+    verify_solution,
+)
+import domlab
+from domlab import oracles, patterndom
+from domlab.graph import delete_closed_neighborhood, heavy_vertices
+from domlab.cli import _random_gnm
+from domlab.multidom import (
+    Solution,
+    _shape_error,
+    list_2_dominating_sets,
+    pair_join,
+    solve_multidom_fast,
+    solve_multidom_kminus1,
+)
+from domlab.oracles import oracle_multidom, oracle_pattern
+from domlab.patterndom import (
+    enumerate_cliques,
+    list_dominating_ksets,
     solve_dominating_clique,
     solve_dominating_indepset,
     solve_dominating_induced_matching,
-    solve_multidom_fast,
-    solve_multidom_kminus1,
-    solve_ov_bruteforce,
     solve_pattern_domination,
-    verify_solution,
 )
-from domlab import oracles, patterndom
-from domlab.graph import delete_closed_neighborhood
-from domlab.cli import _random_gnm
-from domlab.multidom import Solution, _shape_error, pair_join
 
 from .conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
 
@@ -691,3 +699,40 @@ def test_solve_brute_keeps_the_oracle_limits_under_max_n():
 def test_solve_refuses_what_does_not_fit(problem, algo, message):
     with pytest.raises(ValueError, match=message):
         solve(cycle_graph(5), problem, algo)
+
+
+ROOT_NAMES = {
+    "Graph", "Problem", "Solution", "Pattern", "OVInstance", "KPartiteGraph", "ReductionOutput",
+    "GraphFormatError", "PatternTooLargeError", "OracleBudgetError",
+    "load_graph", "save_graph", "load_pattern", "load_ov", "save_ov",
+    "solve", "verify_solution", "diagnose_solution",
+    "ov_to_multidom", "ov_to_hdom", "ov_to_induced_matching", "indepset_to_multidom",
+    "verify_reduction", "solve_ov_bruteforce", "oracle_unbalanced_clique",
+}
+# what `solve` reaches, and the building blocks behind it, by module
+MODULE_NAMES = {
+    "graph": ("heavy_vertices",),
+    "multidom": ("solve_multidom_fast", "solve_multidom_kminus1", "CandidateFamily",
+                 "build_candidate_families", "list_2_dominating_sets"),
+    "oracles": ("oracle_multidom", "oracle_pattern"),
+    "patterndom": ("solve_dominating_clique", "solve_dominating_indepset",
+                   "solve_dominating_induced_matching", "solve_pattern_domination",
+                   "enumerate_cliques", "list_dominating_ksets"),
+}
+
+
+def test_root_exports_solve_and_the_types_around_it():
+    public = {name for name, value in vars(domlab).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == ROOT_NAMES
+    for module, names in MODULE_NAMES.items():
+        for name in names:
+            assert hasattr(importlib.import_module(f"domlab.{module}"), name)
+
+
+def test_readme_library_quickstart_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library quickstart\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(block, {})
+    assert capsys.readouterr().out == "(0, 1, 3)\nNone\n"

@@ -15,7 +15,6 @@ from domlab import (
     Pattern,
     indepset_to_multidom,
     load_ov,
-    oracle_multidom,
     ov_to_hdom,
     ov_to_induced_matching,
     ov_to_multidom,
@@ -25,7 +24,7 @@ from domlab import (
     verify_reduction,
 )
 from domlab import reductions
-from domlab.oracles import OracleBudgetError
+from domlab.oracles import OracleBudgetError, oracle_multidom
 from domlab.reductions import pad_special_coordinates
 
 

@@ -2,8 +2,7 @@
 
 Exit codes: 0 = solution found (solve) or PASS (verify), 1 = no solution or
 FAIL, 2 = error, 3 = budget exceeded (an oracle's size cap, such as
-`verify --reduction ... --max-n`, is smaller than the instance, or a search
-recurses past Python's recursion limit).
+`verify --reduction ... --max-n`, is smaller than the instance).
 """
 
 from __future__ import annotations
@@ -120,13 +119,6 @@ def format_result(result: dict, as_json: bool) -> str:
 def _solve_once(G: Graph, args, k: int, stats: dict) -> Solution | None:
     """`solve` on the Problem of `args` at size k, with a ValueError (a k
     outside the algorithm's or the shape's window) as a SizeWindowError."""
-    if PROBLEMS[args.problem][0] in VARIANTS:
-        if args.r < 1:
-            raise CliError(f"--r must be >= 1, got {args.r}")
-    elif args.r is not None:
-        raise CliError(f"--r is not valid with --problem {args.problem}")
-    if args.algo == "pipeline" and args.problem != "multidom":
-        raise CliError("--algo pipeline only applies to multidom")
     problem = _problem(args, k)
     try:
         if args.algo == "brute":
@@ -139,12 +131,19 @@ def _solve_once(G: Graph, args, k: int, stats: dict) -> Solution | None:
 def cmd_solve(args) -> int:
     kind, needs = PROBLEMS[args.problem]
     _require(args, f"--problem {args.problem}", needs)
+    if kind in VARIANTS:
+        if args.r < 1:
+            raise CliError(f"--r must be >= 1, got {args.r}")
+    elif args.r is not None:
+        raise CliError(f"--r is not valid with --problem {args.problem}")
+    if args.algo == "pipeline" and args.problem != "multidom":
+        raise CliError("--algo pipeline only applies to multidom")
     G = load_graph(args.graph, fmt=args.format)
     stats: dict = {}
     start = time.perf_counter()
     if args.at_most_k:
         solution = None
-        for kp in range(1, args.k + 1):
+        for kp in range(1, min(args.k, G.n) + 1):  # no k'-set exists for k' > n
             try:
                 solution = _solve_once(G, args, kp, stats)
             except SizeWindowError:
@@ -392,7 +391,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OracleBudgetError, RecursionError) as exc:
+    except OracleBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, KeyError) as exc:

@@ -298,9 +298,9 @@ def _family_shapes(k: int, r: int) -> tuple[tuple[int, int], tuple[int, int]]:
 
 def closed_form_family_size(n: int, n_heavy: int, size: int, quota: int) -> int:
     """Number of size-subsets of n vertices with at least `quota` of the
-    `n_heavy` heavy ones: sum over j >= quota of C(h, j) * C(n - h, size - j)."""
+    `n_heavy` heavy ones: the nonzero terms j >= quota of C(h, j) * C(n - h, size - j)."""
     return sum(comb(n_heavy, j) * comb(n - n_heavy, size - j)
-               for j in range(quota, size + 1))
+               for j in range(max(quota, size - (n - n_heavy)), min(size, n_heavy) + 1))
 
 
 def build_candidate_families(G: Graph, k: int, r: int) -> tuple[CandidateFamily, CandidateFamily]:

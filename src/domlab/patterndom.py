@@ -190,9 +190,9 @@ def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
     a heavy h adjacent to all of S, in the order of a scan over every (S, h)
     (a row left out holds a non-edge, so the first hit is the same), and
     the columns the k//2-cliques, one list when k is odd and the sizes
-    agree. With no heavy vertex there is no row, and no clique is listed.
-    Otherwise the clique lists are enumerated in full and the columns are
-    materialised, but the rows are drawn lazily by `_sorted_unions`.
+    agree. With no heavy vertex there is no row, nor a k-set when k > n, and
+    no clique is listed. Otherwise the clique lists are enumerated in full
+    and the columns are materialised, but the rows are drawn lazily.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -202,7 +202,7 @@ def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
         sets = zip(heavy_vertices(G, 1)) if k == 1 else list_2_dominating_sets(G)
     else:
         heavy = _set_mask(heavy_vertices(G, k))
-        if not heavy:
+        if k > G.n or not heavy:
             return None
         r1 = enumerate_cliques(G, (k - 1) // 2)
         r2 = r1 if k % 2 else enumerate_cliques(G, k // 2)
@@ -214,31 +214,32 @@ def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
 
 
 def solve_dominating_indepset(G: Graph, k: int) -> Solution | None:
-    """Recursion on heavy vertices of the current instance: pick heavy v,
-    delete N[v], solve for k-1; bases are the universal vertex (k=1) and
-    non-adjacent dominating pairs (k=2)."""
+    """Branching on heavy vertices: pick heavy v, delete N[v], solve for k-1;
+    the bases are the universal vertices (k=1) and non-adjacent dominating
+    pairs (k=2). Depth-first on an explicit stack, one frame per chosen
+    vertex: the bitmask `alive` of its subgraph, in G's ids so heavy vertices
+    come in a relabelled copy's order, and the heavy vertices left to try
+    there. A subgraph with fewer vertices than still needed gets no frame."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    verts = _indepset_search(G, k, None)
-    if verts is None:
-        return None
-    return Solution(Problem("indepset", k), verts)
-
-
-def _indepset_search(G: Graph, k: int, alive: int | None) -> tuple[int, ...] | None:
-    """The search on the subgraph induced by the vertex bitmask `alive` (None
-    for all of V), in G's ids: deleting N[v] clears its bits. The ids keep
-    their order, so each level tries heavy vertices in the order a relabelled
-    copy would."""
-    if k <= 2:
-        sets = zip(heavy_vertices(G, 1, alive)) if k == 1 else list_2_dominating_sets(G, alive)
-        return _first_shaped(G, Problem("indepset", k), sets)
-    for v in heavy_vertices(G, k, alive):
-        rest_alive = (G.full_mask() if alive is None else alive) & ~G.closed_mask(v)
-        rest = _indepset_search(G, k - 1, rest_alive)
-        if rest is not None:
-            return tuple(sorted((v,) + rest))
-    return None
+    chosen: list[int] = []  # chosen[i]: the vertex frames[i] has taken
+    frames: list[tuple[int | None, Iterator[int]]] = []  # alive: None for V, never 0
+    alive = None
+    while True:
+        left = k - len(chosen)
+        if left <= 2:
+            sets = zip(heavy_vertices(G, 1, alive)) if left == 1 else list_2_dominating_sets(G, alive)
+            if (rest := _first_shaped(G, Problem("indepset", left), sets)) is not None:
+                return Solution(Problem("indepset", k), tuple(sorted(chosen + list(rest))))
+        elif (G.n if alive is None else alive.bit_count()) >= left:
+            frames.append((alive, iter(heavy_vertices(G, left, alive))))
+        # take the next untried vertex of the deepest frame that has one
+        while frames and (v := next(frames[-1][1], None)) is None:
+            frames.pop()
+        if not frames:
+            return None
+        chosen[len(frames) - 1:] = [v]
+        alive = (frames[-1][0] or G.full_mask()) & ~G.closed_mask(v)
 
 
 def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
@@ -247,17 +248,17 @@ def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
     Splits the k/2 matching edges into edge subsets of sizes ceil(k/4) and
     floor(k/4), and joins their endpoint tuples with `_sorted_unions`; the
     first union that induces a perfect matching is the answer.
-    Every dominating k-set holds a heavy vertex, so with none the answer is
-    None before any edge subset is listed. Otherwise the C(m, floor(k/4))
-    column subsets are materialised; the C(m, ceil(k/4)) row subsets are
-    drawn lazily, so the cost depends on the rows drawn before the first
-    hit (all of them on a NO instance). The certificate's
-    `matching_edges` are the edges the solution induces.
+    Every dominating k-set holds a heavy vertex, so with none, or with
+    k > n, the answer is None before any edge subset is listed. Otherwise
+    the C(m, floor(k/4)) column subsets are materialised; the C(m,
+    ceil(k/4)) row subsets are drawn lazily, so the cost depends on the rows
+    drawn before the first hit (all of them on a NO instance). The
+    certificate's `matching_edges` are the edges the solution induces.
     """
     if k % 2 or k < 2:
         raise ValueError(f"k must be even and >= 2, got {k}")
     problem = Problem("matching", k)
-    if not heavy_vertices(G, k):
+    if k > G.n or not heavy_vertices(G, k):
         return None
     if k == 2:
         sets = list_2_dominating_sets(G)

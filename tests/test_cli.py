@@ -176,15 +176,40 @@ def test_solve_brute_budgets_the_exhaustive_scan(tmp_path, capsys, monkeypatch, 
                             "C(300, 3) = 4455100 subsets, more than 1000000\n")
 
 
-def test_solve_past_the_recursion_limit_exits_3(tmp_path, capsys):
+def test_solve_deeper_than_the_recursion_limit_answers_yes(tmp_path, capsys):
     # every vertex of the edgeless graph on 1,200 vertices is needed, so the
-    # dom-indepset search recurses 1,200 levels, past Python's default limit
+    # dom-indepset search goes 1,200 levels deep, past Python's default limit
     graph = tmp_path / "edgeless.graph"
     graph.write_text("1200 0\n")
-    code = main(["solve", str(graph), "--problem", "dom-indepset", "--k", "1200"])
-    captured = capsys.readouterr()
-    assert code == 3 and captured.out == ""
-    assert captured.err.startswith("error: maximum recursion depth exceeded")
+    code = main(["solve", str(graph), "--problem", "dom-indepset", "--k", "1200",
+                 "--json", "--no-timing"])
+    out = capsys.readouterr().out
+    assert code == 0 and json.loads(out)["solution"] == list(range(1200))
+    solution = tmp_path / "sol.json"
+    solution.write_text(out)
+    assert main(["verify", str(graph), "--problem", "dom-indepset", "--k", "1200",
+                 "--solution", str(solution)]) == 0
+    assert capsys.readouterr().out == "PASS\n"
+
+
+def test_solve_at_most_k_stops_at_n(tmp_path, capsys, monkeypatch):
+    # no k'-set exists above n = 5, so k' = 6..20000 run no solve
+    graph = tmp_path / "e5.graph"
+    graph.write_text("5 0\n")
+    sizes = []
+    original = cli.solve
+    monkeypatch.setattr(cli, "solve",
+                        lambda G, problem, *a: sizes.append(problem.k) or original(G, problem, *a))
+    code = main(["solve", str(graph), "--problem", "tupledom", "--r", "2", "--k", "20000",
+                 "--at-most-k", "--json", "--no-timing"])
+    assert code == 1 and json.loads(capsys.readouterr().out)["answer"] is False
+    # k' = 2 = r: the fast solver refuses it, then the exhaustive scan runs
+    assert sizes == [1, 2, 2, 3, 4, 5]
+    # with no size to try, a bad flag is still a usage error
+    graph.write_text("0 0\n")
+    assert main(["solve", str(graph), "--problem", "tupledom", "--r", "0", "--k", "3",
+                 "--at-most-k"]) == 2
+    assert "--r must be >= 1" in capsys.readouterr().err
 
 
 def test_bench_brute_budgets_the_exhaustive_scan(capsys, monkeypatch):

@@ -170,6 +170,18 @@ def test_family_cardinality_closed_form(seed, n, k):
             assert multidom.closed_form_family_size(n, n_heavy, fam.size, fam.quota) == expected
 
 
+def test_closed_form_sums_only_nonzero_terms():
+    for n, n_heavy in itertools.product(range(8), repeat=2):
+        if n_heavy > n:
+            continue
+        for size, quota in itertools.product(range(n + 3), range(4)):
+            full = sum(comb(n_heavy, j) * comb(n - n_heavy, size - j)
+                       for j in range(quota, size + 1))
+            assert multidom.closed_form_family_size(n, n_heavy, size, quota) == full
+    # the full sum would run 10^12 terms
+    assert multidom.closed_form_family_size(5, 2, 10 ** 12, 1) == 0
+
+
 @given(st.integers(0, 200), st.integers(4, 9), st.integers(2, 5))
 def test_family_completeness(seed, n, k):
     # every k-set with >= r heavy vertices splits into a disjoint S|T pair

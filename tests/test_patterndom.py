@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import random
+import sys
 import types
 from math import comb
 from pathlib import Path
@@ -364,12 +365,51 @@ def _planted_indep_graph(seed: int, n: int) -> Graph:
     return Graph(n, edges)
 
 
+def _indepset_corpus_graph(seed: int) -> Graph:
+    if seed % 2:
+        return _planted_indep_graph(seed, 12 + seed % 20)
+    return random_graph(seed, 12 + seed % 9, 0.45)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_indepset_alive_search_matches_rebuild_recursion(seed):
-    G = _planted_indep_graph(seed, 12 + seed % 20) if seed % 2 else random_graph(seed, 12 + seed % 9, 0.45)
+    G = _indepset_corpus_graph(seed)
     for k in range(1, 6):
         sol = solve_dominating_indepset(G, k)
         assert (None if sol is None else sol.vertices) == _indepset_rebuild(G, k)
+
+
+def test_indepset_corpus_takes_later_heavy_branches():
+    # cases where the first heavy vertex's branch finds nothing and a later
+    # one answers pin the depth-first order against `_indepset_rebuild`
+    late = 0
+    for seed in range(40):
+        G = _indepset_corpus_graph(seed)
+        for k in range(3, 6):
+            sol = solve_dominating_indepset(G, k)
+            if sol is not None:
+                sub, _ = delete_closed_neighborhood(G, heavy_vertices(G, k)[0])
+                late += _indepset_rebuild(sub, k - 1) is None
+    assert late > 0
+
+
+def test_indepset_deeper_than_the_recursion_limit():
+    k = 1200
+    assert k > sys.getrecursionlimit()
+    sol = solve_dominating_indepset(Graph(k, []), k)
+    assert sol.vertices == tuple(range(k))
+    assert verify_solution(Graph(k, []), sol.problem, sol.vertices)
+
+
+def test_shape_solvers_answer_no_above_n_without_listing(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("listed candidates for k > n")
+
+    for name in ("enumerate_cliques", "pair_join", "list_2_dominating_sets"):
+        monkeypatch.setattr(patterndom, name, fail)
+    assert solve_dominating_clique(complete_graph(22), 23) is None
+    assert solve_dominating_induced_matching(complete_graph(16), 18) is None
+    assert solve_dominating_indepset(Graph(12, []), 13) is None
 
 
 def test_sparse_solves_build_no_masks(monkeypatch):

@@ -1,8 +1,8 @@
 """Command-line surface: solve, generate, verify, bench.
 
 Exit codes: 0 = solution found (solve) or PASS (verify), 1 = no solution or
-FAIL, 2 = error, 3 = budget exceeded (an oracle's size cap, such as
-`verify --reduction ... --max-n`, is smaller than the instance).
+FAIL, 2 = error, 3 = budget exceeded (OracleBudgetError; every brute-force
+scan, `verify --reduction`'s included, passes `oracles.check_scan_budget` first).
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ import random
 import sys
 import time
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import isfinite, isqrt
 
 from .graph import MAX_VERTICES, Graph, load_graph
 from .multidom import STATS_KEYS, VARIANTS, Problem, Solution, diagnose_solution, KPartiteGraph
-from .oracles import MAX_TRANSVERSALS, OracleBudgetError
+from .oracles import OracleBudgetError, check_scan_budget
 from .patterndom import MAX_PATTERN_SIZE, PatternTooLargeError, load_pattern, solve
 from .reductions import (
     OVInstance,
@@ -71,6 +71,19 @@ def _require(args, context: str, flags) -> None:
             raise CliError(f"{context} requires {name}")
 
 
+def _check_problem_flags(args) -> str:
+    """The Problem kind of --problem, once its flags pass: CliError (exit
+    code 2) for a missing flag, --k or --r below 1, or --r on a shape."""
+    kind, needs = PROBLEMS[args.problem]
+    _require(args, f"--problem {args.problem}", needs)
+    if kind not in VARIANTS and args.r is not None:
+        raise CliError(f"--r is not valid with --problem {args.problem}")
+    for flag in ("k", "r") if kind in VARIANTS else ("k",):
+        if (value := getattr(args, flag)) < 1:
+            raise CliError(f"--{flag} must be >= 1, got {value}")
+    return kind
+
+
 def _problem(args, k: int) -> Problem:
     """The Problem that --problem and its flags ask for at size k. A pattern
     file must hold exactly k vertices (else SizeWindowError, exit code 2),
@@ -86,22 +99,6 @@ def _problem(args, k: int) -> Problem:
     if H.k > MAX_PATTERN_SIZE:
         raise PatternTooLargeError(f"pattern size {H.k} exceeds {MAX_PATTERN_SIZE}")
     return Problem(kind, k, pattern_edges=H.edges)
-
-
-def _check_scan_budget(n: int, problem: Problem, context: str) -> None:
-    """OracleBudgetError (exit code 3) when an exhaustive scan over the
-    C(n, k) k-subsets would pass MAX_TRANSVERSALS, or for a problem of a
-    shape, the k! orderings the pattern oracle may try on each, before the
-    scan starts."""
-    k = problem.k
-    if (subsets := comb(n, k)) > MAX_TRANSVERSALS:
-        raise OracleBudgetError(
-            f"{context}: the exhaustive scan at k={k} has C({n}, {k}) = "
-            f"{subsets} subsets, more than {MAX_TRANSVERSALS}")
-    if problem.kind not in VARIANTS and (orderings := subsets * factorial(k)) > MAX_TRANSVERSALS:
-        raise OracleBudgetError(
-            f"{context}: the pattern scan at k={k} tries C({n}, {k}) * "
-            f"{k}! = {orderings} orderings, more than {MAX_TRANSVERSALS}")
 
 
 def format_result(result: dict, as_json: bool) -> str:
@@ -121,21 +118,13 @@ def _solve_once(G: Graph, args, k: int, stats: dict) -> Solution | None:
     outside the algorithm's or the shape's window) as a SizeWindowError."""
     problem = _problem(args, k)
     try:
-        if args.algo == "brute":
-            _check_scan_budget(G.n, problem, "--algo brute")
         return solve(G, problem, args.algo, stats)
     except ValueError as exc:
         raise SizeWindowError(str(exc)) from None
 
 
 def cmd_solve(args) -> int:
-    kind, needs = PROBLEMS[args.problem]
-    _require(args, f"--problem {args.problem}", needs)
-    if kind in VARIANTS:
-        if args.r < 1:
-            raise CliError(f"--r must be >= 1, got {args.r}")
-    elif args.r is not None:
-        raise CliError(f"--r is not valid with --problem {args.problem}")
+    kind = _check_problem_flags(args)
     if args.algo == "pipeline" and args.problem != "multidom":
         raise CliError("--algo pipeline only applies to multidom")
     G = load_graph(args.graph, fmt=args.format)
@@ -151,9 +140,7 @@ def cmd_solve(args) -> int:
                 # fall back to the exhaustive exact-size solve when legal
                 if kind not in VARIANTS or args.r > kp:
                     continue
-                problem = Problem(kind, kp, args.r)
-                _check_scan_budget(G.n, problem, "--at-most-k")
-                solution = solve(G, problem, "brute")
+                solution = solve(G, Problem(kind, kp, args.r), "brute")
             if solution is not None:
                 break
     else:
@@ -234,11 +221,11 @@ def cmd_verify(args) -> int:
         inst = load_ov(args.source)
         param = args.r if args.reduction == "ov-multidom" else (
             load_pattern(args.pattern) if args.reduction == "ov-hdom" else None)
-        ok = verify_reduction(args.reduction, inst, param, max_n=args.max_n)
+        ok = verify_reduction(args.reduction, inst, param)
         print("PASS" if ok else "FAIL: source and target oracles disagree")
         return 0 if ok else 1
     _require(args, "verify", ("graph", "problem", "k", "solution"))
-    _require(args, f"--problem {args.problem}", PROBLEMS[args.problem][1])
+    _check_problem_flags(args)
     G = load_graph(args.graph, fmt=args.format)
     with open(args.solution) as fh:
         try:
@@ -253,13 +240,9 @@ def cmd_verify(args) -> int:
     if not (isinstance(vertices, list) and all(type(v) is int for v in vertices)):
         raise CliError(f"solution file {args.solution} must hold a list of integer vertex "
                        'ids, or an object with one under "solution"')
-    problem = _problem(args, args.k)
-    reason = diagnose_solution(G, problem, vertices)
-    if reason is None:
-        print("PASS")
-        return 0
-    print(f"FAIL: {reason}")
-    return 1
+    reason = diagnose_solution(G, _problem(args, args.k), vertices)
+    print("PASS" if reason is None else f"FAIL: {reason}")
+    return 0 if reason is None else 1
 
 
 def _random_gnm(rng: random.Random, n: int, m: int) -> Graph:
@@ -284,10 +267,12 @@ def cmd_bench(args) -> int:
     if bad := [n for n in ns if not 0 <= n <= MAX_VERTICES]:
         raise CliError(f"--n {bad[0]} is outside 0..{MAX_VERTICES}")
     densities = [float(x) for x in args.density.split(",")]
+    if bad := [d for d in densities if not (isfinite(d) and d >= 0)]:
+        raise CliError(f"--density {bad[0]} is not a finite number >= 0")
     algos = args.algos.split(",")
     problem = Problem("multiple", args.k, args.r)
     if "brute" in algos:
-        _check_scan_budget(max(ns), problem, "bench --algos brute")
+        check_scan_budget(max(ns), args.k, orderings=False)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(BENCH_HEADER)
@@ -358,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--reduction",
                     choices=["ov-multidom", "ov-hdom", "ov-matching"])
     pv.add_argument("--source", help="OV instance JSON for --reduction")
-    pv.add_argument("--max-n", type=int, default=60)
     pv.add_argument("--format", default="edgelist", choices=["edgelist", "dimacs"])
     pv.set_defaults(func=cmd_verify)
 

@@ -230,6 +230,8 @@ def diagnose_solution(G: Graph, problem: Problem, vertices: Sequence[int]) -> st
     r = problem.r if kind in VARIANTS else 1
     if r is None:
         return "problem is missing r"
+    if r < 1:
+        return f"r={r} is below 1"
     # hits[v]: the solution's vertices in N(v), and then in N[v]
     hits = [0] * G.n
     for v in itertools.chain.from_iterable(map(G.adjacency, S)):

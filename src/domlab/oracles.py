@@ -9,6 +9,7 @@ therefore evidence, not tautology.
 from __future__ import annotations
 
 import itertools
+from math import comb, factorial
 from typing import TYPE_CHECKING
 
 from .graph import Graph
@@ -17,7 +18,6 @@ from .multidom import KPartiteGraph, Problem, Solution
 if TYPE_CHECKING:
     from .patterndom import Pattern
 
-DEFAULT_MAX_N = 20
 MAX_TRANSVERSALS = 10**6
 
 
@@ -25,19 +25,28 @@ class OracleBudgetError(RuntimeError):
     """Instance too large for an exhaustive scan; fail loudly, never crawl."""
 
 
+def check_scan_budget(n: int, k: int, orderings: bool) -> None:
+    """The one budget of every brute-force run, checked before the scan:
+    OracleBudgetError (exit code 3) when the C(n, k) k-subsets, or with
+    `orderings` (a shape) their k! orderings each, pass MAX_TRANSVERSALS."""
+    if (subsets := comb(n, k)) > MAX_TRANSVERSALS:
+        raise OracleBudgetError(f"the exhaustive scan at k={k} has C({n}, {k}) = "
+                                f"{subsets} subsets, more than {MAX_TRANSVERSALS}")
+    if orderings and (count := subsets * factorial(k)) > MAX_TRANSVERSALS:
+        raise OracleBudgetError(f"the pattern scan at k={k} tries C({n}, {k}) * {k}! = "
+                                f"{count} orderings, more than {MAX_TRANSVERSALS}")
+
+
 def _neighbor_sets(G: Graph) -> list[set[int]]:
     return [set(G.adjacency(v)) for v in range(G.n)]
 
 
-def oracle_multidom(G: Graph, k: int, r: int, variant: str,
-                    max_n: int = DEFAULT_MAX_N) -> Solution | None:
+def oracle_multidom(G: Graph, k: int, r: int, variant: str) -> Solution | None:
     """Exhaustive scan of all C(n, k) subsets in lexicographic order (none for k > n)."""
     if variant not in ("multiple", "tuple"):
         raise ValueError(f"unknown variant {variant!r}")
     if not (1 <= r <= k):
         raise ValueError(f"need 1 <= r <= k, got r={r}, k={k}")
-    if G.n > max_n:
-        raise OracleBudgetError(f"n={G.n} exceeds oracle budget {max_n}")
     nbrs = _neighbor_sets(G)
     for S in itertools.combinations(range(G.n), k):
         chosen = set(S)
@@ -57,13 +66,8 @@ def oracle_multidom(G: Graph, k: int, r: int, variant: str,
     return None
 
 
-def oracle_pattern(G: Graph, H: Pattern, max_n: int = DEFAULT_MAX_N,
-                   max_k: int = 6) -> Solution | None:
+def oracle_pattern(G: Graph, H: Pattern) -> Solution | None:
     """Exhaustive subset scan plus permutation isomorphism."""
-    if G.n > max_n:
-        raise OracleBudgetError(f"n={G.n} exceeds oracle budget {max_n}")
-    if H.k > max_k:
-        raise OracleBudgetError(f"pattern size {H.k} exceeds oracle budget {max_k}")
     nbrs = _neighbor_sets(G)
     closed = [nbrs[v] | {v} for v in range(G.n)]
     problem = Problem("pattern", H.k, pattern_edges=H.edges)

@@ -322,18 +322,17 @@ SHAPES = {
 }
 
 
-def solve(G: Graph, problem: Problem, algo: str = "fast", stats: dict | None = None,
-          max_n: int | None = None) -> Solution | None:
+def solve(G: Graph, problem: Problem, algo: str = "fast",
+          stats: dict | None = None) -> Solution | None:
     """The first solution of `problem` on G that `algo` finds, or None.
 
     "fast" runs `solve_multidom_fast` (with `stats`) on the multiple and
     tuple kinds, and the solver `SHAPES` names on the others. "pipeline"
     runs `solve_multidom_kminus1` (with `stats`), on the multiple kind with
-    r = k-1 only. "brute" runs `oracle_multidom` or `oracle_pattern`: with
-    `max_n` None on any n and pattern size (the caller budgets the scan),
-    else within the oracles' limits, n <= max_n and at most 6 pattern
-    vertices. A ValueError names what does not fit: the algo, the kind, an
-    r outside the fast solver's 1..k-1, a k that no pattern of the kind has.
+    r = k-1 only. "brute" runs `oracle_multidom` or `oracle_pattern` once
+    `oracles.check_scan_budget` passes (else OracleBudgetError). A
+    ValueError names what does not fit: the algo, the kind, an r outside
+    the fast solver's 1..k-1, a k that no pattern of the kind has.
     """
     kind, k, r = problem.kind, problem.k, problem.r
     if algo not in ("fast", "brute", "pipeline") or not (kind in VARIANTS or kind in SHAPES):
@@ -342,13 +341,14 @@ def solve(G: Graph, problem: Problem, algo: str = "fast", stats: dict | None = N
         raise ValueError(f"the pipeline needs kind 'multiple' with r = k-1, got r={r}, k={k}")
     if kind in VARIANTS:
         if algo == "brute":
-            return oracles.oracle_multidom(G, k, r, kind, max_n=G.n if max_n is None else max_n)
+            oracles.check_scan_budget(G.n, k, orderings=False)
+            return oracles.oracle_multidom(G, k, r, kind)
         if algo == "pipeline":
             return multidom.solve_multidom_kminus1(G, k, stats=stats)
         return multidom.solve_multidom_fast(G, k, r, kind, stats=stats)
     build, name = SHAPES[kind]
     H = Pattern(k, problem.pattern_edges) if build is None else build(k)
     if algo == "brute":
-        limits = {"max_n": G.n, "max_k": k} if max_n is None else {"max_n": max_n}
-        return oracles.oracle_pattern(G, H, **limits)
+        oracles.check_scan_budget(G.n, k, orderings=True)
+        return oracles.oracle_pattern(G, H)
     return globals()[name](G, H if build is None else k)

@@ -339,10 +339,10 @@ def _complement_kpartite(source: KPartiteGraph) -> KPartiteGraph:
     return KPartiteGraph(source.sizes, edges)
 
 
-def verify_reduction(generator: str, source, param=None, max_n: int = 60) -> bool:
+def verify_reduction(generator: str, source, param=None) -> bool:
     """True iff the source oracle and the target oracle agree. The target
-    oracle, `solve(..., "brute", max_n=max_n)` on the generated `Problem`,
-    runs first, so its `max_n` budget is checked before the source's.
+    oracle, `solve(..., "brute")` on the generated `Problem`, runs first,
+    so its scan budget is checked before the source's.
 
     generator ids: ov-multidom (param = r), ov-hdom (param = Pattern),
     ov-matching (no param), is-multidom (param = (k, gamma, d)).
@@ -358,7 +358,7 @@ def verify_reduction(generator: str, source, param=None, max_n: int = 60) -> boo
         out, complement = _indepset_reduction(source, k, gamma, d)
     else:
         raise ValueError(f"unknown generator {generator!r}")
-    tgt = solve(out.graph, out.problem, "brute", max_n=max_n)
+    tgt = solve(out.graph, out.problem, "brute")
     if generator == "is-multidom":
         return (oracle_unbalanced_clique(complement) is not None) == (tgt is not None)
     # ov-multidom's Problem carries the source's r; the others ask for r = 1

@@ -172,7 +172,7 @@ def test_solve_brute_budgets_the_exhaustive_scan(tmp_path, capsys, monkeypatch, 
     code = main(["solve", str(path), *problem, "--k", "3", "--algo", "brute"])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
-    assert captured.err == ("error: --algo brute: the exhaustive scan at k=3 has "
+    assert captured.err == ("error: the exhaustive scan at k=3 has "
                             "C(300, 3) = 4455100 subsets, more than 1000000\n")
 
 
@@ -224,7 +224,7 @@ def test_bench_brute_budgets_the_exhaustive_scan(capsys, monkeypatch):
                  "--algos", "fast,brute", "--no-timing"])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
-    assert captured.err == ("error: bench --algos brute: the exhaustive scan at k=3 has "
+    assert captured.err == ("error: the exhaustive scan at k=3 has "
                             "C(300, 3) = 4455100 subsets, more than 1000000\n")
 
 
@@ -246,27 +246,35 @@ def test_solve_brute_budgets_the_pattern_orderings(tmp_path, capsys, monkeypatch
     code = main(["solve", str(gpath), "--problem", problem, *extra, "--k", "8", "--algo", "brute"])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
-    assert captured.err == ("error: --algo brute: the pattern scan at k=8 tries C(10, 8) * "
+    assert captured.err == ("error: the pattern scan at k=8 tries C(10, 8) * "
                             "8! = 1814400 orderings, more than 1000000\n")
 
 
 def test_bench_refuses_vertex_counts_beyond_the_loader_limit(capsys, monkeypatch):
-    # a typo such as --n 100000000 must exit 2 before a graph is drawn
+    # a typo such as --n 100000000, or a density that is not a finite
+    # number >= 0, must exit 2 before a graph is drawn
     def draw(*args, **kwargs):
         raise AssertionError("a graph was drawn for an out-of-range --n")
 
     monkeypatch.setattr(cli, "_random_gnm", draw)
-    for n, bad in (("20,100000000", "100000000"), ("-5", "-5")):
-        code = main(["bench", "--n", n, "--density", "2", "--k", "3", "--r", "1", "--no-timing"])
+    for n, density, message in (
+            ("20,100000000", "2", "--n 100000000 is outside 0..1000000"),
+            ("-5", "2", "--n -5 is outside 0..1000000"),
+            ("20", "2,inf", "--density inf is not a finite number >= 0"),
+            ("20", "nan", "--density nan is not a finite number >= 0"),
+            ("20", "-1", "--density -1.0 is not a finite number >= 0")):
+        code = main(["bench", "--n", n, "--density", density, "--k", "3", "--r", "1",
+                     "--no-timing"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err == f"error: --n {bad} is outside 0..1000000\n"
+        assert captured.err == f"error: {message}\n"
 
 
 def test_verify_checks_the_target_budget_before_the_source(tmp_path, capsys, monkeypatch):
     # three sets of 200 "11" vectors (a NO source of 8 * 10^6 transversals)
-    # give a target of 614 vertices, above --max-n 60: exit 3 before any
-    # brute force on the source (14 s when it ran first)
+    # give a target of 614 vertices, whose C(614, 3) subsets are above the
+    # scan budget: exit 3 before any brute force on the source (14 s when
+    # it ran first)
     source = tmp_path / "source.json"
     source.write_text(json.dumps({"k": 3, "d": 2, "sets": [["11"] * 200] * 3}))
 
@@ -277,7 +285,8 @@ def test_verify_checks_the_target_budget_before_the_source(tmp_path, capsys, mon
     code = main(["verify", "--reduction", "ov-multidom", "--source", str(source), "--r", "1"])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
-    assert captured.err == "error: n=614 exceeds oracle budget 60\n"
+    assert captured.err == ("error: the exhaustive scan at k=3 has C(614, 3) = 38390964 "
+                            "subsets, more than 1000000\n")
 
 
 def test_solve_brute_below_the_budget_still_scans(c5_file, capsys):
@@ -476,13 +485,17 @@ def test_deeply_nested_json_exits_two(tmp_path, capsys, c5_file, argv):
 
 
 def test_verify_oracle_budget_overrun_exits_three(tmp_path, capsys):
-    source = _generated_ov_source(tmp_path, capsys, "--reduction", "ov-multidom",
-                                  "--k", "3", "--r", "1")
-    assert main(["verify", "--reduction", "ov-multidom", "--source", source,
-                 "--r", "1", "--max-n", "5"]) == 3
+    # three sets of 60 vectors give a 195-vertex target at k = 3, whose
+    # C(195, 3) = 1216865 subsets are above the scan budget
+    prefix = str(tmp_path / "gen")
+    assert main(["generate", "--reduction", "ov-multidom", "--k", "3", "--r", "1", "--d", "3",
+                 "--sizes", "60,60,60", "--seed", "7", "--out", prefix]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--reduction", "ov-multidom", "--source", prefix + ".source.json",
+                 "--r", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "exceeds oracle budget 5" in captured.err
+    assert captured.err.startswith("error: ") and "C(195, 3) = 1216865 subsets" in captured.err
 
 
 def _fresh_run(argv: list[str]) -> tuple[int, str]:
@@ -566,6 +579,28 @@ def test_verify_solution_pass_and_fail(tmp_path, capsys, c5_file):
     assert main(["verify", c5_file, "--problem", "multidom", "--k", "3", "--r", "2",
                  "--solution", str(bad)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--problem", "multidom", "--k", "3", "--r", "0"], "--r must be >= 1, got 0"),
+    (["--problem", "multidom", "--k", "3", "--r", "-4"], "--r must be >= 1, got -4"),
+    (["--problem", "tupledom", "--k", "0", "--r", "1"], "--k must be >= 1, got 0"),
+    (["--problem", "dom-indepset", "--k", "-1"], "--k must be >= 1, got -1"),
+    (["--problem", "dom-indepset", "--k", "3", "--r", "1"],
+     "--r is not valid with --problem dom-indepset"),
+], ids=["r0", "r-4", "k0", "k-1", "r-on-shape"])
+@pytest.mark.parametrize("command", [
+    ["solve"], ["solve", "--at-most-k"], ["solve", "--algo", "brute"], ["verify"],
+], ids=["solve", "at-most-k", "brute", "verify"])
+def test_solve_and_verify_refuse_the_same_flags(tmp_path, capsys, c5_file, command, flags, message):
+    # a solution that would pass with r <= 0 (verify) and a --k <= 0 that
+    # --at-most-k would answer NO are usage errors, exit 2, in both commands
+    solution = tmp_path / "sol.json"
+    solution.write_text("[0, 1, 2]")
+    extra = ["--solution", str(solution)] if command == ["verify"] else []
+    assert main([command[0], c5_file, *command[1:], *flags, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_bench_rows_and_determinism(capsys):

@@ -104,6 +104,8 @@ P3_EDGES = Pattern.path(3).edges
     (Problem("clique", 2), (0, 0), "duplicate vertices in solution"),
     (Problem("clique", 3), (0, 3), "solution has 2 vertices, expected k=3"),
     (Problem("clique", 2), (0, 6), "vertex id out of range"),
+    (Problem("multiple", 3, 0), (0, 1, 2), "r=0 is below 1"),
+    (Problem("tuple", 3, -4), (0, 1, 2), "r=-4 is below 1"),
 ])
 def test_diagnose_pins_one_message_per_kind(problem, S, message):
     assert diagnose_solution(CHORDED_C6, problem, S) == message

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import random
+import re
 import sys
 import types
 from math import comb
@@ -689,7 +690,7 @@ def test_solve_matches_each_direct_call():
             for k in range(2, 5):
                 for r in range(1, k + 1):
                     P = Problem(kind, k, r)
-                    assert solve(G, P, "brute") == oracle_multidom(G, k, r, kind, max_n=G.n)
+                    assert solve(G, P, "brute") == oracle_multidom(G, k, r, kind)
                     if r == k:
                         continue
                     got, want = {}, {}
@@ -708,22 +709,33 @@ def test_solve_matches_each_direct_call():
                    for k in (2, 4)]
         for P, H, solver in shaped:
             assert solve(G, P) == solver(G, P.k)
-            assert solve(G, P, "brute") == oracle_pattern(G, H, max_n=G.n, max_k=H.k)
+            assert solve(G, P, "brute") == oracle_pattern(G, H)
         for H in (path3, star4):
             P = Problem("pattern", H.k, pattern_edges=H.edges)
             assert solve(G, P) == solve_pattern_domination(G, H)
-            assert solve(G, P, "brute") == oracle_pattern(G, H, max_n=G.n, max_k=H.k)
+            assert solve(G, P, "brute") == oracle_pattern(G, H)
 
 
-def test_solve_brute_keeps_the_oracle_limits_under_max_n():
+@pytest.mark.parametrize("problem, oracle, count, message", [
+    (Problem("multiple", 3, 2), "oracle_multidom", 20,
+     "the exhaustive scan at k=3 has C(6, 3) = 20 subsets, more than 19"),
+    (Problem("indepset", 3), "oracle_pattern", 120,
+     "the pattern scan at k=3 tries C(6, 3) * 3! = 120 orderings, more than 119"),
+], ids=["multiple", "indepset"])
+def test_solve_brute_scans_up_to_the_budget(monkeypatch, problem, oracle, count, message):
+    # the scan runs at exactly MAX_TRANSVERSALS subsets (orderings for a
+    # shape); one below, solve refuses before the oracle is called
     G = cycle_graph(6)
-    assert solve(G, Problem("multiple", 3, 2), "brute", max_n=6).vertices == (0, 2, 4)
-    with pytest.raises(OracleBudgetError, match="n=6 exceeds oracle budget 5"):
-        solve(G, Problem("multiple", 3, 2), "brute", max_n=5)
-    # without max_n the pattern oracle takes any size; with it, at most 6
-    assert solve(G, Problem("indepset", 7), "brute") is None
-    with pytest.raises(OracleBudgetError, match="pattern size 7 exceeds oracle budget 6"):
-        solve(G, Problem("indepset", 7), "brute", max_n=6)
+    monkeypatch.setattr(oracles, "MAX_TRANSVERSALS", count)
+    assert solve(G, problem, "brute").vertices == (0, 2, 4)
+
+    def scan(*args, **kwargs):
+        raise AssertionError("exhaustive scan started above the budget")
+
+    monkeypatch.setattr(oracles, "MAX_TRANSVERSALS", count - 1)
+    monkeypatch.setattr(oracles, oracle, scan)
+    with pytest.raises(OracleBudgetError, match=re.escape(message)):
+        solve(G, problem, "brute")
 
 
 @pytest.mark.parametrize("problem, algo, message", [

@@ -108,7 +108,7 @@ def test_ov_to_multidom_forcing_one_vertex_per_part():
     for seed in range(20):
         inst = _random_ov(seed, [2, 2], 3, zero_prob=0.6)
         out = ov_to_multidom(inst, 1)
-        sol = oracle_multidom(out.graph, 2, 1, "multiple", max_n=out.graph.n)
+        sol = oracle_multidom(out.graph, 2, 1, "multiple")
         if sol is None:
             continue
         parts = [out.id_map[v][1] for v in sol.vertices]

@@ -262,13 +262,24 @@ def _pair_at(n: int, i: int) -> tuple[int, int]:
     return n - 2 - t, n - 1 - (back - t * (t + 1) // 2)
 
 
+def _number_list(flag: str, text: str, parse, noun: str) -> list:
+    """The comma-separated values of `flag`, each read by `parse`: CliError
+    (exit code 2) naming the flag when one does not parse."""
+    try:
+        return [parse(x) for x in text.split(",")]
+    except ValueError:
+        raise CliError(f"{flag} must be a comma-separated list of {noun}, got {text!r}") from None
+
+
 def cmd_bench(args) -> int:
-    ns = [int(x) for x in args.n.split(",")]
+    ns = _number_list("--n", args.n, int, "integers")
     if bad := [n for n in ns if not 0 <= n <= MAX_VERTICES]:
         raise CliError(f"--n {bad[0]} is outside 0..{MAX_VERTICES}")
-    densities = [float(x) for x in args.density.split(",")]
+    densities = _number_list("--density", args.density, float, "numbers")
     if bad := [d for d in densities if not (isfinite(d) and d >= 0)]:
         raise CliError(f"--density {bad[0]} is not a finite number >= 0")
+    if args.reps < 1:
+        raise CliError(f"--reps must be >= 1, got {args.reps}")
     algos = args.algos.split(",")
     problem = Problem("multiple", args.k, args.r)
     if "brute" in algos:

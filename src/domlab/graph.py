@@ -136,22 +136,33 @@ def heavy_vertices(G: Graph, k: int, alive: int | None = None) -> tuple[int, ...
     """Vertices v of `alive` with |N[v] ∩ alive| >= |alive|/k, compared exactly
     (|N[v] ∩ alive| * k >= |alive|): the heavy vertices of the subgraph that
     the bitmask `alive` induces, by their ids in G. `alive` defaults to V.
+    On all of V a counting argument bounds the result size by 2km/n + k.
+    """
+    return tuple(iter_heavy_vertices(G, k, alive))
+
+
+def iter_heavy_vertices(G: Graph, k: int, alive: int | None = None) -> Iterator[int]:
+    """`heavy_vertices`, lazily and in increasing order, so a caller that
+    stops at a vertex tests no later one; a ValueError for k < 1 comes at
+    the call.
 
     Since |N[v] ∩ alive| <= deg(v) + 1, a filter on CSR degrees runs first,
-    and only the candidates it passes read a mask (none when `alive` is V).
-    On all of V a counting argument bounds the result size by 2km/n + k.
+    from the lowest alive vertex on, and only the candidates it passes read
+    a mask (none when `alive` is V).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     size = G.n if alive is None else alive.bit_count()
     min_degree = -(-size // k) - 1
     offsets = G.offsets
-    degrees = map(sub, islice(offsets, 1, None), offsets)
-    candidates = compress(range(G.n), map(ge, degrees, repeat(min_degree)))
+    # no vertex below the lowest alive one is a candidate (alive = 0 has none)
+    lo = 0 if size == G.n else max((alive & -alive).bit_length() - 1, 0)
+    degrees = map(sub, islice(offsets, lo + 1, None), islice(offsets, lo, None))
+    candidates = compress(range(lo, G.n), map(ge, degrees, repeat(min_degree)))
     if size == G.n:  # alive is all of V, where |N[v] ∩ alive| = deg(v) + 1
-        return tuple(candidates)
-    return tuple(v for v in candidates
-                 if (alive >> v) & 1 and (G.closed_mask(v) & alive).bit_count() * k >= size)
+        return candidates
+    return (v for v in candidates
+            if (alive >> v) & 1 and (G.closed_mask(v) & alive).bit_count() * k >= size)
 
 
 def delete_closed_neighborhood(G: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:

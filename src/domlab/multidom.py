@@ -50,31 +50,65 @@ class CandidateFamily:
     """All vertex subsets of a fixed size containing at least `quota` heavy
     vertices, lexicographically sorted.
 
-    `members` is the concatenation of `blocks`, in order. A block
+    The family is stored as `count` members laid out in `blocks`. A block
     (offset, prefix, left, start, in_heavy) holds the members from index
     `offset` on: prefix + t for each t in combinations(ids[start:], left),
     where ids is `heavy` (G's heavy ids, sorted) when in_heavy is true and
     range(n) otherwise.
 
-    `column_masks[u]` is the bitmask of the indices j with u in members[j],
-    for u < n: what `pair_join` needs for its columns. It is derived from
-    the blocks by `_block_masks` the first time a join asks for it, and then
-    kept, so a family shared by both sides of a join builds it once.
+    Three views are derived from the blocks, each only when asked for:
+    - `members`, the member tuples in order, expanded on first use and then
+      kept. A join reads it only to yield a pair, so a NO solve builds none.
+    - `runs()`, the members grouped by their prefix of size - 1.
+    - `column_masks[u]`, the bitmask of the indices j with u in members[j],
+      for u < n: what `pair_join` needs for its columns. `_block_masks`
+      builds it the first time a join asks for it, and it is then kept, so
+      a family shared by both sides of a join builds it once.
     """
 
     size: int
     quota: int
-    members: tuple[tuple[int, ...], ...]
+    count: int
     n: int
     heavy: tuple[int, ...]
     blocks: tuple[tuple[int, tuple[int, ...], int, int, bool], ...]
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.count
+
+    @cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        spaces = (range(self.n), self.heavy)
+        out: list[tuple[int, ...]] = []
+        for _, prefix, left, start, in_heavy in self.blocks:
+            ids = spaces[in_heavy][start:]
+            # zip builds the 1-tuples faster than combinations(ids, 1)
+            tails = itertools.combinations(ids, left) if left > 1 else zip(ids)
+            out.extend(map(add, itertools.repeat(prefix), tails))
+        return tuple(out)
 
     @cached_property
     def column_masks(self) -> list[int]:
-        return _block_masks(self.n, self.heavy, self.blocks, len(self.members))
+        return _block_masks(self.n, self.heavy, self.blocks, self.count)
+
+    def runs(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        """The members as runs (P, B, i0), in order, for a family of size
+        >= 1: the members P + (b,) for each vertex b of the mask B, lowest
+        first, starting at member index i0. A block with left = 1 is one
+        run over ids[start:]. A block with left >= 2 gives one run per head
+        of combinations(ids[start:-1], left - 1), over the ids after the
+        head. The ids after v are the bits of the id mask above v."""
+        spaces = (range(self.n), self.heavy)
+        masks = ((1 << self.n) - 1, _set_mask(self.heavy))
+        for offset, prefix, left, start, in_heavy in self.blocks:
+            ids, space = spaces[in_heavy], masks[in_heavy]
+            if left == 1:
+                yield prefix, space >> ids[start] << ids[start], offset
+                continue
+            for head in itertools.combinations(ids[start:-1], left - 1):
+                B = space >> head[-1] + 1 << head[-1] + 1
+                yield prefix + head, B, offset
+                offset += B.bit_count()
 
 
 def _block_masks(n: int, heavy: Sequence[int],
@@ -330,16 +364,16 @@ def _candidate_family(n: int, heavy: tuple[int, ...], size: int, quota: int) -> 
     prefix takes its next vertex v only while at least q heavy ids are >= v,
     so every prefix leads to a member. Once q = 0 every tail is a
     `combinations` of the ids after the prefix, and once left = q of the
-    heavy ids after it; both are appended to the prefix in C, and recorded as
-    one block of the family (see `CandidateFamily`), from which a join
-    derives the column masks. The cost is at most (members kept) x size,
-    plus n, not C(n, size), with no sort.
+    heavy ids after it; each such prefix is recorded as one block of the
+    family (see `CandidateFamily`), with its member count, and no member
+    tuple is built. The cost is O(n) plus one step per prefix walked, at
+    most (members kept) x size, not C(n, size), with no sort.
     """
     h = len(heavy)
     is_heavy = bytearray(n)
     for v in heavy:
         is_heavy[v] = 1
-    out: list[tuple[int, ...]] = []
+    count = 0
     blocks = []
     # (prefix, start, left, q), popped in lexicographic order of prefix;
     # for every entry at least q heavy ids are >= start
@@ -347,21 +381,18 @@ def _candidate_family(n: int, heavy: tuple[int, ...], size: int, quota: int) -> 
     while stack:
         prefix, start, left, q = stack.pop()
         if q <= 0:
-            block = (len(out), prefix, left, start, False)
-            tails = itertools.combinations(range(start, n), left)
+            blocks.append((count, prefix, left, start, False))
+            count += comb(n - start, left)
         elif left == q:
             first = bisect_left(heavy, start)
-            block = (len(out), prefix, left, first, True)
-            tails = itertools.combinations(heavy[first:], left)
+            blocks.append((count, prefix, left, first, True))
+            count += comb(h - first, left)
         else:
             # the last v with q heavy ids >= v is heavy[h - q]
             stop = min(n - left, heavy[h - q]) + 1
             stack.extend((prefix + (v,), v + 1, left - 1, q - is_heavy[v])
                          for v in reversed(range(start, stop)))
-            continue
-        blocks.append(block)
-        out.extend(map(add, itertools.repeat(prefix), tails))
-    return CandidateFamily(size, quota, tuple(out), n, heavy, tuple(blocks))
+    return CandidateFamily(size, quota, count, n, heavy, tuple(blocks))
 
 
 def _near_columns(G: Graph, heavy: tuple[int, ...], k: int, r: int,
@@ -555,21 +586,23 @@ def _column_masks(n: int, cols: Sequence[tuple[int, ...]]) -> list[int]:
     return masks
 
 
-def pair_join(G: Graph, rows: Iterable[tuple[int, ...]],
+def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
               cols: CandidateFamily | Sequence[tuple[int, ...]],
               r: int, variant: str,
               stats: dict | None = None) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every member pair (S, T), S a row and T a column, that is disjoint and
     whose union dominates every vertex at least r times under `variant`.
 
-    `rows` may be any iterable of non-empty tuples, a generator included: it
-    is walked once, and only as far as the consumer reads pairs, so a caller
-    that stops at the first pair never builds the rows after its row. `cols`
-    is a sequence of members, or a `CandidateFamily` whose members are the
-    columns; every column enters the bitmasks when the first row is drawn,
-    and none when no row is. A family brings its own `column_masks`, built
-    from its blocks once per family; a sequence gets them from
-    `_column_masks`.
+    `rows` is a `CandidateFamily`, walked by its `runs()`, or any iterable
+    of non-empty tuples, a generator included. Either is walked once, and
+    only as far as the consumer reads pairs, so a caller that stops at the
+    first pair never builds the rows after its row. `cols` is a sequence of
+    members, or a `CandidateFamily` whose members are the columns; every
+    column enters the bitmasks when the first row is drawn, and none when
+    no row is. A family brings its own `column_masks`, built from its
+    blocks once per family; a sequence gets them from `_column_masks`. A
+    family's member tuples, row or column, are built only when a pair is
+    yielded.
 
     "multiple" counts open-neighborhood dominators and exempts the union's own
     vertices; "tuple" counts closed-neighborhood dominators at every vertex.
@@ -577,48 +610,60 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]],
     vertices must be distinct.
 
     Pairs come lazily in row-major order, lowest column index first within a
-    row: the order of a nested scan over rows, then cols. S is the row tuple
-    as drawn, so a consumer holds no row but the last. The join is one loop
-    over the rows. A row's gap masks are the columns that meet it (the
-    disjointness rule), then, for each vertex v the row leaves at level
-    c < r, the columns that give v fewer than r - c dominators. The row ORs
-    them into `seen`, stopping once `seen` holds every column, and yields
-    the columns left over. Those column masks of v (`below[v]`) are built
-    the first time a row draws v, so vertices no row leaves short cost
-    nothing.
+    row: the order of a nested scan over rows, then cols. S is the row as
+    drawn, so a consumer holds no row but the last. A row's gap masks are
+    the columns that meet it (the disjointness rule), then, for each vertex
+    v the row leaves at level c < r, the columns that give v fewer than
+    r - c dominators. The row ORs them into `seen`, stopping once `seen`
+    holds every column, and yields the columns left over. Those column
+    masks of v (`below[v]`) are built the first time a row draws v, so
+    vertices no row leaves short cost nothing.
 
-    Levels per prefix. A row S = P + (b,) is read as its prefix P and its
-    last vertex b. The loop keeps, for the current prefix, the OR of the
-    column masks of P's members and levels(P): entry c holds the vertices P
-    dominates at least c times (plus P's own vertices under "multiple"),
-    capped at r. The empty prefix of size-1 rows has [V, 0, ...]. A
-    walked row's levels are one saturating step from P's:
+    Runs. The join walks runs (P, B): the rows P + (b,) for each vertex b
+    of the mask B, lowest first. A family's runs hold every row of a prefix
+    at once; a tuple row S is the one-row run (S[:-1], 1 << S[-1]). Runs
+    with equal P in a row share one prefix state, so tuple rows are walked
+    exactly as one run of them would be.
+
+    Levels per prefix. The loop keeps, for the current prefix P, the OR of
+    the column masks of P's members and levels(P): entry c holds the
+    vertices P dominates at least c times (plus P's own vertices under
+    "multiple"), capped at r. The empty prefix of size-1 rows has
+    [V, 0, ...]. A walked row's levels are one saturating step from P's:
     lev[c] = lp[c] | lp[c - 1] & m, with m = N[b] under "tuple" and
     m = N(b) under "multiple", where bit b then joins every level. So each
     prefix builds its levels once, for its certificate and all its rows.
 
-    Row certificate. Consecutive rows often share a prefix P (the
-    lexicographic families, clique rows S + (h,), matching endpoint
-    tuples). A vertex w outside N[b] gets the same level from S as from P,
-    in both variants: b neither dominates w nor, under "multiple", exempts
-    it. So each gap mask that P gives such a w is a gap mask of S too, as
-    are the columns meeting P. On the second row of a run the join picks
-    K_P: vertices short under P, lowest level first
-    (their gap masks are the widest), then lowest degree first (few N[b]
-    meet them), until their gap masks under P and the columns meeting P
-    cover every column. With K_P it keeps `hit`, the OR of N[w] over w in
+    Row certificate. A vertex w outside N[b] gets the same level from
+    S = P + (b,) as from P, in both variants: b neither dominates w nor,
+    under "multiple", exempts it. So each gap mask that P gives such a w is
+    a gap mask of S too, as are the columns meeting P. When a prefix draws
+    its second row the join picks K_P: vertices short under P, lowest level
+    first (their gap masks are the widest), then lowest degree first (few
+    N[b] meet them), until their gap masks under P and the columns meeting
+    P cover every column. With K_P it keeps `hit`, the OR of N[w] over w in
     K_P. Closed neighbourhoods are symmetric (b is in N[w] iff w is in
-    N[b]), so `hit` is the set of b whose N[b] meets K_P. A later row
-    P + (b,) with b outside `hit` then has no pair, and one bit test
-    replaces its gap walk. The first row of each run, the rows of a prefix
-    with no such K_P, and size-1 rows (empty P) are walked as above.
-    Certified rows yield nothing and every other row is walked unchanged,
-    so the pairs and their order are exactly those of the plain walk.
+    N[b]), so `hit` is the set of b whose N[b] meets K_P. A row P + (b,)
+    with b outside `hit` then has no pair, and `B &= hit` drops every such
+    row of a run with one AND. The first row of each prefix, the rows of a
+    prefix with no such K_P, and size-1 rows (empty P) are walked as above.
+
+    Self-join. When `rows` is `cols`, a family joined with itself, each
+    unordered pair is yielded once: a row skips the columns below its own
+    index, and the certificate covers those below its run's first row.
+    Such a pair was already met as its mirror, when the earlier member was
+    the row, so the first pair, and the first appearance of every union,
+    are unchanged. Otherwise dropped rows yield nothing and every other row
+    is walked unchanged, so the pairs and their order are exactly those of
+    the plain walk.
 
     With a `stats` dict, four counters are set to 0 and then counted as
-    rows are drawn: `rows_drawn`; `rows_certified`, the rows skipped by a
-    certificate; `gap_masks`, the gap masks ORed, by walked rows and by
-    certificates alike; and `below_built`, the `below[v]` lists built.
+    rows are drawn: `rows_drawn`; `rows_certified`, the rows a certificate
+    drops; `gap_masks`, the gap masks ORed, by walked rows and by
+    certificates alike; and `below_built`, the `below[v]` lists built. The
+    rows a run drops are counted when the next row is walked, and the rest
+    when the run ends, so `rows_drawn` stops at the row of the last pair
+    read.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -627,8 +672,11 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]],
     # contains[u]: the columns that hold u, fetched when the first row is
     # drawn, so a join that draws no row builds no column mask
     family = cols if isinstance(cols, CandidateFamily) else None
-    if family is not None:
-        cols = family.members
+    mirrored = family is not None and rows is family
+    if isinstance(rows, CandidateFamily):
+        runs = rows.runs()
+    else:
+        runs = ((S[:-1], 1 << S[-1], 0) for S in rows)
     contains: list[int] | None = None
     full = (1 << len(cols)) - 1
     offsets, neighbors = G.offsets, G.neighbors
@@ -650,7 +698,7 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]],
 
     def certificate(P: tuple[int, ...], covered: int, lp: list[int]) -> int | None:
         """`hit` for K_P, or None when P's short vertices leave a column
-        uncovered; `covered` holds the columns meeting P."""
+        uncovered; `covered` holds the columns every row of the run skips."""
         if stats is not None:
             stats["gap_masks"] += len(P)
         if covered == full:
@@ -685,45 +733,61 @@ def pair_join(G: Graph, rows: Iterable[tuple[int, ...]],
     def walk() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         nonlocal contains
         prefix, hit, pending = None, None, False
-        for S in rows:
+        for P, run, i0 in runs:
             if contains is None:
                 contains = family.column_masks if family is not None else _column_masks(G.n, cols)
-            if stats is not None:
-                stats["rows_drawn"] += 1
-            P, b = S[:-1], S[-1]
-            if P != prefix:
+            fresh = P != prefix
+            if fresh:
                 prefix, hit, pending = P, None, bool(P)
                 # the columns meeting P, levels(P), and levels(P) one level up
                 cp = reduce(or_, map(contains.__getitem__, P), 0)
                 lp = _levels(G, P, r, multiple)
                 up = [0] + lp[:-1]
-            elif pending:
-                hit, pending = certificate(P, cp, lp), False
-            if hit is not None and not (hit >> b) & 1:
+            rest = run  # the rows of the run not yet counted
+            while rest:
+                if pending and not fresh:
+                    # a self-joined run skips the columns of earlier rows
+                    hit, pending = certificate(P, cp | (1 << i0) - 1 if mirrored else cp, lp), False
+                live = rest if hit is None else rest & hit
+                if not live:
+                    break
+                bit = live & -live
+                b = bit.bit_length() - 1
+                # the rows of `rest` below b are dropped by the certificate
+                drawn = rest & (bit << 1) - 1
+                rest ^= drawn
+                fresh = False
                 if stats is not None:
-                    stats["rows_certified"] += 1
-                continue
-            seen = cp | contains[b]
-            ored = len(S)
-            if seen != full:
-                # lev[c] = lp[c] | lp[c - 1] & m, with b exempt under "multiple"
-                if multiple:
-                    m, own = nbr(b), 1 << b
-                else:
-                    m, own = nbr(b) | 1 << b, 0
-                lev = [x | y & m | own for x, y in zip(lp, up)]
-                for c in range(r):
-                    short = lev[c] ^ lev[c + 1]
-                    while short and seen != full:
-                        low = short & -short
-                        short ^= low
-                        v = low.bit_length() - 1
-                        seen |= (below[v] or below_of(v))[r - c]
-                        ored += 1
-            if stats is not None:
-                stats["gap_masks"] += ored
-            for j in iter_bits(full ^ seen):
-                yield S, cols[j]
+                    stats["rows_drawn"] += drawn.bit_count()
+                    stats["rows_certified"] += drawn.bit_count() - 1
+                seen = cp | contains[b]
+                if mirrored:
+                    seen |= (1 << i0 + (run & bit - 1).bit_count()) - 1
+                ored = len(P) + 1
+                if seen != full:
+                    # lev[c] = lp[c] | lp[c - 1] & m, with b exempt under "multiple"
+                    if multiple:
+                        m, own = nbr(b), 1 << b
+                    else:
+                        m, own = nbr(b) | 1 << b, 0
+                    lev = [x | y & m | own for x, y in zip(lp, up)]
+                    for c in range(r):
+                        short = lev[c] ^ lev[c + 1]
+                        while short and seen != full:
+                            low = short & -short
+                            short ^= low
+                            v = low.bit_length() - 1
+                            seen |= (below[v] or below_of(v))[r - c]
+                            ored += 1
+                if stats is not None:
+                    stats["gap_masks"] += ored
+                if seen != full:
+                    S, members = P + (b,), cols if family is None else family.members
+                    for j in iter_bits(full ^ seen):
+                        yield S, members[j]
+            if rest and stats is not None:
+                stats["rows_drawn"] += rest.bit_count()
+                stats["rows_certified"] += rest.bit_count()
 
     return walk()
 
@@ -742,6 +806,12 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     product (modelled by `tests/reference_algebra.py`, which a differential
     test compares with `pair_join`). `threads` is accepted for
     compatibility and has no effect.
+
+    The row family goes to the join as a `CandidateFamily`, so it is
+    walked one prefix run at a time and no member tuple is built unless a
+    pair is found. When k and r are both even the two families are one
+    object, joined with itself: each unordered pair comes once, and the
+    first pair is the same.
 
     At r = k-1 the rows are drawn from a pair lemma. Take a solution S and
     a, b in S. A vertex outside S has >= k-1 neighbours in S, so it is
@@ -784,13 +854,13 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
         return _solve_kminus1(G, k, variant, heavy, near, stats)
     if shape_t[0] < k - r + 1:
         fam_s, fam_t = build_candidate_families(G, k, r)
-        return _first_pair(G, k, r, variant, heavy, fam_s.members, fam_t, stats)
+        return _first_pair(G, k, r, variant, heavy, fam_s, fam_t, stats)
     cols, shorts = _near_columns(G, heavy, k, r, variant)
     rows = ()
     if cols:
-        rows = _candidate_family(G.n, heavy, *shape_s).members
+        rows = _candidate_family(G.n, heavy, *shape_s)
         if all(shorts):
-            rows = _rows_holding(rows, shorts)
+            rows = _rows_holding(rows.members, shorts)
     return _first_pair(G, k, r, variant, heavy, rows, cols, stats)
 
 
@@ -806,7 +876,7 @@ def _solve_kminus1(G: Graph, k: int, variant: str, heavy: tuple[int, ...],
 
 
 def _first_pair(G: Graph, k: int, r: int, variant: str, heavy: tuple[int, ...],
-                rows: Iterable[tuple[int, ...]], cols: CandidateFamily | Sequence[tuple[int, ...]],
+                rows: CandidateFamily | Iterable[tuple[int, ...]], cols: CandidateFamily | Sequence[tuple[int, ...]],
                 stats: dict | None) -> Solution | None:
     """The solution of the first pair `pair_join` yields over `rows` and
     `cols`, or None. A `stats` dict gets the uncut family sizes of (k, r)

@@ -13,7 +13,7 @@ from operator import add, and_
 from typing import Iterable, Iterator, Sequence
 
 from . import multidom, oracles
-from .graph import Graph, heavy_vertices
+from .graph import Graph, heavy_vertices, iter_heavy_vertices
 from .multidom import (
     VARIANTS,
     CandidateFamily,
@@ -172,7 +172,7 @@ def _first_shaped(G: Graph, problem: Problem,
     return next((S for S in sets if _shape_error(G, problem, S) is None), None)
 
 
-def _sorted_unions(G: Graph, rows: Iterable[tuple[int, ...]],
+def _sorted_unions(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
                    cols: Sequence[tuple[int, ...]] | CandidateFamily) -> Iterator[tuple[int, ...]]:
     """`tuple(sorted(S + T))` over the pairs of `pair_join(G, rows, cols, 1,
     "tuple")`, in their order. The rows are drawn lazily: a consumer that
@@ -219,7 +219,9 @@ def solve_dominating_indepset(G: Graph, k: int) -> Solution | None:
     pairs (k=2). Depth-first on an explicit stack, one frame per chosen
     vertex: the bitmask `alive` of its subgraph, in G's ids so heavy vertices
     come in a relabelled copy's order, and the heavy vertices left to try
-    there. A subgraph with fewer vertices than still needed gets no frame."""
+    there, tested lazily (`iter_heavy_vertices`) only as far as the vertex
+    the frame takes. A subgraph with fewer vertices than still needed gets
+    no frame."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     chosen: list[int] = []  # chosen[i]: the vertex frames[i] has taken
@@ -228,11 +230,12 @@ def solve_dominating_indepset(G: Graph, k: int) -> Solution | None:
     while True:
         left = k - len(chosen)
         if left <= 2:
-            sets = zip(heavy_vertices(G, 1, alive)) if left == 1 else list_2_dominating_sets(G, alive)
+            sets = (zip(iter_heavy_vertices(G, 1, alive)) if left == 1
+                    else list_2_dominating_sets(G, alive))
             if (rest := _first_shaped(G, Problem("indepset", left), sets)) is not None:
                 return Solution(Problem("indepset", k), tuple(sorted(chosen + list(rest))))
         elif (G.n if alive is None else alive.bit_count()) >= left:
-            frames.append((alive, iter(heavy_vertices(G, left, alive))))
+            frames.append((alive, iter_heavy_vertices(G, left, alive)))
         # take the next untried vertex of the deepest frame that has one
         while frames and (v := next(frames[-1][1], None)) is None:
             frames.pop()
@@ -279,7 +282,9 @@ def list_dominating_ksets(G: Graph, k: int) -> Iterator[tuple[int, ...]]:
 
     Every dominating set contains a heavy vertex, so with none nothing is
     yielded. For k >= 2 this reuses the quota-1 candidate-family split and
-    `pair_join`, lazily: a consumer that stops early stops the search. It
+    `pair_join`, lazily: a consumer that stops early stops the search, and
+    the row family goes in whole, walked by prefix runs, so the member
+    tuples are built only once a union is found. It
     raises OracleBudgetError once it has drawn `MAX_TRANSVERSALS` unions,
     duplicates included, and would draw another.
     """
@@ -293,7 +298,7 @@ def list_dominating_ksets(G: Graph, k: int) -> Iterator[tuple[int, ...]]:
     budget = oracles.MAX_TRANSVERSALS
     seen: set[tuple[int, ...]] = set()
     # disjoint members of sizes summing to k: each union has k vertices
-    for drawn, cand in enumerate(_sorted_unions(G, fam_s.members, fam_t), 1):
+    for drawn, cand in enumerate(_sorted_unions(G, fam_s, fam_t), 1):
         if drawn > budget:
             raise oracles.OracleBudgetError(f"the dominating {k}-set listing drew more "
                                             f"than {budget} unions")

@@ -251,20 +251,25 @@ def test_solve_brute_budgets_the_pattern_orderings(tmp_path, capsys, monkeypatch
 
 
 def test_bench_refuses_vertex_counts_beyond_the_loader_limit(capsys, monkeypatch):
-    # a typo such as --n 100000000, or a density that is not a finite
-    # number >= 0, must exit 2 before a graph is drawn
+    # a typo such as --n 100000000, a density that is not a finite number
+    # >= 0, a list that does not parse or fewer than one rep must exit 2,
+    # naming the flag, before a graph is drawn
     def draw(*args, **kwargs):
         raise AssertionError("a graph was drawn for an out-of-range --n")
 
     monkeypatch.setattr(cli, "_random_gnm", draw)
-    for n, density, message in (
-            ("20,100000000", "2", "--n 100000000 is outside 0..1000000"),
-            ("-5", "2", "--n -5 is outside 0..1000000"),
-            ("20", "2,inf", "--density inf is not a finite number >= 0"),
-            ("20", "nan", "--density nan is not a finite number >= 0"),
-            ("20", "-1", "--density -1.0 is not a finite number >= 0")):
+    for n, density, extra, message in (
+            ("20,100000000", "2", [], "--n 100000000 is outside 0..1000000"),
+            ("-5", "2", [], "--n -5 is outside 0..1000000"),
+            ("20", "2,inf", [], "--density inf is not a finite number >= 0"),
+            ("20", "nan", [], "--density nan is not a finite number >= 0"),
+            ("20", "-1", [], "--density -1.0 is not a finite number >= 0"),
+            ("", "2", [], "--n must be a comma-separated list of integers, got ''"),
+            ("20", "2,x", [], "--density must be a comma-separated list of numbers, got '2,x'"),
+            ("10", "1", ["--reps", "-2"], "--reps must be >= 1, got -2"),
+            ("10", "1", ["--reps", "0"], "--reps must be >= 1, got 0")):
         code = main(["bench", "--n", n, "--density", density, "--k", "3", "--r", "1",
-                     "--no-timing"])
+                     "--no-timing", *extra])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: {message}\n"

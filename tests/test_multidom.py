@@ -4,6 +4,7 @@ import gc
 import itertools
 import random
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 import pytest
@@ -31,6 +32,7 @@ from domlab import (
     indepset_to_multidom,
     oracle_unbalanced_clique,
     OVInstance,
+    ov_to_hdom,
     ov_to_multidom,
     Pattern,
     solve_ov_bruteforce,
@@ -404,20 +406,120 @@ def _join_instances():
 
 def test_pair_join_family_columns_match_member_columns():
     # a CandidateFamily brings its block-built masks; a plain list of the
-    # same members gets `_column_masks`; pairs and counters must agree
+    # same members gets `_column_masks`; a row family is walked run by run
+    # (against another column object: an equal family is built again for
+    # the shapes that coincide); pairs and counters must agree
     pairs = 0
     for G, k in _join_instances():
         for r in range(1, k):
             fam_s, fam_t = build_candidate_families(G, k, r)
+            if fam_t is fam_s:
+                fam_t = multidom._candidate_family(G.n, fam_s.heavy, fam_s.size, fam_s.quota)
             for variant in multidom.VARIANTS:
-                by_family, by_list = {}, {}
+                by_family, by_list, by_runs = {}, {}, {}
                 got = list(multidom.pair_join(G, fam_s.members, fam_t, r, variant,
                                               stats=by_family))
                 assert got == list(multidom.pair_join(G, fam_s.members, list(fam_t.members),
                                                       r, variant, stats=by_list)), (G.n, k, r)
-                assert by_family == by_list
+                assert got == list(multidom.pair_join(G, fam_s, fam_t, r, variant,
+                                                      stats=by_runs)), (G.n, k, r)
+                assert by_family == by_list == by_runs
+                # no certificate drops the first row of a prefix or a row with a pair
+                walked = {S for i, S in enumerate(fam_s.members)
+                          if i == 0 or S[:-1] != fam_s.members[i - 1][:-1]}
+                walked.update(S for S, _ in got)
+                assert by_runs["rows_certified"] <= by_runs["rows_drawn"] - len(walked)
                 pairs += len(got)
     assert pairs > 0
+
+
+def test_family_runs_concatenate_to_the_members():
+    # each run (P, B, i0) lists P + (b,) for b in B, lowest first, from
+    # member index i0 on; the runs in order are the members in order
+    runs = 0
+    for seed in range(200):
+        rng = random.Random(f"runs:{seed}")
+        n = rng.randint(1, 12)
+        heavy = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+        size = rng.randint(1, min(n, 4))
+        fam = multidom._candidate_family(n, heavy, size, rng.randint(0, size))
+        listed = []
+        for P, B, i0 in fam.runs():
+            assert B and i0 == len(listed)
+            listed += [P + (b,) for b in multidom.iter_bits(B)]
+            runs += 1
+        assert "members" not in fam.__dict__
+        assert tuple(listed) == fam.members and len(fam) == len(fam.members), (n, heavy, size)
+    assert runs > 0
+
+
+def test_self_joined_family_yields_each_unordered_pair_once():
+    # a family joined with itself yields the pairs of its member join whose
+    # column index is above the row index, in order; it draws the same rows
+    # and walks no more of them. Families above 600 members are left out,
+    # as the full member join is quadratic in them.
+    pairs = skipped = certified = 0
+    for G, k in _join_instances():
+        heavy = heavy_vertices(G, k)
+        for size, quota in ((1, 0), (1, 1), (2, 1), (2, 2), (3, 1), (3, 2)):
+            fam = multidom._candidate_family(G.n, heavy, size, quota)
+            if len(fam) > 600:
+                continue
+            index = {T: j for j, T in enumerate(fam.members)}
+            for r in (1, 2, 3):
+                for variant in multidom.VARIANTS:
+                    once, plain = {}, {}
+                    full = list(multidom.pair_join(G, fam.members, list(fam.members), r, variant,
+                                                   stats=plain))
+                    expected = [(S, T) for S, T in full if index[T] > index[S]]
+                    assert list(multidom.pair_join(G, fam, fam, r, variant, stats=once)) == expected
+                    assert once["rows_drawn"] == plain["rows_drawn"] == len(fam)
+                    assert once["rows_certified"] >= plain["rows_certified"]
+                    assert once["gap_masks"] <= plain["gap_masks"]
+                    assert once["below_built"] <= plain["below_built"]
+                    pairs += len(expected)
+                    skipped += len(full) - len(expected)
+                    certified += once["rows_certified"]
+    assert pairs > 0 and skipped > 0 and certified > 0
+
+
+def test_no_solve_builds_no_member_tuple(monkeypatch):
+    # a NO answer reads no pair, so no family expands its blocks into
+    # member tuples; a YES answer expands its column family once
+    families = []
+    candidate_family = multidom._candidate_family
+
+    def recording(*args):
+        families.append(candidate_family(*args))
+        return families[-1]
+
+    expansions = []
+    members = multidom.CandidateFamily.members
+
+    def expand(fam):
+        expansions.append(fam)
+        return members.func(fam)
+
+    counted = cached_property(expand)
+    counted.__set_name__(multidom.CandidateFamily, "members")
+    monkeypatch.setattr(multidom, "_candidate_family", recording)
+    monkeypatch.setattr(multidom.CandidateFamily, "members", counted)
+    assert solve_multidom_fast(_ov_multidom_no_instance(), 4, 2, "multiple") is None
+    rng = random.Random("pattern-no")
+    while True:
+        inst = OVInstance.from_lists(4, [[tuple(int(rng.random() >= 0.3) for _ in range(4))
+                                          for _ in range(2)] for _ in range(5)])
+        if not solve_ov_bruteforce(inst, 1):
+            break
+    out = ov_to_hdom(inst, Pattern.path(5))
+    assert patterndom.solve(out.graph, out.problem) is None
+    assert len(families) == 3 and not expansions
+    assert not any("members" in fam.__dict__ for fam in families)
+    families.clear()
+    G = complete_graph(8)
+    for _ in range(2):
+        assert solve_multidom_fast(G, 4, 2, "multiple") is not None
+    assert len(families) == 2 and list(map(id, expansions)) == list(map(id, families))
 
 
 def test_family_joins_skip_column_masks(monkeypatch):

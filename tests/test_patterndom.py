@@ -402,6 +402,20 @@ def test_indepset_deeper_than_the_recursion_limit():
     assert verify_solution(Graph(k, []), sol.problem, sol.vertices)
 
 
+def test_indepset_frames_test_heavy_vertices_lazily(monkeypatch):
+    # each frame of the 1,200-deep search takes its first alive vertex; it
+    # must test no later one (every frame testing every vertex made 720,599
+    # `closed_mask` calls), so the calls stay within one test and one take
+    # per level
+    n = 1200
+    calls = []
+    closed_mask = Graph.closed_mask
+    monkeypatch.setattr(Graph, "closed_mask", lambda G, v: calls.append(v) or closed_mask(G, v))
+    sol = solve(Graph(n, []), Problem("indepset", n))
+    assert sol == Solution(Problem("indepset", n), tuple(range(n)))
+    assert len(calls) <= 2 * n
+
+
 def test_shape_solvers_answer_no_above_n_without_listing(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("listed candidates for k > n")

@@ -27,6 +27,7 @@ from .reductions import (
     indepset_groups,
     indepset_to_multidom,
     load_ov,
+    ov_budget,
     ov_to_hdom,
     ov_to_induced_matching,
     ov_to_multidom,
@@ -85,14 +86,17 @@ def _check_problem_flags(args) -> str:
 
 
 def _problem(args, k: int) -> Problem:
-    """The Problem that --problem and its flags ask for at size k. A pattern
-    file must hold exactly k vertices (else SizeWindowError, exit code 2),
-    and at most MAX_PATTERN_SIZE (else PatternTooLargeError, exit code 2),
-    since every isomorphism test against it, in `solve` (either algo) or
-    `verify`, is factorial in its size."""
+    """The Problem that --problem and its flags ask for at size k. A matching
+    needs an even k, and a pattern file exactly k vertices (else
+    SizeWindowError, exit code 2), and at most MAX_PATTERN_SIZE (else
+    PatternTooLargeError, exit code 2), since every isomorphism test against
+    it, in `solve` (either algo) or `verify`, is factorial in its size."""
     kind = PROBLEMS[args.problem][0]
     if kind != "pattern":
-        return Problem(kind, k, args.r if kind in VARIANTS else None)
+        try:
+            return Problem(kind, k, args.r if kind in VARIANTS else None)
+        except ValueError as exc:  # the flags passed, so a k no matching has
+            raise SizeWindowError(str(exc)) from None
     H = load_pattern(args.pattern)
     if H.k != k:
         raise SizeWindowError(f"pattern has {H.k} vertices but --k is {k}")
@@ -199,6 +203,7 @@ def cmd_generate(args) -> int:
         sizes = [int(x) for x in args.sizes.split(",")]
         if len(sizes) != args.k:
             raise CliError(f"--sizes must list {args.k} set sizes")
+        ov_budget(args.reduction, sizes, args.d, args.r)  # before drawing the source
         inst = _random_ov(rng, sizes, args.d, args.zero_prob)
         if args.reduction == "ov-multidom":
             out = ov_to_multidom(inst, args.r)

@@ -27,12 +27,12 @@ class Graph:
     words, and the graph keeps them. A vertex's neighbourhood bitmask (read by
     `neighbor_mask`, `closed_mask` and `has_edge`) is built on first use and
     cached, so memory grows by about n/64 words for each vertex a solver asks
-    about, never for the others. The graph is logically immutable: the cache
-    only holds what a query would compute anyway, so a Graph can be shared
-    freely across workers.
+    about, never for the others; `heavy_vertices(G, k)` keeps its answer per
+    k. The graph is logically immutable: the caches only hold what a query
+    would compute anyway, so a Graph can be shared freely across workers.
     """
 
-    __slots__ = ("n", "offsets", "neighbors", "_masks")
+    __slots__ = ("n", "offsets", "neighbors", "_masks", "_heavy")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -75,6 +75,7 @@ class Graph:
         self.offsets = tuple(accumulate(map(len, adj), initial=0))
         self.neighbors = tuple(chain.from_iterable(adj))
         self._masks: dict[int, int] = {}
+        self._heavy: dict[int, tuple[int, ...]] = {}
 
     @property
     def m(self) -> int:
@@ -135,10 +136,13 @@ class Graph:
 def heavy_vertices(G: Graph, k: int, alive: int | None = None) -> tuple[int, ...]:
     """Vertices v of `alive` with |N[v] ∩ alive| >= |alive|/k, compared exactly
     (|N[v] ∩ alive| * k >= |alive|): the heavy vertices of the subgraph that
-    the bitmask `alive` induces, by their ids in G. `alive` defaults to V.
-    On all of V a counting argument bounds the result size by 2km/n + k.
-    """
-    return tuple(iter_heavy_vertices(G, k, alive))
+    the bitmask `alive` induces, by their ids in G. `alive` defaults to V,
+    where at most 2km/n + k vertices are heavy and G keeps them per k."""
+    if alive is not None:
+        return tuple(iter_heavy_vertices(G, k, alive))
+    if k not in G._heavy:
+        G._heavy[k] = tuple(iter_heavy_vertices(G, k))
+    return G._heavy[k]
 
 
 def iter_heavy_vertices(G: Graph, k: int, alive: int | None = None) -> Iterator[int]:

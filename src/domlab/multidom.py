@@ -19,23 +19,47 @@ from .algebra import iter_bits
 from .graph import Graph, heavy_vertices
 
 VARIANTS = ("multiple", "tuple")
+KINDS = VARIANTS + ("clique", "indepset", "matching", "pattern")
 # the keys the fast solvers set in a `stats` dict, the last four by `pair_join`
 STATS_KEYS = ("candidate_family_sizes", "columns_kept",
               "rows_drawn", "rows_certified", "gap_masks", "below_built")
 
 
+def _is_int(x) -> bool:
+    return type(x) is int  # JSON true/false load as bool, a subclass of int
+
+
 @dataclass(frozen=True)
 class Problem:
-    """What a Solution claims to solve.
-
-    kinds: multiple | tuple (with r), clique, indepset, matching, pattern
-    (with pattern_edges on vertices 0..k-1).
-    """
+    """What a Solution claims to solve, checked when built: a ValueError
+    names the field. `kind` is in KINDS; `k` an int >= 1, even for matching;
+    `r` an int >= 1 for multiple and tuple (r > k is degenerate but allowed),
+    else None; `pattern_edges` only for pattern, on vertices 0..k-1. A bool
+    is not an int here. A `Pattern` is checked as its pattern Problem."""
 
     kind: str
     k: int
     r: int | None = None
     pattern_edges: frozenset[tuple[int, int]] | None = None
+
+    def __post_init__(self):
+        kind, k, r, edges = self.kind, self.k, self.r, self.pattern_edges
+        if kind not in KINDS:
+            raise ValueError(f"Problem kind must be one of {', '.join(KINDS)}, got {kind!r}")
+        if not (_is_int(k) and k >= 1):
+            raise ValueError(f"Problem k must be an int >= 1, got {k!r}")
+        if kind == "matching" and k % 2:
+            raise ValueError(f"Problem k must be even for kind 'matching', got {k}")
+        if kind in VARIANTS and not (_is_int(r) and r >= 1) or kind not in VARIANTS and r is not None:
+            need = "an int >= 1" if kind in VARIANTS else "None"
+            raise ValueError(f"Problem r must be {need} for kind {kind!r}, got {r!r}")
+        if kind == "pattern" and not (isinstance(edges, frozenset) and all(
+                type(e) is tuple and len(e) == 2 and all(map(_is_int, e)) and 0 <= e[0] < e[1] < k
+                for e in edges)):
+            raise ValueError(f"Problem pattern_edges must be a frozenset of int pairs (u, v), "
+                             f"0 <= u < v < k={k}, got {edges!r:.60}")
+        if kind != "pattern" and edges is not None:
+            raise ValueError(f"Problem pattern_edges must be None for kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -250,7 +274,7 @@ def _edge_sets_isomorphic(k: int, edges_a: frozenset[tuple[int, int]],
 
 def diagnose_solution(G: Graph, problem: Problem, vertices: Sequence[int]) -> str | None:
     """None when `vertices` solves `problem` on G; otherwise a message naming
-    the violated condition: the first vertex dominated too few times, then
+    what the vertices violate: the first vertex dominated too few times, then
     the shape (`_shape_error`). Domination is counted from the solution's
     CSR lists, in O(n + their degrees) time, with no vertex mask."""
     S = tuple(sorted(vertices))
@@ -262,10 +286,6 @@ def diagnose_solution(G: Graph, problem: Problem, vertices: Sequence[int]) -> st
         return "vertex id out of range"
     kind = problem.kind
     r = problem.r if kind in VARIANTS else 1
-    if r is None:
-        return "problem is missing r"
-    if r < 1:
-        return f"r={r} is below 1"
     # hits[v]: the solution's vertices in N(v), and then in N[v]
     hits = [0] * G.n
     for v in itertools.chain.from_iterable(map(G.adjacency, S)):
@@ -284,8 +304,8 @@ def diagnose_solution(G: Graph, problem: Problem, vertices: Sequence[int]) -> st
 def _shape_error(G: Graph, problem: Problem, S: tuple[int, ...]) -> str | None:
     """None when S, with no vertex repeated, induces the shape `problem` asks
     for (a clique, an independent set, a perfect matching, or the pattern up
-    to isomorphism), else a message naming the violated condition. Domination
-    is not checked; multiple and tuple have no shape."""
+    to isomorphism), else a message naming what S violates. Domination is not
+    checked; multiple and tuple have no shape."""
     kind, k = problem.kind, problem.k
     if kind in VARIANTS:
         return None
@@ -302,21 +322,15 @@ def _shape_error(G: Graph, problem: Problem, S: tuple[int, ...]) -> str | None:
             return f"solution vertices {u},{v} are adjacent"
         return None
     if kind == "matching":
-        if k % 2:
-            return "matching size k must be even"
         # k/2 edges that touch all k vertices touch each exactly once
         if len(induced) != k // 2 or len(set(itertools.chain.from_iterable(induced))) != k:
             return "solution does not induce a perfect matching"
         return None
-    if kind == "pattern":
-        if problem.pattern_edges is None:
-            return "problem is missing pattern edges"
-        pos = {v: i for i, v in enumerate(S)}
-        local = frozenset((pos[u], pos[v]) for u, v in induced)
-        if not _edge_sets_isomorphic(k, local, problem.pattern_edges):
-            return "induced subgraph is not isomorphic to the pattern"
-        return None
-    return f"unknown problem kind {kind!r}"
+    pos = {v: i for i, v in enumerate(S)}
+    local = frozenset((pos[u], pos[v]) for u, v in induced)
+    if not _edge_sets_isomorphic(k, local, problem.pattern_edges):
+        return "induced subgraph is not isomorphic to the pattern"
+    return None
 
 
 def verify_solution(G: Graph, problem: Problem, vertices: Sequence[int]) -> bool:
@@ -838,7 +852,8 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     (`_rows_holding`), unless some kept column leaves nothing short. Both
     cuts keep a subsequence, and what they drop has no pair: the first hit
     is the same. A solution dominates V, so it holds a heavy vertex
-    (|N[v]|·k >= n): with none, `None` comes before any row or column.
+    (|N[v]|·k >= n): with none, or with k > n, `None` comes before any row
+    or column.
 
     With a `stats` dict, `candidate_family_sizes` holds the sizes of the
     two families before any cut, `columns_kept` the columns the join
@@ -847,7 +862,7 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     """
     shape_s, shape_t = _family_shapes(k, r)
     heavy = heavy_vertices(G, k)
-    if not heavy:
+    if not heavy or k > G.n:
         return _first_pair(G, k, r, variant, heavy, (), (), stats)
     if r == k - 1:
         near = near_partners(G, k - 2 if variant == "multiple" else 0)
@@ -986,9 +1001,7 @@ def solve_multidom_kminus1(G: Graph, k: int, stats: dict | None = None) -> Solut
     set and near masks, drawing only the near-dominating rows. A `stats`
     dict gets the fallback join's counters, and none when a witness is found.
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    problem = Problem("multiple", k, k - 1)
+    problem = Problem("multiple", k, k - 1)  # a ValueError for k < 2
     heavy = heavy_vertices(G, k)
     near = near_partners(G, k - 2)
     dom = near

@@ -19,6 +19,7 @@ from .multidom import (
     CandidateFamily,
     Problem,
     Solution,
+    _is_int,
     _set_mask,
     _shape_error,
     build_candidate_families,
@@ -43,11 +44,7 @@ class Pattern:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"pattern needs k >= 1, got {self.k}")
-        for u, v in self.edges:
-            if not (0 <= u < v < self.k):
-                raise ValueError(f"bad pattern edge ({u},{v}) for k={self.k}")
+        Problem("pattern", self.k, pattern_edges=self.edges)  # the one rule for k and edges
 
     @classmethod
     def from_edges(cls, k: int, edges: Iterable[tuple[int, int]]) -> "Pattern":
@@ -70,10 +67,6 @@ class Pattern:
     @classmethod
     def path(cls, k: int) -> "Pattern":
         return cls.from_edges(k, [(i, i + 1) for i in range(k - 1)])
-
-
-def _is_int(x) -> bool:
-    return type(x) is int  # JSON true/false load as bool, a subclass of int
 
 
 def _load_object(source, kind: str, fields: tuple[str, ...], shape: str) -> tuple[dict, str]:
@@ -194,8 +187,6 @@ def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
     no clique is listed. Otherwise the clique lists are enumerated in full
     and the columns are materialised, but the rows are drawn lazily.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     problem = Problem("clique", k)
     if k <= 2:
         # heavy at k = 1 means |N[v]| = n: the universal vertices
@@ -222,8 +213,7 @@ def solve_dominating_indepset(G: Graph, k: int) -> Solution | None:
     there, tested lazily (`iter_heavy_vertices`) only as far as the vertex
     the frame takes. A subgraph with fewer vertices than still needed gets
     no frame."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    problem = Problem("indepset", k)
     chosen: list[int] = []  # chosen[i]: the vertex frames[i] has taken
     frames: list[tuple[int | None, Iterator[int]]] = []  # alive: None for V, never 0
     alive = None
@@ -232,8 +222,9 @@ def solve_dominating_indepset(G: Graph, k: int) -> Solution | None:
         if left <= 2:
             sets = (zip(iter_heavy_vertices(G, 1, alive)) if left == 1
                     else list_2_dominating_sets(G, alive))
-            if (rest := _first_shaped(G, Problem("indepset", left), sets)) is not None:
-                return Solution(Problem("indepset", k), tuple(sorted(chosen + list(rest))))
+            # an independent set is one at every size, so `problem` tests the rest
+            if (rest := _first_shaped(G, problem, sets)) is not None:
+                return Solution(problem, tuple(sorted(chosen + list(rest))))
         elif (G.n if alive is None else alive.bit_count()) >= left:
             frames.append((alive, iter_heavy_vertices(G, left, alive)))
         # take the next untried vertex of the deepest frame that has one
@@ -258,8 +249,6 @@ def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
     drawn before the first hit (all of them on a NO instance). The
     certificate's `matching_edges` are the edges the solution induces.
     """
-    if k % 2 or k < 2:
-        raise ValueError(f"k must be even and >= 2, got {k}")
     problem = Problem("matching", k)
     if k > G.n or not heavy_vertices(G, k):
         return None
@@ -336,11 +325,11 @@ def solve(G: Graph, problem: Problem, algo: str = "fast",
     runs `solve_multidom_kminus1` (with `stats`), on the multiple kind with
     r = k-1 only. "brute" runs `oracle_multidom` or `oracle_pattern` once
     `oracles.check_scan_budget` passes (else OracleBudgetError). A
-    ValueError names what does not fit: the algo, the kind, an r outside
-    the fast solver's 1..k-1, a k that no pattern of the kind has.
+    ValueError names what `algo` cannot take: the algo itself, or an r
+    outside the pipeline's k-1, fast's 1..k-1 or brute's 1..k.
     """
     kind, k, r = problem.kind, problem.k, problem.r
-    if algo not in ("fast", "brute", "pipeline") or not (kind in VARIANTS or kind in SHAPES):
+    if algo not in ("fast", "brute", "pipeline"):
         raise ValueError(f"no algo {algo!r} for a Problem of kind {kind!r}")
     if algo == "pipeline" and not (kind == "multiple" and r == k - 1):
         raise ValueError(f"the pipeline needs kind 'multiple' with r = k-1, got r={r}, k={k}")

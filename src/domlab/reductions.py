@@ -12,14 +12,14 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .graph import Graph, save_graph
-from .multidom import KPartiteGraph, Problem, _range_cliques
+from .graph import MAX_VERTICES, Graph, save_graph
+from .multidom import KPartiteGraph, Problem, _is_int, _range_cliques
 from .oracles import MAX_TRANSVERSALS, OracleBudgetError, oracle_unbalanced_clique
-from .patterndom import Pattern, _is_int, _load_object, solve
+from .patterndom import Pattern, _load_object, solve
 
 Vector = tuple[int, ...]
 
@@ -278,6 +278,23 @@ def indepset_groups(sizes: Sequence[int], k: int, gamma: Fraction, d: int) -> li
         raise OracleBudgetError(f"{len(sizes)} source parts have {pairs} cross-part vertex "
                                 f"pairs, more than {MAX_TRANSVERSALS}")
     return groups
+
+
+def ov_budget(reduction: str, sizes: Sequence[int], d: int, r: int | None = None) -> None:
+    """OracleBudgetError, in O(k) time, when an OV source of part sizes `sizes`
+    would give more than MAX_VERTICES `reduction` target vertices, or hold
+    more than MAX_TRANSVERSALS vector entries or vector pairs. The d'
+    dimensions include ov-matching's k(k+1) padding coordinates."""
+    k, total = len(sizes), sum(max(s, 0) for s in sizes)  # a bad size is not a budget error
+    if reduction == "ov-matching":
+        d += k * (k + 1)
+    blocks = ((k + 1) * comb(k, max(r, 0)) if reduction == "ov-multidom"
+              else (k - 1) * (k + 1) + max(k + 1, *sizes) if reduction == "ov-hdom" else 0)
+    for what, count, limit in (("target vertices", total + d + blocks, MAX_VERTICES),
+                               ("source vector entries", total * d, MAX_TRANSVERSALS),
+                               ("source vector pairs", comb(total, 2), MAX_TRANSVERSALS)):
+        if count > limit:
+            raise OracleBudgetError(f"{reduction} would have {count} {what}, more than {limit}")
 
 
 def indepset_to_multidom(source: KPartiteGraph, k: int, gamma: Fraction,

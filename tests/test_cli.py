@@ -554,6 +554,29 @@ def test_generate_is_multidom_refuses_bad_input(tmp_path, capsys, flags, code, m
     assert not (tmp_path / "g.graph").exists()
 
 
+@pytest.mark.parametrize("flags, quantity", [
+    # 2 * 10^7 vector vertices
+    (["--reduction", "ov-multidom", "--k", "3", "--r", "1", "--sizes", "20000000,1,1", "--d", "4"],
+     "20000018 target vertices"),
+    # 10^8 + 20 dimension vertices, padding included
+    (["--reduction", "ov-matching", "--k", "4", "--sizes", "1,1,1,1", "--d", "100000000"],
+     "100000024 target vertices"),
+    # 400 vectors of 2,481 + 20 coordinates; 992,400 entries before padding
+    (["--reduction", "ov-matching", "--k", "4", "--sizes", "100,100,100,100", "--d", "2481"],
+     "1000400 source vector entries"),
+    # C(40, 20) redundancy blocks of 41 vertices
+    (["--reduction", "ov-multidom", "--k", "40", "--r", "20", "--sizes", ",".join(["1"] * 40),
+      "--d", "2"], "5651707681662 target vertices"),
+    # 1,500 vectors of 2 coordinates: C(1500, 2) = 1,124,250 vector pairs
+    (["--reduction", "ov-hdom", "--k", "3", "--sizes", "500,500,500", "--d", "2",
+      "--pattern", '{"k": 3, "edges": [[0, 1]]}'], "1124250 source vector pairs"),
+], ids=["vectors", "dimensions", "padded-entries", "redundancy-blocks", "vector-pairs"])
+def test_generate_ov_refuses_oversized_sources(tmp_path, capsys, flags, quantity):
+    assert main(["generate", *flags, "--out", str(tmp_path / "g")]) == 3
+    assert quantity in capsys.readouterr().err
+    assert not (tmp_path / "g.graph").exists()
+
+
 def test_generate_matching_odd_k_is_error(tmp_path, capsys):
     assert main(["generate", "--reduction", "ov-matching", "--k", "3",
                  "--sizes", "1,1,1", "--out", str(tmp_path / "g")]) == 2

@@ -10,7 +10,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from domlab import cli, multidom, patterndom
+from domlab import cli, graph, multidom, patterndom
 from domlab.graph import delete_closed_neighborhood
 from domlab.multidom import (
     build_candidate_families,
@@ -84,33 +84,81 @@ CHORDED_C6 = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)])
 P3_EDGES = Pattern.path(3).edges
 
 
-@pytest.mark.parametrize("problem, S, message", [
-    (Problem("multiple", 3, 2), (0, 1, 2), "vertex 4 has 0 < 2 dominators"),
-    (Problem("multiple", 3), (0, 2, 4), "problem is missing r"),
-    (Problem("tuple", 3, 2), (0, 1, 2), "vertex 4 has 0 < 2 dominators"),
-    (Problem("tuple", 2, 1), (0, 1), "vertex 4 has 0 < 1 dominators"),
-    (Problem("tuple", 2, 1), (0, 3), None),
-    (Problem("clique", 2), (1, 4), "solution does not induce a clique"),
-    (Problem("clique", 2), (0, 3), None),
-    (Problem("indepset", 2), (0, 3), "solution vertices 0,3 are adjacent"),
-    (Problem("indepset", 2), (1, 4), None),
-    (Problem("matching", 3), (0, 2, 4), "matching size k must be even"),
-    (Problem("matching", 4), (0, 1, 3, 4), "solution does not induce a perfect matching"),
-    (Problem("matching", 4), (1, 2, 4, 5), None),
-    (Problem("pattern", 3), (0, 2, 4), "problem is missing pattern edges"),
-    (Problem("pattern", 3, pattern_edges=P3_EDGES), (0, 2, 4),
+# (case number, Problem, solution, message); the numbers, and so the test
+# ids, are those of the table when it also held the malformed Problems that
+# test_problem_refuses_malformed_fields now builds
+DIAGNOSE_CASES = [
+    (0, Problem("multiple", 3, 2), (0, 1, 2), "vertex 4 has 0 < 2 dominators"),
+    (2, Problem("tuple", 3, 2), (0, 1, 2), "vertex 4 has 0 < 2 dominators"),
+    (3, Problem("tuple", 2, 1), (0, 1), "vertex 4 has 0 < 1 dominators"),
+    (4, Problem("tuple", 2, 1), (0, 3), None),
+    (5, Problem("clique", 2), (1, 4), "solution does not induce a clique"),
+    (6, Problem("clique", 2), (0, 3), None),
+    (7, Problem("indepset", 2), (0, 3), "solution vertices 0,3 are adjacent"),
+    (8, Problem("indepset", 2), (1, 4), None),
+    (10, Problem("matching", 4), (0, 1, 3, 4), "solution does not induce a perfect matching"),
+    (11, Problem("matching", 4), (1, 2, 4, 5), None),
+    (13, Problem("pattern", 3, pattern_edges=P3_EDGES), (0, 2, 4),
      "induced subgraph is not isomorphic to the pattern"),
-    (Problem("pattern", 3, pattern_edges=P3_EDGES), (0, 1, 3), None),
-    (Problem("weird", 2), (0, 1), "vertex 4 is not dominated"),
-    (Problem("weird", 2), (0, 3), "unknown problem kind 'weird'"),
-    (Problem("clique", 2), (0, 0), "duplicate vertices in solution"),
-    (Problem("clique", 3), (0, 3), "solution has 2 vertices, expected k=3"),
-    (Problem("clique", 2), (0, 6), "vertex id out of range"),
-    (Problem("multiple", 3, 0), (0, 1, 2), "r=0 is below 1"),
-    (Problem("tuple", 3, -4), (0, 1, 2), "r=-4 is below 1"),
-])
+    (14, Problem("pattern", 3, pattern_edges=P3_EDGES), (0, 1, 3), None),
+    (17, Problem("clique", 2), (0, 0), "duplicate vertices in solution"),
+    (18, Problem("clique", 3), (0, 3), "solution has 2 vertices, expected k=3"),
+    (19, Problem("clique", 2), (0, 6), "vertex id out of range"),
+]
+
+
+@pytest.mark.parametrize("problem, S, message", [
+    pytest.param(*case, id=f"problem{i}-S{i}-{case[-1]}") for i, *case in DIAGNOSE_CASES])
 def test_diagnose_pins_one_message_per_kind(problem, S, message):
     assert diagnose_solution(CHORDED_C6, problem, S) == message
+
+
+MALFORMED = [
+    ("weird", 2), ("dominating", 2),
+    ("clique", 0), ("clique", -1), ("clique", 2.0), ("clique", True), ("matching", 3),
+    ("multiple", 3), ("tuple", 3), ("multiple", 3, 0), ("tuple", 3, -4), ("multiple", 2, True),
+    ("tuple", 2, True), ("multiple", 2, 1.5), ("clique", 2, 1), ("matching", 2, 0),
+    ("pattern", 3), ("pattern", 3, None, [(0, 1)]), ("clique", 3, None, frozenset()),
+    ("multiple", 3, 1, frozenset({(0, 1)})), ("pattern", 3, None, frozenset({(1, 0)})),
+    ("pattern", 3, None, frozenset({(1, 1)})), ("pattern", 3, None, frozenset({(0, 3)})),
+    ("pattern", 3, None, frozenset({(0, True)})), ("pattern", 3, None, frozenset({(0, 1, 2)})),
+]
+# the field each MALFORMED Problem breaks first
+FIELDS = ["kind"] * 2 + ["k"] * 5 + ["r"] * 9 + ["pattern_edges"] * 9
+
+
+@pytest.mark.parametrize("fields, field", list(zip(MALFORMED, FIELDS, strict=True)),
+                         ids=["-".join(map(str, f)) for f in MALFORMED])
+def test_problem_refuses_malformed_fields(fields, field):
+    with pytest.raises(ValueError, match=f"^Problem {field} "):
+        Problem(*fields)
+
+
+# (Problem, the answer on C5 of "fast" and of "brute"); None marks the
+# ValueError of an r outside the algorithm's window (1..k-1 fast, 1..k brute)
+C5_ANSWERS = [
+    (Problem("multiple", 3, 2), True, True), (Problem("tuple", 2, 1), True, True),
+    (Problem("multiple", 5, 5), None, True), (Problem("tuple", 2, 3), None, None),
+    (Problem("clique", 2), False, False), (Problem("indepset", 2), True, True),
+    (Problem("matching", 2), False, False),
+    (Problem("pattern", 3, pattern_edges=P3_EDGES), True, True),
+]
+
+
+@pytest.mark.parametrize("problem, fast, brute", C5_ANSWERS)
+def test_every_buildable_problem_solves_and_diagnoses(problem, fast, brute):
+    C5 = cycle_graph(5)
+    for algo, answer in (("fast", fast), ("brute", brute)):
+        if answer is None:
+            with pytest.raises(ValueError, match="need 1 <= r <= k"):
+                patterndom.solve(C5, problem, algo)
+            continue
+        solution = patterndom.solve(C5, problem, algo)
+        assert (solution is not None) == answer, algo
+        if solution is not None:
+            assert diagnose_solution(C5, problem, solution.vertices) is None
+    message = diagnose_solution(C5, problem, tuple(range(problem.k)))
+    assert message is None or isinstance(message, str)
 
 
 def test_diagnose_multiple_and_tuple_build_no_vertex_mask(monkeypatch):
@@ -543,7 +591,8 @@ def test_family_joins_skip_column_masks(monkeypatch):
     monkeypatch.setattr(patterndom, "pair_join", recording_join)
     monkeypatch.setattr(multidom, "_column_masks", masks)
     drawn = 0
-    for G, k in _join_instances()[::4]:
+    # k > n answers NO before any join, so K6 at k = 5 brings the near columns
+    for G, k in _join_instances()[::4] + [(complete_graph(6), 5)]:
         for r in range(1, k):
             stats = {}
             solve_multidom_fast(G, k, r, "multiple", stats=stats)
@@ -572,6 +621,25 @@ def test_clique_graph_matches_double_loop():
             kp, labels = build_clique_graph(G, k)
             for ref, ref_labels in (_reference_clique_graph(G, k), _list2_clique_graph(G, k)):
                 assert (kp.sizes, kp.adj, labels) == (ref.sizes, ref.adj, ref_labels)
+
+
+def test_heavy_vertices_run_once_per_graph_and_k(monkeypatch):
+    # the family branch of the fast solver and the dominating k-set listing
+    # each read heavy_vertices(G, k) twice: once themselves, once through
+    # build_candidate_families
+    passes = []
+    iter_heavy = graph.iter_heavy_vertices
+
+    def counting(G, k, alive=None):
+        passes.append((id(G), k, alive))
+        return iter_heavy(G, k, alive)
+
+    monkeypatch.setattr(graph, "iter_heavy_vertices", counting)
+    G, H = complete_graph(8), random_graph(3, 9, 0.5)
+    assert multidom._family_shapes(4, 2)[1][0] < 4 - 2 + 1  # no near-column cut
+    assert solve_multidom_fast(G, 4, 2, "multiple") is not None
+    patterndom.solve_pattern_domination(H, Pattern.path(4))
+    assert passes == [(id(G), 4, None), (id(H), 4, None)]
 
 
 def test_2_dominating_sets_skip_join_without_heavy_vertex(monkeypatch):

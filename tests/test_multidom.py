@@ -86,7 +86,8 @@ P3_EDGES = Pattern.path(3).edges
 
 # (case number, Problem, solution, message); the numbers, and so the test
 # ids, are those of the table when it also held the malformed Problems that
-# test_problem_refuses_malformed_fields now builds
+# test_problem_refuses_malformed_fields now builds. Case 15 checked domination
+# under the kind 'weird'; a clique, which S = (0, 1) also is, takes its place
 DIAGNOSE_CASES = [
     (0, Problem("multiple", 3, 2), (0, 1, 2), "vertex 4 has 0 < 2 dominators"),
     (2, Problem("tuple", 3, 2), (0, 1, 2), "vertex 4 has 0 < 2 dominators"),
@@ -101,6 +102,7 @@ DIAGNOSE_CASES = [
     (13, Problem("pattern", 3, pattern_edges=P3_EDGES), (0, 2, 4),
      "induced subgraph is not isomorphic to the pattern"),
     (14, Problem("pattern", 3, pattern_edges=P3_EDGES), (0, 1, 3), None),
+    (15, Problem("clique", 2), (0, 1), "vertex 4 is not dominated"),
     (17, Problem("clique", 2), (0, 0), "duplicate vertices in solution"),
     (18, Problem("clique", 3), (0, 3), "solution has 2 vertices, expected k=3"),
     (19, Problem("clique", 2), (0, 6), "vertex id out of range"),

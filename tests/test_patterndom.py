@@ -767,6 +767,13 @@ def test_solve_refuses_what_does_not_fit(problem, algo, message):
         solve(cycle_graph(5), problem, algo)
 
 
+def test_pattern_matching_refuses_odd_k():
+    # Problem("matching", 3) is refused when built; the pattern builder
+    # keeps its own check
+    with pytest.raises(ValueError, match="perfect matching needs even k, got 3"):
+        Pattern.matching(3)
+
+
 ROOT_NAMES = {
     "Graph", "Problem", "Solution", "Pattern", "OVInstance", "KPartiteGraph", "ReductionOutput",
     "GraphFormatError", "PatternTooLargeError", "OracleBudgetError",

@@ -21,7 +21,7 @@ from math import isfinite, isqrt
 from .graph import MAX_VERTICES, Graph, load_graph
 from .multidom import STATS_KEYS, VARIANTS, Problem, Solution, diagnose_solution, KPartiteGraph
 from .oracles import OracleBudgetError, check_scan_budget
-from .patterndom import MAX_PATTERN_SIZE, PatternTooLargeError, load_pattern, solve
+from .patterndom import MAX_PATTERN_SIZE, Pattern, PatternTooLargeError, load_pattern, solve
 from .reductions import (
     OVInstance,
     indepset_groups,
@@ -85,19 +85,19 @@ def _check_problem_flags(args) -> str:
     return kind
 
 
-def _problem(args, k: int) -> Problem:
-    """The Problem that --problem and its flags ask for at size k. A matching
-    needs an even k, and a pattern file exactly k vertices (else
-    SizeWindowError, exit code 2), and at most MAX_PATTERN_SIZE (else
-    PatternTooLargeError, exit code 2), since every isomorphism test against
-    it, in `solve` (either algo) or `verify`, is factorial in its size."""
+def _problem(args, k: int, H: Pattern | None) -> Problem:
+    """The Problem that --problem and its flags ask for at size k, with H the
+    --pattern file's Pattern, read once per command. A matching needs an
+    even k, and a pattern exactly k vertices (else SizeWindowError, exit
+    code 2), and at most MAX_PATTERN_SIZE (else PatternTooLargeError, exit
+    code 2), since every isomorphism test against it, in `solve` (either
+    algo) or `verify`, is factorial in its size."""
     kind = PROBLEMS[args.problem][0]
     if kind != "pattern":
         try:
             return Problem(kind, k, args.r if kind in VARIANTS else None)
         except ValueError as exc:  # the flags passed, so a k no matching has
             raise SizeWindowError(str(exc)) from None
-    H = load_pattern(args.pattern)
     if H.k != k:
         raise SizeWindowError(f"pattern has {H.k} vertices but --k is {k}")
     if H.k > MAX_PATTERN_SIZE:
@@ -117,10 +117,10 @@ def format_result(result: dict, as_json: bool) -> str:
     return "\n".join(lines)
 
 
-def _solve_once(G: Graph, args, k: int, stats: dict) -> Solution | None:
+def _solve_once(G: Graph, args, k: int, H: Pattern | None, stats: dict) -> Solution | None:
     """`solve` on the Problem of `args` at size k, with a ValueError (a k
     outside the algorithm's or the shape's window) as a SizeWindowError."""
-    problem = _problem(args, k)
+    problem = _problem(args, k, H)
     try:
         return solve(G, problem, args.algo, stats)
     except ValueError as exc:
@@ -132,13 +132,14 @@ def cmd_solve(args) -> int:
     if args.algo == "pipeline" and args.problem != "multidom":
         raise CliError("--algo pipeline only applies to multidom")
     G = load_graph(args.graph, fmt=args.format)
+    H = load_pattern(args.pattern) if kind == "pattern" else None
     stats: dict = {}
     start = time.perf_counter()
     if args.at_most_k:
         solution = None
         for kp in range(1, min(args.k, G.n) + 1):  # no k'-set exists for k' > n
             try:
-                solution = _solve_once(G, args, kp, stats)
+                solution = _solve_once(G, args, kp, H, stats)
             except SizeWindowError:
                 # sizes outside the chosen algorithm's window still count:
                 # fall back to the exhaustive exact-size solve when legal
@@ -148,7 +149,7 @@ def cmd_solve(args) -> int:
             if solution is not None:
                 break
     else:
-        solution = _solve_once(G, args, args.k, stats)
+        solution = _solve_once(G, args, args.k, H, stats)
     elapsed = None if args.no_timing else round((time.perf_counter() - start) * 1000.0, 3)
     for key in STATS_KEYS:
         stats.setdefault(key, None)
@@ -230,7 +231,7 @@ def cmd_verify(args) -> int:
         print("PASS" if ok else "FAIL: source and target oracles disagree")
         return 0 if ok else 1
     _require(args, "verify", ("graph", "problem", "k", "solution"))
-    _check_problem_flags(args)
+    kind = _check_problem_flags(args)
     G = load_graph(args.graph, fmt=args.format)
     with open(args.solution) as fh:
         try:
@@ -245,7 +246,8 @@ def cmd_verify(args) -> int:
     if not (isinstance(vertices, list) and all(type(v) is int for v in vertices)):
         raise CliError(f"solution file {args.solution} must hold a list of integer vertex "
                        'ids, or an object with one under "solution"')
-    reason = diagnose_solution(G, _problem(args, args.k), vertices)
+    H = load_pattern(args.pattern) if kind == "pattern" else None
+    reason = diagnose_solution(G, _problem(args, args.k, H), vertices)
     print("PASS" if reason is None else f"FAIL: {reason}")
     return 0 if reason is None else 1
 

@@ -410,16 +410,16 @@ def _candidate_family(n: int, heavy: tuple[int, ...], size: int, quota: int) -> 
 
 
 def _near_columns(G: Graph, heavy: tuple[int, ...], k: int, r: int,
-                  variant: str) -> tuple[list[tuple[int, ...]], list[int]]:
+                  variant: str) -> list[tuple[int, ...]]:
     """The members T of the column family of (k, r) that can be part of a
-    solution, in family order, with each one's short set as a vertex mask:
-    the vertices T leaves below level L = r - (k - |T|). For L >= 1 only.
+    solution, in family order. For L = r - (k - |T|) >= 1 only.
 
     A solution's row has k - |T| vertices, so every vertex outside the
     solution takes at least L dominators from T. T is kept when its short
-    set has at most k - |T| vertices under "multiple" (they must be the
-    row's, which T does not exempt), and none under "tuple", where every
-    vertex has r closed dominators in the solution.
+    set, the vertices it leaves below level L, has at most k - |T| vertices
+    under "multiple" (they must be the row's, which T does not exempt), and
+    none under "tuple", where every vertex has r closed dominators in the
+    solution.
 
     When |T| = quota + 1, every member is a quota-set Q of heavy ids plus
     one vertex c. A vertex w that Q leaves short stays short unless c is in
@@ -435,38 +435,17 @@ def _near_columns(G: Graph, heavy: tuple[int, ...], k: int, r: int,
     allowed = k - size if multiple else 0
     vfull = G.full_mask()
     if size - quota != 1:
-        members = _candidate_family(G.n, heavy, size, quota).members
-        shorts = [vfull ^ _levels(G, T, level, multiple)[level] for T in members]
-        kept = [i for i, short in enumerate(shorts) if short.bit_count() <= allowed]
-        return [members[i] for i in kept], [shorts[i] for i in kept]
-    found: dict[tuple[int, ...], int] = {}
+        return [T for T in _candidate_family(G.n, heavy, size, quota).members
+                if (vfull ^ _levels(G, T, level, multiple)[level]).bit_count() <= allowed]
+    found: set[tuple[int, ...]] = set()
     for Q in itertools.combinations(heavy, quota):
         lev = _levels(G, Q, level, multiple)
         short, rescuable = vfull ^ lev[level], lev[level - 1]
         misses = (vfull ^ G.closed_mask(w) if rescuable >> w & 1
                   else vfull ^ 1 << w if multiple else vfull for w in iter_bits(short))
         failed = _at_least(misses, allowed + 1, vfull)[allowed + 1]
-        for c in iter_bits(vfull & ~(failed | _set_mask(Q))):
-            T = tuple(sorted(Q + (c,)))
-            if T not in found:
-                found[T] = short & ~(G.closed_mask(c) & rescuable | (1 << c if multiple else 0))
-    members = sorted(found)
-    return members, [found[T] for T in members]
-
-
-def _rows_holding(rows: Iterable[tuple[int, ...]], shorts: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """The rows that hold every vertex of at least one of the non-zero
-    vertex masks `shorts`, lazily and in order. Each mask is filed under its
-    lowest vertex, so a row reads only the masks filed under its own."""
-    by_low: dict[int, list[int]] = {}
-    for m in set(shorts):
-        by_low.setdefault((m & -m).bit_length() - 1, []).append(m)
-    for S in rows:
-        filed = [by_low[v] for v in S if v in by_low]
-        if filed:
-            own = _set_mask(S)
-            if any(m & own == m for ms in filed for m in ms):
-                yield S
+        found.update(tuple(sorted(Q + (c,))) for c in iter_bits(vfull & ~(failed | _set_mask(Q))))
+    return sorted(found)
 
 
 def near_partners(G: Graph, miss: int, alive: int | None = None) -> list[int]:
@@ -847,13 +826,12 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     the column shape (t, q) has t >= k-r+1, the join gets only the columns
     that pass (`_near_columns`: built from the heavy q-sets when t = q + 1,
     filtered from the family otherwise), and `None` comes before any row
-    is built when none does. A row pairs only with a column whose short set
-    it holds, so the rows that hold none are dropped before the join
-    (`_rows_holding`), unless some kept column leaves nothing short. Both
-    cuts keep a subsequence, and what they drop has no pair: the first hit
-    is the same. A solution dominates V, so it holds a heavy vertex
-    (|N[v]|·k >= n): with none, or with k > n, `None` comes before any row
-    or column.
+    is built when none does. The cut keeps a subsequence, and what it drops
+    has no pair: the first hit is the same. The rows go to the join as
+    their `CandidateFamily`, whose row certificate drops, one prefix run at
+    a time, the rows that pair with no kept column. A solution dominates V,
+    so it holds a heavy vertex (|N[v]|·k >= n): with none, or with k > n,
+    `None` comes before any row or column.
 
     With a `stats` dict, `candidate_family_sizes` holds the sizes of the
     two families before any cut, `columns_kept` the columns the join
@@ -870,12 +848,8 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     if shape_t[0] < k - r + 1:
         fam_s, fam_t = build_candidate_families(G, k, r)
         return _first_pair(G, k, r, variant, heavy, fam_s, fam_t, stats)
-    cols, shorts = _near_columns(G, heavy, k, r, variant)
-    rows = ()
-    if cols:
-        rows = _candidate_family(G.n, heavy, *shape_s)
-        if all(shorts):
-            rows = _rows_holding(rows.members, shorts)
+    cols = _near_columns(G, heavy, k, r, variant)
+    rows = _candidate_family(G.n, heavy, *shape_s) if cols else ()
     return _first_pair(G, k, r, variant, heavy, rows, cols, stats)
 
 

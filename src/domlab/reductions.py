@@ -18,7 +18,8 @@ from typing import Iterable, Sequence
 
 from .graph import MAX_VERTICES, Graph, save_graph
 from .multidom import KPartiteGraph, Problem, _is_int, _range_cliques
-from .oracles import MAX_TRANSVERSALS, OracleBudgetError, oracle_unbalanced_clique
+from . import oracles
+from .oracles import OracleBudgetError, oracle_unbalanced_clique
 from .patterndom import Pattern, _load_object, solve
 
 Vector = tuple[int, ...]
@@ -119,8 +120,8 @@ def solve_ov_bruteforce(inst: OVInstance, r: int) -> bool:
     OracleBudgetError when there are more than MAX_TRANSVERSALS of them."""
     if not (1 <= r <= inst.k):
         raise ValueError(f"need 1 <= r <= k, got r={r}, k={inst.k}")
-    if (count := prod(map(len, inst.sets))) > MAX_TRANSVERSALS:
-        raise OracleBudgetError(f"{count} transversals exceed the budget {MAX_TRANSVERSALS}")
+    if (count := prod(map(len, inst.sets))) > (budget := oracles.MAX_TRANSVERSALS):
+        raise OracleBudgetError(f"{count} transversals exceed the budget {budget}")
     for choice in itertools.product(*inst.sets):
         if all(sum(1 for vec in choice if vec[t] == 0) >= r for t in range(inst.d)):
             return True
@@ -265,18 +266,19 @@ def indepset_groups(sizes: Sequence[int], k: int, gamma: Fraction, d: int) -> li
     groups.append(range((k - 1) * d * p, d * kprime))
     # a negative size is KPartiteGraph's error, not a budget one
     sizes = [max(s, 0) for s in sizes]
+    budget = oracles.MAX_TRANSVERSALS
     for i, grp in enumerate(groups):
         count = 1
         for part in grp:
             count *= sizes[part]
-            if count > MAX_TRANSVERSALS:
+            if count > budget:
                 raise OracleBudgetError(f"group {i} ({len(grp)} source parts) has more than "
-                                        f"{MAX_TRANSVERSALS} transversals")
+                                        f"{budget} transversals")
     # sum over i < j of s_i * s_j
     pairs = (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2
-    if pairs > MAX_TRANSVERSALS:
+    if pairs > budget:
         raise OracleBudgetError(f"{len(sizes)} source parts have {pairs} cross-part vertex "
-                                f"pairs, more than {MAX_TRANSVERSALS}")
+                                f"pairs, more than {budget}")
     return groups
 
 
@@ -291,8 +293,8 @@ def ov_budget(reduction: str, sizes: Sequence[int], d: int, r: int | None = None
     blocks = ((k + 1) * comb(k, max(r, 0)) if reduction == "ov-multidom"
               else (k - 1) * (k + 1) + max(k + 1, *sizes) if reduction == "ov-hdom" else 0)
     for what, count, limit in (("target vertices", total + d + blocks, MAX_VERTICES),
-                               ("source vector entries", total * d, MAX_TRANSVERSALS),
-                               ("source vector pairs", comb(total, 2), MAX_TRANSVERSALS)):
+                               ("source vector entries", total * d, oracles.MAX_TRANSVERSALS),
+                               ("source vector pairs", comb(total, 2), oracles.MAX_TRANSVERSALS)):
         if count > limit:
             raise OracleBudgetError(f"{reduction} would have {count} {what}, more than {limit}")
 
@@ -359,11 +361,15 @@ def _complement_kpartite(source: KPartiteGraph) -> KPartiteGraph:
 def verify_reduction(generator: str, source, param=None) -> bool:
     """True iff the source oracle and the target oracle agree. The target
     oracle, `solve(..., "brute")` on the generated `Problem`, runs first,
-    so its scan budget is checked before the source's.
+    so its scan budget is checked before the source's. An ov-* target is
+    built only once `ov_budget` passes its size.
 
     generator ids: ov-multidom (param = r), ov-hdom (param = Pattern),
     ov-matching (no param), is-multidom (param = (k, gamma, d)).
     """
+    if generator.startswith("ov-"):
+        ov_budget(generator, list(map(len, source.sets)), source.d,
+                  param if generator == "ov-multidom" else None)
     if generator == "ov-multidom":
         out = ov_to_multidom(source, param)
     elif generator == "ov-hdom":
@@ -389,7 +395,7 @@ def save_reduction(out: ReductionOutput, graph_path, sidecar_path) -> None:
     sidecar = {
         "problem": {"kind": out.problem.kind, "k": out.problem.k, "r": out.problem.r,
                     "pattern_edges": sorted(out.problem.pattern_edges)
-                    if out.problem.pattern_edges else None},
+                    if out.problem.pattern_edges is not None else None},
         "params": out.params,
         "id_map": [list(map(str, role)) for role in out.id_map],
     }

@@ -294,6 +294,32 @@ def test_verify_checks_the_target_budget_before_the_source(tmp_path, capsys, mon
                             "subsets, more than 1000000\n")
 
 
+def test_verify_refuses_an_oversized_ov_source(tmp_path, capsys):
+    # 40 sets of one "11" vector at --r 20 ask for C(40, 20) redundancy
+    # blocks: exit 3 before the target is built, not a MemoryError
+    source = tmp_path / "source.json"
+    source.write_text(json.dumps({"k": 40, "d": 2, "sets": [["11"]] * 40}))
+    code = main(["verify", "--reduction", "ov-multidom", "--source", str(source), "--r", "20"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: ov-multidom would have ")
+    assert "target vertices, more than" in captured.err
+
+
+def test_solve_at_most_k_reads_the_pattern_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "c6.txt"
+    save_graph(cycle_graph(6), path)
+    pattern = tmp_path / "p5.json"
+    pattern.write_text(json.dumps({"k": 5, "edges": [[i, i + 1] for i in range(4)]}))
+    calls = []
+    load = cli.load_pattern
+    monkeypatch.setattr(cli, "load_pattern", lambda source: calls.append(source) or load(source))
+    code = main(["solve", str(path), "--problem", "pattern", "--pattern", str(pattern),
+                 "--k", "5", "--at-most-k", "--json", "--no-timing"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["solution"] == [0, 1, 2, 3, 4]
+    assert calls == [str(pattern)]
+
+
 def test_solve_brute_below_the_budget_still_scans(c5_file, capsys):
     # C(5, 3) = 10 subsets: the oracle answers
     assert main(["solve", c5_file, "--problem", "multidom", "--k", "3", "--r", "2",

@@ -10,9 +10,11 @@ from math import comb
 import pytest
 
 from domlab import (
+    Graph,
     KPartiteGraph,
     OVInstance,
     Pattern,
+    Problem,
     indepset_to_multidom,
     load_ov,
     ov_to_hdom,
@@ -20,10 +22,11 @@ from domlab import (
     ov_to_multidom,
     save_graph,
     save_ov,
+    solve,
     solve_ov_bruteforce,
     verify_reduction,
 )
-from domlab import reductions
+from domlab import oracles, reductions
 from domlab.oracles import OracleBudgetError, oracle_multidom
 from domlab.reductions import pad_special_coordinates
 
@@ -289,3 +292,44 @@ def test_ov_bruteforce_checks_the_transversal_budget_first():
         solve_ov_bruteforce(inst, 1)
     # exactly at the budget: 100^3 transversals, and the first is orthogonal
     assert solve_ov_bruteforce(OVInstance.from_lists(1, [[(0,)] * 100] * 3), 1)
+
+
+def test_verify_reduction_checks_the_target_size_before_building(monkeypatch):
+    # 40 sets of one "11" vector at r = 20: C(40, 20) redundancy blocks of
+    # 41 vertices each, refused before the target is built
+    def build(*args):
+        raise AssertionError("the target was built before the size budget check")
+
+    monkeypatch.setattr(reductions, "ov_to_multidom", build)
+    source = OVInstance.from_lists(2, [[(1, 1)]] * 40)
+    with pytest.raises(OracleBudgetError, match=f"would have {40 + 2 + 41 * comb(40, 20)} "
+                                                "target vertices, more than"):
+        verify_reduction("ov-multidom", source, 20)
+
+
+def test_saved_sidecar_rebuilds_the_target_problem(tmp_path):
+    # an edgeless pattern keeps its empty edge list, not null
+    inst = _random_ov(3, [1, 1, 1], 2)
+    for out in (ov_to_hdom(inst, Pattern.from_edges(3, [])),
+                ov_to_hdom(inst, Pattern.path(3)), ov_to_multidom(inst, 2)):
+        reductions.save_reduction(out, tmp_path / "t.graph", tmp_path / "t.json")
+        saved = json.loads((tmp_path / "t.json").read_text())["problem"]
+        edges = saved["pattern_edges"]
+        assert Problem(saved["kind"], saved["k"], saved["r"],
+                       None if edges is None else frozenset(map(tuple, edges))) == out.problem
+
+
+def test_reduction_budgets_are_read_at_call_time(monkeypatch):
+    # the budget is oracles.MAX_TRANSVERSALS as it stands when called, the
+    # one the brute-force oracles enforce
+    monkeypatch.setattr(oracles, "MAX_TRANSVERSALS", 10)
+    with pytest.raises(OracleBudgetError, match="C\\(6, 3\\) = 20 subsets, more than 10"):
+        solve(Graph(6, []), Problem("multiple", 3, 1), "brute")
+    with pytest.raises(OracleBudgetError, match="125 transversals exceed the budget 10"):
+        solve_ov_bruteforce(OVInstance.from_lists(1, [[(0,)] * 5] * 3), 1)
+    with pytest.raises(OracleBudgetError,
+                       match=r"group 1 \(2 source parts\) has more than 10 transversals"):
+        reductions.indepset_groups([5, 5, 5], 2, Fraction(1, 2), 1)
+    with pytest.raises(OracleBudgetError,
+                       match="ov-multidom would have 60 source vector entries, more than 10"):
+        reductions.ov_budget("ov-multidom", [5, 5, 5], 4, 1)

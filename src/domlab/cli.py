@@ -1,4 +1,5 @@
-"""Command-line surface: solve, generate, verify, bench.
+"""Command-line surface: solve, generate, verify, bench. `generate` and
+`verify --reduction` build their targets with `reductions.build_target`.
 
 Exit codes: 0 = solution found (solve) or PASS (verify), 1 = no solution or
 FAIL, 2 = error, 3 = budget exceeded (OracleBudgetError; every brute-force
@@ -24,13 +25,10 @@ from .oracles import OracleBudgetError, check_scan_budget
 from .patterndom import MAX_PATTERN_SIZE, Pattern, PatternTooLargeError, load_pattern, solve
 from .reductions import (
     OVInstance,
+    build_target,
     indepset_groups,
-    indepset_to_multidom,
     load_ov,
     ov_budget,
-    ov_to_hdom,
-    ov_to_induced_matching,
-    ov_to_multidom,
     save_ov,
     save_reduction,
     verify_reduction,
@@ -184,12 +182,27 @@ def _random_kpartite(rng: random.Random, sizes: list[int],
     return KPartiteGraph(sizes, edges)
 
 
+def _ov_param(args):
+    """The parameter `build_target` takes for an OV --reduction: --r
+    (ov-multidom), the --pattern file's Pattern (ov-hdom), or None."""
+    return (args.r if args.reduction == "ov-multidom"
+            else load_pattern(args.pattern) if args.reduction == "ov-hdom" else None)
+
+
 def cmd_generate(args) -> int:
-    sources = () if args.reduction == "is-multidom" else ("sizes",)
+    ov = args.reduction != "is-multidom"
     _require(args, f"--reduction {args.reduction}",
-             sources + REDUCTION_PARAMS[args.reduction])
+             (("sizes",) if ov else ()) + REDUCTION_PARAMS[args.reduction])
     rng = random.Random(args.seed)
-    if args.reduction == "is-multidom":
+    if ov:
+        sizes = [int(x) for x in args.sizes.split(",")]
+        if len(sizes) != args.k:
+            raise CliError(f"--sizes must list {args.k} set sizes")
+        ov_budget(args.reduction, sizes, args.d, args.r)  # before drawing the source
+        source = _random_ov(rng, sizes, args.d, args.zero_prob)
+        param = _ov_param(args)
+        summary = f"k={args.k}  d={args.d}  sizes={sizes}"
+    else:
         try:
             gamma = Fraction(args.gamma)
         except (ValueError, ZeroDivisionError):
@@ -198,22 +211,12 @@ def cmd_generate(args) -> int:
         part_sizes = [args.part_size] * (args.d * kprime)
         indepset_groups(part_sizes, args.k, gamma, args.d)  # before drawing the source
         source = _random_kpartite(rng, part_sizes, args.edge_prob)
-        out = indepset_to_multidom(source, args.k, gamma, args.d)
-        print(f"reduction: is-multidom  k={args.k}  gamma={gamma}  d={args.d}  k'={kprime}")
-    else:
-        sizes = [int(x) for x in args.sizes.split(",")]
-        if len(sizes) != args.k:
-            raise CliError(f"--sizes must list {args.k} set sizes")
-        ov_budget(args.reduction, sizes, args.d, args.r)  # before drawing the source
-        inst = _random_ov(rng, sizes, args.d, args.zero_prob)
-        if args.reduction == "ov-multidom":
-            out = ov_to_multidom(inst, args.r)
-        elif args.reduction == "ov-hdom":
-            out = ov_to_hdom(inst, load_pattern(args.pattern))
-        else:
-            out = ov_to_induced_matching(inst)
-        save_ov(inst, args.out + ".source.json")
-        print(f"reduction: {args.reduction}  k={args.k}  d={args.d}  sizes={sizes}")
+        param = (args.k, gamma, args.d)
+        summary = f"k={args.k}  gamma={gamma}  d={args.d}  k'={kprime}"
+    out, _ = build_target(args.reduction, source, param)
+    if ov:
+        save_ov(source, args.out + ".source.json")
+    print(f"reduction: {args.reduction}  {summary}")
     save_reduction(out, args.out + ".graph", args.out + ".json")
     print(f"target: n={out.graph.n} m={out.graph.m}  problem={out.problem.kind} "
           f"k={out.problem.k}" + (f" r={out.problem.r}" if out.problem.r else ""))
@@ -224,10 +227,7 @@ def cmd_verify(args) -> int:
     if args.reduction:
         _require(args, f"--reduction {args.reduction}",
                  ("source",) + REDUCTION_PARAMS[args.reduction])
-        inst = load_ov(args.source)
-        param = args.r if args.reduction == "ov-multidom" else (
-            load_pattern(args.pattern) if args.reduction == "ov-hdom" else None)
-        ok = verify_reduction(args.reduction, inst, param)
+        ok = verify_reduction(args.reduction, load_ov(args.source), _ov_param(args))
         print("PASS" if ok else "FAIL: source and target oracles disagree")
         return 0 if ok else 1
     _require(args, "verify", ("graph", "problem", "k", "solution"))
@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--pattern")
     pv.add_argument("--solution", help="RunResult JSON or bare vertex list")
     pv.add_argument("--reduction",
-                    choices=["ov-multidom", "ov-hdom", "ov-matching"])
+                    choices=[name for name in REDUCTION_PARAMS if name.startswith("ov-")])
     pv.add_argument("--source", help="OV instance JSON for --reduction")
     pv.add_argument("--format", default="edgelist", choices=["edgelist", "dimacs"])
     pv.set_defaults(func=cmd_verify)

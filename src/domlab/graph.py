@@ -133,22 +133,19 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def heavy_vertices(G: Graph, k: int, alive: int | None = None) -> tuple[int, ...]:
-    """Vertices v of `alive` with |N[v] ∩ alive| >= |alive|/k, compared exactly
-    (|N[v] ∩ alive| * k >= |alive|): the heavy vertices of the subgraph that
-    the bitmask `alive` induces, by their ids in G. `alive` defaults to V,
-    where at most 2km/n + k vertices are heavy and G keeps them per k."""
-    if alive is not None:
-        return tuple(iter_heavy_vertices(G, k, alive))
+def heavy_vertices(G: Graph, k: int) -> tuple[int, ...]:
+    """`iter_heavy_vertices(G, k)` as a tuple, kept by G per k: at most
+    2km/n + k vertices are heavy in all of V."""
     if k not in G._heavy:
         G._heavy[k] = tuple(iter_heavy_vertices(G, k))
     return G._heavy[k]
 
 
 def iter_heavy_vertices(G: Graph, k: int, alive: int | None = None) -> Iterator[int]:
-    """`heavy_vertices`, lazily and in increasing order, so a caller that
-    stops at a vertex tests no later one; a ValueError for k < 1 comes at
-    the call.
+    """The heavy vertices of the subgraph that the bitmask `alive` (by default
+    V) induces, by their ids in G: the v with |N[v] ∩ alive| * k >= |alive|.
+    They come lazily and in increasing order, so a caller that stops at a
+    vertex tests no later one; a ValueError for k < 1 comes at the call.
 
     Since |N[v] ∩ alive| <= deg(v) + 1, a filter on CSR degrees runs first,
     from the lowest alive vertex on, and only the candidates it passes read
@@ -175,7 +172,7 @@ def delete_closed_neighborhood(G: Graph, v: int) -> tuple[Graph, tuple[int, ...]
     Returns (subgraph, id_map) where id_map[new_id] = original id.
 
     Library-only: the solvers search the subgraph in place, through an
-    `alive` vertex mask over the original ids (see `heavy_vertices`).
+    `alive` vertex mask over the original ids (see `iter_heavy_vertices`).
     """
     gone = G.closed_mask(v)
     keep = [u for u in range(G.n) if not (gone >> u) & 1]

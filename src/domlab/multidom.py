@@ -23,6 +23,11 @@ KINDS = VARIANTS + ("clique", "indepset", "matching", "pattern")
 # the keys the fast solvers set in a `stats` dict, the last four by `pair_join`
 STATS_KEYS = ("candidate_family_sizes", "columns_kept",
               "rows_drawn", "rows_certified", "gap_masks", "below_built")
+MAX_PATTERN_SIZE = 8
+
+
+class PatternTooLargeError(ValueError):
+    """Isomorphism checking is factorial in the pattern size; capped at 8."""
 
 
 def _is_int(x) -> bool:
@@ -276,7 +281,10 @@ def diagnose_solution(G: Graph, problem: Problem, vertices: Sequence[int]) -> st
     """None when `vertices` solves `problem` on G; otherwise a message naming
     what the vertices violate: the first vertex dominated too few times, then
     the shape (`_shape_error`). Domination is counted from the solution's
-    CSR lists, in O(n + their degrees) time, with no vertex mask."""
+    CSR lists, in O(n + their degrees) time, with no vertex mask. A pattern
+    above MAX_PATTERN_SIZE vertices raises PatternTooLargeError first."""
+    if problem.kind == "pattern" and problem.k > MAX_PATTERN_SIZE:
+        raise PatternTooLargeError(f"pattern size {problem.k} exceeds {MAX_PATTERN_SIZE}")
     S = tuple(sorted(vertices))
     if len(set(S)) != len(S):
         return "duplicate vertices in solution"

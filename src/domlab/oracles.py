@@ -90,7 +90,7 @@ def oracle_unbalanced_clique(kp: KPartiteGraph) -> tuple[tuple[int, int], ...] |
     for s in kp.sizes:
         count *= s
         if count > MAX_TRANSVERSALS:
-            raise OracleBudgetError("part-size product exceeds transversal budget")
+            raise OracleBudgetError(f"{kp.k} parts have more than {MAX_TRANSVERSALS} transversals")
     for choice in itertools.product(*(range(s) for s in kp.sizes)):
         trans = tuple((i, a) for i, a in enumerate(choice))
         if all(kp.has_edge(i, a, j, b)

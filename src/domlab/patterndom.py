@@ -15,8 +15,10 @@ from typing import Iterable, Iterator, Sequence
 from . import multidom, oracles
 from .graph import Graph, heavy_vertices, iter_heavy_vertices
 from .multidom import (
+    MAX_PATTERN_SIZE,
     VARIANTS,
     CandidateFamily,
+    PatternTooLargeError,
     Problem,
     Solution,
     _is_int,
@@ -27,12 +29,6 @@ from .multidom import (
     list_2_dominating_sets,
     pair_join,
 )
-
-MAX_PATTERN_SIZE = 8
-
-
-class PatternTooLargeError(ValueError):
-    """Isomorphism checking is factorial in the pattern size; capped at 8."""
 
 
 @dataclass(frozen=True)
@@ -324,9 +320,10 @@ def solve(G: Graph, problem: Problem, algo: str = "fast",
     tuple kinds, and the solver `SHAPES` names on the others. "pipeline"
     runs `solve_multidom_kminus1` (with `stats`), on the multiple kind with
     r = k-1 only. "brute" runs `oracle_multidom` or `oracle_pattern` once
-    `oracles.check_scan_budget` passes (else OracleBudgetError). A
-    ValueError names what `algo` cannot take: the algo itself, or an r
-    outside the pipeline's k-1, fast's 1..k-1 or brute's 1..k.
+    `oracles.check_scan_budget` passes (else OracleBudgetError); every
+    Solution carries `problem` itself. A ValueError names what `algo`
+    cannot take: the algo itself, or an r outside the pipeline's k-1,
+    fast's 1..k-1 or brute's 1..k.
     """
     kind, k, r = problem.kind, problem.k, problem.r
     if algo not in ("fast", "brute", "pipeline"):
@@ -341,8 +338,9 @@ def solve(G: Graph, problem: Problem, algo: str = "fast",
             return multidom.solve_multidom_kminus1(G, k, stats=stats)
         return multidom.solve_multidom_fast(G, k, r, kind, stats=stats)
     build, name = SHAPES[kind]
-    H = Pattern(k, problem.pattern_edges) if build is None else build(k)
+    H = Pattern(k, problem.pattern_edges) if build is None else None
     if algo == "brute":
         oracles.check_scan_budget(G.n, k, orderings=True)
-        return oracles.oracle_pattern(G, H)
-    return globals()[name](G, H if build is None else k)
+        found = oracles.oracle_pattern(G, H or build(k))
+        return None if found is None else Solution(problem, found.vertices)
+    return globals()[name](G, H or k)

@@ -2,8 +2,8 @@
 
 Each generator turns a small source instance (orthogonal-vector sets or a
 multipartite independent-set instance) into a domination instance with the
-same YES/NO answer; verify_reduction checks the pair with brute-force oracles
-on both sides.
+same YES/NO answer. `build_target` runs a generator by its id, and
+`verify_reduction` checks its pair with brute-force oracles on both sides.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graph import MAX_VERTICES, Graph, save_graph
 from .multidom import KPartiteGraph, Problem, _is_int, _range_cliques
@@ -358,34 +358,30 @@ def _complement_kpartite(source: KPartiteGraph) -> KPartiteGraph:
     return KPartiteGraph(source.sizes, edges)
 
 
-def verify_reduction(generator: str, source, param=None) -> bool:
-    """True iff the source oracle and the target oracle agree. The target
-    oracle, `solve(..., "brute")` on the generated `Problem`, runs first,
-    so its scan budget is checked before the source's. An ov-* target is
-    built only once `ov_budget` passes its size.
-
-    generator ids: ov-multidom (param = r), ov-hdom (param = Pattern),
-    ov-matching (no param), is-multidom (param = (k, gamma, d)).
-    """
-    if generator.startswith("ov-"):
-        ov_budget(generator, list(map(len, source.sets)), source.d,
-                  param if generator == "ov-multidom" else None)
-    if generator == "ov-multidom":
-        out = ov_to_multidom(source, param)
-    elif generator == "ov-hdom":
-        out = ov_to_hdom(source, param)
-    elif generator == "ov-matching":
-        out = ov_to_induced_matching(source)
-    elif generator == "is-multidom":
-        k, gamma, d = param
-        out, complement = _indepset_reduction(source, k, gamma, d)
-    else:
-        raise ValueError(f"unknown generator {generator!r}")
-    tgt = solve(out.graph, out.problem, "brute")
+def build_target(generator: str, source, param=None) -> tuple[ReductionOutput, Callable[[], bool]]:
+    """The target `generator` builds from `source` and `param` (r for
+    ov-multidom, a Pattern for ov-hdom, (k, gamma, d) for is-multidom), and a
+    brute-force decider of the source: the one map from a generator id to its
+    generator. An ov-* target is built only once `ov_budget` passes its size."""
     if generator == "is-multidom":
-        return (oracle_unbalanced_clique(complement) is not None) == (tgt is not None)
+        out, complement = _indepset_reduction(source, *param)
+        return out, lambda: oracle_unbalanced_clique(complement) is not None
+    build = {"ov-multidom": ov_to_multidom, "ov-hdom": ov_to_hdom,
+             "ov-matching": lambda inst, _: ov_to_induced_matching(inst)}.get(generator)
+    if build is None:
+        raise ValueError(f"unknown generator {generator!r}")
+    ov_budget(generator, list(map(len, source.sets)), source.d,
+              param if generator == "ov-multidom" else None)
+    out = build(source, param)
     # ov-multidom's Problem carries the source's r; the others ask for r = 1
-    return solve_ov_bruteforce(source, out.problem.r or 1) == (tgt is not None)
+    return out, lambda: solve_ov_bruteforce(source, out.problem.r or 1)
+
+
+def verify_reduction(generator: str, source, param=None) -> bool:
+    """True iff `solve(..., "brute")` on the target `build_target` builds and
+    the source's decider agree. The target's runs first, budget check included."""
+    out, source_answer = build_target(generator, source, param)
+    return (solve(out.graph, out.problem, "brute") is not None) == source_answer()
 
 
 def save_reduction(out: ReductionOutput, graph_path, sidecar_path) -> None:

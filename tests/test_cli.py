@@ -429,7 +429,10 @@ def test_verify_malformed_solution_exits_two(tmp_path, capsys, c5_file, payload)
     ({"k": 3}, "'edges'"),
     ({"edges": []}, "'k'"),
     ({"k": 3, "edges": [[0, 1], [0, 1, 2]]}, "edges[1]"),
-], ids=["list", "edges-not-list", "no-edges", "no-k", "edge-not-pair"])
+    ({"k": "3", "edges": []}, "field 'k' must be an integer"),
+    ({"k": 3, "edges": [[0, 3]]}, "pattern_edges"),
+], ids=["list", "edges-not-list", "no-edges", "no-k", "edge-not-pair", "k-not-int",
+        "edge-beyond-k"])
 def test_solve_malformed_pattern_exits_two(tmp_path, capsys, c5_file, payload, field):
     pattern = tmp_path / "pattern.json"
     pattern.write_text(json.dumps(payload))
@@ -488,7 +491,13 @@ def test_solve_brute_oversized_pattern_exits_two(tmp_path, capsys, c5_file):
     ({"k": 2, "d": 3, "sets": 5}, "'sets'"),
     ([1], "expected an object"),
     ({"k": 2, "d": 3}, "'sets'"),
-], ids=["sets-not-list", "list", "no-sets"])
+    ({"k": "2", "d": 1, "sets": [["1"], ["1"]]}, "field 'k' must be an integer"),
+    ({"k": 2, "d": 2, "sets": [["11"], "11"]}, "sets[1] must be a list"),
+    ({"k": 2, "d": 1, "sets": [["2"], ["1"]]}, "sets[0][0] is not a 0/1 vector"),
+    ({"k": 2, "d": 2, "sets": [["1"], ["11"]]}, "in set 0 is not 2-dimensional"),
+    ({"k": 3, "d": 1, "sets": [["1"], ["1"]]}, "declared k=3 but found 2 sets"),
+], ids=["sets-not-list", "list", "no-sets", "k-not-int", "set-not-list", "vector-not-binary",
+        "wrong-dimension", "k-mismatch"])
 def test_verify_malformed_ov_source_exits_two(tmp_path, capsys, payload, field):
     source = tmp_path / "source.json"
     source.write_text(json.dumps(payload))
@@ -653,6 +662,17 @@ def test_solve_and_verify_refuse_the_same_flags(tmp_path, capsys, c5_file, comma
     solution.write_text("[0, 1, 2]")
     extra = ["--solution", str(solution)] if command == ["verify"] else []
     assert main([command[0], c5_file, *command[1:], *flags, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--problem", "dom-matching", "--k", "3"], "Problem k must be even for kind 'matching', got 3"),
+    (["--problem", "dom-clique", "--k", "2", "--algo", "pipeline"],
+     "--algo pipeline only applies to multidom"),
+], ids=["odd-matching", "pipeline-on-shape"])
+def test_solve_refuses_a_k_or_algo_the_problem_cannot_take(capsys, c5_file, flags, message):
+    assert main(["solve", c5_file, *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
 

@@ -20,8 +20,8 @@ from domlab.multidom import (
     solve_multidom_fast,
     solve_multidom_kminus1,
 )
-from domlab.graph import heavy_vertices
-from domlab.oracles import oracle_multidom
+from domlab.graph import heavy_vertices, iter_heavy_vertices
+from domlab.oracles import OracleBudgetError, oracle_multidom
 from domlab.patterndom import list_dominating_ksets
 from domlab import (
     Graph,
@@ -136,6 +136,19 @@ def test_problem_refuses_malformed_fields(fields, field):
         Problem(*fields)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: oracle_multidom(cycle_graph(5), 2, 1, "both"), ValueError, "unknown variant 'both'"),
+    (lambda: multidom.pair_join(cycle_graph(5), [(0,)], [(1,)], 1, "both"), ValueError,
+     "unknown variant 'both'"),
+    # 101^3 transversals, refused before the first is tried
+    (lambda: oracle_unbalanced_clique(KPartiteGraph([101] * 3, [])), OracleBudgetError,
+     "3 parts have more than 1000000 transversals"),
+], ids=["oracle-variant", "join-variant", "clique-oracle-budget"])
+def test_oracles_and_join_refuse_what_they_cannot_take(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 # (Problem, the answer on C5 of "fast" and of "brute"); None marks the
 # ValueError of an r outside the algorithm's window (1..k-1 fast, 1..k brute)
 C5_ANSWERS = [
@@ -150,6 +163,8 @@ C5_ANSWERS = [
 @pytest.mark.parametrize("problem, fast, brute", C5_ANSWERS)
 def test_every_buildable_problem_solves_and_diagnoses(problem, fast, brute):
     C5 = cycle_graph(5)
+    # a triangle with a pendant vertex: every shape at k = 2 has a solution
+    paw = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     for algo, answer in (("fast", fast), ("brute", brute)):
         if answer is None:
             with pytest.raises(ValueError, match="need 1 <= r <= k"):
@@ -159,6 +174,9 @@ def test_every_buildable_problem_solves_and_diagnoses(problem, fast, brute):
         assert (solution is not None) == answer, algo
         if solution is not None:
             assert diagnose_solution(C5, problem, solution.vertices) is None
+        # every algo's Solution carries the Problem asked, not an equivalent one
+        for found in (solution, patterndom.solve(paw, problem, algo)):
+            assert found is None or found.problem == problem, algo
     message = diagnose_solution(C5, problem, tuple(range(problem.k)))
     assert message is None or isinstance(message, str)
 
@@ -1542,6 +1560,7 @@ def test_alive_mask_matches_deleted_subgraph(seed):
                            alive & ~G.closed_mask(id_map[0])))
         for sub, id_map, alive in levels:
             for k in range(1, 5):
-                assert heavy_vertices(G, k, alive) == tuple(id_map[u] for u in heavy_vertices(sub, k))
+                assert tuple(iter_heavy_vertices(G, k, alive)) == tuple(
+                    id_map[u] for u in heavy_vertices(sub, k))
             assert list_2_dominating_sets(G, alive) == [
                 (id_map[a], id_map[b]) for a, b in list_2_dominating_sets(sub)]

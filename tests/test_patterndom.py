@@ -21,6 +21,7 @@ from domlab import (
     Pattern,
     PatternTooLargeError,
     Problem,
+    diagnose_solution,
     load_pattern,
     ov_to_hdom,
     ov_to_induced_matching,
@@ -294,6 +295,14 @@ def test_pattern_domination_c5_edgeless_none():
 def test_pattern_domination_size_cap():
     with pytest.raises(PatternTooLargeError):
         solve_pattern_domination(complete_graph(9), Pattern.clique(9))
+    # checking a given solution refuses too, before the isomorphism search,
+    # factorial in the pattern size, can start
+    triangles = Pattern.from_edges(9, [(3 * t + a, 3 * t + b) for t in range(3)
+                                       for a, b in ((0, 1), (1, 2), (0, 2))])
+    problem = Problem("pattern", 9, pattern_edges=triangles.edges)
+    for check in (verify_solution, diagnose_solution):
+        with pytest.raises(PatternTooLargeError, match="^pattern size 9 exceeds 8$"):
+            check(cycle_graph(9), problem, range(9))
 
 
 def test_pattern_json_round_trip(tmp_path):
@@ -723,7 +732,8 @@ def test_solve_matches_each_direct_call():
                    for k in (2, 4)]
         for P, H, solver in shaped:
             assert solve(G, P) == solver(G, P.k)
-            assert solve(G, P, "brute") == oracle_pattern(G, H)
+            oracle = oracle_pattern(G, H)
+            assert solve(G, P, "brute") == (oracle and Solution(P, oracle.vertices))
         for H in (path3, star4):
             P = Problem("pattern", H.k, pattern_edges=H.edges)
             assert solve(G, P) == solve_pattern_domination(G, H)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -28,7 +29,7 @@ from domlab import (
 )
 from domlab import oracles, reductions
 from domlab.oracles import OracleBudgetError, oracle_multidom
-from domlab.reductions import pad_special_coordinates
+from domlab.reductions import indepset_groups, pad_special_coordinates
 
 
 def _random_ov(seed, sizes, d, zero_prob=0.5):
@@ -242,6 +243,18 @@ def test_verify_reduction_is_multidom_builds_the_complement_once(monkeypatch):
         source = _random_kpartite(seed, [2, 2, 2])
         assert verify_reduction("is-multidom", source, (2, Fraction(1, 2), 1))
         assert calls == [source]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: solve_ov_bruteforce(_random_ov(0, [1, 1], 1), 3), "need 1 <= r <= k, got r=3, k=2"),
+    (lambda: ov_to_multidom(_random_ov(0, [1, 1], 1), 2), "need 1 <= r <= k-1, got r=2, k=2"),
+    (lambda: ov_to_hdom(_random_ov(0, [1, 1], 1), Pattern.path(2)), "need k >= 3, got 2"),
+    (lambda: indepset_groups([1] * 3, 2, Fraction(1), 1), "gamma must be in (0, 1), got 1"),
+    (lambda: indepset_groups([1] * 3, 1, Fraction(1, 2), 1), "need k >= 2 and d >= 1, got k=1, d=1"),
+], ids=["bruteforce-r", "multidom-r", "hdom-k", "gamma", "indepset-k"])
+def test_generators_refuse_r_k_and_gamma_outside_their_range(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_verify_reduction_unknown_generator():

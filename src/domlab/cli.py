@@ -20,9 +20,10 @@ from fractions import Fraction
 from math import isfinite, isqrt
 
 from .graph import MAX_VERTICES, Graph, load_graph
-from .multidom import STATS_KEYS, VARIANTS, Problem, Solution, diagnose_solution, KPartiteGraph
+from .multidom import (STATS_KEYS, VARIANTS, Problem, Solution, check_pattern_size,
+                       diagnose_solution, KPartiteGraph)
 from .oracles import OracleBudgetError, check_scan_budget
-from .patterndom import MAX_PATTERN_SIZE, Pattern, PatternTooLargeError, load_pattern, solve
+from .patterndom import Pattern, load_pattern, solve
 from .reductions import (
     OVInstance,
     build_target,
@@ -98,8 +99,7 @@ def _problem(args, k: int, H: Pattern | None) -> Problem:
             raise SizeWindowError(str(exc)) from None
     if H.k != k:
         raise SizeWindowError(f"pattern has {H.k} vertices but --k is {k}")
-    if H.k > MAX_PATTERN_SIZE:
-        raise PatternTooLargeError(f"pattern size {H.k} exceeds {MAX_PATTERN_SIZE}")
+    check_pattern_size(H.k)
     return Problem(kind, k, pattern_edges=H.edges)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, ge, lt, mul, sub
 from pathlib import Path
@@ -362,7 +363,7 @@ def _parse_dimacs(text: str) -> Graph:
 
 def save_graph(G: Graph, target=None, fmt: str = "edgelist") -> str:
     """Serialize canonically (sorted edges). Returns the text; writes to
-    `target` (path or stream) when given."""
+    `target` (path or stream) when given, a path in place (`write_text`)."""
     buf = io.StringIO()
     if fmt == "edgelist":
         buf.write(f"{G.n} {G.m}\n")
@@ -375,8 +376,29 @@ def save_graph(G: Graph, target=None, fmt: str = "edgelist") -> str:
     else:
         raise ValueError(f"unknown graph format: {fmt!r}")
     text = buf.getvalue()
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text)
-    elif target is not None:
-        target.write(text)
+    if target is not None:
+        write_text(target, text)
     return text
+
+
+def write_text(target, text: str) -> None:
+    """Write `text` to `target`, a path or a text stream; every file domlab
+    writes goes through here.
+
+    A path is overwritten in place: opened without O_TRUNC, written from the
+    start, then cut to the new length only if it was longer. On ext4
+    (default `auto_da_alloc`), closing a truncated and rewritten file starts
+    its writeback, and the next truncating open of it waits for that I/O, so
+    re-generating the same files stalled for tens of milliseconds each. The
+    bytes, the inode, symlink following and an existing file's mode are as
+    with a truncating write; a FIFO or /dev/stdout, whose size reads 0, is
+    never truncated. Nothing is fsynced. An unwritable path raises OSError."""
+    if not isinstance(target, (str, os.PathLike)):
+        target.write(text)
+        return
+    data = text.encode()
+    with open(os.open(target, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        if os.fstat(fh.fileno()).st_size > len(data):
+            fh.truncate(len(data))

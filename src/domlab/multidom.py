@@ -30,6 +30,12 @@ class PatternTooLargeError(ValueError):
     """Isomorphism checking is factorial in the pattern size; capped at 8."""
 
 
+def check_pattern_size(k: int) -> None:
+    """Refuse a k-vertex pattern above MAX_PATTERN_SIZE (PatternTooLargeError)."""
+    if k > MAX_PATTERN_SIZE:
+        raise PatternTooLargeError(f"pattern size {k} exceeds {MAX_PATTERN_SIZE}")
+
+
 def _is_int(x) -> bool:
     return type(x) is int  # JSON true/false load as bool, a subclass of int
 
@@ -283,8 +289,8 @@ def diagnose_solution(G: Graph, problem: Problem, vertices: Sequence[int]) -> st
     the shape (`_shape_error`). Domination is counted from the solution's
     CSR lists, in O(n + their degrees) time, with no vertex mask. A pattern
     above MAX_PATTERN_SIZE vertices raises PatternTooLargeError first."""
-    if problem.kind == "pattern" and problem.k > MAX_PATTERN_SIZE:
-        raise PatternTooLargeError(f"pattern size {problem.k} exceeds {MAX_PATTERN_SIZE}")
+    if problem.kind == "pattern":
+        check_pattern_size(problem.k)
     S = tuple(sorted(vertices))
     if len(set(S)) != len(S):
         return "duplicate vertices in solution"

@@ -15,7 +15,6 @@ from typing import Iterable, Iterator, Sequence
 from . import multidom, oracles
 from .graph import Graph, heavy_vertices, iter_heavy_vertices
 from .multidom import (
-    MAX_PATTERN_SIZE,
     VARIANTS,
     CandidateFamily,
     PatternTooLargeError,
@@ -25,6 +24,7 @@ from .multidom import (
     _set_mask,
     _shape_error,
     build_candidate_families,
+    check_pattern_size,
     iter_bits,
     list_2_dominating_sets,
     pair_join,
@@ -294,8 +294,7 @@ def list_dominating_ksets(G: Graph, k: int) -> Iterator[tuple[int, ...]]:
 
 def solve_pattern_domination(G: Graph, H: Pattern) -> Solution | None:
     """First dominating k-set inducing a subgraph isomorphic to H."""
-    if H.k > MAX_PATTERN_SIZE:
-        raise PatternTooLargeError(f"pattern size {H.k} exceeds {MAX_PATTERN_SIZE}")
+    check_pattern_size(H.k)
     problem = Problem("pattern", H.k, pattern_edges=H.edges)
     cand = _first_shaped(G, problem, list_dominating_ksets(G, H.k))
     return None if cand is None else Solution(problem, cand)

@@ -13,10 +13,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
-from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .graph import MAX_VERTICES, Graph, save_graph
+from .graph import MAX_VERTICES, Graph, save_graph, write_text
 from .multidom import KPartiteGraph, Problem, _is_int, _range_cliques
 from . import oracles
 from .oracles import OracleBudgetError, oracle_unbalanced_clique
@@ -91,12 +90,15 @@ def load_ov(source) -> OVInstance:
 
 
 def save_ov(inst: OVInstance, target=None) -> str:
+    """The instance as JSON text, which `load_ov` reads back. Returns the
+    text; writes to `target` (path or stream) when given, a path in place
+    (`graph.write_text`)."""
     text = json.dumps(
         {"k": inst.k, "d": inst.d,
          "sets": [["".join(map(str, v)) for v in s] for s in inst.sets]},
         sort_keys=True)
     if target is not None:
-        Path(target).write_text(text)
+        write_text(target, text)
     return text
 
 
@@ -386,7 +388,8 @@ def verify_reduction(generator: str, source, param=None) -> bool:
 
 def save_reduction(out: ReductionOutput, graph_path, sidecar_path) -> None:
     """Target graph as an edge list plus a JSON sidecar of parameters and the
-    vertex role map."""
+    vertex role map. Each target is a path, overwritten in place
+    (`graph.write_text`), or a stream."""
     save_graph(out.graph, graph_path)
     sidecar = {
         "problem": {"kind": out.problem.kind, "k": out.problem.k, "r": out.problem.r,
@@ -395,4 +398,4 @@ def save_reduction(out: ReductionOutput, graph_path, sidecar_path) -> None:
         "params": out.params,
         "id_map": [list(map(str, role)) for role in out.id_map],
     }
-    Path(sidecar_path).write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_text(sidecar_path, json.dumps(sidecar, indent=2, sort_keys=True) + "\n")

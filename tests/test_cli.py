@@ -617,6 +617,13 @@ def test_generate_matching_odd_k_is_error(tmp_path, capsys):
                  "--sizes", "1,1,1", "--out", str(tmp_path / "g")]) == 2
 
 
+def test_generate_into_a_missing_directory_is_error(tmp_path, capsys):
+    # the writer's OSError is a usage error, not a traceback
+    assert main(["generate", "--reduction", "ov-multidom", "--k", "2", "--r", "1",
+                 "--d", "2", "--sizes", "1,1", "--out", str(tmp_path / "no" / "g")]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+
+
 def test_generate_deterministic(tmp_path, capsys):
     outs = []
     for name in ("a", "b"):

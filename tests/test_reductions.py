@@ -3,8 +3,10 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import threading
 from fractions import Fraction
 from math import comb
 
@@ -330,6 +332,89 @@ def test_saved_sidecar_rebuilds_the_target_problem(tmp_path):
         edges = saved["pattern_edges"]
         assert Problem(saved["kind"], saved["k"], saved["r"],
                        None if edges is None else frozenset(map(tuple, edges))) == out.problem
+
+
+_SHORT_OV = OVInstance.from_lists(2, [[(0, 1)], [(1, 0)]])
+_LONG_OV = OVInstance.from_lists(4, [[(0, 1, 1, 0), (1, 1, 0, 0)]] * 3)
+
+# every writer of a domlab output file, as write(target, long): it writes the
+# longer or the shorter of two outputs to `target`, a path or a stream
+FILE_WRITERS = {
+    "save_graph": lambda target, long: save_graph(
+        Graph(9, [(0, v) for v in range(1, 9)]) if long else Graph(2, [(0, 1)]), target),
+    "save_ov": lambda target, long: save_ov(_LONG_OV if long else _SHORT_OV, target),
+    "save_reduction graph": lambda target, long: reductions.save_reduction(
+        ov_to_multidom(_LONG_OV if long else _SHORT_OV, 1), target, io.StringIO()),
+    "save_reduction sidecar": lambda target, long: reductions.save_reduction(
+        ov_to_multidom(_LONG_OV if long else _SHORT_OV, 1), io.StringIO(), target),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILE_WRITERS))
+def test_file_writers_overwrite_in_place(tmp_path, name):
+    # a longer file is cut to exactly the new bytes, on the same inode
+    write = FILE_WRITERS[name]
+    path, fresh = tmp_path / "out", tmp_path / "fresh"
+    write(path, True)
+    inode, long_size = path.stat().st_ino, path.stat().st_size
+    write(path, False)
+    write(fresh, False)
+    assert path.read_bytes() == fresh.read_bytes()
+    assert len(fresh.read_bytes()) < long_size
+    assert path.stat().st_ino == inode
+
+
+@pytest.mark.parametrize("name", sorted(FILE_WRITERS))
+def test_file_writers_follow_symlinks(tmp_path, name):
+    write = FILE_WRITERS[name]
+    target, link, fresh = tmp_path / "target", tmp_path / "link", tmp_path / "fresh"
+    write(target, True)
+    link.symlink_to(target)
+    write(link, False)
+    write(fresh, False)
+    assert link.is_symlink()
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(FILE_WRITERS))
+def test_file_writers_fill_streams(tmp_path, name):
+    write = FILE_WRITERS[name]
+    buf, path = io.StringIO(), tmp_path / "out"
+    returned = write(buf, True)
+    write(path, True)
+    assert buf.getvalue() and buf.getvalue().encode() == path.read_bytes()
+    if returned is not None:  # save_graph and save_ov return the text too
+        assert returned == buf.getvalue()
+
+
+def test_file_writers_never_open_with_truncation(tmp_path, monkeypatch):
+    # a truncating open waits for the writeback of the file it replaces
+    flags = []
+
+    def recording_open(path, flag, *args):
+        flags.append(flag)
+        return real_open(path, flag, *args)
+
+    real_open = os.open
+    monkeypatch.setattr(os, "open", recording_open)
+    for name, write in FILE_WRITERS.items():
+        for long in (False, True, False):  # create, grow, then shrink one file
+            write(tmp_path / name, long)
+    assert len(flags) == 3 * len(FILE_WRITERS)
+    assert all(flag & os.O_CREAT and not flag & os.O_TRUNC for flag in flags)
+
+
+def test_save_graph_writes_to_a_fifo(tmp_path):
+    # a FIFO's size reads 0, so the writer never tries to truncate it
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    text = FILE_WRITERS["save_graph"](fifo, True)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [text.encode()]
 
 
 def test_reduction_budgets_are_read_at_call_time(monkeypatch):

@@ -28,6 +28,7 @@ from .reductions import (
     OVInstance,
     build_target,
     indepset_groups,
+    indepset_part_count,
     load_ov,
     ov_budget,
     save_ov,
@@ -195,7 +196,7 @@ def cmd_generate(args) -> int:
              (("sizes",) if ov else ()) + REDUCTION_PARAMS[args.reduction])
     rng = random.Random(args.seed)
     if ov:
-        sizes = [int(x) for x in args.sizes.split(",")]
+        sizes = _number_list("--sizes", args.sizes, int, "integers")
         if len(sizes) != args.k:
             raise CliError(f"--sizes must list {args.k} set sizes")
         ov_budget(args.reduction, sizes, args.d, args.r)  # before drawing the source
@@ -207,12 +208,11 @@ def cmd_generate(args) -> int:
             gamma = Fraction(args.gamma)
         except (ValueError, ZeroDivisionError):
             raise CliError(f"--gamma must be a fraction p/q, got {args.gamma!r}") from None
-        kprime = (args.k - 1) * gamma.numerator + gamma.denominator
-        part_sizes = [args.part_size] * (args.d * kprime)
+        part_sizes = [args.part_size] * indepset_part_count(args.k, gamma, args.d)
         indepset_groups(part_sizes, args.k, gamma, args.d)  # before drawing the source
         source = _random_kpartite(rng, part_sizes, args.edge_prob)
         param = (args.k, gamma, args.d)
-        summary = f"k={args.k}  gamma={gamma}  d={args.d}  k'={kprime}"
+        summary = f"k={args.k}  gamma={gamma}  d={args.d}  k'={len(part_sizes) // args.d}"
     out, _ = build_target(args.reduction, source, param)
     if ov:
         save_ov(source, args.out + ".source.json")
@@ -290,7 +290,7 @@ def cmd_bench(args) -> int:
     algos = args.algos.split(",")
     problem = Problem("multiple", args.k, args.r)
     if "brute" in algos:
-        check_scan_budget(max(ns), args.k, orderings=False)
+        check_scan_budget(max(ns), problem)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(BENCH_HEADER)

@@ -284,35 +284,25 @@ def _parse_edgelist(text: str) -> Graph:
     canonical = _canonical_edgelist(text)
     if canonical is not None:
         return Graph._from_flat(*canonical)
-    lines = text.splitlines()
-    for header_line, raw in enumerate(lines, 1):
-        nums = _edgelist_ints(header_line, raw)
-        if nums is None:
-            continue
-        if len(nums) != 2:
-            raise GraphFormatError(f"line {header_line}: expected header 'n m'")
-        n, m = nums
-        _check_vertex_count(header_line, n)
-        break
-    else:
-        raise GraphFormatError("empty input: missing 'n m' header")
-    flat = _edgelist_body(lines, header_line)
-    _check_edge_count(header_line, m, len(flat) // 2)
-    return Graph._from_flat(n, flat)
-
-
-def _edgelist_body(lines: list[str], header_line: int) -> list[int]:
-    """The edge lines after the header as one flat list [u0, v0, u1, v1, ...],
-    read line by line so that an error names the first bad line."""
+    n = None
     flat: list[int] = []
-    for lineno, raw in enumerate(lines[header_line:], header_line + 1):
+    # the first line holding integers is the header; an error names its line
+    for lineno, raw in enumerate(text.splitlines(), 1):
         nums = _edgelist_ints(lineno, raw)
         if nums is None:
             continue
         if len(nums) != 2:
-            raise GraphFormatError(f"line {lineno}: expected edge 'u v'")
-        flat += nums
-    return flat
+            raise GraphFormatError(f"line {lineno}: expected "
+                                   + ("header 'n m'" if n is None else "edge 'u v'"))
+        if n is None:
+            (n, m), header_line = nums, lineno
+            _check_vertex_count(header_line, n)
+        else:
+            flat += nums
+    if n is None:
+        raise GraphFormatError("empty input: missing 'n m' header")
+    _check_edge_count(header_line, m, len(flat) // 2)
+    return Graph._from_flat(n, flat)
 
 
 def _parse_dimacs(text: str) -> Graph:

@@ -977,7 +977,7 @@ def solve_multidom_kminus1(G: Graph, k: int, stats: dict | None = None) -> Solut
 
     Both stages read one heavy set, `heavy_vertices(G, k)`, and one partner
     scan, near = `near_partners(G, k - 2)`. The dominating partners are the
-    near pairs a, b with N[a] ∪ N[b] = V (at k = 2, near itself). The
+    near pairs a, b with N[a] ∪ N[b] = V (at k = 2, all of near). The
     witness is the first (k-1)-clique S of heavy vertices in that graph, in
     lexicographic order, whose members share a dominating partner v, the
     lowest such: [(i, heavy index of S[i]) ...] + [(k-1, v)]. That is the
@@ -992,13 +992,11 @@ def solve_multidom_kminus1(G: Graph, k: int, stats: dict | None = None) -> Solut
     problem = Problem("multiple", k, k - 1)  # a ValueError for k < 2
     heavy = heavy_vertices(G, k)
     near = near_partners(G, k - 2)
-    dom = near
-    if k > 2:
-        # dom[a] for the heavy a with a near partner; the witness reads no other
-        full, dom = G.full_mask(), [0] * G.n
-        for a in filter(near.__getitem__, heavy):
-            na = G.closed_mask(a)
-            dom[a] = _set_mask(b for b in iter_bits(near[a]) if na | G.closed_mask(b) == full)
+    # dom[a] for the heavy a with a near partner; the witness reads no other
+    full, dom = G.full_mask(), [0] * G.n
+    for a in filter(near.__getitem__, heavy):
+        na = G.closed_mask(a)
+        dom[a] = _set_mask(b for b in iter_bits(near[a]) if na | G.closed_mask(b) == full)
     for S in _near_rows(dom, 0, k - 1, 0, _set_mask(heavy)):
         common = reduce(and_, map(dom.__getitem__, S))
         if common:

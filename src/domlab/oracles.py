@@ -13,7 +13,7 @@ from math import comb, factorial
 from typing import TYPE_CHECKING
 
 from .graph import Graph
-from .multidom import KPartiteGraph, Problem, Solution
+from .multidom import VARIANTS, KPartiteGraph, Problem, Solution
 
 if TYPE_CHECKING:
     from .patterndom import Pattern
@@ -25,14 +25,16 @@ class OracleBudgetError(RuntimeError):
     """Instance too large for an exhaustive scan; fail loudly, never crawl."""
 
 
-def check_scan_budget(n: int, k: int, orderings: bool) -> None:
+def check_scan_budget(n: int, problem: Problem) -> None:
     """The one budget of every brute-force run, checked before the scan:
-    OracleBudgetError (exit code 3) when the C(n, k) k-subsets, or with
-    `orderings` (a shape) their k! orderings each, pass MAX_TRANSVERSALS."""
+    OracleBudgetError (exit code 3) when the C(n, k) k-subsets of `problem`,
+    or for a shape kind their k! orderings each, pass MAX_TRANSVERSALS. With
+    no k-subset (k > n) there is no ordering to count, and k! is not computed."""
+    k, shape = problem.k, problem.kind not in VARIANTS
     if (subsets := comb(n, k)) > MAX_TRANSVERSALS:
         raise OracleBudgetError(f"the exhaustive scan at k={k} has C({n}, {k}) = "
                                 f"{subsets} subsets, more than {MAX_TRANSVERSALS}")
-    if orderings and (count := subsets * factorial(k)) > MAX_TRANSVERSALS:
+    if shape and subsets and (count := subsets * factorial(k)) > MAX_TRANSVERSALS:
         raise OracleBudgetError(f"the pattern scan at k={k} tries C({n}, {k}) * {k}! = "
                                 f"{count} orderings, more than {MAX_TRANSVERSALS}")
 
@@ -42,13 +44,14 @@ def _neighbor_sets(G: Graph) -> list[set[int]]:
 
 
 def oracle_multidom(G: Graph, k: int, r: int, variant: str) -> Solution | None:
-    """Exhaustive scan of all C(n, k) subsets in lexicographic order (none for k > n)."""
+    """Exhaustive scan of all C(n, k) subsets in lexicographic order; none for
+    k > n, and then no k-slot index of `itertools.combinations` is allocated."""
     if variant not in ("multiple", "tuple"):
         raise ValueError(f"unknown variant {variant!r}")
     if not (1 <= r <= k):
         raise ValueError(f"need 1 <= r <= k, got r={r}, k={k}")
     nbrs = _neighbor_sets(G)
-    for S in itertools.combinations(range(G.n), k):
+    for S in itertools.combinations(range(G.n), min(k, G.n + 1)):
         chosen = set(S)
         feasible = True
         for v in range(G.n):

@@ -300,13 +300,13 @@ def solve_pattern_domination(G: Graph, H: Pattern) -> Solution | None:
     return None if cand is None else Solution(problem, cand)
 
 
-# Problem.kind -> (its Pattern builder, or None when the Problem carries the
-# edges; the name of its fast solver, called with k, or with the Pattern if
-# there is no builder, and looked up when called, so a tracer's wrapper runs).
+# Problem.kind -> (the Pattern builder's name, or None when the Problem carries
+# the edges; the fast solver's name, called with k, or with the Pattern if there
+# is no builder), both looked up when called, so a tracer's wrapper runs.
 SHAPES = {
-    "clique": (Pattern.clique, "solve_dominating_clique"),
-    "indepset": (Pattern.edgeless, "solve_dominating_indepset"),
-    "matching": (Pattern.matching, "solve_dominating_induced_matching"),
+    "clique": ("clique", "solve_dominating_clique"),
+    "indepset": ("edgeless", "solve_dominating_indepset"),
+    "matching": ("matching", "solve_dominating_induced_matching"),
     "pattern": (None, "solve_pattern_domination"),
 }
 
@@ -319,27 +319,27 @@ def solve(G: Graph, problem: Problem, algo: str = "fast",
     tuple kinds, and the solver `SHAPES` names on the others. "pipeline"
     runs `solve_multidom_kminus1` (with `stats`), on the multiple kind with
     r = k-1 only. "brute" runs `oracle_multidom` or `oracle_pattern` once
-    `oracles.check_scan_budget` passes (else OracleBudgetError); every
-    Solution carries `problem` itself. A ValueError names what `algo`
-    cannot take: the algo itself, or an r outside the pipeline's k-1,
-    fast's 1..k-1 or brute's 1..k.
+    `oracles.check_scan_budget` passes (else OracleBudgetError), or answers
+    a shape with k > n at once; every Solution carries `problem` itself. A
+    ValueError names what `algo` cannot take: the algo itself, or an r
+    outside the pipeline's k-1, fast's 1..k-1 or brute's 1..k.
     """
     kind, k, r = problem.kind, problem.k, problem.r
     if algo not in ("fast", "brute", "pipeline"):
         raise ValueError(f"no algo {algo!r} for a Problem of kind {kind!r}")
     if algo == "pipeline" and not (kind == "multiple" and r == k - 1):
         raise ValueError(f"the pipeline needs kind 'multiple' with r = k-1, got r={r}, k={k}")
+    if algo == "brute":
+        oracles.check_scan_budget(G.n, problem)
     if kind in VARIANTS:
         if algo == "brute":
-            oracles.check_scan_budget(G.n, k, orderings=False)
             return oracles.oracle_multidom(G, k, r, kind)
         if algo == "pipeline":
             return multidom.solve_multidom_kminus1(G, k, stats=stats)
         return multidom.solve_multidom_fast(G, k, r, kind, stats=stats)
     build, name = SHAPES[kind]
     H = Pattern(k, problem.pattern_edges) if build is None else None
-    if algo == "brute":
-        oracles.check_scan_budget(G.n, k, orderings=True)
-        found = oracles.oracle_pattern(G, H or build(k))
-        return None if found is None else Solution(problem, found.vertices)
+    if algo == "brute":  # with k > n there is no k-subset, and no k-vertex Pattern is built
+        found = k <= G.n and oracles.oracle_pattern(G, H or getattr(Pattern, build)(k))
+        return Solution(problem, found.vertices) if found else None
     return globals()[name](G, H or k)

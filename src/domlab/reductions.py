@@ -247,25 +247,35 @@ def ov_to_induced_matching(inst: OVInstance) -> ReductionOutput:
     return ReductionOutput(graph, Problem("matching", k), params, tuple(roles))
 
 
-def indepset_groups(sizes: Sequence[int], k: int, gamma: Fraction, d: int) -> list[range]:
-    """The groups of source parts (part sizes `sizes`) that the V_i of
-    `indepset_to_multidom` list the independent transversals of. ValueError
-    for parameters outside the construction; OracleBudgetError when a group
-    has more than MAX_TRANSVERSALS transversals, or the source more than
-    MAX_TRANSVERSALS vertex pairs across parts (drawing a source, and its
-    complement, visits each). O(len(sizes)) time, so it can run before a
-    source is drawn."""
+def indepset_part_count(k: int, gamma: Fraction, d: int) -> int:
+    """d*k', with k' = (k-1)p + q for gamma = p/q: the number of source parts
+    of an is-multidom source. ValueError for parameters outside the
+    construction; OracleBudgetError for more than MAX_TRANSVERSALS parts, so
+    a caller can refuse them before any part is listed."""
     g = Fraction(gamma)
-    p, q = g.numerator, g.denominator
     if not 0 < g < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     if k < 2 or d < 1:
         raise ValueError(f"need k >= 2 and d >= 1, got k={k}, d={d}")
-    kprime = (k - 1) * p + q
-    if len(sizes) != d * kprime:
-        raise ValueError(f"source must have d*k' = {d * kprime} parts, got {len(sizes)}")
+    parts = d * ((k - 1) * g.numerator + g.denominator)
+    if parts > (budget := oracles.MAX_TRANSVERSALS):
+        raise OracleBudgetError(f"is-multidom would have {parts} source parts, more than {budget}")
+    return parts
+
+
+def indepset_groups(sizes: Sequence[int], k: int, gamma: Fraction, d: int) -> list[range]:
+    """The groups of source parts (part sizes `sizes`) that the V_i of
+    `indepset_to_multidom` list the independent transversals of. ValueError
+    or OracleBudgetError as `indepset_part_count` gives, or for another part
+    count; OracleBudgetError when a group has more than MAX_TRANSVERSALS
+    transversals, or the source more than MAX_TRANSVERSALS vertex pairs across
+    parts or part pairs (a draw and its complement visit each). O(len(sizes))
+    time, so it can run before a source is drawn."""
+    if len(sizes) != (parts := indepset_part_count(k, gamma, d)):
+        raise ValueError(f"source must have d*k' = {parts} parts, got {len(sizes)}")
+    p = Fraction(gamma).numerator
     groups = [range(i * d * p, (i + 1) * d * p) for i in range(k - 1)]
-    groups.append(range((k - 1) * d * p, d * kprime))
+    groups.append(range((k - 1) * d * p, parts))
     # a negative size is KPartiteGraph's error, not a budget one
     sizes = [max(s, 0) for s in sizes]
     budget = oracles.MAX_TRANSVERSALS
@@ -281,6 +291,9 @@ def indepset_groups(sizes: Sequence[int], k: int, gamma: Fraction, d: int) -> li
     if pairs > budget:
         raise OracleBudgetError(f"{len(sizes)} source parts have {pairs} cross-part vertex "
                                 f"pairs, more than {budget}")
+    if (part_pairs := comb(parts, 2)) > budget:
+        raise OracleBudgetError(f"{parts} source parts have {part_pairs} part pairs, "
+                                f"more than {budget}")
     return groups
 
 

@@ -176,6 +176,28 @@ def test_solve_brute_budgets_the_exhaustive_scan(tmp_path, capsys, monkeypatch, 
                             "C(300, 3) = 4455100 subsets, more than 1000000\n")
 
 
+@pytest.mark.parametrize("problem, k", [("dom-indepset", 10**9), ("dom-clique", 200_000)])
+def test_solve_brute_answers_a_huge_k_at_once(tmp_path, capsys, monkeypatch, problem, k):
+    # C(4, k) = 0, so neither k! nor a k-vertex Pattern is needed
+    path = tmp_path / "g4.txt"
+    path.write_text("4 2\n0 1\n2 3\n")
+
+    def refuse(*args):
+        raise AssertionError("sized a scan that has no k-subset")
+
+    monkeypatch.setattr(oracles, "factorial", refuse)
+    assert main(["solve", str(path), "--problem", problem, "--k", str(k), "--algo", "brute",
+                 "--no-timing"]) == 1
+    assert capsys.readouterr().out == "answer: NO\n"
+
+
+def test_solve_text_output_lists_the_solution(tmp_path, capsys):
+    path = tmp_path / "g4.txt"
+    path.write_text("4 2\n0 1\n2 3\n")
+    assert main(["solve", str(path), "--problem", "dom-indepset", "--k", "2", "--no-timing"]) == 0
+    assert capsys.readouterr().out == "answer: YES\nsolution: 0 2\n"
+
+
 def test_solve_deeper_than_the_recursion_limit_answers_yes(tmp_path, capsys):
     # every vertex of the edgeless graph on 1,200 vertices is needed, so the
     # dom-indepset search goes 1,200 levels deep, past Python's default limit
@@ -586,6 +608,35 @@ def test_generate_is_multidom_refuses_bad_input(tmp_path, capsys, flags, code, m
     assert main(["generate", "--reduction", "is-multidom", "--k", "3", *flags,
                  "--out", str(tmp_path / "g")]) == code
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "g.graph").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--gamma", "1/2000000"], "is-multidom would have 2000002 source parts, more than 1000000"),
+    (["--gamma", "1/2000", "--part-size", "0"],
+     "2002 source parts have 2003001 part pairs, more than 1000000"),
+], ids=["parts", "part-pairs"])
+def test_generate_is_multidom_refuses_the_part_count_before_drawing(tmp_path, capsys,
+                                                                    monkeypatch, flags, message):
+    # the part count is refused before a part is listed; a draw, even of
+    # empty parts, walks every pair of parts
+    def draw(*args):
+        raise AssertionError("the source was drawn")
+
+    monkeypatch.setattr(cli, "_random_kpartite", draw)
+    assert main(["generate", "--reduction", "is-multidom", "--k", "3", *flags,
+                 "--out", str(tmp_path / "g")]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ("a,b", "--sizes must be a comma-separated list of integers, got 'a,b'"),
+    ("1,2", "--sizes must list 3 set sizes"),
+])
+def test_generate_refuses_bad_sizes(tmp_path, capsys, sizes, message):
+    assert main(["generate", "--reduction", "ov-multidom", "--k", "3", "--r", "1",
+                 "--sizes", sizes, "--out", str(tmp_path / "g")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "g.graph").exists()
 
 

@@ -91,6 +91,26 @@ def test_load_dimacs_rejects_a_second_problem_line():
         load_graph(b"p edge 3 1\ne 1 2\np edge 5 1\n", fmt="dimacs")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("p col 3 1\ne 1 2\n", "line 1: bad problem line: 'p col 3 1'"),
+    ("c comment\ne 1 2\np edge 3 1\n", "line 2: edge before 'p edge' header"),
+    ("p edge 3 1\ne 1\n", "line 2: expected 'e u v'"),
+    ("p edge 3 1\ne 1 x\n", "line 2: not integers: 'e 1 x'"),
+    ("p edge 3 1\na 1 2\n", "line 2: unrecognized line: 'a 1 2'"),
+    ("c only a comment\n", "missing 'p edge n m' header"),
+])
+def test_load_dimacs_malformed_line_messages(text, message):
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+        load_graph(text.encode(), fmt="dimacs")
+
+
+def test_load_edgelist_header_with_an_empty_token_is_read_by_lines():
+    # " 5" passes the bulk reader's digit check but splits into an empty
+    # token, so the line reader reports it
+    with pytest.raises(GraphFormatError, match="^line 1: expected header 'n m'$"):
+        load_graph(b" 5\n")
+
+
 def test_load_dimacs_non_integer_edge_count_names_line():
     with pytest.raises(GraphFormatError, match="line 2"):
         load_graph(b"c comment\np edge 3 x\ne 1 2", fmt="dimacs")
@@ -361,7 +381,7 @@ def test_edgelist_canonical_shape_is_read_in_bulk(monkeypatch, tmp_path):
     def line_reader(*args):
         raise AssertionError("canonical text went to the line reader")
 
-    monkeypatch.setattr(graph, "_edgelist_body", line_reader)
+    monkeypatch.setattr(graph, "_edgelist_ints", line_reader)
     assert load_graph(text.encode()) == load_graph(path) == load_graph(io.StringIO(text)) == G
     assert load_graph(str(path)) == load_graph(io.BytesIO(text.encode())) == G
     with pytest.raises(AssertionError):

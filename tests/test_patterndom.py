@@ -762,6 +762,20 @@ def test_solve_brute_scans_up_to_the_budget(monkeypatch, problem, oracle, count,
         solve(G, problem, "brute")
 
 
+def test_solve_brute_answers_k_above_n_before_counting_orderings(monkeypatch):
+    # C(4, 10^9) = 0: no k! is computed and no 10^9-vertex Pattern is built
+    def refuse(*args):
+        raise AssertionError("sized a scan that has no k-subset")
+
+    monkeypatch.setattr(oracles, "factorial", refuse)
+    for builder in ("clique", "edgeless", "matching"):
+        monkeypatch.setattr(Pattern, builder, refuse)
+    G = Graph(4, [(0, 1), (2, 3)])
+    for kind in ("indepset", "clique", "matching", "multiple"):
+        problem = Problem(kind, 10**9, 1 if kind == "multiple" else None)
+        assert solve(G, problem, "brute") is None, kind
+
+
 # the malformed Problems this table held (problem4 to problem6) are refused
 # when built: test_multidom.test_problem_refuses_malformed_fields
 @pytest.mark.parametrize("problem, algo, message", [

@@ -194,6 +194,34 @@ def test_indepset_groups_check_the_cross_pair_budget():
     assert len(reductions.indepset_groups([1000, 1000, 0], 2, Fraction(1, 2), 1)) == 2
 
 
+def test_indepset_part_count_owns_the_source_shape(monkeypatch):
+    # d * k' with k' = (k-1)p + q, refused above the budget before a part is
+    # listed; indepset_groups checks a source against it
+    assert reductions.indepset_part_count(4, Fraction(2, 3), 2) == 2 * (3 * 2 + 3)
+    with pytest.raises(OracleBudgetError,
+                       match="^is-multidom would have 2000002 source parts, more than 1000000$"):
+        reductions.indepset_part_count(3, Fraction(1, 2_000_000), 1)
+    with pytest.raises(ValueError, match=r"^gamma must be in \(0, 1\), got 3/2$"):
+        reductions.indepset_part_count(3, Fraction(3, 2), 1)
+    with pytest.raises(ValueError, match="^need k >= 2 and d >= 1, got k=3, d=0$"):
+        reductions.indepset_part_count(3, Fraction(1, 2), 0)
+    with pytest.raises(ValueError, match=r"^source must have d\*k' = 3 parts, got 4$"):
+        indepset_groups([1] * 4, 2, Fraction(1, 2), 1)
+    monkeypatch.setattr(oracles, "MAX_TRANSVERSALS", 3)
+    assert reductions.indepset_part_count(2, Fraction(1, 2), 1) == 3
+    with pytest.raises(OracleBudgetError, match="^is-multidom would have 4 source parts"):
+        indepset_groups([1] * 4, 2, Fraction(1, 3), 1)
+
+
+def test_indepset_groups_check_the_part_pair_budget():
+    # empty parts hold no vertex pair, but a draw and its complement walk
+    # every pair of parts: C(1415, 2) = 1,000,405 of them; C(1414, 2) passes
+    with pytest.raises(OracleBudgetError,
+                       match="^1415 source parts have 1000405 part pairs, more than 1000000$"):
+        indepset_groups([0] * 1415, 2, Fraction(1, 1414), 1)
+    assert len(indepset_groups([0] * 1414, 2, Fraction(1, 1413), 1)) == 2
+
+
 def test_generated_graphs_are_simple_and_maps_total():
     inst = _random_ov(5, [2, 2, 2], 3)
     for out in (ov_to_multidom(inst, 1), ov_to_multidom(inst, 2),

@@ -4,6 +4,8 @@
 Exit codes: 0 = solution found (solve) or PASS (verify), 1 = no solution or
 FAIL, 2 = error, 3 = budget exceeded (OracleBudgetError; every brute-force
 scan, `verify --reduction`'s included, passes `oracles.check_scan_budget` first).
+Exit 1 is never a crash: a MemoryError, RecursionError or ArithmeticError that
+reaches `main` is reported as an error, exit code 2, like malformed input.
 """
 
 from __future__ import annotations
@@ -194,6 +196,9 @@ def cmd_generate(args) -> int:
     ov = args.reduction != "is-multidom"
     _require(args, f"--reduction {args.reduction}",
              (("sizes",) if ov else ()) + REDUCTION_PARAMS[args.reduction])
+    for flag, value in (("--zero-prob", args.zero_prob), ("--edge-prob", args.edge_prob)):
+        if not 0 <= value <= 1:  # NaN fails both comparisons
+            raise CliError(f"{flag} must be a probability in [0, 1], got {value}")
     rng = random.Random(args.seed)
     if ov:
         sizes = _number_list("--sizes", args.sizes, int, "integers")
@@ -296,7 +301,9 @@ def cmd_bench(args) -> int:
     writer.writerow(BENCH_HEADER)
     for n in ns:
         for dens in densities:
-            m = int(round(dens * n))
+            # capped like _random_gnm's draw, so an overflowing product
+            # asks for the complete graph
+            m = int(round(min(dens * n, n * (n - 1) // 2)))
             for rep in range(args.reps):
                 rng = random.Random(f"{args.seed}:{n}:{dens}:{rep}")
                 G = _random_gnm(rng, n, m)
@@ -398,6 +405,10 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, RecursionError, ArithmeticError) as exc:
+        print(f"error: {type(exc).__name__}" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
         return 2
 
 

@@ -1,11 +1,7 @@
 from __future__ import annotations
 
 import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -13,6 +9,7 @@ from domlab import cli, oracles, reductions
 from domlab.cli import main
 
 from .conftest import complete_graph, cycle_graph, path_graph
+from .test_cli_contract import _finish, _start
 from domlab import Graph, save_graph
 from domlab.multidom import solve_multidom_fast
 
@@ -29,6 +26,14 @@ def c4_file(tmp_path):
     path = tmp_path / "c4.txt"
     save_graph(cycle_graph(4), path)
     return str(path)
+
+
+def _forbid(monkeypatch, owner, name: str) -> None:
+    """Fail the test if `owner.name` is called: the work it does must not start."""
+    def called(*args, **kwargs):
+        raise AssertionError(f"{owner.__name__}.{name} was called")
+
+    monkeypatch.setattr(owner, name, called)
 
 
 def test_solve_yes_exit_zero(c5_file, capsys):
@@ -144,10 +149,7 @@ def test_solve_at_most_k_budgets_the_exhaustive_fallback(tmp_path, capsys, monke
     path = tmp_path / "gnm.txt"
     save_graph(cli._random_gnm(random.Random(1), 300, 1500), path)
 
-    def scan(*args, **kwargs):
-        raise AssertionError("exhaustive scan started above the budget")
-
-    monkeypatch.setattr(oracles, "oracle_multidom", scan)
+    _forbid(monkeypatch, oracles, "oracle_multidom")
     code = main(["solve", str(path), "--problem", "multidom", "--k", "3", "--r", "3",
                  "--at-most-k"])
     captured = capsys.readouterr()
@@ -165,10 +167,7 @@ def test_solve_brute_budgets_the_exhaustive_scan(tmp_path, capsys, monkeypatch, 
     path = tmp_path / "gnm.txt"
     save_graph(cli._random_gnm(random.Random(1), 300, 1500), path)
 
-    def scan(*args, **kwargs):
-        raise AssertionError("exhaustive scan started above the budget")
-
-    monkeypatch.setattr(oracles, oracle, scan)
+    _forbid(monkeypatch, oracles, oracle)
     code = main(["solve", str(path), *problem, "--k", "3", "--algo", "brute"])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
@@ -182,10 +181,7 @@ def test_solve_brute_answers_a_huge_k_at_once(tmp_path, capsys, monkeypatch, pro
     path = tmp_path / "g4.txt"
     path.write_text("4 2\n0 1\n2 3\n")
 
-    def refuse(*args):
-        raise AssertionError("sized a scan that has no k-subset")
-
-    monkeypatch.setattr(oracles, "factorial", refuse)
+    _forbid(monkeypatch, oracles, "factorial")
     assert main(["solve", str(path), "--problem", problem, "--k", str(k), "--algo", "brute",
                  "--no-timing"]) == 1
     assert capsys.readouterr().out == "answer: NO\n"
@@ -237,11 +233,8 @@ def test_solve_at_most_k_stops_at_n(tmp_path, capsys, monkeypatch):
 def test_bench_brute_budgets_the_exhaustive_scan(capsys, monkeypatch):
     # bench --algos brute runs the same C(300, 3) scan per row (4.6 s);
     # it must exit 3 before drawing a graph
-    def fail(*args, **kwargs):
-        raise AssertionError("bench work started above the budget")
-
-    monkeypatch.setattr(oracles, "oracle_multidom", fail)
-    monkeypatch.setattr(cli, "_random_gnm", fail)
+    _forbid(monkeypatch, oracles, "oracle_multidom")
+    _forbid(monkeypatch, cli, "_random_gnm")
     code = main(["bench", "--n", "20,300", "--density", "5", "--k", "3", "--r", "3",
                  "--algos", "fast,brute", "--no-timing"])
     captured = capsys.readouterr()
@@ -260,10 +253,7 @@ def test_solve_brute_budgets_the_pattern_orderings(tmp_path, capsys, monkeypatch
     pattern = tmp_path / "path8.json"
     pattern.write_text(json.dumps({"k": 8, "edges": [[i, i + 1] for i in range(7)]}))
 
-    def scan(*args, **kwargs):
-        raise AssertionError("pattern scan started above the budget")
-
-    monkeypatch.setattr(oracles, "oracle_pattern", scan)
+    _forbid(monkeypatch, oracles, "oracle_pattern")
     extra = ["--pattern", str(pattern)] if problem == "pattern" else []
     code = main(["solve", str(gpath), "--problem", problem, *extra, "--k", "8", "--algo", "brute"])
     captured = capsys.readouterr()
@@ -276,10 +266,7 @@ def test_bench_refuses_vertex_counts_beyond_the_loader_limit(capsys, monkeypatch
     # a typo such as --n 100000000, a density that is not a finite number
     # >= 0, a list that does not parse or fewer than one rep must exit 2,
     # naming the flag, before a graph is drawn
-    def draw(*args, **kwargs):
-        raise AssertionError("a graph was drawn for an out-of-range --n")
-
-    monkeypatch.setattr(cli, "_random_gnm", draw)
+    _forbid(monkeypatch, cli, "_random_gnm")
     for n, density, extra, message in (
             ("20,100000000", "2", [], "--n 100000000 is outside 0..1000000"),
             ("-5", "2", [], "--n -5 is outside 0..1000000"),
@@ -305,27 +292,12 @@ def test_verify_checks_the_target_budget_before_the_source(tmp_path, capsys, mon
     source = tmp_path / "source.json"
     source.write_text(json.dumps({"k": 3, "d": 2, "sets": [["11"] * 200] * 3}))
 
-    def brute(*args, **kwargs):
-        raise AssertionError("source brute force ran before the target budget check")
-
-    monkeypatch.setattr(reductions, "solve_ov_bruteforce", brute)
+    _forbid(monkeypatch, reductions, "solve_ov_bruteforce")
     code = main(["verify", "--reduction", "ov-multidom", "--source", str(source), "--r", "1"])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err == ("error: the exhaustive scan at k=3 has C(614, 3) = 38390964 "
                             "subsets, more than 1000000\n")
-
-
-def test_verify_refuses_an_oversized_ov_source(tmp_path, capsys):
-    # 40 sets of one "11" vector at --r 20 ask for C(40, 20) redundancy
-    # blocks: exit 3 before the target is built, not a MemoryError
-    source = tmp_path / "source.json"
-    source.write_text(json.dumps({"k": 40, "d": 2, "sets": [["11"]] * 40}))
-    code = main(["verify", "--reduction", "ov-multidom", "--source", str(source), "--r", "20"])
-    captured = capsys.readouterr()
-    assert code == 3 and captured.out == ""
-    assert captured.err.startswith("error: ov-multidom would have ")
-    assert "target vertices, more than" in captured.err
 
 
 def test_solve_at_most_k_reads_the_pattern_once(tmp_path, capsys, monkeypatch):
@@ -480,35 +452,6 @@ def test_verify_pattern_size_mismatch_exits_two(tmp_path, capsys, c5_file, edges
     assert captured.err == "error: pattern has 5 vertices but --k is 3\n"
 
 
-def test_verify_oversized_pattern_exits_two(tmp_path, capsys):
-    # C4 + C5 against the 9-cycle: the same edge count and degree sequence,
-    # so without the size cap the isomorphism test tries all 9! permutations
-    gpath = tmp_path / "c4c5.txt"
-    save_graph(Graph(9, [(0, 1), (1, 2), (2, 3), (0, 3),
-                         (4, 5), (5, 6), (6, 7), (7, 8), (4, 8)]), gpath)
-    pattern = tmp_path / "c9.json"
-    pattern.write_text(json.dumps({"k": 9, "edges": [[i, (i + 1) % 9] for i in range(9)]}))
-    solution = tmp_path / "sol.json"
-    solution.write_text(json.dumps(list(range(9))))
-    assert main(["verify", str(gpath), "--problem", "pattern", "--pattern", str(pattern),
-                 "--k", "9", "--solution", str(solution)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: pattern size 9 exceeds 8\n"
-
-
-def test_solve_brute_oversized_pattern_exits_two(tmp_path, capsys, c5_file):
-    # the brute-force decider tests every dominating 9-set against the
-    # pattern by permutation search, so it needs the same cap as the fast path
-    pattern = tmp_path / "p9.json"
-    pattern.write_text(json.dumps({"k": 9, "edges": [[i, i + 1] for i in range(8)]}))
-    assert main(["solve", c5_file, "--problem", "pattern", "--pattern", str(pattern),
-                 "--k", "9", "--algo", "brute"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: pattern size 9 exceeds 8\n"
-
-
 @pytest.mark.parametrize("payload, field", [
     ({"k": 2, "d": 3, "sets": 5}, "'sets'"),
     ([1], "expected an object"),
@@ -560,15 +503,6 @@ def test_verify_oracle_budget_overrun_exits_three(tmp_path, capsys):
     assert captured.err.startswith("error: ") and "C(195, 3) = 1216865 subsets" in captured.err
 
 
-def _fresh_run(argv: list[str]) -> tuple[int, str]:
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "domlab.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
-    return proc.returncode, proc.stdout
-
-
 def test_main_builds_parser_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
     calls = []
     real_build = cli.build_parser
@@ -586,7 +520,28 @@ def test_main_builds_parser_once_and_keeps_no_state(tmp_path, capsys, monkeypatc
         code = main(argv)
         in_process.append((code, capsys.readouterr().out))
     assert len(calls) <= 1
-    assert in_process == [_fresh_run(argv) for argv in runs]
+    assert in_process == [_finish(_start(["-m", "domlab.cli", *argv]), 60)[:2] for argv in runs]
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError(), "error: MemoryError\n"),
+    (RecursionError("maximum recursion depth exceeded"),
+     "error: RecursionError: maximum recursion depth exceeded\n"),
+    (ZeroDivisionError("division by zero"), "error: ZeroDivisionError: division by zero\n"),
+    (AssertionError("a broken guard"), None),
+], ids=["memory", "recursion", "arithmetic", "assertion"])
+def test_main_reports_a_crash_as_an_error_not_as_no(c5_file, capsys, monkeypatch, exc, message):
+    # exit 1 means NO or FAIL only; a test's AssertionError still propagates
+    def crash(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "solve", crash)
+    argv = ["solve", c5_file, "--problem", "dom-clique", "--k", "2"]
+    if message is None:
+        with pytest.raises(AssertionError, match="a broken guard"):
+            main(argv)
+    else:
+        assert main(argv) == 2 and capsys.readouterr().err == message
 
 
 def test_generate_is_multidom_echoes_kprime(tmp_path, capsys):
@@ -620,10 +575,7 @@ def test_generate_is_multidom_refuses_the_part_count_before_drawing(tmp_path, ca
                                                                     monkeypatch, flags, message):
     # the part count is refused before a part is listed; a draw, even of
     # empty parts, walks every pair of parts
-    def draw(*args):
-        raise AssertionError("the source was drawn")
-
-    monkeypatch.setattr(cli, "_random_kpartite", draw)
+    _forbid(monkeypatch, cli, "_random_kpartite")
     assert main(["generate", "--reduction", "is-multidom", "--k", "3", *flags,
                  "--out", str(tmp_path / "g")]) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -676,16 +628,13 @@ def test_generate_into_a_missing_directory_is_error(tmp_path, capsys):
 
 
 def test_generate_deterministic(tmp_path, capsys):
-    outs = []
-    for name in ("a", "b"):
-        main(["generate", "--reduction", "ov-multidom", "--k", "2", "--r", "1",
-              "--d", "2", "--sizes", "2,2", "--seed", "11",
-              "--out", str(tmp_path / name)])
-        capsys.readouterr()
-        outs.append(((tmp_path / f"{name}.graph").read_bytes(),
-                     (tmp_path / f"{name}.json").read_bytes(),
-                     (tmp_path / f"{name}.source.json").read_bytes()))
-    assert outs[0] == outs[1]
+    # files are rewritten in place and cut to length: an instance generated
+    # over a larger one has the bytes of one generated into a fresh prefix
+    for sizes, name in (("4,4,4", "a"), ("2,2,2", "a"), ("2,2,2", "b")):
+        assert main(["generate", "--reduction", "ov-multidom", "--k", "3", "--r", "1", "--d", "4",
+                     "--sizes", sizes, "--seed", "1", "--out", str(tmp_path / name)]) == 0
+    for ext in ("graph", "json", "source.json"):
+        assert (tmp_path / f"a.{ext}").read_bytes() == (tmp_path / f"b.{ext}").read_bytes()
 
 
 def test_verify_solution_pass_and_fail(tmp_path, capsys, c5_file):

@@ -6,13 +6,14 @@ The solvers use only `iter_bits`; their pair search is
 stay because the benchmark's traced run (`perfbench/spans.py`) wraps
 `complement_zero_pairs` and `BoolMatrix.transpose` by attribute name. The
 truncated-polynomial ring that `pair_join` decides is a test-side
-reference model, `tests/reference_algebra.py`.
+reference model, `tests/reference_algebra.py`, which also builds the
+tests' matrices from 0/1 rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -30,34 +31,6 @@ class BoolMatrix:
         mask = (1 << self.cols) - 1
         if any(r & ~mask for r in self.row_bits):
             raise ValueError("set bits beyond declared column count")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Iterable[int]], cols: int | None = None) -> "BoolMatrix":
-        packed = []
-        width = cols
-        for row in rows:
-            bits = 0
-            j = -1
-            for j, x in enumerate(row):
-                if x:
-                    bits |= 1 << j
-            if width is None:
-                width = j + 1
-            elif j + 1 != width:
-                raise ValueError("ragged rows")
-            packed.append(bits)
-        if width is None:
-            raise ValueError("cannot infer column count from zero rows")
-        return cls(len(packed), width, tuple(packed))
-
-    @classmethod
-    def from_row_ints(cls, row_bits: Sequence[int], cols: int) -> "BoolMatrix":
-        return cls(len(row_bits), cols, tuple(row_bits))
-
-    def get(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError((i, j))
-        return (self.row_bits[i] >> j) & 1
 
     def transpose(self) -> "BoolMatrix":
         cols = []
@@ -78,13 +51,12 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def complement_zero_pairs(A: BoolMatrix, B: BoolMatrix, threads: int = 1) -> list[tuple[int, int]]:
+def complement_zero_pairs(A: BoolMatrix, B: BoolMatrix) -> list[tuple[int, int]]:
     """All (i, j) with (A·B)[i,j] = 0 over the integers, i.e. for every t
     either A[i,t] = 0 or B[t,j] = 0. Row-major order.
 
     Row i ORs the rows B[t] for each t set in A[i], stopping once they cover
-    every column, so no transpose is needed. `threads` is accepted for
-    compatibility and has no effect.
+    every column, so no transpose is needed.
     """
     if A.cols != B.rows:
         raise ValueError(f"dimension mismatch: {A.rows}x{A.cols} · {B.rows}x{B.cols}")

@@ -25,7 +25,7 @@ from .graph import MAX_VERTICES, Graph, load_graph
 from .multidom import (STATS_KEYS, VARIANTS, Problem, Solution, check_pattern_size,
                        diagnose_solution, KPartiteGraph)
 from .oracles import OracleBudgetError, check_scan_budget
-from .patterndom import Pattern, load_pattern, solve
+from .patterndom import Pattern, check_algo, load_pattern, solve
 from .reductions import (
     OVInstance,
     build_target,
@@ -132,7 +132,7 @@ def cmd_solve(args) -> int:
     kind = _check_problem_flags(args)
     if args.algo == "pipeline" and args.problem != "multidom":
         raise CliError("--algo pipeline only applies to multidom")
-    G = load_graph(args.graph, fmt=args.format)
+    G = load_graph(args.graph)
     H = load_pattern(args.pattern) if kind == "pattern" else None
     stats: dict = {}
     start = time.perf_counter()
@@ -237,7 +237,7 @@ def cmd_verify(args) -> int:
         return 0 if ok else 1
     _require(args, "verify", ("graph", "problem", "k", "solution"))
     kind = _check_problem_flags(args)
-    G = load_graph(args.graph, fmt=args.format)
+    G = load_graph(args.graph)
     with open(args.solution) as fh:
         try:
             payload = json.load(fh)
@@ -294,6 +294,8 @@ def cmd_bench(args) -> int:
         raise CliError(f"--reps must be >= 1, got {args.reps}")
     algos = args.algos.split(",")
     problem = Problem("multiple", args.k, args.r)
+    for algo in algos:  # before the first draw, which can take seconds
+        check_algo(problem, algo)
     if "brute" in algos:
         check_scan_budget(max(ns), problem)
     buf = io.StringIO()
@@ -338,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="accepted for compatibility and echoed in the config; "
                          "results come from one thread")
     ps.add_argument("--json", action="store_true")
-    ps.add_argument("--format", default="edgelist", choices=["edgelist", "dimacs"])
     ps.add_argument("--no-timing", action="store_true",
                     help="omit wall time from output (for reproducible output)")
     ps.set_defaults(func=cmd_solve)
@@ -368,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--reduction",
                     choices=[name for name in REDUCTION_PARAMS if name.startswith("ov-")])
     pv.add_argument("--source", help="OV instance JSON for --reduction")
-    pv.add_argument("--format", default="edgelist", choices=["edgelist", "dimacs"])
     pv.set_defaults(func=cmd_verify)
 
     pb = sub.add_parser("bench", help="parameter sweep with join row counts")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, ge, lt, mul, sub
 from pathlib import Path
@@ -85,10 +86,6 @@ class Graph:
     def adjacency(self, v: int) -> tuple[int, ...]:
         self._check(v)
         return self.neighbors[self.offsets[v] : self.offsets[v + 1]]
-
-    def degree(self, v: int) -> int:
-        self._check(v)
-        return self.offsets[v + 1] - self.offsets[v]
 
     def neighbor_mask(self, v: int) -> int:
         """Bitmask of N(v); built on the first call for v, then cached."""
@@ -197,12 +194,18 @@ def _read_text(source) -> str:
     return data
 
 
-def load_graph(source, fmt: str = "edgelist") -> Graph:
-    """Parse a graph from a path, byte string, or open stream.
+# the blank and '#' comment lines before the first significant one; the
+# class excludes the line boundaries of str.splitlines, which the readers use
+_PREAMBLE = re.compile(r"\s*(?:#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*\s*)*")
 
-    Formats:
-    - edgelist: first line "n m", then "u v" per line, 0-indexed, '#' comments.
-    - dimacs: "p edge n m" header, "e u v" lines, 1-indexed, 'c' comments.
+
+def load_graph(source) -> Graph:
+    """Parse a graph from a path, byte string, or open stream, in the format
+    that the first line neither blank nor a '#' comment shows: DIMACS when it
+    starts with a letter, else an edge list.
+
+    - edge list: first line "n m", then "u v" per line, 0-indexed, '#' comments.
+    - DIMACS: "p edge n m" header, "e u v" lines, 1-indexed, 'c' comments.
 
     The header's m must equal the number of edge lines, so a truncated file
     is an error. Duplicate and reversed edge lines are deduplicated (and
@@ -211,15 +214,15 @@ def load_graph(source, fmt: str = "edgelist") -> Graph:
 
     Edge-list text of the shape `save_graph` writes ("n m" and then m lines
     "u v", single spaces, "\n" endings, no leading zeros) is read in one bulk
-    pass. Every other edge-list text is read line by line; a valid one loads
-    to the same Graph, and an invalid one fails with the same error.
+    pass, and its first character, a digit, decides its format alone. Every
+    other edge-list text is read line by line; a valid one loads to the same
+    Graph, and an invalid one fails with the same error.
     """
     text = _read_text(source)
-    if fmt == "edgelist":
-        return _parse_edgelist(text)
-    if fmt == "dimacs":
+    start = _PREAMBLE.match(text).end()
+    if text[start:start + 1].isalpha():
         return _parse_dimacs(text)
-    raise ValueError(f"unknown graph format: {fmt!r}")
+    return _parse_edgelist(text)
 
 
 def _check_vertex_count(header_line: int, n: int) -> None:
@@ -351,20 +354,14 @@ def _parse_dimacs(text: str) -> Graph:
     return Graph._from_flat(n, flat)
 
 
-def save_graph(G: Graph, target=None, fmt: str = "edgelist") -> str:
-    """Serialize canonically (sorted edges). Returns the text; writes to
-    `target` (path or stream) when given, a path in place (`write_text`)."""
+def save_graph(G: Graph, target=None) -> str:
+    """Serialize as an edge list, edges sorted: the shape `load_graph` reads
+    in one bulk pass. Returns the text; writes to `target` (path or stream)
+    when given, a path in place (`write_text`)."""
     buf = io.StringIO()
-    if fmt == "edgelist":
-        buf.write(f"{G.n} {G.m}\n")
-        for u, v in G.edges():
-            buf.write(f"{u} {v}\n")
-    elif fmt == "dimacs":
-        buf.write(f"p edge {G.n} {G.m}\n")
-        for u, v in G.edges():
-            buf.write(f"e {u + 1} {v + 1}\n")
-    else:
-        raise ValueError(f"unknown graph format: {fmt!r}")
+    buf.write(f"{G.n} {G.m}\n")
+    for u, v in G.edges():
+        buf.write(f"{u} {v}\n")
     text = buf.getvalue()
     if target is not None:
         write_text(target, text)

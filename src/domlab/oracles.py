@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb, factorial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .graph import Graph
 from .multidom import VARIANTS, KPartiteGraph, Problem, Solution
@@ -37,6 +37,17 @@ def check_scan_budget(n: int, problem: Problem) -> None:
     if shape and subsets and (count := subsets * factorial(k)) > MAX_TRANSVERSALS:
         raise OracleBudgetError(f"the pattern scan at k={k} tries C({n}, {k}) * {k}! = "
                                 f"{count} orderings, more than {MAX_TRANSVERSALS}")
+
+
+def check_transversal_budget(sizes: Iterable[int], subject: str) -> None:
+    """OracleBudgetError "{subject} more than {MAX_TRANSVERSALS} transversals"
+    when the product of `sizes` passes MAX_TRANSVERSALS, read at call time;
+    the product stops at the first part that takes it past."""
+    count = 1
+    for s in sizes:
+        count *= s
+        if count > MAX_TRANSVERSALS:
+            raise OracleBudgetError(f"{subject} more than {MAX_TRANSVERSALS} transversals")
 
 
 def _neighbor_sets(G: Graph) -> list[set[int]]:
@@ -89,11 +100,7 @@ def oracle_pattern(G: Graph, H: Pattern) -> Solution | None:
 
 def oracle_unbalanced_clique(kp: KPartiteGraph) -> tuple[tuple[int, int], ...] | None:
     """Exhaustive transversal scan for one-vertex-per-part cliques."""
-    count = 1
-    for s in kp.sizes:
-        count *= s
-        if count > MAX_TRANSVERSALS:
-            raise OracleBudgetError(f"{kp.k} parts have more than {MAX_TRANSVERSALS} transversals")
+    check_transversal_budget(kp.sizes, f"{kp.k} parts have")
     for choice in itertools.product(*(range(s) for s in kp.sizes)):
         trans = tuple((i, a) for i, a in enumerate(choice))
         if all(kp.has_edge(i, a, j, b)

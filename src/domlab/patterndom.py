@@ -311,6 +311,21 @@ SHAPES = {
 }
 
 
+def check_algo(problem: Problem, algo: str) -> None:
+    """A ValueError naming what `algo` cannot take: the algo itself, or an r
+    outside the pipeline's k-1, fast's 1..k-1 or brute's 1..k. It reads no
+    graph, so `bench` runs it before it draws one."""
+    kind, k, r = problem.kind, problem.k, problem.r
+    if algo not in ("fast", "brute", "pipeline"):
+        raise ValueError(f"no algo {algo!r} for a Problem of kind {kind!r}")
+    if algo == "pipeline" and not (kind == "multiple" and r == k - 1):
+        raise ValueError(f"the pipeline needs kind 'multiple' with r = k-1, got r={r}, k={k}")
+    if kind in VARIANTS and algo == "fast" and r >= k:
+        raise ValueError(f"need 1 <= r <= k-1, got r={r}, k={k}")
+    if kind in VARIANTS and algo == "brute" and r > k:
+        raise ValueError(f"need 1 <= r <= k, got r={r}, k={k}")
+
+
 def solve(G: Graph, problem: Problem, algo: str = "fast",
           stats: dict | None = None) -> Solution | None:
     """The first solution of `problem` on G that `algo` finds, or None.
@@ -320,15 +335,11 @@ def solve(G: Graph, problem: Problem, algo: str = "fast",
     runs `solve_multidom_kminus1` (with `stats`), on the multiple kind with
     r = k-1 only. "brute" runs `oracle_multidom` or `oracle_pattern` once
     `oracles.check_scan_budget` passes (else OracleBudgetError), or answers
-    a shape with k > n at once; every Solution carries `problem` itself. A
-    ValueError names what `algo` cannot take: the algo itself, or an r
-    outside the pipeline's k-1, fast's 1..k-1 or brute's 1..k.
+    a shape with k > n at once; every Solution carries `problem` itself.
+    `check_algo`'s ValueError comes first, before any budget.
     """
+    check_algo(problem, algo)
     kind, k, r = problem.kind, problem.k, problem.r
-    if algo not in ("fast", "brute", "pipeline"):
-        raise ValueError(f"no algo {algo!r} for a Problem of kind {kind!r}")
-    if algo == "pipeline" and not (kind == "multiple" and r == k - 1):
-        raise ValueError(f"the pipeline needs kind 'multiple' with r = k-1, got r={r}, k={k}")
     if algo == "brute":
         oracles.check_scan_budget(G.n, problem)
     if kind in VARIANTS:

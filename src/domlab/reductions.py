@@ -12,7 +12,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .graph import MAX_VERTICES, Graph, save_graph, write_text
@@ -122,8 +122,7 @@ def solve_ov_bruteforce(inst: OVInstance, r: int) -> bool:
     OracleBudgetError when there are more than MAX_TRANSVERSALS of them."""
     if not (1 <= r <= inst.k):
         raise ValueError(f"need 1 <= r <= k, got r={r}, k={inst.k}")
-    if (count := prod(map(len, inst.sets))) > (budget := oracles.MAX_TRANSVERSALS):
-        raise OracleBudgetError(f"{count} transversals exceed the budget {budget}")
+    oracles.check_transversal_budget(map(len, inst.sets), f"{inst.k} sets have")
     for choice in itertools.product(*inst.sets):
         if all(sum(1 for vec in choice if vec[t] == 0) >= r for t in range(inst.d)):
             return True
@@ -278,14 +277,10 @@ def indepset_groups(sizes: Sequence[int], k: int, gamma: Fraction, d: int) -> li
     groups.append(range((k - 1) * d * p, parts))
     # a negative size is KPartiteGraph's error, not a budget one
     sizes = [max(s, 0) for s in sizes]
-    budget = oracles.MAX_TRANSVERSALS
     for i, grp in enumerate(groups):
-        count = 1
-        for part in grp:
-            count *= sizes[part]
-            if count > budget:
-                raise OracleBudgetError(f"group {i} ({len(grp)} source parts) has more than "
-                                        f"{budget} transversals")
+        oracles.check_transversal_budget(sizes[grp.start:grp.stop],
+                                         f"group {i} ({len(grp)} source parts) has")
+    budget = oracles.MAX_TRANSVERSALS
     # sum over i < j of s_i * s_j
     pairs = (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2
     if pairs > budget:

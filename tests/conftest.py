@@ -26,3 +26,8 @@ def random_graph(seed, n: int, p: float) -> Graph:
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph(n, edges)
+
+
+def dimacs_text(G: Graph) -> str:
+    """G as DIMACS text: "p edge n m", then "e u v" per edge, 1-indexed."""
+    return f"p edge {G.n} {G.m}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in G.edges())

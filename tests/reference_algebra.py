@@ -6,6 +6,9 @@ gives v), the entry (A·B)[i, j] has min-degree >= r exactly when every
 vertex collects r levels from the pair. That is the product of Eisenbrand &
 Grandoni's split-into-halves search; the package runs it as one
 covering-pairs search, and `test_multidom.py` checks the two agree.
+
+`bool_matrix` and `bool_entry` build and read the `domlab.algebra.BoolMatrix`
+values that the tests of `complement_zero_pairs` use.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+from domlab.algebra import BoolMatrix
 
 INF_DEGREE = math.inf
 
@@ -121,13 +126,9 @@ class PolyMatrix:
         return self.entries[i][j]
 
 
-def poly_mat_mul(A: PolyMatrix, B: PolyMatrix, threads: int = 1) -> PolyMatrix:
+def poly_mat_mul(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
     """C = A·B over the truncated ring. Exponents saturate at the shared cap;
-    coefficients accumulate exactly (Python ints, no overflow).
-
-    `threads` is accepted for compatibility and has no effect: the product
-    runs on the calling thread.
-    """
+    coefficients accumulate exactly (Python ints, no overflow)."""
     if A.cols != B.rows:
         raise ValueError(f"dimension mismatch: {A.rows}x{A.cols} · {B.rows}x{B.cols}")
     if A.cap != B.cap:
@@ -151,3 +152,13 @@ def poly_mat_mul(A: PolyMatrix, B: PolyMatrix, threads: int = 1) -> PolyMatrix:
             crow.append(TruncatedPoly(cap, tuple(acc)))
         rows.append(tuple(crow))
     return PolyMatrix(A.rows, B.cols, cap, tuple(rows))
+
+
+def bool_matrix(rows: list[list[int]], cols: int) -> BoolMatrix:
+    """The `cols`-column BoolMatrix whose entry (i, j) is rows[i][j], 0 or 1."""
+    return BoolMatrix(len(rows), cols,
+                      tuple(sum(x << j for j, x in enumerate(row)) for row in rows))
+
+
+def bool_entry(M: BoolMatrix, i: int, j: int) -> int:
+    return (M.row_bits[i] >> j) & 1

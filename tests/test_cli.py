@@ -235,7 +235,7 @@ def test_bench_brute_budgets_the_exhaustive_scan(capsys, monkeypatch):
     # it must exit 3 before drawing a graph
     _forbid(monkeypatch, oracles, "oracle_multidom")
     _forbid(monkeypatch, cli, "_random_gnm")
-    code = main(["bench", "--n", "20,300", "--density", "5", "--k", "3", "--r", "3",
+    code = main(["bench", "--n", "20,300", "--density", "5", "--k", "3", "--r", "2",
                  "--algos", "fast,brute", "--no-timing"])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""

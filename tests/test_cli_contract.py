@@ -10,8 +10,9 @@ CLI guard is one row of a table here.
   in two processes, PYTHONHASHSEED 0 and 1, which must print the same bytes.
   The first reads the graph file in one bulk pass; the second reads a copy
   that a leading "# comment" line sends to the line-by-line reader (CRLF
-  endings alone would not: reading a path turns them into "\n" first). The
-  algos and the OV source's brute force must agree; a YES must verify.
+  endings alone would not: reading a path turns them into "\n" first), or,
+  in a `dimacs` row, a DIMACS copy. The algos and the OV source's brute
+  force must agree; a YES must verify on both files.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from typing import NamedTuple
 
 import pytest
 
-from domlab import Graph, cli, reductions, save_graph
+from domlab import Graph, cli, load_graph, reductions, save_graph
 
+from .conftest import dimacs_text
 from .test_patterndom import _planted_hub_edges
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -51,6 +53,7 @@ class Twin(NamedTuple):
     algos: tuple[str, ...] = ("fast",)
     r: int | None = None  # the OV source's brute force decides it at this r
     files: tuple = ()
+    dimacs: bool = False  # the second process reads a DIMACS copy
 
 
 def _start(args: list[str], mem_kb: int | None = None, hashseed: int | None = None):
@@ -140,12 +143,24 @@ EXIT_ROWS = {
         ("dimensions", "ov-matching --k 4 --sizes 1,1,1,1 --d 100000000"),
         ("redundancy", "ov-multidom --k 40 --r 20 --d 2 --sizes " + ",".join(["1"] * 40)))},
     "dimacs-second-header": Exit(
-        "solve {tmp}/twice.dimacs --format dimacs --problem dom-clique --k 1", 2,
+        "solve {tmp}/twice.dimacs --problem dom-clique --k 1", 2,
         "line 3: second problem line", (("twice.dimacs", "p edge 3 1\ne 1 2\np edge 5 1\n"),)),
+    "letter-first-edgelist": Exit("solve {tmp}/x.graph --problem dom-clique --k 1", 2,
+                                  "^error: line 1: unrecognized line: 'x 1'$",
+                                  (("x.graph", "x 1\n0 1\n"),)),
     "at-most-k-budget": Exit("solve {tmp}/g.graph --problem multidom --k 3 --r 3 --at-most-k",
                              3, files=GNM300),
     "brute-budget": Exit("solve {tmp}/g.graph --problem multidom --k 3 --r 3 --algo brute", 3,
                          files=GNM300),
+    # an algo, or an r it cannot take, is refused before the scan budget (C(300, 3)
+    # subsets), and before bench draws G(10^6, 3*10^6), which takes seconds
+    "brute-window": Exit("solve {tmp}/g.graph --problem multidom --k 3 --r 5 --algo brute", 2,
+                         r"^error: need 1 <= r <= k, got r=5, k=3$", GNM300),
+    **{f"bench-{algo}-window": Exit(
+        f"bench --n 1000000 --density 3 --k 3 --r 1 --algos fast,{algo}", 2,
+        f"^error: {message}$", mem_kb=HIGH, timeout=4) for algo, message in (
+        ("nope", "no algo 'nope' for a Problem of kind 'multiple'"),
+        ("pipeline", "the pipeline needs kind 'multiple' with r = k-1, got r=1, k=3"))},
     "pattern-brute-budget": Exit(
         "solve {tmp}/k10.graph --problem pattern --k 8 --pattern {tmp}/path8.json --algo brute",
         3, files=(("k10.graph", K10), ("path8.json", _path(8)))),
@@ -212,6 +227,9 @@ BRUTE = ("fast", "brute")
 TWIN_ROWS = {
     "readers": Twin("generate --reduction ov-multidom --k 3 --r 1 --d 3 --sizes 2,2,2 --seed 1 "
                     "--out {tmp}/g", "--problem multidom --k 3 --r 1", r=1),
+    # the format is read from the file: a DIMACS copy needs no flag
+    "dimacs": Twin(OV + "--k 4 --r 2 --sizes 2,2,3,3 --seed 1", "--problem multidom --k 4 --r 2",
+                   BRUTE, 2, dimacs=True),
     # the r <= k-2 column cut; k and r even (one family joined with itself);
     # r = k-1, where the pipeline runs
     **{f"{name}-s{s}": Twin(f"{generate} --seed {s}", "--problem multidom " + flags, algos, r)
@@ -241,10 +259,13 @@ def test_twin_row(tmp_path, capsys, row):
         (tmp_path / name).write_text(text)
     if row.generate:
         assert cli.main(_argv(row.generate, tmp_path)) == 0
-    graph, crlf = tmp_path / "g.graph", tmp_path / "crlf.graph"
-    crlf.write_bytes(b"# comment\r\n" + graph.read_bytes().replace(b"\n", b"\r\n"))
+    graph, copy = tmp_path / "g.graph", tmp_path / "copy.graph"
+    if row.dimacs:
+        copy.write_text(dimacs_text(load_graph(graph)))
+    else:
+        copy.write_bytes(b"# comment\r\n" + graph.read_bytes().replace(b"\n", b"\r\n"))
     flags = _argv(row.problem, tmp_path)
-    runs = {(algo, seed): _start(["-m", "domlab.cli", "solve", str((graph, crlf)[seed]), *flags,
+    runs = {(algo, seed): _start(["-m", "domlab.cli", "solve", str((graph, copy)[seed]), *flags,
                                   "--algo", algo, "--json", "--no-timing"], hashseed=seed)
             for algo in row.algos for seed in (0, 1)}
     runs = {key: _finish(proc, 60) for key, proc in runs.items()}
@@ -261,9 +282,10 @@ def test_twin_row(tmp_path, capsys, row):
         if answer:
             (tmp_path / "sol.json").write_text(out)
             capsys.readouterr()
-            assert cli.main(["verify", str(graph), *flags,
-                             "--solution", str(tmp_path / "sol.json")]) == 0
-            assert capsys.readouterr().out == "PASS\n"
+            for path in (graph, copy):
+                assert cli.main(["verify", str(path), *flags,
+                                 "--solution", str(tmp_path / "sol.json")]) == 0
+                assert capsys.readouterr().out == "PASS\n"
     assert len(answers) == 1
 
 

@@ -331,7 +331,7 @@ def test_generator_output_is_pinned(name):
 def test_ov_bruteforce_checks_the_transversal_budget_first():
     # 101^3 > 10^6 transversals: refused before the first one is tried
     inst = OVInstance.from_lists(1, [[(1,)] * 101] * 3)
-    with pytest.raises(OracleBudgetError, match="1030301 transversals exceed the budget 1000000"):
+    with pytest.raises(OracleBudgetError, match="^3 sets have more than 1000000 transversals$"):
         solve_ov_bruteforce(inst, 1)
     # exactly at the budget: 100^3 transversals, and the first is orthogonal
     assert solve_ov_bruteforce(OVInstance.from_lists(1, [[(0,)] * 100] * 3), 1)
@@ -451,7 +451,7 @@ def test_reduction_budgets_are_read_at_call_time(monkeypatch):
     monkeypatch.setattr(oracles, "MAX_TRANSVERSALS", 10)
     with pytest.raises(OracleBudgetError, match="C\\(6, 3\\) = 20 subsets, more than 10"):
         solve(Graph(6, []), Problem("multiple", 3, 1), "brute")
-    with pytest.raises(OracleBudgetError, match="125 transversals exceed the budget 10"):
+    with pytest.raises(OracleBudgetError, match="^3 sets have more than 10 transversals$"):
         solve_ov_bruteforce(OVInstance.from_lists(1, [[(0,)] * 5] * 3), 1)
     with pytest.raises(OracleBudgetError,
                        match=r"group 1 \(2 source parts\) has more than 10 transversals"):

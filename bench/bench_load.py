@@ -1,0 +1,123 @@
+"""Graph-load benchmark: `load_graph` on sparse G(n, 3n) edge lists.
+
+    python3 bench/bench_load.py                      # writes BENCH_load.json
+    python3 bench/bench_load.py --src OTHER/src --out BENCH_load_parent.json
+
+For each n in NS and each heap, one fresh child process generates the
+`save_graph` text of a seeded G(n, 3n), optionally allocates a ballast of
+BALLAST_LISTS live lists (the heap of a caller that holds other data), runs
+`gc.collect()`, and then times REPEATS loads of the same bytes, with a
+`gc.collect()` before each one. During the timed loads a `gc.callbacks`
+hook counts the collections of each generation, summed over the loads. The counts are
+deterministic for a given Python and source tree; the times compare only
+between runs on the same host from source paths of equal length (the path
+length is recorded), since both move timings in the repeats' pure-Python
+loops.
+
+`--src` names the `src` directory whose `domlab` is measured, by default
+this checkout's; the file records a hash of its `graph.py`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import hashlib
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+NS = (10**3, 10**4, 10**5)
+DENSITY = 3            # m = DENSITY * n
+BALLAST_LISTS = 300_000
+REPEATS = 15
+SEED = 1
+
+
+def edge_list_text(n: int, m: int, seed: int) -> str:
+    """The `save_graph` text of m distinct random edges on n vertices."""
+    rng = random.Random(seed)
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return f"{n} {m}\n" + "".join(f"{u} {v}\n" for u, v in sorted(edges))
+
+
+def run_case(n: int, ballast: int) -> dict:
+    """One case, in this process: REPEATS timed loads of G(n, DENSITY·n)."""
+    from domlab.graph import load_graph
+
+    data = edge_list_text(n, DENSITY * n, SEED).encode()
+    held = [[i] for i in range(ballast)]
+    counts = {"gen0": 0, "gen1": 0, "gen2": 0}
+
+    def count(phase, info):
+        if phase == "start":
+            counts[f"gen{info['generation']}"] += 1
+
+    times_ms = []
+    for _ in range(REPEATS):
+        gc.collect()
+        gc.callbacks.append(count)
+        start = time.perf_counter()
+        G = load_graph(data)
+        times_ms.append((time.perf_counter() - start) * 1000.0)
+        gc.callbacks.remove(count)
+        assert G.m == DENSITY * n
+        del G
+    q1, median, q3 = statistics.quantiles(times_ms, n=4, method="inclusive")
+    return {
+        "n": n, "m": DENSITY * n, "heap": "ballast" if ballast else "fresh",
+        "ballast_lists": len(held), "loads": REPEATS,
+        "collections_during_loads": counts,
+        "load_ms_median": round(median, 3), "load_ms_q1": round(q1, 3),
+        "load_ms_q3": round(q3, 3), "load_ms_iqr": round(q3 - q1, 3),
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
+                    help="the src directory whose domlab is measured")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_load.json")
+    ap.add_argument("--case", nargs=2, type=int, metavar=("N", "BALLAST"),
+                    help=argparse.SUPPRESS)  # one case, run in a child process
+    args = ap.parse_args(argv)
+    src = args.src.resolve()
+    if args.case:
+        sys.path.insert(0, str(src))
+        print(json.dumps(run_case(*args.case)))
+        return 0
+    cases = []
+    for n in NS:
+        for ballast in (0, BALLAST_LISTS):
+            child = subprocess.run(
+                [sys.executable, str(Path(__file__).resolve()), "--src", str(src),
+                 "--case", str(n), str(ballast)],
+                check=True, capture_output=True, text=True)
+            cases.append(json.loads(child.stdout))
+            print(json.dumps(cases[-1]), file=sys.stderr)
+    report = {
+        "benchmark": "load_graph of save_graph text, G(n, 3n)",
+        "seed": SEED, "repeats": REPEATS,
+        "host": {"platform": platform.platform(), "machine": platform.machine(),
+                 "nproc": os.cpu_count(), "python": platform.python_version(),
+                 "src_path_len": len(str(src))},
+        "graph_py_sha256": hashlib.sha256((src / "domlab" / "graph.py").read_bytes()).hexdigest()[:16],
+        "cases": cases,
+    }
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

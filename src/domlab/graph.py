@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
 import re
+from functools import wraps
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, ge, lt, mul, sub
 from pathlib import Path
@@ -22,6 +24,22 @@ header alone could otherwise ask for memory far beyond what the file holds;
 a larger count is rejected before anything is allocated."""
 
 
+def _gc_paused(build):
+    """`build` with the cyclic garbage collector off while it runs, if it was
+    on, and back on afterwards, also on an error; a nested call changes
+    nothing. Only the two CSR builders use it (see `Graph`)."""
+    @wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
+
 class Graph:
     """Simple undirected graph stored as compressed sorted adjacency (CSR).
 
@@ -32,10 +50,23 @@ class Graph:
     about, never for the others; `heavy_vertices(G, k)` keeps its answer per
     k. The graph is logically immutable: the caches only hold what a query
     would compute anyway, so a Graph can be shared freely across workers.
+
+    Both builders, the constructor and the loaders' bulk path, run with the
+    cyclic garbage collector paused (and restored, also on an error). They
+    create one temporary list or set per vertex; with the collector on, those
+    n containers set off young collections and promote survivors, which leads
+    to full collections whose cost grows with the caller's whole heap, not
+    with the graph. None of the temporaries can form a cycle, so the pause
+    leaves nothing for the collector to find. Two caveats: the collector
+    state is global to the process, so another thread's collections wait
+    until the build ends; and an `edges` iterable is consumed while the
+    collector is paused, so the cycles its own code makes are found only at
+    the next collection after the build.
     """
 
     __slots__ = ("n", "offsets", "neighbors", "_masks", "_heavy")
 
+    @_gc_paused
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -50,6 +81,7 @@ class Graph:
         self._set_csr(n, list(map(sorted, adj)))
 
     @classmethod
+    @_gc_paused
     def _from_flat(cls, n: int, flat: list[int]) -> "Graph":
         """Graph on the edges (flat[0], flat[1]), (flat[2], flat[3]), ...: the
         loaders' bulk path. Canonical edges (u < v, in range, keys u·n + v

@@ -36,6 +36,13 @@ def check_pattern_size(k: int) -> None:
         raise PatternTooLargeError(f"pattern size {k} exceeds {MAX_PATTERN_SIZE}")
 
 
+def check_r_window(r: int, k: int, *, below_k: bool) -> None:
+    """A ValueError unless 1 <= r <= k, or r <= k-1 when `below_k`: the
+    r window of every solver, oracle and reduction that takes an r."""
+    if not 1 <= r <= k - below_k:
+        raise ValueError(f"need 1 <= r <= k{'-1' if below_k else ''}, got r={r}, k={k}")
+
+
 def _is_int(x) -> bool:
     return type(x) is int  # JSON true/false load as bool, a subclass of int
 
@@ -355,8 +362,7 @@ def verify_solution(G: Graph, problem: Problem, vertices: Sequence[int]) -> bool
 def _family_shapes(k: int, r: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """(size, heavy quota) of the row and the column family for (k, r); a
     ValueError for r outside 1..k-1."""
-    if not (1 <= r <= k - 1):
-        raise ValueError(f"need 1 <= r <= k-1, got r={r}, k={k}")
+    check_r_window(r, k, below_k=True)
     return ((k - r + 1) // 2 + r // 2, r // 2), ((k - r) // 2 + (r + 1) // 2, (r + 1) // 2)
 
 

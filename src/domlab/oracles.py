@@ -13,7 +13,7 @@ from math import comb, factorial
 from typing import TYPE_CHECKING, Iterable
 
 from .graph import Graph
-from .multidom import VARIANTS, KPartiteGraph, Problem, Solution
+from .multidom import VARIANTS, KPartiteGraph, Problem, Solution, check_r_window
 
 if TYPE_CHECKING:
     from .patterndom import Pattern
@@ -59,8 +59,7 @@ def oracle_multidom(G: Graph, k: int, r: int, variant: str) -> Solution | None:
     k > n, and then no k-slot index of `itertools.combinations` is allocated."""
     if variant not in ("multiple", "tuple"):
         raise ValueError(f"unknown variant {variant!r}")
-    if not (1 <= r <= k):
-        raise ValueError(f"need 1 <= r <= k, got r={r}, k={k}")
+    check_r_window(r, k, below_k=False)
     nbrs = _neighbor_sets(G)
     for S in itertools.combinations(range(G.n), min(k, G.n + 1)):
         chosen = set(S)

@@ -25,6 +25,7 @@ from .multidom import (
     _shape_error,
     build_candidate_families,
     check_pattern_size,
+    check_r_window,
     iter_bits,
     list_2_dominating_sets,
     pair_join,
@@ -320,10 +321,8 @@ def check_algo(problem: Problem, algo: str) -> None:
         raise ValueError(f"no algo {algo!r} for a Problem of kind {kind!r}")
     if algo == "pipeline" and not (kind == "multiple" and r == k - 1):
         raise ValueError(f"the pipeline needs kind 'multiple' with r = k-1, got r={r}, k={k}")
-    if kind in VARIANTS and algo == "fast" and r >= k:
-        raise ValueError(f"need 1 <= r <= k-1, got r={r}, k={k}")
-    if kind in VARIANTS and algo == "brute" and r > k:
-        raise ValueError(f"need 1 <= r <= k, got r={r}, k={k}")
+    if kind in VARIANTS and algo in ("fast", "brute"):
+        check_r_window(r, k, below_k=algo == "fast")
 
 
 def solve(G: Graph, problem: Problem, algo: str = "fast",

@@ -16,7 +16,7 @@ from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .graph import MAX_VERTICES, Graph, save_graph, write_text
-from .multidom import KPartiteGraph, Problem, _is_int, _range_cliques
+from .multidom import KPartiteGraph, Problem, _is_int, _range_cliques, check_r_window
 from . import oracles
 from .oracles import OracleBudgetError, oracle_unbalanced_clique
 from .patterndom import Pattern, _load_object, solve
@@ -120,8 +120,7 @@ class ReductionOutput:
 def solve_ov_bruteforce(inst: OVInstance, r: int) -> bool:
     """True iff some transversal a_1,...,a_k has >= r zeros in every coordinate.
     OracleBudgetError when there are more than MAX_TRANSVERSALS of them."""
-    if not (1 <= r <= inst.k):
-        raise ValueError(f"need 1 <= r <= k, got r={r}, k={inst.k}")
+    check_r_window(r, inst.k, below_k=False)
     oracles.check_transversal_budget(map(len, inst.sets), f"{inst.k} sets have")
     for choice in itertools.product(*inst.sets):
         if all(sum(1 for vec in choice if vec[t] == 0) >= r for t in range(inst.d)):
@@ -160,8 +159,7 @@ def ov_to_multidom(inst: OVInstance, r: int) -> ReductionOutput:
     vector parts are fully joined to all other vector parts.
     """
     k = inst.k
-    if not (1 <= r <= k - 1):
-        raise ValueError(f"need 1 <= r <= k-1, got r={r}, k={k}")
+    check_r_window(r, k, below_k=True)
     roles, part_of, edges = _ov_skeleton(inst)
     blocks = list(itertools.combinations(range(k), r))
     for Q in blocks:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import io
 import random
 import re
@@ -436,3 +437,110 @@ def test_from_flat_matches_constructor():
                         for n, flat in cases]
     errors = sum(isinstance(o[0], str) for o in outcomes)
     assert len(cases) // 4 <= errors <= 3 * len(cases) // 4
+
+
+def _sparse_edges(seed, n, m):
+    """m distinct random edges (u, v), u < v, sorted: a sparse G(n, m)."""
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return sorted(edges)
+
+
+def test_sparse_builds_run_no_collection():
+    # the builders' n temporary adjacency containers set off young, then
+    # full, collections with the collector on; both run with it paused
+    n = 10**4
+    edges = _sparse_edges(1, n, 3 * n)
+    data = save_graph(Graph(n, edges)).encode()
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        gc.collect()
+        starts.clear()
+        G = load_graph(data)
+        loaded = len(starts)
+        gc.collect()
+        starts.clear()
+        H = Graph(n, edges)
+        built = len(starts)
+    finally:
+        gc.callbacks.remove(count)
+    assert G == H and G.m == 3 * n
+    assert (loaded, built) == (0, 0)
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_builds_restore_the_collector_state(enabled):
+    """The collector is off while a graph is built, and as it was before the
+    build afterwards, whether the build returns or raises."""
+    failures = [
+        lambda: load_graph(b"3 1\n0 5\n"),  # bulk path, out of range
+        lambda: load_graph(b"3 1\n1 1\n"),  # bulk path, self-loop
+        lambda: load_graph(b"3 1\n0  5\n"),  # line-by-line path
+        lambda: load_graph(b"3 2\n0 1\n"),  # line-by-line path, edge count
+        lambda: load_graph(b"p edge 3 1\ne 1 5\n"),  # DIMACS
+        lambda: Graph(3, [(0, 1), (2, 2)]),  # constructor
+        lambda: Graph(3, (e for e in [(0, 1), (0, 3)])),
+    ]
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for fail in failures:
+            with pytest.raises(GraphFormatError):
+                fail()
+            assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="nonnegative"):
+            Graph(-1, [])
+        assert gc.isenabled() is enabled
+
+        def broken_edges():
+            yield (0, 1)
+            raise KeyError("from the caller's iterable")
+
+        with pytest.raises(KeyError):
+            Graph(3, broken_edges())
+        assert gc.isenabled() is enabled
+        seen = []
+
+        def edges():
+            seen.append(gc.isenabled())
+            yield from [(0, 1), (1, 2)]
+
+        assert Graph(3, edges()) == path_graph(3)
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+        assert load_graph(b"3 2\n0 1\n1 2\n") == load_graph(b"3 2\n1 2\n0 1\n") == path_graph(3)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_loads_and_builds_leave_no_reference_cycles():
+    # the pause must not be what keeps the builders clean: with the
+    # collector off throughout, nothing they leave needs it
+    n = 2000
+    edges = _sparse_edges(2, n, 3 * n)
+    text = save_graph(Graph(n, edges))
+    inputs = [text.encode(), text.replace("\n", "\r\n").encode(),
+              dimacs_text(Graph(n, edges)).encode()]
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            graphs = [load_graph(data) for data in inputs]
+            graphs.append(Graph(n, edges))
+            graphs.append(Graph(n, iter(edges)))
+            assert all(G.m == 3 * n for G in graphs)
+        del graphs
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -40,6 +40,7 @@ from domlab import (
 )
 
 from .conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
+from .golden import make_golden
 from .reference_algebra import PolyMatrix, min_degree, poly_mat_mul, poly_mono
 from .reference_cliquegraph import detect_grouped, grouping_parameters
 
@@ -729,10 +730,19 @@ def _reference_pair_join(G, rows, cols, r, variant):
     return pairs
 
 
+def _reference_shorts(G, cols, r, variant, row_size):
+    """shorts[j]: the vertices column j leaves below r - row_size, which a
+    row of row_size vertices can only lift by holding them."""
+    return [sum(1 << v for v, lev in enumerate(_reference_levels(G, T, r, variant))
+                if lev + row_size < r) for T in cols]
+
+
 def test_pair_join_matches_nested_reference():
     # lexicographic rows share prefixes and exercise the row certificate;
     # shuffled rows change prefix almost every row; with r = 1, rows may
-    # repeat a vertex; rows also arrive as a generator
+    # repeat a vertex; rows also arrive as a generator. Each join runs
+    # again with the columns' short sets, and with empty ones, which every
+    # row holds: the hold masks, gaps and direct checks change no pair
     certified = 0
     for seed in range(160):
         rng = random.Random(f"pair-join:{seed}")
@@ -753,6 +763,9 @@ def test_pair_join_matches_nested_reference():
                         seed, variant, r, row_list)
                     assert stats["rows_drawn"] == len(row_list)
                     certified += stats["rows_certified"]
+                    for shorts in (_reference_shorts(G, cols, r, variant, s_size), [0] * len(cols)):
+                        assert list(multidom.pair_join(G, iter(row_list), cols, r, variant,
+                                                       shorts=shorts)) == got, (seed, variant, r)
     assert certified > 0
 
 
@@ -1115,8 +1128,9 @@ def test_near_columns_are_the_filtered_column_family():
                                  if lev < level)
                           for T in family}
                 expected = [T for T in family if shorts[T].bit_count() <= allowed]
-                cols = multidom._near_columns(G, heavy, k, r, variant)
+                cols, col_shorts = multidom._near_columns(G, heavy, k, r, variant)
                 assert cols == expected, (G, k, r, variant)
+                assert col_shorts == [shorts[T] for T in cols], (G, k, r, variant)
                 if len(cols) < len(family):
                     reached.add((size - quota == 1, level, variant))
     assert reached >= {(True, 1, "multiple"), (True, 2, "multiple"), (True, 1, "tuple"),
@@ -1146,6 +1160,52 @@ def test_near_column_solutions_match_unfiltered_join():
                     rows_certified += stats["rows_certified"] > 0
     assert min(answers.values()) >= 50, answers
     assert rows_certified > 0
+
+
+def test_column_short_sets_keep_every_pair_in_order():
+    # the full pair list, rows as a family (runs) and as tuples (one-row
+    # runs that share a prefix), is the same with the short sets as
+    # without; with more columns than vertices the join ignores them
+    gate, held, direct, walked = set(), 0, 0, 0
+    for G, shapes in _near_graphs():
+        for k, r in shapes:
+            heavy = heavy_vertices(G, k)
+            shape_s = multidom._family_shapes(k, r)[0]
+            for variant in multidom.VARIANTS:
+                cols, shorts = multidom._near_columns(G, heavy, k, r, variant)
+                fam = multidom._candidate_family(G.n, heavy, *shape_s)
+                for rows in (fam, fam.members):
+                    plain, short = {}, {}
+                    expected = list(multidom.pair_join(G, rows, cols, r, variant, plain))
+                    got = list(multidom.pair_join(G, rows, cols, r, variant, short, shorts))
+                    assert got == expected, (G, k, r, variant)
+                    assert short["rows_drawn"] == plain["rows_drawn"] == len(fam)
+                    gate.add(len(cols) <= G.n)
+                    if cols and len(cols) <= G.n:
+                        held += short["rows_certified"] > plain["rows_certified"]
+                        direct += short["below_built"] < plain["below_built"]
+                        walked += short["below_built"] > 0
+    assert gate == {True, False}
+    assert held > 0 and direct > 0 and walked > 0
+
+
+def test_column_short_sets_walk_one_row_on_b_hubs():
+    # the sparse-wide benchmark's b-hubs graphs, seeds 1-10 and blocks 0-4:
+    # the held rows and the short-set gaps leave only the first hit's row,
+    # checked directly against about ten columns
+    for seed in range(1, 11):
+        for block in range(5):
+            rng = random.Random(f"sparse-wide:{seed}:{block}:3")
+            G = Graph(100, make_golden.planted_hub_graph(rng, 100, 5, 3))
+            stats = {}
+            got = solve_multidom_fast(G, 5, 3, "multiple", stats=stats)
+            assert stats["rows_drawn"] - stats["rows_certified"] == 1, (seed, block, stats)
+            assert stats["below_built"] == 0, (seed, block, stats)
+            heavy = heavy_vertices(G, 5)
+            cols, _ = multidom._near_columns(G, heavy, 5, 3, "multiple")
+            rows = multidom._candidate_family(G.n, heavy, 2, 1)
+            S, T = next(multidom.pair_join(G, rows, cols, 3, "multiple"))
+            assert got == Solution(Problem("multiple", 5, 3), tuple(sorted(S + T)))
 
 
 def _ov_k5_r3_no_graphs(count: int):

@@ -1,33 +1,33 @@
-"""Near-column join benchmark: `solve_multidom_fast(G, 5, 3, "multiple")`.
+"""Near-column join benchmark: `solve_multidom_fast` where the column family
+is cut to its near columns (`multidom._near_columns`) before the join.
 
     python3 bench/bench_bhubs.py                      # writes BENCH_bhubs.json
     python3 bench/bench_bhubs.py --src OTHER/src --out BENCH_bhubs_parent.json
-    python3 bench/bench_bhubs.py --counters-only      # checks BENCH_bhubs.json
 
-At k = 5, r = 3 the column family (3-sets holding two heavy vertices) is
-cut to the near columns (`multidom._near_columns`) before the join. Two
-sets of graphs take that path:
+Three sets of graphs, all built from recipes of `tests/golden/make_golden.py`:
 
 - `b-hubs`: the 50 graphs of the sparse-wide benchmark's `b-hubs` group,
-  seeds 1-10 and blocks 0-4, built by a copy of its `planted_hub_graph`
-  from the same seeds (n = 100, five hubs, every other vertex joined to
-  three of them). About ten columns are kept; every answer is YES.
-- `dense`: 30 G(DENSE_N, DENSE_M) graphs, seeds 1-30, every vertex heavy,
-  on which 79 to 80 thousand of the 82,160 columns are kept.
+  seeds 1-10 and blocks 0-4 (n = 100, five hubs, every other vertex joined
+  to three of them), at (k, r) = (5, 3). 10 to 13 columns are kept, at
+  most n / r, so the join reads their short sets; every answer is YES.
+- `dense`: 30 G(80, 2500), every vertex heavy, at (5, 3): 79 to 80
+  thousand columns are kept, so the join walks `below[v]`.
+- `ov-near`: the golden `ov-multidom-4` recipe (an ov_to_multidom graph,
+  n = 42) at seeds 1-20, at (5, 3) and (6, 4): 28 to 32 columns, more than
+  n / r, so the join walks `below[v]`, many rows per solve; every answer
+  is NO. Reading the short sets there cost more than the walk.
 
-Each graph is measured in one fresh child process. One solve with a
+Each solve is measured in one fresh child process. One solve with a
 `stats` dict gives every `STATS_KEYS` counter, the rows walked
 (`rows_drawn - rows_certified`) and the answer. Then REPEATS timed solves,
 each on a new `Graph` of the same edges built outside the timer and after
 a `gc.collect()`, give the median and quartiles of the unscaled wall time.
-Counters and answers are deterministic and compare across machines; times
-compare only between runs on the same host from source paths of equal
-length (the path length is recorded).
+Counters and answers are deterministic; times compare only between runs
+on the same host from source paths of equal length (the path length is
+recorded).
 
 `--src` names the `src` directory whose `domlab` is measured, by default
 this checkout's; the file records a hash of its `multidom.py`.
-`--counters-only` solves every graph once, in one child, with no timing,
-and exits 1 unless every answer and counter equals the one in `--out`.
 """
 
 from __future__ import annotations
@@ -35,11 +35,9 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
-import itertools
 import json
 import os
 import platform
-import random
 import statistics
 import subprocess
 import sys
@@ -47,93 +45,69 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-K, R, VARIANT = 5, 3, "multiple"
-HUB_N, HUB_SEEDS, HUB_BLOCKS = 100, range(1, 11), range(5)
-DENSE_N, DENSE_M, DENSE_SEEDS = 80, 2500, range(1, 31)
 REPEATS = 7
-
-
-def _random_edges(rng: random.Random, n: int, m: int, allowed=None) -> set[tuple[int, int]]:
-    edges: set[tuple[int, int]] = set()
-    while len(edges) < m:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v and (allowed is None or (allowed(u) and allowed(v))):
-            edges.add((min(u, v), max(u, v)))
-    return edges
-
-
-def planted_hub_graph(rng: random.Random, n: int, hubs: int, r: int) -> list[tuple[int, int]]:
-    """A copy of the sparse-wide benchmark's builder: every non-hub is
-    joined to exactly r random hubs, plus about n random non-hub edges."""
-    hub_ids = sorted(rng.sample(range(n), hubs))
-    is_hub = set(hub_ids)
-    edges = _random_edges(rng, n, n, allowed=lambda v: v not in is_hub)
-    for v in range(n):
-        if v not in is_hub:
-            edges.update((min(v, h), max(v, h)) for h in rng.sample(hub_ids, r))
-    return sorted(edges)
+OV_NEAR_SEEDS = range(1, 21)
 
 
 def cases() -> list[dict]:
-    """Every graph measured, by its recipe."""
-    hubs = [{"set": "b-hubs", "seed": seed, "block": block}
-            for seed in HUB_SEEDS for block in HUB_BLOCKS]
-    return hubs + [{"set": "dense", "seed": seed} for seed in DENSE_SEEDS]
+    """Every solve measured: its set, recipe name, recipe and problem."""
+    sys.path.insert(0, str(ROOT))
+    from tests.golden import make_golden
+
+    out = [{"set": "b-hubs", "name": name, "recipe": recipe, "problem": recipe["only"]}
+           for name, recipe in make_golden.B_HUBS.items()]
+    out += [{"set": "dense", "name": name, "recipe": recipe, "problem": recipe["only"]}
+            for name, recipe in make_golden.DENSE_NEAR.items()]
+    base = make_golden.INSTANCES["ov-multidom-4"]
+    for k, r in ((5, 3), (6, 4)):
+        out += [{"set": "ov-near", "name": f"ov-multidom-4-s{seed}", "recipe": dict(base, seed=seed),
+                 "problem": ["multiple", k, r]} for seed in OV_NEAR_SEEDS]
+    return out
 
 
-def case_edges(case: dict) -> tuple[int, list[tuple[int, int]]]:
-    if case["set"] == "b-hubs":
-        # the sparse-wide rng of (seed, block), slot 3: the b-hubs slot
-        rng = random.Random(f"sparse-wide:{case['seed']}:{case['block']}:3")
-        return HUB_N, planted_hub_graph(rng, HUB_N, 5, 3)
-    pairs = list(itertools.combinations(range(DENSE_N), 2))
-    return DENSE_N, sorted(random.Random(f"dense-near:{case['seed']}").sample(pairs, DENSE_M))
-
-
-def run_case(case: dict, repeats: int) -> dict:
-    """One graph, in this process: its counters, answer and, when
-    `repeats` > 0, that many timed solves."""
+def run_case(case: dict) -> dict:
+    """One solve, in this process: its counters, answer and REPEATS timed
+    solves."""
+    sys.path.insert(0, str(ROOT))
     from domlab.graph import Graph
     from domlab.multidom import STATS_KEYS, solve_multidom_fast
+    from tests.golden import make_golden
 
-    n, edges = case_edges(case)
+    G0 = make_golden.build_graph(case["recipe"])
+    n, edges = G0.n, list(G0.edges())
+    variant, k, r = case["problem"]
     stats: dict = {}
-    sol = solve_multidom_fast(Graph(n, edges), K, R, VARIANT, stats=stats)
+    sol = solve_multidom_fast(Graph(n, edges), k, r, variant, stats=stats)
     out = dict(case, n=n, m=len(edges),
                answer=None if sol is None else list(sol.vertices),
                counters={key: stats[key] for key in STATS_KEYS},
                rows_walked=stats["rows_drawn"] - stats["rows_certified"])
-    if repeats:
-        times_ms = []
-        for _ in range(repeats):
-            G = Graph(n, edges)
-            gc.collect()
-            start = time.perf_counter()
-            solve_multidom_fast(G, K, R, VARIANT)
-            times_ms.append((time.perf_counter() - start) * 1000.0)
-        q1, median, q3 = statistics.quantiles(times_ms, n=4, method="inclusive")
-        out.update(solve_ms_median=round(median, 4), solve_ms_q1=round(q1, 4),
-                   solve_ms_q3=round(q3, 4), solve_ms_iqr=round(q3 - q1, 4))
+    times_ms = []
+    for _ in range(REPEATS):
+        G = Graph(n, edges)
+        gc.collect()
+        start = time.perf_counter()
+        solve_multidom_fast(G, k, r, variant)
+        times_ms.append((time.perf_counter() - start) * 1000.0)
+    q1, median, q3 = statistics.quantiles(times_ms, n=4, method="inclusive")
+    out.update(solve_ms_median=round(median, 4), solve_ms_q1=round(q1, 4),
+               solve_ms_q3=round(q3, 4), solve_ms_iqr=round(q3 - q1, 4))
     return out
 
 
-def _deterministic(entry: dict) -> dict:
-    return {key: entry[key] for key in ("set", "seed", "block", "answer", "counters", "rows_walked")
-            if key in entry}
+def _span(values: list[int]) -> list[int]:
+    return [min(values), max(values)]
 
 
 def _summary(entries: list[dict]) -> dict:
     out = {}
-    for name in ("b-hubs", "dense"):
+    for name in dict.fromkeys(e["set"] for e in entries):
         group = [e for e in entries if e["set"] == name]
-        walked = [e["rows_walked"] for e in group]
-        below = [e["counters"]["below_built"] for e in group]
         medians = [e["solve_ms_median"] for e in group]
-        out[name] = {"graphs": len(group), "yes": sum(e["answer"] is not None for e in group),
-                     "rows_walked": [min(walked), max(walked)],
-                     "below_built": [min(below), max(below)],
-                     "columns_kept": [min(e["counters"]["columns_kept"] for e in group),
-                                      max(e["counters"]["columns_kept"] for e in group)],
+        out[name] = {"solves": len(group), "yes": sum(e["answer"] is not None for e in group),
+                     "rows_walked": _span([e["rows_walked"] for e in group]),
+                     "below_built": _span([e["counters"]["below_built"] for e in group]),
+                     "columns_kept": _span([e["counters"]["columns_kept"] for e in group]),
                      "solve_ms_median_of_medians": round(statistics.median(medians), 4),
                      "solve_ms_total_of_medians": round(sum(medians), 3)}
     return out
@@ -144,50 +118,33 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="the src directory whose domlab is measured")
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_bhubs.json")
-    ap.add_argument("--counters-only", action="store_true",
-                    help="check answers and counters against --out; write nothing")
-    ap.add_argument("--case", help=argparse.SUPPRESS)  # JSON cases, run in a child process
-    ap.add_argument("--repeats", type=int, default=REPEATS, help=argparse.SUPPRESS)
+    ap.add_argument("--case", help=argparse.SUPPRESS)  # one JSON case, run in a child process
     args = ap.parse_args(argv)
     src = args.src.resolve()
+    sys.path.insert(0, str(src))
     if args.case:
-        sys.path.insert(0, str(src))
-        print(json.dumps([run_case(case, args.repeats) for case in json.loads(args.case)]))
-        return 0
-
-    def child(batch: list[dict], repeats: int) -> list[dict]:
-        proc = subprocess.run(
-            [sys.executable, str(Path(__file__).resolve()), "--src", str(src),
-             "--case", json.dumps(batch), "--repeats", str(repeats)],
-            check=True, capture_output=True, text=True)
-        return json.loads(proc.stdout)
-
-    if args.counters_only:
-        got = [_deterministic(e) for e in child(cases(), 0)]
-        want = [_deterministic(e) for e in json.loads(args.out.read_text())["cases"]]
-        bad = [(w, g) for w, g in zip(want, got) if w != g]
-        if len(got) != len(want) or bad:
-            for w, g in bad[:5]:
-                print(f"expected {json.dumps(w)}\n     got {json.dumps(g)}", file=sys.stderr)
-            print(f"{len(bad)} of {len(want)} cases differ from {args.out.name}", file=sys.stderr)
-            return 1
-        print(f"{len(got)} cases: answers and counters equal {args.out.name}")
+        print(json.dumps(run_case(json.loads(args.case))))
         return 0
     entries = []
     for case in cases():
-        entries.extend(child([case], args.repeats))
-        print(json.dumps(entries[-1]), file=sys.stderr)
-    report = {
-        "benchmark": f"solve_multidom_fast(G, {K}, {R}, {VARIANT!r}) on the near-column path",
-        "repeats": args.repeats,
+        proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--src", str(src),
+                               "--case", json.dumps(case)],
+                              check=True, capture_output=True, text=True)
+        entries.append(json.loads(proc.stdout))
+        print(proc.stdout.strip(), file=sys.stderr)
+    header = {
+        "benchmark": "solve_multidom_fast on the near-column path",
+        "repeats": REPEATS,
         "host": {"platform": platform.platform(), "machine": platform.machine(),
                  "nproc": os.cpu_count(), "python": platform.python_version(),
                  "src_path_len": len(str(src))},
         "multidom_py_sha256": hashlib.sha256((src / "domlab" / "multidom.py").read_bytes()).hexdigest()[:16],
         "summary": _summary(entries),
-        "cases": entries,
     }
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    # one case per line, so a diff of two files names the solves that moved
+    text = json.dumps(header, indent=1)[:-2]
+    text += ',\n "cases": [\n' + ",\n".join("  " + json.dumps(e) for e in entries) + "\n ]\n}\n"
+    args.out.write_text(text)
     return 0
 
 

@@ -22,7 +22,7 @@ VARIANTS = ("multiple", "tuple")
 KINDS = VARIANTS + ("clique", "indepset", "matching", "pattern")
 # the keys the fast solvers set in a `stats` dict, the last four by
 # `pair_join`: rows a hold mask drops count as certified, and `below_built`
-# is 0 when every walked row is checked directly against its columns
+# can be 0, since a join that reads short sets walks no `below[v]`
 STATS_KEYS = ("candidate_family_sizes", "columns_kept",
               "rows_drawn", "rows_certified", "gap_masks", "below_built")
 MAX_PATTERN_SIZE = 8
@@ -432,29 +432,26 @@ def _candidate_family(n: int, heavy: tuple[int, ...], size: int, quota: int) -> 
 
 
 def _near_columns(G: Graph, heavy: tuple[int, ...], k: int, r: int,
-                  variant: str) -> tuple[list[tuple[int, ...]], list[int]]:
-    """(cols, shorts): the members T of the column family of (k, r) that can
-    be part of a solution, in family order, and the vertex mask of each
-    one's short set Z_T. For L = r - (k - |T|) >= 1 only.
+                  variant: str) -> list[tuple[int, ...]]:
+    """The members T of the column family of (k, r) that can be part of a
+    solution, in family order. For L = r - (k - |T|) >= 1 only.
 
     A solution's row has k - |T| vertices, so every vertex outside the
     solution takes at least L dominators from T. T is kept when its short
-    set, the vertices outside T that it leaves below level L, has at most
-    k - |T| vertices under "multiple" (they must be the row's, which T does
-    not exempt), and none under "tuple", where every vertex has r closed
-    dominators in the solution. So every row that pairs with T holds Z_T,
-    which `pair_join` reads; under "tuple" every Z_T is empty.
+    set, the vertices it leaves below level L, has at most k - |T| vertices
+    under "multiple" (they must be the row's, which T does not exempt), and
+    none under "tuple", where every vertex has r closed dominators in the
+    solution.
 
     When |T| = quota + 1, every member is a quota-set Q of heavy ids plus
     one vertex c. A vertex w that Q leaves short stays short unless c is in
     N[w] and Q gives w exactly L - 1, or c = w under "multiple". One
     saturating count of those misses, capped at one past the allowance,
-    gives every valid c for Q at once, and Z_T is Q's short set less the
-    vertices c rescues. A member with every vertex heavy has several such
-    Q; it is built only from its lowest quota ids, where c is light or a
-    heavy id above Q's, so each member and its Z_T are built once. The
+    gives every valid c for Q at once. A member with every vertex heavy
+    has several such Q; it is built only from its lowest quota ids, where
+    c is light or a heavy id above Q's, so each member is built once. The
     members are then sorted into family order. Other shapes test each
-    member of `_candidate_family` on its levels, which give Z_T.
+    member of `_candidate_family`.
     """
     size, quota = _family_shapes(k, r)[1]
     level = r - (k - size)
@@ -462,14 +459,12 @@ def _near_columns(G: Graph, heavy: tuple[int, ...], k: int, r: int,
     allowed = k - size if multiple else 0
     vfull = G.full_mask()
     if size - quota != 1:
-        kept = [(T, Z) for T in _candidate_family(G.n, heavy, size, quota).members
-                if (Z := vfull ^ _levels(G, T, level, multiple)[level]).bit_count() <= allowed]
-        return [T for T, _ in kept], [Z for _, Z in kept]
+        return [T for T in _candidate_family(G.n, heavy, size, quota).members
+                if (vfull ^ _levels(G, T, level, multiple)[level]).bit_count() <= allowed]
     # a member with quota + 1 heavy ids is found once, from its lowest quota
     # of them: c is either light or a heavy id above Q's
     heavy_mask = _set_mask(heavy)
     found: list[tuple[int, ...]] = []
-    shorts: list[int] = []
     for Q in itertools.combinations(heavy, quota):
         lev = _levels(G, Q, level, multiple)
         short, rescuable = vfull ^ lev[level], lev[level - 1]
@@ -478,10 +473,7 @@ def _near_columns(G: Graph, heavy: tuple[int, ...], k: int, r: int,
         failed = _at_least(misses, allowed + 1, vfull)[allowed + 1]
         valid = vfull & ~(failed | heavy_mask & (2 << Q[-1]) - 1)
         found.extend(tuple(sorted(Q + (c,))) for c in iter_bits(valid))
-        if multiple:
-            shorts.extend(short & ~(rescuable & G.neighbor_mask(c) | 1 << c) for c in iter_bits(valid))
-    order = sorted(range(len(found)), key=found.__getitem__)
-    return [found[i] for i in order], [shorts[i] for i in order] if multiple else [0] * len(found)
+    return sorted(found)
 
 
 def near_partners(G: Graph, miss: int, alive: int | None = None) -> list[int]:
@@ -637,19 +629,28 @@ def _hold_masks(by_short: dict[int, int],
     return hold, always, reduce(or_, single.values(), always), single
 
 
-def _column_misses(G: Graph, cols: Sequence[tuple[int, ...]], r: int,
-                   multiple: bool) -> list[list[int]]:
-    """misses[j][c]: the vertices cols[j] gives fewer than r - c dominators,
-    for c < r, with its own vertices exempt under "multiple"."""
+def _short_groups(G: Graph, cols: Sequence[tuple[int, ...]], level: int,
+                  multiple: bool) -> dict[int, int]:
+    """groups[Z]: the columns whose short set is Z, the vertices the column
+    gives fewer than `level` dominators, its own exempt under "multiple"."""
+    full, groups = G.full_mask(), {}
+    for j, T in enumerate(cols):
+        Z = full ^ _levels(G, T, level, multiple)[level]
+        groups[Z] = groups.get(Z, 0) | 1 << j
+    return groups
+
+
+def _column_misses(G: Graph, T: Sequence[int], r: int, multiple: bool) -> list[int]:
+    """misses[c]: the vertices T gives fewer than r - c dominators, for
+    c < r, its own exempt under "multiple"."""
     full = G.full_mask()
-    return [[full ^ lt[r - c] for c in range(r)]
-            for lt in (_levels(G, T, r, multiple) for T in cols)]
+    return [full ^ m for m in _levels(G, T, r, multiple)[:0:-1]]
 
 
 def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
               cols: CandidateFamily | Sequence[tuple[int, ...]],
-              r: int, variant: str, stats: dict | None = None,
-              shorts: Sequence[int] | None = None) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+              r: int, variant: str,
+              stats: dict | None = None) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every member pair (S, T), S a row and T a column, that is disjoint and
     whose union dominates every vertex at least r times under `variant`.
 
@@ -717,42 +718,43 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
     is walked unchanged, so the pairs and their order are exactly those of
     the plain walk.
 
-    Column short sets. `shorts`, when given, holds for each column j a
-    vertex mask Z_j that every row pairing with it contains: the column's
-    short set from `_near_columns`, or any subset of it (0 always fits).
-    The join reads them only when len(cols) <= n, and then:
-    - Hold mask per prefix. The distinct Z_j are indexed once. Before a
-      prefix P's first row, one pass over them ANDs into `hit` the b with
-      Z_j ⊆ P ∪ {b} for some j; the other rows of P's runs are dropped.
-      The columns whose Z_j has two vertices outside P fit no row of P,
-      so P's certificate counts them as covered.
+    Column short sets. A row S of s < r vertices pairs with a column T
+    only if S holds T's short set Z_T, the vertices T gives fewer than
+    r - s dominators (its own exempt under "multiple"): S gives any other
+    vertex at most s. Under "tuple" a column with a non-empty Z_T pairs
+    with no row, and the rule still holds. When r * len(cols) <= n, the
+    join groups the columns by Z_T once per row size (`_short_groups`),
+    and then:
+    - Hold mask per prefix. Before a prefix P's first row, one pass over
+      the distinct Z_T ANDs into `hit` the b with Z_T ⊆ P ∪ {b} for some
+      T; the other rows of P's runs are dropped. The columns whose Z_T
+      has two vertices outside P fit no row of P, so P's certificate
+      counts them as covered.
     - Column gap per row. A row S = P + (b,) starts by ORing into `seen`
-      the columns whose Z_j ⊄ S, read from the same pass.
-    - Direct check. When r times the columns still live after the gap is
-      at most the number of vertices S leaves below r, each of them is
-      checked against its own levels (`_column_misses`, built on the first
-      such row): it fails when a vertex S leaves at level c < r gets fewer
-      than r - c dominators from it, r ANDs per column. Otherwise the row
-      walks `below[v]` as above.
-    The rule is a cost argument, not a tuning value. The `below[]` walk
-    ORs one mask per short vertex of a row, up to n, and builds each
-    `below[v]` it meets from N(v). With at most n columns, the hold pass
-    (one step per distinct Z_j), the gap (one OR), the direct check (at
-    most the walk's count of steps, by its own test) and the column
-    levels (built once, n columns of a few vertices each) stay within that
-    bound, on masks of at most n bits. With more columns they need not, so
-    the join ignores `shorts`. Each filter drops only pairs that fail, so
-    the pairs and their order are unchanged, and with no `shorts` the join
-    runs as above.
+      the columns whose Z_T ⊄ S, read from the same pass.
+    - Direct check. Each column still live is checked against its own
+      levels (`_column_misses`, built on its first check) in place of the
+      `below[v]` walk: it fails when a vertex S leaves at level c < r gets
+      fewer than r - c dominators from it, r ANDs per column.
+    The rule is a cost bound, not a tuning value. S leaves every vertex
+    outside it short, so the walk may OR up to n - s masks per row and
+    build up to n `below[v]`, each from N(v), though it stops once every
+    column is seen. With r * len(cols) <= n, the direct check costs at
+    most n ANDs per row and builds nothing per vertex; the hold pass costs
+    at most n / r steps per prefix, and the grouping one level count per
+    column, once. With more columns the direct check can cost more than
+    the walk it replaces and the hold pass more than the prefix's own
+    levels, so the join walks as above. Each filter drops only pairs that
+    fail, so the pairs and their order are unchanged.
 
     With a `stats` dict, four counters are set to 0 and then counted as
     rows are drawn: `rows_drawn`; `rows_certified`, the rows a certificate
     or a hold mask drops; `gap_masks`, the gap masks ORed, by walked rows
     and by certificates alike, a row's short-set gap counting as one; and
-    `below_built`, the `below[v]` lists built, 0 when every row is checked
-    directly. The rows a run drops are counted when the next row is
-    walked, and the rest when the run ends, so `rows_drawn` stops at the
-    row of the last pair read.
+    `below_built`, the `below[v]` lists built, which only certificates
+    build when the short sets are read, so it can be 0. The rows a run
+    drops are counted when the next row is walked, and the rest when the
+    run ends, so `rows_drawn` stops at the row of the last pair read.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -774,15 +776,13 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
     # one vertex mask per distinct degree, lowest degree first; built by
     # the first certificate
     buckets: list[int] = []
-    # by_short[Z]: the columns whose short set is Z, read with at most n
-    # columns; col_miss[j][c], the vertices column j gives fewer than r - c
-    # dominators, is built by the first direct check
-    by_short: dict[int, int] | None = None
-    if shorts is not None and len(cols) <= G.n:
-        by_short = {}
-        for j, Z in enumerate(shorts):
-            by_short[Z] = by_short.get(Z, 0) | 1 << j
-    col_miss: list[list[int]] | None = None
+    # with r * len(cols) <= n, rows of size s < r read the columns' short
+    # sets: by_short[s - 1], `_short_groups` at level r - s, built by the
+    # first prefix of such rows, and col_miss[j][c], the vertices column j
+    # gives fewer than r - c dominators, built by j's first direct check
+    short_sets = r * len(cols) <= G.n
+    by_short: dict[int, dict[int, int]] = {}
+    col_miss: list[list[int] | None] = [None] * len(cols) if short_sets else []
 
     def below_of(v: int) -> list[int]:
         if stats is not None:
@@ -829,7 +829,7 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
         stats.update(dict.fromkeys(STATS_KEYS[2:], 0))
 
     def walk() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        nonlocal contains, col_miss
+        nonlocal contains
         prefix, pending = None, False
         for P, run, i0 in runs:
             if contains is None:
@@ -839,8 +839,12 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
                 # hit: the rows of P that may pair (-1: all); always: the
                 # columns no row of P pairs with
                 prefix, hit, always = P, -1, 0
-                if by_short is not None:
-                    hit, always, gapped, single = _hold_masks(by_short, _set_mask(P))
+                held = short_sets and len(P) + 1 < r
+                if held:
+                    if len(P) not in by_short:
+                        by_short[len(P)] = _short_groups(G, cols if family is None else family.members,
+                                                         r - len(P) - 1, multiple)
+                    hit, always, gapped, single = _hold_masks(by_short[len(P)], _set_mask(P))
                 pending = bool(P) and hit != 0
                 if hit:
                     # the columns meeting P, levels(P), and levels(P) one level up
@@ -871,7 +875,7 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
                 if mirrored:
                     seen |= (1 << i0 + (run & bit - 1).bit_count()) - 1
                 ored = len(P) + 1
-                if by_short is not None:
+                if held:
                     # the columns whose short set the row does not hold
                     seen |= gapped ^ single.get(bit, 0)
                     ored += 1
@@ -882,14 +886,13 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
                     else:
                         m, own = nbr(b) | 1 << b, 0
                     lev = [x | y & m | own for x, y in zip(lp, up)]
-                    if (by_short is not None
-                            and r * (unseen := full ^ seen).bit_count() <= (lev[0] ^ lev[r]).bit_count()):
-                        if col_miss is None:
-                            col_miss = _column_misses(G, cols if family is None else family.members,
-                                                      r, multiple)
+                    if held:
                         # shorts_at[c]: the vertices S leaves at level c
                         shorts_at = [lev[c] ^ lev[c + 1] for c in range(r)]
-                        for j in iter_bits(unseen):
+                        for j in iter_bits(full ^ seen):
+                            if col_miss[j] is None:
+                                T = cols[j] if family is None else family.members[j]
+                                col_miss[j] = _column_misses(G, T, r, multiple)
                             if any(map(and_, shorts_at, col_miss[j])):
                                 seen |= 1 << j
                     else:
@@ -956,19 +959,18 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     that pass (`_near_columns`: built from the heavy q-sets when t = q + 1,
     filtered from the family otherwise), and `None` comes before any row
     is built when none does. The cut keeps a subsequence, and what it drops
-    has no pair: the first hit is the same. Each kept column T comes with
-    its short set Z_T, the at most k-t vertices outside T below L, which
-    every row that pairs with T must hold (none under "tuple"). The rows
-    go to the join as their `CandidateFamily`, and with at most n columns
-    the join reads the short sets: a hold mask per prefix drops the rows
-    that hold no Z_T, a row skips the columns whose Z_T it lacks, and the
-    few columns left are checked against their own levels instead of
-    building `below[v]` (`pair_join`, "Column short sets"). The row
-    certificate then drops, one prefix run at a time, the rows that pair
-    with no kept column. On sparse hub graphs that leaves only the first
-    hit's row to walk. A solution dominates V,
-    so it holds a heavy vertex (|N[v]|·k >= n): with none, or with k > n,
-    `None` comes before any row or column.
+    has no pair: the first hit is the same. Each kept column T leaves at
+    most k-t vertices below L, its short set Z_T, and every row that pairs
+    with T holds Z_T. The rows go to the join as their `CandidateFamily`.
+    When r times the kept columns is at most n, the join reads the short
+    sets: a hold mask per prefix drops the rows that hold no Z_T, a row
+    skips the columns whose Z_T it lacks, and the few columns left are
+    checked against their own levels instead of building `below[v]`
+    (`pair_join`, "Column short sets"). The row certificate then drops, one prefix run
+    at a time, the rows that pair with no kept column. On sparse hub
+    graphs that leaves only the first hit's row to walk. A solution
+    dominates V, so it holds a heavy vertex (|N[v]|·k >= n): with none, or
+    with k > n, `None` comes before any row or column.
 
     With a `stats` dict, `candidate_family_sizes` holds the sizes of the
     two families before any cut, `columns_kept` the columns the join
@@ -985,9 +987,9 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     if shape_t[0] < k - r + 1:
         fam_s, fam_t = build_candidate_families(G, k, r)
         return _first_pair(G, k, r, variant, heavy, fam_s, fam_t, stats)
-    cols, shorts = _near_columns(G, heavy, k, r, variant)
+    cols = _near_columns(G, heavy, k, r, variant)
     rows = _candidate_family(G.n, heavy, *shape_s) if cols else ()
-    return _first_pair(G, k, r, variant, heavy, rows, cols, stats, shorts)
+    return _first_pair(G, k, r, variant, heavy, rows, cols, stats)
 
 
 def _solve_kminus1(G: Graph, k: int, variant: str, heavy: tuple[int, ...],
@@ -1003,16 +1005,16 @@ def _solve_kminus1(G: Graph, k: int, variant: str, heavy: tuple[int, ...],
 
 def _first_pair(G: Graph, k: int, r: int, variant: str, heavy: tuple[int, ...],
                 rows: CandidateFamily | Iterable[tuple[int, ...]], cols: CandidateFamily | Sequence[tuple[int, ...]],
-                stats: dict | None, shorts: Sequence[int] | None = None) -> Solution | None:
+                stats: dict | None) -> Solution | None:
     """The solution of the first pair `pair_join` yields over `rows` and
-    `cols`, with the columns' `shorts`, or None. A `stats` dict gets the
+    `cols`, or None. A `stats` dict gets the
     uncut family sizes of (k, r) from `closed_form_family_size` on `heavy`,
     the number of columns as `columns_kept`, and the join's counters."""
     if stats is not None:
         stats["candidate_family_sizes"] = [closed_form_family_size(G.n, len(heavy), *shape)
                                            for shape in _family_shapes(k, r)]
         stats["columns_kept"] = len(cols)
-    for S, T in pair_join(G, rows, cols, r, variant, stats, shorts):
+    for S, T in pair_join(G, rows, cols, r, variant, stats=stats):
         return Solution(Problem(variant, k, r), tuple(sorted(S + T)))
     return None
 

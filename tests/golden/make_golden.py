@@ -34,8 +34,8 @@ GOLDEN = Path(__file__).with_name("solves.json")
 COUNTER_KEYS = list(STATS_KEYS)
 MAX_K = 6
 # a brute-force solve runs only when its scan is at most this many subsets
-# (times k! orderings for a shape), far below the CLI's 10^6, so the whole
-# file recomputes in about a second
+# (times k! orderings for a shape), far below the CLI's 10^6, so the
+# instances solved for every problem recompute in under a second
 BRUTE_SCAN = 4_000
 # a pattern solve lists the dominating k-sets; it runs only up to this n
 PATTERN_MAX_N = 15
@@ -70,6 +70,26 @@ INSTANCES = {
     "is-multidom-3": {"generator": "is-multidom", "seed": 5, "k": 3, "gamma": "1/2", "d": 1,
                       "part_size": 2, "edge_prob": 0.5},
 }
+
+
+def b_hubs_recipe(seed: int, block: int) -> dict:
+    """The sparse-wide benchmark's b-hubs graph of (seed, block), drawn from
+    the rng that benchmark seeds for the block's slot 3."""
+    return {"generator": "planted-hub", "seed": f"sparse-wide:{seed}:{block}:3", "n": 100,
+            "hubs": 5, "r": 3, "only": ["multiple", 5, 3]}
+
+
+# The near-column join at (k, r) = (5, 3), the one problem a recipe with
+# "only" is solved for: the 50 b-hubs graphs (about ten columns, so the
+# join reads their short sets) and 30 dense G(80, 2500) (every vertex
+# heavy, about 80,000 columns, more than n)
+B_HUBS = {f"b-hubs-{seed}-{block}": b_hubs_recipe(seed, block)
+          for seed in range(1, 11) for block in range(5)}
+DENSE_NEAR = {f"dense-near-{seed}": {"generator": "gnm", "seed": f"dense-near:{seed}", "n": 80,
+                                     "m": 2500, "only": ["multiple", 5, 3]}
+              for seed in range(1, 31)}
+INSTANCES.update(B_HUBS)
+INSTANCES.update(DENSE_NEAR)
 
 
 def _random_edges(rng: random.Random, n: int, m: int, allowed=None) -> set[tuple[int, int]]:
@@ -182,13 +202,18 @@ def run(G: Graph, problem: Problem, algo: str) -> tuple[dict, list | None]:
 
 def compute(entries: dict[str, list[dict]] | None = None) -> tuple[dict, dict]:
     """The solves and counters, by instance name: of the given golden
-    `entries` when given, else of every `problems` entry of INSTANCES."""
+    `entries` when given, else of every `problems` entry of each recipe of
+    INSTANCES, or of its "only" problem, solved by "fast"."""
     solves: dict[str, list[dict]] = {}
     counters: dict[str, list] = {}
     for name, recipe in INSTANCES.items():
         G = build_graph(recipe)
-        todo = (problems(G) if entries is None
-                else ((problem_of(e["problem"]), e["algo"]) for e in entries[name]))
+        if entries is not None:
+            todo = [(problem_of(e["problem"]), e["algo"]) for e in entries[name]]
+        elif "only" in recipe:
+            todo = [(problem_of(recipe["only"]), "fast")]
+        else:
+            todo = problems(G)
         results = [run(G, problem, algo) for problem, algo in todo]
         solves[name] = [entry for entry, _ in results]
         counters[name] = [row for _, row in results]

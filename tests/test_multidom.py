@@ -730,20 +730,25 @@ def _reference_pair_join(G, rows, cols, r, variant):
     return pairs
 
 
-def _reference_shorts(G, cols, r, variant, row_size):
-    """shorts[j]: the vertices column j leaves below r - row_size, which a
-    row of row_size vertices can only lift by holding them."""
-    return [sum(1 << v for v, lev in enumerate(_reference_levels(G, T, r, variant))
-                if lev + row_size < r) for T in cols]
+def _held_out(G, rows, cols, r, variant):
+    """The rows a join drops by its hold masks: when r * len(cols) <= n and
+    the rows have fewer than r vertices, those that hold no column's short
+    set, the vertices the column gives fewer than r - |S| dominators."""
+    size = len(rows[0]) if rows else r
+    if r * len(cols) > G.n or size >= r:
+        return set()
+    shorts = [sum(1 << v for v, lev in enumerate(_reference_levels(G, T, r, variant))
+                  if lev + size < r) for T in cols]
+    return {S for S in rows if all(Z & ~sum(1 << v for v in S) for Z in shorts)}
 
 
 def test_pair_join_matches_nested_reference():
     # lexicographic rows share prefixes and exercise the row certificate;
     # shuffled rows change prefix almost every row; with r = 1, rows may
-    # repeat a vertex; rows also arrive as a generator. Each join runs
-    # again with the columns' short sets, and with empty ones, which every
-    # row holds: the hold masks, gaps and direct checks change no pair
-    certified = 0
+    # repeat a vertex; rows also arrive as a generator. Joins with
+    # r * len(cols) <= n and rows of fewer than r vertices read the
+    # columns' short sets, the others walk below[v]
+    certified, gate = 0, set()
     for seed in range(160):
         rng = random.Random(f"pair-join:{seed}")
         n = rng.randint(1, 9)
@@ -763,10 +768,8 @@ def test_pair_join_matches_nested_reference():
                         seed, variant, r, row_list)
                     assert stats["rows_drawn"] == len(row_list)
                     certified += stats["rows_certified"]
-                    for shorts in (_reference_shorts(G, cols, r, variant, s_size), [0] * len(cols)):
-                        assert list(multidom.pair_join(G, iter(row_list), cols, r, variant,
-                                                       shorts=shorts)) == got, (seed, variant, r)
-    assert certified > 0
+                    gate.add(r * len(cols) <= n and s_size < r)
+    assert certified > 0 and gate == {True, False}
 
 
 def test_pair_join_matches_truncated_poly_product():
@@ -1128,9 +1131,13 @@ def test_near_columns_are_the_filtered_column_family():
                                  if lev < level)
                           for T in family}
                 expected = [T for T in family if shorts[T].bit_count() <= allowed]
-                cols, col_shorts = multidom._near_columns(G, heavy, k, r, variant)
+                cols = multidom._near_columns(G, heavy, k, r, variant)
                 assert cols == expected, (G, k, r, variant)
-                assert col_shorts == [shorts[T] for T in cols], (G, k, r, variant)
+                # the short sets the join reads for these columns are these
+                groups = {}
+                for j, T in enumerate(cols):
+                    groups[shorts[T]] = groups.get(shorts[T], 0) | 1 << j
+                assert multidom._short_groups(G, cols, level, variant == "multiple") == groups
                 if len(cols) < len(family):
                     reached.add((size - quota == 1, level, variant))
     assert reached >= {(True, 1, "multiple"), (True, 2, "multiple"), (True, 1, "tuple"),
@@ -1163,48 +1170,51 @@ def test_near_column_solutions_match_unfiltered_join():
 
 
 def test_column_short_sets_keep_every_pair_in_order():
-    # the full pair list, rows as a family (runs) and as tuples (one-row
-    # runs that share a prefix), is the same with the short sets as
-    # without; with more columns than vertices the join ignores them
-    gate, held, direct, walked = set(), 0, 0, 0
+    # every near-column join that reads the short sets (r * len(cols) <= n)
+    # yields the nested reference's full pair list, rows as a family (runs)
+    # and as tuples (one-row runs that share a prefix), and its hold masks
+    # drop the rows that hold no short set; the joins with more columns
+    # walk below[v] as before
+    gate, held = set(), 0
     for G, shapes in _near_graphs():
         for k, r in shapes:
             heavy = heavy_vertices(G, k)
             shape_s = multidom._family_shapes(k, r)[0]
             for variant in multidom.VARIANTS:
-                cols, shorts = multidom._near_columns(G, heavy, k, r, variant)
+                cols = multidom._near_columns(G, heavy, k, r, variant)
+                gate.add(r * len(cols) <= G.n)
+                if r * len(cols) > G.n:
+                    continue
                 fam = multidom._candidate_family(G.n, heavy, *shape_s)
+                expected = [(fam.members[i], cols[j])
+                            for i, j in _reference_pair_join(G, fam.members, cols, r, variant)]
+                dropped = _held_out(G, fam.members, cols, r, variant)
                 for rows in (fam, fam.members):
-                    plain, short = {}, {}
-                    expected = list(multidom.pair_join(G, rows, cols, r, variant, plain))
-                    got = list(multidom.pair_join(G, rows, cols, r, variant, short, shorts))
-                    assert got == expected, (G, k, r, variant)
-                    assert short["rows_drawn"] == plain["rows_drawn"] == len(fam)
-                    gate.add(len(cols) <= G.n)
-                    if cols and len(cols) <= G.n:
-                        held += short["rows_certified"] > plain["rows_certified"]
-                        direct += short["below_built"] < plain["below_built"]
-                        walked += short["below_built"] > 0
-    assert gate == {True, False}
-    assert held > 0 and direct > 0 and walked > 0
+                    stats = {}
+                    assert list(multidom.pair_join(G, rows, cols, r, variant, stats)) == expected, (
+                        G, k, r, variant)
+                    assert stats["rows_drawn"] == len(fam)
+                    assert stats["rows_certified"] >= len(dropped)
+                held += len(dropped) > 0
+    assert gate == {True, False} and held > 0
 
 
 def test_column_short_sets_walk_one_row_on_b_hubs():
     # the sparse-wide benchmark's b-hubs graphs, seeds 1-10 and blocks 0-4:
     # the held rows and the short-set gaps leave only the first hit's row,
-    # checked directly against about ten columns
+    # checked directly against about ten columns. The unfiltered column
+    # family, too many columns for the short sets, gives the same first
+    # pair by the below[v] walk
     for seed in range(1, 11):
         for block in range(5):
-            rng = random.Random(f"sparse-wide:{seed}:{block}:3")
-            G = Graph(100, make_golden.planted_hub_graph(rng, 100, 5, 3))
+            G = make_golden.build_graph(make_golden.b_hubs_recipe(seed, block))
             stats = {}
             got = solve_multidom_fast(G, 5, 3, "multiple", stats=stats)
             assert stats["rows_drawn"] - stats["rows_certified"] == 1, (seed, block, stats)
             assert stats["below_built"] == 0, (seed, block, stats)
-            heavy = heavy_vertices(G, 5)
-            cols, _ = multidom._near_columns(G, heavy, 5, 3, "multiple")
-            rows = multidom._candidate_family(G.n, heavy, 2, 1)
-            S, T = next(multidom.pair_join(G, rows, cols, 3, "multiple"))
+            fam_s, fam_t = build_candidate_families(G, 5, 3)
+            assert 3 * len(fam_t) > G.n
+            S, T = next(multidom.pair_join(G, fam_s, fam_t, 3, "multiple"))
             assert got == Solution(Problem("multiple", 5, 3), tuple(sorted(S + T)))
 
 

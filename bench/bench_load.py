@@ -4,9 +4,11 @@
     python3 bench/bench_load.py --src OTHER/src --out BENCH_load_parent.json
 
 For each n in NS and each heap, one fresh child process generates the
-`save_graph` text of a seeded G(n, 3n), optionally allocates a ballast of
+`save_graph` text of a seeded G(n, 3n) and checks once, untimed, that
+`load_graph` of it equals `Graph(n, edges)` (the child exits non-zero if
+not). It then optionally allocates a ballast of
 BALLAST_LISTS live lists (the heap of a caller that holds other data), runs
-`gc.collect()`, and then times REPEATS loads of the same bytes, with a
+`gc.collect()`, and times REPEATS loads of the same bytes, with a
 `gc.collect()` before each one. During the timed loads a `gc.callbacks`
 hook counts the collections of each generation, summed over the loads. The counts are
 deterministic for a given Python and source tree; the times compare only
@@ -41,22 +43,28 @@ REPEATS = 15
 SEED = 1
 
 
-def edge_list_text(n: int, m: int, seed: int) -> str:
-    """The `save_graph` text of m distinct random edges on n vertices."""
+def sparse_edges(n: int, m: int, seed: int) -> list[tuple[int, int]]:
+    """m distinct random edges (u, v), u < v, on n vertices, sorted."""
     rng = random.Random(seed)
     edges: set[tuple[int, int]] = set()
     while len(edges) < m:
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    return f"{n} {m}\n" + "".join(f"{u} {v}\n" for u, v in sorted(edges))
+    return sorted(edges)
 
 
 def run_case(n: int, ballast: int) -> dict:
     """One case, in this process: REPEATS timed loads of G(n, DENSITY·n)."""
-    from domlab.graph import load_graph
+    from domlab.graph import Graph, load_graph
 
-    data = edge_list_text(n, DENSITY * n, SEED).encode()
+    edges = sparse_edges(n, DENSITY * n, SEED)
+    # the `save_graph` text, written here so that the bytes loaded do not
+    # depend on the tree measured
+    data = (f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)).encode()
+    if load_graph(data) != Graph(n, edges):
+        raise SystemExit(f"n={n}: load_graph differs from Graph(n, edges)")
+    del edges
     held = [[i] for i in range(ballast)]
     counts = {"gen0": 0, "gen1": 0, "gen2": 0}
 

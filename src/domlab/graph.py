@@ -9,7 +9,7 @@ import os
 import re
 from functools import wraps
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, ge, lt, mul, sub
+from operator import ge, sub
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -84,24 +84,39 @@ class Graph:
     @_gc_paused
     def _from_flat(cls, n: int, flat: list[int]) -> "Graph":
         """Graph on the edges (flat[0], flat[1]), (flat[2], flat[3]), ...: the
-        loaders' bulk path. Canonical edges (u < v, in range, keys u·n + v
-        strictly increasing) fill each adjacency list in order, checked a whole
-        list at a time; any other list goes to the constructor, which sorts,
-        dedups and names the first bad edge."""
+        loaders' bulk path. Canonical edges (0 <= u < v < n, the pairs (u, v)
+        strictly increasing) fill each adjacency list in order, and are
+        checked edge by edge in the same loop that places them; at the first
+        edge that breaks the order, and for n < 0, the whole list goes to the
+        constructor, which sorts, dedups and names the first bad edge.
+
+        Each edge is compared with the one before it: a repeated u needs a
+        larger v; a new u must exceed the previous u and be below its own v.
+        From the sentinel (-1, n) before the first edge, every edge placed
+        then has 0 <= u < v, and a v >= n fails as an IndexError on its
+        adjacency list. That includes a first edge (-1, v) with v > n, the
+        one edge the sentinel's repeated-u test lets through."""
         us, vs = flat[0::2], flat[1::2]
-        # u < v everywhere: no self-loop, and min(us), max(vs) bound all ids
-        if n < 0 or not all(map(lt, us, vs)) or us and (min(us) < 0 or max(vs) >= n):
-            return cls(n, zip(us, vs))
-        keys = list(map(add, map(mul, us, repeat(n)), vs))
-        if not all(map(lt, keys, islice(keys, 1, None))):
-            return cls(n, zip(us, vs))
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in zip(us, vs):
-            adj[u].append(v)
-            adj[v].append(u)
-        G = cls.__new__(cls)
-        G._set_csr(n, adj)
-        return G
+        if n >= 0:
+            adj: list[list[int]] = [[] for _ in range(n)]
+            pu, pv = -1, n
+            try:
+                for u, v in zip(us, vs):
+                    if u == pu:
+                        if v <= pv:
+                            break
+                    elif u < pu or u >= v:
+                        break
+                    adj[u].append(v)
+                    adj[v].append(u)
+                    pu, pv = u, v
+                else:
+                    G = cls.__new__(cls)
+                    G._set_csr(n, adj)
+                    return G
+            except IndexError:  # v >= n
+                pass
+        return cls(n, zip(us, vs))
 
     def _set_csr(self, n: int, adj: list[list[int]]) -> None:
         """Store the sorted adjacency lists `adj` as CSR."""

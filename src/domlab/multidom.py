@@ -506,12 +506,12 @@ def near_partners(G: Graph, miss: int, alive: int | None = None) -> list[int]:
     is_start = [False] * n
     for v in starts:
         is_start[v] = True
-    order = sorted(range(n) if alive is None else iter_bits(alive), key=degree.__getitem__)
+    # only the alive vertices some start can pair with, d >= low, are sorted
+    # and need a mask; every start is among them
+    low = need - max(map(int.bit_count, starts.values()))
+    order = sorted((v for v in itertools.compress(range(n), [d >= low for d in degree])
+                    if full >> v & 1), key=degree.__getitem__)
     ordered = [degree[v] for v in order]
-    # only the vertices some start can pair with need a mask; every start
-    # is among them
-    first = bisect_left(ordered, need - max(map(int.bit_count, starts.values())))
-    order, ordered = order[first:], ordered[first:]
     masks = [G.closed_mask(v) & full for v in order]
     for a, na in starts.items():
         lo = bisect_left(ordered, need - na.bit_count())

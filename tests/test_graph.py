@@ -439,6 +439,67 @@ def test_from_flat_matches_constructor():
     assert len(cases) // 4 <= errors <= 3 * len(cases) // 4
 
 
+def _constructor_outcome(n, flat):
+    return _flat_outcome(lambda n, f: Graph(n, zip(f[0::2], f[1::2])), n, flat)
+
+
+def _sentinel_cases():
+    """(n, flat, the constructor raises): lists that meet the bulk loop's
+    sentinel (-1, n) or one of its comparisons with the previous edge."""
+    n = 6
+    run = [1, 2, 1, 4, 1, 5]  # an equal-u run
+    for v in (0, 1, n - 1, n, n + 1):
+        yield n, [-1, v] + run, True
+    yield n, run + [2, n], True
+    yield n, [1, 2, 1, 1, 1, 4], True
+    yield n, [1, 2, 1, 4, 1, 4, 2, 3], False  # a repeat of the previous edge
+    yield n, [1, 2, 1, 5, 1, 4, 2, 3], False  # (u, v) right after (u, v+1)
+    yield n, [0, 1, 2, 2**63], True
+    yield n, [2**63, 2**64], True
+    yield n, [0, 2**64, 1, 2], True
+    yield 0, [0, 1], True
+    yield 0, [-1, 0], True
+    yield 0, [], False
+    yield -1, [], True
+    yield -2, [], True
+
+
+@pytest.mark.parametrize("n, flat, fails", _sentinel_cases())
+def test_from_flat_sentinels_match_constructor(n, flat, fails):
+    outcome = _flat_outcome(Graph._from_flat, n, flat)
+    assert outcome == _constructor_outcome(n, flat)
+    assert isinstance(outcome[0], str) == fails
+
+
+_flat_pairs = st.lists(st.tuples(st.integers(-3, 35), st.integers(-3, 35)), max_size=40)
+
+
+@given(st.integers(-2, 30), _flat_pairs, st.booleans())
+def test_from_flat_matches_constructor_on_any_list(n, pairs, canonical_order):
+    # sorted, deduplicated pairs reach the bulk loop's placing more often
+    if canonical_order:
+        pairs = sorted(set(pairs))
+    flat = [x for pair in pairs for x in pair]
+    assert _flat_outcome(Graph._from_flat, n, flat) == _constructor_outcome(n, flat)
+
+
+def test_canonical_flat_lists_never_reach_the_constructor(monkeypatch):
+    canonical = [(0, []), (1, []), (5, [0, 4]), (5, [0, 1, 0, 4, 1, 2, 3, 4])]
+    for seed in range(20):
+        G = random_graph(seed, 15, 0.3)
+        canonical.append((G.n, [x for e in G.edges() for x in e]))
+    expected = [_constructor_outcome(n, flat) for n, flat in canonical]
+
+    def constructor(*args):
+        raise AssertionError("a canonical list reached Graph.__init__")
+
+    monkeypatch.setattr(Graph, "__init__", constructor)
+    assert [_flat_outcome(Graph._from_flat, n, flat) for n, flat in canonical] == expected
+    for n, flat in ((5, [0, 4, 0, 1]), (5, [0, 5]), (-1, [])):
+        with pytest.raises(AssertionError):
+            Graph._from_flat(n, flat)
+
+
 def _sparse_edges(seed, n, m):
     """m distinct random edges (u, v), u < v, sorted: a sparse G(n, m)."""
     rng = random.Random(seed)

@@ -19,32 +19,30 @@ Three sets of graphs, all built from recipes of `tests/golden/make_golden.py`:
 
 Each solve is measured in one fresh child process. One solve with a
 `stats` dict gives every `STATS_KEYS` counter, the rows walked
-(`rows_drawn - rows_certified`) and the answer. Then REPEATS timed solves,
-each on a new `Graph` of the same edges built outside the timer and after
-a `gc.collect()`, give the median and quartiles of the unscaled wall time.
+(`rows_drawn - rows_certified`) and the answer, which is checked once,
+untimed, with `verify_solution` when it is YES (the child exits non-zero
+if it does not verify). Then REPEATS timed solves, each on a new `Graph`
+of the same edges built outside the timer and after a `gc.collect()`,
+give the median and quartiles of the unscaled wall time.
 Counters and answers are deterministic; times compare only between runs
 on the same host from source paths of equal length (the path length is
 recorded).
 
 `--src` names the `src` directory whose `domlab` is measured, by default
-this checkout's; the file records a hash of its `multidom.py`.
+this checkout's; the file records a hash of its `multidom.py`. One case
+runs alone as `--case` followed by its JSON (see `_harness.py`).
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
-import hashlib
-import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import _harness
+from _harness import ROOT
+
 REPEATS = 7
 OV_NEAR_SEEDS = range(1, 21)
 
@@ -70,7 +68,7 @@ def run_case(case: dict) -> dict:
     solves."""
     sys.path.insert(0, str(ROOT))
     from domlab.graph import Graph
-    from domlab.multidom import STATS_KEYS, solve_multidom_fast
+    from domlab.multidom import STATS_KEYS, solve_multidom_fast, verify_solution
     from tests.golden import make_golden
 
     G0 = make_golden.build_graph(case["recipe"])
@@ -78,6 +76,8 @@ def run_case(case: dict) -> dict:
     variant, k, r = case["problem"]
     stats: dict = {}
     sol = solve_multidom_fast(Graph(n, edges), k, r, variant, stats=stats)
+    if sol is not None and not verify_solution(G0, sol.problem, sol.vertices):
+        raise SystemExit(f"{case['name']} at {case['problem']}: {sol.vertices} does not verify")
     out = dict(case, n=n, m=len(edges),
                answer=None if sol is None else list(sol.vertices),
                counters={key: stats[key] for key in STATS_KEYS},
@@ -89,10 +89,7 @@ def run_case(case: dict) -> dict:
         start = time.perf_counter()
         solve_multidom_fast(G, k, r, variant)
         times_ms.append((time.perf_counter() - start) * 1000.0)
-    q1, median, q3 = statistics.quantiles(times_ms, n=4, method="inclusive")
-    out.update(solve_ms_median=round(median, 4), solve_ms_q1=round(q1, 4),
-               solve_ms_q3=round(q3, 4), solve_ms_iqr=round(q3 - q1, 4))
-    return out
+    return dict(out, **_harness.quartiles("solve_ms", times_ms, 4))
 
 
 def _span(values: list[int]) -> list[int]:
@@ -113,40 +110,7 @@ def _summary(entries: list[dict]) -> dict:
     return out
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", type=Path, default=ROOT / "src",
-                    help="the src directory whose domlab is measured")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_bhubs.json")
-    ap.add_argument("--case", help=argparse.SUPPRESS)  # one JSON case, run in a child process
-    args = ap.parse_args(argv)
-    src = args.src.resolve()
-    sys.path.insert(0, str(src))
-    if args.case:
-        print(json.dumps(run_case(json.loads(args.case))))
-        return 0
-    entries = []
-    for case in cases():
-        proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--src", str(src),
-                               "--case", json.dumps(case)],
-                              check=True, capture_output=True, text=True)
-        entries.append(json.loads(proc.stdout))
-        print(proc.stdout.strip(), file=sys.stderr)
-    header = {
-        "benchmark": "solve_multidom_fast on the near-column path",
-        "repeats": REPEATS,
-        "host": {"platform": platform.platform(), "machine": platform.machine(),
-                 "nproc": os.cpu_count(), "python": platform.python_version(),
-                 "src_path_len": len(str(src))},
-        "multidom_py_sha256": hashlib.sha256((src / "domlab" / "multidom.py").read_bytes()).hexdigest()[:16],
-        "summary": _summary(entries),
-    }
-    # one case per line, so a diff of two files names the solves that moved
-    text = json.dumps(header, indent=1)[:-2]
-    text += ',\n "cases": [\n' + ",\n".join("  " + json.dumps(e) for e in entries) + "\n ]\n}\n"
-    args.out.write_text(text)
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_harness.main(
+        __file__, __doc__, {"benchmark": "solve_multidom_fast on the near-column path",
+                            "repeats": REPEATS}, "multidom.py", cases, run_case, _summary))

@@ -17,25 +17,19 @@ length is recorded), since both move timings in the repeats' pure-Python
 loops.
 
 `--src` names the `src` directory whose `domlab` is measured, by default
-this checkout's; the file records a hash of its `graph.py`.
+this checkout's; the file records a hash of its `graph.py`. One case runs
+alone as `--case '[N, BALLAST]'` (see `_harness.py`).
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
-import hashlib
-import json
-import os
-import platform
 import random
-import statistics
-import subprocess
 import sys
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import _harness
+
 NS = (10**3, 10**4, 10**5)
 DENSITY = 3            # m = DENSITY * n
 BALLAST_LISTS = 300_000
@@ -54,10 +48,12 @@ def sparse_edges(n: int, m: int, seed: int) -> list[tuple[int, int]]:
     return sorted(edges)
 
 
-def run_case(n: int, ballast: int) -> dict:
-    """One case, in this process: REPEATS timed loads of G(n, DENSITY·n)."""
+def run_case(case: list[int]) -> dict:
+    """One case [n, ballast], in this process: REPEATS timed loads of
+    G(n, DENSITY·n)."""
     from domlab.graph import Graph, load_graph
 
+    n, ballast = case
     edges = sparse_edges(n, DENSITY * n, SEED)
     # the `save_graph` text, written here so that the bytes loaded do not
     # depend on the tree measured
@@ -82,50 +78,15 @@ def run_case(n: int, ballast: int) -> dict:
         gc.callbacks.remove(count)
         assert G.m == DENSITY * n
         del G
-    q1, median, q3 = statistics.quantiles(times_ms, n=4, method="inclusive")
     return {
         "n": n, "m": DENSITY * n, "heap": "ballast" if ballast else "fresh",
         "ballast_lists": len(held), "loads": REPEATS,
-        "collections_during_loads": counts,
-        "load_ms_median": round(median, 3), "load_ms_q1": round(q1, 3),
-        "load_ms_q3": round(q3, 3), "load_ms_iqr": round(q3 - q1, 3),
+        "collections_during_loads": counts, **_harness.quartiles("load_ms", times_ms, 3),
     }
-
-
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", type=Path, default=ROOT / "src",
-                    help="the src directory whose domlab is measured")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_load.json")
-    ap.add_argument("--case", nargs=2, type=int, metavar=("N", "BALLAST"),
-                    help=argparse.SUPPRESS)  # one case, run in a child process
-    args = ap.parse_args(argv)
-    src = args.src.resolve()
-    if args.case:
-        sys.path.insert(0, str(src))
-        print(json.dumps(run_case(*args.case)))
-        return 0
-    cases = []
-    for n in NS:
-        for ballast in (0, BALLAST_LISTS):
-            child = subprocess.run(
-                [sys.executable, str(Path(__file__).resolve()), "--src", str(src),
-                 "--case", str(n), str(ballast)],
-                check=True, capture_output=True, text=True)
-            cases.append(json.loads(child.stdout))
-            print(json.dumps(cases[-1]), file=sys.stderr)
-    report = {
-        "benchmark": "load_graph of save_graph text, G(n, 3n)",
-        "seed": SEED, "repeats": REPEATS,
-        "host": {"platform": platform.platform(), "machine": platform.machine(),
-                 "nproc": os.cpu_count(), "python": platform.python_version(),
-                 "src_path_len": len(str(src))},
-        "graph_py_sha256": hashlib.sha256((src / "domlab" / "graph.py").read_bytes()).hexdigest()[:16],
-        "cases": cases,
-    }
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_harness.main(
+        __file__, __doc__, {"benchmark": "load_graph of save_graph text, G(n, 3n)",
+                            "seed": SEED, "repeats": REPEATS}, "graph.py",
+        lambda: [[n, ballast] for n in NS for ballast in (0, BALLAST_LISTS)], run_case))

@@ -105,9 +105,8 @@ class CandidateFamily:
       kept. A join reads it only to yield a pair, so a NO solve builds none.
     - `runs()`, the members grouped by their prefix of size - 1.
     - `column_masks[u]`, the bitmask of the indices j with u in members[j],
-      for u < n: what `pair_join` needs for its columns. `_block_masks`
-      builds it the first time a join asks for it, and it is then kept, so
-      a family shared by both sides of a join builds it once.
+      for u < n, as a `ColumnList` has it. `_block_masks` builds it when a
+      join first asks, then it is kept: a family on both sides builds it once.
     """
 
     size: int
@@ -178,8 +177,8 @@ def _block_masks(n: int, heavy: Sequence[int],
       block's offset.
     So a block costs one OR per prefix vertex, plus one shift pair per tail
     id when left >= 2; the diagonals cost n + len(heavy) shifts, and each
-    tail size its `_tail_masks` once. `_column_masks` sets one bit per
-    member vertex instead.
+    tail size its `_tail_masks` once. `ColumnList.column_masks` sets one
+    bit per member vertex instead.
     """
     masks = [0] * n
     spaces = (range(n), heavy)
@@ -219,6 +218,27 @@ def _tail_masks(size: int, left: int) -> list[int]:
         blocks.append((offset, (a,), left - 1, a + 1, False))
         offset += comb(size - 1 - a, left - 1)
     return _block_masks(size, (), blocks, offset)
+
+
+@dataclass(frozen=True)
+class ColumnList:
+    """Columns given as a sequence of member tuples, with the views of a
+    `CandidateFamily` that `pair_join` reads: `members`, len() and
+    `column_masks`, built on first use one bit per member vertex, then kept."""
+
+    n: int
+    members: Sequence[tuple[int, ...]]
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    @cached_property
+    def column_masks(self) -> list[int]:
+        masks = [0] * self.n
+        for j, T in enumerate(self.members):
+            for u in T:
+                masks[u] |= 1 << j
+        return masks
 
 
 class KPartiteGraph:
@@ -593,20 +613,6 @@ def _at_least(masks: Iterable[int], r: int, full: int) -> list[int]:
     return ge
 
 
-def _column_masks(n: int, cols: Sequence[tuple[int, ...]]) -> list[int]:
-    """masks[u]: the bitmask of the indices j with u in cols[j], for u < n.
-
-    For columns that come as a plain sequence: the clique and matching
-    columns. A `CandidateFamily` derives its masks from its blocks
-    instead (`CandidateFamily.column_masks`).
-    """
-    masks = [0] * n
-    for j, T in enumerate(cols):
-        for u in T:
-            masks[u] |= 1 << j
-    return masks
-
-
 def _hold_masks(by_short: dict[int, int],
                 prefix: int) -> tuple[int, int, int, dict[int, int]]:
     """(hold, always, gapped, single) for the rows P + (b,) of the vertex
@@ -629,26 +635,25 @@ def _hold_masks(by_short: dict[int, int],
     return hold, always, reduce(or_, single.values(), always), single
 
 
-def _short_groups(G: Graph, cols: Sequence[tuple[int, ...]], level: int,
-                  multiple: bool) -> dict[int, int]:
-    """groups[Z]: the columns whose short set is Z, the vertices the column
-    gives fewer than `level` dominators, its own exempt under "multiple"."""
-    full, groups = G.full_mask(), {}
-    for j, T in enumerate(cols):
-        Z = full ^ _levels(G, T, level, multiple)[level]
-        groups[Z] = groups.get(Z, 0) | 1 << j
+def _short_groups(misses: Sequence[Sequence[int]], s: int) -> dict[int, int]:
+    """groups[Z]: the columns j whose short set for rows of s vertices,
+    misses[j][s] (`_column_misses`), is Z."""
+    groups: dict[int, int] = {}
+    for j, miss in enumerate(misses):
+        groups[miss[s]] = groups.get(miss[s], 0) | 1 << j
     return groups
 
 
 def _column_misses(G: Graph, T: Sequence[int], r: int, multiple: bool) -> list[int]:
     """misses[c]: the vertices T gives fewer than r - c dominators, for
-    c < r, its own exempt under "multiple"."""
+    c < r, its own exempt under "multiple". `_at_least` entry c does not
+    depend on its cap, so misses[s] is T's short set for rows of s vertices."""
     full = G.full_mask()
     return [full ^ m for m in _levels(G, T, r, multiple)[:0:-1]]
 
 
 def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
-              cols: CandidateFamily | Sequence[tuple[int, ...]],
+              cols: CandidateFamily | ColumnList | Sequence[tuple[int, ...]],
               r: int, variant: str,
               stats: dict | None = None) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every member pair (S, T), S a row and T a column, that is disjoint and
@@ -657,13 +662,12 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
     `rows` is a `CandidateFamily`, walked by its `runs()`, or any iterable
     of non-empty tuples, a generator included. Either is walked once, and
     only as far as the consumer reads pairs, so a caller that stops at the
-    first pair never builds the rows after its row. `cols` is a sequence of
-    members, or a `CandidateFamily` whose members are the columns; every
-    column enters the bitmasks when the first row is drawn, and none when
-    no row is. A family brings its own `column_masks`, built from its
-    blocks once per family; a sequence gets them from `_column_masks`. A
-    family's member tuples, row or column, are built only when a pair is
-    yielded.
+    first pair never builds the rows after its row. `cols` is a
+    `CandidateFamily` or a `ColumnList`, and a plain sequence of member
+    tuples is wrapped as a `ColumnList` on entry. The join reads only its
+    `members`, len() and lazy `column_masks`, fetched when the first row is
+    drawn. A family's member tuples, row or column, are built only when a
+    pair is yielded or the column short sets are read.
 
     "multiple" counts open-neighborhood dominators and exempts the union's own
     vertices; "tuple" counts closed-neighborhood dominators at every vertex.
@@ -723,8 +727,9 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
     r - s dominators (its own exempt under "multiple"): S gives any other
     vertex at most s. Under "tuple" a column with a non-empty Z_T pairs
     with no row, and the rule still holds. When r * len(cols) <= n, the
-    join groups the columns by Z_T once per row size (`_short_groups`),
-    and then:
+    join counts each column's levels once, before its first prefix of such
+    rows (`_column_misses`, whose entry s is Z_T), groups the columns by
+    Z_T once per row size (`_short_groups`), and then:
     - Hold mask per prefix. Before a prefix P's first row, one pass over
       the distinct Z_T ANDs into `hit` the b with Z_T ⊆ P ∪ {b} for some
       T; the other rows of P's runs are dropped. The columns whose Z_T
@@ -732,10 +737,10 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
       counts them as covered.
     - Column gap per row. A row S = P + (b,) starts by ORing into `seen`
       the columns whose Z_T ⊄ S, read from the same pass.
-    - Direct check. Each column still live is checked against its own
-      levels (`_column_misses`, built on its first check) in place of the
-      `below[v]` walk: it fails when a vertex S leaves at level c < r gets
-      fewer than r - c dominators from it, r ANDs per column.
+    - Direct check. Each column still live is checked against the same
+      `_column_misses` in place of the `below[v]` walk: it fails when a
+      vertex S leaves at level c < r gets fewer than r - c dominators from
+      it, r ANDs per column.
     The rule is a cost bound, not a tuning value. S leaves every vertex
     outside it short, so the walk may OR up to n - s masks per row and
     build up to n `below[v]`, each from N(v), though it stops once every
@@ -760,15 +765,10 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
         raise ValueError(f"unknown variant {variant!r}")
     multiple = variant == "multiple"
     nbr = G.neighbor_mask
-    # contains[u]: the columns that hold u, fetched when the first row is
-    # drawn, so a join that draws no row builds no column mask
-    family = cols if isinstance(cols, CandidateFamily) else None
-    mirrored = family is not None and rows is family
-    if isinstance(rows, CandidateFamily):
-        runs = rows.runs()
-    else:
-        runs = ((S[:-1], 1 << S[-1], 0) for S in rows)
-    contains: list[int] | None = None
+    cols = cols if isinstance(cols, (CandidateFamily, ColumnList)) else ColumnList(G.n, cols)
+    mirrored = rows is cols
+    runs = (rows.runs() if isinstance(rows, CandidateFamily)
+            else ((S[:-1], 1 << S[-1], 0) for S in rows))
     full = (1 << len(cols)) - 1
     offsets, neighbors = G.offsets, G.neighbors
     # below[v][b]: the columns that give v fewer than b dominators
@@ -777,16 +777,16 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
     # the first certificate
     buckets: list[int] = []
     # with r * len(cols) <= n, rows of size s < r read the columns' short
-    # sets: by_short[s - 1], `_short_groups` at level r - s, built by the
-    # first prefix of such rows, and col_miss[j][c], the vertices column j
-    # gives fewer than r - c dominators, built by j's first direct check
+    # sets: col_miss[j], `_column_misses` of column j, built for every column
+    # by the first prefix of such rows, and by_short[s - 1], grouped by them
     short_sets = r * len(cols) <= G.n
     by_short: dict[int, dict[int, int]] = {}
-    col_miss: list[list[int] | None] = [None] * len(cols) if short_sets else []
+    col_miss: list[list[int]] = []
 
     def below_of(v: int) -> list[int]:
         if stats is not None:
             stats["below_built"] += 1
+        contains = cols.column_masks
         nbrs = neighbors[offsets[v]:offsets[v + 1]]
         ge = _at_least(map(contains.__getitem__, nbrs if multiple else nbrs + (v,)), r, full)
         if multiple:
@@ -829,11 +829,9 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
         stats.update(dict.fromkeys(STATS_KEYS[2:], 0))
 
     def walk() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        nonlocal contains
         prefix, pending = None, False
         for P, run, i0 in runs:
-            if contains is None:
-                contains = family.column_masks if family is not None else _column_masks(G.n, cols)
+            contains = cols.column_masks  # contains[u]: the columns holding u
             fresh = P != prefix
             if fresh:
                 # hit: the rows of P that may pair (-1: all); always: the
@@ -842,8 +840,9 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
                 held = short_sets and len(P) + 1 < r
                 if held:
                     if len(P) not in by_short:
-                        by_short[len(P)] = _short_groups(G, cols if family is None else family.members,
-                                                         r - len(P) - 1, multiple)
+                        if not col_miss:
+                            col_miss.extend(_column_misses(G, T, r, multiple) for T in cols.members)
+                        by_short[len(P)] = _short_groups(col_miss, len(P) + 1)
                     hit, always, gapped, single = _hold_masks(by_short[len(P)], _set_mask(P))
                 pending = bool(P) and hit != 0
                 if hit:
@@ -890,9 +889,6 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
                         # shorts_at[c]: the vertices S leaves at level c
                         shorts_at = [lev[c] ^ lev[c + 1] for c in range(r)]
                         for j in iter_bits(full ^ seen):
-                            if col_miss[j] is None:
-                                T = cols[j] if family is None else family.members[j]
-                                col_miss[j] = _column_misses(G, T, r, multiple)
                             if any(map(and_, shorts_at, col_miss[j])):
                                 seen |= 1 << j
                     else:
@@ -907,9 +903,9 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
                 if stats is not None:
                     stats["gap_masks"] += ored
                 if seen != full:
-                    S, members = P + (b,), cols if family is None else family.members
+                    S = P + (b,)
                     for j in iter_bits(full ^ seen):
-                        yield S, members[j]
+                        yield S, cols.members[j]
             if rest and stats is not None:
                 stats["rows_drawn"] += rest.bit_count()
                 stats["rows_certified"] += rest.bit_count()
@@ -1007,16 +1003,15 @@ def _first_pair(G: Graph, k: int, r: int, variant: str, heavy: tuple[int, ...],
                 rows: CandidateFamily | Iterable[tuple[int, ...]], cols: CandidateFamily | Sequence[tuple[int, ...]],
                 stats: dict | None) -> Solution | None:
     """The solution of the first pair `pair_join` yields over `rows` and
-    `cols`, or None. A `stats` dict gets the
-    uncut family sizes of (k, r) from `closed_form_family_size` on `heavy`,
-    the number of columns as `columns_kept`, and the join's counters."""
+    `cols`, or None. A `stats` dict gets the uncut family sizes of (k, r)
+    from `closed_form_family_size` on `heavy`, the number of columns as
+    `columns_kept`, and the join's counters."""
     if stats is not None:
         stats["candidate_family_sizes"] = [closed_form_family_size(G.n, len(heavy), *shape)
                                            for shape in _family_shapes(k, r)]
         stats["columns_kept"] = len(cols)
-    for S, T in pair_join(G, rows, cols, r, variant, stats=stats):
-        return Solution(Problem(variant, k, r), tuple(sorted(S + T)))
-    return None
+    pair = next(pair_join(G, rows, cols, r, variant, stats=stats), None)
+    return None if pair is None else Solution(Problem(variant, k, r), tuple(sorted(pair[0] + pair[1])))
 
 
 def list_2_dominating_sets(G: Graph, alive: int | None = None) -> list[tuple[int, int]]:

@@ -9,6 +9,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
+from math import comb
 from operator import add, and_
 from typing import Iterable, Iterator, Sequence
 
@@ -241,10 +242,11 @@ def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
     first union that induces a perfect matching is the answer.
     Every dominating k-set holds a heavy vertex, so with none, or with
     k > n, the answer is None before any edge subset is listed. Otherwise
-    the C(m, floor(k/4)) column subsets are materialised; the C(m,
-    ceil(k/4)) row subsets are drawn lazily, so the cost depends on the rows
-    drawn before the first hit (all of them on a NO instance). The
-    certificate's `matching_edges` are the edges the solution induces.
+    the C(m, floor(k/4)) column subsets are materialised, or refused first
+    past `MAX_TRANSVERSALS` (OracleBudgetError); the C(m, ceil(k/4)) row
+    subsets are drawn lazily, so the cost depends on the rows drawn before
+    the first hit (all of them on a NO instance). The certificate's
+    `matching_edges` are the edges the solution induces.
     """
     problem = Problem("matching", k)
     if k > G.n or not heavy_vertices(G, k):
@@ -252,6 +254,9 @@ def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
     if k == 2:
         sets = list_2_dominating_sets(G)
     else:
+        if (count := comb(G.m, k // 4)) > (budget := oracles.MAX_TRANSVERSALS):
+            raise oracles.OracleBudgetError(f"the induced-matching columns are C({G.m}, {k // 4}) "
+                                            f"= {count} edge subsets, more than {budget}")
         edges = list(G.edges())
         rows = (sum(es, ()) for es in itertools.combinations(edges, (k + 3) // 4))
         cols = [sum(et, ()) for et in itertools.combinations(edges, k // 4)]

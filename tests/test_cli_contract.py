@@ -110,6 +110,8 @@ HUB = (("hub.graph", lambda path, _: save_graph(
     Graph(60, _planted_hub_edges(random.Random(0), 60, 4, 3)), path)),
        ("star6.json", json.dumps({"k": 6, "edges": [[0, j] for j in range(1, 6)]})))
 GNM300 = (("g.graph", _gnm(300, 1500)),)
+HUB3000 = (("g.graph", lambda path, _: save_graph(
+    Graph(3000, _planted_hub_edges(random.Random(1), 3000, 6, 3)), path)),)
 HEAVYLESS = (("g.graph", _gnm(20000, 60000)), ("path6.json", _path(6)))
 LOW, HIGH, OVERSIZED = 800_000, 2_000_000, "^error: .* more than"
 TOO_LARGE = "^error: pattern size 9 exceeds 8$"
@@ -170,6 +172,12 @@ EXIT_ROWS = {
                           "--no-timing", 0, files=(("e.graph", "1200 0\n"),)),
     "listing-budget": Exit("solve {tmp}/hub.graph --problem pattern --k 6 "
                            "--pattern {tmp}/star6.json", 3, "^error:", HUB),
+    # the C(11982, 2) column edge pairs are counted, not listed: listing them
+    # ran out of memory (exit 2, MemoryError)
+    "matching-column-budget": Exit(
+        "solve {tmp}/g.graph --problem dom-matching --k 8", 3,
+        r"^error: the induced-matching columns are C\(11982, 2\) = 71778171 edge subsets, "
+        "more than 1000000$", HUB3000, LOW, 20),
     # the brute-force decider and verify test a set against the pattern by
     # permutation search; C4 + C5 and C9 share edge count and degrees
     "brute-oversized-pattern": Exit(

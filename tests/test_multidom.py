@@ -447,7 +447,7 @@ def test_family_masks_match_column_masks():
                 if fam_s is fam_t:
                     reached.add("shared")
                 for fam in {id(fam_s): fam_s, id(fam_t): fam_t}.values():
-                    assert fam.column_masks == multidom._column_masks(G.n, fam.members), (
+                    assert fam.column_masks == multidom.ColumnList(G.n, fam.members).column_masks, (
                         G.n, k, r, fam.size, fam.quota)
                     for _, _, left, _, in_heavy in fam.blocks:
                         if in_heavy:
@@ -475,9 +475,9 @@ def _join_instances():
 
 def test_pair_join_family_columns_match_member_columns():
     # a CandidateFamily brings its block-built masks; a plain list of the
-    # same members gets `_column_masks`; a row family is walked run by run
-    # (against another column object: an equal family is built again for
-    # the shapes that coincide); pairs and counters must agree
+    # same members is wrapped as a `ColumnList`; a row family is walked run
+    # by run (against another column object: an equal family is built again
+    # for the shapes that coincide); pairs and counters must agree
     pairs = 0
     for G, k in _join_instances():
         for r in range(1, k):
@@ -624,22 +624,22 @@ def test_family_joins_skip_column_masks(monkeypatch):
     # a join handed a CandidateFamily takes the masks built from its blocks;
     # only the near columns of r <= k-2 reach the join as a plain list
     families, plain = [], []
-    join, column_masks = multidom.pair_join, multidom._column_masks
+    join, column_masks = multidom.pair_join, multidom.ColumnList.column_masks.func
 
     def recording_join(G, rows, cols, *args, **kwargs):
         if isinstance(cols, multidom.CandidateFamily):
             families.append(cols.members)
         return join(G, rows, cols, *args, **kwargs)
 
-    def masks(n, cols):
-        if any(cols is members for members in families):
-            raise AssertionError("_column_masks called on a candidate family")
-        plain.append(len(cols))
-        return column_masks(n, cols)
+    def masks(self):
+        if any(self.members is members for members in families):
+            raise AssertionError("ColumnList.column_masks called on a candidate family")
+        plain.append(len(self))
+        return column_masks(self)
 
     monkeypatch.setattr(multidom, "pair_join", recording_join)
     monkeypatch.setattr(patterndom, "pair_join", recording_join)
-    monkeypatch.setattr(multidom, "_column_masks", masks)
+    monkeypatch.setattr(multidom.ColumnList, "column_masks", property(masks))
     drawn = 0
     # k > n answers NO before any join, so K6 at k = 5 brings the near columns
     for G, k in _join_instances()[::4] + [(complete_graph(6), 5)]:
@@ -1137,7 +1137,8 @@ def test_near_columns_are_the_filtered_column_family():
                 groups = {}
                 for j, T in enumerate(cols):
                     groups[shorts[T]] = groups.get(shorts[T], 0) | 1 << j
-                assert multidom._short_groups(G, cols, level, variant == "multiple") == groups
+                misses = [multidom._column_misses(G, T, r, variant == "multiple") for T in cols]
+                assert multidom._short_groups(misses, k - size) == groups
                 if len(cols) < len(family):
                     reached.add((size - quota == 1, level, variant))
     assert reached >= {(True, 1, "multiple"), (True, 2, "multiple"), (True, 1, "tuple"),
@@ -1216,6 +1217,32 @@ def test_column_short_sets_walk_one_row_on_b_hubs():
             assert 3 * len(fam_t) > G.n
             S, T = next(multidom.pair_join(G, fam_s, fam_t, 3, "multiple"))
             assert got == Solution(Problem("multiple", 5, 3), tuple(sorted(S + T)))
+
+
+def test_short_set_join_counts_each_column_levels_once(monkeypatch):
+    # the golden b-hubs-1-0 recipe at (5, 3): rows of 2 < r vertices and
+    # r * len(cols) <= n, so the join reads the short sets. The column T of
+    # the first pair is disjoint from its row S and S holds Z_T, so T
+    # survives the gap and is checked directly; the grouping and that
+    # check read the same levels, one `_levels` count per column
+    recipe = make_golden.B_HUBS["b-hubs-1-0"]
+    G = make_golden.build_graph(recipe)
+    variant, k, r = recipe["only"]
+    heavy = heavy_vertices(G, k)
+    cols = multidom._near_columns(G, heavy, k, r, variant)
+    rows = multidom._candidate_family(G.n, heavy, *multidom._family_shapes(k, r)[0])
+    assert rows.size < r and 0 < r * len(cols) <= G.n
+    counted, levels, members = [], multidom._levels, set(cols)
+
+    def counting(G, X, *args):
+        if tuple(X) in members:
+            counted.append(tuple(X))
+        return levels(G, X, *args)
+
+    monkeypatch.setattr(multidom, "_levels", counting)
+    S, T = next(multidom.pair_join(G, rows, cols, r, variant))
+    assert not set(S) & set(T)
+    assert sorted(counted) == sorted(cols)
 
 
 def _ov_k5_r3_no_graphs(count: int):

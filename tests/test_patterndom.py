@@ -200,6 +200,18 @@ def test_dominating_matching_induces_exactly_half_k_edges():
             assert verify_solution(G, sol.problem, sol.vertices)
 
 
+def test_dominating_matching_budgets_its_columns(monkeypatch):
+    # the C(m, k // 4) column edge subsets are counted against
+    # MAX_TRANSVERSALS as it stands when called, before any is listed
+    G = path_graph(6)
+    monkeypatch.setattr(oracles, "MAX_TRANSVERSALS", 5)
+    assert solve_dominating_induced_matching(G, 4).vertices == (0, 1, 3, 4)
+    monkeypatch.setattr(oracles, "MAX_TRANSVERSALS", 4)
+    with pytest.raises(OracleBudgetError, match=re.escape(
+            "the induced-matching columns are C(5, 1) = 5 edge subsets, more than 4")):
+        solve_dominating_induced_matching(G, 4)
+
+
 def test_list_dominating_ksets_k1():
     assert list(list_dominating_ksets(path_graph(3), 1)) == [(1,)]
 

@@ -22,7 +22,7 @@ VARIANTS = ("multiple", "tuple")
 KINDS = VARIANTS + ("clique", "indepset", "matching", "pattern")
 # the keys the fast solvers set in a `stats` dict, the last four by
 # `pair_join`: rows a hold mask drops count as certified, and `below_built`
-# can be 0, since a join that reads short sets walks no `below[v]`
+# can be 0, since only certificates build `below[v]` when a join reads short sets
 STATS_KEYS = ("candidate_family_sizes", "columns_kept",
               "rows_drawn", "rows_certified", "gap_masks", "below_built")
 MAX_PATTERN_SIZE = 8
@@ -613,35 +613,21 @@ def _at_least(masks: Iterable[int], r: int, full: int) -> list[int]:
     return ge
 
 
-def _hold_masks(by_short: dict[int, int],
-                prefix: int) -> tuple[int, int, int, dict[int, int]]:
-    """(hold, always, gapped, single) for the rows P + (b,) of the vertex
-    mask `prefix` = P, where by_short[Z] holds the columns whose short set
-    is Z. A short set Z fits the row when Z ⊆ P ∪ {b}. `hold` has bit b
-    when some Z fits that row (-1: every b); `always` holds the columns no
-    row fits; `gapped` the columns that the rows fit only for one b, plus
-    `always`; and single[1 << b] the columns that fit row b alone."""
+def _hold_masks(misses: Sequence[Sequence[int]], s: int, prefix: int) -> tuple[int, int]:
+    """(hold, always) for the rows P + (b,) of s vertices of the vertex mask
+    `prefix` = P, where misses[j][s] (`_column_misses`) is column j's short
+    set Z. Z fits the row when Z ⊆ P ∪ {b}. `hold` has bit b when some Z
+    fits that row (-1: every b), and `always` holds the columns no row fits."""
     hold = always = 0
-    single: dict[int, int] = {}
-    for Z, js in by_short.items():
-        out = Z & ~prefix
+    for j, miss in enumerate(misses):
+        out = miss[s] & ~prefix
         if not out:
             hold = -1
         elif out & out - 1:
-            always |= js
+            always |= 1 << j
         else:
             hold |= out
-            single[out] = single.get(out, 0) | js
-    return hold, always, reduce(or_, single.values(), always), single
-
-
-def _short_groups(misses: Sequence[Sequence[int]], s: int) -> dict[int, int]:
-    """groups[Z]: the columns j whose short set for rows of s vertices,
-    misses[j][s] (`_column_misses`), is Z."""
-    groups: dict[int, int] = {}
-    for j, miss in enumerate(misses):
-        groups[miss[s]] = groups.get(miss[s], 0) | 1 << j
-    return groups
+    return hold, always
 
 
 def _column_misses(G: Graph, T: Sequence[int], r: int, multiple: bool) -> list[int]:
@@ -728,25 +714,24 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
     vertex at most s. Under "tuple" a column with a non-empty Z_T pairs
     with no row, and the rule still holds. When r * len(cols) <= n, the
     join counts each column's levels once, before its first prefix of such
-    rows (`_column_misses`, whose entry s is Z_T), groups the columns by
-    Z_T once per row size (`_short_groups`), and then:
+    rows (`_column_misses`, whose entry s is Z_T), and then:
     - Hold mask per prefix. Before a prefix P's first row, one pass over
-      the distinct Z_T ANDs into `hit` the b with Z_T ⊆ P ∪ {b} for some
-      T; the other rows of P's runs are dropped. The columns whose Z_T
-      has two vertices outside P fit no row of P, so P's certificate
-      counts them as covered.
-    - Column gap per row. A row S = P + (b,) starts by ORing into `seen`
-      the columns whose Z_T ⊄ S, read from the same pass.
+      the columns ANDs into `hit` the b with Z_T ⊆ P ∪ {b} for some T; the
+      other rows of P's runs are dropped. The columns whose Z_T has two
+      vertices outside P fit no row of P, so P's certificate counts them
+      as covered.
     - Direct check. Each column still live is checked against the same
       `_column_misses` in place of the `below[v]` walk: it fails when a
       vertex S leaves at level c < r gets fewer than r - c dominators from
-      it, r ANDs per column.
+      it, r ANDs per column. A column whose Z_T ⊄ S fails it too: S leaves
+      a vertex v of Z_T outside S at some level c <= s, and T gives v
+      fewer than r - s <= r - c dominators.
     The rule is a cost bound, not a tuning value. S leaves every vertex
     outside it short, so the walk may OR up to n - s masks per row and
     build up to n `below[v]`, each from N(v), though it stops once every
     column is seen. With r * len(cols) <= n, the direct check costs at
     most n ANDs per row and builds nothing per vertex; the hold pass costs
-    at most n / r steps per prefix, and the grouping one level count per
+    at most n / r steps per prefix, and the short sets one level count per
     column, once. With more columns the direct check can cost more than
     the walk it replaces and the hold pass more than the prefix's own
     levels, so the join walks as above. Each filter drops only pairs that
@@ -755,7 +740,7 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
     With a `stats` dict, four counters are set to 0 and then counted as
     rows are drawn: `rows_drawn`; `rows_certified`, the rows a certificate
     or a hold mask drops; `gap_masks`, the gap masks ORed, by walked rows
-    and by certificates alike, a row's short-set gap counting as one; and
+    and by certificates alike; and
     `below_built`, the `below[v]` lists built, which only certificates
     build when the short sets are read, so it can be 0. The rows a run
     drops are counted when the next row is walked, and the rest when the
@@ -778,9 +763,8 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
     buckets: list[int] = []
     # with r * len(cols) <= n, rows of size s < r read the columns' short
     # sets: col_miss[j], `_column_misses` of column j, built for every column
-    # by the first prefix of such rows, and by_short[s - 1], grouped by them
+    # by the first prefix of such rows
     short_sets = r * len(cols) <= G.n
-    by_short: dict[int, dict[int, int]] = {}
     col_miss: list[list[int]] = []
 
     def below_of(v: int) -> list[int]:
@@ -839,11 +823,9 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
                 prefix, hit, always = P, -1, 0
                 held = short_sets and len(P) + 1 < r
                 if held:
-                    if len(P) not in by_short:
-                        if not col_miss:
-                            col_miss.extend(_column_misses(G, T, r, multiple) for T in cols.members)
-                        by_short[len(P)] = _short_groups(col_miss, len(P) + 1)
-                    hit, always, gapped, single = _hold_masks(by_short[len(P)], _set_mask(P))
+                    if not col_miss:
+                        col_miss.extend(_column_misses(G, T, r, multiple) for T in cols.members)
+                    hit, always = _hold_masks(col_miss, len(P) + 1, _set_mask(P))
                 pending = bool(P) and hit != 0
                 if hit:
                     # the columns meeting P, levels(P), and levels(P) one level up
@@ -874,10 +856,6 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
                 if mirrored:
                     seen |= (1 << i0 + (run & bit - 1).bit_count()) - 1
                 ored = len(P) + 1
-                if held:
-                    # the columns whose short set the row does not hold
-                    seen |= gapped ^ single.get(bit, 0)
-                    ored += 1
                 if seen != full:
                     # lev[c] = lp[c] | lp[c - 1] & m, with b exempt under "multiple"
                     if multiple:

@@ -242,11 +242,12 @@ def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
     first union that induces a perfect matching is the answer.
     Every dominating k-set holds a heavy vertex, so with none, or with
     k > n, the answer is None before any edge subset is listed. Otherwise
-    the C(m, floor(k/4)) column subsets are materialised, or refused first
-    past `MAX_TRANSVERSALS` (OracleBudgetError); the C(m, ceil(k/4)) row
-    subsets are drawn lazily, so the cost depends on the rows drawn before
-    the first hit (all of them on a NO instance). The certificate's
-    `matching_edges` are the edges the solution induces.
+    the C(m, floor(k/4)) column subsets, then the C(m, ceil(k/4)) row
+    subsets, are counted and refused past `MAX_TRANSVERSALS`
+    (OracleBudgetError) before either is listed. The columns are then
+    materialised and the rows drawn lazily, so the cost depends on the rows
+    drawn before the first hit (all of them on a NO instance). The
+    certificate's `matching_edges` are the edges the solution induces.
     """
     problem = Problem("matching", k)
     if k > G.n or not heavy_vertices(G, k):
@@ -254,9 +255,11 @@ def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
     if k == 2:
         sets = list_2_dominating_sets(G)
     else:
-        if (count := comb(G.m, k // 4)) > (budget := oracles.MAX_TRANSVERSALS):
-            raise oracles.OracleBudgetError(f"the induced-matching columns are C({G.m}, {k // 4}) "
-                                            f"= {count} edge subsets, more than {budget}")
+        budget = oracles.MAX_TRANSVERSALS
+        for side, size in (("columns", k // 4), ("rows", (k + 3) // 4)):
+            if (count := comb(G.m, size)) > budget:
+                raise oracles.OracleBudgetError(f"the induced-matching {side} are C({G.m}, {size}) "
+                                                f"= {count} edge subsets, more than {budget}")
         edges = list(G.edges())
         rows = (sum(es, ()) for es in itertools.combinations(edges, (k + 3) // 4))
         cols = [sum(et, ()) for et in itertools.combinations(edges, k // 4)]

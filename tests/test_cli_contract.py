@@ -178,6 +178,12 @@ EXIT_ROWS = {
         "solve {tmp}/g.graph --problem dom-matching --k 8", 3,
         r"^error: the induced-matching columns are C\(11982, 2\) = 71778171 edge subsets, "
         "more than 1000000$", HUB3000, LOW, 20),
+    # with C(11982, 1) columns the rows are C(11982, 2) edge pairs, counted
+    # before any is drawn: drawing them lazily ran past a 30 s timeout
+    "matching-row-budget": Exit(
+        "solve {tmp}/g.graph --problem dom-matching --k 6", 3,
+        r"^error: the induced-matching rows are C\(11982, 2\) = 71778171 edge subsets, "
+        "more than 1000000$", HUB3000, LOW, 20),
     # the brute-force decider and verify test a set against the pattern by
     # permutation search; C4 + C5 and C9 share edge count and degrees
     "brute-oversized-pattern": Exit(

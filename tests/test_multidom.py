@@ -1133,16 +1133,48 @@ def test_near_columns_are_the_filtered_column_family():
                 expected = [T for T in family if shorts[T].bit_count() <= allowed]
                 cols = multidom._near_columns(G, heavy, k, r, variant)
                 assert cols == expected, (G, k, r, variant)
-                # the short sets the join reads for these columns are these
-                groups = {}
-                for j, T in enumerate(cols):
-                    groups[shorts[T]] = groups.get(shorts[T], 0) | 1 << j
-                misses = [multidom._column_misses(G, T, r, variant == "multiple") for T in cols]
-                assert multidom._short_groups(misses, k - size) == groups
+                # the short set the join reads for each column is this one
+                for T in cols:
+                    misses = multidom._column_misses(G, T, r, variant == "multiple")
+                    assert misses[k - size] == shorts[T], (G, k, r, variant, T)
                 if len(cols) < len(family):
                     reached.add((size - quota == 1, level, variant))
     assert reached >= {(True, 1, "multiple"), (True, 2, "multiple"), (True, 1, "tuple"),
                        (True, 2, "tuple"), (False, 3, "multiple"), (False, 3, "tuple")}
+
+
+def test_hold_masks_match_set_reference():
+    # every held prefix P of the near-column joins: with Z_j the short set
+    # of column j for rows of s < r vertices, hold is -1 when some Z_j lies
+    # in P and else the b with Z_j - P = {b}; always holds the j with two
+    # or more vertices of Z_j outside P. The golden b-hubs graphs reach
+    # the prefixes that hold some rows, not all
+    reached = set()
+    b_hubs = [(make_golden.build_graph(recipe), [tuple(recipe["only"][1:])])
+              for recipe in make_golden.B_HUBS.values()]
+    for G, shapes in _near_graphs() + b_hubs:
+        for k, r in shapes:
+            heavy = heavy_vertices(G, k)
+            size, quota = multidom._family_shapes(k, r)[0]
+            if size >= r:
+                continue
+            rows = multidom._candidate_family(G.n, heavy, size, quota).members
+            for variant in multidom.VARIANTS:
+                cols = multidom._near_columns(G, heavy, k, r, variant)
+                if r * len(cols) > G.n:
+                    continue
+                shorts = [{v for v, lev in enumerate(_reference_levels(G, T, r, variant))
+                           if lev + size < r} for T in cols]
+                misses = [multidom._column_misses(G, T, r, variant == "multiple") for T in cols]
+                for P in sorted({S[:-1] for S in rows}):
+                    outs = [Z - set(P) for Z in shorts]
+                    held = set().union(*(out for out in outs if len(out) == 1))
+                    hold = -1 if set() in outs else sum(1 << b for b in held)
+                    always = sum(1 << j for j, out in enumerate(outs) if len(out) >= 2)
+                    got = multidom._hold_masks(misses, size, sum(1 << v for v in P))
+                    assert got == (hold, always), (G, k, r, variant, P)
+                    reached.add((hold == -1, hold == 0, always != 0))
+    assert {(True, False, True), (False, False, True), (False, True, True)} <= reached, reached
 
 
 def test_near_column_solutions_match_unfiltered_join():
@@ -1202,7 +1234,7 @@ def test_column_short_sets_keep_every_pair_in_order():
 
 def test_column_short_sets_walk_one_row_on_b_hubs():
     # the sparse-wide benchmark's b-hubs graphs, seeds 1-10 and blocks 0-4:
-    # the held rows and the short-set gaps leave only the first hit's row,
+    # the hold masks and certificates leave only the first hit's row,
     # checked directly against about ten columns. The unfiltered column
     # family, too many columns for the short sets, gives the same first
     # pair by the below[v] walk
@@ -1223,8 +1255,8 @@ def test_short_set_join_counts_each_column_levels_once(monkeypatch):
     # the golden b-hubs-1-0 recipe at (5, 3): rows of 2 < r vertices and
     # r * len(cols) <= n, so the join reads the short sets. The column T of
     # the first pair is disjoint from its row S and S holds Z_T, so T
-    # survives the gap and is checked directly; the grouping and that
-    # check read the same levels, one `_levels` count per column
+    # survives the direct check; the hold masks and that check read the
+    # same levels, one `_levels` count per column
     recipe = make_golden.B_HUBS["b-hubs-1-0"]
     G = make_golden.build_graph(recipe)
     variant, k, r = recipe["only"]

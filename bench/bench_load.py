@@ -5,8 +5,12 @@
 
 For each n in NS and each heap, one fresh child process generates the
 `save_graph` text of a seeded G(n, 3n) and checks once, untimed, that
-`load_graph` of it equals `Graph(n, edges)` (the child exits non-zero if
-not). It then optionally allocates a ballast of
+`load_graph` of it, and of a copy with every edge reversed and the lines
+shuffled (which the bulk path hands to the constructor), equals
+`Graph(n, edges)`; the child exits non-zero if not. One more untimed load,
+under `tracemalloc`, gives the bytes per edge that the loaded graph holds
+and the peak bytes per edge traced during the load. The child then
+optionally allocates a ballast of
 BALLAST_LISTS live lists (the heap of a caller that holds other data), runs
 `gc.collect()`, and times REPEATS loads of the same bytes, with a
 `gc.collect()` before each one. During the timed loads a `gc.callbacks`
@@ -27,6 +31,7 @@ import gc
 import random
 import sys
 import time
+import tracemalloc
 
 import _harness
 
@@ -48,6 +53,11 @@ def sparse_edges(n: int, m: int, seed: int) -> list[tuple[int, int]]:
     return sorted(edges)
 
 
+def edge_text(n: int, edges: list[tuple[int, int]]) -> bytes:
+    """The edge list "n m", then "u v" per edge in the order given."""
+    return (f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)).encode()
+
+
 def run_case(case: list[int]) -> dict:
     """One case [n, ballast], in this process: REPEATS timed loads of
     G(n, DENSITY·n)."""
@@ -57,10 +67,19 @@ def run_case(case: list[int]) -> dict:
     edges = sparse_edges(n, DENSITY * n, SEED)
     # the `save_graph` text, written here so that the bytes loaded do not
     # depend on the tree measured
-    data = (f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)).encode()
-    if load_graph(data) != Graph(n, edges):
+    data = edge_text(n, edges)
+    scrambled = [(v, u) for u, v in edges]
+    random.Random(SEED).shuffle(scrambled)
+    expected = Graph(n, edges)
+    if load_graph(data) != expected or load_graph(edge_text(n, scrambled)) != expected:
         raise SystemExit(f"n={n}: load_graph differs from Graph(n, edges)")
-    del edges
+    del edges, scrambled, expected
+    gc.collect()
+    tracemalloc.start()
+    G = load_graph(data)
+    held_bytes, peak_bytes = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    del G
     held = [[i] for i in range(ballast)]
     counts = {"gen0": 0, "gen1": 0, "gen2": 0}
 
@@ -81,6 +100,8 @@ def run_case(case: list[int]) -> dict:
     return {
         "n": n, "m": DENSITY * n, "heap": "ballast" if ballast else "fresh",
         "ballast_lists": len(held), "loads": REPEATS,
+        "held_bytes_per_edge": round(held_bytes / (DENSITY * n), 1),
+        "peak_bytes_per_edge": round(peak_bytes / (DENSITY * n), 1),
         "collections_during_loads": counts, **_harness.quartiles("load_ms", times_ms, 3),
     }
 

@@ -244,7 +244,7 @@ class ColumnList:
 class KPartiteGraph:
     """k-partite graph with cross-part adjacency stored as bit rows.
 
-    adj[i][a][j] is the bitmask over part j of neighbors of vertex a in
+    adj[i][a][j] is the bitmask over part j of neighbours of vertex a in
     part i. Intra-part edges and negative part sizes are refused with a
     ValueError.
     """
@@ -315,9 +315,9 @@ def _edge_sets_isomorphic(k: int, edges_a: frozenset[tuple[int, int]],
 def diagnose_solution(G: Graph, problem: Problem, vertices: Sequence[int]) -> str | None:
     """None when `vertices` solves `problem` on G; otherwise a message naming
     what the vertices violate: the first vertex dominated too few times, then
-    the shape (`_shape_error`). Domination is counted from the solution's
-    CSR lists, in O(n + their degrees) time, with no vertex mask. A pattern
-    above MAX_PATTERN_SIZE vertices raises PatternTooLargeError first."""
+    the shape (`_shape_error`). Domination is counted from the adjacency
+    lists of the solution's vertices, in O(n + their degrees) time, with no
+    vertex mask. A pattern above MAX_PATTERN_SIZE raises PatternTooLargeError."""
     if problem.kind == "pattern":
         check_pattern_size(problem.k)
     S = tuple(sorted(vertices))
@@ -331,7 +331,7 @@ def diagnose_solution(G: Graph, problem: Problem, vertices: Sequence[int]) -> st
     r = problem.r if kind in VARIANTS else 1
     # hits[v]: the solution's vertices in N(v), and then in N[v]
     hits = [0] * G.n
-    for v in itertools.chain.from_iterable(map(G.adjacency, S)):
+    for v in itertools.chain.from_iterable(map(G.adj.__getitem__, S)):
         hits[v] += 1
     for s in S:
         # under "multiple" the solution's own vertices are exempt
@@ -502,7 +502,7 @@ def near_partners(G: Graph, miss: int, alive: int | None = None) -> list[int]:
     N[a] ∪ N[b]; 0 for every a outside `alive`. With miss = 0 these are a's
     dominating partners in the subgraph `alive` induces, by their ids in G.
 
-    With s(v) = |N[v] ∩ alive| and d(v) the closed CSR degree, s(v) <= d(v),
+    With s(v) = |N[v] ∩ alive| and d(v) the closed degree, s(v) <= d(v),
     equal when `alive` is V. A pair needs s(a) + s(b) >= |alive| - miss, so
     its vertex of larger s has 2·s >= |alive| - miss. Only those vertices
     start a scan, and s is counted only where d passes that test first. A
@@ -514,10 +514,9 @@ def near_partners(G: Graph, miss: int, alive: int | None = None) -> list[int]:
     near = [0] * n
     full = G.full_mask() if alive is None else alive
     need = full.bit_count() - miss
-    offsets = G.offsets
-    if 2 * (max(map(sub, itertools.islice(offsets, 1, None), offsets), default=0) + 1) < need:
+    if 2 * (max(map(len, G.adj), default=0) + 1) < need:
         return near
-    degree = [d + 1 for d in map(sub, itertools.islice(offsets, 1, None), offsets)]
+    degree = [d + 1 for d in map(len, G.adj)]
     # starts[v] = N[v] ∩ alive, for the vertices whose d passes first
     starts = {v: nv for v in itertools.compress(range(n), [2 * d >= need for d in degree])
               if full >> v & 1 and 2 * (nv := G.closed_mask(v) & full).bit_count() >= need}
@@ -755,7 +754,7 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
     runs = (rows.runs() if isinstance(rows, CandidateFamily)
             else ((S[:-1], 1 << S[-1], 0) for S in rows))
     full = (1 << len(cols)) - 1
-    offsets, neighbors = G.offsets, G.neighbors
+    adj = G.adj
     # below[v][b]: the columns that give v fewer than b dominators
     below: list[list[int] | None] = [None] * G.n
     # one vertex mask per distinct degree, lowest degree first; built by
@@ -771,8 +770,8 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
         if stats is not None:
             stats["below_built"] += 1
         contains = cols.column_masks
-        nbrs = neighbors[offsets[v]:offsets[v + 1]]
-        ge = _at_least(map(contains.__getitem__, nbrs if multiple else nbrs + (v,)), r, full)
+        nbrs = adj[v] if multiple else itertools.chain(adj[v], (v,))
+        ge = _at_least(map(contains.__getitem__, nbrs), r, full)
         if multiple:
             ge = [m | contains[v] for m in ge]
         below[v] = [full ^ m for m in ge]
@@ -787,7 +786,7 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
             return 0
         if not buckets:
             by_degree: dict[int, int] = {}
-            for v, d in enumerate(map(sub, itertools.islice(offsets, 1, None), offsets)):
+            for v, d in enumerate(map(len, adj)):
                 by_degree[d] = by_degree.get(d, 0) | 1 << v
             buckets.extend(by_degree[d] for d in sorted(by_degree))
         hit = 0
@@ -1043,12 +1042,12 @@ def _range_cliques(kp: KPartiteGraph, parts: Sequence[int]) -> Iterator[tuple[tu
     lazily, in lexicographic index order over `parts`: no part holds an edge,
     so they are the `_near_rows` cliques of size len(parts) on the parts'
     vertices, numbered part after part in `parts` order."""
-    offsets = list(itertools.accumulate((kp.sizes[j] for j in parts), initial=0))
+    firsts = list(itertools.accumulate((kp.sizes[j] for j in parts), initial=0))
     # the parts' id ranges are disjoint, so summing the shifted rows ORs them
-    near = [sum(row[p] << o for p, o in zip(parts, offsets)) for j in parts for row in kp.adj[j]]
-    rows = _near_rows(near, 0, len(parts), 0, (1 << offsets[-1]) - 1) if parts else [()]
+    near = [sum(row[p] << o for p, o in zip(parts, firsts)) for j in parts for row in kp.adj[j]]
+    rows = _near_rows(near, 0, len(parts), 0, (1 << firsts[-1]) - 1) if parts else [()]
     for S in rows:
-        yield tuple(zip(parts, map(sub, S, offsets)))
+        yield tuple(zip(parts, map(sub, S, firsts)))
 
 
 def detect_unbalanced_kclique(kp: KPartiteGraph) -> tuple[tuple[int, int], ...] | None:

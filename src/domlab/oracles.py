@@ -51,7 +51,7 @@ def check_transversal_budget(sizes: Iterable[int], subject: str) -> None:
 
 
 def _neighbor_sets(G: Graph) -> list[set[int]]:
-    return [set(G.adjacency(v)) for v in range(G.n)]
+    return list(map(set, G.adj))
 
 
 def oracle_multidom(G: Graph, k: int, r: int, variant: str) -> Solution | None:

@@ -121,19 +121,18 @@ def enumerate_cliques(G: Graph, t: int) -> list[tuple[int, ...]]:
 
     A clique grows from its lowest vertex through higher neighbours only. A
     partial clique C carries its candidates: the vertices above max(C)
-    adjacent to all of C, in increasing order. They start as the CSR
+    adjacent to all of C, in increasing order. They start as the listed
     neighbours of C's first vertex above it, and adding v keeps those above
     v among v's higher neighbours. The cost is O(n + m) plus, for each
     partial clique with c candidates, O(c^2) set lookups, with no scan over
     all n vertices per clique and no n-bit mask."""
     if t < 1:
         raise ValueError(f"clique size must be >= 1, got {t}")
-    n, offsets, neighbors = G.n, G.offsets, G.neighbors
+    n = G.n
     if t == 1:
         return [(v,) for v in range(n)]
     # higher[v]: the neighbours of v above v, in increasing order
-    higher = [neighbors[bisect_right(neighbors, v, offsets[v], offsets[v + 1]):offsets[v + 1]]
-              for v in range(n)]
+    higher = [nbrs[bisect_right(nbrs, v):] for v, nbrs in enumerate(G.adj)]
     above = list(map(frozenset, higher)) if t > 2 else []
     out: list[tuple[int, ...]] = []
     for u in range(n):

@@ -164,8 +164,8 @@ def test_graph_normalises_edge_order_direction_and_repeats():
     G = Graph(5, [(3, 1), (0, 4), (1, 3), (4, 0), (2, 1)])
     assert G == Graph(5, [(0, 4), (1, 2), (1, 3)])
     assert G == load_graph(b"5 5\n3 1\n0 4\n1 3\n4 0\n2 1")
-    assert G.offsets == (0, 1, 3, 4, 5, 6)
-    assert G.neighbors == (4, 2, 3, 1, 1, 0)
+    assert G.adj == [[4], [2, 3], [1], [1], [0]]
+    assert G.m == 3
 
 
 def test_neighbor_mask_built_once_per_vertex(monkeypatch):
@@ -268,6 +268,20 @@ def test_roundtrip_random(seed, n, p):
     assert load_graph(save_graph(G).encode()) == G
 
 
+@given(st.integers(0, 400), st.integers(1, 10), st.floats(0.0, 1.0))
+def test_builders_agree_on_graph_and_hash(seed, n, p):
+    G = random_graph(seed, n, p)
+    edges = list(G.edges())
+    built = Graph(n, [(v, u) for u, v in reversed(edges)])
+    bulk = load_graph(save_graph(G).encode())
+    by_lines = load_graph(("# read line by line\n" + save_graph(G)).encode())
+    assert built == bulk == by_lines
+    assert hash(built) == hash(bulk) == hash(by_lines)
+    assert built.m == bulk.m == by_lines.m == len(edges)
+    for H in (built, bulk, by_lines):
+        assert all(type(H.adjacency(v)) is tuple for v in range(n))
+
+
 # --- a line-by-line edge-list reader, kept as the reference ------------------
 
 def _reference_edgelist_ints(lineno, raw):
@@ -315,7 +329,7 @@ def _load_outcome(load, data):
         G = load(data)
     except GraphFormatError as exc:
         return "error", str(exc)
-    return G.n, G.offsets, G.neighbors
+    return G.n, G.m, G.adj
 
 
 def _edgelist_variants(rng, text):
@@ -401,7 +415,7 @@ def _flat_outcome(build, n, flat):
         G = build(n, flat)
     except ValueError as exc:  # GraphFormatError included
         return type(exc).__name__, str(exc)
-    return G.n, G.offsets, G.neighbors
+    return G.n, G.m, G.adj
 
 
 def _flat_variants(rng, n, flat):

@@ -6,7 +6,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from domlab import (
     Graph,
@@ -201,6 +201,28 @@ def test_closed_neighborhood_isolated_vertex():
 
 def test_closed_neighborhood_complete():
     assert complete_graph(4).closed_mask(2) == 0b1111
+
+
+@given(st.integers(0, 3000), st.floats(0, 1), st.integers(0, 2**16), st.booleans())
+@example(0, 1.0, 0, True)  # width 0: no index
+@example(1, 1.0, 0, False)  # the one index 0
+@example(15, 1.0, 0, False)  # 15 indices: the sum
+@example(16, 1.0, 0, False)  # 16 dense indices: the digit buffer
+@example(3000, 0.0, 0, True)  # the one index width - 1
+@example(3000, 0.02, 1, True)  # 68 sparse indices: the sum
+@example(3000, 0.06, 1, True)  # 201 sparse indices: the digit buffer
+def test_index_mask_is_the_sum_of_its_bits(width, density, seed, top):
+    rng = random.Random(seed)
+    indices = [i for i in range(width) if rng.random() < density or top and i == width - 1]
+    assert graph._index_mask(indices) == sum(1 << i for i in indices)
+
+
+def test_hub_masks_of_a_star():
+    # the hub's 300 neighbours take the digit buffer, each leaf the sum
+    G = star_graph(300)
+    assert G.neighbor_mask(0) == sum(1 << v for v in range(1, 301))
+    assert G.closed_mask(0) == (1 << 301) - 1
+    assert all(G.neighbor_mask(v) == 1 and G.closed_mask(v) == 1 | 1 << v for v in range(1, 301))
 
 
 def test_heavy_vertices_star():

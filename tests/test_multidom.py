@@ -457,6 +457,21 @@ def test_family_masks_match_column_masks():
     assert reached == {"shared", "heavy-tail", "left-2"}
 
 
+def test_column_list_masks_above_the_crossover(monkeypatch):
+    # 10,660 columns on 40 vertices, 780 per vertex: each vertex's column
+    # indices are listed and `_index_mask` builds its mask once; ten columns
+    # set one bit per member vertex
+    members = [T for size in (2, 3) for T in itertools.combinations(range(40), size)]
+    built = []
+    monkeypatch.setattr(multidom, "_index_mask",
+                        lambda indices: built.append(len(indices)) or graph._index_mask(indices))
+    for cols, listed in ((members, [780] * 40), (members[:10], [])):
+        built.clear()
+        assert multidom.ColumnList(40, cols).column_masks == [
+            sum(1 << j for j, T in enumerate(cols) if u in T) for u in range(40)]
+        assert built == listed
+
+
 def _join_instances():
     """(G, k) pairs: seeded ov_to_multidom targets (k = 4, r = 1..3) and
     random graphs."""

@@ -149,10 +149,7 @@ class Graph:
         return mask
 
     def _build_mask(self, v: int) -> int:
-        nbrs = self.adj[v]
-        if len(nbrs) < 16:  # `_index_mask`'s sum, without the call
-            return sum(map((1).__lshift__, nbrs))
-        return _index_mask(nbrs)
+        return _index_mask(self.adj[v])
 
     def closed_mask(self, v: int) -> int:
         return self.neighbor_mask(v) | 1 << v

@@ -462,13 +462,20 @@ def test_column_list_masks_above_the_crossover(monkeypatch):
     # indices are listed and `_index_mask` builds its mask once; ten columns
     # set one bit per member vertex
     members = [T for size in (2, 3) for T in itertools.combinations(range(40), size)]
+    # matching columns of two edges of the path 40-41-42-43: a shared end
+    # repeats, and each of 40..43 has so few indices that `_index_mask` sums
+    # them, where a repeated index would set the next column's bit
+    path = [(40, 41), (41, 42), (42, 43)]
+    matching = [sum(et, ()) for et in itertools.combinations(path, 2)]
+    assert matching == [(40, 41, 41, 42), (40, 41, 42, 43), (41, 42, 42, 43)]
     built = []
     monkeypatch.setattr(multidom, "_index_mask",
                         lambda indices: built.append(len(indices)) or graph._index_mask(indices))
-    for cols, listed in ((members, [780] * 40), (members[:10], [])):
+    for n, cols, listed in ((40, members, [780] * 40), (40, members[:10], []),
+                            (44, members + matching, [780] * 40 + [2, 3, 3, 2])):
         built.clear()
-        assert multidom.ColumnList(40, cols).column_masks == [
-            sum(1 << j for j, T in enumerate(cols) if u in T) for u in range(40)]
+        assert multidom.ColumnList(n, cols).column_masks == [
+            sum(1 << j for j, T in enumerate(cols) if u in T) for u in range(n)]
         assert built == listed
 
 

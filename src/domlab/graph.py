@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import gc
-import io
 import json
 import os
 import re
+from bisect import bisect_right
 from functools import wraps
 from itertools import compress, islice, repeat
 from operator import ge
@@ -427,11 +427,12 @@ def save_graph(G: Graph, target=None) -> str:
     """Serialize as an edge list, edges sorted: the shape `load_graph` reads
     in one bulk pass. Returns the text; writes to `target` (path or stream)
     when given, a path in place (`write_text`)."""
-    buf = io.StringIO()
-    buf.write(f"{G.n} {G.m}\n")
-    for u, v in G.edges():
-        buf.write(f"{u} {v}\n")
-    text = buf.getvalue()
+    names = list(map(str, range(G.n)))  # each vertex's decimal name, converted once
+    blocks = [f"{G.n} {G.m}"]
+    for u, nbrs in enumerate(G.adj):
+        if higher := nbrs[bisect_right(nbrs, u):]:
+            blocks.append(f"{u} " + f"\n{u} ".join(map(names.__getitem__, higher)))
+    text = "\n".join(blocks) + "\n"
     if target is not None:
         write_text(target, text)
     return text

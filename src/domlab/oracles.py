@@ -1,15 +1,18 @@
 """Brute-force ground-truth deciders.
 
-Deliberately independent of the fast solvers: adjacency is consulted through
-plain Python sets built from Graph queries, never through heavy-vertex logic,
-candidate families, or matrix products. Agreement with the fast solvers is
-therefore evidence, not tautology.
+Deliberately independent of the fast solvers: `oracle_multidom` and
+`oracle_pattern` consult adjacency through plain Python sets built from Graph
+queries, never through heavy-vertex logic, candidate families, or matrix
+products. `oracle_unbalanced_clique` prunes its transversal search but stays
+exhaustive, and shares no code with the solvers or generators. Agreement
+with the fast solvers is therefore evidence, not tautology.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import comb, factorial
+from operator import and_
 from typing import TYPE_CHECKING, Iterable
 
 from .graph import Graph
@@ -98,11 +101,26 @@ def oracle_pattern(G: Graph, H: Pattern) -> Solution | None:
 
 
 def oracle_unbalanced_clique(kp: KPartiteGraph) -> tuple[tuple[int, int], ...] | None:
-    """Exhaustive transversal scan for one-vertex-per-part cliques."""
+    """The first one-vertex-per-part clique in `itertools.product` order, or
+    None, by a lexicographic depth-first search over the bit rows. A prefix
+    grows only with a vertex of the next part adjacent to all it holds, and
+    is cut when a later part has no such vertex: only prefixes that cannot be
+    completed are skipped. The budget counts the full product, before the search."""
     check_transversal_budget(kp.sizes, f"{kp.k} parts have")
-    for choice in itertools.product(*(range(s) for s in kp.sizes)):
-        trans = tuple((i, a) for i, a in enumerate(choice))
-        if all(kp.has_edge(i, a, j, b)
-               for (i, a), (j, b) in itertools.combinations(trans, 2)):
-            return trans
+    # (vertex chosen in part i - 1, [untried vertices of part i, then for each
+    # later part the mask of its vertices adjacent to every chosen one])
+    stack = [(None, [(1 << s) - 1 for s in kp.sizes])]
+    while stack:
+        frame = stack[-1][1]
+        if not frame:
+            return tuple(enumerate(a for a, _ in stack[1:]))
+        if not frame[0]:
+            stack.pop()
+            continue
+        low = frame[0] & -frame[0]
+        frame[0] ^= low
+        i, a = len(stack) - 1, low.bit_length() - 1
+        later = list(map(and_, frame[1:], kp.adj[i][a][i + 1:]))
+        if all(later):
+            stack.append((a, later))
     return None

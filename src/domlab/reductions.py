@@ -42,7 +42,7 @@ class OVInstance:
             for vec in vectors:
                 if len(vec) != self.d:
                     raise ValueError(f"vector {vec} in set {i} is not {self.d}-dimensional")
-                if any(x not in (0, 1) for x in vec):
+                if not all(map((0, 1).__contains__, vec)):
                     raise ValueError(f"non-binary entry in vector {vec}")
 
     @property
@@ -119,12 +119,31 @@ class ReductionOutput:
 
 def solve_ov_bruteforce(inst: OVInstance, r: int) -> bool:
     """True iff some transversal a_1,...,a_k has >= r zeros in every coordinate.
-    OracleBudgetError when there are more than MAX_TRANSVERSALS of them."""
+    OracleBudgetError when the full product has more than MAX_TRANSVERSALS.
+
+    A depth-first search over each set's distinct zero masks, counted with
+    saturation: levels[c] holds the coordinates with >= c zeros so far.
+    The k - i - 1 sets after set i add at most one zero each, so a prefix is
+    cut when levels[r - (k - i - 1)] misses a coordinate."""
     check_r_window(r, inst.k, below_k=False)
     oracles.check_transversal_budget(map(len, inst.sets), f"{inst.k} sets have")
-    for choice in itertools.product(*inst.sets):
-        if all(sum(1 for vec in choice if vec[t] == 0) >= r for t in range(inst.d)):
+    k, full = inst.k, (1 << inst.d) - 1
+    zeros = [list(dict.fromkeys(sum(1 << t for t, x in enumerate(vec) if x == 0)
+                                for vec in vectors)) for vectors in inst.sets]
+    stack = [([full] + [0] * r, iter(zeros[0]))]
+    while stack:
+        levels, rest = stack[-1]
+        z = next(rest, None)
+        if z is None:
+            stack.pop()
+            continue
+        i = len(stack) - 1
+        grown = [full] + [above | below & z for above, below in zip(levels[1:], levels)]
+        if grown[max(r - (k - i - 1), 0)] != full:
+            continue
+        if i + 1 == k:
             return True
+        stack.append((grown, iter(zeros[i + 1])))
     return False
 
 
@@ -359,11 +378,13 @@ def _indepset_reduction(source: KPartiteGraph, k: int, gamma: Fraction,
 
 
 def _complement_kpartite(source: KPartiteGraph) -> KPartiteGraph:
-    edges = [((i, a), (j, b))
-             for i, j in itertools.combinations(range(source.k), 2)
-             for a, b in itertools.product(range(source.sizes[i]), range(source.sizes[j]))
-             if not source.has_edge(i, a, j, b)]
-    return KPartiteGraph(source.sizes, edges)
+    """The cross-part complement of `source`, row by row from its bit rows."""
+    complement = KPartiteGraph(source.sizes, ())
+    fulls = [(1 << s) - 1 for s in source.sizes]
+    for i, rows in enumerate(source.adj):
+        cross = fulls[:i] + [0] + fulls[i + 1:]
+        complement.adj[i] = [[f & ~m for f, m in zip(cross, row)] for row in rows]
+    return complement
 
 
 def build_target(generator: str, source, param=None) -> tuple[ReductionOutput, Callable[[], bool]]:

@@ -290,6 +290,43 @@ def test_roundtrip_random(seed, n, p):
     assert load_graph(save_graph(G).encode()) == G
 
 
+def _stringio_save_graph(G):
+    """The edge-list text as `save_graph` wrote it with one StringIO write
+    per edge: the reference its text must equal byte for byte."""
+    buf = io.StringIO()
+    buf.write(f"{G.n} {G.m}\n")
+    for u, v in G.edges():
+        buf.write(f"{u} {v}\n")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("G", [
+    Graph(0, []), Graph(5, []),
+    Graph(4, [(0, 3), (1, 3), (2, 3)]),  # vertex 3 has only lower neighbours
+    Graph(3, [(0, 1)]),  # vertex 2 has none
+], ids=["n0", "edgeless", "only-lower", "isolated-last"])
+def test_save_graph_text_is_the_stringio_writers(G):
+    assert save_graph(G) == _stringio_save_graph(G)
+
+
+@given(st.integers(0, 400), st.integers(0, 40), st.integers(0, 300),
+       st.sampled_from(["constructor", "bulk", "shuffled"]))
+def test_save_graph_text_matches_the_stringio_writer(seed, n, m, build):
+    # random G(n, m) through the constructor and through both loader paths:
+    # canonical text (the bulk builder) and shuffled, reversed lines (the
+    # constructor fallback)
+    rng = random.Random(seed)
+    edges = rng.sample([(u, v) for u in range(n) for v in range(u + 1, n)],
+                       min(m, n * (n - 1) // 2))
+    G = Graph(n, edges)
+    if build == "bulk":
+        G = load_graph(_stringio_save_graph(G).encode())
+    elif build == "shuffled":
+        G = load_graph((f"{n} {len(edges)}\n"
+                        + "".join(f"{v} {u}\n" for u, v in edges)).encode())
+    assert save_graph(G) == _stringio_save_graph(G)
+
+
 @given(st.integers(0, 400), st.integers(1, 10), st.floats(0.0, 1.0))
 def test_builders_agree_on_graph_and_hash(seed, n, p):
     G = random_graph(seed, n, p)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import io
 import json
 import os
@@ -11,6 +12,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from domlab import (
     Graph,
@@ -29,9 +31,11 @@ from domlab import (
     solve_ov_bruteforce,
     verify_reduction,
 )
-from domlab import oracles, reductions
-from domlab.oracles import OracleBudgetError, oracle_multidom
+from domlab import multidom, oracles, reductions
+from domlab.oracles import OracleBudgetError, oracle_multidom, oracle_unbalanced_clique
 from domlab.reductions import indepset_groups, pad_special_coordinates
+
+from .reference_oracles import clique_product_scan, ov_product_scan
 
 
 def _random_ov(seed, sizes, d, zero_prob=0.5):
@@ -67,6 +71,47 @@ def test_ov_bruteforce_all_ones():
 def test_ov_bruteforce_all_zeros():
     inst = OVInstance.from_lists(2, [[(0, 0)]] * 3)
     assert solve_ov_bruteforce(inst, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10_000), st.lists(st.integers(1, 4), min_size=2, max_size=5),
+       st.integers(1, 6), st.sampled_from([0.0, 0.2, 0.4, 0.6, 0.8, 1.0]), st.integers(0, 4))
+@example(0, [2, 3], 3, 1.0, 1)  # all-zero vectors at r = k
+@example(0, [3, 1, 2], 4, 0.0, 0)  # all-one vectors
+@example(5, [4, 4, 4, 4, 4], 5, 0.6, 4)  # r = k = 5
+def test_ov_bruteforce_matches_the_product_scan(seed, sizes, d, zero_prob, r):
+    # the cut search answers as the scan over every transversal, at every r
+    inst = _random_ov(seed, sizes, d, zero_prob)
+    r = r % inst.k + 1
+    assert solve_ov_bruteforce(inst, r) == ov_product_scan(inst, r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10_000), st.lists(st.integers(0, 4), max_size=5), st.floats(0.0, 1.0))
+@example(0, [], 0.5)  # k = 0: the one empty transversal
+@example(0, [3], 0.0)  # k = 1: the part's first vertex
+@example(0, [2, 0, 3], 1.0)  # an empty part: no transversal
+@example(0, [3, 3, 3, 3], 1.0)  # complete: the first transversal
+def test_clique_oracle_matches_the_product_scan(seed, sizes, p):
+    # the same answer and the same first transversal, in product order
+    kp = _random_kpartite(seed, sizes, p)
+    assert oracle_unbalanced_clique(kp) == clique_product_scan(kp)
+    # the complement's bit rows are those of the pair-by-pair complement
+    complement = [((i, a), (j, b)) for i, j in itertools.combinations(range(kp.k), 2)
+                  for a in range(kp.sizes[i]) for b in range(kp.sizes[j])
+                  if not kp.has_edge(i, a, j, b)]
+    assert reductions._complement_kpartite(kp).adj == KPartiteGraph(kp.sizes, complement).adj
+
+
+def test_clique_oracle_shares_no_code_with_the_generator(monkeypatch):
+    # is-multidom lists its members with multidom._range_cliques; the oracle
+    # that certifies its answer must not
+    def listing(*args):
+        raise AssertionError("the oracle called multidom._range_cliques")
+
+    monkeypatch.setattr(multidom, "_range_cliques", listing)
+    kp = _random_kpartite(3, [3, 3, 3], 0.7)
+    assert oracle_unbalanced_clique(kp) == clique_product_scan(kp) is not None
 
 
 def test_ov_json_round_trip(tmp_path):

@@ -1,0 +1,148 @@
+"""Pair-join benchmark: the solves of the benchmark workloads whose time is
+`multidom.pair_join`, with the join's work counters.
+
+    python3 bench/bench_join.py                      # writes BENCH_join.json
+    python3 bench/bench_join.py --src OTHER/src --out BENCH_join_parent.json
+
+Three sets of solves:
+
+- `ov-multidom-no`: the 28 instances of the ov-multidom-no workload at
+  seed 1, blocks 0-3 (`perfbench/workloads.py`): 16 `no-r2`, 8 `yes-r2`
+  and 4 `no-r3`, each `solve_multidom_fast(G, 4, r, "multiple")`;
+- `certified-mix`: the `hdom-path`, `is-pipeline-no` and `matching-k6`
+  instances of the certified-mix workload at seed 1, block 0, solved as
+  its command line solves them (`domlab.solve`, the pipeline for
+  is-multidom);
+- `b-hubs`: the 50 planted-hub graphs of `bench/bench_bhubs.py`, at
+  (k, r) = (5, 3), whose joins read the column short sets.
+
+Every instance is drawn by the workload's own seeded generator, with its
+certified answer. Each solve is measured in one fresh child process. One
+untimed solve sums the four `pair_join` counters (`rows_drawn`,
+`rows_certified`, `gap_masks`, `below_built`) over every join it runs and
+checks the answer: the child exits non-zero when it differs from the
+certified one or when a YES does not verify. Then REPEATS timed solves,
+each on a new `Graph` of the same edges built outside the timer and after
+a `gc.collect()`, give the median and quartiles of the unscaled wall time.
+Counters and answers are deterministic; times compare only between runs on
+the same host from source paths of equal length (the path length is
+recorded).
+
+`--src` names the `src` directory whose `domlab` is measured, by default
+this checkout's; the file records a hash of its `multidom.py`. One case
+runs alone as `--case` followed by its JSON (see `_harness.py`).
+"""
+
+from __future__ import annotations
+
+import gc
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import _harness
+from _harness import ROOT
+
+REPEATS = 9
+SEED = 1
+OV_BLOCKS = range(4)
+MIX_GROUPS = ("hdom-path", "is-pipeline-no", "matching-k6")
+JOIN_COUNTERS = ("rows_drawn", "rows_certified", "gap_masks", "below_built")
+
+
+def cases() -> list[dict]:
+    """Every solve measured: its set, group, name and recipe."""
+    sys.path[1:1] = [str(ROOT), str(ROOT / "perfbench")]
+    import workloads
+    from tests.golden import make_golden
+
+    out = [{"set": "ov-multidom-no", "group": f"{'yes' if want else 'no'}-r{r}",
+            "name": f"ov-multidom-no-b{block}-s{slot}", "block": block, "slot": slot}
+           for block in OV_BLOCKS for slot, (want, r, *_) in enumerate(workloads.OV_BLOCK)]
+    out += [{"set": "certified-mix", "group": label, "name": f"certified-mix-b0-s{slot}",
+             "block": 0, "slot": slot}
+            for slot, (label, *_) in enumerate(workloads.MIX_BLOCK) if label in MIX_GROUPS]
+    out += [{"set": "b-hubs", "group": "b-hubs", "name": name, "recipe": recipe}
+            for name, recipe in make_golden.B_HUBS.items()]
+    return out
+
+
+def _instance(case: dict, work: Path):
+    """(graph, problem, algo, certified answer) of the case."""
+    from domlab.multidom import Problem
+    from tests.golden import make_golden
+    import workloads
+
+    if case["set"] == "b-hubs":
+        variant, k, r = case["recipe"]["only"]
+        return make_golden.build_graph(case["recipe"]), Problem(variant, k, r), "fast", True
+    inst = workloads.WORKLOADS[case["set"]].block(SEED, case["block"], 0, work)[case["slot"]]
+    if inst.group != case["group"]:
+        raise SystemExit(f"{case['name']}: the workload draws {inst.group}, not {case['group']}")
+    algo = "pipeline" if inst.group.startswith("is-pipeline") else "fast"
+    return inst.make_graph(), inst.problem, algo, inst.expected
+
+
+def run_case(case: dict) -> dict:
+    """One solve, in this process: the untimed check, its join counters and
+    REPEATS timed solves."""
+    sys.path[1:1] = [str(ROOT), str(ROOT / "perfbench")]
+    from domlab import multidom, patterndom
+    from domlab.graph import Graph
+
+    with tempfile.TemporaryDirectory() as work:
+        G0, problem, algo, expected = _instance(case, Path(work))
+    n, edges = G0.n, list(G0.edges())
+    joins: list[dict] = []
+    join = multidom.pair_join
+
+    def counted(*args, stats=None):
+        joins.append({})
+        return join(*args, stats=joins[-1])
+
+    multidom.pair_join = patterndom.pair_join = counted
+    try:
+        sol = patterndom.solve(Graph(n, edges), problem, algo)
+    finally:
+        multidom.pair_join = patterndom.pair_join = join
+    if (sol is not None) != expected:
+        raise SystemExit(f"{case['name']}: the solver answers {sol is not None}, "
+                         f"the certified answer is {expected}")
+    if sol is not None and not multidom.verify_solution(G0, problem, sol.vertices):
+        raise SystemExit(f"{case['name']}: {sol.vertices} does not verify")
+    counters = {key: sum(stats[key] for stats in joins) for key in JOIN_COUNTERS}
+    out = dict(case, n=n, m=len(edges), answer=None if sol is None else list(sol.vertices),
+               joins=len(joins), counters=counters,
+               rows_walked=counters["rows_drawn"] - counters["rows_certified"])
+    times_ms = []
+    for _ in range(REPEATS):
+        G = Graph(n, edges)
+        gc.collect()
+        start = time.perf_counter()
+        patterndom.solve(G, problem, algo)
+        times_ms.append((time.perf_counter() - start) * 1000.0)
+    return dict(out, **_harness.quartiles("solve_ms", times_ms, 4))
+
+
+def _summary(entries: list[dict]) -> dict:
+    """Per group: the solves, YES answers, each counter's sum, the rows
+    walked, and the median and sum of the per-solve medians."""
+    out = {}
+    for name in dict.fromkeys(e["group"] for e in entries):
+        group = [e for e in entries if e["group"] == name]
+        medians = [e["solve_ms_median"] for e in group]
+        out[name] = {"solves": len(group), "yes": sum(e["answer"] is not None for e in group),
+                     **{key: sum(e["counters"][key] for e in group) for key in JOIN_COUNTERS},
+                     "rows_walked": sum(e["rows_walked"] for e in group),
+                     "solve_ms_median_of_medians": round(statistics.median(medians), 4),
+                     "solve_ms_total_of_medians": round(sum(medians), 3)}
+    return out
+
+
+if __name__ == "__main__":
+    sys.exit(_harness.main(
+        __file__, __doc__, {"benchmark": "pair_join on the benchmark workloads' join-bound solves",
+                            "repeats": REPEATS, "seed": SEED}, "multidom.py", cases, run_case,
+        _summary))

@@ -529,19 +529,24 @@ def near_partners(G: Graph, miss: int, alive: int | None = None) -> list[int]:
     `iter_heavy_vertices`. When no d passes, every mask is 0 and no length
     list or vertex mask is built.
     """
+    return _near_partners(G, miss, alive) or [0] * G.n
+
+
+def _near_partners(G: Graph, miss: int, alive: int | None) -> list[int] | None:
+    """`near_partners`, or None when no vertex starts a scan."""
     n = G.n
-    near = [0] * n
     full = G.full_mask() if alive is None else alive
     need = full.bit_count() - miss
     if 2 * (max(map(len, G.adj), default=0) + 1) < need:
-        return near
+        return None
     lengths = list(map(len, G.adj))  # d(v) = lengths[v] + 1
     # starts[v] = N[v] ∩ alive, for the vertices whose d passes first
     passing = map(ge, lengths, itertools.repeat(-(-need // 2) - 1))
     starts = {v: nv for v in itertools.compress(range(n), passing)
               if full >> v & 1 and 2 * (nv := G.closed_mask(v) & full).bit_count() >= need}
     if not starts:
-        return near
+        return None
+    near = [0] * n
     # only the alive vertices some start can pair with, d >= low, are sorted
     # and need a mask; every start is among them
     low = need - max(map(int.bit_count, starts.values()))
@@ -690,8 +695,8 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
     Runs. The join walks runs (P, B): the rows P + (b,) for each vertex b
     of the mask B, lowest first. A family's runs hold every row of a prefix
     at once; a tuple row S is the one-row run (S[:-1], 1 << S[-1]). Runs
-    with equal P in a row share one prefix state, so tuple rows are walked
-    exactly as one run of them would be.
+    with equal P in a row share one prefix state, so tuple rows give the
+    pairs and `rows_drawn` of one run of them, not its `rows_certified`.
 
     Levels per prefix. The loop keeps, for the current prefix P, the OR of
     the column masks of P's members and levels(P): entry c holds the
@@ -705,20 +710,26 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
     Row certificate. A vertex w outside N[b] gets the same level from
     S = P + (b,) as from P, in both variants: b neither dominates w nor,
     under "multiple", exempts it. So each gap mask that P gives such a w is
-    a gap mask of S too, as are the columns meeting P. When a prefix draws
-    its second row the join picks K_P: vertices short under P, lowest level
-    first (their gap masks are the widest), then lowest degree first (few
-    N[b] meet them), until their gap masks under P and the columns meeting
-    P cover every column. With K_P it keeps `hit`, the OR of N[w] over w in
-    K_P. Closed neighbourhoods are symmetric (b is in N[w] iff w is in
-    N[b]), so `hit` is the set of b whose N[b] meets K_P. A row P + (b,)
-    with b outside `hit` then has no pair, and `B &= hit` drops every such
-    row of a run with one AND. The first row of each prefix, the rows of a
-    prefix with no such K_P, and size-1 rows (empty P) are walked as above.
+    a gap mask of S too, as are the columns meeting P. Let K be vertices
+    short under P whose gap masks under P and the columns meeting P cover
+    every column, and `hit` the OR of N[w] over w in K: the b whose N[b]
+    meets K. A row P + (b,) with b outside `hit` has no pair, and
+    `B &= hit` drops every such row of a run with one AND. K_P takes P's
+    short vertices lowest level first (widest gap masks), then lowest
+    degree (few N[b] meet them), then lowest id. A cover costs about one
+    row walk, so only when hit(K_P) leaves two or more rows of the run is
+    K'_P built from the short vertices after K_P, in that order, and
+    hit(K_P) & hit(K'_P) kept. A family run of two or more rows is
+    certified before its first row; held joins (below), whose hold masks
+    already drop rows, and tuple rows, whose next row cannot be seen
+    without drawing it, wait for the prefix's second row. Rows of a prefix
+    with no K_P, and size-1 rows (empty P), are walked.
 
     Self-join. When `rows` is `cols`, a family joined with itself, each
     unordered pair is yielded once: a row skips the columns below its own
-    index, and the certificate covers those below its run's first row.
+    index, and K'_P covers those below its run's first row. K_P does not,
+    so it, and the choice to build K'_P, are the plain join's, and K'_P is
+    a prefix of the plain one: a self-join walks a subset of its rows.
     Such a pair was already met as its mirror, when the earlier member was
     the row, so the first pair, and the first appearance of every union,
     are unchanged. Otherwise dropped rows yield nothing and every other row
@@ -795,19 +806,21 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
         below[v] = [full ^ m for m in ge]
         return below[v]
 
-    def certificate(P: tuple[int, ...], covered: int, lp: list[int]) -> int | None:
-        """`hit` for K_P, or None when P's short vertices leave a column
-        uncovered; `covered` holds the columns every row of the run skips."""
+    def certificate(P: tuple[int, ...], skipped: int, mirror: int, lp: list[int], rows: int) -> int:
+        """`hit` for K_P, ANDed with `hit` for K'_P when K_P leaves two or
+        more of the run's `rows`; -1 with no K_P. Each row of the run skips
+        the columns of `skipped`, and in a self-join those of `mirror`,
+        which only K'_P counts (see "Self-join")."""
         if stats is not None:
             stats["gap_masks"] += len(P)
-        if covered == full:
+        if skipped | mirror == full:
             return 0
         if not buckets:
             by_degree: dict[int, int] = {}
             for v, d in enumerate(map(len, adj)):
                 by_degree[d] = by_degree.get(d, 0) | 1 << v
             buckets.extend(by_degree[d] for d in sorted(by_degree))
-        hit = 0
+        covered, hit, first = skipped, 0, -1
         for c in range(r):
             short = lp[c] ^ lp[c + 1]
             for bucket in buckets:
@@ -820,11 +833,15 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
                     if stats is not None:
                         stats["gap_masks"] += 1
                     if covered == full:
-                        return hit
+                        rows &= hit
+                        if not rows & rows - 1:
+                            return first & hit
+                        # K'_P: the short vertices after K_P, in the same order
+                        covered, hit, first, rows = skipped | mirror, 0, hit, 0
                 short ^= ws
                 if not short:
                     break
-        return None
+        return first
 
     if stats is not None:
         stats.update(dict.fromkeys(STATS_KEYS[2:], 0))
@@ -851,12 +868,11 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
                     up = [0] + lp[:-1]
             rest = run  # the rows of the run not yet counted
             while rest:
-                if pending and not fresh:
+                # before a run's first row if it has two, unless held; else at the second
+                if pending and (not fresh or not held and run & run - 1):
                     # a self-joined run skips the columns of earlier rows
-                    covered = cp | always | ((1 << i0) - 1 if mirrored else 0)
-                    certified, pending = certificate(P, covered, lp), False
-                    if certified is not None:
-                        hit &= certified
+                    mirror = (1 << i0) - 1 if mirrored else 0
+                    hit, pending = hit & certificate(P, cp | always, mirror, lp, rest & hit), False
                 live = rest & hit
                 if not live:
                     break
@@ -1020,9 +1036,10 @@ def list_2_dominating_sets(G: Graph, alive: int | None = None) -> list[tuple[int
     partner mask of its smaller vertex, in id order, which is already
     lexicographic: O(n + m) for the degrees, one mask test per (start,
     candidate partner) pair, and the pairs found. With no vertex of
-    |N[v]| >= |alive|/2 the answer is empty and no vertex mask is built.
+    |N[v]| >= |alive|/2 the answer is empty, and neither a vertex mask nor
+    the n partner masks are built.
     """
-    near = near_partners(G, 0, alive)
+    near = _near_partners(G, 0, alive) or ()
     return [(u, v) for u, partners in itertools.compress(enumerate(near), near)
             for v in iter_bits(partners >> u << u)]
 

@@ -495,31 +495,51 @@ def _join_instances():
     return out
 
 
+class _RowLog(dict):
+    """A `pair_join` stats dict that lists in `walked` the draw index of
+    each row the join walks. A walked row adds the rows drawn up to it to
+    `rows_drawn` and all but itself to `rows_certified`; the rows a run
+    drops after its last walked row add equally to both."""
+
+    def __init__(self):
+        super().__init__()
+        self.walked, self._step = [], 0
+
+    def __setitem__(self, key, value):
+        if key == "rows_drawn":
+            self._step = value - self.get(key, 0)
+        elif key == "rows_certified" and value - self.get(key, 0) == self._step - 1:
+            self.walked.append(self["rows_drawn"] - 1)
+        super().__setitem__(key, value)
+
+
 def test_pair_join_family_columns_match_member_columns():
     # a CandidateFamily brings its block-built masks; a plain list of the
     # same members is wrapped as a `ColumnList`; a row family is walked run
     # by run (against another column object: an equal family is built again
-    # for the shapes that coincide); pairs and counters must agree
+    # for the shapes that coincide). Pairs agree, and so do the counters of
+    # the two tuple-row joins. The run walk, certified before a run's first
+    # row, walks a subset of the rows the tuple walk walks, and every row
+    # with a pair
     pairs = 0
     for G, k in _join_instances():
         for r in range(1, k):
             fam_s, fam_t = build_candidate_families(G, k, r)
             if fam_t is fam_s:
                 fam_t = multidom._candidate_family(G.n, fam_s.heavy, fam_s.size, fam_s.quota)
+            index = {S: i for i, S in enumerate(fam_s.members)}
             for variant in multidom.VARIANTS:
-                by_family, by_list, by_runs = {}, {}, {}
+                by_family, by_list, by_runs = _RowLog(), {}, _RowLog()
                 got = list(multidom.pair_join(G, fam_s.members, fam_t, r, variant,
                                               stats=by_family))
                 assert got == list(multidom.pair_join(G, fam_s.members, list(fam_t.members),
                                                       r, variant, stats=by_list)), (G.n, k, r)
                 assert got == list(multidom.pair_join(G, fam_s, fam_t, r, variant,
                                                       stats=by_runs)), (G.n, k, r)
-                assert by_family == by_list == by_runs
-                # no certificate drops the first row of a prefix or a row with a pair
-                walked = {S for i, S in enumerate(fam_s.members)
-                          if i == 0 or S[:-1] != fam_s.members[i - 1][:-1]}
-                walked.update(S for S, _ in got)
-                assert by_runs["rows_certified"] <= by_runs["rows_drawn"] - len(walked)
+                assert by_family == by_list
+                for log in (by_family, by_runs):
+                    assert len(log.walked) == log["rows_drawn"] - log["rows_certified"]
+                assert {index[S] for S, _ in got} <= set(by_runs.walked) <= set(by_family.walked)
                 pairs += len(got)
     assert pairs > 0
 
@@ -546,9 +566,11 @@ def test_family_runs_concatenate_to_the_members():
 
 def test_self_joined_family_yields_each_unordered_pair_once():
     # a family joined with itself yields the pairs of its member join whose
-    # column index is above the row index, in order; it draws the same rows
-    # and walks no more of them. Families above 600 members are left out,
-    # as the full member join is quadratic in them.
+    # column index is above the row index, in order; against the run walk
+    # of an equal, separately built family, which certifies on the same
+    # schedule, it draws the same rows and walks no more of them. Families
+    # above 600 members are left out, as the full member join is quadratic
+    # in them.
     pairs = skipped = certified = 0
     for G, k in _join_instances():
         heavy = heavy_vertices(G, k)
@@ -556,22 +578,53 @@ def test_self_joined_family_yields_each_unordered_pair_once():
             fam = multidom._candidate_family(G.n, heavy, size, quota)
             if len(fam) > 600:
                 continue
+            twin = multidom._candidate_family(G.n, heavy, size, quota)
             index = {T: j for j, T in enumerate(fam.members)}
             for r in (1, 2, 3):
                 for variant in multidom.VARIANTS:
-                    once, plain = {}, {}
-                    full = list(multidom.pair_join(G, fam.members, list(fam.members), r, variant,
-                                                   stats=plain))
+                    once, plain = _RowLog(), _RowLog()
+                    full = list(multidom.pair_join(G, twin, fam, r, variant, stats=plain))
                     expected = [(S, T) for S, T in full if index[T] > index[S]]
                     assert list(multidom.pair_join(G, fam, fam, r, variant, stats=once)) == expected
                     assert once["rows_drawn"] == plain["rows_drawn"] == len(fam)
                     assert once["rows_certified"] >= plain["rows_certified"]
                     assert once["gap_masks"] <= plain["gap_masks"]
                     assert once["below_built"] <= plain["below_built"]
+                    assert set(once.walked) <= set(plain.walked)
                     pairs += len(expected)
                     skipped += len(full) - len(expected)
                     certified += once["rows_certified"]
     assert pairs > 0 and skipped > 0 and certified > 0
+
+
+def test_two_cover_certificates_drop_only_rows_without_a_pair():
+    # families of 1-3 vertices with heavy quota 0-2 over a random heavy set,
+    # joined with another family and with themselves: the rows the
+    # certificates drop, before a run's first row and by two covers, hold
+    # no pair of the nested reference scan
+    reached = set()
+    for seed in range(120):
+        rng = random.Random(f"two-cover:{seed}")
+        n = rng.randint(4, 9)
+        G = random_graph(f"two-cover:{seed}", n, rng.choice([0.2, 0.4, 0.6, 0.8]))
+        heavy = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+        rows, cols = (multidom._candidate_family(n, heavy, size, rng.randint(0, min(2, size)))
+                      for size in (rng.randint(1, 3), rng.randint(1, 3)))
+        mirrored = seed % 2 == 0
+        if mirrored:
+            cols = rows
+        for r in (1, 2, 3):
+            for variant in multidom.VARIANTS:
+                stats = {}
+                got = list(multidom.pair_join(G, rows, cols, r, variant, stats=stats))
+                expected = [(rows.members[i], cols.members[j])
+                            for i, j in _reference_pair_join(G, rows.members, cols.members, r, variant)
+                            if not mirrored or j > i]
+                assert got == expected, (seed, r, variant)
+                if stats["rows_certified"]:
+                    reached.add((mirrored, variant))
+    assert reached == {(mirrored, variant) for mirrored in (False, True)
+                       for variant in multidom.VARIANTS}
 
 
 def _record_expansions(monkeypatch) -> list:

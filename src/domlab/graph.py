@@ -6,9 +6,10 @@ import gc
 import json
 import os
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import wraps
 from itertools import compress, islice, repeat
+from math import isqrt
 from operator import ge
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -53,7 +54,9 @@ class Graph:
     n/64 words for each vertex a solver asks about, never for the others.
     A build takes O(deg(v) + n) time (`_index_mask`), so a hub of degree
     n/2 costs no time quadratic in n, as the sum of its neighbours' bits
-    would. `heavy_vertices(G, k)` keeps its answer per k. The graph is
+    would. `heavy_vertices(G, k)` keeps its answer per k. The first degree
+    query at or above T = max(1, isqrt(2m)) keeps the ids of the vertices
+    of degree >= T: at most 2m/T, about √(2m), ints. The graph is
     logically immutable: the caches only hold what a query would compute
     anyway, so a Graph can be shared freely across workers.
 
@@ -74,7 +77,7 @@ class Graph:
     the next collection after the build.
     """
 
-    __slots__ = ("n", "m", "adj", "_masks", "_heavy")
+    __slots__ = ("n", "m", "adj", "_masks", "_heavy", "_high")
 
     @_gc_paused
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
@@ -135,6 +138,22 @@ class Graph:
         self.n, self.m, self.adj = n, m, adj
         self._masks: dict[int, int] = {}
         self._heavy: dict[int, tuple[int, ...]] = {}
+        self._high: list[int] | None = None  # see `degree_at_least`
+
+    def degree_at_least(self, t: int, lo: int = 0) -> Iterator[int]:
+        """The vertices v >= lo of degree >= t, lazily and in increasing order.
+
+        A t at or above T = max(1, isqrt(2m)) filters `_high`, the at most
+        2m/T vertices of degree >= T, listed by the first such query; a
+        smaller t scans all n degrees. So a sparse graph, whose thresholds
+        lie above T, pays one pass over its n degrees in all."""
+        adj, split = self.adj, max(1, isqrt(2 * self.m))
+        if t < split:
+            return compress(range(lo, self.n), map(ge, map(len, islice(adj, lo, None)), repeat(t)))
+        if self._high is None:
+            self._high = list(compress(range(self.n), map(ge, map(len, adj), repeat(split))))
+        ids = self._high[bisect_left(self._high, lo):]
+        return compress(ids, map(ge, map(len, map(adj.__getitem__, ids)), repeat(t)))
 
     def adjacency(self, v: int) -> tuple[int, ...]:
         self._check(v)
@@ -215,8 +234,8 @@ def iter_heavy_vertices(G: Graph, k: int, alive: int | None = None) -> Iterator[
     They come lazily and in increasing order, so a caller that stops at a
     vertex tests no later one; a ValueError for k < 1 comes at the call.
 
-    Since |N[v] ∩ alive| <= deg(v) + 1, a filter on the adjacency-list
-    lengths runs first, from the lowest alive vertex on, and only the
+    Since |N[v] ∩ alive| <= deg(v) + 1, a degree filter runs first, from
+    the lowest alive vertex on (`Graph.degree_at_least`), and only the
     candidates it passes read a mask (none when `alive` is V).
     """
     if k < 1:
@@ -225,8 +244,7 @@ def iter_heavy_vertices(G: Graph, k: int, alive: int | None = None) -> Iterator[
     min_degree = -(-size // k) - 1
     # no vertex below the lowest alive one is a candidate (alive = 0 has none)
     lo = 0 if size == G.n else max((alive & -alive).bit_length() - 1, 0)
-    degrees = map(len, islice(G.adj, lo, None))
-    candidates = compress(range(lo, G.n), map(ge, degrees, repeat(min_degree)))
+    candidates = G.degree_at_least(min_degree, lo)
     if size == G.n:  # alive is all of V, where |N[v] ∩ alive| = deg(v) + 1
         return candidates
     return (v for v in candidates

@@ -12,7 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import comb
-from operator import add, and_, ge, or_, rshift, sub
+from operator import add, and_, or_, rshift, sub
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import iter_bits
@@ -524,36 +524,33 @@ def near_partners(G: Graph, miss: int, alive: int | None = None) -> list[int]:
     its vertex of larger s has 2·s >= |alive| - miss. Only those vertices
     start a scan, and s is counted only where d passes that test first. A
     start a tests the partners b with d(b) >= |alive| - miss - s(a), a
-    suffix of the alive vertices sorted by d, once per pair. The degree
-    filters run in C over the adjacency-list lengths, as in
-    `iter_heavy_vertices`. When no d passes, every mask is 0 and no length
-    list or vertex mask is built.
+    suffix of the alive vertices sorted by d, then id, once per pair. Both
+    degree filters are `Graph.degree_at_least`; until G keeps its list of
+    high-degree vertices, a `max` over the degrees comes first. When no d
+    passes, every mask is 0 and no vertex mask is built.
     """
-    return _near_partners(G, miss, alive) or [0] * G.n
+    return _near_partners(G, miss, alive)[0] or [0] * G.n
 
 
-def _near_partners(G: Graph, miss: int, alive: int | None) -> list[int] | None:
-    """`near_partners`, or None when no vertex starts a scan."""
-    n = G.n
+def _near_partners(G: Graph, miss: int, alive: int | None) -> tuple[list[int] | None, list[int]]:
+    """(`near_partners`, the vertices scanned in increasing order), or
+    (None, []) when no vertex starts a scan; near is 0 off the scanned."""
     full = G.full_mask() if alive is None else alive
     need = full.bit_count() - miss
-    if 2 * (max(map(len, G.adj), default=0) + 1) < need:
-        return None
-    lengths = list(map(len, G.adj))  # d(v) = lengths[v] + 1
+    if G._high is None and 2 * (max(map(len, G.adj), default=0) + 1) < need:
+        return None, []
     # starts[v] = N[v] ∩ alive, for the vertices whose d passes first
-    passing = map(ge, lengths, itertools.repeat(-(-need // 2) - 1))
-    starts = {v: nv for v in itertools.compress(range(n), passing)
+    starts = {v: nv for v in G.degree_at_least(-(-need // 2) - 1)
               if full >> v & 1 and 2 * (nv := G.closed_mask(v) & full).bit_count() >= need}
     if not starts:
-        return None
-    near = [0] * n
+        return None, []
+    near = [0] * G.n
     # only the alive vertices some start can pair with, d >= low, are sorted
     # and need a mask; every start is among them
     low = need - max(map(int.bit_count, starts.values()))
-    passing = map(ge, lengths, itertools.repeat(low - 1))
-    order = sorted((v for v in itertools.compress(range(n), passing) if full >> v & 1),
-                   key=lengths.__getitem__)
-    ordered = [lengths[v] + 1 for v in order]
+    scanned = [v for v in G.degree_at_least(low - 1) if full >> v & 1]
+    order = sorted(scanned, key=lambda v: len(G.adj[v]))
+    ordered = [len(G.adj[v]) + 1 for v in order]
     masks = [G.closed_mask(v) & full for v in order]
     for a, na in starts.items():
         lo = bisect_left(ordered, need - na.bit_count())
@@ -564,7 +561,7 @@ def _near_partners(G: Graph, miss: int, alive: int | None) -> list[int] | None:
             if (full ^ (na | nb)).bit_count() <= miss:
                 near[a] |= 1 << b
                 near[b] |= 1 << a
-    return near
+    return near, scanned
 
 
 def _near_rows(near: Sequence[int], heavy: int, size: int, quota: int,
@@ -1033,15 +1030,15 @@ def list_2_dominating_sets(G: Graph, alive: int | None = None) -> list[tuple[int
     by their ids in G.
 
     The pairs are read off `near_partners(G, 0, alive)`, each from the
-    partner mask of its smaller vertex, in id order, which is already
-    lexicographic: O(n + m) for the degrees, one mask test per (start,
-    candidate partner) pair, and the pairs found. With no vertex of
-    |N[v]| >= |alive|/2 the answer is empty, and neither a vertex mask nor
-    the n partner masks are built.
+    partner mask of its smaller vertex, over only the vertices that call
+    scanned, in id order, which is already lexicographic: the degree filters
+    (one pass over the n degrees in all on a sparse graph), one mask test
+    per (start, candidate partner) pair, and the pairs found. With no vertex
+    of |N[v]| >= |alive|/2 the answer is empty, and neither a vertex mask
+    nor the n partner masks are built.
     """
-    near = _near_partners(G, 0, alive) or ()
-    return [(u, v) for u, partners in itertools.compress(enumerate(near), near)
-            for v in iter_bits(partners >> u << u)]
+    near, scanned = _near_partners(G, 0, alive)
+    return [(u, v) for u in scanned for v in iter_bits(near[u] >> u << u)]
 
 
 def build_clique_graph(G: Graph, k: int) -> tuple[KPartiteGraph, list[list[int]]]:

@@ -124,12 +124,14 @@ def solve_ov_bruteforce(inst: OVInstance, r: int) -> bool:
     A depth-first search over each set's distinct zero masks, counted with
     saturation: levels[c] holds the coordinates with >= c zeros so far.
     The k - i - 1 sets after set i add at most one zero each, so a prefix is
-    cut when levels[r - (k - i - 1)] misses a coordinate."""
+    cut when levels[r - (k - i - 1)] misses a coordinate. Set i's masks are
+    built when the search first reaches set i."""
     check_r_window(r, inst.k, below_k=False)
     oracles.check_transversal_budget(map(len, inst.sets), f"{inst.k} sets have")
     k, full = inst.k, (1 << inst.d) - 1
-    zeros = [list(dict.fromkeys(sum(1 << t for t, x in enumerate(vec) if x == 0)
-                                for vec in vectors)) for vectors in inst.sets]
+    masks = (list(dict.fromkeys(sum(1 << t for t, x in enumerate(vec) if x == 0)
+                                for vec in vectors)) for vectors in inst.sets)
+    zeros = [next(masks)]
     stack = [([full] + [0] * r, iter(zeros[0]))]
     while stack:
         levels, rest = stack[-1]
@@ -143,6 +145,8 @@ def solve_ov_bruteforce(inst: OVInstance, r: int) -> bool:
             continue
         if i + 1 == k:
             return True
+        if i + 1 == len(zeros):
+            zeros.append(next(masks))
         stack.append((grown, iter(zeros[i + 1])))
     return False
 

@@ -19,8 +19,11 @@ Three sets of solves:
 Every instance is drawn by the workload's own seeded generator, with its
 certified answer. Each solve is measured in one fresh child process. One
 untimed solve sums the four `pair_join` counters (`rows_drawn`,
-`rows_certified`, `gap_masks`, `below_built`) over every join it runs and
-checks the answer: the child exits non-zero when it differs from the
+`rows_certified`, `gap_masks`, `below_built`) over every join it runs,
+counts `members_built`, the member tuples its candidate families built
+(len(members) for each family that expanded, plus one for each member
+decoded alone by `CandidateFamily.member`, where the measured tree has it),
+and checks the answer: the child exits non-zero when it differs from the
 certified one or when a YES does not verify. Then REPEATS timed solves,
 each on a new `Graph` of the same edges built outside the timer and after
 a `gc.collect()`, give the median and quartiles of the unscaled wall time.
@@ -96,26 +99,46 @@ def run_case(case: dict) -> dict:
         G0, problem, algo, expected = _instance(case, Path(work))
     n, edges = G0.n, list(G0.edges())
     joins: list[dict] = []
-    join = multidom.pair_join
+    join, candidate_family = multidom.pair_join, multidom._candidate_family
+    families: list = []
+    member = getattr(multidom.CandidateFamily, "member", None)
+    decoded = 0
 
     def counted(*args, stats=None):
         joins.append({})
         return join(*args, stats=joins[-1])
 
+    def recording(*args):
+        families.append(candidate_family(*args))
+        return families[-1]
+
+    def decoding(fam, j):
+        nonlocal decoded
+        decoded += "members" not in fam.__dict__
+        return member(fam, j)
+
     multidom.pair_join = patterndom.pair_join = counted
+    multidom._candidate_family = recording
+    if member is not None:
+        multidom.CandidateFamily.member = decoding
     try:
         sol = patterndom.solve(Graph(n, edges), problem, algo)
     finally:
         multidom.pair_join = patterndom.pair_join = join
+        multidom._candidate_family = candidate_family
+        if member is not None:
+            multidom.CandidateFamily.member = member
     if (sol is not None) != expected:
         raise SystemExit(f"{case['name']}: the solver answers {sol is not None}, "
                          f"the certified answer is {expected}")
     if sol is not None and not multidom.verify_solution(G0, problem, sol.vertices):
         raise SystemExit(f"{case['name']}: {sol.vertices} does not verify")
     counters = {key: sum(stats[key] for stats in joins) for key in JOIN_COUNTERS}
+    members_built = decoded + sum(len(fam.__dict__.get("members", ())) for fam in families)
     out = dict(case, n=n, m=len(edges), answer=None if sol is None else list(sol.vertices),
                joins=len(joins), counters=counters,
-               rows_walked=counters["rows_drawn"] - counters["rows_certified"])
+               rows_walked=counters["rows_drawn"] - counters["rows_certified"],
+               members_built=members_built)
     times_ms = []
     for _ in range(REPEATS):
         G = Graph(n, edges)
@@ -128,7 +151,8 @@ def run_case(case: dict) -> dict:
 
 def _summary(entries: list[dict]) -> dict:
     """Per group: the solves, YES answers, each counter's sum, the rows
-    walked, and the median and sum of the per-solve medians."""
+    walked, the member tuples built, and the median and sum of the
+    per-solve medians."""
     out = {}
     for name in dict.fromkeys(e["group"] for e in entries):
         group = [e for e in entries if e["group"] == name]
@@ -136,6 +160,7 @@ def _summary(entries: list[dict]) -> dict:
         out[name] = {"solves": len(group), "yes": sum(e["answer"] is not None for e in group),
                      **{key: sum(e["counters"][key] for e in group) for key in JOIN_COUNTERS},
                      "rows_walked": sum(e["rows_walked"] for e in group),
+                     "members_built": sum(e["members_built"] for e in group),
                      "solve_ms_median_of_medians": round(statistics.median(medians), 4),
                      "solve_ms_total_of_medians": round(sum(medians), 3)}
     return out

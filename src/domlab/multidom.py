@@ -8,11 +8,11 @@ detection, the last two on one bitmask clique walker (`_near_rows`).
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import comb
-from operator import add, and_, or_, rshift, sub
+from operator import add, and_, itemgetter, or_, rshift, sub
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import iter_bits
@@ -100,9 +100,10 @@ class CandidateFamily:
     where ids is `heavy` (G's heavy ids, sorted) when in_heavy is true and
     range(n) otherwise.
 
-    Three views are derived from the blocks, each only when asked for:
+    Four views are derived from the blocks, each only when asked for:
     - `members`, the member tuples in order, expanded on first use and then
-      kept. A join reads it only to yield a pair, so a NO solve builds none.
+      kept. A join reads it only past its first pair, so a NO solve builds none.
+    - `member(j)`, members[j], decoded alone from its block until `members` is built.
     - `runs()`, the members grouped by their prefix of size - 1.
     - `column_masks[u]`, the bitmask of the indices j with u in members[j],
       for u < n, as a `ColumnList` has it. `_block_masks` builds it when a
@@ -129,6 +130,18 @@ class CandidateFamily:
             tails = itertools.combinations(ids, left) if left > 1 else zip(ids)
             out.extend(map(add, itertools.repeat(prefix), tails))
         return tuple(out)
+
+    def member(self, j: int) -> tuple[int, ...]:
+        """members[j]; until `members` is built, a bisect of the block offsets and
+        an index (left = 1) or a skip over the block's tails, at most its expansion."""
+        if "members" in self.__dict__:
+            return self.members[j]
+        offset, prefix, left, start, in_heavy = self.blocks[
+            bisect_right(self.blocks, j, key=itemgetter(0)) - 1]
+        ids = (self.heavy if in_heavy else range(self.n))[start:]
+        if left == 1:
+            return prefix + (ids[j - offset],)
+        return prefix + next(itertools.islice(itertools.combinations(ids, left), j - offset, None))
 
     @cached_property
     def column_masks(self) -> list[int]:
@@ -224,8 +237,8 @@ def _tail_masks(size: int, left: int) -> list[int]:
 @dataclass(frozen=True)
 class ColumnList:
     """Columns given as a sequence of member tuples, with the views of a
-    `CandidateFamily` that `pair_join` reads: `members`, len() and
-    `column_masks`, built on first use, then kept.
+    `CandidateFamily` that `pair_join` reads: `member(j)`, `members`, len()
+    and `column_masks`, built on first use, then kept.
 
     Each member vertex ORs in its column's bit, which copies an int as wide
     as the column index. When the vertices are in 128 or more columns on
@@ -240,6 +253,9 @@ class ColumnList:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    def member(self, j: int) -> tuple[int, ...]:
+        return self.members[j]
 
     @cached_property
     def column_masks(self) -> list[int]:
@@ -670,9 +686,10 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
     first pair never builds the rows after its row. `cols` is a
     `CandidateFamily` or a `ColumnList`, and a plain sequence of member
     tuples is wrapped as a `ColumnList` on entry. The join reads only its
-    `members`, len() and lazy `column_masks`, fetched when the first row is
-    drawn. A family's member tuples, row or column, are built only when a
-    pair is yielded or the column short sets are read.
+    `member(j)`, `members`, len() and lazy `column_masks`, fetched when the
+    first row is drawn. Member tuples are built when the column short sets
+    are read, or for pairs: the first pair's column alone; later pairs
+    expand the family once.
 
     "multiple" counts open-neighborhood dominators and exempts the union's own
     vertices; "tuple" counts closed-neighborhood dominators at every vertex.
@@ -798,9 +815,8 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
         contains = cols.column_masks
         nbrs = adj[v] if multiple else itertools.chain(adj[v], (v,))
         ge = _at_least(map(contains.__getitem__, nbrs), r, full)
-        if multiple:
-            ge = [m | contains[v] for m in ge]
-        below[v] = [full ^ m for m in ge]
+        own = contains[v]
+        below[v] = [full ^ (m | own) for m in ge] if multiple else [full ^ m for m in ge]
         return below[v]
 
     def certificate(P: tuple[int, ...], skipped: int, mirror: int, lp: list[int], rows: int) -> int:
@@ -844,7 +860,7 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
         stats.update(dict.fromkeys(STATS_KEYS[2:], 0))
 
     def walk() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        prefix, pending = None, False
+        prefix, pending, members = None, False, None
         for P, run, i0 in runs:
             contains = cols.column_masks  # contains[u]: the columns holding u
             fresh = P != prefix
@@ -912,8 +928,12 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
                     stats["gap_masks"] += ored
                 if seen != full:
                     S = P + (b,)
-                    for j in iter_bits(full ^ seen):
-                        yield S, cols.members[j]
+                    js = iter_bits(full ^ seen)
+                    if members is None:
+                        yield S, cols.member(next(js))
+                        members = cols.members
+                    for j in js:
+                        yield S, members[j]
             if rest and stats is not None:
                 stats["rows_drawn"] += rest.bit_count()
                 stats["rows_certified"] += rest.bit_count()

@@ -264,8 +264,11 @@ def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
         cols = [sum(et, ()) for et in itertools.combinations(edges, k // 4)]
         sets = _sorted_unions(G, rows, cols)
     cand = _first_shaped(G, problem, sets)
-    if cand is None:
-        return None
+    return None if cand is None else _matching_solution(G, problem, cand)
+
+
+def _matching_solution(G: Graph, problem: Problem, cand: tuple[int, ...]) -> Solution:
+    """`cand`, with the edges it induces as the certificate's `matching_edges`."""
     induced = [e for e in itertools.combinations(cand, 2) if G.has_edge(*e)]
     return Solution(problem, cand, {"matching_edges": induced})
 
@@ -358,5 +361,7 @@ def solve(G: Graph, problem: Problem, algo: str = "fast",
     H = Pattern(k, problem.pattern_edges) if build is None else None
     if algo == "brute":  # with k > n there is no k-subset, and no k-vertex Pattern is built
         found = k <= G.n and oracles.oracle_pattern(G, H or getattr(Pattern, build)(k))
+        if found and kind == "matching":
+            return _matching_solution(G, problem, found.vertices)
         return Solution(problem, found.vertices) if found else None
     return globals()[name](G, H or k)

@@ -8,7 +8,7 @@ from functools import cached_property
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from domlab import cli, graph, multidom, patterndom
 from domlab.graph import delete_closed_neighborhood
@@ -645,7 +645,9 @@ def _record_expansions(monkeypatch) -> list:
 
 def test_no_solve_builds_no_member_tuple(monkeypatch):
     # a NO answer reads no pair, so no family expands its blocks into
-    # member tuples; a YES answer expands its column family once
+    # member tuples; a first-hit YES decodes its one column alone, and only
+    # a consumer that reads on, such as the k-set listing, expands the
+    # column family, once
     families = []
     candidate_family = multidom._candidate_family
 
@@ -670,7 +672,69 @@ def test_no_solve_builds_no_member_tuple(monkeypatch):
     G = complete_graph(8)
     for _ in range(2):
         assert solve_multidom_fast(G, 4, 2, "multiple") is not None
-    assert len(families) == 2 and list(map(id, expansions)) == list(map(id, families))
+    assert len(families) == 2 and not expansions
+    assert not any("members" in fam.__dict__ for fam in families)
+    families.clear()
+    assert len(list(list_dominating_ksets(G, 4))) == comb(8, 4)
+    # the quota-0 rows are walked by their runs; the quota-1 columns expand once
+    assert len(families) == 2 and list(map(id, expansions)) == [id(families[1])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 4), st.integers(0, 4),
+       st.sampled_from(["empty", "full", "some"]), st.integers(0, 511))
+@example(6, 3, 0, "empty", 0)  # one left = 3 block over range(n)
+@example(6, 3, 3, "full", 0)  # one left = 3 block over the heavy ids
+@example(7, 4, 2, "some", 0b1010110)  # left = 1 and >= 2, over range(n) and the heavy ids
+def test_family_member_decodes_members_without_building_them(n, size, quota, kind, mask):
+    # member(j) equals the j-th set of a filtered combinations scan, for
+    # every j, before `members` is built and after; quotas run 0..size
+    quota = min(quota, size)
+    heavy = {"empty": (), "full": tuple(range(n)),
+             "some": tuple(v for v in range(n) if mask >> v & 1)}[kind]
+    fam = multidom._candidate_family(n, heavy, size, quota)
+    expected = [T for T in itertools.combinations(range(n), size)
+                if len(set(T) & set(heavy)) >= quota]
+    assert [fam.member(j) for j in range(len(fam))] == expected
+    assert "members" not in fam.__dict__
+    assert list(fam.members) == expected
+    assert [fam.member(j) for j in range(len(fam))] == expected
+    cols = multidom.ColumnList(n, expected)
+    assert [cols.member(j) for j in range(len(cols))] == expected
+
+
+def test_listing_consumer_reads_every_pair_from_one_expansion(monkeypatch):
+    # a consumer that reads every pair gets the nested scan's pair list, in
+    # order, with the column family expanded once; the first pair alone
+    # expands nothing unless the join reads the column short sets
+    expansions = _record_expansions(monkeypatch)
+    read = 0
+    for seed in range(80):
+        rng = random.Random(f"listing:{seed}")
+        n = rng.randint(4, 9)
+        G = random_graph(f"listing:{seed}", n, rng.choice([0.3, 0.5, 0.8]))
+        heavy = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+        shapes = [(rng.randint(1, 3), rng.randint(0, 2)) for _ in range(2)]
+        shapes = [(size, min(quota, size)) for size, quota in shapes]
+        for r in (1, 2):
+            for variant in multidom.VARIANTS:
+                rows, cols = (multidom._candidate_family(n, heavy, *shape) for shape in shapes)
+                # rows shorter than r read the column short sets when
+                # r * len(cols) <= n, which expands the columns first
+                short_sets = r * len(cols) <= n and rows.size < r
+                expansions.clear()
+                first = next(multidom.pair_join(G, rows, cols, r, variant), None)
+                assert [id(fam) for fam in expansions] == ([id(cols)] if short_sets else [])
+                rows, cols = (multidom._candidate_family(n, heavy, *shape) for shape in shapes)
+                expansions.clear()
+                got = list(multidom.pair_join(G, rows, cols, r, variant))
+                assert ([id(fam) for fam in expansions]
+                        == ([id(cols)] if short_sets or len(got) > 1 else []))
+                expected = [(rows.members[i], cols.members[j])
+                            for i, j in _reference_pair_join(G, rows.members, cols.members, r, variant)]
+                assert got == expected and first == (got[0] if got else None), (seed, r, variant)
+                read += len(got) > 1
+    assert read >= 100, read
 
 
 def test_no_fast_multidom_solve_expands_a_family(monkeypatch):

@@ -180,6 +180,15 @@ def test_dominating_matching_p6():
     assert sol.certificate["matching_edges"] == [(0, 1), (3, 4)]
 
 
+def test_brute_matching_answer_carries_the_fast_certificate():
+    # the paw graph, a triangle with a pendant vertex: both algos give
+    # (0, 2) with its induced edge, so the two Solutions compare equal
+    paw = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    problem = Problem("matching", 2)
+    fast, brute = (patterndom.solve(paw, problem, algo) for algo in ("fast", "brute"))
+    assert brute == fast == Solution(problem, (0, 2), {"matching_edges": [(0, 2)]})
+
+
 def test_dominating_matching_c4_none():
     assert solve_dominating_induced_matching(cycle_graph(4), 4) is None
 
@@ -749,7 +758,12 @@ def test_solve_matches_each_direct_call():
         for P, H, solver in shaped:
             assert solve(G, P) == solver(G, P.k)
             oracle = oracle_pattern(G, H)
-            assert solve(G, P, "brute") == (oracle and Solution(P, oracle.vertices))
+            want = oracle and Solution(P, oracle.vertices)
+            if want and P.kind == "matching":
+                # a brute matching answer carries the edges it induces, as fast's does
+                want = Solution(P, oracle.vertices, {"matching_edges": [
+                    e for e in itertools.combinations(oracle.vertices, 2) if G.has_edge(*e)]})
+            assert solve(G, P, "brute") == want
         for H in (path3, star4):
             P = Problem("pattern", H.k, pattern_edges=H.edges)
             assert solve(G, P) == solve_pattern_domination(G, H)

@@ -4,7 +4,7 @@
     python3 bench/bench_join.py                      # writes BENCH_join.json
     python3 bench/bench_join.py --src OTHER/src --out BENCH_join_parent.json
 
-Three sets of solves:
+Four sets of solves:
 
 - `ov-multidom-no`: the 28 instances of the ov-multidom-no workload at
   seed 1, blocks 0-3 (`perfbench/workloads.py`): 16 `no-r2`, 8 `yes-r2`
@@ -14,17 +14,22 @@ Three sets of solves:
   its command line solves them (`domlab.solve`, the pipeline for
   is-multidom);
 - `b-hubs`: the 50 planted-hub graphs of `bench/bench_bhubs.py`, at
-  (k, r) = (5, 3), whose joins read the column short sets.
+  (k, r) = (5, 3), whose joins read the column short sets;
+- `clique-hub`: `solve_dominating_clique` at k = 5 on
+  `planted_hub_graph(Random(s), 300, 5, 4)` for s = 1, 2, whose one join
+  pairs clique rows with every edge of a heavy-rich graph. Both are NO.
 
-Every instance is drawn by the workload's own seeded generator, with its
-certified answer. Each solve is measured in one fresh child process. One
-untimed solve sums the four `pair_join` counters (`rows_drawn`,
-`rows_certified`, `gap_masks`, `below_built`) over every join it runs,
-counts `members_built`, the member tuples its candidate families built
-(len(members) for each family that expanded, plus one for each member
-decoded alone by `CandidateFamily.member`, where the measured tree has it),
-and checks the answer: the child exits non-zero when it differs from the
-certified one or when a YES does not verify. Then REPEATS timed solves,
+Every other instance is drawn by the workload's own seeded generator, with
+its certified answer; the `clique-hub` answers are pinned in the case
+table, as no decider independent of the solvers reaches n = 300. Each
+solve is measured in one fresh child process. One untimed solve sums the
+four `pair_join` counters (`rows_drawn`, `rows_certified`, `gap_masks`,
+`below_built`) over every join it runs, counts `members_built`, the
+member tuples its candidate families built (len(members) for each family
+that expanded, plus one for each member decoded alone by
+`CandidateFamily.member`, where the measured tree has it), and checks the
+answer: the child exits non-zero when it differs from the certified or
+pinned one or when a YES does not verify. Then REPEATS timed solves,
 each on a new `Graph` of the same edges built outside the timer and after
 a `gc.collect()`, give the median and quartiles of the unscaled wall time.
 Counters and answers are deterministic; times compare only between runs on
@@ -39,6 +44,7 @@ runs alone as `--case` followed by its JSON (see `_harness.py`).
 from __future__ import annotations
 
 import gc
+import random
 import statistics
 import sys
 import tempfile
@@ -52,6 +58,7 @@ REPEATS = 9
 SEED = 1
 OV_BLOCKS = range(4)
 MIX_GROUPS = ("hdom-path", "is-pipeline-no", "matching-k6")
+CLIQUE_HUB_SEEDS = (1, 2)
 JOIN_COUNTERS = ("rows_drawn", "rows_certified", "gap_masks", "below_built")
 
 
@@ -69,11 +76,14 @@ def cases() -> list[dict]:
             for slot, (label, *_) in enumerate(workloads.MIX_BLOCK) if label in MIX_GROUPS]
     out += [{"set": "b-hubs", "group": "b-hubs", "name": name, "recipe": recipe}
             for name, recipe in make_golden.B_HUBS.items()]
+    out += [{"set": "clique-hub", "group": "clique-hub", "name": f"clique-hub-s{seed}",
+             "seed": seed, "want": False} for seed in CLIQUE_HUB_SEEDS]
     return out
 
 
 def _instance(case: dict, work: Path):
     """(graph, problem, algo, certified answer) of the case."""
+    from domlab.graph import Graph
     from domlab.multidom import Problem
     from tests.golden import make_golden
     import workloads
@@ -81,6 +91,9 @@ def _instance(case: dict, work: Path):
     if case["set"] == "b-hubs":
         variant, k, r = case["recipe"]["only"]
         return make_golden.build_graph(case["recipe"]), Problem(variant, k, r), "fast", True
+    if case["set"] == "clique-hub":
+        edges = make_golden.planted_hub_graph(random.Random(case["seed"]), 300, 5, 4)
+        return Graph(300, edges), Problem("clique", 5), "fast", case["want"]
     inst = workloads.WORKLOADS[case["set"]].block(SEED, case["block"], 0, work)[case["slot"]]
     if inst.group != case["group"]:
         raise SystemExit(f"{case['name']}: the workload draws {inst.group}, not {case['group']}")
@@ -104,9 +117,9 @@ def run_case(case: dict) -> dict:
     member = getattr(multidom.CandidateFamily, "member", None)
     decoded = 0
 
-    def counted(*args, stats=None):
+    def counted(*args, stats=None, **options):
         joins.append({})
-        return join(*args, stats=joins[-1])
+        return join(*args, stats=joins[-1], **options)
 
     def recording(*args):
         families.append(candidate_family(*args))

@@ -324,6 +324,12 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser."""
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command line's parser, and a dict of its subcommands' parsers by name."""
     parser = argparse.ArgumentParser(prog="domlab",
                                      description="Domination-variant solvers and instance generators")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -382,20 +388,35 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--no-timing", action="store_true",
                     help="omit wall time column (byte-identical reruns)")
     pb.set_defaults(func=cmd_bench)
-    return parser
+    return parser, {"solve": ps, "generate": pg, "verify": pv, "bench": pb}
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, built once per process. parse_args only reads
-    it (no option has a mutable default), and building one costs more than
-    most small solves."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser `main` uses and its subcommands' parsers, built once per
+    process. Parsing only reads them (no option has a mutable default), and
+    building them costs more than most small solves."""
+    return _build_parsers()
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, scanning argv once: when argv[0]
+    names a subcommand, the rest goes straight to its parser, as the
+    top-level parser would pass it on, and words it leaves are refused by
+    the top-level parser. Anything else goes through the top-level parser."""
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import comb
 from operator import add, and_, itemgetter, or_, rshift, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import iter_bits
 from .graph import Graph, _index_mask, heavy_vertices
@@ -274,6 +274,55 @@ class ColumnList:
         return list(map(_index_mask, columns))
 
 
+class RowRuns:
+    """Rows for `pair_join` given as runs (P, B, i0), as `CandidateFamily.runs`
+    yields them: the rows P + (b,) for each vertex b of the mask B, lowest
+    first. The runs are read once, lazily."""
+
+    __slots__ = ("_runs",)
+
+    def __init__(self, runs: Iterable[tuple[tuple[int, ...], int, int]]):
+        self._runs = runs
+
+    def runs(self) -> Iterable[tuple[tuple[int, ...], int, int]]:
+        return self._runs
+
+
+class _ColumnGaps(dict):
+    """gaps[v]: the columns of `cols` that hold v or a vertex outside
+    allowed(v), built the first time v is looked up, by the cheaper of two
+    counts: an OR of the column masks of the vertices outside allowed(v),
+    or, as every column holds t distinct vertices, all but the columns
+    that the vertices inside it hold t times (a saturating count of about
+    t steps a vertex)."""
+
+    def __init__(self, cols: CandidateFamily | ColumnList, allowed: Callable[[int], int]):
+        super().__init__()
+        self.contains, self.allowed = cols.column_masks, allowed
+        self.t, self.full = len(cols.member(0)) if len(cols) else 0, (1 << len(cols)) - 1
+        self.vfull = (1 << len(self.contains)) - 1
+
+    def __missing__(self, v: int) -> int:
+        inside = self.allowed(v)
+        outside = self.vfull ^ inside
+        if self.t * inside.bit_count() < outside.bit_count():
+            ok = _at_least(itertools.compress(self.contains, _bit_flags(inside)), self.t, self.full)
+            gap = self.full ^ ok[self.t]
+        else:
+            gap = reduce(or_, itertools.compress(self.contains, _bit_flags(outside)), 0)
+        self[v] = gap = gap | self.contains[v]
+        return gap
+
+
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_flags(mask: int) -> bytes:
+    """Entry i is bit i of `mask`, for i below its bit length: a selector
+    for `itertools.compress`."""
+    return f"{mask:b}"[::-1].encode().translate(_BIT_FLAGS)
+
+
 class KPartiteGraph:
     """k-partite graph with cross-part adjacency stored as bit rows.
 
@@ -529,11 +578,14 @@ def _near_columns(G: Graph, heavy: tuple[int, ...], k: int, r: int,
     return sorted(found)
 
 
-def near_partners(G: Graph, miss: int, alive: int | None = None) -> list[int]:
+def near_partners(G: Graph, miss: int, alive: int | None = None,
+                  dominating: list[int] | None = None) -> list[int]:
     """near[a]: the bitmask of the vertices b != a of the vertex mask `alive`
     (default V) that leave at most `miss` vertices of `alive` outside
     N[a] ∪ N[b]; 0 for every a outside `alive`. With miss = 0 these are a's
     dominating partners in the subgraph `alive` induces, by their ids in G.
+    A list `dominating` of n zeros gets those partners, the near pairs that
+    leave no vertex out, from the same scan.
 
     With s(v) = |N[v] ∩ alive| and d(v) the closed degree, s(v) <= d(v),
     equal when `alive` is V. A pair needs s(a) + s(b) >= |alive| - miss, so
@@ -545,10 +597,11 @@ def near_partners(G: Graph, miss: int, alive: int | None = None) -> list[int]:
     high-degree vertices, a `max` over the degrees comes first. When no d
     passes, every mask is 0 and no vertex mask is built.
     """
-    return _near_partners(G, miss, alive)[0] or [0] * G.n
+    return _near_partners(G, miss, alive, dominating)[0] or [0] * G.n
 
 
-def _near_partners(G: Graph, miss: int, alive: int | None) -> tuple[list[int] | None, list[int]]:
+def _near_partners(G: Graph, miss: int, alive: int | None,
+                   dominating: list[int] | None = None) -> tuple[list[int] | None, list[int]]:
     """(`near_partners`, the vertices scanned in increasing order), or
     (None, []) when no vertex starts a scan; near is 0 off the scanned."""
     full = G.full_mask() if alive is None else alive
@@ -574,9 +627,13 @@ def _near_partners(G: Graph, miss: int, alive: int | None) -> tuple[list[int] | 
             # a pair of two starts is tested from its larger id
             if b >= a and b in starts:
                 continue
-            if (full ^ (na | nb)).bit_count() <= miss:
+            out = full ^ (na | nb)
+            if out.bit_count() <= miss:
                 near[a] |= 1 << b
                 near[b] |= 1 << a
+                if not out and dominating is not None:
+                    dominating[a] |= 1 << b
+                    dominating[b] |= 1 << a
     return near, scanned
 
 
@@ -595,13 +652,22 @@ def _near_rows(near: Sequence[int], heavy: int, size: int, quota: int,
     a near partner. `_range_cliques` lists the transversal cliques of a
     `KPartiteGraph` as these rows, with heavy = quota = 0.
     """
+    for prefix, last, _ in _near_runs(near, heavy, size, quota, full):
+        yield from map(add, itertools.repeat(prefix), zip(iter_bits(last)))
+
+
+def _near_runs(near: Sequence[int], heavy: int, size: int, quota: int,
+               full: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """The rows of `_near_rows` as runs (P, B, 0) for `pair_join`: the rows
+    P + (b,) for each vertex b of the non-zero mask B, one run per prefix."""
     stack = [((), full if size == 1 else full & reduce(or_, near, 0), quota)]
     while stack:
         prefix, cands, owed = stack.pop()
         left = size - len(prefix)
         if left == 1:
             last = cands if owed <= 0 else cands & heavy if owed == 1 else 0
-            yield from map(add, itertools.repeat(prefix), zip(iter_bits(last)))
+            if last:
+                yield prefix, last, 0
             continue
         children = []
         for v in itertools.islice(iter_bits(cands), max(0, cands.bit_count() - left + 1)):
@@ -673,17 +739,18 @@ def _column_misses(G: Graph, T: Sequence[int], r: int, multiple: bool) -> list[i
     return [full ^ m for m in _levels(G, T, r, multiple)[:0:-1]]
 
 
-def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
+def pair_join(G: Graph, rows: CandidateFamily | RowRuns | Iterable[tuple[int, ...]],
               cols: CandidateFamily | ColumnList | Sequence[tuple[int, ...]],
-              r: int, variant: str,
-              stats: dict | None = None) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+              r: int, variant: str, stats: dict | None = None,
+              allowed: Callable[[int], int] | None = None,
+              ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every member pair (S, T), S a row and T a column, that is disjoint and
     whose union dominates every vertex at least r times under `variant`.
 
-    `rows` is a `CandidateFamily`, walked by its `runs()`, or any iterable
-    of non-empty tuples, a generator included. Either is walked once, and
-    only as far as the consumer reads pairs, so a caller that stops at the
-    first pair never builds the rows after its row. `cols` is a
+    `rows` is a `CandidateFamily` or a `RowRuns`, walked by its `runs()`,
+    or any iterable of non-empty tuples, a generator included. Each is
+    walked once, and only as far as the consumer reads pairs, so a caller
+    that stops at the first pair never builds the rows after its row. `cols` is a
     `CandidateFamily` or a `ColumnList`, and a plain sequence of member
     tuples is wrapped as a `ColumnList` on entry. The join reads only its
     `member(j)`, `members`, len() and lazy `column_masks`, fetched when the
@@ -707,8 +774,9 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
     vertices no row leaves short cost nothing.
 
     Runs. The join walks runs (P, B): the rows P + (b,) for each vertex b
-    of the mask B, lowest first. A family's runs hold every row of a prefix
-    at once; a tuple row S is the one-row run (S[:-1], 1 << S[-1]). Runs
+    of the mask B, lowest first. The runs of a family or a `RowRuns` hold
+    every row of a prefix at once; a tuple row S is the one-row run
+    (S[:-1], 1 << S[-1]). Runs
     with equal P in a row share one prefix state, so tuple rows give the
     pairs and `rows_drawn` of one run of them, not its `rows_certified`.
 
@@ -733,8 +801,8 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
     degree (few N[b] meet them), then lowest id. A cover costs about one
     row walk, so only when hit(K_P) leaves two or more rows of the run is
     K'_P built from the short vertices after K_P, in that order, and
-    hit(K_P) & hit(K'_P) kept. A family run of two or more rows is
-    certified before its first row; held joins (below), whose hold masks
+    hit(K_P) & hit(K'_P) kept. A run of two or more rows is certified
+    before its first row; held joins (below), whose hold masks
     already drop rows, and tuple rows, whose next row cannot be seen
     without drawing it, wait for the prefix's second row. Rows of a prefix
     with no K_P, and size-1 rows (empty P), are walked.
@@ -779,6 +847,20 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
     levels, so the join walks as above. Each filter drops only pairs that
     fail, so the pairs and their order are unchanged.
 
+    Pair-lemma filter. `allowed`, when given, maps each vertex v to a
+    vertex mask, and the join then yields only the pairs with
+    T ⊆ allowed(s) for every s in S, in the same order; every column must
+    then hold the same number of distinct vertices. A solver passes it
+    when any two vertices of a solution are related: at r = k-1 any two
+    are near (`near_partners`), and in a clique adjacent. The columns v
+    rules out, those holding v or a vertex outside allowed(v)
+    (`_ColumnGaps`), are built the first time a prefix or a row holds v,
+    and stand where the columns meeting v stand without `allowed`: ORed
+    once per prefix into what each of its rows skips, and once per row.
+    So the certificates count them as covered, and `gap_masks` counts them
+    as before. The join binds its per-vertex column lookup once, so an
+    unfiltered join pays no step per row for the filter.
+
     With a `stats` dict, four counters are set to 0 and then counted as
     rows are drawn: `rows_drawn`; `rows_certified`, the rows a certificate
     or a hold mask drops; `gap_masks`, the gap masks ORed, by walked rows
@@ -794,7 +876,7 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
     nbr = G.neighbor_mask
     cols = cols if isinstance(cols, (CandidateFamily, ColumnList)) else ColumnList(G.n, cols)
     mirrored = rows is cols
-    runs = (rows.runs() if isinstance(rows, CandidateFamily)
+    runs = (rows.runs() if isinstance(rows, (CandidateFamily, RowRuns))
             else ((S[:-1], 1 << S[-1], 0) for S in rows))
     full = (1 << len(cols)) - 1
     adj = G.adj
@@ -860,9 +942,12 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
         stats.update(dict.fromkeys(STATS_KEYS[2:], 0))
 
     def walk() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        prefix, pending, members = None, False, None
+        prefix, pending, members, blocked = None, False, None, None
         for P, run, i0 in runs:
-            contains = cols.column_masks  # contains[u]: the columns holding u
+            if blocked is None:
+                # blocked[u]: the columns a row holding u rules out (without
+                # `allowed`, those holding u), fetched when the first row is drawn
+                blocked = cols.column_masks if allowed is None else _ColumnGaps(cols, allowed)
             fresh = P != prefix
             if fresh:
                 # hit: the rows of P that may pair (-1: all); always: the
@@ -875,8 +960,8 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
                     hit, always = _hold_masks(col_miss, len(P) + 1, _set_mask(P))
                 pending = bool(P) and hit != 0
                 if hit:
-                    # the columns meeting P, levels(P), and levels(P) one level up
-                    cp = reduce(or_, map(contains.__getitem__, P), 0)
+                    # the columns P rules out, levels(P), and levels(P) one level up
+                    cp = reduce(or_, map(blocked.__getitem__, P), 0)
                     lp = _levels(G, P, r, multiple)
                     up = [0] + lp[:-1]
             rest = run  # the rows of the run not yet counted
@@ -898,7 +983,7 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
                 if stats is not None:
                     stats["rows_drawn"] += drawn.bit_count()
                     stats["rows_certified"] += drawn.bit_count() - 1
-                seen = cp | contains[b]
+                seen = cp | blocked[b]
                 if mirrored:
                     seen |= (1 << i0 + (run & bit - 1).bit_count()) - 1
                 ored = len(P) + 1
@@ -966,11 +1051,18 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     a, b in S. A vertex outside S has >= k-1 neighbours in S, so it is
     adjacent to a or to b: at most k-2 vertices (the rest of S) lie outside
     N[a] ∪ N[b] under "multiple", and none under "tuple", where every
-    vertex has k-1 closed dominators in S. So every row that pairs is a
-    clique of the `near_partners` graph with that many misses. The rows are
-    drawn lazily as those cliques (`_near_rows`), a subsequence of the row
-    family in its order, and the rows left out have no pair: the first hit
-    is the same, and `rows_drawn` counts only the near-dominating rows.
+    vertex has k-1 closed dominators in S. So every row and every column
+    that pairs is a clique of the `near_partners` graph with that many
+    misses, and every vertex of the column is near every vertex of the
+    row. The rows are drawn lazily as those cliques, by runs
+    (`_near_runs`), a subsequence of the row family in its order. The
+    columns, every t-set of heavy ids with t = ceil((k-1)/2), are cut to
+    the near cliques among them (`_near_rows`), in family order, and `None`
+    comes before any row when none is left. The join keeps only the pairs
+    whose column lies in the near set of every row vertex (`pair_join`,
+    "Pair-lemma filter"). What is left out has no pair: the first hit is
+    the same, `rows_drawn` counts only the near-dominating rows and
+    `columns_kept` only the near columns.
 
     For r <= k-2 the columns are cut by a subset lemma. In a solution X,
     a vertex outside X has >= r dominators in X, and a subset of k-r+1
@@ -1020,25 +1112,29 @@ def _solve_kminus1(G: Graph, k: int, variant: str, heavy: tuple[int, ...],
                    near: Sequence[int], stats: dict | None = None) -> Solution | None:
     """`solve_multidom_fast` at r = k-1, on heavy = heavy_vertices(G, k) and
     near = near_partners(G, miss), with miss = k-2 under "multiple" and 0
-    under "tuple": the rows are the near cliques of the row family."""
-    shape_s, shape_t = _family_shapes(k, k - 1)
-    rows = _near_rows(near, _set_mask(heavy), *shape_s, G.full_mask())
-    return _first_pair(G, k, k - 1, variant, heavy, rows,
-                       _candidate_family(G.n, heavy, *shape_t), stats)
+    under "tuple": the rows and the columns are the near cliques of their
+    families, the rows as runs, and the join keeps the pairs that are near."""
+    shape_s, (t, _) = _family_shapes(k, k - 1)
+    in_heavy = _set_mask(heavy)
+    # the column family is every t-set of heavy ids
+    cols = list(_near_rows(near, in_heavy, t, t, in_heavy))
+    rows = RowRuns(_near_runs(near, in_heavy, *shape_s, G.full_mask())) if cols else ()
+    return _first_pair(G, k, k - 1, variant, heavy, rows, cols, stats, near.__getitem__)
 
 
 def _first_pair(G: Graph, k: int, r: int, variant: str, heavy: tuple[int, ...],
-                rows: CandidateFamily | Iterable[tuple[int, ...]], cols: CandidateFamily | Sequence[tuple[int, ...]],
-                stats: dict | None) -> Solution | None:
+                rows: CandidateFamily | RowRuns | Iterable[tuple[int, ...]],
+                cols: CandidateFamily | Sequence[tuple[int, ...]], stats: dict | None,
+                allowed: Callable[[int], int] | None = None) -> Solution | None:
     """The solution of the first pair `pair_join` yields over `rows` and
-    `cols`, or None. A `stats` dict gets the uncut family sizes of (k, r)
-    from `closed_form_family_size` on `heavy`, the number of columns as
-    `columns_kept`, and the join's counters."""
+    `cols` (with `allowed`), or None. A `stats` dict gets the uncut family
+    sizes of (k, r) from `closed_form_family_size` on `heavy`, the number of
+    columns as `columns_kept`, and the join's counters."""
     if stats is not None:
         stats["candidate_family_sizes"] = [closed_form_family_size(G.n, len(heavy), *shape)
                                            for shape in _family_shapes(k, r)]
         stats["columns_kept"] = len(cols)
-    pair = next(pair_join(G, rows, cols, r, variant, stats=stats), None)
+    pair = next(pair_join(G, rows, cols, r, variant, stats=stats, allowed=allowed), None)
     return None if pair is None else Solution(Problem(variant, k, r), tuple(sorted(pair[0] + pair[1])))
 
 
@@ -1125,8 +1221,9 @@ def solve_multidom_kminus1(G: Graph, k: int, stats: dict | None = None) -> Solut
     the search when the clique side comes up empty.
 
     Both stages read one heavy set, `heavy_vertices(G, k)`, and one partner
-    scan, near = `near_partners(G, k - 2)`. The dominating partners are the
-    near pairs a, b with N[a] ∪ N[b] = V (at k = 2, all of near). The
+    scan, near = `near_partners(G, k - 2)`, which also lists the dominating
+    partners: the near pairs a, b with N[a] ∪ N[b] = V (at k = 2, all of
+    near), with no mask test of its own. The
     witness is the first (k-1)-clique S of heavy vertices in that graph, in
     lexicographic order, whose members share a dominating partner v, the
     lowest such: [(i, heavy index of S[i]) ...] + [(k-1, v)]. That is the
@@ -1135,17 +1232,15 @@ def solve_multidom_kminus1(G: Graph, k: int, stats: dict | None = None) -> Solut
     a clique never makes it larger, so the first clique has increasing heavy
     indices and ends at the lowest common partner. No `KPartiteGraph` is
     built. The fallback is `solve_multidom_fast` at r = k-1 on the same heavy
-    set and near masks, drawing only the near-dominating rows. A `stats`
-    dict gets the fallback join's counters, and none when a witness is found.
+    set and near masks: it draws only the near-dominating rows, joins them
+    only with the columns that are near cliques, and keeps only the pairs
+    whose column vertices are near every row vertex. A `stats` dict gets
+    the fallback join's counters, and none when a witness is found.
     """
     problem = Problem("multiple", k, k - 1)  # a ValueError for k < 2
     heavy = heavy_vertices(G, k)
-    near = near_partners(G, k - 2)
-    # dom[a] for the heavy a with a near partner; the witness reads no other
-    full, dom = G.full_mask(), [0] * G.n
-    for a in filter(near.__getitem__, heavy):
-        na = G.closed_mask(a)
-        dom[a] = _set_mask(b for b in iter_bits(near[a]) if na | G.closed_mask(b) == full)
+    dom = [0] * G.n
+    near = near_partners(G, k - 2, dominating=dom)
     for S in _near_rows(dom, 0, k - 1, 0, _set_mask(heavy)):
         common = reduce(and_, map(dom.__getitem__, S))
         if common:

@@ -163,13 +163,14 @@ def _first_shaped(G: Graph, problem: Problem,
 
 
 def _sorted_unions(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
-                   cols: Sequence[tuple[int, ...]] | CandidateFamily) -> Iterator[tuple[int, ...]]:
+                   cols: Sequence[tuple[int, ...]] | CandidateFamily,
+                   **options) -> Iterator[tuple[int, ...]]:
     """`tuple(sorted(S + T))` over the pairs of `pair_join(G, rows, cols, 1,
-    "tuple")`, in their order. The rows are drawn lazily: a consumer that
-    stops at a union costs only the rows up to its own, and since `pair_join`
-    yields the pairs of a row before it draws the next, only the row drawn
-    last is held."""
-    return (tuple(sorted(S + T)) for S, T in pair_join(G, rows, cols, 1, "tuple"))
+    "tuple", **options)`, in their order. The rows are drawn lazily: a
+    consumer that stops at a union costs only the rows up to its own, and
+    since `pair_join` yields the pairs of a row before it draws the next,
+    only the row drawn last is held."""
+    return (tuple(sorted(S + T)) for S, T in pair_join(G, rows, cols, 1, "tuple", **options))
 
 
 def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
@@ -183,6 +184,13 @@ def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
     agree. With no heavy vertex there is no row, nor a k-set when k > n, and
     no clique is listed. Otherwise the clique lists are enumerated in full
     and the columns are materialised, but the rows are drawn lazily.
+
+    A union of two cliques is a clique iff every column vertex is adjacent
+    to every row vertex, so the join gets the open neighbourhoods as its
+    `allowed` masks (`pair_join`, "Pair-lemma filter"): a row pairs only
+    with the columns inside the common neighbours of its vertices, and
+    every union it yields is a clique. The pairs dropped are unions that
+    `_first_shaped` would reject, so the first hit is the same.
     """
     problem = Problem("clique", k)
     if k <= 2:
@@ -196,7 +204,7 @@ def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
         r2 = r1 if k % 2 else enumerate_cliques(G, k // 2)
         rows = (S + (h,) for S in r1
                 for h in iter_bits(reduce(and_, map(G.neighbor_mask, S), heavy)))
-        sets = _sorted_unions(G, rows, r2)
+        sets = _sorted_unions(G, rows, r2, allowed=G.neighbor_mask)
     cand = _first_shaped(G, problem, sets)
     return None if cand is None else Solution(problem, cand)
 

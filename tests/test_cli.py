@@ -98,7 +98,8 @@ def test_solve_json_reports_join_row_counters(tmp_path, c5_file, capsys):
 
 def test_pipeline_json_reports_the_fallback_join(tmp_path, capsys):
     # C8 at k = 4, r = 3 has no clique witness, so the fallback join runs and
-    # its counters reach --json; K5 has a witness and reports no join
+    # its counters reach --json; K5 has a witness and reports no join. Of the
+    # 28 heavy pairs the join keeps as columns the 12 that are near pairs
     for name, G, answer in (("c8", cycle_graph(8), False), ("k5", complete_graph(5), True)):
         path = tmp_path / f"{name}.txt"
         save_graph(G, path)
@@ -114,7 +115,7 @@ def test_pipeline_json_reports_the_fallback_join(tmp_path, capsys):
         if answer:
             assert stats["rows_drawn"] is None and stats["columns_kept"] is None
         else:
-            assert stats["candidate_family_sizes"] == [28, 28] and stats["columns_kept"] == 28
+            assert stats["candidate_family_sizes"] == [28, 28] and stats["columns_kept"] == 12
             assert stats["rows_drawn"] > 0 and stats["gap_masks"] > 0
 
 
@@ -743,3 +744,40 @@ def test_every_algo_answers_no_above_n(c5_file, tmp_path, capsys):
             captured = capsys.readouterr()
             assert (code, captured.err) == (1, ""), (flags, algo)
             assert json.loads(captured.out)["answer"] is False
+
+
+def _outcome(argv: list[str], capsys) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `main(argv)`, argparse's exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_main_parses_as_the_top_level_parser(c5_file, capsys, monkeypatch):
+    # `main` hands argv[1:] straight to a named subcommand's parser; every
+    # line must end as `build_parser().parse_args` alone ends it
+    solve = ["solve", c5_file, "--problem", "multidom", "--k", "3", "--r", "2"]
+    table = [
+        solve + ["--json", "--no-timing"],
+        ["solve", c5_file, "--problem", "dom-clique", "--k", "3", "--no-timing"],
+        solve + ["--no-tim"],
+        solve + ["extra"],
+        solve + ["--bogus", "1"],
+        ["solve", c5_file, "--problem", "multidom"],
+        ["solve", "-h"],
+        ["bench", "--n", "6", "--density", "1.5", "--k", "2", "--r", "1", "--no-timing"],
+        ["-h"],
+        [],
+        ["frobnicate", c5_file],
+        ["--k", "3", "solve", c5_file, "--problem", "dom-clique"],
+    ]
+    fast = [_outcome(argv, capsys) for argv in table]
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+    assert fast == [_outcome(argv, capsys) for argv in table]
+    codes = [code for code, _, _ in fast]
+    assert codes == [0, 1, 0, 2, 2, 2, 0, 0, 0, 2, 2, 2]
+    assert "unrecognized arguments: extra" in fast[3][2]
+    assert "the following arguments are required: --k" in fast[5][2]

@@ -1112,6 +1112,64 @@ def test_kminus1_solutions_match_unfiltered_join():
     assert min(answers.values()) >= 50, answers
 
 
+def _pair_lemma_graphs():
+    """Random G(n, m), n 6-30, from sparse to dense."""
+    rng = random.Random("pair-lemma")
+    graphs = []
+    for seed in range(40):
+        n = rng.randint(6, 30)
+        m = rng.randint(n, n * (n - 1) // 2 * 4 // 5)
+        graphs.append(cli._random_gnm(random.Random(f"pair-lemma:{seed}"), n, m))
+    return graphs
+
+
+def _clique_join_inputs(G, k):
+    """The rows and columns `solve_dominating_clique` joins, for k >= 3."""
+    heavy = sum(1 << v for v in heavy_vertices(G, k))
+    rows = [S + (h,) for S in patterndom.enumerate_cliques(G, (k - 1) // 2)
+            for h in multidom.iter_bits(heavy) if all(G.has_edge(s, h) for s in S)]
+    return rows, patterndom.enumerate_cliques(G, k // 2)
+
+
+def test_allowed_join_drops_exactly_the_pairs_outside_the_masks():
+    # the pair lemma filter: a pair (S, T) survives iff T is inside A[s] for
+    # every s in S; A the near masks at r = k-1, the neighbour masks for cliques
+    dropped = 0
+    for G in _pair_lemma_graphs()[::2]:
+        cases = []
+        for k in range(3, 6):
+            fam_s, fam_t = build_candidate_families(G, k, k - 1)
+            for variant in multidom.VARIANTS:
+                near = multidom.near_partners(G, k - 2 if variant == "multiple" else 0)
+                cases.append((fam_s, fam_t, k - 1, variant, near))
+            # the unfiltered k = 5 clique join of a dense n = 30 lists 10^6 pairs
+            if k < 5 or G.n <= 16:
+                rows, cols = _clique_join_inputs(G, k)
+                cases.append((rows, cols, 1, "tuple", [G.neighbor_mask(v) for v in range(G.n)]))
+        for rows, cols, r, variant, A in cases:
+            plain = list(multidom.pair_join(G, rows, cols, r, variant))
+            kept = [(S, T) for S, T in plain if all(A[s] >> t & 1 for s in S for t in T)]
+            got = list(multidom.pair_join(G, rows, cols, r, variant, allowed=A.__getitem__))
+            assert got == kept, (G, r, variant)
+            dropped += len(plain) - len(kept)
+    assert dropped > 0
+
+
+def test_pair_lemma_joins_keep_first_hits_on_random_graphs():
+    from .test_patterndom import _clique_row_major
+
+    answers = {True: 0, False: 0}
+    for G in _pair_lemma_graphs():
+        for k in range(3, min(G.n, 6) + 1):
+            assert repr(patterndom.solve_dominating_clique(G, k)) == repr(_clique_row_major(G, k))
+            for variant in multidom.VARIANTS:
+                got = solve_multidom_fast(G, k, k - 1, variant)
+                assert got == _unfiltered_fast(G, k, k - 1, variant), (G, k, variant)
+                answers[got is not None] += 1
+            assert solve_multidom_kminus1(G, k) == _unfiltered_kminus1(G, k), (G, k)
+    assert min(answers.values()) >= 20, answers
+
+
 def _near_cliques(G, k, variant):
     """The row family's members at r = k-1 whose pairs are all near."""
     near = _reference_near(G, k - 2 if variant == "multiple" else 0)

@@ -679,12 +679,12 @@ def test_dominating_clique_rows_are_cliques(monkeypatch):
     drawn = []
     real_join = patterndom.pair_join
 
-    def counting_join(G, rows, cols, *args):
+    def counting_join(G, rows, cols, *args, **kwargs):
         def counted():
             for row in rows:
                 drawn.append(row)
                 yield row
-        return real_join(G, counted(), cols, *args)
+        return real_join(G, counted(), cols, *args, **kwargs)
 
     monkeypatch.setattr(patterndom, "pair_join", counting_join)
     graphs = [random_graph(seed, 10 + seed % 12, 0.3 + 0.05 * (seed % 7)) for seed in range(24)]
@@ -697,6 +697,25 @@ def test_dominating_clique_rows_are_cliques(monkeypatch):
             assert all(len(set(row)) == half and
                        all(G.has_edge(u, v) for u, v in itertools.combinations(row, 2))
                        for row in drawn)
+
+
+def test_dominating_clique_join_ors_few_gap_masks_on_a_hub_graph(monkeypatch):
+    # the clique-hub NO of bench/bench_join.py: with the columns cut to each
+    # row's common neighbours its one join ORs 1,500 gap masks; joining every
+    # edge and rejecting the unions afterwards ORed 64,720
+    from .golden.make_golden import planted_hub_graph
+
+    joins = []
+    real_join = patterndom.pair_join
+
+    def counted(*args, stats=None, **kwargs):
+        joins.append({})
+        return real_join(*args, stats=joins[-1], **kwargs)
+
+    monkeypatch.setattr(patterndom, "pair_join", counted)
+    G = Graph(300, planted_hub_graph(random.Random(1), 300, 5, 4))
+    assert solve_dominating_clique(G, 5) is None
+    assert len(joins) == 1 and 0 < joins[0]["gap_masks"] <= 5000
 
 
 def test_dominating_clique_matches_row_major_on_hub_graphs():

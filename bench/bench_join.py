@@ -4,7 +4,7 @@
     python3 bench/bench_join.py                      # writes BENCH_join.json
     python3 bench/bench_join.py --src OTHER/src --out BENCH_join_parent.json
 
-Four sets of solves:
+Five sets of solves:
 
 - `ov-multidom-no`: the 28 instances of the ov-multidom-no workload at
   seed 1, blocks 0-3 (`perfbench/workloads.py`): 16 `no-r2`, 8 `yes-r2`
@@ -17,11 +17,17 @@ Four sets of solves:
   (k, r) = (5, 3), whose joins read the column short sets;
 - `clique-hub`: `solve_dominating_clique` at k = 5 on
   `planted_hub_graph(Random(s), 300, 5, 4)` for s = 1, 2, whose one join
-  pairs clique rows with every edge of a heavy-rich graph. Both are NO.
+  pairs clique rows with every edge of a heavy-rich graph. Both are NO;
+- `shape-no`: certified NO shape targets, four seeds per group, drawn as
+  certified-mix draws its NO sources (`perfbench/workloads.py`):
+  `no-dom-clique-k4`, `ov_to_hdom` on a clique of 4 solved as a dominating
+  clique, and `no-matching-k4` and `no-matching-k6`, `ov_to_induced_matching`
+  at k = 4 and 6. Their joins walk clique and matching rows as runs.
 
 Every other instance is drawn by the workload's own seeded generator, with
-its certified answer; the `clique-hub` answers are pinned in the case
-table, as no decider independent of the solvers reaches n = 300. Each
+its certified answer; the `shape-no` sources are drawn until
+`solve_ov_bruteforce` answers NO, and the `clique-hub` answers are pinned in
+the case table, as no decider independent of the solvers reaches n = 300. Each
 solve is measured in one fresh child process. One untimed solve sums the
 four `pair_join` counters (`rows_drawn`, `rows_certified`, `gap_masks`,
 `below_built`) over every join it runs, counts `members_built`, the
@@ -59,6 +65,8 @@ SEED = 1
 OV_BLOCKS = range(4)
 MIX_GROUPS = ("hdom-path", "is-pipeline-no", "matching-k6")
 CLIQUE_HUB_SEEDS = (1, 2)
+SHAPE_NO_SEEDS = (1, 2, 3, 4)
+SHAPE_NO_GROUPS = {"no-dom-clique-k4": 4, "no-matching-k4": 4, "no-matching-k6": 6}  # group: k
 JOIN_COUNTERS = ("rows_drawn", "rows_certified", "gap_masks", "below_built")
 
 
@@ -78,13 +86,18 @@ def cases() -> list[dict]:
             for name, recipe in make_golden.B_HUBS.items()]
     out += [{"set": "clique-hub", "group": "clique-hub", "name": f"clique-hub-s{seed}",
              "seed": seed, "want": False} for seed in CLIQUE_HUB_SEEDS]
+    out += [{"set": "shape-no", "group": group, "name": f"{group}-s{seed}", "k": k,
+             "seed": seed, "want": False}
+            for group, k in SHAPE_NO_GROUPS.items() for seed in SHAPE_NO_SEEDS]
     return out
 
 
 def _instance(case: dict, work: Path):
     """(graph, problem, algo, certified answer) of the case."""
+    from domlab import reductions
     from domlab.graph import Graph
     from domlab.multidom import Problem
+    from domlab.patterndom import Pattern
     from tests.golden import make_golden
     import workloads
 
@@ -94,6 +107,15 @@ def _instance(case: dict, work: Path):
     if case["set"] == "clique-hub":
         edges = make_golden.planted_hub_graph(random.Random(case["seed"]), 300, 5, 4)
         return Graph(300, edges), Problem("clique", 5), "fast", case["want"]
+    if case["set"] == "shape-no":
+        rng, k = random.Random(f"shape-no:{case['group']}:{case['seed']}"), case["k"]
+        if case["group"].startswith("no-dom-clique"):
+            inst = workloads._draw_ov(rng, [4] * k, 6, 0.3, 1, case["want"])
+            return (reductions.ov_to_hdom(inst, Pattern.clique(k)).graph, Problem("clique", k),
+                    "fast", case["want"])
+        inst = workloads._draw_ov(rng, [2] * k, 4, 0.5, 1, case["want"])
+        gen = reductions.ov_to_induced_matching(inst)
+        return gen.graph, gen.problem, "fast", case["want"]
     inst = workloads.WORKLOADS[case["set"]].block(SEED, case["block"], 0, work)[case["slot"]]
     if inst.group != case["group"]:
         raise SystemExit(f"{case['name']}: the workload draws {inst.group}, not {case['group']}")

@@ -274,20 +274,6 @@ class ColumnList:
         return list(map(_index_mask, columns))
 
 
-class RowRuns:
-    """Rows for `pair_join` given as runs (P, B, i0), as `CandidateFamily.runs`
-    yields them: the rows P + (b,) for each vertex b of the mask B, lowest
-    first. The runs are read once, lazily."""
-
-    __slots__ = ("_runs",)
-
-    def __init__(self, runs: Iterable[tuple[tuple[int, ...], int, int]]):
-        self._runs = runs
-
-    def runs(self) -> Iterable[tuple[tuple[int, ...], int, int]]:
-        return self._runs
-
-
 class _ColumnGaps(dict):
     """gaps[v]: the columns of `cols` that hold v or a vertex outside
     allowed(v), built the first time v is looked up, by the cheaper of two
@@ -658,8 +644,9 @@ def _near_rows(near: Sequence[int], heavy: int, size: int, quota: int,
 
 def _near_runs(near: Sequence[int], heavy: int, size: int, quota: int,
                full: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """The rows of `_near_rows` as runs (P, B, 0) for `pair_join`: the rows
-    P + (b,) for each vertex b of the non-zero mask B, one run per prefix."""
+    """The rows of `_near_rows` as runs (P, B, 0), the row format of
+    `pair_join`, which takes them as they are: the rows P + (b,) for each
+    vertex b of the non-zero mask B, one run per prefix, in row order."""
     stack = [((), full if size == 1 else full & reduce(or_, near, 0), quota)]
     while stack:
         prefix, cands, owed = stack.pop()
@@ -739,7 +726,7 @@ def _column_misses(G: Graph, T: Sequence[int], r: int, multiple: bool) -> list[i
     return [full ^ m for m in _levels(G, T, r, multiple)[:0:-1]]
 
 
-def pair_join(G: Graph, rows: CandidateFamily | RowRuns | Iterable[tuple[int, ...]],
+def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[tuple[int, ...], int, int]],
               cols: CandidateFamily | ColumnList | Sequence[tuple[int, ...]],
               r: int, variant: str, stats: dict | None = None,
               allowed: Callable[[int], int] | None = None,
@@ -747,10 +734,10 @@ def pair_join(G: Graph, rows: CandidateFamily | RowRuns | Iterable[tuple[int, ..
     """Every member pair (S, T), S a row and T a column, that is disjoint and
     whose union dominates every vertex at least r times under `variant`.
 
-    `rows` is a `CandidateFamily` or a `RowRuns`, walked by its `runs()`,
-    or any iterable of non-empty tuples, a generator included. Each is
+    `rows` is a `CandidateFamily`, walked by its `runs()`, or any iterable
+    of runs (below), a generator included, `()` when there is none. It is
     walked once, and only as far as the consumer reads pairs, so a caller
-    that stops at the first pair never builds the rows after its row. `cols` is a
+    that stops at the first pair never builds the runs after its row. `cols` is a
     `CandidateFamily` or a `ColumnList`, and a plain sequence of member
     tuples is wrapped as a `ColumnList` on entry. The join reads only its
     `member(j)`, `members`, len() and lazy `column_masks`, fetched when the
@@ -773,21 +760,20 @@ def pair_join(G: Graph, rows: CandidateFamily | RowRuns | Iterable[tuple[int, ..
     masks of v (`below[v]`) are built the first time a row draws v, so
     vertices no row leaves short cost nothing.
 
-    Runs. The join walks runs (P, B): the rows P + (b,) for each vertex b
-    of the mask B, lowest first. The runs of a family or a `RowRuns` hold
-    every row of a prefix at once; a tuple row S is the one-row run
-    (S[:-1], 1 << S[-1]). Runs
-    with equal P in a row share one prefix state, so tuple rows give the
-    pairs and `rows_drawn` of one run of them, not its `rows_certified`.
+    Runs. Rows come only as runs (P, B, i0): the rows P + (b,) for each
+    vertex b of the non-zero mask B, lowest first, the first of them at
+    row index i0 (read only by the self-join). Each run is a new prefix,
+    with its own prefix state and certificate, even when the run before
+    it had the same P.
 
-    Levels per prefix. The loop keeps, for the current prefix P, the OR of
+    Levels per prefix. The loop keeps, for the run's prefix P, the OR of
     the column masks of P's members and levels(P): entry c holds the
     vertices P dominates at least c times (plus P's own vertices under
     "multiple"), capped at r. The empty prefix of size-1 rows has
     [V, 0, ...]. A walked row's levels are one saturating step from P's:
     lev[c] = lp[c] | lp[c - 1] & m, with m = N[b] under "tuple" and
     m = N(b) under "multiple", where bit b then joins every level. So each
-    prefix builds its levels once, for its certificate and all its rows.
+    run builds its levels once, for its certificate and all its rows.
 
     Row certificate. A vertex w outside N[b] gets the same level from
     S = P + (b,) as from P, in both variants: b neither dominates w nor,
@@ -802,10 +788,9 @@ def pair_join(G: Graph, rows: CandidateFamily | RowRuns | Iterable[tuple[int, ..
     row walk, so only when hit(K_P) leaves two or more rows of the run is
     K'_P built from the short vertices after K_P, in that order, and
     hit(K_P) & hit(K'_P) kept. A run of two or more rows is certified
-    before its first row; held joins (below), whose hold masks
-    already drop rows, and tuple rows, whose next row cannot be seen
-    without drawing it, wait for the prefix's second row. Rows of a prefix
-    with no K_P, and size-1 rows (empty P), are walked.
+    before its first row, or, in a held join (below), whose hold mask
+    already drops rows, before its second. One-row runs, runs with no
+    K_P, and size-1 rows (empty P) are walked.
 
     Self-join. When `rows` is `cols`, a family joined with itself, each
     unordered pair is yielded once: a row skips the columns below its own
@@ -876,8 +861,7 @@ def pair_join(G: Graph, rows: CandidateFamily | RowRuns | Iterable[tuple[int, ..
     nbr = G.neighbor_mask
     cols = cols if isinstance(cols, (CandidateFamily, ColumnList)) else ColumnList(G.n, cols)
     mirrored = rows is cols
-    runs = (rows.runs() if isinstance(rows, (CandidateFamily, RowRuns))
-            else ((S[:-1], 1 << S[-1], 0) for S in rows))
+    runs = rows.runs() if isinstance(rows, CandidateFamily) else rows
     full = (1 << len(cols)) - 1
     adj = G.adj
     # below[v][b]: the columns that give v fewer than b dominators
@@ -942,32 +926,30 @@ def pair_join(G: Graph, rows: CandidateFamily | RowRuns | Iterable[tuple[int, ..
         stats.update(dict.fromkeys(STATS_KEYS[2:], 0))
 
     def walk() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        prefix, pending, members, blocked = None, False, None, None
+        members, blocked = None, None
         for P, run, i0 in runs:
             if blocked is None:
                 # blocked[u]: the columns a row holding u rules out (without
                 # `allowed`, those holding u), fetched when the first row is drawn
                 blocked = cols.column_masks if allowed is None else _ColumnGaps(cols, allowed)
-            fresh = P != prefix
-            if fresh:
-                # hit: the rows of P that may pair (-1: all); always: the
-                # columns no row of P pairs with
-                prefix, hit, always = P, -1, 0
-                held = short_sets and len(P) + 1 < r
-                if held:
-                    if not col_miss:
-                        col_miss.extend(_column_misses(G, T, r, multiple) for T in cols.members)
-                    hit, always = _hold_masks(col_miss, len(P) + 1, _set_mask(P))
-                pending = bool(P) and hit != 0
-                if hit:
-                    # the columns P rules out, levels(P), and levels(P) one level up
-                    cp = reduce(or_, map(blocked.__getitem__, P), 0)
-                    lp = _levels(G, P, r, multiple)
-                    up = [0] + lp[:-1]
+            # hit: the rows of P that may pair (-1: all); always: the
+            # columns no row of P pairs with
+            hit, always = -1, 0
+            held = short_sets and len(P) + 1 < r
+            if held:
+                if not col_miss:
+                    col_miss.extend(_column_misses(G, T, r, multiple) for T in cols.members)
+                hit, always = _hold_masks(col_miss, len(P) + 1, _set_mask(P))
+            pending = bool(P) and hit != 0 and run & run - 1 != 0
+            if hit:
+                # the columns P rules out, levels(P), and levels(P) one level up
+                cp = reduce(or_, map(blocked.__getitem__, P), 0)
+                lp = _levels(G, P, r, multiple)
+                up = [0] + lp[:-1]
             rest = run  # the rows of the run not yet counted
             while rest:
-                # before a run's first row if it has two, unless held; else at the second
-                if pending and (not fresh or not held and run & run - 1):
+                # before the run's first row, or before its second when held
+                if pending and (not held or rest != run):
                     # a self-joined run skips the columns of earlier rows
                     mirror = (1 << i0) - 1 if mirrored else 0
                     hit, pending = hit & certificate(P, cp | always, mirror, lp, rest & hit), False
@@ -979,7 +961,6 @@ def pair_join(G: Graph, rows: CandidateFamily | RowRuns | Iterable[tuple[int, ..
                 # the rows of `rest` below b are held or certified
                 drawn = rest & (bit << 1) - 1
                 rest ^= drawn
-                fresh = False
                 if stats is not None:
                     stats["rows_drawn"] += drawn.bit_count()
                     stats["rows_certified"] += drawn.bit_count() - 1
@@ -1118,12 +1099,12 @@ def _solve_kminus1(G: Graph, k: int, variant: str, heavy: tuple[int, ...],
     in_heavy = _set_mask(heavy)
     # the column family is every t-set of heavy ids
     cols = list(_near_rows(near, in_heavy, t, t, in_heavy))
-    rows = RowRuns(_near_runs(near, in_heavy, *shape_s, G.full_mask())) if cols else ()
+    rows = _near_runs(near, in_heavy, *shape_s, G.full_mask()) if cols else ()
     return _first_pair(G, k, k - 1, variant, heavy, rows, cols, stats, near.__getitem__)
 
 
 def _first_pair(G: Graph, k: int, r: int, variant: str, heavy: tuple[int, ...],
-                rows: CandidateFamily | RowRuns | Iterable[tuple[int, ...]],
+                rows: CandidateFamily | Iterable[tuple[tuple[int, ...], int, int]],
                 cols: CandidateFamily | Sequence[tuple[int, ...]], stats: dict | None,
                 allowed: Callable[[int], int] | None = None) -> Solution | None:
     """The solution of the first pair `pair_join` yields over `rows` and

@@ -10,7 +10,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from math import comb
-from operator import add, and_
+from operator import add, and_, itemgetter, or_
 from typing import Iterable, Iterator, Sequence
 
 from . import multidom, oracles
@@ -27,7 +27,6 @@ from .multidom import (
     build_candidate_families,
     check_pattern_size,
     check_r_window,
-    iter_bits,
     list_2_dominating_sets,
     pair_join,
 )
@@ -162,14 +161,14 @@ def _first_shaped(G: Graph, problem: Problem,
     return next((S for S in sets if _shape_error(G, problem, S) is None), None)
 
 
-def _sorted_unions(G: Graph, rows: CandidateFamily | Iterable[tuple[int, ...]],
+def _sorted_unions(G: Graph, rows: CandidateFamily | Iterable[tuple[tuple[int, ...], int, int]],
                    cols: Sequence[tuple[int, ...]] | CandidateFamily,
                    **options) -> Iterator[tuple[int, ...]]:
     """`tuple(sorted(S + T))` over the pairs of `pair_join(G, rows, cols, 1,
-    "tuple", **options)`, in their order. The rows are drawn lazily: a
-    consumer that stops at a union costs only the rows up to its own, and
-    since `pair_join` yields the pairs of a row before it draws the next,
-    only the row drawn last is held."""
+    "tuple", **options)`, in their order; `rows` is a family or runs. The
+    runs are drawn lazily: a consumer that stops at a union costs only the
+    runs up to its own, and since `pair_join` yields the pairs of a row
+    before it draws the next, only the run drawn last is held."""
     return (tuple(sorted(S + T)) for S, T in pair_join(G, rows, cols, 1, "tuple", **options))
 
 
@@ -181,9 +180,11 @@ def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
     a heavy h adjacent to all of S, in the order of a scan over every (S, h)
     (a row left out holds a non-edge, so the first hit is the same), and
     the columns the k//2-cliques, one list when k is odd and the sizes
-    agree. With no heavy vertex there is no row, nor a k-set when k > n, and
-    no clique is listed. Otherwise the clique lists are enumerated in full
-    and the columns are materialised, but the rows are drawn lazily.
+    agree. The rows of one S go to the join as one run (S, AND(N(s)) &
+    heavy, 0), and an S with no such h gives none. With no heavy vertex
+    there is no row, nor a k-set when k > n, and no clique is listed.
+    Otherwise the clique lists are enumerated in full and the columns are
+    materialised, but the runs are drawn lazily.
 
     A union of two cliques is a clique iff every column vertex is adjacent
     to every row vertex, so the join gets the open neighbourhoods as its
@@ -202,8 +203,8 @@ def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
             return None
         r1 = enumerate_cliques(G, (k - 1) // 2)
         r2 = r1 if k % 2 else enumerate_cliques(G, k // 2)
-        rows = (S + (h,) for S in r1
-                for h in iter_bits(reduce(and_, map(G.neighbor_mask, S), heavy)))
+        masks = (reduce(and_, map(G.neighbor_mask, S), heavy) for S in r1)
+        rows = ((S, B, 0) for S, B in zip(r1, masks) if B)
         sets = _sorted_unions(G, rows, r2, allowed=G.neighbor_mask)
     cand = _first_shaped(G, problem, sets)
     return None if cand is None else Solution(problem, cand)
@@ -246,7 +247,11 @@ def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
 
     Splits the k/2 matching edges into edge subsets of sizes ceil(k/4) and
     floor(k/4), and joins their endpoint tuples with `_sorted_unions`; the
-    first union that induces a perfect matching is the answer.
+    first union that induces a perfect matching is the answer. The row
+    tuples S, in the order of `combinations` over the sorted edges, go to
+    the join as runs: the consecutive rows with one S[:-1] differ only in
+    the higher end of their last edge, which increases, so they form the
+    run (S[:-1], OR of 1 << S[-1], 0) in the same row order.
     Every dominating k-set holds a heavy vertex, so with none, or with
     k > n, the answer is None before any edge subset is listed. Otherwise
     the C(m, floor(k/4)) column subsets, then the C(m, ceil(k/4)) row
@@ -268,7 +273,9 @@ def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
                 raise oracles.OracleBudgetError(f"the induced-matching {side} are C({G.m}, {size}) "
                                                 f"= {count} edge subsets, more than {budget}")
         edges = list(G.edges())
-        rows = (sum(es, ()) for es in itertools.combinations(edges, (k + 3) // 4))
+        tuples = (sum(es, ()) for es in itertools.combinations(edges, (k + 3) // 4))
+        rows = ((P, reduce(or_, (1 << S[-1] for S in run)), 0)
+                for P, run in itertools.groupby(tuples, itemgetter(slice(-1))))
         cols = [sum(et, ()) for et in itertools.combinations(edges, k // 4)]
         sets = _sorted_unions(G, rows, cols)
     cand = _first_shaped(G, problem, sets)

@@ -39,7 +39,7 @@ from domlab import (
     verify_solution,
 )
 
-from .conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
+from .conftest import _runs, complete_graph, cycle_graph, path_graph, random_graph, star_graph
 from .golden import make_golden
 from .reference_algebra import PolyMatrix, min_degree, poly_mat_mul, poly_mono
 from .reference_cliquegraph import detect_grouped, grouping_parameters
@@ -139,7 +139,7 @@ def test_problem_refuses_malformed_fields(fields, field):
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: oracle_multidom(cycle_graph(5), 2, 1, "both"), ValueError, "unknown variant 'both'"),
-    (lambda: multidom.pair_join(cycle_graph(5), [(0,)], [(1,)], 1, "both"), ValueError,
+    (lambda: multidom.pair_join(cycle_graph(5), _runs([(0,)]), [(1,)], 1, "both"), ValueError,
      "unknown variant 'both'"),
     # 101^3 transversals, refused before the first is tried
     (lambda: oracle_unbalanced_clique(KPartiteGraph([101] * 3, [])), OracleBudgetError,
@@ -517,10 +517,9 @@ def test_pair_join_family_columns_match_member_columns():
     # a CandidateFamily brings its block-built masks; a plain list of the
     # same members is wrapped as a `ColumnList`; a row family is walked run
     # by run (against another column object: an equal family is built again
-    # for the shapes that coincide). Pairs agree, and so do the counters of
-    # the two tuple-row joins. The run walk, certified before a run's first
-    # row, walks a subset of the rows the tuple walk walks, and every row
-    # with a pair
+    # for the shapes that coincide), and its members regrouped by `_runs`
+    # give the same runs. Pairs agree, and so do the counters of all three
+    # joins. Every row with a pair is walked
     pairs = 0
     for G, k in _join_instances():
         for r in range(1, k):
@@ -530,16 +529,16 @@ def test_pair_join_family_columns_match_member_columns():
             index = {S: i for i, S in enumerate(fam_s.members)}
             for variant in multidom.VARIANTS:
                 by_family, by_list, by_runs = _RowLog(), {}, _RowLog()
-                got = list(multidom.pair_join(G, fam_s.members, fam_t, r, variant,
+                got = list(multidom.pair_join(G, _runs(fam_s.members), fam_t, r, variant,
                                               stats=by_family))
-                assert got == list(multidom.pair_join(G, fam_s.members, list(fam_t.members),
+                assert got == list(multidom.pair_join(G, _runs(fam_s.members), list(fam_t.members),
                                                       r, variant, stats=by_list)), (G.n, k, r)
                 assert got == list(multidom.pair_join(G, fam_s, fam_t, r, variant,
                                                       stats=by_runs)), (G.n, k, r)
-                assert by_family == by_list
-                for log in (by_family, by_runs):
-                    assert len(log.walked) == log["rows_drawn"] - log["rows_certified"]
-                assert {index[S] for S, _ in got} <= set(by_runs.walked) <= set(by_family.walked)
+                assert by_family == by_list == by_runs
+                assert by_family.walked == by_runs.walked
+                assert len(by_runs.walked) == by_runs["rows_drawn"] - by_runs["rows_certified"]
+                assert {index[S] for S, _ in got} <= set(by_runs.walked)
                 pairs += len(got)
     assert pairs > 0
 
@@ -883,8 +882,8 @@ def _held_out(G, rows, cols, r, variant):
 
 def test_pair_join_matches_nested_reference():
     # lexicographic rows share prefixes and exercise the row certificate;
-    # shuffled rows change prefix almost every row; with r = 1, rows may
-    # repeat a vertex; rows also arrive as a generator. Joins with
+    # shuffled rows change prefix almost every row, so nearly every run
+    # holds one row; with r = 1, rows may repeat a vertex. Joins with
     # r * len(cols) <= n and rows of fewer than r vertices read the
     # columns' short sets, the others walk below[v]
     certified, gate = 0, set()
@@ -901,7 +900,7 @@ def test_pair_join_matches_nested_reference():
                 repeats = [tuple(rng.randrange(n) for _ in range(s_size)) for _ in range(12)]
                 for row_list in (rows, shuffled) + ((repeats,) if r == 1 else ()):
                     stats = {}
-                    got = list(multidom.pair_join(G, iter(row_list), cols, r, variant, stats))
+                    got = list(multidom.pair_join(G, _runs(row_list), cols, r, variant, stats))
                     expected = _reference_pair_join(G, row_list, cols, r, variant)
                     assert got == [(row_list[i], cols[j]) for i, j in expected], (
                         seed, variant, r, row_list)
@@ -916,7 +915,7 @@ def test_pair_join_matches_truncated_poly_product():
     # B[v, j] = x^(level cols[j] gives v), capped at r (x^r at v in the
     # member under "multiple"); (i, j) is a pair iff the members are
     # disjoint and min_degree((A·B)[i, j]) >= r. Lexicographic rows make the
-    # prefix certificates fire; shuffled rows mostly change prefix.
+    # run certificates fire; shuffled rows mostly make one-row runs.
     hits = misses = certified = 0
     for seed in range(300):
         rng = random.Random(f"ring:{seed}")
@@ -938,7 +937,7 @@ def test_pair_join_matches_truncated_poly_product():
                 expected = [(rows[p], cols[j]) for p in perm
                             for j in range(len(cols)) if ok[p][j]]
                 stats = {}
-                got = list(multidom.pair_join(G, (rows[p] for p in perm), cols, r, variant,
+                got = list(multidom.pair_join(G, _runs(rows[p] for p in perm), cols, r, variant,
                                               stats=stats))
                 assert got == expected, (seed, variant, r, list(perm))
                 certified += stats["rows_certified"]
@@ -957,10 +956,10 @@ def _ov_multidom_no_instance():
 
 
 def test_pair_join_certifies_most_rows_on_ov_no_instance():
-    # every row of a NO instance is drawn; most share a prefix whose
+    # every row of a NO instance is drawn; most lie in a run whose
     # certificate already covers every column, so they skip the gap walk:
     # in lexicographic order the join ORs under half the gap masks it ORs
-    # when the same rows come shuffled (so that hardly any prefix repeats)
+    # when the same rows come shuffled (so that hardly any run holds two)
     G = _ov_multidom_no_instance()
     stats = {}
     assert solve_multidom_fast(G, 4, 2, "multiple", stats=stats) is None
@@ -971,7 +970,7 @@ def test_pair_join_certifies_most_rows_on_ov_no_instance():
     rows, cols = build_candidate_families(G, 4, 2)
     shuffled = random.Random("ov-multidom-no").sample(rows.members, len(rows.members))
     walked = {}
-    assert list(multidom.pair_join(G, shuffled, cols.members, 2, "multiple",
+    assert list(multidom.pair_join(G, _runs(shuffled), cols.members, 2, "multiple",
                                    stats=walked)) == []
     assert walked["rows_drawn"] == fam_s
     assert stats["gap_masks"] < walked["gap_masks"] / 2
@@ -980,21 +979,24 @@ def test_pair_join_certifies_most_rows_on_ov_no_instance():
 @pytest.mark.parametrize("variant", multidom.VARIANTS)
 @pytest.mark.parametrize("r", (1, 2, 3))
 def test_pair_join_draws_no_row_past_the_first_pair(variant, r):
-    # the row generator raises if it is asked for the row after the first
-    # pair's row; lexicographic rows let the certificates fire before it.
+    # the runs of combinations(range(8), 2), one per first vertex a: the
+    # run generator raises if it is asked for the run after the first
+    # pair's run, and the certificates fire before each run's first row.
     # Only graphs whose first pair is past row 0 count.
     tried = 0
     for seed in range(60):
         G = random_graph(f"lazy:{seed}", 8, (0.2, 0.4, 0.6)[seed % 3])
         rows = list(itertools.combinations(range(G.n), 2))
+        runs = [((a,), sum(1 << b for b in range(a + 1, G.n)), 0) for a in range(G.n - 1)]
+        assert [P + (b,) for P, B, _ in runs for b in multidom.iter_bits(B)] == rows
         cols = list(itertools.combinations(range(G.n), 1 + seed % 2))
         first = next(iter(_reference_pair_join(G, rows, cols, r, variant)), None)
         if first is None or first[0] == 0:
             continue
 
         def drawn():
-            yield from rows[:first[0] + 1]
-            raise AssertionError("row drawn past the first pair's row")
+            yield from runs[:rows[first[0]][0] + 1]
+            raise AssertionError("run drawn past the first pair's run")
 
         stats = {}
         assert next(multidom.pair_join(G, drawn(), cols, r, variant, stats=stats)) == (
@@ -1075,7 +1077,7 @@ def _list2_clique_graph(G, k):
 def _unfiltered_fast(G, k, r, variant):
     """The first pair of the join over every row and column of the families."""
     fam_s, fam_t = build_candidate_families(G, k, r)
-    for S, T in multidom.pair_join(G, fam_s.members, fam_t, r, variant):
+    for S, T in multidom.pair_join(G, _runs(fam_s.members), fam_t, r, variant):
         return Solution(Problem(variant, k, r), tuple(sorted(S + T)))
     return None
 
@@ -1141,15 +1143,15 @@ def test_allowed_join_drops_exactly_the_pairs_outside_the_masks():
             fam_s, fam_t = build_candidate_families(G, k, k - 1)
             for variant in multidom.VARIANTS:
                 near = multidom.near_partners(G, k - 2 if variant == "multiple" else 0)
-                cases.append((fam_s, fam_t, k - 1, variant, near))
+                cases.append((fam_s.members, fam_t, k - 1, variant, near))
             # the unfiltered k = 5 clique join of a dense n = 30 lists 10^6 pairs
             if k < 5 or G.n <= 16:
                 rows, cols = _clique_join_inputs(G, k)
                 cases.append((rows, cols, 1, "tuple", [G.neighbor_mask(v) for v in range(G.n)]))
         for rows, cols, r, variant, A in cases:
-            plain = list(multidom.pair_join(G, rows, cols, r, variant))
+            plain = list(multidom.pair_join(G, _runs(rows), cols, r, variant))
             kept = [(S, T) for S, T in plain if all(A[s] >> t & 1 for s in S for t in T)]
-            got = list(multidom.pair_join(G, rows, cols, r, variant, allowed=A.__getitem__))
+            got = list(multidom.pair_join(G, _runs(rows), cols, r, variant, allowed=A.__getitem__))
             assert got == kept, (G, r, variant)
             dropped += len(plain) - len(kept)
     assert dropped > 0
@@ -1401,8 +1403,8 @@ def test_near_column_solutions_match_unfiltered_join():
 
 def test_column_short_sets_keep_every_pair_in_order():
     # every near-column join that reads the short sets (r * len(cols) <= n)
-    # yields the nested reference's full pair list, rows as a family (runs)
-    # and as tuples (one-row runs that share a prefix), and its hold masks
+    # yields the nested reference's full pair list, rows as a family and
+    # as its members regrouped by `_runs`, and its hold masks
     # drop the rows that hold no short set; the joins with more columns
     # walk below[v] as before
     gate, held = set(), 0
@@ -1419,7 +1421,7 @@ def test_column_short_sets_keep_every_pair_in_order():
                 expected = [(fam.members[i], cols[j])
                             for i, j in _reference_pair_join(G, fam.members, cols, r, variant)]
                 dropped = _held_out(G, fam.members, cols, r, variant)
-                for rows in (fam, fam.members):
+                for rows in (fam, _runs(fam.members)):
                     stats = {}
                     assert list(multidom.pair_join(G, rows, cols, r, variant, stats)) == expected, (
                         G, k, r, variant)

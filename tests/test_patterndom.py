@@ -36,6 +36,7 @@ from domlab.graph import delete_closed_neighborhood, heavy_vertices
 from domlab.multidom import (
     Solution,
     _shape_error,
+    iter_bits,
     list_2_dominating_sets,
     pair_join,
     solve_multidom_fast,
@@ -51,7 +52,7 @@ from domlab.patterndom import (
     solve_pattern_domination,
 )
 
-from .conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
+from .conftest import _runs, complete_graph, cycle_graph, path_graph, random_graph, star_graph
 
 
 def test_enumerate_cliques_k4_triangles():
@@ -493,7 +494,7 @@ def _clique_row_major(G: Graph, k: int) -> Solution | None:
     r2 = enumerate_cliques(G, k // 2)
     heavy = heavy_vertices(G, k)
     rows = [S + (h,) for S in r1 for h in heavy]
-    for S, T in pair_join(G, rows, r2, 1, "tuple"):
+    for S, T in pair_join(G, _runs(rows), r2, 1, "tuple"):
         union = set(S) | set(T)
         if len(union) != k:
             continue
@@ -512,7 +513,7 @@ def _matching_row_major(G: Graph, k: int) -> Solution | None:
     fam_t = list(itertools.combinations(edges, k // 4))
     ends_s = [sum(es, ()) for es in fam_s]
     ends_t = [sum(et, ()) for et in fam_t]
-    for S, T in pair_join(G, ends_s, ends_t, 1, "tuple"):
+    for S, T in pair_join(G, _runs(ends_s), ends_t, 1, "tuple"):
         # the endpoint tuples list each edge as two consecutive vertices
         ends = S + T
         chosen = tuple(zip(ends[::2], ends[1::2]))
@@ -564,35 +565,35 @@ def test_streamed_rows_keep_first_hits_on_generator_outputs(want):
 
 def test_matching_draws_rows_only_up_to_the_first_hit(monkeypatch):
     G = ov_to_induced_matching(_ov_source(6, 2, True)).graph
-    drawn = []
+    drawn = [0]
     real_join = patterndom.pair_join
 
-    def counted(rows):
-        for row in rows:
-            drawn.append(row)
-            yield row
+    def counted(runs):
+        for P, B, i0 in runs:
+            drawn[0] += B.bit_count()
+            yield P, B, i0
 
     def counting_join(G, rows, cols, *args):
-        if isinstance(rows, list):  # every row was built before the join
-            drawn.extend(rows)
+        if isinstance(rows, list):  # every run was built before the join
+            drawn[0] += sum(B.bit_count() for _, B, _ in rows)
             return real_join(G, rows, cols, *args)
         return real_join(G, counted(rows), cols, *args)
 
     monkeypatch.setattr(patterndom, "pair_join", counting_join)
     assert solve_dominating_induced_matching(G, 6) is not None
-    assert 0 < len(drawn) < comb(G.m, 2)
+    assert 0 < drawn[0] < comb(G.m, 2)
 
 
 def test_matching_holds_one_drawn_row_at_a_time(monkeypatch):
-    """`_sorted_unions` keeps only the row pair_join drew last: rows count
-    their live instances. The hit on G(30, 0.25) comes after 2,721
-    rows, all of which a list of the drawn rows would hold."""
+    """`_sorted_unions` keeps only the run pair_join drew last: runs count
+    their live instances. The hit on G(30, 0.25) comes in run 733, at
+    row 2,721, and a list of the drawn runs would hold all 733."""
     live = [0]
 
-    class Row(tuple):
-        def __new__(cls, vertices):
+    class Run(tuple):
+        def __new__(cls, run):
             live[0] += 1
-            return super().__new__(cls, vertices)
+            return super().__new__(cls, run)
 
         def __del__(self):
             live[0] -= 1
@@ -609,7 +610,7 @@ def test_matching_holds_one_drawn_row_at_a_time(monkeypatch):
     expected = solve_dominating_induced_matching(G, 6).vertices
     monkeypatch.setattr(patterndom, "pair_join", watched_join)
     edges = list(G.edges())
-    rows = (Row(sum(es, ())) for es in itertools.combinations(edges, 2))
+    rows = map(Run, _runs(sum(es, ()) for es in itertools.combinations(edges, 2)))
     cols = [sum(et, ()) for et in itertools.combinations(edges, 1)]
     unions = patterndom._sorted_unions(G, rows, cols)
     assert patterndom._first_shaped(G, Problem("matching", 6), unions) == expected
@@ -672,18 +673,18 @@ def _clique_hub_graphs() -> list[Graph]:
 
 
 def test_dominating_clique_rows_are_cliques(monkeypatch):
-    # every row S + (h,) is a ceil(k/2)-clique, and each such clique is the
-    # row of at most ceil(k/2) choices of h, so the rows drawn stay within
-    # ceil(k/2) times the ceil(k/2)-cliques (one heavy row per (S, h) pair
-    # overran it on most of these graphs)
+    # every row S + (h,) of a run (S, B, 0) is a ceil(k/2)-clique, and each
+    # such clique is the row of at most ceil(k/2) choices of h, so the rows
+    # drawn stay within ceil(k/2) times the ceil(k/2)-cliques (one heavy row
+    # per (S, h) pair overran it on most of these graphs)
     drawn = []
     real_join = patterndom.pair_join
 
     def counting_join(G, rows, cols, *args, **kwargs):
         def counted():
-            for row in rows:
-                drawn.append(row)
-                yield row
+            for P, B, i0 in rows:
+                drawn.extend(P + (b,) for b in iter_bits(B))
+                yield P, B, i0
         return real_join(G, counted(), cols, *args, **kwargs)
 
     monkeypatch.setattr(patterndom, "pair_join", counting_join)
@@ -699,23 +700,50 @@ def test_dominating_clique_rows_are_cliques(monkeypatch):
                        for row in drawn)
 
 
-def test_dominating_clique_join_ors_few_gap_masks_on_a_hub_graph(monkeypatch):
-    # the clique-hub NO of bench/bench_join.py: with the columns cut to each
-    # row's common neighbours its one join ORs 1,500 gap masks; joining every
-    # edge and rejecting the unions afterwards ORed 64,720
-    from .golden.make_golden import planted_hub_graph
-
+def _join_counters(monkeypatch, solver, G, k):
+    """The answer of solver(G, k) and the `pair_join` stats of each of its joins."""
     joins = []
-    real_join = patterndom.pair_join
 
     def counted(*args, stats=None, **kwargs):
         joins.append({})
-        return real_join(*args, stats=joins[-1], **kwargs)
+        return pair_join(*args, stats=joins[-1], **kwargs)
 
     monkeypatch.setattr(patterndom, "pair_join", counted)
+    return solver(G, k), joins
+
+
+def test_dominating_clique_join_ors_few_gap_masks_on_a_hub_graph(monkeypatch):
+    # the clique-hub NO of bench/bench_join.py: with the columns cut to each
+    # row's common neighbours and each clique S's rows certified as one run
+    # before the first, its one join ORs 600 gap masks; certified only at
+    # the second row it ORed 1,500, and joining every edge and rejecting the
+    # unions afterwards ORed 64,720
+    from .golden.make_golden import planted_hub_graph
+
     G = Graph(300, planted_hub_graph(random.Random(1), 300, 5, 4))
-    assert solve_dominating_clique(G, 5) is None
-    assert len(joins) == 1 and 0 < joins[0]["gap_masks"] <= 5000
+    sol, joins = _join_counters(monkeypatch, solve_dominating_clique, G, 5)
+    assert sol is None and len(joins) == 1 and 0 < joins[0]["gap_masks"] <= 1000
+
+
+def test_certified_no_shape_joins_walk_few_rows(monkeypatch):
+    # certified NO targets: the rows of one clique S, or of one edge subset
+    # less the higher end of its last edge, come as one run, certified
+    # before its first row. Matching at k = 6 walks 12 of 4,656 rows and
+    # ORs 2,580 gap masks (630 and 8,046 with the rows certified only at
+    # their prefix's second row); the clique at k = 4 walks 1 of 100 rows
+    # and ORs 60 gap masks (30 and 127)
+    G = ov_to_induced_matching(_ov_source(6, 2, False)).graph
+    sol, joins = _join_counters(monkeypatch, solve_dominating_induced_matching, G, 6)
+    [stats] = joins
+    assert sol is None and stats["rows_drawn"] == 4656
+    assert stats["rows_drawn"] - stats["rows_certified"] <= 60
+    assert stats["gap_masks"] <= 4000
+    G = ov_to_hdom(_ov_source(4, 3, False), Pattern.clique(4)).graph
+    sol, joins = _join_counters(monkeypatch, solve_dominating_clique, G, 4)
+    [stats] = joins
+    assert sol is None and stats["rows_drawn"] == 100
+    assert stats["rows_drawn"] - stats["rows_certified"] <= 5
+    assert stats["gap_masks"] <= 100
 
 
 def test_dominating_clique_matches_row_major_on_hub_graphs():

@@ -1,5 +1,6 @@
 """Near-column join benchmark: `solve_multidom_fast` where the column family
-is cut to its near columns (`multidom._near_columns`) before the join.
+is cut to its near columns (`multidom._near_columns`) before the join, or
+the cut passes n / r columns and the join takes the uncut families.
 
     python3 bench/bench_bhubs.py                      # writes BENCH_bhubs.json
     python3 bench/bench_bhubs.py --src OTHER/src --out BENCH_bhubs_parent.json
@@ -10,12 +11,13 @@ Three sets of graphs, all built from recipes of `tests/golden/make_golden.py`:
   seeds 1-10 and blocks 0-4 (n = 100, five hubs, every other vertex joined
   to three of them), at (k, r) = (5, 3). 10 to 13 columns are kept, at
   most n / r, so the join reads their short sets; every answer is YES.
-- `dense`: 30 G(80, 2500), every vertex heavy, at (5, 3): 79 to 80
-  thousand columns are kept, so the join walks `below[v]`.
+- `dense`: 30 G(80, 2500), every vertex heavy, at (5, 3): the first heavy
+  quota-set already passes n / r columns, so the cut gives up and the join
+  walks `below[v]` over the 82,160 columns of the family.
 - `ov-near`: the golden `ov-multidom-4` recipe (an ov_to_multidom graph,
-  n = 42) at seeds 1-20, at (5, 3) and (6, 4): 28 to 32 columns, more than
-  n / r, so the join walks `below[v]`, many rows per solve; every answer
-  is NO. Reading the short sets there cost more than the walk.
+  n = 42) at seeds 1-20, at (5, 3) and (6, 4): the cut would keep 28 to 32
+  columns, more than n / r, so it gives up and the join walks `below[v]`
+  over the families, many rows per solve; every answer is NO.
 
 Each solve is measured in one fresh child process. One solve with a
 `stats` dict gives every `STATS_KEYS` counter, the rows walked

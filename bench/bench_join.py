@@ -4,7 +4,7 @@
     python3 bench/bench_join.py                      # writes BENCH_join.json
     python3 bench/bench_join.py --src OTHER/src --out BENCH_join_parent.json
 
-Five sets of solves:
+Six sets of solves:
 
 - `ov-multidom-no`: the 28 instances of the ov-multidom-no workload at
   seed 1, blocks 0-3 (`perfbench/workloads.py`): 16 `no-r2`, 8 `yes-r2`
@@ -22,22 +22,28 @@ Five sets of solves:
   certified-mix draws its NO sources (`perfbench/workloads.py`):
   `no-dom-clique-k4`, `ov_to_hdom` on a clique of 4 solved as a dominating
   clique, and `no-matching-k4` and `no-matching-k6`, `ov_to_induced_matching`
-  at k = 4 and 6. Their joins walk clique and matching rows as runs.
+  at k = 4 and 6. Their joins walk clique and matching rows as runs;
+- `dense-clique`: `solve_dominating_clique` at k = 6 on the dense
+  `cli._random_gnm(Random(f"dc:{n}:{m}"), n, m)` graphs G(80, 2,500) and
+  G(60, 1,500), both YES. Their columns, the 40,677 and 20,763 triangles,
+  hold 128 or more members per vertex on average, so `ColumnList` builds
+  their masks from listed column indices.
 
 Every other instance is drawn by the workload's own seeded generator, with
 its certified answer; the `shape-no` sources are drawn until
-`solve_ov_bruteforce` answers NO, and the `clique-hub` answers are pinned in
-the case table, as no decider independent of the solvers reaches n = 300. Each
-solve is measured in one fresh child process. One untimed solve sums the
-four `pair_join` counters (`rows_drawn`, `rows_certified`, `gap_masks`,
-`below_built`) over every join it runs, counts `members_built`, the
-member tuples its candidate families built (len(members) for each family
-that expanded, plus one for each member decoded alone by
-`CandidateFamily.member`, where the measured tree has it), and checks the
-answer: the child exits non-zero when it differs from the certified or
-pinned one or when a YES does not verify. Then REPEATS timed solves,
-each on a new `Graph` of the same edges built outside the timer and after
-a `gc.collect()`, give the median and quartiles of the unscaled wall time.
+`solve_ov_bruteforce` answers NO, and the `clique-hub` and `dense-clique`
+answers are pinned in the case table, as no decider independent of the
+solvers reaches them. Each solve is measured in one fresh child process.
+One untimed solve sums the four `pair_join` counters (`rows_drawn`,
+`rows_certified`, `gap_masks`, `below_built`) over every join it runs,
+counts `members_built`, the member tuples its candidate families built
+(len(members) for each family that expanded, plus one for each member
+decoded alone by `CandidateFamily.member`, where the measured tree has
+it), and checks the answer: the child exits non-zero when it differs
+from the certified or pinned one or when a YES does not verify. Then
+REPEATS timed solves, each on a new `Graph` of the same edges built
+outside the timer and after a `gc.collect()`, give the median and
+quartiles of the unscaled wall time.
 Counters and answers are deterministic; times compare only between runs on
 the same host from source paths of equal length (the path length is
 recorded).
@@ -67,6 +73,7 @@ MIX_GROUPS = ("hdom-path", "is-pipeline-no", "matching-k6")
 CLIQUE_HUB_SEEDS = (1, 2)
 SHAPE_NO_SEEDS = (1, 2, 3, 4)
 SHAPE_NO_GROUPS = {"no-dom-clique-k4": 4, "no-matching-k4": 4, "no-matching-k6": 6}  # group: k
+DENSE_CLIQUE_GRAPHS = ((80, 2500), (60, 1500))  # (n, m)
 JOIN_COUNTERS = ("rows_drawn", "rows_certified", "gap_masks", "below_built")
 
 
@@ -89,12 +96,14 @@ def cases() -> list[dict]:
     out += [{"set": "shape-no", "group": group, "name": f"{group}-s{seed}", "k": k,
              "seed": seed, "want": False}
             for group, k in SHAPE_NO_GROUPS.items() for seed in SHAPE_NO_SEEDS]
+    out += [{"set": "dense-clique", "group": "dense-clique", "name": f"dense-clique-{n}-{m}",
+             "n": n, "m": m, "want": True} for n, m in DENSE_CLIQUE_GRAPHS]
     return out
 
 
 def _instance(case: dict, work: Path):
     """(graph, problem, algo, certified answer) of the case."""
-    from domlab import reductions
+    from domlab import cli, reductions
     from domlab.graph import Graph
     from domlab.multidom import Problem
     from domlab.patterndom import Pattern
@@ -107,6 +116,10 @@ def _instance(case: dict, work: Path):
     if case["set"] == "clique-hub":
         edges = make_golden.planted_hub_graph(random.Random(case["seed"]), 300, 5, 4)
         return Graph(300, edges), Problem("clique", 5), "fast", case["want"]
+    if case["set"] == "dense-clique":
+        n, m = case["n"], case["m"]
+        G = cli._random_gnm(random.Random(f"dc:{n}:{m}"), n, m)
+        return G, Problem("clique", 6), "fast", case["want"]
     if case["set"] == "shape-no":
         rng, k = random.Random(f"shape-no:{case['group']}:{case['seed']}"), case["k"]
         if case["group"].startswith("no-dom-clique"):

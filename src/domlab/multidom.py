@@ -245,8 +245,9 @@ class ColumnList:
     average, each vertex's column indices are listed first instead, each
     once even where a column repeats the vertex (as a matching column of
     two edges with a shared end does), and `_index_mask` builds its mask
-    once, in time linear in the column count: 4x faster at 80,000 columns
-    on 80 vertices, slower below about 128 columns per vertex."""
+    once, in time linear in the column count: 2.3-2.7x faster on the
+    triangle columns of a dominating clique at k = 6 on dense graphs (set
+    `dense-clique` of `bench/bench_join.py`), slower below 128 per vertex."""
 
     n: int
     members: Sequence[tuple[int, ...]]
@@ -520,9 +521,12 @@ def _candidate_family(n: int, heavy: tuple[int, ...], size: int, quota: int) -> 
 
 
 def _near_columns(G: Graph, heavy: tuple[int, ...], k: int, r: int,
-                  variant: str) -> list[tuple[int, ...]]:
+                  variant: str) -> list[tuple[int, ...]] | None:
     """The members T of the column family of (k, r) that can be part of a
-    solution, in family order. For L = r - (k - |T|) >= 1 only.
+    solution, in family order. None for a column shape other than
+    |T| = quota + 1 with L = r - (k - |T|) >= 1, and as soon as r times the
+    columns kept exceeds n: past that bound `pair_join` reads no short set
+    ("Column short sets"), and its `below[v]` walk drops the same columns.
 
     A solution's row has k - |T| vertices, so every vertex outside the
     solution takes at least L dominators from T. T is kept when its short
@@ -531,26 +535,22 @@ def _near_columns(G: Graph, heavy: tuple[int, ...], k: int, r: int,
     none under "tuple", where every vertex has r closed dominators in the
     solution.
 
-    When |T| = quota + 1, every member is a quota-set Q of heavy ids plus
-    one vertex c. A vertex w that Q leaves short stays short unless c is in
-    N[w] and Q gives w exactly L - 1, or c = w under "multiple". One
-    saturating count of those misses, capped at one past the allowance,
-    gives every valid c for Q at once. A member with every vertex heavy
-    has several such Q; it is built only from its lowest quota ids, where
-    c is light or a heavy id above Q's, so each member is built once. The
-    members are then sorted into family order. Other shapes test each
-    member of `_candidate_family`.
+    Every member is a quota-set Q of heavy ids plus one vertex c. A vertex
+    w that Q leaves short stays short unless c is in N[w] and Q gives w
+    exactly L - 1, or c = w under "multiple". One saturating count of those
+    misses, capped at one past the allowance, gives every valid c for Q at
+    once. A member with every vertex heavy has several such Q; it is built
+    only from its lowest quota ids, where c is light or a heavy id above
+    Q's, so each member is built once. The members are then sorted into
+    family order.
     """
     size, quota = _family_shapes(k, r)[1]
     level = r - (k - size)
+    if size - quota != 1 or level < 1:
+        return None
     multiple = variant == "multiple"
     allowed = k - size if multiple else 0
     vfull = G.full_mask()
-    if size - quota != 1:
-        return [T for T in _candidate_family(G.n, heavy, size, quota).members
-                if (vfull ^ _levels(G, T, level, multiple)[level]).bit_count() <= allowed]
-    # a member with quota + 1 heavy ids is found once, from its lowest quota
-    # of them: c is either light or a heavy id above Q's
     heavy_mask = _set_mask(heavy)
     found: list[tuple[int, ...]] = []
     for Q in itertools.combinations(heavy, quota):
@@ -561,6 +561,8 @@ def _near_columns(G: Graph, heavy: tuple[int, ...], k: int, r: int,
         failed = _at_least(misses, allowed + 1, vfull)[allowed + 1]
         valid = vfull & ~(failed | heavy_mask & (2 << Q[-1]) - 1)
         found.extend(tuple(sorted(Q + (c,))) for c in iter_bits(valid))
+        if r * len(found) > G.n:
+            return None
     return sorted(found)
 
 
@@ -849,11 +851,11 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[tuple[int, ...], 
     With a `stats` dict, four counters are set to 0 and then counted as
     rows are drawn: `rows_drawn`; `rows_certified`, the rows a certificate
     or a hold mask drops; `gap_masks`, the gap masks ORed, by walked rows
-    and by certificates alike; and
-    `below_built`, the `below[v]` lists built, which only certificates
-    build when the short sets are read, so it can be 0. The rows a run
-    drops are counted when the next row is walked, and the rest when the
-    run ends, so `rows_drawn` stops at the row of the last pair read.
+    and by certificates alike; and `below_built`, the `below[v]` lists
+    built, which only certificates build when the short sets are read, so
+    it can be 0. The rows a run drops are counted when the next row is
+    walked, and the rest when the run ends, so `rows_drawn` stops at the
+    row of the last pair read.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -1046,45 +1048,43 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     `columns_kept` only the near columns.
 
     For r <= k-2 the columns are cut by a subset lemma. In a solution X,
-    a vertex outside X has >= r dominators in X, and a subset of k-r+1
-    members misses at most r-1 of them, so it dominates every vertex
-    outside X; under "tuple" every vertex, with closed dominators. Likewise
-    a column T of t >= k-r+1 members gives each vertex outside X at least
-    L = r - (k-t) >= 1 dominators, so it leaves at most the row's k-t
-    vertices below L under "multiple", and none under "tuple". Wherever
-    the column shape (t, q) has t >= k-r+1, the join gets only the columns
-    that pass (`_near_columns`: built from the heavy q-sets when t = q + 1,
-    filtered from the family otherwise), and `None` comes before any row
-    is built when none does. The cut keeps a subsequence, and what it drops
-    has no pair: the first hit is the same. Each kept column T leaves at
-    most k-t vertices below L, its short set Z_T, and every row that pairs
-    with T holds Z_T. The rows go to the join as their `CandidateFamily`.
-    When r times the kept columns is at most n, the join reads the short
-    sets: a hold mask per prefix drops the rows that hold no Z_T, a row
-    skips the columns whose Z_T it lacks, and the few columns left are
-    checked against their own levels instead of building `below[v]`
-    (`pair_join`, "Column short sets"). The row certificate then drops, one prefix run
-    at a time, the rows that pair with no kept column. On sparse hub
-    graphs that leaves only the first hit's row to walk. A solution
-    dominates V, so it holds a heavy vertex (|N[v]|·k >= n): with none, or
-    with k > n, `None` comes before any row or column.
+    a vertex outside X has >= r dominators in X, so a column T of
+    t >= k-r+1 members gives it at least L = r - (k-t) >= 1: T leaves at
+    most the row's k-t vertices below L, its short set Z_T, under
+    "multiple", and none under "tuple" (closed dominators, every vertex),
+    and every row that pairs with T holds Z_T. When the column shape
+    (t, q) has t = q + 1 and t >= k-r+1, `_near_columns` keeps the columns
+    that pass, from the heavy q-sets, while r times them is at most n; past
+    that bound, or for another shape, the two families are joined uncut.
+    The cut keeps a subsequence, and what it drops has no pair: the first
+    hit is the same. With none kept, `None` comes before any row is built.
+    Otherwise the rows go to the join as their `CandidateFamily`, and the
+    join reads the short sets: a hold mask per prefix drops the rows that
+    hold no Z_T, a row skips the columns whose Z_T it lacks, and the few
+    columns left are checked against their own levels instead of building
+    `below[v]` (`pair_join`, "Column short sets"). The row certificate
+    then drops, one prefix run at a time, the rows that pair with no kept
+    column. On sparse hub graphs that leaves only the first hit's row to
+    walk. A solution dominates V, so it holds a heavy vertex
+    (|N[v]|·k >= n): with none, or with k > n, `None` comes before any row
+    or column.
 
     With a `stats` dict, `candidate_family_sizes` holds the sizes of the
     two families before any cut, `columns_kept` the columns the join
     receives, and `rows_drawn` (with `pair_join`'s other counters) counts
     only the rows that reach the join.
     """
-    shape_s, shape_t = _family_shapes(k, r)
+    shape_s = _family_shapes(k, r)[0]
     heavy = heavy_vertices(G, k)
     if not heavy or k > G.n:
         return _first_pair(G, k, r, variant, heavy, (), (), stats)
     if r == k - 1:
         near = near_partners(G, k - 2 if variant == "multiple" else 0)
         return _solve_kminus1(G, k, variant, heavy, near, stats)
-    if shape_t[0] < k - r + 1:
+    cols = _near_columns(G, heavy, k, r, variant)
+    if cols is None:
         fam_s, fam_t = build_candidate_families(G, k, r)
         return _first_pair(G, k, r, variant, heavy, fam_s, fam_t, stats)
-    cols = _near_columns(G, heavy, k, r, variant)
     rows = _candidate_family(G.n, heavy, *shape_s) if cols else ()
     return _first_pair(G, k, r, variant, heavy, rows, cols, stats)
 

@@ -82,7 +82,7 @@ def b_hubs_recipe(seed: int, block: int) -> dict:
 # The near-column join at (k, r) = (5, 3), the one problem a recipe with
 # "only" is solved for: the 50 b-hubs graphs (about ten columns, so the
 # join reads their short sets) and 30 dense G(80, 2500) (every vertex
-# heavy, about 80,000 columns, more than n)
+# heavy; the cut passes n / r columns, so the join takes the families)
 B_HUBS = {f"b-hubs-{seed}-{block}": b_hubs_recipe(seed, block)
           for seed in range(1, 11) for block in range(5)}
 DENSE_NEAR = {f"dense-near-{seed}": {"generator": "gnm", "seed": f"dense-near:{seed}", "n": 80,

@@ -1315,8 +1315,9 @@ def _near_graphs():
 
 def test_near_columns_are_the_filtered_column_family():
     # every (k, r) with L >= 1, r = k-1 included; |T| = quota + 1 is built
-    # from heavy quota-sets, the other shapes filter the family
-    reached = set()
+    # from heavy quota-sets while r times the columns kept is at most n.
+    # Past that bound, and for every other shape, the cut gives None
+    cut, gave_up = set(), set()
     for G, shapes in _near_graphs():
         for k, r in shapes:
             heavy = heavy_vertices(G, k)
@@ -1331,15 +1332,19 @@ def test_near_columns_are_the_filtered_column_family():
                           for T in family}
                 expected = [T for T in family if shorts[T].bit_count() <= allowed]
                 cols = multidom._near_columns(G, heavy, k, r, variant)
+                if size - quota != 1 or r * len(expected) > G.n:
+                    assert cols is None, (G, k, r, variant)
+                    gave_up.add("bound" if size - quota == 1 else "shape")
+                    continue
                 assert cols == expected, (G, k, r, variant)
                 # the short set the join reads for each column is this one
                 for T in cols:
                     misses = multidom._column_misses(G, T, r, variant == "multiple")
                     assert misses[k - size] == shorts[T], (G, k, r, variant, T)
                 if len(cols) < len(family):
-                    reached.add((size - quota == 1, level, variant))
-    assert reached >= {(True, 1, "multiple"), (True, 2, "multiple"), (True, 1, "tuple"),
-                       (True, 2, "tuple"), (False, 3, "multiple"), (False, 3, "tuple")}
+                    cut.add((level, variant))
+    assert cut == {(1, "multiple"), (2, "multiple"), (1, "tuple"), (2, "tuple")}
+    assert gave_up == {"bound", "shape"}
 
 
 def test_hold_masks_match_set_reference():
@@ -1360,7 +1365,7 @@ def test_hold_masks_match_set_reference():
             rows = multidom._candidate_family(G.n, heavy, size, quota).members
             for variant in multidom.VARIANTS:
                 cols = multidom._near_columns(G, heavy, k, r, variant)
-                if r * len(cols) > G.n:
+                if cols is None:
                     continue
                 shorts = [{v for v, lev in enumerate(_reference_levels(G, T, r, variant))
                            if lev + size < r} for T in cols]
@@ -1402,21 +1407,23 @@ def test_near_column_solutions_match_unfiltered_join():
 
 
 def test_column_short_sets_keep_every_pair_in_order():
-    # every near-column join that reads the short sets (r * len(cols) <= n)
-    # yields the nested reference's full pair list, rows as a family and
-    # as its members regrouped by `_runs`, and its hold masks
-    # drop the rows that hold no short set; the joins with more columns
-    # walk below[v] as before
+    # every near-column join, which reads the short sets as the cut keeps
+    # r * len(cols) <= n, yields the nested reference's full pair list,
+    # rows as a family and as its members regrouped by `_runs`, and its
+    # hold masks drop the rows that hold no short set; a cut past that
+    # bound gives None, and the solve joins the families
     gate, held = set(), 0
     for G, shapes in _near_graphs():
         for k, r in shapes:
             heavy = heavy_vertices(G, k)
-            shape_s = multidom._family_shapes(k, r)[0]
+            shape_s, (size, quota) = multidom._family_shapes(k, r)
             for variant in multidom.VARIANTS:
                 cols = multidom._near_columns(G, heavy, k, r, variant)
-                gate.add(r * len(cols) <= G.n)
-                if r * len(cols) > G.n:
+                if size - quota == 1:
+                    gate.add(cols is None)
+                if cols is None:
                     continue
+                assert r * len(cols) <= G.n
                 fam = multidom._candidate_family(G.n, heavy, *shape_s)
                 expected = [(fam.members[i], cols[j])
                             for i, j in _reference_pair_join(G, fam.members, cols, r, variant)]
@@ -1450,6 +1457,41 @@ def test_column_short_sets_walk_one_row_on_b_hubs():
             assert got == Solution(Problem("multiple", 5, 3), tuple(sorted(S + T)))
 
 
+def test_near_column_cut_stops_past_the_short_set_bound(monkeypatch):
+    # deterministic counters: on the golden dense-near-1 graph (every vertex
+    # heavy) the first heavy quota-set already gives r times its columns
+    # past n, so the cut reads that one set's levels and gives None, and the
+    # solve joins the whole column family; the 50 golden b-hubs graphs stay
+    # below the bound and keep their 10-13 columns
+    recipe = make_golden.DENSE_NEAR["dense-near-1"]
+    G = make_golden.build_graph(recipe)
+    variant, k, r = recipe["only"]
+    heavy = heavy_vertices(G, k)
+    size, quota = multidom._family_shapes(k, r)[1]
+    read, levels = [], multidom._levels
+
+    def counting(G, X, *args):
+        read.append(tuple(X))
+        return levels(G, X, *args)
+
+    monkeypatch.setattr(multidom, "_levels", counting)
+    assert multidom._near_columns(G, heavy, k, r, variant) is None
+    assert read == [heavy[:quota]]
+    monkeypatch.undo()
+    stats = {}
+    solve_multidom_fast(G, k, r, variant, stats=stats)
+    family = multidom.closed_form_family_size(G.n, len(heavy), size, quota)
+    assert stats["columns_kept"] == stats["candidate_family_sizes"][1] == family == 82160
+    kept = set()
+    for recipe in make_golden.B_HUBS.values():
+        G = make_golden.build_graph(recipe)
+        variant, k, r = recipe["only"]
+        cols = multidom._near_columns(G, heavy_vertices(G, k), k, r, variant)
+        assert cols is not None and r * len(cols) <= G.n, recipe
+        kept.add(len(cols))
+    assert min(kept) >= 10 and max(kept) <= 13, kept
+
+
 def test_short_set_join_counts_each_column_levels_once(monkeypatch):
     # the golden b-hubs-1-0 recipe at (5, 3): rows of 2 < r vertices and
     # r * len(cols) <= n, so the join reads the short sets. The column T of
@@ -1476,11 +1518,11 @@ def test_short_set_join_counts_each_column_levels_once(monkeypatch):
     assert sorted(counted) == sorted(cols)
 
 
-def _ov_k5_r3_no_graphs(count: int):
+def _ov_k5_r3_no_graphs(count: int, d: int = 8):
     rng = random.Random("ov-multidom-k5-r3-no")
     graphs = []
     while len(graphs) < count:
-        inst = OVInstance.from_lists(8, [[tuple(int(rng.random() >= 0.3) for _ in range(8))
+        inst = OVInstance.from_lists(d, [[tuple(int(rng.random() >= 0.3) for _ in range(d))
                                           for _ in range(2)] for _ in range(5)])
         if not solve_ov_bruteforce(inst, 3):
             graphs.append(ov_to_multidom(inst, 3).graph)
@@ -1489,15 +1531,25 @@ def _ov_k5_r3_no_graphs(count: int):
 
 def test_near_columns_on_certified_ov_no_group():
     # ov_to_multidom at k = 5, r = 3 on sources the brute force certifies
-    # NO: the join gets a strict subset of the column family
-    for G in _ov_k5_r3_no_graphs(4):
+    # NO: the join gets a strict subset of the column family, of at most
+    # n // r columns, or, when the cut passes that bound, the whole family
+    reached = set()
+    for G in _ov_k5_r3_no_graphs(4) + _ov_k5_r3_no_graphs(4, d=10):
+        heavy = heavy_vertices(G, 5)
         _, fam_t = build_candidate_families(G, 5, 3)
         for variant in multidom.VARIANTS:
             stats = {}
             assert solve_multidom_fast(G, 5, 3, variant, stats=stats) is None
             assert _unfiltered_fast(G, 5, 3, variant) is None
-            assert stats["columns_kept"] < len(fam_t.members)
             assert stats["candidate_family_sizes"][1] == len(fam_t.members)
+            cols = multidom._near_columns(G, heavy, 5, 3, variant)
+            if cols is None:
+                assert stats["columns_kept"] == len(fam_t.members)
+            else:
+                assert stats["columns_kept"] == len(cols) < len(fam_t.members)
+                assert 3 * len(cols) <= G.n
+            reached.add((variant, cols is None))
+    assert reached >= {("multiple", True), ("multiple", False), ("tuple", False)}, reached
 
 
 def test_no_near_column_builds_no_row(monkeypatch):
@@ -1530,25 +1582,26 @@ def _planted_k9_graph(seed, n: int) -> Graph:
     return Graph(n, sorted(edges))
 
 
-def test_near_column_filter_branch_matches_unfiltered_join():
-    # k = 9, r = 5 is the first solver shape whose near columns filter the
-    # family: the column shape (5, 3) has t >= k-r+1 but t - q = 2
+def test_near_column_shape_without_cut_joins_the_families():
+    # k = 9, r = 5 is the first solver shape with t >= k-r+1 but t - q = 2:
+    # the column shape (5, 3) is not a heavy quota-set plus one vertex, so
+    # the cut gives None and the solve joins the two families uncut
     assert multidom._family_shapes(9, 5)[1] == (5, 3)
     graphs = [random_graph(f"k9:{seed}", 10 + seed % 3, 0.4 + 0.1 * (seed % 3)) for seed in range(4)]
     graphs += [random_graph(f"k9-sparse:{seed}", 14, 0.2) for seed in range(2)]
     graphs += [_planted_k9_graph(seed, 18) for seed in range(4)]
-    answers, cut = {True: 0, False: 0}, set()
+    answers = {True: 0, False: 0}
     for G in graphs:
+        heavy = heavy_vertices(G, 9)
         _, fam_t = build_candidate_families(G, 9, 5)
         for variant in multidom.VARIANTS:
+            assert multidom._near_columns(G, heavy, 9, 5, variant) is None
             stats = {}
             got = solve_multidom_fast(G, 9, 5, variant, stats=stats)
             assert got == _unfiltered_fast(G, 9, 5, variant), (G, variant)
+            assert stats["columns_kept"] == len(fam_t.members) > 0, (G, variant)
             answers[got is not None] += 1
-            if stats["columns_kept"] < len(fam_t.members):
-                cut.add((variant, got is not None))
     assert min(answers.values()) >= 4, answers
-    assert cut == {(variant, answer) for variant in multidom.VARIANTS for answer in (True, False)}
 
 
 def test_fast_threaded_result_identical():

@@ -6,9 +6,10 @@ starts one child of itself per case, `--case` followed by the case as JSON;
 the child puts the measured `src` first on `sys.path`, runs `run_case` on
 the decoded case and prints the result as one JSON line. The parent writes
 `--out` (default BENCH_<name>.json at the repo root, for bench_<name>.py):
-the script's own leading fields, the host record, a hash of the measured
-source file, an optional summary, then one case per line, so a diff of
-two files names the cases that moved. A child that exits non-zero (say, a
+the script's own leading fields, the host record, `domlab_sha256` (one
+hash over every measured `domlab/*.py`, taken in name order), an optional
+summary, one entry per line, then one case per line, so a diff of two
+files names the cases that moved. A child that exits non-zero (say, a
 failed untimed check) stops the run.
 """
 
@@ -35,13 +36,12 @@ def quartiles(name: str, times_ms: list[float], digits: int) -> dict:
             f"{name}_q3": round(q3, digits), f"{name}_iqr": round(q3 - q1, digits)}
 
 
-def main(script: str, doc: str, fields: dict, hashed: str, cases: Callable[[], list],
+def main(script: str, doc: str, fields: dict, cases: Callable[[], list],
          run_case: Callable[[Any], dict],
          summary: Callable[[list[dict]], dict] | None = None) -> int:
     """The command line of the bench script `script` (its `__file__`), whose
-    docstring is `doc`. `fields` lead the report; `hashed` names the file
-    under src/domlab whose hash it records; `summary`, when given, maps the
-    case results to the report's "summary"."""
+    docstring is `doc`. `fields` lead the report; `summary`, when given,
+    maps the case results to the report's "summary"."""
     name = Path(script).stem.removeprefix("bench_")
     ap = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src",
@@ -65,11 +65,15 @@ def main(script: str, doc: str, fields: dict, hashed: str, cases: Callable[[], l
         "platform": platform.platform(), "machine": platform.machine(),
         "nproc": os.cpu_count(), "python": platform.python_version(),
         "src_path_len": len(str(src))})
-    report[hashed.replace(".", "_") + "_sha256"] = hashlib.sha256(
-        (src / "domlab" / hashed).read_bytes()).hexdigest()[:16]
-    if summary:
-        report["summary"] = summary(results)
+    sources = hashlib.sha256()
+    for path in sorted((src / "domlab").glob("*.py")):
+        sources.update(path.name.encode() + b"\0" + path.read_bytes())
+    report["domlab_sha256"] = sources.hexdigest()[:16]
     text = json.dumps(report, indent=1)[:-2]
+    if summary:
+        text += ',\n "summary": {\n' + ",\n".join(
+            f"  {json.dumps(key)}: {json.dumps(value)}"
+            for key, value in summary(results).items()) + "\n }"
     text += ',\n "cases": [\n' + ",\n".join("  " + json.dumps(e) for e in results) + "\n ]\n}\n"
     args.out.write_text(text)
     return 0

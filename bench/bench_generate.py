@@ -31,7 +31,7 @@ compare only between runs on the same host from source paths of equal
 length (the path length is recorded).
 
 `--src` names the `src` directory whose `domlab` is measured, by default
-this checkout's; the file records a hash of its `reductions.py`. One case
+this checkout's; the file records one hash of its `domlab/*.py`. One case
 runs alone as `--case` followed by its JSON (see `_harness.py`).
 """
 
@@ -192,4 +192,4 @@ if __name__ == "__main__":
     sys.exit(_harness.main(
         __file__, __doc__, {"benchmark": "certified generation: decider, reduction, save_graph",
                             "repeats": REPEATS, "check_product": CHECK_PRODUCT},
-        "reductions.py", cases, run_case, _summary))
+        cases, run_case, _summary))

@@ -21,7 +21,7 @@ length is recorded), since both move timings in the repeats' pure-Python
 loops.
 
 `--src` names the `src` directory whose `domlab` is measured, by default
-this checkout's; the file records a hash of its `graph.py`. One case runs
+this checkout's; the file records one hash of its `domlab/*.py`. One case runs
 alone as `--case '[N, BALLAST]'` (see `_harness.py`).
 """
 
@@ -109,5 +109,5 @@ def run_case(case: list[int]) -> dict:
 if __name__ == "__main__":
     sys.exit(_harness.main(
         __file__, __doc__, {"benchmark": "load_graph of save_graph text, G(n, 3n)",
-                            "seed": SEED, "repeats": REPEATS}, "graph.py",
+                            "seed": SEED, "repeats": REPEATS},
         lambda: [[n, ballast] for n in NS for ballast in (0, BALLAST_LISTS)], run_case))

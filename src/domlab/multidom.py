@@ -247,7 +247,7 @@ class ColumnList:
     two edges with a shared end does), and `_index_mask` builds its mask
     once, in time linear in the column count: 2.3-2.7x faster on the
     triangle columns of a dominating clique at k = 6 on dense graphs (set
-    `dense-clique` of `bench/bench_join.py`), slower below 128 per vertex."""
+    `dense-clique` of `bench/bench_solve.py`), slower below 128 per vertex."""
 
     n: int
     members: Sequence[tuple[int, ...]]

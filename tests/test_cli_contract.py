@@ -324,3 +324,19 @@ def test_perfbench_span_targets_resolve():
     targets = spans.targets(spans.domlab_modules())
     assert targets and [(owner, attr) for owner, attr, *_ in targets
                         if not callable(getattr(owner, attr, None))] == []
+
+
+def test_ci_solve_harness_cases_are_rows_of_its_table(monkeypatch):
+    # tier1.yml runs whole cases of bench/bench_solve.py; each must equal a
+    # row of its table, so CI cannot run a case the harness no longer has
+    bench = SRC.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("bench_solve", bench / "bench_solve.py")
+    bench_solve = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_solve)
+    table = bench_solve.cases()
+    names = [case["name"] for case in table]
+    assert len(set(names)) == len(names)
+    ci = (SRC.parent / ".github" / "workflows" / "tier1.yml").read_text()
+    pinned = [json.loads(raw) for raw in re.findall(r"bench/bench_solve\.py --case '(.*)'", ci)]
+    assert pinned and [case for case in pinned if case not in table] == []

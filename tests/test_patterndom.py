@@ -713,7 +713,7 @@ def _join_counters(monkeypatch, solver, G, k):
 
 
 def test_dominating_clique_join_ors_few_gap_masks_on_a_hub_graph(monkeypatch):
-    # the clique-hub NO of bench/bench_join.py: with the columns cut to each
+    # the clique-hub NO of bench/bench_solve.py: with the columns cut to each
     # row's common neighbours and each clique S's rows certified as one run
     # before the first, its one join ORs 600 gap masks; certified only at
     # the second row it ORed 1,500, and joining every edge and rejecting the

@@ -1,6 +1,6 @@
 """Solve benchmark: every solve a perf claim rests on, each (graph,
-problem) once, with the work counters of its joins, its candidate
-families and its passes over the adjacency lists.
+problem) once, with the work counters of its join and its passes over the
+adjacency lists.
 
     python3 bench/bench_solve.py                      # writes BENCH_solve.json
     python3 bench/bench_solve.py --src OTHER/src --out BENCH_solve_parent.json
@@ -51,15 +51,13 @@ an answer that moves, not one that was wrong when pinned.
 
 Each solve is measured in one fresh child process. The child builds the
 graph and writes its edge-list bytes with `workloads._edge_bytes`, so the
-bytes loaded do not depend on the tree measured. One untimed solve of
-`load_graph` of the bytes counts:
+bytes loaded do not depend on the tree measured. One untimed
+`solve(G, problem, algo, stats)` of `load_graph` of the bytes
+(`counted_solve`) counts:
 
-- `joins`, the `pair_join` calls; `columns_kept`, the sum of their
-  len(cols); and the four `pair_join` counters (`rows_drawn`,
-  `rows_certified`, `gap_masks`, `below_built`) summed over them;
-- `members_built`, the member tuples its candidate families built
-  (len(members) for each family that expanded, plus one for each member
-  decoded alone by `CandidateFamily.member`);
+- `joins`, 1 when the solve ran a join (`stats` holds `rows_drawn`),
+  else 0, and the join's `columns_kept`, `rows_drawn`, `rows_certified`,
+  `gap_masks` and `below_built`, read from `stats`, 0 without a join;
 - `adj_iterations`, the iterations over the graph's `adj` (a
   `map(len, adj)`, `islice(adj, ...)` or `enumerate(adj)` is one, an
   index is none), and `high_listed`, the length of the graph's kept list
@@ -68,7 +66,9 @@ bytes loaded do not depend on the tree measured. One untimed solve of
 It exits non-zero when the answer differs from the certified or pinned
 one, or when a YES does not verify. Then REPEATS timed rounds, each after
 a `gc.collect()`, time `load_graph` of the bytes and, straight after it as
-the benchmark does, the solve, and give their medians and quartiles.
+the benchmark does, the solve, and give their medians and quartiles. A
+tier-1 test compares every case's `counted_solve` with the committed
+BENCH_solve.json, so a change that moves a counter regenerates the file.
 
 The counters also hold `rows_walked`, `rows_drawn - rows_certified`. The
 summary has one entry per (set, group): the solves, the YES answers, each
@@ -109,9 +109,8 @@ CLIQUE_HUB_SEEDS = (1, 2)
 SHAPE_NO_SEEDS = (1, 2, 3, 4)
 SHAPE_NO_GROUPS = {"no-dom-clique-k4": 4, "no-matching-k4": 4, "no-matching-k6": 6}  # group: k
 DENSE_CLIQUE_GRAPHS = ((80, 2500), (60, 1500))  # (n, m)
-JOIN_COUNTERS = ("rows_drawn", "rows_certified", "gap_masks", "below_built")
-COUNTERS = ("joins", "columns_kept", *JOIN_COUNTERS, "rows_walked", "members_built",
-            "adj_iterations", "high_listed")
+JOIN_COUNTERS = ("columns_kept", "rows_drawn", "rows_certified", "gap_masks", "below_built")
+COUNTERS = ("joins", *JOIN_COUNTERS, "rows_walked", "adj_iterations", "high_listed")
 sys.path[1:1] = [str(ROOT), str(ROOT / "perfbench")]  # after the measured src, put first by main
 
 
@@ -191,45 +190,10 @@ def _instance(case: dict, work: Path):
     return inst.make_graph(), inst.problem, algo, inst.expected
 
 
-def _counted_solve(G, problem, algo):
-    """The solve, with every `pair_join` call's counters, and the number of
-    member tuples its candidate families built."""
-    from domlab import multidom, patterndom
-
-    joins: list[dict] = []
-    families: list = []
-    decoded = 0
-    join, candidate_family = multidom.pair_join, multidom._candidate_family
-    member = multidom.CandidateFamily.member
-
-    def counted(G, rows, cols, *args, stats=None, **options):
-        joins.append({"columns_kept": len(cols)})
-        return join(G, rows, cols, *args, stats=joins[-1], **options)
-
-    def recording(*args):
-        families.append(candidate_family(*args))
-        return families[-1]
-
-    def decoding(fam, j):
-        nonlocal decoded
-        decoded += "members" not in fam.__dict__
-        return member(fam, j)
-
-    multidom.pair_join = patterndom.pair_join = counted
-    multidom._candidate_family = recording
-    multidom.CandidateFamily.member = decoding
-    try:
-        sol = patterndom.solve(G, problem, algo)
-    finally:
-        multidom.pair_join = patterndom.pair_join = join
-        multidom._candidate_family = candidate_family
-        multidom.CandidateFamily.member = member
-    return sol, joins, decoded + sum(len(fam.__dict__.get("members", ())) for fam in families)
-
-
-def run_case(case: dict) -> dict:
-    """One solve, in this process: the untimed check and counters, then
-    REPEATS timed load and solve pairs."""
+def counted_solve(case: dict) -> tuple[dict, bytes, object, str]:
+    """The untimed part of a case: the case with its n, m, answer and
+    counters from one counted solve, its answer checked; and the bytes,
+    problem and algo the timed rounds solve."""
     from domlab import multidom, patterndom
     from domlab.graph import load_graph
     import workloads
@@ -239,19 +203,30 @@ def run_case(case: dict) -> dict:
     data = workloads._edge_bytes(G0.n, list(G0.edges()))
     G = load_graph(data)
     G.adj = CountingList(G.adj)
-    sol, joins, members_built = _counted_solve(G, problem, algo)
+    stats: dict = {}
+    sol = patterndom.solve(G, problem, algo, stats)
     if (sol is not None) != want:
         raise SystemExit(f"{case['name']}: the solver answers {sol is not None}, "
                          f"the certified or pinned answer is {want}")
     if sol is not None and not multidom.verify_solution(G0, problem, sol.vertices):
         raise SystemExit(f"{case['name']}: {sol.vertices} does not verify")
-    sums = {key: sum(stats[key] for stats in joins) for key in ("columns_kept", *JOIN_COUNTERS)}
-    counters = dict(joins=len(joins), **sums,
-                    rows_walked=sums["rows_drawn"] - sums["rows_certified"],
-                    members_built=members_built, adj_iterations=G.adj.iterations,
+    joined = {key: stats.get(key, 0) for key in JOIN_COUNTERS}
+    counters = dict(joins=int("rows_drawn" in stats), **joined,
+                    rows_walked=joined["rows_drawn"] - joined["rows_certified"],
+                    adj_iterations=G.adj.iterations,
                     high_listed=None if G._high is None else len(G._high))
     out = dict(case, n=G0.n, m=G0.m, answer=None if sol is None else list(sol.vertices),
                counters=counters)
+    return out, data, problem, algo
+
+
+def run_case(case: dict) -> dict:
+    """One solve, in this process: `counted_solve`, then REPEATS timed
+    load and solve pairs."""
+    from domlab import patterndom
+    from domlab.graph import load_graph
+
+    out, data, problem, algo = counted_solve(case)
     load_ms, solve_ms = [], []
     for _ in range(REPEATS):
         gc.collect()

@@ -139,6 +139,7 @@ def cmd_solve(args) -> int:
     if args.at_most_k:
         solution = None
         for kp in range(1, min(args.k, G.n) + 1):  # no k'-set exists for k' > n
+            stats.clear()  # the output reports the counters of the last size solved
             try:
                 solution = _solve_once(G, args, kp, H, stats)
             except SizeWindowError:

@@ -20,7 +20,7 @@ from .graph import Graph, _index_mask, heavy_vertices
 
 VARIANTS = ("multiple", "tuple")
 KINDS = VARIANTS + ("clique", "indepset", "matching", "pattern")
-# the keys the fast solvers set in a `stats` dict, the last four by
+# the keys the fast solvers set in a `stats` dict, the last five by
 # `pair_join`: rows a hold mask drops count as certified, and `below_built`
 # can be 0, since only certificates build `below[v]` when a join reads short sets
 STATS_KEYS = ("candidate_family_sizes", "columns_kept",
@@ -848,12 +848,12 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[tuple[int, ...], 
     as before. The join binds its per-vertex column lookup once, so an
     unfiltered join pays no step per row for the filter.
 
-    With a `stats` dict, four counters are set to 0 and then counted as
-    rows are drawn: `rows_drawn`; `rows_certified`, the rows a certificate
-    or a hold mask drops; `gap_masks`, the gap masks ORed, by walked rows
-    and by certificates alike; and `below_built`, the `below[v]` lists
-    built, which only certificates build when the short sets are read, so
-    it can be 0. The rows a run drops are counted when the next row is
+    With a `stats` dict, `columns_kept` is set to len(cols), and four
+    counters to 0 and then counted as rows are drawn: `rows_drawn`;
+    `rows_certified`, the rows a certificate or a hold mask drops;
+    `gap_masks`, the gap masks ORed, by walked rows and by certificates
+    alike; and `below_built`, the `below[v]` lists built, which only
+    certificates build when the short sets are read, so it can be 0. The rows a run drops are counted when the next row is
     walked, and the rest when the run ends, so `rows_drawn` stops at the
     row of the last pair read.
     """
@@ -925,7 +925,7 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[tuple[int, ...], 
         return first
 
     if stats is not None:
-        stats.update(dict.fromkeys(STATS_KEYS[2:], 0))
+        stats.update(dict.fromkeys(STATS_KEYS[2:], 0), columns_kept=len(cols))
 
     def walk() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         members, blocked = None, None
@@ -1109,12 +1109,11 @@ def _first_pair(G: Graph, k: int, r: int, variant: str, heavy: tuple[int, ...],
                 allowed: Callable[[int], int] | None = None) -> Solution | None:
     """The solution of the first pair `pair_join` yields over `rows` and
     `cols` (with `allowed`), or None. A `stats` dict gets the uncut family
-    sizes of (k, r) from `closed_form_family_size` on `heavy`, the number of
-    columns as `columns_kept`, and the join's counters."""
+    sizes of (k, r) from `closed_form_family_size` on `heavy`, and the
+    join's five counters (`pair_join`)."""
     if stats is not None:
         stats["candidate_family_sizes"] = [closed_form_family_size(G.n, len(heavy), *shape)
                                            for shape in _family_shapes(k, r)]
-        stats["columns_kept"] = len(cols)
     pair = next(pair_join(G, rows, cols, r, variant, stats=stats, allowed=allowed), None)
     return None if pair is None else Solution(Problem(variant, k, r), tuple(sorted(pair[0] + pair[1])))
 

@@ -168,11 +168,12 @@ def _sorted_unions(G: Graph, rows: CandidateFamily | Iterable[tuple[tuple[int, .
     "tuple", **options)`, in their order; `rows` is a family or runs. The
     runs are drawn lazily: a consumer that stops at a union costs only the
     runs up to its own, and since `pair_join` yields the pairs of a row
-    before it draws the next, only the run drawn last is held."""
+    before it draws the next, only the run drawn last is held. `options`
+    (`stats`, `allowed`) go to the join."""
     return (tuple(sorted(S + T)) for S, T in pair_join(G, rows, cols, 1, "tuple", **options))
 
 
-def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
+def solve_dominating_clique(G: Graph, k: int, stats: dict | None = None) -> Solution | None:
     """First k-clique (in the half-split scan order) whose closed neighborhood
     is all of V, or None.
 
@@ -191,7 +192,8 @@ def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
     `allowed` masks (`pair_join`, "Pair-lemma filter"): a row pairs only
     with the columns inside the common neighbours of its vertices, and
     every union it yields is a clique. The pairs dropped are unions that
-    `_first_shaped` would reject, so the first hit is the same.
+    `_first_shaped` would reject, so the first hit is the same. A `stats`
+    dict gets the join's counters, and none when there is no join.
     """
     problem = Problem("clique", k)
     if k <= 2:
@@ -205,12 +207,12 @@ def solve_dominating_clique(G: Graph, k: int) -> Solution | None:
         r2 = r1 if k % 2 else enumerate_cliques(G, k // 2)
         masks = (reduce(and_, map(G.neighbor_mask, S), heavy) for S in r1)
         rows = ((S, B, 0) for S, B in zip(r1, masks) if B)
-        sets = _sorted_unions(G, rows, r2, allowed=G.neighbor_mask)
+        sets = _sorted_unions(G, rows, r2, stats=stats, allowed=G.neighbor_mask)
     cand = _first_shaped(G, problem, sets)
     return None if cand is None else Solution(problem, cand)
 
 
-def solve_dominating_indepset(G: Graph, k: int) -> Solution | None:
+def solve_dominating_indepset(G: Graph, k: int, stats: dict | None = None) -> Solution | None:
     """Branching on heavy vertices: pick heavy v, delete N[v], solve for k-1;
     the bases are the universal vertices (k=1) and non-adjacent dominating
     pairs (k=2). Depth-first on an explicit stack, one frame per chosen
@@ -242,7 +244,8 @@ def solve_dominating_indepset(G: Graph, k: int) -> Solution | None:
         alive = (frames[-1][0] or G.full_mask()) & ~G.closed_mask(v)
 
 
-def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
+def solve_dominating_induced_matching(G: Graph, k: int,
+                                      stats: dict | None = None) -> Solution | None:
     """Dominating set of k vertices inducing exactly k/2 independent edges.
 
     Splits the k/2 matching edges into edge subsets of sizes ceil(k/4) and
@@ -259,7 +262,8 @@ def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
     (OracleBudgetError) before either is listed. The columns are then
     materialised and the rows drawn lazily, so the cost depends on the rows
     drawn before the first hit (all of them on a NO instance). The
-    certificate's `matching_edges` are the edges the solution induces.
+    certificate's `matching_edges` are the edges the solution induces. A
+    `stats` dict gets the join's counters, and none when there is no join.
     """
     problem = Problem("matching", k)
     if k > G.n or not heavy_vertices(G, k):
@@ -277,7 +281,7 @@ def solve_dominating_induced_matching(G: Graph, k: int) -> Solution | None:
         rows = ((P, reduce(or_, (1 << S[-1] for S in run)), 0)
                 for P, run in itertools.groupby(tuples, itemgetter(slice(-1))))
         cols = [sum(et, ()) for et in itertools.combinations(edges, k // 4)]
-        sets = _sorted_unions(G, rows, cols)
+        sets = _sorted_unions(G, rows, cols, stats=stats)
     cand = _first_shaped(G, problem, sets)
     return None if cand is None else _matching_solution(G, problem, cand)
 
@@ -288,7 +292,7 @@ def _matching_solution(G: Graph, problem: Problem, cand: tuple[int, ...]) -> Sol
     return Solution(problem, cand, {"matching_edges": induced})
 
 
-def list_dominating_ksets(G: Graph, k: int) -> Iterator[tuple[int, ...]]:
+def list_dominating_ksets(G: Graph, k: int, stats: dict | None = None) -> Iterator[tuple[int, ...]]:
     """All k-subsets S with N[S] = V, each yielded once.
 
     Every dominating set contains a heavy vertex, so with none nothing is
@@ -297,7 +301,8 @@ def list_dominating_ksets(G: Graph, k: int) -> Iterator[tuple[int, ...]]:
     the row family goes in whole, walked by prefix runs, so the member
     tuples are built only once a union is found. It
     raises OracleBudgetError once it has drawn `MAX_TRANSVERSALS` unions,
-    duplicates included, and would draw another.
+    duplicates included, and would draw another. A `stats` dict gets the
+    join's counters (`pair_join`) once the first union is asked for.
     """
     heavy = heavy_vertices(G, k)  # a ValueError for k < 1
     if k == 1:
@@ -309,7 +314,7 @@ def list_dominating_ksets(G: Graph, k: int) -> Iterator[tuple[int, ...]]:
     budget = oracles.MAX_TRANSVERSALS
     seen: set[tuple[int, ...]] = set()
     # disjoint members of sizes summing to k: each union has k vertices
-    for drawn, cand in enumerate(_sorted_unions(G, fam_s, fam_t), 1):
+    for drawn, cand in enumerate(_sorted_unions(G, fam_s, fam_t, stats=stats), 1):
         if drawn > budget:
             raise oracles.OracleBudgetError(f"the dominating {k}-set listing drew more "
                                             f"than {budget} unions")
@@ -318,11 +323,12 @@ def list_dominating_ksets(G: Graph, k: int) -> Iterator[tuple[int, ...]]:
             yield cand
 
 
-def solve_pattern_domination(G: Graph, H: Pattern) -> Solution | None:
-    """First dominating k-set inducing a subgraph isomorphic to H."""
+def solve_pattern_domination(G: Graph, H: Pattern, stats: dict | None = None) -> Solution | None:
+    """First dominating k-set inducing a subgraph isomorphic to H; `stats`
+    as in `list_dominating_ksets`."""
     check_pattern_size(H.k)
     problem = Problem("pattern", H.k, pattern_edges=H.edges)
-    cand = _first_shaped(G, problem, list_dominating_ksets(G, H.k))
+    cand = _first_shaped(G, problem, list_dominating_ksets(G, H.k, stats))
     return None if cand is None else Solution(problem, cand)
 
 
@@ -354,12 +360,14 @@ def solve(G: Graph, problem: Problem, algo: str = "fast",
           stats: dict | None = None) -> Solution | None:
     """The first solution of `problem` on G that `algo` finds, or None.
 
-    "fast" runs `solve_multidom_fast` (with `stats`) on the multiple and
-    tuple kinds, and the solver `SHAPES` names on the others. "pipeline"
-    runs `solve_multidom_kminus1` (with `stats`), on the multiple kind with
-    r = k-1 only. "brute" runs `oracle_multidom` or `oracle_pattern` once
-    `oracles.check_scan_budget` passes (else OracleBudgetError), or answers
-    a shape with k > n at once; every Solution carries `problem` itself.
+    "fast" runs `solve_multidom_fast` on the multiple and tuple kinds, and
+    the solver `SHAPES` names on the others. "pipeline" runs
+    `solve_multidom_kminus1`, on the multiple kind with r = k-1 only. Each
+    gets `stats`, and its join (`pair_join`) fills it; the indepset solver
+    runs none. "brute" fills no `stats`: it runs `oracle_multidom` or
+    `oracle_pattern` once `oracles.check_scan_budget` passes (else
+    OracleBudgetError), or answers a shape with k > n at once; every
+    Solution carries `problem` itself.
     `check_algo`'s ValueError comes first, before any budget.
     """
     check_algo(problem, algo)
@@ -379,4 +387,4 @@ def solve(G: Graph, problem: Problem, algo: str = "fast",
         if found and kind == "matching":
             return _matching_solution(G, problem, found.vertices)
         return Solution(problem, found.vertices) if found else None
-    return globals()[name](G, H or k)
+    return globals()[name](G, H or k, stats=stats)

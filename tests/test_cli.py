@@ -129,6 +129,22 @@ def test_solve_at_most_k(tmp_path, capsys):
     assert out["solution"] == [1]  # k'=1 already dominates P3
 
 
+def test_solve_at_most_k_reports_only_the_answering_size(tmp_path, capsys):
+    # on C8 the pipeline's fallback join answers NO at k' = 2 and fills
+    # `stats`; k' = 3 answers through the brute fallback, which fills none,
+    # so the output holds null counters, as a plain brute solve's does
+    path = tmp_path / "c8.txt"
+    save_graph(cycle_graph(8), path)
+    argv = ["solve", str(path), "--problem", "multidom", "--k", "3", "--r", "1",
+            "--json", "--no-timing"]
+    assert main(argv + ["--algo", "pipeline", "--at-most-k"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--algo", "brute"]) == 0
+    want = json.loads(capsys.readouterr().out)
+    assert got["solution"] == want["solution"] == [0, 2, 5]
+    assert got["stats"] == want["stats"] and set(want["stats"].values()) == {None}
+
+
 def test_solve_at_most_k_keeps_real_errors(tmp_path, capsys):
     gpath = tmp_path / "p9.txt"
     save_graph(path_graph(9), gpath)

@@ -326,17 +326,39 @@ def test_perfbench_span_targets_resolve():
                         if not callable(getattr(owner, attr, None))] == []
 
 
-def test_ci_solve_harness_cases_are_rows_of_its_table(monkeypatch):
-    # tier1.yml runs whole cases of bench/bench_solve.py; each must equal a
-    # row of its table, so CI cannot run a case the harness no longer has
+def _bench_solve(monkeypatch):
+    """bench/bench_solve.py as a module, with the bench and perfbench
+    directories on sys.path until the test ends."""
     bench = SRC.parent / "bench"
     monkeypatch.syspath_prepend(str(bench))
     spec = importlib.util.spec_from_file_location("bench_solve", bench / "bench_solve.py")
     bench_solve = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_solve)
-    table = bench_solve.cases()
+    return bench_solve
+
+
+def test_ci_solve_harness_cases_are_rows_of_its_table(monkeypatch):
+    # tier1.yml runs whole cases of bench/bench_solve.py; each must equal a
+    # row of its table, so CI cannot run a case the harness no longer has
+    table = _bench_solve(monkeypatch).cases()
     names = [case["name"] for case in table]
     assert len(set(names)) == len(names)
     ci = (SRC.parent / ".github" / "workflows" / "tier1.yml").read_text()
     pinned = [json.loads(raw) for raw in re.findall(r"bench/bench_solve\.py --case '(.*)'", ci)]
     assert pinned and [case for case in pinned if case not in table] == []
+
+
+def test_committed_solve_counters_reproduce(monkeypatch):
+    # the untimed part of every bench/bench_solve.py case, in this process:
+    # its answer and counters must equal those BENCH_solve.json commits, so
+    # a change that moves the work of a solve regenerates that file
+    bench_solve = _bench_solve(monkeypatch)
+    entries = json.loads((SRC.parent / "BENCH_solve.json").read_text())["cases"]
+    committed = {entry["name"]: (entry["answer"], entry["counters"]) for entry in entries}
+    table = bench_solve.cases()
+    differ = []
+    for case in table:
+        entry = bench_solve.counted_solve(case)[0]
+        if committed.get(case["name"]) != (entry["answer"], entry["counters"]):
+            differ.append(case["name"])
+    assert differ == [] and sorted(committed) == sorted(case["name"] for case in table)

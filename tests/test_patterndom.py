@@ -34,6 +34,7 @@ import domlab
 from domlab import oracles, patterndom
 from domlab.graph import delete_closed_neighborhood, heavy_vertices
 from domlab.multidom import (
+    STATS_KEYS,
     Solution,
     _shape_error,
     iter_bits,
@@ -280,7 +281,8 @@ def test_dominating_kset_listing_budget_counts_duplicate_unions(monkeypatch):
     drawn = []
     sorted_unions = patterndom._sorted_unions
     monkeypatch.setattr(patterndom, "_sorted_unions",
-                        lambda *args: (drawn.append(S) or S for S in sorted_unions(*args)))
+                        lambda *args, **options: (drawn.append(S) or S
+                                                  for S in sorted_unions(*args, **options)))
     listed = list(list_dominating_ksets(G, 4))
     count = len(drawn)
     assert count > len(listed) > 0
@@ -573,11 +575,11 @@ def test_matching_draws_rows_only_up_to_the_first_hit(monkeypatch):
             drawn[0] += B.bit_count()
             yield P, B, i0
 
-    def counting_join(G, rows, cols, *args):
+    def counting_join(G, rows, cols, *args, **options):
         if isinstance(rows, list):  # every run was built before the join
             drawn[0] += sum(B.bit_count() for _, B, _ in rows)
-            return real_join(G, rows, cols, *args)
-        return real_join(G, counted(rows), cols, *args)
+            return real_join(G, rows, cols, *args, **options)
+        return real_join(G, counted(rows), cols, *args, **options)
 
     monkeypatch.setattr(patterndom, "pair_join", counting_join)
     assert solve_dominating_induced_matching(G, 6) is not None
@@ -700,19 +702,7 @@ def test_dominating_clique_rows_are_cliques(monkeypatch):
                        for row in drawn)
 
 
-def _join_counters(monkeypatch, solver, G, k):
-    """The answer of solver(G, k) and the `pair_join` stats of each of its joins."""
-    joins = []
-
-    def counted(*args, stats=None, **kwargs):
-        joins.append({})
-        return pair_join(*args, stats=joins[-1], **kwargs)
-
-    monkeypatch.setattr(patterndom, "pair_join", counted)
-    return solver(G, k), joins
-
-
-def test_dominating_clique_join_ors_few_gap_masks_on_a_hub_graph(monkeypatch):
+def test_dominating_clique_join_ors_few_gap_masks_on_a_hub_graph():
     # the clique-hub NO of bench/bench_solve.py: with the columns cut to each
     # row's common neighbours and each clique S's rows certified as one run
     # before the first, its one join ORs 600 gap masks; certified only at
@@ -721,11 +711,13 @@ def test_dominating_clique_join_ors_few_gap_masks_on_a_hub_graph(monkeypatch):
     from .golden.make_golden import planted_hub_graph
 
     G = Graph(300, planted_hub_graph(random.Random(1), 300, 5, 4))
-    sol, joins = _join_counters(monkeypatch, solve_dominating_clique, G, 5)
-    assert sol is None and len(joins) == 1 and 0 < joins[0]["gap_masks"] <= 1000
+    stats = {}
+    sol = solve_dominating_clique(G, 5, stats=stats)
+    # one join's five counters
+    assert sol is None and set(stats) == set(STATS_KEYS[1:]) and 0 < stats["gap_masks"] <= 1000
 
 
-def test_certified_no_shape_joins_walk_few_rows(monkeypatch):
+def test_certified_no_shape_joins_walk_few_rows():
     # certified NO targets: the rows of one clique S, or of one edge subset
     # less the higher end of its last edge, come as one run, certified
     # before its first row. Matching at k = 6 walks 12 of 4,656 rows and
@@ -733,14 +725,14 @@ def test_certified_no_shape_joins_walk_few_rows(monkeypatch):
     # their prefix's second row); the clique at k = 4 walks 1 of 100 rows
     # and ORs 60 gap masks (30 and 127)
     G = ov_to_induced_matching(_ov_source(6, 2, False)).graph
-    sol, joins = _join_counters(monkeypatch, solve_dominating_induced_matching, G, 6)
-    [stats] = joins
+    stats = {}
+    sol = solve_dominating_induced_matching(G, 6, stats=stats)
     assert sol is None and stats["rows_drawn"] == 4656
     assert stats["rows_drawn"] - stats["rows_certified"] <= 60
     assert stats["gap_masks"] <= 4000
     G = ov_to_hdom(_ov_source(4, 3, False), Pattern.clique(4)).graph
-    sol, joins = _join_counters(monkeypatch, solve_dominating_clique, G, 4)
-    [stats] = joins
+    stats = {}
+    sol = solve_dominating_clique(G, 4, stats=stats)
     assert sol is None and stats["rows_drawn"] == 100
     assert stats["rows_drawn"] - stats["rows_certified"] <= 5
     assert stats["gap_masks"] <= 100
@@ -778,8 +770,10 @@ def _solve_graphs():
 def test_solve_matches_each_direct_call():
     # every kind with every algo that applies: the entry point returns what
     # the solver or oracle it dispatches to returns, certificate included,
-    # and the multidom solvers fill `stats` as when called directly
+    # and every fast solver fills `stats` as when called directly; every
+    # shape but indepset, which runs no join, fills it on some graph
     path3, star4 = Pattern.path(3), Pattern.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    counted = set()
     for G in _solve_graphs():
         for kind in ("multiple", "tuple"):
             for k in range(2, 5):
@@ -803,7 +797,11 @@ def test_solve_matches_each_direct_call():
         shaped += [(Problem("matching", k), Pattern.matching(k), solve_dominating_induced_matching)
                    for k in (2, 4)]
         for P, H, solver in shaped:
-            assert solve(G, P) == solver(G, P.k)
+            got, want = {}, {}
+            assert solve(G, P, stats=got) == solver(G, P.k, stats=want)
+            assert got == want
+            if got:
+                counted.add(P.kind)
             oracle = oracle_pattern(G, H)
             want = oracle and Solution(P, oracle.vertices)
             if want and P.kind == "matching":
@@ -813,8 +811,13 @@ def test_solve_matches_each_direct_call():
             assert solve(G, P, "brute") == want
         for H in (path3, star4):
             P = Problem("pattern", H.k, pattern_edges=H.edges)
-            assert solve(G, P) == solve_pattern_domination(G, H)
+            got, want = {}, {}
+            assert solve(G, P, stats=got) == solve_pattern_domination(G, H, stats=want)
+            assert got == want
+            if got:
+                counted.add(P.kind)
             assert solve(G, P, "brute") == oracle_pattern(G, H)
+    assert counted == {"clique", "matching", "pattern"}
 
 
 @pytest.mark.parametrize("problem, oracle, count, message", [

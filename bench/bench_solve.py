@@ -5,7 +5,7 @@ adjacency lists.
     python3 bench/bench_solve.py                      # writes BENCH_solve.json
     python3 bench/bench_solve.py --src OTHER/src --out BENCH_solve_parent.json
 
-Nine sets of solves:
+Ten sets of solves:
 
 - `ov-multidom-no`: the 28 instances of the ov-multidom-no workload at
   seed 1, blocks 0-3 (`perfbench/workloads.py`): 16 `no-r2`, 8 `yes-r2`
@@ -39,13 +39,22 @@ Nine sets of solves:
   `_random_gnm(Random(f"dc:{n}:{m}"), n, m)` graphs G(80, 2,500) and
   G(60, 1,500). Their columns, the 40,677 and 20,763 triangles, hold 128
   or more members per vertex on average, so `ColumnList` builds their
-  masks from listed column indices.
+  masks from listed column indices;
+- `pipeline`: `solve_multidom_kminus1` (`--algo pipeline`) at r = k-1 on
+  random `_random_gnm` graphs. Group `no`: G(80, 2,500) and G(100, 4,000)
+  at k = 4 and 5, NO instances, which the search rules out before any
+  join. Group `fallback-yes`: six YES instances with
+  no clique witness, where the search runs and then the join finds the
+  first hit, so they carry the search's cost. Each is the first seed
+  `pipeline-yes:{n}:{m}:{k}:{s}`, s = 0, 1, ..., whose pipeline answer is
+  a YES without a witness, for (n, m, k) = (20, 140, 4), (30, 320, 4),
+  (40, 600, 4), (25, 240, 5), (45, 800, 5) and (40, 510, 3).
 
 The workload instances carry the workload's certified answer, and the
 `shape-no` sources are drawn until `solve_ov_bruteforce` answers NO. The
 other sets pin `want` in the case table: `b-hubs` is YES by construction;
-`dense`, `ov-near`, `clique-hub` and `dense-clique` were pinned from the
-solvers (`dense` YES and `ov-near` NO at b96fcdb), as no decider
+`dense`, `ov-near`, `clique-hub`, `dense-clique` and `pipeline` were pinned
+from the solvers (`dense` YES and `ov-near` NO at b96fcdb), as no decider
 independent of them reaches these sizes (ROADMAP item 13), so they catch
 an answer that moves, not one that was wrong when pinned.
 
@@ -84,6 +93,7 @@ runs alone as `--case` followed by its JSON (see `_harness.py`).
 
 from __future__ import annotations
 
+import functools
 import gc
 import random
 import statistics
@@ -109,6 +119,9 @@ CLIQUE_HUB_SEEDS = (1, 2)
 SHAPE_NO_SEEDS = (1, 2, 3, 4)
 SHAPE_NO_GROUPS = {"no-dom-clique-k4": 4, "no-matching-k4": 4, "no-matching-k6": 6}  # group: k
 DENSE_CLIQUE_GRAPHS = ((80, 2500), (60, 1500))  # (n, m)
+PIPELINE_NO_GRAPHS = ((80, 2500), (100, 4000))  # (n, m), each at k = 4 and 5
+PIPELINE_YES = ((20, 140, 4, 0), (30, 320, 4, 1), (40, 600, 4, 5), (25, 240, 5, 1),
+                (45, 800, 5, 4), (40, 510, 3, 61))  # (n, m, k, first fallback-YES seed s)
 JOIN_COUNTERS = ("columns_kept", "rows_drawn", "rows_certified", "gap_masks", "below_built")
 COUNTERS = ("joins", *JOIN_COUNTERS, "rows_walked", "adj_iterations", "high_listed")
 sys.path[1:1] = [str(ROOT), str(ROOT / "perfbench")]  # after the measured src, put first by main
@@ -161,10 +174,27 @@ def cases() -> list[dict]:
     out += [_pinned("dense-clique", "dense-clique", f"dense-clique-{n}-{m}",
                     {"generator": "gnm", "seed": f"dc:{n}:{m}", "n": n, "m": m},
                     ["clique", 6], True) for n, m in DENSE_CLIQUE_GRAPHS]
+    out += [_pinned("pipeline", "no", f"pipeline-{n}-{m}-k{k}",
+                    {"generator": "gnm", "seed": f"pipeline:{n}:{m}", "n": n, "m": m},
+                    ["multiple", k, k - 1], False) for n, m in PIPELINE_NO_GRAPHS for k in (4, 5)]
+    out += [_pinned("pipeline", "fallback-yes", f"pipeline-yes-{n}-{m}-k{k}",
+                    {"generator": "gnm", "seed": f"pipeline-yes:{n}:{m}:{k}:{s}", "n": n, "m": m},
+                    ["multiple", k, k - 1], True) for n, m, k, s in PIPELINE_YES]
     return out
 
 
-def _instance(case: dict, work: Path):
+@functools.cache
+def _block(set_name: str, block: int) -> list:
+    """The instances of one workload block at SEED, built once per process:
+    every case of the block reads its own slot. Their `make_graph` reads no
+    file, so the block's work directory can go once it is built."""
+    import workloads
+
+    with tempfile.TemporaryDirectory() as work:
+        return workloads.WORKLOADS[set_name].block(SEED, block, 0, Path(work))
+
+
+def _instance(case: dict):
     """(graph, problem, algo, certified or pinned answer) of the case."""
     from domlab import reductions
     from domlab.multidom import Problem
@@ -174,7 +204,8 @@ def _instance(case: dict, work: Path):
 
     if "recipe" in case:
         G = make_golden.build_graph(case["recipe"])
-        return G, Problem(*case["problem"]), "fast", case["want"]
+        algo = "pipeline" if case["set"] == "pipeline" else "fast"
+        return G, Problem(*case["problem"]), algo, case["want"]
     if case["set"] == "shape-no":
         rng, k = random.Random(f"shape-no:{case['group']}:{case['seed']}"), case["k"]
         if case["group"].startswith("no-dom-clique"):
@@ -183,7 +214,7 @@ def _instance(case: dict, work: Path):
             return G, Problem("clique", k), "fast", False
         gen = reductions.ov_to_induced_matching(workloads._draw_ov(rng, [2] * k, 4, 0.5, 1, False))
         return gen.graph, gen.problem, "fast", False
-    inst = workloads.WORKLOADS[case["set"]].block(SEED, case["block"], 0, work)[case["slot"]]
+    inst = _block(case["set"], case["block"])[case["slot"]]
     if inst.group != case["group"]:
         raise SystemExit(f"{case['name']}: the workload draws {inst.group}, not {case['group']}")
     algo = "pipeline" if inst.group.startswith("is-pipeline") else "fast"
@@ -198,8 +229,7 @@ def counted_solve(case: dict) -> tuple[dict, bytes, object, str]:
     from domlab.graph import load_graph
     import workloads
 
-    with tempfile.TemporaryDirectory() as work:
-        G0, problem, algo, want = _instance(case, Path(work))
+    G0, problem, algo, want = _instance(case)
     data = workloads._edge_bytes(G0.n, list(G0.edges()))
     G = load_graph(data)
     G.adj = CountingList(G.adj)

@@ -1103,17 +1103,80 @@ def _solve_kminus1(G: Graph, k: int, variant: str, heavy: tuple[int, ...],
     return _first_pair(G, k, k - 1, variant, heavy, rows, cols, stats, near.__getitem__)
 
 
+def _near_solution_exists(G: Graph, k: int, in_heavy: int, near: Sequence[int]) -> bool:
+    """Whether a (k-1)-multiple k-dominating set is among the k-sets with at
+    least k-1 ids of the vertex mask `in_heavy` that are cliques of near =
+    `near_partners(G, k - 2)`: the sets the r = k-1 join of `_solve_kminus1`
+    pairs up (rows of quota (k-1)//2, columns of ceil((k-1)/2) heavy ids),
+    so that join finds a pair exactly when this is True.
+
+    A k-set X is a solution iff each vertex outside X misses at most one
+    member, i.e. every vertex outside N[a] ∪ N[b], for a, b in X, is forced
+    into X. A depth-first walk, on an explicit stack, adds members in
+    increasing id order from the candidates, the vertices above the last
+    member near every member (heavy only once the one light id is taken).
+    A prefix carries `missed`, the vertices some member misses, so adding v
+    forces `missed & ~N[v]` with one AND. A child is dropped when a forced
+    vertex outside it is not among its candidates (at or below v, or not
+    near every member), when more are forced than places are left, or when
+    its candidates cannot fill those places with enough heavy ids. With one
+    place left, each last member (the forced vertex, if any) is checked at
+    once: the set is a solution when no vertex outside it is missed twice.
+    """
+    full = G.full_mask()
+    if k > G.n or in_heavy.bit_count() < k - 1:
+        return False
+    cands = full & reduce(or_, near, 0)
+    miss = [0] * G.n  # miss[v]: the vertices outside N[v], for each candidate
+    for v in iter_bits(cands):
+        miss[v] = full ^ G.closed_mask(v)
+    # (members, candidates, missed, forced outside the members, places
+    # left, light id free); every forced vertex is a candidate
+    stack = [(0, cands, 0, 0, k, True)]
+    while stack:
+        X, cands, missed, out, left, light = stack.pop()
+        # a member above the lowest forced vertex would leave it out
+        todo = cands & ((out & -out) << 1) - 1 if out else cands
+        # children go on the stack highest first, so the lowest is walked first
+        while todo:
+            v = todo.bit_length() - 1
+            bit = 1 << v
+            todo ^= bit
+            Xv = X | bit
+            forced = (out | missed & miss[v]) & ~Xv
+            rest = cands >> (v + 1) << (v + 1) & near[v]
+            free = light and in_heavy & bit
+            if not free:
+                rest &= in_heavy
+            if (forced & ~rest or forced.bit_count() >= left or rest.bit_count() < left - 1
+                    or free and (rest & in_heavy).bit_count() < left - 2):
+                continue
+            if left == 2:
+                # the last member u, the one forced vertex if there is one
+                missed_v = (missed | miss[v]) & ~Xv
+                if any(not missed_v & miss[u] for u in iter_bits(forced or rest)):
+                    return True
+                continue
+            stack.append((Xv, rest, missed | miss[v], forced, left - 1, free))
+    return False
+
+
+def _family_sizes(G: Graph, k: int, r: int, heavy: tuple[int, ...]) -> list[int]:
+    """The uncut sizes of the two candidate families of (k, r) on `heavy`,
+    from `closed_form_family_size`."""
+    return [closed_form_family_size(G.n, len(heavy), *shape) for shape in _family_shapes(k, r)]
+
+
 def _first_pair(G: Graph, k: int, r: int, variant: str, heavy: tuple[int, ...],
                 rows: CandidateFamily | Iterable[tuple[tuple[int, ...], int, int]],
                 cols: CandidateFamily | Sequence[tuple[int, ...]], stats: dict | None,
                 allowed: Callable[[int], int] | None = None) -> Solution | None:
     """The solution of the first pair `pair_join` yields over `rows` and
     `cols` (with `allowed`), or None. A `stats` dict gets the uncut family
-    sizes of (k, r) from `closed_form_family_size` on `heavy`, and the
-    join's five counters (`pair_join`)."""
+    sizes of (k, r) (`_family_sizes`) and the join's five counters
+    (`pair_join`)."""
     if stats is not None:
-        stats["candidate_family_sizes"] = [closed_form_family_size(G.n, len(heavy), *shape)
-                                           for shape in _family_shapes(k, r)]
+        stats["candidate_family_sizes"] = _family_sizes(G, k, r, heavy)
     pair = next(pair_join(G, rows, cols, r, variant, stats=stats, allowed=allowed), None)
     return None if pair is None else Solution(Problem(variant, k, r), tuple(sorted(pair[0] + pair[1])))
 
@@ -1200,7 +1263,7 @@ def solve_multidom_kminus1(G: Graph, k: int, stats: dict | None = None) -> Solut
     path a-b-c-d) have no clique image, so a candidate-family pass completes
     the search when the clique side comes up empty.
 
-    Both stages read one heavy set, `heavy_vertices(G, k)`, and one partner
+    Every stage reads one heavy set, `heavy_vertices(G, k)`, and one partner
     scan, near = `near_partners(G, k - 2)`, which also lists the dominating
     partners: the near pairs a, b with N[a] ∪ N[b] = V (at k = 2, all of
     near), with no mask test of its own. The
@@ -1211,23 +1274,34 @@ def solve_multidom_kminus1(G: Graph, k: int, stats: dict | None = None) -> Solut
     Its search puts the k-1 heavy parts first, and sorting the heavy half of
     a clique never makes it larger, so the first clique has increasing heavy
     indices and ends at the lowest common partner. No `KPartiteGraph` is
-    built. The fallback is `solve_multidom_fast` at r = k-1 on the same heavy
-    set and near masks: it draws only the near-dominating rows, joins them
-    only with the columns that are near cliques, and keeps only the pairs
-    whose column vertices are near every row vertex. A `stats` dict gets
-    the fallback join's counters, and none when a witness is found.
+    built.
+
+    With no witness, `_near_solution_exists` decides on the same heavy set
+    and near masks whether any solution is left among the k-sets the
+    fallback join pairs up, and answers None when none is. Only when one is
+    does the fallback join run: `solve_multidom_fast` at r = k-1 on the same
+    heavy set and near masks, which draws only the near-dominating rows,
+    joins them only with the columns that are near cliques, and keeps only
+    the pairs whose column vertices are near every row vertex. So the stages
+    are witness, search, join, and every first hit and certificate is the
+    join's. A `stats` dict gets the join's counters when it runs; when the
+    search answers None it gets `candidate_family_sizes` only, and after a
+    witness nothing.
     """
     problem = Problem("multiple", k, k - 1)  # a ValueError for k < 2
     heavy = heavy_vertices(G, k)
     dom = [0] * G.n
     near = near_partners(G, k - 2, dominating=dom)
-    for S in _near_rows(dom, 0, k - 1, 0, _set_mask(heavy)):
+    in_heavy = _set_mask(heavy)
+    for S in _near_rows(dom, 0, k - 1, 0, in_heavy):
         common = reduce(and_, map(dom.__getitem__, S))
         if common:
             v = (common & -common).bit_length() - 1
             witness = [(i, bisect_left(heavy, a)) for i, a in enumerate(S)] + [(k - 1, v)]
             return Solution(problem, tuple(sorted(S + (v,))), {"clique_witness": witness})
+    if not _near_solution_exists(G, k, in_heavy, near):
+        if stats is not None:
+            stats["candidate_family_sizes"] = _family_sizes(G, k, k - 1, heavy)
+        return None
     fallback = _solve_kminus1(G, k, "multiple", heavy, near, stats)
-    if fallback is not None:
-        return Solution(problem, fallback.vertices, {"clique_witness": None})
-    return None
+    return Solution(problem, fallback.vertices, {"clique_witness": None})

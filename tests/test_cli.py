@@ -8,7 +8,7 @@ import pytest
 from domlab import cli, oracles, reductions
 from domlab.cli import main
 
-from .conftest import complete_graph, cycle_graph, path_graph
+from .conftest import complete_graph, cycle_graph, path_graph, random_graph
 from .test_cli_contract import _finish, _start
 from domlab import Graph, save_graph
 from domlab.multidom import solve_multidom_fast
@@ -97,10 +97,13 @@ def test_solve_json_reports_join_row_counters(tmp_path, c5_file, capsys):
 
 
 def test_pipeline_json_reports_the_fallback_join(tmp_path, capsys):
-    # C8 at k = 4, r = 3 has no clique witness, so the fallback join runs and
-    # its counters reach --json; K5 has a witness and reports no join. Of the
-    # 28 heavy pairs the join keeps as columns the 12 that are near pairs
-    for name, G, answer in (("c8", cycle_graph(8), False), ("k5", complete_graph(5), True)):
+    # at k = 4, r = 3 only K5 has a clique witness, and it reports no join.
+    # On C8 the search finds no solution, so no join runs and --json reports
+    # only the family sizes. On G(9, 0.6) of seed 4 the search finds one, so
+    # the fallback join runs and its counters reach --json: of the 36 heavy
+    # pairs it keeps as columns the 31 that are near pairs
+    for name, G, answer in (("c8", cycle_graph(8), False), ("k5", complete_graph(5), True),
+                            ("gnp", random_graph(4, 9, 0.6), True)):
         path = tmp_path / f"{name}.txt"
         save_graph(G, path)
         argv = ["solve", str(path), "--problem", "multidom", "--k", "4", "--r", "3",
@@ -112,10 +115,15 @@ def test_pipeline_json_reports_the_fallback_join(tmp_path, capsys):
         result = json.loads(first)
         assert result["answer"] is answer
         stats = result["stats"]
-        if answer:
+        if name == "k5":
+            assert result["certificate"]["clique_witness"] is not None
             assert stats["rows_drawn"] is None and stats["columns_kept"] is None
+        elif name == "c8":
+            assert stats["candidate_family_sizes"] == [28, 28]
+            assert {v for key, v in stats.items() if key != "candidate_family_sizes"} == {None}
         else:
-            assert stats["candidate_family_sizes"] == [28, 28] and stats["columns_kept"] == 12
+            assert result["certificate"] == {"clique_witness": None}
+            assert stats["candidate_family_sizes"] == [36, 36] and stats["columns_kept"] == 31
             assert stats["rows_drawn"] > 0 and stats["gap_masks"] > 0
 
 
@@ -130,7 +138,7 @@ def test_solve_at_most_k(tmp_path, capsys):
 
 
 def test_solve_at_most_k_reports_only_the_answering_size(tmp_path, capsys):
-    # on C8 the pipeline's fallback join answers NO at k' = 2 and fills
+    # on C8 the pipeline's search answers NO at k' = 2 and fills
     # `stats`; k' = 3 answers through the brute fallback, which fills none,
     # so the output holds null counters, as a plain brute solve's does
     path = tmp_path / "c8.txt"

@@ -1747,6 +1747,68 @@ def test_pipeline_agrees_with_bruteforce(seed, n, k, p):
         assert verify_solution(G, sol.problem, sol.vertices)
 
 
+def _near_solution_reference(G, k, in_heavy, near):
+    """Whether some near k-clique with at least k-1 heavy ids, listed by
+    `_near_rows`, has every vertex at level k-1."""
+    full = G.full_mask()
+    return any(multidom._levels(G, X, k - 1, True)[k - 1] == full
+               for X in multidom._near_rows(near, in_heavy, k, k - 1, full))
+
+
+def _random_gnm_graphs(name, count, low, high):
+    """`count` random G(n, m), n from `low` to `high`, m from 0 to C(n, 2)."""
+    rng = random.Random(name)
+    return [cli._random_gnm(rng, n, rng.randint(0, n * (n - 1) // 2))
+            for n in (rng.randint(low, high) for _ in range(count))]
+
+
+def test_near_solution_search_matches_listed_near_cliques():
+    # the search decides what listing the near k-cliques with >= k-1 heavy
+    # ids and checking their levels decides, on YES and NO alike
+    answers = {True: 0, False: 0}
+    for G in _random_gnm_graphs("near-search", 400, 3, 16):
+        for k in range(2, 7):
+            in_heavy = multidom._set_mask(heavy_vertices(G, k))
+            near = multidom.near_partners(G, k - 2)
+            got = multidom._near_solution_exists(G, k, in_heavy, near)
+            assert got == _near_solution_reference(G, k, in_heavy, near), (G, k)
+            answers[got] += 1
+    assert min(answers.values()) >= 500, answers
+
+
+def test_pipeline_search_lets_through_only_the_join_yes():
+    # witness, search, join: every answer is the oracle's, a YES without a
+    # witness is the first hit of `_solve_kminus1` called directly, and a
+    # NO the search decides reports the family sizes and no join counters
+    graphs = [path_graph(4)] + _random_gnm_graphs("pipeline-search", 400, 4, 11)
+    seen = {"witness": 0, "fallback": 0, "none": 0}
+    for G in graphs:
+        for k in range(2, min(G.n, 5) + 1):
+            stats = {}
+            sol = solve_multidom_kminus1(G, k, stats=stats)
+            brute = oracle_multidom(G, k, k - 1, "multiple")
+            assert (sol is None) == (brute is None), (G, k)
+            heavy = heavy_vertices(G, k)
+            join = multidom._solve_kminus1(G, k, "multiple", heavy, multidom.near_partners(G, k - 2))
+            if sol is None:
+                assert join is None
+                assert stats == {"candidate_family_sizes": [
+                    multidom.closed_form_family_size(G.n, len(heavy), *shape)
+                    for shape in multidom._family_shapes(k, k - 1)]}, (G, k)
+                seen["none"] += 1
+            elif sol.certificate["clique_witness"] is None:
+                assert sol.vertices == join.vertices and stats["rows_drawn"] > 0, (G, k)
+                assert verify_solution(G, sol.problem, sol.vertices)
+                seen["fallback"] += 1
+            else:
+                assert stats == {}
+                seen["witness"] += 1
+    # the docstring's path a-b-c-d: {a, b, d} has no clique image
+    assert solve_multidom_kminus1(path_graph(4), 3) == Solution(
+        Problem("multiple", 3, 2), (0, 1, 3), {"clique_witness": None})
+    assert min(seen.values()) >= 100, seen
+
+
 def test_grouping_parameters_k8():
     assert grouping_parameters(8, Fraction(1, 2)) == (1, 3)
 

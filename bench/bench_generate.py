@@ -26,7 +26,8 @@ exits non-zero on a mismatch. Then REPEATS timed rounds, each after a
 complement for is-multidom), the decider it returns, and `save_graph` of
 the target, and give their medians and quartiles. The answer, the
 target's n and m, the product size and the sha256 of the saved text are
-recorded beside them; they do not vary between runs or trees. Times
+recorded beside them (`checked_case`); they do not vary between runs or
+trees, and a tier-1 test compares them with BENCH_generate.json. Times
 compare only between runs on the same host from source paths of equal
 length (the path length is recorded).
 
@@ -136,9 +137,10 @@ def _source(case: dict):
             return source, param, product, reference, complement
 
 
-def run_case(case: dict) -> dict:
-    """One certified instance, in this process: the untimed check, its facts
-    and REPEATS timed rounds of reduction, decider and `save_graph`."""
+def checked_case(case: dict) -> tuple[dict, object, object]:
+    """The untimed part of a case: its facts (answer, n, m, product and the
+    hash of the saved text) after the untimed check, and the source and
+    generator parameter the timed rounds reduce."""
     sys.path.insert(0, str(ROOT))
     from domlab import oracles, reductions
     from domlab.graph import save_graph
@@ -159,6 +161,16 @@ def run_case(case: dict) -> dict:
     facts = dict(case, answer=answer, checked=reference is not None, n=out.graph.n,
                  m=out.graph.m, product=product,
                  text_sha256=hashlib.sha256(text.encode()).hexdigest()[:16])
+    return facts, source, param
+
+
+def run_case(case: dict) -> dict:
+    """One certified instance, in this process: `checked_case`, then
+    REPEATS timed rounds of reduction, decider and `save_graph`."""
+    from domlab import reductions
+    from domlab.graph import save_graph
+
+    facts, source, param = checked_case(case)
     times: dict[str, list[float]] = {"reduction_ms": [], "decider_ms": [], "save_graph_ms": []}
     for _ in range(REPEATS):
         gc.collect()

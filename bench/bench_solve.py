@@ -9,7 +9,8 @@ Ten sets of solves:
 
 - `ov-multidom-no`: the 28 instances of the ov-multidom-no workload at
   seed 1, blocks 0-3 (`perfbench/workloads.py`): 16 `no-r2`, 8 `yes-r2`
-  and 4 `no-r3`, multiple domination at k = 4, whose time is the join;
+  and 4 `no-r3`, multiple domination at k = 4, whose time is the join
+  (at r = 3 = k-1, the search that stands for it);
 - `certified-mix`: the `hdom-path`, `is-pipeline-no` and `matching-k6`
   instances of the certified-mix workload at seed 1, block 0, solved as
   its command line solves them (the pipeline for is-multidom);
@@ -42,10 +43,9 @@ Ten sets of solves:
   masks from listed column indices;
 - `pipeline`: `solve_multidom_kminus1` (`--algo pipeline`) at r = k-1 on
   random `_random_gnm` graphs. Group `no`: G(80, 2,500) and G(100, 4,000)
-  at k = 4 and 5, NO instances, which the search rules out before any
-  join. Group `fallback-yes`: six YES instances with
-  no clique witness, where the search runs and then the join finds the
-  first hit, so they carry the search's cost. Each is the first seed
+  at k = 4 and 5, NO instances, which the r = k-1 search rules out. Group
+  `fallback-yes`: six YES instances with no clique witness, where that
+  search finds the family join's first hit, so no join runs. Each is the first seed
   `pipeline-yes:{n}:{m}:{k}:{s}`, s = 0, 1, ..., whose pipeline answer is
   a YES without a witness, for (n, m, k) = (20, 140, 4), (30, 320, 4),
   (40, 600, 4), (25, 240, 5), (45, 800, 5) and (40, 510, 3).

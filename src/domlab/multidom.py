@@ -2,7 +2,9 @@
 
 Covers the candidate-family level-matrix algorithm, 2-dominating-pair
 listing, the clique-graph pipeline for r = k-1, and unbalanced k-clique
-detection, the last two on one bitmask clique walker (`_near_rows`).
+detection, the last two on one bitmask clique walker (`_near_rows`). At
+r = k-1 the fast solver and the pipeline's fallback find the family
+join's first hit with one depth-first search (`_near_first`).
 """
 
 from __future__ import annotations
@@ -640,23 +642,13 @@ def _near_rows(near: Sequence[int], heavy: int, size: int, quota: int,
     a near partner. `_range_cliques` lists the transversal cliques of a
     `KPartiteGraph` as these rows, with heavy = quota = 0.
     """
-    for prefix, last, _ in _near_runs(near, heavy, size, quota, full):
-        yield from map(add, itertools.repeat(prefix), zip(iter_bits(last)))
-
-
-def _near_runs(near: Sequence[int], heavy: int, size: int, quota: int,
-               full: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """The rows of `_near_rows` as runs (P, B, 0), the row format of
-    `pair_join`, which takes them as they are: the rows P + (b,) for each
-    vertex b of the non-zero mask B, one run per prefix, in row order."""
     stack = [((), full if size == 1 else full & reduce(or_, near, 0), quota)]
     while stack:
         prefix, cands, owed = stack.pop()
         left = size - len(prefix)
         if left == 1:
             last = cands if owed <= 0 else cands & heavy if owed == 1 else 0
-            if last:
-                yield prefix, last, 0
+            yield from map(add, itertools.repeat(prefix), zip(iter_bits(last)))
             continue
         children = []
         for v in itertools.islice(iter_bits(cands), max(0, cands.bit_count() - left + 1)):
@@ -838,9 +830,8 @@ def pair_join(G: Graph, rows: CandidateFamily | Iterable[tuple[tuple[int, ...], 
     vertex mask, and the join then yields only the pairs with
     T ⊆ allowed(s) for every s in S, in the same order; every column must
     then hold the same number of distinct vertices. A solver passes it
-    when any two vertices of a solution are related: at r = k-1 any two
-    are near (`near_partners`), and in a clique adjacent. The columns v
-    rules out, those holding v or a vertex outside allowed(v)
+    when any two vertices of a solution are related, as in a clique. The
+    columns v rules out, those holding v or a vertex outside allowed(v)
     (`_ColumnGaps`), are built the first time a prefix or a row holds v,
     and stand where the columns meeting v stand without `allowed`: ORed
     once per prefix into what each of its rows skips, and once per row.
@@ -1030,22 +1021,8 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     object, joined with itself: each unordered pair comes once, and the
     first pair is the same.
 
-    At r = k-1 the rows are drawn from a pair lemma. Take a solution S and
-    a, b in S. A vertex outside S has >= k-1 neighbours in S, so it is
-    adjacent to a or to b: at most k-2 vertices (the rest of S) lie outside
-    N[a] ∪ N[b] under "multiple", and none under "tuple", where every
-    vertex has k-1 closed dominators in S. So every row and every column
-    that pairs is a clique of the `near_partners` graph with that many
-    misses, and every vertex of the column is near every vertex of the
-    row. The rows are drawn lazily as those cliques, by runs
-    (`_near_runs`), a subsequence of the row family in its order. The
-    columns, every t-set of heavy ids with t = ceil((k-1)/2), are cut to
-    the near cliques among them (`_near_rows`), in family order, and `None`
-    comes before any row when none is left. The join keeps only the pairs
-    whose column lies in the near set of every row vertex (`pair_join`,
-    "Pair-lemma filter"). What is left out has no pair: the first hit is
-    the same, `rows_drawn` counts only the near-dominating rows and
-    `columns_kept` only the near columns.
+    At r = k-1 no join runs: `_near_first` walks the near cliques for the
+    join's first pair directly.
 
     For r <= k-2 the columns are cut by a subset lemma. In a solution X,
     a vertex outside X has >= r dominators in X, so a column T of
@@ -1072,15 +1049,18 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     With a `stats` dict, `candidate_family_sizes` holds the sizes of the
     two families before any cut, `columns_kept` the columns the join
     receives, and `rows_drawn` (with `pair_join`'s other counters) counts
-    only the rows that reach the join.
+    only the rows that reach the join; at r = k-1 only the sizes are set.
     """
     shape_s = _family_shapes(k, r)[0]
     heavy = heavy_vertices(G, k)
+    if r == k - 1:
+        if stats is not None:
+            stats["candidate_family_sizes"] = _family_sizes(G, k, r, heavy)
+        near = near_partners(G, k - 2 if variant == "multiple" else 0)
+        found = _near_first(G, k, variant, _set_mask(heavy), near)
+        return None if found is None else Solution(Problem(variant, k, r), found)
     if not heavy or k > G.n:
         return _first_pair(G, k, r, variant, heavy, (), (), stats)
-    if r == k - 1:
-        near = near_partners(G, k - 2 if variant == "multiple" else 0)
-        return _solve_kminus1(G, k, variant, heavy, near, stats)
     cols = _near_columns(G, heavy, k, r, variant)
     if cols is None:
         fam_s, fam_t = build_candidate_families(G, k, r)
@@ -1089,76 +1069,105 @@ def solve_multidom_fast(G: Graph, k: int, r: int, variant: str,
     return _first_pair(G, k, r, variant, heavy, rows, cols, stats)
 
 
-def _solve_kminus1(G: Graph, k: int, variant: str, heavy: tuple[int, ...],
-                   near: Sequence[int], stats: dict | None = None) -> Solution | None:
-    """`solve_multidom_fast` at r = k-1, on heavy = heavy_vertices(G, k) and
-    near = near_partners(G, miss), with miss = k-2 under "multiple" and 0
-    under "tuple": the rows and the columns are the near cliques of their
-    families, the rows as runs, and the join keeps the pairs that are near."""
-    shape_s, (t, _) = _family_shapes(k, k - 1)
-    in_heavy = _set_mask(heavy)
-    # the column family is every t-set of heavy ids
-    cols = list(_near_rows(near, in_heavy, t, t, in_heavy))
-    rows = _near_runs(near, in_heavy, *shape_s, G.full_mask()) if cols else ()
-    return _first_pair(G, k, k - 1, variant, heavy, rows, cols, stats, near.__getitem__)
+def _near_first(G: Graph, k: int, variant: str, in_heavy: int,
+                near: Sequence[int]) -> tuple[int, ...] | None:
+    """The sorted vertices of the first pair the r = k-1 join yields, or
+    None: `pair_join` over the rows S, the near cliques of the row family
+    (s = k - k//2 vertices, at most one outside the vertex mask `in_heavy`
+    of the heavy ids), and the columns T, the near cliques of t = k//2
+    heavy ids, keeping the pairs whose column is near every row vertex.
+    Here near = `near_partners(G, miss)`, miss = k-2 under "multiple" and 0
+    under "tuple". By the pair lemma (a vertex outside a solution X has
+    >= k-1 neighbours in X, so N[a] ∪ N[b] misses at most the other k-2
+    members for a, b in X, and none under "tuple") this join has the first
+    hit of the uncut one.
 
+    Swap lemma. If a heavy g of S lies above some h of T, then
+    (S - g + h, T - h + g) is a pair of the same union with a smaller row.
+    So in the first pair every heavy id of S lies below min(T). A
+    depth-first walk, on an explicit stack, picks S and then T, each in
+    increasing ids, T's above S's top heavy id (not its last member, which
+    may be the light one): it meets the pairs of that form in join order,
+    and the first that is a solution is the join's first pair.
 
-def _near_solution_exists(G: Graph, k: int, in_heavy: int, near: Sequence[int]) -> bool:
-    """Whether a (k-1)-multiple k-dominating set is among the k-sets with at
-    least k-1 ids of the vertex mask `in_heavy` that are cliques of near =
-    `near_partners(G, k - 2)`: the sets the r = k-1 join of `_solve_kminus1`
-    pairs up (rows of quota (k-1)//2, columns of ceil((k-1)/2) heavy ids),
-    so that join finds a pair exactly when this is True.
-
-    A k-set X is a solution iff each vertex outside X misses at most one
-    member, i.e. every vertex outside N[a] ∪ N[b], for a, b in X, is forced
-    into X. A depth-first walk, on an explicit stack, adds members in
-    increasing id order from the candidates, the vertices above the last
-    member near every member (heavy only once the one light id is taken).
-    A prefix carries `missed`, the vertices some member misses, so adding v
-    forces `missed & ~N[v]` with one AND. A child is dropped when a forced
-    vertex outside it is not among its candidates (at or below v, or not
-    near every member), when more are forced than places are left, or when
-    its candidates cannot fill those places with enough heavy ids. With one
-    place left, each last member (the forced vertex, if any) is checked at
-    once: the set is a solution when no vertex outside it is missed twice.
+    Under "tuple" every near k-clique is a solution: a vertex two members
+    miss would leave them not near. Under "multiple", X is a solution iff
+    each vertex outside X misses at most one member, so a vertex two
+    members miss is forced into X. A prefix carries `missed`, the vertices
+    some member misses, so adding v forces `missed & ~N[v]` with one AND.
+    A child is dropped when a forced vertex lies outside its candidates,
+    more are forced than places are left, or its candidates cannot fill
+    the places with enough heavy ids. Every member after a heavy child lies
+    above it, so a heavy child needs left - 1 candidates above it and may
+    not lie above the lowest forced vertex; a light last member of S is
+    exempt, since T can still take the ids below it. The last member is
+    checked at once: the set is a solution when nothing outside it is forced.
     """
     full = G.full_mask()
-    if k > G.n or in_heavy.bit_count() < k - 1:
-        return False
     cands = full & reduce(or_, near, 0)
-    miss = [0] * G.n  # miss[v]: the vertices outside N[v], for each candidate
-    for v in iter_bits(cands):
-        miss[v] = full ^ G.closed_mask(v)
-    # (members, candidates, missed, forced outside the members, places
-    # left, light id free); every forced vertex is a candidate
+    if k > G.n or in_heavy.bit_count() < k - 1 or cands.bit_count() < k:
+        return None
+    t = k // 2
+    miss = [0] * G.n  # miss[v]: the vertices outside N[v], under "multiple"
+    if variant == "multiple":
+        for v in iter_bits(cands):
+            miss[v] = full ^ G.closed_mask(v)
+    # (members, candidates for the next one, missed, forced outside the
+    # members, places left, light id free); every forced vertex is a candidate
     stack = [(0, cands, 0, 0, k, True)]
     while stack:
         X, cands, missed, out, left, light = stack.pop()
-        # a member above the lowest forced vertex would leave it out
-        todo = cands & ((out & -out) << 1) - 1 if out else cands
+        # a heavy child needs left - 1 candidates above it
+        todo = cands
+        for _ in range(left - 1):
+            todo ^= 1 << todo.bit_length() - 1
+        if light and left - 1 == t:
+            todo |= cands & ~in_heavy
+        if out:
+            # a heavy member above the lowest forced vertex would leave it out
+            todo &= ((out & -out) << 1) - 1 | (~in_heavy if light else 0)
+        if left == 2:
+            # the last member u, a heavy id, is the forced vertex if there
+            # is one; the first v and u that leave nothing forced win
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                v = bit.bit_length() - 1
+                rest = cands & near[v] & in_heavy
+                if t > 1 or in_heavy & bit:
+                    rest = rest >> (v + 1) << (v + 1)
+                forced = (out | missed & miss[v]) & ~(X | bit)
+                if not rest or forced & forced - 1 or forced & ~rest:
+                    continue
+                missed_v = (missed | miss[v]) & ~(X | bit)
+                last = forced or rest
+                while last:
+                    low = last & -last
+                    last ^= low
+                    if not missed_v & miss[low.bit_length() - 1]:
+                        return tuple(iter_bits(X | bit | low))
+            continue
         # children go on the stack highest first, so the lowest is walked first
+        left -= 1
         while todo:
             v = todo.bit_length() - 1
             bit = 1 << v
             todo ^= bit
             Xv = X | bit
             forced = (out | missed & miss[v]) & ~Xv
-            rest = cands >> (v + 1) << (v + 1) & near[v]
-            free = light and in_heavy & bit
-            if not free:
+            rest = cands & near[v]
+            # every later member lies above v, but T's ids only above S's top
+            # heavy id, which a light last member of S does not raise
+            if not light or left != t or in_heavy & bit:
+                rest = rest >> (v + 1) << (v + 1)
+            free = light and left > t and in_heavy & bit
+            if light and not free:
                 rest &= in_heavy
-            if (forced & ~rest or forced.bit_count() >= left or rest.bit_count() < left - 1
-                    or free and (rest & in_heavy).bit_count() < left - 2):
+            if (forced & ~rest or forced.bit_count() > left or rest.bit_count() < left
+                    or free and (rest & in_heavy).bit_count() < left - 1):
                 continue
-            if left == 2:
-                # the last member u, the one forced vertex if there is one
-                missed_v = (missed | miss[v]) & ~Xv
-                if any(not missed_v & miss[u] for u in iter_bits(forced or rest)):
-                    return True
-                continue
-            stack.append((Xv, rest, missed | miss[v], forced, left - 1, free))
-    return False
+            stack.append((Xv, rest, missed | miss[v], forced, left, free))
+    return None
 
 
 def _family_sizes(G: Graph, k: int, r: int, heavy: tuple[int, ...]) -> list[int]:
@@ -1169,15 +1178,13 @@ def _family_sizes(G: Graph, k: int, r: int, heavy: tuple[int, ...]) -> list[int]
 
 def _first_pair(G: Graph, k: int, r: int, variant: str, heavy: tuple[int, ...],
                 rows: CandidateFamily | Iterable[tuple[tuple[int, ...], int, int]],
-                cols: CandidateFamily | Sequence[tuple[int, ...]], stats: dict | None,
-                allowed: Callable[[int], int] | None = None) -> Solution | None:
+                cols: CandidateFamily | Sequence[tuple[int, ...]], stats: dict | None) -> Solution | None:
     """The solution of the first pair `pair_join` yields over `rows` and
-    `cols` (with `allowed`), or None. A `stats` dict gets the uncut family
-    sizes of (k, r) (`_family_sizes`) and the join's five counters
-    (`pair_join`)."""
+    `cols`, or None. A `stats` dict gets the uncut family sizes of (k, r)
+    (`_family_sizes`) and the join's five counters (`pair_join`)."""
     if stats is not None:
         stats["candidate_family_sizes"] = _family_sizes(G, k, r, heavy)
-    pair = next(pair_join(G, rows, cols, r, variant, stats=stats, allowed=allowed), None)
+    pair = next(pair_join(G, rows, cols, r, variant, stats=stats), None)
     return None if pair is None else Solution(Problem(variant, k, r), tuple(sorted(pair[0] + pair[1])))
 
 
@@ -1276,17 +1283,11 @@ def solve_multidom_kminus1(G: Graph, k: int, stats: dict | None = None) -> Solut
     indices and ends at the lowest common partner. No `KPartiteGraph` is
     built.
 
-    With no witness, `_near_solution_exists` decides on the same heavy set
-    and near masks whether any solution is left among the k-sets the
-    fallback join pairs up, and answers None when none is. Only when one is
-    does the fallback join run: `solve_multidom_fast` at r = k-1 on the same
-    heavy set and near masks, which draws only the near-dominating rows,
-    joins them only with the columns that are near cliques, and keeps only
-    the pairs whose column vertices are near every row vertex. So the stages
-    are witness, search, join, and every first hit and certificate is the
-    join's. A `stats` dict gets the join's counters when it runs; when the
-    search answers None it gets `candidate_family_sizes` only, and after a
-    witness nothing.
+    With no witness, `_near_first` on the same heavy set and near masks
+    returns the first hit of `solve_multidom_fast` at r = k-1, so the
+    stages are witness, then search. A `stats` dict gets
+    `candidate_family_sizes` only from the search, and nothing after a
+    witness.
     """
     problem = Problem("multiple", k, k - 1)  # a ValueError for k < 2
     heavy = heavy_vertices(G, k)
@@ -1299,9 +1300,7 @@ def solve_multidom_kminus1(G: Graph, k: int, stats: dict | None = None) -> Solut
             v = (common & -common).bit_length() - 1
             witness = [(i, bisect_left(heavy, a)) for i, a in enumerate(S)] + [(k - 1, v)]
             return Solution(problem, tuple(sorted(S + (v,))), {"clique_witness": witness})
-    if not _near_solution_exists(G, k, in_heavy, near):
-        if stats is not None:
-            stats["candidate_family_sizes"] = _family_sizes(G, k, k - 1, heavy)
-        return None
-    fallback = _solve_kminus1(G, k, "multiple", heavy, near, stats)
-    return Solution(problem, fallback.vertices, {"clique_witness": None})
+    if stats is not None:
+        stats["candidate_family_sizes"] = _family_sizes(G, k, k - 1, heavy)
+    found = _near_first(G, k, "multiple", in_heavy, near)
+    return None if found is None else Solution(problem, found, {"clique_witness": None})

@@ -326,21 +326,21 @@ def test_perfbench_span_targets_resolve():
                         if not callable(getattr(owner, attr, None))] == []
 
 
-def _bench_solve(monkeypatch):
-    """bench/bench_solve.py as a module, with the bench and perfbench
-    directories on sys.path until the test ends."""
+def _bench(monkeypatch, name="bench_solve"):
+    """bench/{name}.py as a module, with sys.path as it was restored when
+    the test ends (bench_solve puts the bench and perfbench directories on it)."""
     bench = SRC.parent / "bench"
-    monkeypatch.syspath_prepend(str(bench))
-    spec = importlib.util.spec_from_file_location("bench_solve", bench / "bench_solve.py")
-    bench_solve = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_solve)
-    return bench_solve
+    monkeypatch.setattr(sys, "path", [str(bench), *sys.path])
+    spec = importlib.util.spec_from_file_location(name, bench / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_ci_solve_harness_cases_are_rows_of_its_table(monkeypatch):
     # tier1.yml runs whole cases of bench/bench_solve.py; each must equal a
     # row of its table, so CI cannot run a case the harness no longer has
-    table = _bench_solve(monkeypatch).cases()
+    table = _bench(monkeypatch).cases()
     names = [case["name"] for case in table]
     assert len(set(names)) == len(names)
     ci = (SRC.parent / ".github" / "workflows" / "tier1.yml").read_text()
@@ -352,7 +352,7 @@ def test_committed_solve_counters_reproduce(monkeypatch):
     # the untimed part of every bench/bench_solve.py case, in this process:
     # its answer and counters must equal those BENCH_solve.json commits, so
     # a change that moves the work of a solve regenerates that file
-    bench_solve = _bench_solve(monkeypatch)
+    bench_solve = _bench(monkeypatch)
     entries = json.loads((SRC.parent / "BENCH_solve.json").read_text())["cases"]
     committed = {entry["name"]: (entry["answer"], entry["counters"]) for entry in entries}
     table = bench_solve.cases()
@@ -361,4 +361,18 @@ def test_committed_solve_counters_reproduce(monkeypatch):
         entry = bench_solve.counted_solve(case)[0]
         if committed.get(case["name"]) != (entry["answer"], entry["counters"]):
             differ.append(case["name"])
+    assert differ == [] and sorted(committed) == sorted(case["name"] for case in table)
+
+
+def test_committed_generate_facts_reproduce(monkeypatch):
+    # the untimed part of every bench/bench_generate.py case: its answer,
+    # target size, product and saved-text hash must equal BENCH_generate.json
+    bench_generate = _bench(monkeypatch, "bench_generate")
+    keys = ("answer", "n", "m", "product", "text_sha256")
+    entries = json.loads((SRC.parent / "BENCH_generate.json").read_text())["cases"]
+    committed = {entry["name"]: [entry[key] for key in keys] for entry in entries}
+    table = bench_generate.cases()
+    differ = [case["name"] for case in table
+              if committed.get(case["name"]) != [bench_generate.checked_case(case)[0][key]
+                                                 for key in keys]]
     assert differ == [] and sorted(committed) == sorted(case["name"] for case in table)

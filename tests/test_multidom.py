@@ -779,8 +779,9 @@ def test_family_joins_skip_column_masks(monkeypatch):
     monkeypatch.setattr(patterndom, "pair_join", recording_join)
     monkeypatch.setattr(multidom.ColumnList, "column_masks", property(masks))
     drawn = 0
-    # k > n answers NO before any join, so K6 at k = 5 brings the near columns
-    for G, k in _join_instances()[::4] + [(complete_graph(6), 5)]:
+    # instance 42 brings the near columns: `_near_columns` keeps 3 at (5, 3)
+    instances = _join_instances()
+    for G, k in instances[::4] + [instances[42]]:
         for r in range(1, k):
             stats = {}
             solve_multidom_fast(G, k, r, "multiple", stats=stats)
@@ -1096,9 +1097,23 @@ def _unfiltered_kminus1(G, k):
                                                   {"clique_witness": None})
 
 
+def _kminus1_join(G, k, variant):
+    """The sorted vertices of the first pair of the r = k-1 join, or None:
+    `pair_join` over the near-clique rows of the row family and the
+    near-clique columns of heavy ids, keeping the pairs whose column is near
+    every row vertex. The reference `multidom._near_first` must match."""
+    heavy = multidom._set_mask(heavy_vertices(G, k))
+    near = multidom.near_partners(G, k - 2 if variant == "multiple" else 0)
+    (s, quota), (t, _) = multidom._family_shapes(k, k - 1)
+    cols = list(multidom._near_rows(near, heavy, t, t, heavy))
+    rows = _runs(multidom._near_rows(near, heavy, s, quota, G.full_mask())) if cols else ()
+    pair = next(multidom.pair_join(G, rows, cols, k - 1, variant, allowed=near.__getitem__), None)
+    return None if pair is None else tuple(sorted(pair[0] + pair[1]))
+
+
 def test_kminus1_solutions_match_unfiltered_join():
-    # the near-clique rows are the family rows that can pair, in family
-    # order, so the first hit is the same and the family sizes are reported
+    # every r = k-1 solve finds the first hit of the uncut join and reports
+    # the uncut family sizes and no join counters, since no join runs
     answers = {True: 0, False: 0}
     for G in _kminus1_graphs():
         for k in range(2, min(G.n, 6) + 1):
@@ -1107,8 +1122,7 @@ def test_kminus1_solutions_match_unfiltered_join():
                 stats = {}
                 got = solve_multidom_fast(G, k, k - 1, variant, stats=stats)
                 assert got == _unfiltered_fast(G, k, k - 1, variant), (G, k, variant)
-                assert stats["candidate_family_sizes"] == [len(fam_s.members), len(fam_t.members)]
-                assert stats["rows_drawn"] <= len(fam_s.members)
+                assert stats == {"candidate_family_sizes": [len(fam_s.members), len(fam_t.members)]}
                 answers[got is not None] += 1
             assert solve_multidom_kminus1(G, k) == _unfiltered_kminus1(G, k), (G, k)
     assert min(answers.values()) >= 50, answers
@@ -1253,19 +1267,12 @@ def test_near_rows_stop_before_candidates_that_cannot_finish_a_row(monkeypatch):
 
 
 def test_kminus1_draws_only_near_rows():
-    # deterministic counters, not timings: a NO instance draws every row
-    # that is a near clique and no other
+    # two NO instances: r = k-1 solves report the uncut family sizes and
+    # nothing else, since the search draws no join row
     G = cli._random_gnm(random.Random(1), 120, 2100)
     stats = {}
     assert solve_multidom_fast(G, 5, 4, "multiple", stats=stats) is None
-    assert stats["candidate_family_sizes"][0] == 280840
-    heavy = set(heavy_vertices(G, 5))
-    near = _reference_near(G, 3)
-    partnered = [v for v in range(G.n) if near[v]]
-    cliques = [S for S in itertools.combinations(partnered, 3)
-               if len(heavy.intersection(S)) >= 2
-               and all((near[a] >> b) & 1 for a, b in itertools.combinations(S, 2))]
-    assert stats["rows_drawn"] == len(cliques) <= stats["candidate_family_sizes"][0] // 1000
+    assert stats == {"candidate_family_sizes": [280840, 7140]}
     rng = random.Random("ov-multidom-no-r3")
     while True:
         inst = OVInstance.from_lists(6, [[tuple(int(rng.random() >= 0.3) for _ in range(6))
@@ -1275,8 +1282,8 @@ def test_kminus1_draws_only_near_rows():
     G = ov_to_multidom(inst, 3).graph
     stats = {}
     assert solve_multidom_fast(G, 4, 3, "multiple", stats=stats) is None
-    assert stats["rows_drawn"] == len(_near_cliques(G, 4, "multiple"))
-    assert stats["rows_drawn"] < stats["candidate_family_sizes"][0]
+    fam_s, fam_t = build_candidate_families(G, 4, 3)
+    assert stats == {"candidate_family_sizes": [len(fam_s.members), len(fam_t.members)]}
 
 
 def _near_shapes():
@@ -1770,16 +1777,48 @@ def test_near_solution_search_matches_listed_near_cliques():
         for k in range(2, 7):
             in_heavy = multidom._set_mask(heavy_vertices(G, k))
             near = multidom.near_partners(G, k - 2)
-            got = multidom._near_solution_exists(G, k, in_heavy, near)
-            assert got == _near_solution_reference(G, k, in_heavy, near), (G, k)
-            answers[got] += 1
+            got = multidom._near_first(G, k, "multiple", in_heavy, near)
+            assert (got is not None) == _near_solution_reference(G, k, in_heavy, near), (G, k)
+            if got is not None:
+                assert verify_solution(G, Problem("multiple", k, k - 1), got), (G, k)
+            answers[got is not None] += 1
     assert min(answers.values()) >= 500, answers
 
 
+def test_near_first_is_the_first_hit_of_the_kminus1_join():
+    # the search meets the join's pairs in join order: the same first hit,
+    # or None, for both variants and k up to 8. Sparse small graphs at
+    # k near n bring rows whose light id lies above a forced vertex
+    rng = random.Random("near-first-sparse")
+    sparse = [cli._random_gnm(rng, n, rng.randint(n - 2, 2 * n))
+              for n in (rng.randint(5, 9) for _ in range(300))]
+    answers = {True: 0, False: 0}
+    for G in _random_gnm_graphs("near-first", 150, 3, 14) + sparse:
+        for k in range(2, min(G.n, 8) + 1):
+            in_heavy = multidom._set_mask(heavy_vertices(G, k))
+            for variant in multidom.VARIANTS:
+                near = multidom.near_partners(G, k - 2 if variant == "multiple" else 0)
+                got = multidom._near_first(G, k, variant, in_heavy, near)
+                assert got == _kminus1_join(G, k, variant), (G, k, variant)
+                answers[got is not None] += 1
+    assert min(answers.values()) >= 500, answers
+
+
+def test_near_first_takes_a_light_row_id_above_a_forced_vertex():
+    # K_{1,4} (centre 4) plus the isolated light vertex 5, at k = 5: after
+    # the row prefix (0, 1) the vertices 2, 3 and 5 are forced. The light 5
+    # may still join the row above 2, since the column (2, 3) takes 2 and 3
+    G = Graph(6, [(i, 4) for i in range(4)])
+    in_heavy = multidom._set_mask(heavy_vertices(G, 5))
+    assert in_heavy == 0b11111
+    got = multidom._near_first(G, 5, "multiple", in_heavy, multidom.near_partners(G, 3))
+    assert got == _kminus1_join(G, 5, "multiple") == (0, 1, 2, 3, 5)
+
+
 def test_pipeline_search_lets_through_only_the_join_yes():
-    # witness, search, join: every answer is the oracle's, a YES without a
-    # witness is the first hit of `_solve_kminus1` called directly, and a
-    # NO the search decides reports the family sizes and no join counters
+    # witness, then search: every answer is the oracle's, a YES without a
+    # witness is the first hit of the r = k-1 join, and every answer without
+    # a witness reports the family sizes and no join counters
     graphs = [path_graph(4)] + _random_gnm_graphs("pipeline-search", 400, 4, 11)
     seen = {"witness": 0, "fallback": 0, "none": 0}
     for G in graphs:
@@ -1789,15 +1828,15 @@ def test_pipeline_search_lets_through_only_the_join_yes():
             brute = oracle_multidom(G, k, k - 1, "multiple")
             assert (sol is None) == (brute is None), (G, k)
             heavy = heavy_vertices(G, k)
-            join = multidom._solve_kminus1(G, k, "multiple", heavy, multidom.near_partners(G, k - 2))
+            sizes = {"candidate_family_sizes": [
+                multidom.closed_form_family_size(G.n, len(heavy), *shape)
+                for shape in multidom._family_shapes(k, k - 1)]}
+            join = _kminus1_join(G, k, "multiple")
             if sol is None:
-                assert join is None
-                assert stats == {"candidate_family_sizes": [
-                    multidom.closed_form_family_size(G.n, len(heavy), *shape)
-                    for shape in multidom._family_shapes(k, k - 1)]}, (G, k)
+                assert join is None and stats == sizes, (G, k)
                 seen["none"] += 1
             elif sol.certificate["clique_witness"] is None:
-                assert sol.vertices == join.vertices and stats["rows_drawn"] > 0, (G, k)
+                assert sol.vertices == join and stats == sizes, (G, k)
                 assert verify_solution(G, sol.problem, sol.vertices)
                 seen["fallback"] += 1
             else:

@@ -5,7 +5,7 @@ adjacency lists.
     python3 bench/bench_solve.py                      # writes BENCH_solve.json
     python3 bench/bench_solve.py --src OTHER/src --out BENCH_solve_parent.json
 
-Ten sets of solves:
+Eleven sets of solves:
 
 - `ov-multidom-no`: the 28 instances of the ov-multidom-no workload at
   seed 1, blocks 0-3 (`perfbench/workloads.py`): 16 `no-r2`, 8 `yes-r2`
@@ -48,15 +48,20 @@ Ten sets of solves:
   search finds the family join's first hit, so no join runs. Each is the first seed
   `pipeline-yes:{n}:{m}:{k}:{s}`, s = 0, 1, ..., whose pipeline answer is
   a YES without a witness, for (n, m, k) = (20, 140, 4), (30, 320, 4),
-  (40, 600, 4), (25, 240, 5), (45, 800, 5) and (40, 510, 3).
+  (40, 600, 4), (25, 240, 5), (45, 800, 5) and (40, 510, 3);
+- `clique-sparse`: `solve_dominating_clique` at k = 5 on the sparse
+  `planted_hub_graph(Random(1), 5000, 6, 3)` (six hubs, every other vertex
+  joined to three of them), whose clique filter builds a gap for each of
+  thousands of row vertices that have few neighbours among 5,000.
 
 The workload instances carry the workload's certified answer, and the
 `shape-no` sources are drawn until `solve_ov_bruteforce` answers NO. The
 other sets pin `want` in the case table: `b-hubs` is YES by construction;
-`dense`, `ov-near`, `clique-hub`, `dense-clique` and `pipeline` were pinned
-from the solvers (`dense` YES and `ov-near` NO at b96fcdb), as no decider
-independent of them reaches these sizes (ROADMAP item 13), so they catch
-an answer that moves, not one that was wrong when pinned.
+`dense`, `ov-near`, `clique-hub`, `dense-clique`, `pipeline` and
+`clique-sparse` were pinned from the solvers (`dense` YES and `ov-near` NO
+at b96fcdb), as no decider independent of them reaches these sizes
+(ROADMAP item 13), so they catch an answer that moves, not one that was
+wrong when pinned.
 
 Each solve is measured in one fresh child process. The child builds the
 graph and writes its edge-list bytes with `workloads._edge_bytes`, so the
@@ -122,6 +127,7 @@ DENSE_CLIQUE_GRAPHS = ((80, 2500), (60, 1500))  # (n, m)
 PIPELINE_NO_GRAPHS = ((80, 2500), (100, 4000))  # (n, m), each at k = 4 and 5
 PIPELINE_YES = ((20, 140, 4, 0), (30, 320, 4, 1), (40, 600, 4, 5), (25, 240, 5, 1),
                 (45, 800, 5, 4), (40, 510, 3, 61))  # (n, m, k, first fallback-YES seed s)
+CLIQUE_SPARSE_N = (5000,)
 JOIN_COUNTERS = ("columns_kept", "rows_drawn", "rows_certified", "gap_masks", "below_built")
 COUNTERS = ("joins", *JOIN_COUNTERS, "rows_walked", "adj_iterations", "high_listed")
 sys.path[1:1] = [str(ROOT), str(ROOT / "perfbench")]  # after the measured src, put first by main
@@ -180,6 +186,9 @@ def cases() -> list[dict]:
     out += [_pinned("pipeline", "fallback-yes", f"pipeline-yes-{n}-{m}-k{k}",
                     {"generator": "gnm", "seed": f"pipeline-yes:{n}:{m}:{k}:{s}", "n": n, "m": m},
                     ["multiple", k, k - 1], True) for n, m, k, s in PIPELINE_YES]
+    out += [_pinned("clique-sparse", "clique-sparse", f"clique-sparse-{n}",
+                    {"generator": "planted-hub", "seed": 1, "n": n, "hubs": 6, "r": 3},
+                    ["clique", 5], False) for n in CLIQUE_SPARSE_N]
     return out
 
 

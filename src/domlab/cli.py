@@ -6,6 +6,13 @@ FAIL, 2 = error, 3 = budget exceeded (OracleBudgetError; every brute-force
 scan, `verify --reduction`'s included, passes `oracles.check_scan_budget` first).
 Exit 1 is never a crash: a MemoryError, RecursionError or ArithmeticError that
 reaches `main` is reported as an error, exit code 2, like malformed input.
+
+`main` reads a `solve`, `generate` or `bench` line made of exact option
+strings, values that do not start with "-" and one positional in one pass
+over its words (`_read_words`), with the options of that subcommand's own
+parser. Every other line (an abbreviation, "--k=3", "-h", "--", a failed
+conversion or choice, a missing option, any `verify` line) goes to
+argparse, so every error, usage and help text is argparse's.
 """
 
 from __future__ import annotations
@@ -393,19 +400,103 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser `main` uses and its subcommands' parsers, built once per
-    process. Parsing only reads them (no option has a mutable default), and
-    building them costs more than most small solves."""
-    return _build_parsers()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict]:
+    """The parser `main` uses, its subcommands' parsers by name, and the
+    `_word_plan` of each subcommand the one-pass reader takes, built once
+    per process. Parsing only reads them (no option has a mutable default),
+    and building them costs more than most small solves."""
+    parser, commands = _build_parsers()
+    plans = {name: plan for name, command in commands.items()
+             if (plan := _word_plan(name, command)) is not None}
+    return parser, commands, plans
+
+
+def _word_plan(name: str, command: argparse.ArgumentParser) -> tuple | None:
+    """What `_read_words` needs of subcommand `name`, read from its
+    parser's own actions: its flags (store_true) by option string, as
+    (dest, const); its valued options (plain store) by option string, and
+    its one positional, as (dest, type, choices); the dests argparse
+    requires; and the namespace argparse starts from, `set_defaults`
+    included. None when the parser has an action of another kind (a
+    `nargs`, or a string default that argparse would convert by its
+    `type`), a dest twice, or two positionals."""
+    flags, stores, positionals, required = {}, {}, [], set()
+    defaults = {"command": name}
+    for action in command._actions:
+        if type(action) is argparse._HelpAction:
+            continue
+        flag = type(action) is argparse._StoreTrueAction
+        if (not (flag or type(action) is argparse._StoreAction and action.nargs is None)
+                or action.dest in defaults
+                or isinstance(action.default, str) and action.type is not None):
+            return None
+        defaults[action.dest] = action.default
+        if action.required:
+            required.add(action.dest)
+        if flag:
+            flags.update(dict.fromkeys(action.option_strings, (action.dest, action.const)))
+        elif action.option_strings:
+            stores.update(dict.fromkeys(action.option_strings,
+                                        (action.dest, action.type or str, action.choices)))
+        else:
+            positionals.append((action.dest, action.type or str, action.choices))
+    if len(positionals) > 1:
+        return None
+    for dest, value in command._defaults.items():
+        defaults.setdefault(dest, value)
+    return flags, stores, positionals[0] if positionals else None, required, defaults
+
+
+def _read_words(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace `build_parser().parse_args(argv)` returns, read in one
+    pass over the words, when argv[0] names a subcommand that has a
+    `_word_plan` (`solve`, `generate`, `bench`) and every other word can be
+    placed exactly: an exact option string of a store_true flag; an exact
+    option string of a plain store option followed by a value that does
+    not start with "-", converted by the option's type and in its choices;
+    or, once, the positional, which does not start with "-" either. None
+    for any other line (an abbreviation, "--k=3", "-h", "--", a second
+    positional, a failed conversion, a missing required option), which
+    argparse then parses, so every error, usage and help text stays its own."""
+    plan = _parser()[2].get(argv[0]) if argv else None
+    if plan is None:
+        return None
+    flags, stores, positional, required, defaults = plan
+    values, seen = dict(defaults), set()
+    words = iter(argv[1:])
+    for word in words:
+        if word in flags:
+            dest, value = flags[word]
+        else:
+            if word in stores:  # a missing value reads as "-", which is refused
+                (dest, convert, choices), word = stores[word], next(words, "-")
+            elif positional is not None and positional[0] not in seen:
+                dest, convert, choices = positional
+            else:
+                return None
+            if word[:1] == "-":
+                return None
+            try:
+                value = convert(word)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if choices is not None and value not in choices:
+                return None
+        values[dest] = value
+        seen.add(dest)
+    return argparse.Namespace(**values) if required <= seen else None
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`, scanning argv once: when argv[0]
-    names a subcommand, the rest goes straight to its parser, as the
-    top-level parser would pass it on, and words it leaves are refused by
-    the top-level parser. Anything else goes through the top-level parser."""
-    parser, commands = _parser()
+    """`build_parser().parse_args(argv)`. A line `_read_words` can place
+    exactly (every `solve` line the benchmark workloads run) is read in one
+    pass over its words. Any other line whose argv[0] names a subcommand
+    goes straight to that subcommand's parser, as the top-level parser
+    would pass it on, and words it leaves are refused by the top-level
+    parser. Anything else goes through the top-level parser."""
+    if (args := _read_words(argv)) is not None:
+        return args
+    parser, commands, _ = _parser()
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)

@@ -294,8 +294,13 @@ class _ColumnGaps(dict):
     def __missing__(self, v: int) -> int:
         inside = self.allowed(v)
         outside = self.vfull ^ inside
-        if self.t * inside.bit_count() < outside.bit_count():
-            ok = _at_least(itertools.compress(self.contains, _bit_flags(inside)), self.t, self.full)
+        if self.t * (size := inside.bit_count()) < outside.bit_count():
+            # a few inside vertices are read by their bits, not by an
+            # n-character selector: the same masks, in the same order
+            masks = (map(self.contains.__getitem__, iter_bits(inside))
+                     if 64 * size < len(self.contains)
+                     else itertools.compress(self.contains, _bit_flags(inside)))
+            ok = _at_least(masks, self.t, self.full)
             gap = self.full ^ ok[self.t]
         else:
             gap = reduce(or_, itertools.compress(self.contains, _bit_flags(outside)), 0)

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from domlab import cli, oracles, reductions
 from domlab.cli import main
@@ -778,8 +782,9 @@ def _outcome(argv: list[str], capsys) -> tuple[int, str, str]:
 
 
 def test_main_parses_as_the_top_level_parser(c5_file, capsys, monkeypatch):
-    # `main` hands argv[1:] straight to a named subcommand's parser; every
-    # line must end as `build_parser().parse_args` alone ends it
+    # `main` reads a line it can place exactly in one pass, and hands any
+    # other argv[1:] straight to a named subcommand's parser; every line
+    # must end as `build_parser().parse_args` alone ends it
     solve = ["solve", c5_file, "--problem", "multidom", "--k", "3", "--r", "2"]
     table = [
         solve + ["--json", "--no-timing"],
@@ -794,11 +799,99 @@ def test_main_parses_as_the_top_level_parser(c5_file, capsys, monkeypatch):
         [],
         ["frobnicate", c5_file],
         ["--k", "3", "solve", c5_file, "--problem", "dom-clique"],
+        # lines the one-pass reader leaves to argparse, and a repeated --k
+        ["solve", c5_file, "--problem", "multidom", "--k=3", "--r", "2", "--json", "--no-timing"],
+        ["solve", c5_file, "--prob", "dom-clique", "--k", "3", "--no-timing"],
+        ["solve", c5_file, "--problem", "multidom", "--k", "-3", "--r", "2"],
+        solve + ["--algo", "turbo"],
+        ["solve", c5_file, "--problem", "multidom", "--k", "x", "--r", "2"],
+        ["solve", "-c5.txt", "--problem", "dom-clique", "--k", "3"],
+        ["solve", c5_file, c5_file, "--problem", "dom-clique", "--k", "3"],
+        ["solve", "--problem", "multidom", "--k", "3", "--r", "2", "--json", "--no-timing",
+         "--", c5_file],
+        ["solve", c5_file, "--problem", "pattern", "--k", "3", "--pattern", "--json"],
+        ["solve", c5_file, "--problem", "multidom", "--k", "1", "--r", "2", "--k", "3",
+         "--json", "--no-timing"],
     ]
+    taken = [cli._read_words(argv) is not None for argv in table]
     fast = [_outcome(argv, capsys) for argv in table]
     monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
     assert fast == [_outcome(argv, capsys) for argv in table]
     codes = [code for code, _, _ in fast]
-    assert codes == [0, 1, 0, 2, 2, 2, 0, 0, 0, 2, 2, 2]
+    assert codes == [0, 1, 0, 2, 2, 2, 0, 0, 0, 2, 2, 2, 0, 1, 2, 2, 2, 2, 2, 0, 2, 0]
+    assert taken == [True, True] + [False] * 5 + [True] + [False] * 13 + [True]
     assert "unrecognized arguments: extra" in fast[3][2]
     assert "the following arguments are required: --k" in fast[5][2]
+    assert fast[12] == fast[19] == fast[21] == fast[0]
+    assert "invalid choice: 'turbo'" in fast[15][2]
+    assert "expected one argument" in fast[20][2]
+
+
+def _line_pieces(name: str) -> tuple[list[list[str]], list[list[str]]]:
+    """The pieces of a `name` line: one taken value for each option and
+    positional its parser requires; and, for any line, every option string
+    alone and with each value drawn for it, every prefix of an option
+    string with a value, "=" forms, the positional's values and stray words."""
+    values = {int: ["3", "1", "-3", "x", " 2"], float: ["0.5", "nan", "-1", "x"],
+              None: ["g.txt", "", "-g", "a b", "-"]}
+    required, extra = [], [["--"], ["-"], ["stray"], ["--bogus"]]
+    for action in cli._parser()[1][name]._actions:
+        taken = list(action.choices) + ["turbo"] if action.choices else values[action.type]
+        if not action.option_strings:
+            required += [[taken[0]]] if action.required else []
+            extra += [[value] for value in taken]
+        elif action.nargs == 0:
+            extra += [[option] for option in action.option_strings]
+            extra += [[option + "=1"] for option in action.option_strings]
+        else:
+            required += [[action.option_strings[0], taken[0]]] if action.required else []
+            for option in action.option_strings:
+                extra += [[option]] + [[option, value] for value in taken]
+                extra += [[option + "=" + value] for value in taken]
+                extra += [[option[:i], taken[0]] for i in range(2, len(option))]
+    return required, extra
+
+
+_PIECES = {name: _line_pieces(name) for name in ("solve", "generate", "verify", "bench")}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_word_reader_returns_what_argparse_parses(data):
+    # a line drawn from a subcommand's own option strings, their prefixes,
+    # "=" forms and values, around its required options or not: whenever
+    # the reader places it, argparse parses it to the same namespace, and
+    # whenever argparse exits (an error or -h), the reader declines it
+    name = data.draw(st.sampled_from(sorted(_PIECES)))
+    required, extra = _PIECES[name]
+    pieces = (required if data.draw(st.booleans()) else []) + data.draw(
+        st.lists(st.sampled_from(extra), max_size=4))
+    argv = [name] + [word for piece in data.draw(st.permutations(pieces)) for word in piece]
+    read = cli._read_words(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            parsed = cli.build_parser().parse_args(argv)
+    except SystemExit:
+        assert read is None, argv
+    else:
+        assert read is None or vars(read) == vars(parsed), argv
+
+
+def test_perfbench_solve_lines_take_the_word_reader(monkeypatch):
+    # the certified-mix lines perfbench runs through `main` (one per problem
+    # it solves, as `perfbench/workloads.py` builds them) are read in one
+    # pass over their words: argparse is never called
+    head = ["solve", "i0.graph", "--k", "4", "--json", "--no-timing"]
+    lines = [head + flags + ["--threads", "1"] for flags in (
+        ["--problem", "multidom", "--r", "2"],
+        ["--problem", "multidom", "--r", "3", "--algo", "pipeline"],
+        ["--problem", "dom-clique"],
+        ["--problem", "pattern", "--pattern", "ov-hdom-path-4.json"],
+        ["--problem", "dom-matching"])]
+    expected = [cli.build_parser().parse_args(argv) for argv in lines]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a line the reader should take")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert [cli._parse_args(argv) for argv in lines] == expected

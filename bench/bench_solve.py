@@ -49,10 +49,14 @@ Eleven sets of solves:
   `pipeline-yes:{n}:{m}:{k}:{s}`, s = 0, 1, ..., whose pipeline answer is
   a YES without a witness, for (n, m, k) = (20, 140, 4), (30, 320, 4),
   (40, 600, 4), (25, 240, 5), (45, 800, 5) and (40, 510, 3);
-- `clique-sparse`: `solve_dominating_clique` at k = 5 on the sparse
-  `planted_hub_graph(Random(1), 5000, 6, 3)` (six hubs, every other vertex
-  joined to three of them), whose clique filter builds a gap for each of
-  thousands of row vertices that have few neighbours among 5,000.
+- `clique-sparse`: `solve_dominating_clique` at k = 5 on sparse planted-hub
+  graphs, whose clique filter builds a gap for each of thousands of row
+  vertices from the columns of their few neighbours. Group
+  `clique-sparse`: `planted_hub_graph(Random(1), 5000, 6, 3)` (six hubs,
+  every other vertex joined to three of them), 3 to 12 neighbours, which
+  the gaps read by their bits. Group `many-inside`:
+  `planted_hub_graph(Random(1), 2000, 40, 32)`, 33 to 41 neighbours, which
+  they read through the n-character selector.
 
 The workload instances carry the workload's certified answer, and the
 `shape-no` sources are drawn until `solve_ov_bruteforce` answers NO. The
@@ -127,7 +131,8 @@ DENSE_CLIQUE_GRAPHS = ((80, 2500), (60, 1500))  # (n, m)
 PIPELINE_NO_GRAPHS = ((80, 2500), (100, 4000))  # (n, m), each at k = 4 and 5
 PIPELINE_YES = ((20, 140, 4, 0), (30, 320, 4, 1), (40, 600, 4, 5), (25, 240, 5, 1),
                 (45, 800, 5, 4), (40, 510, 3, 61))  # (n, m, k, first fallback-YES seed s)
-CLIQUE_SPARSE_N = (5000,)
+CLIQUE_SPARSE = (("clique-sparse", "clique-sparse-5000", 5000, 6, 3),  # (group, name, n, hubs, r)
+                 ("many-inside", "clique-sparse-2000-h40", 2000, 40, 32))
 JOIN_COUNTERS = ("columns_kept", "rows_drawn", "rows_certified", "gap_masks", "below_built")
 COUNTERS = ("joins", *JOIN_COUNTERS, "rows_walked", "adj_iterations", "high_listed")
 sys.path[1:1] = [str(ROOT), str(ROOT / "perfbench")]  # after the measured src, put first by main
@@ -186,9 +191,9 @@ def cases() -> list[dict]:
     out += [_pinned("pipeline", "fallback-yes", f"pipeline-yes-{n}-{m}-k{k}",
                     {"generator": "gnm", "seed": f"pipeline-yes:{n}:{m}:{k}:{s}", "n": n, "m": m},
                     ["multiple", k, k - 1], True) for n, m, k, s in PIPELINE_YES]
-    out += [_pinned("clique-sparse", "clique-sparse", f"clique-sparse-{n}",
-                    {"generator": "planted-hub", "seed": 1, "n": n, "hubs": 6, "r": 3},
-                    ["clique", 5], False) for n in CLIQUE_SPARSE_N]
+    out += [_pinned("clique-sparse", group, name,
+                    {"generator": "planted-hub", "seed": 1, "n": n, "hubs": hubs, "r": r},
+                    ["clique", 5], False) for group, name, n, hubs, r in CLIQUE_SPARSE]
     return out
 
 

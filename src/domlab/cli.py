@@ -9,10 +9,11 @@ reaches `main` is reported as an error, exit code 2, like malformed input.
 
 `main` reads a `solve`, `generate` or `bench` line made of exact option
 strings, values that do not start with "-" and one positional in one pass
-over its words (`_read_words`), with the options of that subcommand's own
-parser. Every other line (an abbreviation, "--k=3", "-h", "--", a failed
-conversion or choice, a missing option, any `verify` line) goes to
-argparse, so every error, usage and help text is argparse's.
+over its words (`_read_words`), with the options `COMMANDS` gives that
+subcommand, the one table argparse's parser is built from. Every other
+line (an abbreviation, "--k=3", "-h", "--", a failed conversion or choice,
+a missing option, any `verify` line) goes to argparse, so every error,
+usage and help text is argparse's.
 """
 
 from __future__ import annotations
@@ -331,120 +332,126 @@ def cmd_bench(args) -> int:
     return 0
 
 
+# subcommand -> (its help, the function it runs, its arguments as (option
+# string or positional name, `add_argument` keywords)). `_build_parsers`
+# adds them, and `_word_plan` reads the actions they add, so the one-pass
+# reader has no option list of its own
+COMMANDS = {
+    "solve": ("solve a domination problem on a graph file", cmd_solve, (
+        ("graph", {}),
+        ("--problem", dict(required=True, choices=list(PROBLEMS))),
+        ("--k", dict(type=int, required=True)),
+        ("--r", dict(type=int)),
+        ("--pattern", {}),
+        ("--algo", dict(default="fast", choices=["fast", "brute", "pipeline"])),
+        ("--at-most-k", dict(action="store_true")),
+        ("--threads", dict(type=int, default=1,
+                           help="accepted for compatibility and echoed in the config; "
+                                "results come from one thread")),
+        ("--json", dict(action="store_true")),
+        ("--no-timing", dict(action="store_true",
+                             help="omit wall time from output (for reproducible output)")),
+    )),
+    "generate": ("generate a certified reduction instance", cmd_generate, (
+        ("--reduction", dict(required=True, choices=list(REDUCTION_PARAMS))),
+        ("--k", dict(type=int, required=True)),
+        ("--r", dict(type=int)),
+        ("--d", dict(type=int, default=1)),
+        ("--sizes", dict(help="comma-separated OV set sizes")),
+        ("--gamma", dict(help="p/q for is-multidom")),
+        ("--part-size", dict(type=int, default=2)),
+        ("--edge-prob", dict(type=float, default=0.5)),
+        ("--zero-prob", dict(type=float, default=0.5)),
+        ("--pattern", {}),
+        ("--seed", dict(type=int, default=0)),
+        ("--out", dict(required=True, help="output path prefix")),
+    )),
+    "verify": ("verify a solution or a generated reduction", cmd_verify, (
+        ("graph", dict(nargs="?")),
+        ("--problem", dict(choices=list(PROBLEMS))),
+        ("--k", dict(type=int)),
+        ("--r", dict(type=int)),
+        ("--pattern", {}),
+        ("--solution", dict(help="RunResult JSON or bare vertex list")),
+        ("--reduction", dict(choices=[name for name in REDUCTION_PARAMS
+                                      if name.startswith("ov-")])),
+        ("--source", dict(help="OV instance JSON for --reduction")),
+    )),
+    "bench": ("parameter sweep with join row counts", cmd_bench, (
+        ("--n", dict(required=True, help="comma-separated vertex counts")),
+        ("--density", dict(required=True, help="comma-separated m/n targets")),
+        ("--k", dict(type=int, required=True)),
+        ("--r", dict(type=int, required=True)),
+        ("--algos", dict(default="fast")),
+        ("--reps", dict(type=int, default=1)),
+        ("--seed", dict(type=int, default=0)),
+        ("--no-timing", dict(action="store_true",
+                             help="omit wall time column (byte-identical reruns)")),
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The command line's parser."""
     return _build_parsers()[0]
 
 
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The command line's parser, and a dict of its subcommands' parsers by name."""
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The command line's parser, built from COMMANDS, and the `_word_plan`
+    of each subcommand that has one, by name."""
     parser = argparse.ArgumentParser(prog="domlab",
                                      description="Domination-variant solvers and instance generators")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    ps = sub.add_parser("solve", help="solve a domination problem on a graph file")
-    ps.add_argument("graph")
-    ps.add_argument("--problem", required=True, choices=list(PROBLEMS))
-    ps.add_argument("--k", type=int, required=True)
-    ps.add_argument("--r", type=int)
-    ps.add_argument("--pattern")
-    ps.add_argument("--algo", default="fast", choices=["fast", "brute", "pipeline"])
-    ps.add_argument("--at-most-k", action="store_true")
-    ps.add_argument("--threads", type=int, default=1,
-                    help="accepted for compatibility and echoed in the config; "
-                         "results come from one thread")
-    ps.add_argument("--json", action="store_true")
-    ps.add_argument("--no-timing", action="store_true",
-                    help="omit wall time from output (for reproducible output)")
-    ps.set_defaults(func=cmd_solve)
-
-    pg = sub.add_parser("generate", help="generate a certified reduction instance")
-    pg.add_argument("--reduction", required=True, choices=list(REDUCTION_PARAMS))
-    pg.add_argument("--k", type=int, required=True)
-    pg.add_argument("--r", type=int)
-    pg.add_argument("--d", type=int, default=1)
-    pg.add_argument("--sizes", help="comma-separated OV set sizes")
-    pg.add_argument("--gamma", help="p/q for is-multidom")
-    pg.add_argument("--part-size", type=int, default=2)
-    pg.add_argument("--edge-prob", type=float, default=0.5)
-    pg.add_argument("--zero-prob", type=float, default=0.5)
-    pg.add_argument("--pattern")
-    pg.add_argument("--seed", type=int, default=0)
-    pg.add_argument("--out", required=True, help="output path prefix")
-    pg.set_defaults(func=cmd_generate)
-
-    pv = sub.add_parser("verify", help="verify a solution or a generated reduction")
-    pv.add_argument("graph", nargs="?")
-    pv.add_argument("--problem", choices=list(PROBLEMS))
-    pv.add_argument("--k", type=int)
-    pv.add_argument("--r", type=int)
-    pv.add_argument("--pattern")
-    pv.add_argument("--solution", help="RunResult JSON or bare vertex list")
-    pv.add_argument("--reduction",
-                    choices=[name for name in REDUCTION_PARAMS if name.startswith("ov-")])
-    pv.add_argument("--source", help="OV instance JSON for --reduction")
-    pv.set_defaults(func=cmd_verify)
-
-    pb = sub.add_parser("bench", help="parameter sweep with join row counts")
-    pb.add_argument("--n", required=True, help="comma-separated vertex counts")
-    pb.add_argument("--density", required=True, help="comma-separated m/n targets")
-    pb.add_argument("--k", type=int, required=True)
-    pb.add_argument("--r", type=int, required=True)
-    pb.add_argument("--algos", default="fast")
-    pb.add_argument("--reps", type=int, default=1)
-    pb.add_argument("--seed", type=int, default=0)
-    pb.add_argument("--no-timing", action="store_true",
-                    help="omit wall time column (byte-identical reruns)")
-    pb.set_defaults(func=cmd_bench)
-    return parser, {"solve": ps, "generate": pg, "verify": pv, "bench": pb}
+    plans = {}
+    for name, (help_text, func, arguments) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        actions = [(command.add_argument(option, **keywords), keywords)
+                   for option, keywords in arguments]
+        command.set_defaults(func=func)
+        if (plan := _word_plan(name, func, actions)) is not None:
+            plans[name] = plan
+    return parser, plans
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict]:
-    """The parser `main` uses, its subcommands' parsers by name, and the
-    `_word_plan` of each subcommand the one-pass reader takes, built once
-    per process. Parsing only reads them (no option has a mutable default),
-    and building them costs more than most small solves."""
-    parser, commands = _build_parsers()
-    plans = {name: plan for name, command in commands.items()
-             if (plan := _word_plan(name, command)) is not None}
-    return parser, commands, plans
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """`_build_parsers()`, built once per process for `main`. Parsing only
+    reads the parser and the plans (no option has a mutable default), and
+    building them costs more than most small solves."""
+    return _build_parsers()
 
 
-def _word_plan(name: str, command: argparse.ArgumentParser) -> tuple | None:
-    """What `_read_words` needs of subcommand `name`, read from its
-    parser's own actions: its flags (store_true) by option string, as
-    (dest, const); its valued options (plain store) by option string, and
-    its one positional, as (dest, type, choices); the dests argparse
-    requires; and the namespace argparse starts from, `set_defaults`
-    included. None when the parser has an action of another kind (a
-    `nargs`, or a string default that argparse would convert by its
-    `type`), a dest twice, or two positionals."""
-    flags, stores, positionals, required = {}, {}, [], set()
-    defaults = {"command": name}
-    for action in command._actions:
-        if type(action) is argparse._HelpAction:
-            continue
-        flag = type(action) is argparse._StoreTrueAction
-        if (not (flag or type(action) is argparse._StoreAction and action.nargs is None)
-                or action.dest in defaults
+def _word_plan(name: str, func, actions) -> tuple | None:
+    """What `_read_words` needs of subcommand `name`, read from the actions
+    `add_argument` returned for its COMMANDS entries (their public
+    attributes: dest, option_strings, type, choices, default, required,
+    const) with the keywords that made them: its flags
+    (action="store_true") by option string, as (dest, const); its valued
+    options (plain store) by option string, and its one positional, as
+    (dest, type, choices); the dests argparse requires; and the namespace
+    argparse starts from, with `command` and `func`. None when an entry
+    asks for another action or a `nargs`, has a string default that
+    argparse would convert by its `type`, or is a second positional."""
+    flags, stores, positional, required = {}, {}, None, set()
+    defaults = {"command": name, "func": func}
+    for action, keywords in actions:
+        kind = keywords.get("action", "store")
+        if (kind not in ("store", "store_true") or "nargs" in keywords
                 or isinstance(action.default, str) and action.type is not None):
             return None
         defaults[action.dest] = action.default
         if action.required:
             required.add(action.dest)
-        if flag:
+        if kind == "store_true":
             flags.update(dict.fromkeys(action.option_strings, (action.dest, action.const)))
         elif action.option_strings:
             stores.update(dict.fromkeys(action.option_strings,
                                         (action.dest, action.type or str, action.choices)))
+        elif positional is None:
+            positional = (action.dest, action.type or str, action.choices)
         else:
-            positionals.append((action.dest, action.type or str, action.choices))
-    if len(positionals) > 1:
-        return None
-    for dest, value in command._defaults.items():
-        defaults.setdefault(dest, value)
-    return flags, stores, positionals[0] if positionals else None, required, defaults
+            return None
+    return flags, stores, positional, required, defaults
 
 
 def _read_words(argv: list[str]) -> argparse.Namespace | None:
@@ -458,7 +465,7 @@ def _read_words(argv: list[str]) -> argparse.Namespace | None:
     for any other line (an abbreviation, "--k=3", "-h", "--", a second
     positional, a failed conversion, a missing required option), which
     argparse then parses, so every error, usage and help text stays its own."""
-    plan = _parser()[2].get(argv[0]) if argv else None
+    plan = _parser()[1].get(argv[0]) if argv else None
     if plan is None:
         return None
     flags, stores, positional, required, defaults = plan
@@ -488,22 +495,10 @@ def _read_words(argv: list[str]) -> argparse.Namespace | None:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`. A line `_read_words` can place
+    """`build_parser().parse_args(argv)`: a line `_read_words` can place
     exactly (every `solve` line the benchmark workloads run) is read in one
-    pass over its words. Any other line whose argv[0] names a subcommand
-    goes straight to that subcommand's parser, as the top-level parser
-    would pass it on, and words it leaves are refused by the top-level
-    parser. Anything else goes through the top-level parser."""
-    if (args := _read_words(argv)) is not None:
-        return args
-    parser, commands, _ = _parser()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
-    return args
+    pass over its words, and any other goes to the parser `main` keeps."""
+    return _read_words(argv) or _parser()[0].parse_args(argv)
 
 
 def main(argv=None) -> int:

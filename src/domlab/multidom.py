@@ -295,10 +295,14 @@ class _ColumnGaps(dict):
         inside = self.allowed(v)
         outside = self.vfull ^ inside
         if self.t * (size := inside.bit_count()) < outside.bit_count():
-            # a few inside vertices are read by their bits, not by an
-            # n-character selector: the same masks, in the same order
+            # few inside vertices are read by their bits, not by an
+            # n-character selector: the same masks, in the same order. A
+            # bit costs O(n / 64) words and the selector O(n) in all; timed
+            # at t = 3, they cross near n / 16 inside vertices up to
+            # n = 500, then at a count that grows slowly (100 at n = 5,000,
+            # 180 at 50,000), so below min(n, 512) / 16 the bits are cheaper
             masks = (map(self.contains.__getitem__, iter_bits(inside))
-                     if 64 * size < len(self.contains)
+                     if 16 * size < min(len(self.contains), 512)
                      else itertools.compress(self.contains, _bit_flags(inside)))
             ok = _at_least(masks, self.t, self.full)
             gap = self.full ^ ok[self.t]

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from domlab import cli, oracles, reductions
 from domlab.cli import main
 
-from .conftest import complete_graph, cycle_graph, path_graph, random_graph
+from .conftest import complete_graph, cycle_graph, path_graph, perfbench_workloads, random_graph
 from .test_cli_contract import _finish, _start
 from domlab import Graph, save_graph
 from domlab.multidom import solve_multidom_fast
@@ -783,8 +783,8 @@ def _outcome(argv: list[str], capsys) -> tuple[int, str, str]:
 
 def test_main_parses_as_the_top_level_parser(c5_file, capsys, monkeypatch):
     # `main` reads a line it can place exactly in one pass, and hands any
-    # other argv[1:] straight to a named subcommand's parser; every line
-    # must end as `build_parser().parse_args` alone ends it
+    # other line to argparse; every line must end as
+    # `build_parser().parse_args` alone ends it
     solve = ["solve", c5_file, "--problem", "multidom", "--k", "3", "--r", "2"]
     table = [
         solve + ["--json", "--no-timing"],
@@ -828,31 +828,31 @@ def test_main_parses_as_the_top_level_parser(c5_file, capsys, monkeypatch):
 
 
 def _line_pieces(name: str) -> tuple[list[list[str]], list[list[str]]]:
-    """The pieces of a `name` line: one taken value for each option and
-    positional its parser requires; and, for any line, every option string
-    alone and with each value drawn for it, every prefix of an option
-    string with a value, "=" forms, the positional's values and stray words."""
+    """The pieces of a `name` line, from its `cli.COMMANDS` entries: one
+    taken value for each option and positional its parser requires; and,
+    for any line, every option string alone and with each value drawn for
+    it, every prefix of an option string with a value, "=" forms, the
+    positional's values, -h and stray words."""
     values = {int: ["3", "1", "-3", "x", " 2"], float: ["0.5", "nan", "-1", "x"],
               None: ["g.txt", "", "-g", "a b", "-"]}
-    required, extra = [], [["--"], ["-"], ["stray"], ["--bogus"]]
-    for action in cli._parser()[1][name]._actions:
-        taken = list(action.choices) + ["turbo"] if action.choices else values[action.type]
-        if not action.option_strings:
-            required += [[taken[0]]] if action.required else []
+    required, extra = [], [["--"], ["-"], ["stray"], ["--bogus"], ["-h"], ["--help"]]
+    for option, keywords in cli.COMMANDS[name][2]:
+        choices = keywords.get("choices")
+        taken = list(choices) + ["turbo"] if choices else values[keywords.get("type")]
+        if not option.startswith("-"):
+            required += [] if "nargs" in keywords else [[taken[0]]]
             extra += [[value] for value in taken]
-        elif action.nargs == 0:
-            extra += [[option] for option in action.option_strings]
-            extra += [[option + "=1"] for option in action.option_strings]
+        elif keywords.get("action") == "store_true":
+            extra += [[option], [option + "=1"]]
         else:
-            required += [[action.option_strings[0], taken[0]]] if action.required else []
-            for option in action.option_strings:
-                extra += [[option]] + [[option, value] for value in taken]
-                extra += [[option + "=" + value] for value in taken]
-                extra += [[option[:i], taken[0]] for i in range(2, len(option))]
+            required += [[option, taken[0]]] if keywords.get("required") else []
+            extra += [[option]] + [[option, value] for value in taken]
+            extra += [[option + "=" + value] for value in taken]
+            extra += [[option[:i], taken[0]] for i in range(2, len(option))]
     return required, extra
 
 
-_PIECES = {name: _line_pieces(name) for name in ("solve", "generate", "verify", "bench")}
+_PIECES = {name: _line_pieces(name) for name in cli.COMMANDS}
 
 
 @settings(max_examples=400, deadline=None)
@@ -874,24 +874,26 @@ def test_word_reader_returns_what_argparse_parses(data):
     except SystemExit:
         assert read is None, argv
     else:
-        assert read is None or vars(read) == vars(parsed), argv
+        assert read is None or _fields(read) == _fields(parsed), argv
 
 
-def test_perfbench_solve_lines_take_the_word_reader(monkeypatch):
-    # the certified-mix lines perfbench runs through `main` (one per problem
-    # it solves, as `perfbench/workloads.py` builds them) are read in one
-    # pass over their words: argparse is never called
-    head = ["solve", "i0.graph", "--k", "4", "--json", "--no-timing"]
-    lines = [head + flags + ["--threads", "1"] for flags in (
-        ["--problem", "multidom", "--r", "2"],
-        ["--problem", "multidom", "--r", "3", "--algo", "pipeline"],
-        ["--problem", "dom-clique"],
-        ["--problem", "pattern", "--pattern", "ov-hdom-path-4.json"],
-        ["--problem", "dom-matching"])]
-    expected = [cli.build_parser().parse_args(argv) for argv in lines]
+def _fields(args) -> dict:
+    """Each field of a Namespace by its repr, so that a NaN equals a NaN."""
+    return {key: repr(value) for key, value in vars(args).items()}
+
+
+def test_perfbench_solve_lines_take_the_word_reader(tmp_path, monkeypatch):
+    # every line the certified-mix workload runs through `main`, as
+    # `perfbench/workloads.py` builds them (block 0 holds each of its
+    # slots), is read in one pass over its words: argparse never parses
+    # one, and each solve gives the answer the workload certifies
+    workloads = perfbench_workloads()
+    block = workloads._certified_mix_block(1, 0, 0, tmp_path)
+    assert {inst.group for inst in block} == {label for label, *_ in workloads._mix_slots(0)}
 
     def refuse(*args, **kwargs):
         raise AssertionError("argparse parsed a line the reader should take")
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
-    assert [cli._parse_args(argv) for argv in lines] == expected
+    for inst in block:
+        assert (workloads._cli_decode(inst.run(1)) is not None) == inst.expected, inst.group

@@ -7,10 +7,8 @@ solves."""
 
 from __future__ import annotations
 
-import importlib.util
 import itertools
 import random
-import sys
 from bisect import bisect_left
 from itertools import compress, islice, repeat
 from math import isqrt
@@ -23,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 from domlab import Graph, OVInstance, graph, multidom, patterndom, solve_ov_bruteforce
 from domlab.algebra import iter_bits
 
-from .conftest import random_graph, star_graph
+from .conftest import perfbench_workloads, random_graph, star_graph
 from .test_multidom import _reference_near
 
 
@@ -196,13 +194,7 @@ class CountingList(list):
 
 
 def _sparse_wide_block(work: Path):
-    root = Path(multidom.__file__).resolve().parents[2]
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  root / "perfbench" / "workloads.py")
-    # registered first: its dataclass looks its module up by name
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads.WORKLOADS["sparse-wide"].block(1, 0, 0, work)
+    return perfbench_workloads().WORKLOADS["sparse-wide"].block(1, 0, 0, work)
 
 
 def test_sparse_wide_solves_pass_over_the_graph_once(tmp_path):

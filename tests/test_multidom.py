@@ -479,11 +479,10 @@ def test_column_list_masks_above_the_crossover(monkeypatch):
         assert built == listed
 
 
-
 def test_column_gaps_read_few_inside_vertices_by_their_bits():
     # gaps[v] holds the columns with v or a vertex outside allowed(v), and
     # when the inside side is counted, reading its masks by its bits (fewer
-    # than n / 64 vertices) gives what the n-character selector gives
+    # than min(n, 512) / 16 vertices) gives what the n-character selector gives
     branches = set()
     for seed in range(24):
         rng = random.Random(f"gaps:{seed}")
@@ -491,7 +490,7 @@ def test_column_gaps_read_few_inside_vertices_by_their_bits():
         members = sorted({tuple(sorted(rng.sample(range(n), t)))
                           for _ in range(rng.randint(1, 200))})
         cols = multidom.ColumnList(n, members)
-        allowed = [sum(1 << u for u in rng.sample(range(n), rng.choice((0, 1, 2, 3, n // 8, n // 2))))
+        allowed = [sum(1 << u for u in rng.sample(range(n), rng.choice((0, 1, 2, 3, n // 8, n // 4, n // 2))))
                    for _ in range(n)]
         gaps = multidom._ColumnGaps(cols, allowed.__getitem__)
         full = (1 << len(members)) - 1
@@ -502,11 +501,12 @@ def test_column_gaps_read_few_inside_vertices_by_their_bits():
             if t * size >= n - size:
                 branches.add("outside")
                 continue
-            branches.add("bits" if 64 * size < n else "selector")
+            branches.add("bits" if 16 * size < min(n, 512) else "selector")
             selected = itertools.compress(cols.column_masks, multidom._bit_flags(inside))
             ok = multidom._at_least(selected, t, full)[t]
             assert gaps[v] == full ^ ok | cols.column_masks[v]
     assert branches == {"bits", "selector", "outside"}
+
 
 def _join_instances():
     """(G, k) pairs: seeded ov_to_multidom targets (k = 4, r = 1..3) and

@@ -71,7 +71,12 @@ def _load_object(source, kind: str, fields: tuple[str, ...], shape: str) -> tupl
     else a file path) and a label naming the source for error messages.
     Raises ValueError, naming the source, when the text is not JSON (or is
     nested too deep to decode) or not an object, or lacks one of `fields`;
-    OSError when the file cannot be read."""
+    OSError when the file cannot be read.
+
+    A file is read as bytes and decoded as strict UTF-8, so invalid UTF-8
+    raises UnicodeDecodeError (a ValueError) and a BOM stays in the text,
+    where `json.loads` refuses it; "\r\n" and "\r" then become "\n", as in
+    a text-mode read, so a JSON error gives the same position."""
     try:
         if hasattr(source, "read"):
             where = f"{kind} {getattr(source, 'name', 'stream')}"
@@ -81,8 +86,11 @@ def _load_object(source, kind: str, fields: tuple[str, ...], shape: str) -> tupl
             data = json.loads(text)
         else:
             where = f"{kind} file {source}"
-            with open(text) as fh:
-                data = json.load(fh)
+            with open(text, "rb", buffering=0) as fh:
+                text = fh.read().decode()
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{where}: {exc}") from None
     if not isinstance(data, dict):

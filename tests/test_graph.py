@@ -217,6 +217,44 @@ def test_index_mask_is_the_sum_of_its_bits(width, density, seed, top):
     assert graph._index_mask(indices) == sum(1 << i for i in indices)
 
 
+def _spread(d, w):
+    """d distinct indices below w, ascending, the last one w - 1."""
+    return sorted(random.Random(31 * w + d).sample(range(w - 1), d - 1)) + [w - 1]
+
+
+# (d, w): the table's last slot and one past it, at and past its degree
+# bound; the 16, 32·d and 4096 bounds of the sum and the digit buffer
+_MASK_EDGES = [(1, 256), (1, 257), (47, 256), (47, 257), (48, 256), (48, 257),
+               (15, 5000), (16, 511), (16, 512), (16, 513), (20, 640), (20, 641),
+               (127, 4064), (127, 4065), (127, 4097), (128, 4096), (128, 5000), (129, 10_000)]
+_MASK_GRID = [(d, w) for w in (1, 2, 47, 48, 64, 128, 200, 255, 256, 257, 300, 512, 1024)
+              for d in (1, 2, 8, 16, 32, 46, 47, 48, 49, 64, 96, 128) if d <= w]
+
+
+def test_index_mask_of_no_index_and_of_one():
+    assert graph._index_mask([]) == 0
+    assert graph._index_mask([0]) == 1
+    assert graph._index_mask([255]) == 1 << 255
+    assert graph._index_mask([256]) == 1 << 256
+
+
+class _CountingTable(list):
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("d, w", _MASK_EDGES + _MASK_GRID)
+def test_index_mask_reads_the_table_below_its_bounds(monkeypatch, d, w):
+    table = _CountingTable(graph._BITS)
+    monkeypatch.setattr(graph, "_BITS", table)
+    indices = _spread(d, w)
+    assert graph._index_mask(indices) == sum(1 << i for i in indices)
+    assert table.reads == (d if d < 48 and w <= 256 else 0)
+
+
 def test_hub_masks_of_a_star():
     # the hub's 300 neighbours take the digit buffer, each leaf the sum
     G = star_graph(300)
@@ -467,6 +505,70 @@ def test_edgelist_canonical_shape_is_read_in_bulk(monkeypatch, tmp_path):
     assert load_graph(str(path)) == load_graph(io.BytesIO(text.encode())) == G
     with pytest.raises(AssertionError):
         load_graph(("# comment\n" + text).encode())
+
+
+# --- every input form reads the same bytes to the same outcome ----------------
+
+_G5 = Graph(5, [(0, 1), (0, 2), (1, 3), (3, 4)])
+_CANONICAL5 = b"5 4\n0 1\n0 2\n1 3\n3 4\n"
+_DIMACS5 = b"c five\np edge 5 4\ne 1 2\ne 1 3\ne 2 4\ne 4 5\n"
+
+# contents and their outcome: the Graph, or the error's type and message, as
+# a text-mode read (universal newlines, UTF-8) of each gave them
+_LOAD_CONTENTS = {
+    "canonical": (_CANONICAL5, _G5),
+    "crlf": (_CANONICAL5.replace(b"\n", b"\r\n"), _G5),
+    "cr": (_CANONICAL5.replace(b"\n", b"\r"), _G5),
+    "comments": (b"# five\r\n" + _CANONICAL5.replace(b"0 2\n", b"0 2  # edge\n"), _G5),
+    "dimacs": (_DIMACS5, _G5),
+    "dimacs-crlf": (_DIMACS5.replace(b"\n", b"\r\n"), _G5),
+    "leading-zero": (_CANONICAL5.replace(b"\n0 2", b"\n00 2"), _G5),
+    "invalid-utf8": (_CANONICAL5.replace(b"1 3", b"1 \xff3"),
+                     ("UnicodeDecodeError",
+                      "'utf-8' codec can't decode byte 0xff in position 14: invalid start byte")),
+    "bom": (b"\xef\xbb\xbf" + _CANONICAL5,
+            ("GraphFormatError", "line 1: not integers: '\\ufeff5 4'")),
+    "bad-line-crlf": (b"5 4\r\n0 1\r\n0 x\r\n", ("GraphFormatError", "line 3: not integers: '0 x'")),
+}
+
+
+def _outcome(load, source):
+    try:
+        return load(source)
+    except ValueError as exc:  # GraphFormatError and UnicodeDecodeError included
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name", _LOAD_CONTENTS)
+def test_every_input_form_loads_to_the_same_outcome(tmp_path, name):
+    data, expected = _LOAD_CONTENTS[name]
+    path = tmp_path / f"{name}.graph"
+    path.write_bytes(data)
+    with open(path, encoding="utf-8") as text_stream:
+        outcomes = {form: _outcome(load_graph, source) for form, source in (
+            ("path", path), ("str path", str(path)), ("bytes", data),
+            ("binary stream", io.BytesIO(data)), ("text stream", text_stream))}
+    assert outcomes == dict.fromkeys(outcomes, expected)
+
+
+def test_crlf_canonical_text_is_read_by_lines(monkeypatch, tmp_path):
+    lines = []
+    original = graph._edgelist_ints
+    monkeypatch.setattr(graph, "_edgelist_ints", lambda *args: lines.append(args[0]) or original(*args))
+    path = tmp_path / "g.graph"
+    path.write_bytes(_CANONICAL5)
+    assert load_graph(path) == _G5 and lines == []
+    # a text-mode read saw "\n" here and took the bulk path; the bytes are read as they are
+    path.write_bytes(_CANONICAL5.replace(b"\n", b"\r\n"))
+    assert load_graph(path) == _G5 and lines == [1, 2, 3, 4, 5]
+
+
+def test_text_stream_with_a_lone_surrogate_fails_on_its_line():
+    # no bytes for the bulk check: the line reader gets the str itself
+    with pytest.raises(GraphFormatError, match=re.escape("line 2: not integers: '0 \\udc80'")):
+        load_graph(io.StringIO("5 4\n0 \udc80\n"))
+    with pytest.raises(GraphFormatError, match=re.escape("line 3: not integers: '\\udc80'")):
+        load_graph(io.StringIO("2 1\n0 1\n\udc80"))
 
 
 def _flat_outcome(build, n, flat):

@@ -23,6 +23,7 @@ from domlab import (
     Problem,
     diagnose_solution,
     load_graph,
+    load_ov,
     load_pattern,
     ov_to_hdom,
     ov_to_induced_matching,
@@ -338,6 +339,52 @@ def test_pattern_json_round_trip(tmp_path):
     assert load_pattern(io.StringIO(text)) == Pattern.matching(4)
     with pytest.raises(ValueError, match="^pattern stream: "):
         load_pattern(io.StringIO(text[:-1]))
+
+
+def _text_mode_outcome(path, kind):
+    """What a text-mode read (universal newlines, UTF-8) of `path` gives
+    `json.load`: None, or the error type and message the loaders raise."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            json.load(fh)
+    except json.JSONDecodeError as exc:
+        return "ValueError", f"{kind} file {path}: {exc}"
+    except UnicodeDecodeError as exc:
+        return "UnicodeDecodeError", str(exc)
+    return None
+
+
+@pytest.mark.parametrize("load, kind, text", [
+    (load_pattern, "pattern", '{"k": 4, "edges": [[0, 1], [2, 3]]}'),
+    (load_ov, "OV source", '{"k": 2, "d": 2, "sets": [["01", "10"], ["11", "00"]]}'),
+])
+def test_json_files_load_as_a_text_mode_read(tmp_path, load, kind, text):
+    expected = load(text)
+    contents = {
+        "lf": text.encode(),
+        "crlf": text.replace(", ", ",\r\n").encode() + b"\r\n",
+        "cr": text.replace(", ", ",\r").encode(),
+        "bom": b"\xef\xbb\xbf" + text.encode(),
+        "invalid-utf8": text.replace("1", "\udcff", 1).encode(errors="surrogateescape"),
+        "bad-json-crlf": text.replace(", ", ",\r\n", 2).replace("]", ",]", 1).encode(),
+        "cr-in-string": text.replace('"k"', '"\rk"').encode(),
+    }
+    for name, data in contents.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        error = _text_mode_outcome(path, kind)
+        if error is None:
+            assert load(path) == load(str(path)) == expected, name
+            continue
+        for source in (path, str(path)):
+            with pytest.raises(ValueError) as exc:
+                load(source)
+            assert (type(exc.value).__name__, str(exc.value)) == error, name
+    # the errors above include a BOM, invalid UTF-8 and JSON positions past a "\r\n"
+    assert _text_mode_outcome(tmp_path / "bom.json", kind)[1].endswith(
+        "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)")
+    assert _text_mode_outcome(tmp_path / "invalid-utf8.json", kind)[0] == "UnicodeDecodeError"
+    assert "line 3" in _text_mode_outcome(tmp_path / "bad-json-crlf.json", kind)[1]
 
 
 def test_pattern_rejects_bad_edges():
